@@ -19,7 +19,9 @@ use crate::error::EngineError;
 use crate::model::ModelConfig;
 use crate::obs::{Timeline, TimelineRecorder};
 use crate::report::PhaseReport;
-use crate::trace::{decode_trace, prefill_trace, ConcurrencyLog, ConcurrencyRecorder, OpRole};
+use crate::trace::{
+    decode_trace, prefill_trace, ConcurrencyLog, ConcurrencyRecorder, OpRole, PhaseTrace, TraceOp,
+};
 
 /// HeteroLLM with tensor-level heterogeneous execution.
 ///
@@ -284,6 +286,55 @@ impl<P: CostProvider> HeteroTensorEngine<P> {
         }
     }
 
+    /// Run one trace op: a weight Matmul through its memoized plan
+    /// (prefill plans are solved NPU-dominant, decode plans
+    /// GPU-dominant), anything else on the GPU.
+    fn run_op(&mut self, op: &TraceOp, dominance: Dominance) -> Result<(), EngineError> {
+        if op.role != OpRole::WeightMatmul {
+            self.run_on(Backend::Gpu, &op.kernel);
+            return Ok(());
+        }
+        let shape = op.shape.ok_or(EngineError::MissingShape { op: op.op })?;
+        let (table, solver) = match dominance {
+            Dominance::NpuDominant => (&mut self.prefill_table, &self.prefill_solver),
+            Dominance::GpuDominant => (&mut self.decode_table, &self.decode_solver),
+        };
+        let choice = table.get_or_solve(solver, op.op, shape, dominance);
+        self.execute_plan(&choice.plan, shape, dominance);
+        Ok(())
+    }
+
+    /// Run one phase step: prologue, decoder layers, epilogue.
+    ///
+    /// Every decoder layer runs the same ops through the same memoized
+    /// plans, and SoC costs never depend on the clock. So once a layer
+    /// leaves the backend state as it found it, each remaining layer
+    /// would cost exactly what that one did, and the SoC charges them
+    /// as repeats of it ([`Soc::repeat_since`]). Per-kernel observers
+    /// (concurrency recorder, timeline, SoC trace) need every kernel,
+    /// so while any is on the same loop walks every layer.
+    fn run_trace(&mut self, trace: &PhaseTrace, dominance: Dominance) -> Result<(), EngineError> {
+        for op in &trace.prologue {
+            self.run_op(op, dominance)?;
+        }
+        let observed =
+            self.recorder.is_some() || self.timeline.is_some() || self.soc.trace_enabled();
+        for walked in 1..=trace.layers {
+            let (entry, mark) = (self.current, self.soc.mark());
+            for op in &trace.layer {
+                self.run_op(op, dominance)?;
+            }
+            if !observed && self.current == entry {
+                self.soc.repeat_since(mark, (trace.layers - walked) as u64);
+                break;
+            }
+        }
+        for op in &trace.epilogue {
+            self.run_op(op, dominance)?;
+        }
+        Ok(())
+    }
+
     /// Execute a partition plan for one logical Matmul (public for the
     /// speculative-decoding driver and the experiment harness).
     pub fn execute_plan_pub(
@@ -321,26 +372,10 @@ impl<P: CostProvider> Engine for HeteroTensorEngine<P> {
 
     fn try_prefill(&mut self, prompt_len: usize) -> Result<PhaseReport, EngineError> {
         let start = self.soc.clock();
-        let trace = prefill_trace(&self.cfg, prompt_len);
-        let ops: Vec<_> = trace.iter_all().cloned().collect();
-        for op in &ops {
-            match op.role {
-                OpRole::WeightMatmul => {
-                    let shape = op.shape.ok_or(EngineError::MissingShape { op: op.op })?;
-                    let choice = self.prefill_table.get_or_solve(
-                        &self.prefill_solver,
-                        op.op,
-                        shape,
-                        Dominance::NpuDominant,
-                    );
-                    self.execute_plan(&choice.plan, shape, Dominance::NpuDominant);
-                }
-                _ => {
-                    let k = op.kernel.clone();
-                    self.run_on(Backend::Gpu, &k);
-                }
-            }
-        }
+        self.run_trace(
+            &prefill_trace(&self.cfg, prompt_len),
+            Dominance::NpuDominant,
+        )?;
         Ok(PhaseReport {
             tokens: prompt_len,
             elapsed: self.soc.clock() - start,
@@ -355,25 +390,7 @@ impl<P: CostProvider> Engine for HeteroTensorEngine<P> {
         let start = self.soc.clock();
         for t in 0..n_tokens {
             let trace = decode_trace(&self.cfg, prompt_len + t + 1, 1);
-            let ops: Vec<_> = trace.iter_all().cloned().collect();
-            for op in &ops {
-                match op.role {
-                    OpRole::WeightMatmul => {
-                        let shape = op.shape.ok_or(EngineError::MissingShape { op: op.op })?;
-                        let choice = self.decode_table.get_or_solve(
-                            &self.decode_solver,
-                            op.op,
-                            shape,
-                            Dominance::GpuDominant,
-                        );
-                        self.execute_plan(&choice.plan, shape, Dominance::GpuDominant);
-                    }
-                    _ => {
-                        let k = op.kernel.clone();
-                        self.run_on(Backend::Gpu, &k);
-                    }
-                }
-            }
+            self.run_trace(&trace, Dominance::GpuDominant)?;
         }
         Ok(PhaseReport {
             tokens: n_tokens,

@@ -2,8 +2,12 @@
 //! architectures — the scheduling policies must stay sound for any
 //! Llama-shaped decoder, not just the four evaluation presets.
 
+use hetero_soc::power::PowerReport;
+use hetero_soc::specs::{project_config, table1};
 use hetero_soc::sync::SyncMechanism;
-use heterollm::{EngineKind, ModelConfig};
+use hetero_soc::{SocConfig, SocMark};
+use heterollm::engines::{Engine, HeteroTensorEngine};
+use heterollm::{EngineKind, ModelConfig, PhaseReport};
 use proptest::prelude::*;
 
 /// Random but valid Llama-style architecture.
@@ -108,5 +112,67 @@ proptest! {
         let power = e.finish();
         prop_assert!((power.energy_j - power.avg_power_w * clock).abs() < 1e-6);
         prop_assert!(power.avg_power_w > 0.2 && power.avg_power_w < 10.0);
+    }
+}
+
+/// How a Hetero-tensor session is watched.
+#[derive(Debug, Clone, Copy)]
+enum Observer {
+    None,
+    Timeline,
+    ConcurrencyLog,
+    SocTrace,
+}
+
+/// One Hetero-tensor session under `observer`: prefill and decode
+/// reports, the SoC's clock and meter counters, and the power report.
+fn observed_session(
+    model: &ModelConfig,
+    cfg: &SocConfig,
+    observer: Observer,
+    prompt: usize,
+    decode: usize,
+) -> (PhaseReport, PhaseReport, SocMark, PowerReport) {
+    let mut e = HeteroTensorEngine::with_soc_config(model, cfg.clone());
+    match observer {
+        Observer::None => {}
+        Observer::Timeline => e.enable_timeline(),
+        Observer::ConcurrencyLog => e.enable_concurrency_log(),
+        Observer::SocTrace => e.soc_mut().enable_trace(),
+    }
+    let p = e.prefill(prompt);
+    let d = e.decode(prompt, decode);
+    let mark = e.soc().mark();
+    (p, d, mark, e.finish())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn hetero_tensor_numbers_do_not_depend_on_observation(
+        model_ix in 0usize..3,
+        soc_ix in 0usize..16,
+        driver_sync in proptest::bool::ANY,
+        prompt in 1usize..=1100,
+        decode in 0usize..=8,
+    ) {
+        // Unobserved sessions charge repeated decoder layers without
+        // walking them; observed ones walk every kernel. The simulated
+        // numbers must be bit-identical either way.
+        let model = [
+            ModelConfig::internlm_1_8b(),
+            ModelConfig::qwen2_1_5b(),
+            ModelConfig::llama_3b(),
+        ][model_ix]
+            .clone();
+        let socs: Vec<SocConfig> = table1().iter().filter_map(project_config).collect();
+        let mechanism = if driver_sync { SyncMechanism::Driver } else { SyncMechanism::Fast };
+        let cfg = socs[soc_ix % socs.len()].clone().with_sync(mechanism);
+        let plain = observed_session(&model, &cfg, Observer::None, prompt, decode);
+        for observer in [Observer::Timeline, Observer::ConcurrencyLog, Observer::SocTrace] {
+            let watched = observed_session(&model, &cfg, observer, prompt, decode);
+            prop_assert_eq!(&watched, &plain, "{:?} on {} at {}+{}", observer, model.name, prompt, decode);
+        }
     }
 }

@@ -74,6 +74,15 @@ impl std::ops::AddAssign for CostInterval {
 }
 
 /// A source of matmul kernel costs per backend and bandwidth condition.
+///
+/// # Contract
+///
+/// For fixed `m`, `k`, dtypes and condition, the GPU cost must never
+/// decrease as `n` grows. The solver's row-cut scan relies on it to
+/// stop early without changing its answer. Both shipped GPU models
+/// satisfy it: flops and bytes grow with `n`, and the GPU's
+/// sequence-efficiency factor depends only on `m`. NPU costs carry no
+/// such requirement.
 pub trait CostProvider {
     /// Cost of `[m,k] x [k,n]` on `backend` where the streamed `[m,k]`
     /// operand is stored as `act_dtype` and the stationary `[k,n]`
@@ -175,10 +184,7 @@ impl AnalyticGpuPredictor {
             BwCondition::Contended => self
                 .cfg
                 .mem
-                .concurrent_bw(&[Backend::Gpu, Backend::Npu])
-                .into_iter()
-                .find(|(b, _)| *b == Backend::Gpu)
-                .map(|(_, bw)| bw)
+                .concurrent_bw_of(Backend::Gpu, &[Backend::Gpu, Backend::Npu])
                 .unwrap_or(0.0),
         };
         self.cfg.gpu.kernel_time(&kernel, bw)

@@ -48,5 +48,5 @@ pub mod time;
 
 pub use backend::Backend;
 pub use kernel::{KernelDesc, OpKind};
-pub use soc::{Soc, SocConfig};
+pub use soc::{Soc, SocConfig, SocMark};
 pub use time::SimTime;

@@ -58,21 +58,35 @@ impl MemorySystem {
     /// total is limited by `multi_efficiency × soc_peak` (for more than
     /// one initiator) with proportional scaling.
     pub fn concurrent_bw(&self, active: &[Backend]) -> Vec<(Backend, f64)> {
-        if active.is_empty() {
-            return Vec::new();
-        }
         if active.len() == 1 {
             return vec![(active[0], self.solo_bw(active[0]))];
         }
-        let caps: Vec<f64> = active.iter().map(|b| self.cap(*b)).collect();
-        let total: f64 = caps.iter().sum();
+        let scale = self.contention_scale(active);
+        active.iter().map(|&b| (b, self.cap(b) * scale)).collect()
+    }
+
+    /// `backend`'s entry of [`MemorySystem::concurrent_bw`], without
+    /// building the vector; `None` if `backend` is not in `active`.
+    pub fn concurrent_bw_of(&self, backend: Backend, active: &[Backend]) -> Option<f64> {
+        if !active.contains(&backend) {
+            return None;
+        }
+        if active.len() == 1 {
+            return Some(self.solo_bw(backend));
+        }
+        Some(self.cap(backend) * self.contention_scale(active))
+    }
+
+    /// The proportional scale-down that fits several initiators' caps
+    /// into the multi-initiator budget.
+    fn contention_scale(&self, active: &[Backend]) -> f64 {
+        let total: f64 = active.iter().map(|&b| self.cap(b)).sum();
         let budget = self.soc_peak_gbps * self.multi_efficiency;
-        let scale = if total > budget { budget / total } else { 1.0 };
-        active
-            .iter()
-            .zip(caps)
-            .map(|(b, c)| (*b, c * scale))
-            .collect()
+        if total > budget {
+            budget / total
+        } else {
+            1.0
+        }
     }
 
     /// Total bandwidth observed when `active` backends stream together
@@ -120,6 +134,33 @@ mod tests {
         let total = mem.total_bw(&[Backend::Cpu, Backend::Gpu, Backend::Npu]);
         assert!(total <= mem.soc_peak_gbps * mem.multi_efficiency + 1e-9);
         assert!(total > 55.0);
+    }
+
+    #[test]
+    fn scalar_accessor_matches_vector() {
+        let mut mem = MemorySystem::default();
+        let sets: [&[Backend]; 5] = [
+            &[],
+            &[Backend::Npu],
+            &[Backend::Gpu, Backend::Npu],
+            &[Backend::Npu, Backend::Gpu],
+            &[Backend::Cpu, Backend::Gpu, Backend::Npu],
+        ];
+        for factor in [0.97, 1.0, 1.03, 3.0] {
+            mem.soc_peak_gbps = calib::SOC_PEAK_BW_GBPS * factor;
+            for active in sets {
+                let all = mem.concurrent_bw(active);
+                for b in Backend::ALL {
+                    let want = all.iter().find(|(x, _)| *x == b).map(|&(_, bw)| bw);
+                    let got = mem.concurrent_bw_of(b, active);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{b} {active:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

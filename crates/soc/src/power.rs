@@ -25,6 +25,13 @@ pub struct EnergyMeter {
     gpu_assist: bool,
 }
 
+/// The additive counters of an [`EnergyMeter`] at one point of a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MeterMark {
+    busy_ns: [u64; 3],
+    dram_bytes: u64,
+}
+
 /// A power/energy summary.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PowerReport {
@@ -71,6 +78,24 @@ impl EnergyMeter {
     /// Busy time recorded for a backend.
     pub fn busy(&self, backend: Backend) -> SimTime {
         SimTime::from_nanos(self.busy_ns[Self::idx(backend)])
+    }
+
+    /// Snapshot of the additive counters, for [`EnergyMeter::repeat_since`].
+    pub(crate) fn mark(&self) -> MeterMark {
+        MeterMark {
+            busy_ns: self.busy_ns,
+            dram_bytes: self.dram_bytes,
+        }
+    }
+
+    /// Add `times` more copies of the activity recorded since `mark`:
+    /// the exact integer result of recording that activity `times`
+    /// more times.
+    pub(crate) fn repeat_since(&mut self, mark: MeterMark, times: u64) {
+        for (now, then) in self.busy_ns.iter_mut().zip(mark.busy_ns) {
+            *now += (*now - then) * times;
+        }
+        self.dram_bytes += (self.dram_bytes - mark.dram_bytes) * times;
     }
 
     fn idx(backend: Backend) -> usize {

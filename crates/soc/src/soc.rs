@@ -10,7 +10,7 @@ use crate::kernel::KernelDesc;
 use crate::memory::MemorySystem;
 use crate::npu::NpuModel;
 use crate::parallel::{overlap, OverlapOutcome};
-use crate::power::EnergyMeter;
+use crate::power::{EnergyMeter, MeterMark};
 use crate::sync::{Dominance, SyncMechanism, SyncModel};
 use crate::time::SimTime;
 
@@ -68,6 +68,14 @@ pub struct TraceEvent {
     pub duration: SimTime,
 }
 
+/// The additive state of a [`Soc`] at one point of a run: the clock
+/// and the energy meter's counters (see [`Soc::repeat_since`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SocMark {
+    clock: SimTime,
+    meter: MeterMark,
+}
+
 /// A simulated SoC instance with a clock and an energy meter.
 ///
 /// # Examples
@@ -110,6 +118,11 @@ impl Soc {
         self.record_trace = true;
     }
 
+    /// Whether per-interval trace recording is on.
+    pub fn trace_enabled(&self) -> bool {
+        self.record_trace
+    }
+
     /// Recorded trace events.
     pub fn trace(&self) -> &[TraceEvent] {
         &self.events
@@ -140,6 +153,34 @@ impl Soc {
         &self.meter
     }
 
+    /// Snapshot of the clock and meter, for [`Soc::repeat_since`].
+    pub fn mark(&self) -> SocMark {
+        SocMark {
+            clock: self.clock,
+            meter: self.meter.mark(),
+        }
+    }
+
+    /// Charge `times` more copies of everything that ran since `mark`
+    /// — clock, per-backend busy time and DRAM traffic — without
+    /// running it again.
+    ///
+    /// Kernel costs depend on the configuration and the kernel, never
+    /// on the clock, so under an unchanged configuration this is
+    /// exactly the integer result of re-running the same kernels
+    /// `times` more times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if trace recording is on: the repeated intervals would
+    /// be missing from the trace, so tracing callers must run every
+    /// kernel.
+    pub fn repeat_since(&mut self, mark: SocMark, times: u64) {
+        assert!(!self.record_trace, "repeat_since would drop trace events");
+        self.clock += SimTime::from_nanos((self.clock - mark.clock).as_nanos() * times);
+        self.meter.repeat_since(mark.meter, times);
+    }
+
     /// Mark the CPU as a compute backend for power accounting.
     pub fn set_cpu_compute(&mut self) {
         self.meter.set_cpu_compute(true);
@@ -168,10 +209,7 @@ impl Soc {
         let bw = self
             .cfg
             .mem
-            .concurrent_bw(active)
-            .into_iter()
-            .find(|(b, _)| *b == backend)
-            .map(|(_, bw)| bw)
+            .concurrent_bw_of(backend, active)
             .unwrap_or_else(|| self.cfg.mem.solo_bw(backend));
         self.kernel_time_at(backend, kernel, bw)
     }
@@ -375,6 +413,26 @@ mod tests {
         s.run_parallel(&[big_gemm()], &[big_gemm()], Dominance::NpuDominant);
         assert_eq!(s.trace().len(), 3);
         assert_eq!(s.trace()[0].backend, Backend::Gpu);
+    }
+
+    #[test]
+    fn repeat_since_equals_running_again() {
+        let step = |s: &mut Soc| {
+            s.run_serial(Backend::Gpu, &[big_gemm()]);
+            s.backend_switch();
+            s.run_parallel(&[big_gemm()], &[big_gemm()], Dominance::GpuDominant);
+        };
+        let mut walked = soc();
+        walked.run_serial(Backend::Npu, &[big_gemm()]);
+        let mut repeated = walked.clone();
+        for _ in 0..5 {
+            step(&mut walked);
+        }
+        let mark = repeated.mark();
+        step(&mut repeated);
+        repeated.repeat_since(mark, 4);
+        assert_eq!(repeated.mark(), walked.mark());
+        assert_eq!(repeated.finish().report(), walked.finish().report());
     }
 
     #[test]

@@ -196,16 +196,27 @@ impl<P: CostProvider> Solver<P> {
             self.cfg.enable_row_cut,
             next_standard(shape.m, &self.cfg.standards),
         ) {
+            // Cuts are scanned in increasing GPU share `c`. Every cut
+            // costs at least its GPU side plus the rendezvous, and GPU
+            // cost never falls as `c` grows (the `CostProvider`
+            // contract), so once that floor reaches the best cut so far
+            // no later cut can beat it strictly and the scan stops.
+            // NPU cost carries no such guarantee and never prunes.
+            let mut best_cut = SimTime(u64::MAX);
             for c in self.row_cuts(shape.n) {
-                let npu = self.npu_cost(
-                    MatmulShape::new(padded_m, shape.k, shape.n - c),
-                    BwCondition::Contended,
-                );
                 let gpu = self.gpu_cost(
                     MatmulShape::new(shape.m, shape.k, c),
                     BwCondition::Contended,
                 );
+                if gpu + rendezvous >= best_cut {
+                    break;
+                }
+                let npu = self.npu_cost(
+                    MatmulShape::new(padded_m, shape.k, shape.n - c),
+                    BwCondition::Contended,
+                );
                 let t = npu.max(gpu) + rendezvous;
+                best_cut = best_cut.min(t);
                 let plan = if padded_m == shape.m {
                     PartitionPlan::RowCut {
                         gpu_cols: c,

@@ -14,9 +14,12 @@ use crate::plan::PlanChoice;
 use crate::solver::Solver;
 
 /// Memoized plan store keyed by `(operator name, sequence length)`.
+///
+/// Keyed by name first so that a lookup borrows the `&str` instead of
+/// building an owned key.
 #[derive(Debug, Clone, Default)]
 pub struct PlanTable {
-    plans: BTreeMap<(String, usize), PlanChoice>,
+    plans: BTreeMap<String, BTreeMap<usize, PlanChoice>>,
 }
 
 impl PlanTable {
@@ -27,7 +30,7 @@ impl PlanTable {
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.plans.len()
+        self.plans.values().map(BTreeMap::len).sum()
     }
 
     /// Whether the table is empty.
@@ -37,12 +40,20 @@ impl PlanTable {
 
     /// Look up a cached plan.
     pub fn get(&self, op: &str, seq: usize) -> Option<&PlanChoice> {
-        self.plans.get(&(op.to_string(), seq))
+        self.plans.get(op)?.get(&seq)
     }
 
     /// Insert a plan.
     pub fn insert(&mut self, op: &str, seq: usize, choice: PlanChoice) {
-        self.plans.insert((op.to_string(), seq), choice);
+        match self.plans.get_mut(op) {
+            Some(by_seq) => {
+                by_seq.insert(seq, choice);
+            }
+            None => {
+                self.plans
+                    .insert(op.to_string(), BTreeMap::from([(seq, choice)]));
+            }
+        }
     }
 
     /// Return the cached plan or solve-and-memoize.

@@ -1,10 +1,15 @@
 //! Property-based tests of the partition solver.
 
+use std::sync::OnceLock;
+
+use hetero_graph::plan::{candidate_plans, next_standard, pipe_plan};
 use hetero_profiler::db::BwCondition;
-use hetero_profiler::{CostProvider, RealExecProvider};
+use hetero_profiler::measure::{partition_shape_grid, profile_matmuls};
+use hetero_profiler::{CostProvider, PredictedProvider, RealExecProvider};
+use hetero_soc::specs::{project_config, table1};
 use hetero_soc::sync::Dominance;
-use hetero_soc::{Backend, SimTime, SocConfig};
-use hetero_solver::{PartitionPlan, Solver, SolverConfig};
+use hetero_soc::{Backend, SimTime, Soc, SocConfig};
+use hetero_solver::{PartitionPlan, PlanChoice, Solver, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::DType;
 use proptest::prelude::*;
@@ -125,5 +130,237 @@ proptest! {
         let a = solver().solve(shape, Dominance::NpuDominant);
         let b = solver().solve(shape, Dominance::NpuDominant);
         prop_assert_eq!(a, b);
+    }
+}
+
+/// Reference solver: the §4.3 search with every row cut priced, no
+/// early exit. `Solver::solve` must return exactly its answer.
+fn full_scan_solve<P: CostProvider>(
+    provider: &P,
+    cfg: &SolverConfig,
+    shape: MatmulShape,
+    dominance: Dominance,
+) -> PlanChoice {
+    let npu = |s: MatmulShape, cond| {
+        if cfg.permute_for_npu {
+            provider.matmul_cost(
+                Backend::Npu,
+                s.reversed(),
+                cfg.weight_dtype,
+                DType::F16,
+                cond,
+            )
+        } else {
+            provider.matmul_cost(Backend::Npu, s, DType::F16, cfg.weight_dtype, cond)
+        }
+    };
+    let gpu = |s: MatmulShape, cond| {
+        provider.matmul_cost(Backend::Gpu, s, DType::F16, cfg.weight_dtype, cond)
+    };
+    let npu_chunks = |chunks: &[usize], cond| -> SimTime {
+        chunks
+            .iter()
+            .map(|&c| npu(MatmulShape { m: c, ..shape }, cond))
+            .sum()
+    };
+    let mut serial = vec![(PartitionPlan::GpuOnly, gpu(shape, BwCondition::Solo))];
+    let mut parallel = Vec::new();
+    let switch = cfg.sync.backend_switch();
+    let rendezvous = cfg.sync.rendezvous(dominance);
+    let padded = next_standard(shape.m, &cfg.standards);
+    match padded {
+        Some(padded_m) => serial.push((
+            PartitionPlan::NpuOnly { padded_m },
+            npu(
+                MatmulShape {
+                    m: padded_m,
+                    ..shape
+                },
+                BwCondition::Solo,
+            ) + switch,
+        )),
+        None => {
+            let pipe = pipe_plan(shape.m, &cfg.standards);
+            let t = npu_chunks(&pipe.npu_chunks, BwCondition::Solo) + switch;
+            serial.push((
+                PartitionPlan::NpuPipe {
+                    chunks: pipe.npu_chunks,
+                    padded_rows: pipe.padded_rows,
+                },
+                t,
+            ));
+        }
+    }
+    if let (true, Some(padded_m)) = (cfg.enable_row_cut, padded) {
+        for c in (1..)
+            .map(|i| i * cfg.row_align)
+            .take_while(|&c| c < shape.n)
+        {
+            let t = npu(
+                MatmulShape::new(padded_m, shape.k, shape.n - c),
+                BwCondition::Contended,
+            )
+            .max(gpu(
+                MatmulShape::new(shape.m, shape.k, c),
+                BwCondition::Contended,
+            )) + rendezvous;
+            let plan = if padded_m == shape.m {
+                PartitionPlan::RowCut {
+                    gpu_cols: c,
+                    padded_m,
+                }
+            } else {
+                PartitionPlan::HybridCut {
+                    padded_m,
+                    gpu_cols: c,
+                }
+            };
+            parallel.push((plan, t));
+        }
+    }
+    let seq = if cfg.enable_seq_cut {
+        candidate_plans(shape.m, &cfg.standards)
+    } else {
+        Vec::new()
+    };
+    for cand in seq.into_iter().filter(|c| !c.npu_chunks.is_empty()) {
+        if cand.margin == 0 {
+            let t = npu_chunks(&cand.npu_chunks, BwCondition::Solo) + switch;
+            serial.push((
+                PartitionPlan::SeqCut {
+                    npu_chunks: cand.npu_chunks,
+                    gpu_rows: 0,
+                },
+                t,
+            ));
+        } else {
+            let t = npu_chunks(&cand.npu_chunks, BwCondition::Contended).max(gpu(
+                MatmulShape {
+                    m: cand.margin,
+                    ..shape
+                },
+                BwCondition::Contended,
+            )) + rendezvous;
+            parallel.push((
+                PartitionPlan::SeqCut {
+                    npu_chunks: cand.npu_chunks,
+                    gpu_rows: cand.margin,
+                },
+                t,
+            ));
+        }
+    }
+    // First strict minimum, as the solver keeps it.
+    let first_min = |plans: Vec<(PartitionPlan, SimTime)>| {
+        plans
+            .into_iter()
+            .reduce(|best, p| if p.1 < best.1 { p } else { best })
+    };
+    let (serial_plan, serial_t) = first_min(serial).expect("GPU-only is always a candidate");
+    let (plan, est_time) = match first_min(parallel) {
+        Some((p, t))
+            if t.as_secs_f64() < serial_t.as_secs_f64() * (1.0 - cfg.min_parallel_gain) =>
+        {
+            (p, t)
+        }
+        _ => (serial_plan, serial_t),
+    };
+    PlanChoice {
+        plan: plan.normalize(),
+        est_time,
+    }
+}
+
+/// A prediction-mode provider trained on a small real-execution
+/// profile (shared across cases: training dominates its cost).
+fn predicted_provider() -> PredictedProvider {
+    static PROVIDER: OnceLock<PredictedProvider> = OnceLock::new();
+    PROVIDER
+        .get_or_init(|| {
+            let cfg = SocConfig::snapdragon_8gen3();
+            let mut shapes = Vec::new();
+            for (k, n) in [(2048, 2048), (4096, 14336), (14336, 4096)] {
+                shapes.extend(
+                    partition_shape_grid(&[1, 256], k, n)
+                        .into_iter()
+                        .map(|s| s.reversed()),
+                );
+            }
+            let db = profile_matmuls(
+                &Soc::new(cfg.clone()),
+                &shapes,
+                &[Backend::Npu],
+                DType::Int4,
+                DType::F16,
+            );
+            PredictedProvider::train(&db, cfg).expect("profile grid is non-empty")
+        })
+        .clone()
+}
+
+/// The configuration with every memory bandwidth scaled by
+/// `ppm / 10⁶` (the fleet's silicon-lottery perturbation).
+fn bandwidth_scaled(mut cfg: SocConfig, ppm: u64) -> SocConfig {
+    let f = ppm as f64 / 1e6;
+    cfg.mem.soc_peak_gbps *= f;
+    cfg.mem.cpu_cap_gbps *= f;
+    cfg.mem.gpu_cap_gbps *= f;
+    cfg.mem.npu_cap_gbps *= f;
+    cfg
+}
+
+fn solve_matches_full_scan<P: CostProvider + Clone>(
+    provider: P,
+    cfg: SolverConfig,
+    shape: MatmulShape,
+    dominance: Dominance,
+) -> Result<(), TestCaseError> {
+    let want = full_scan_solve(&provider, &cfg, shape, dominance);
+    let got = Solver::new(provider, cfg).solve(shape, dominance);
+    prop_assert_eq!(&got, &want, "{:?} {:?}", shape, dominance);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn early_exit_row_cut_scan_matches_full_scan(
+        m in prop_oneof![1usize..=64, 1usize..1100, 1usize..2200],
+        k in prop_oneof![Just(1536usize), Just(2048), Just(4096), Just(8960), Just(14336)],
+        n in prop_oneof![
+            Just(256usize), Just(1000), Just(2048), Just(4096), Just(6144), Just(14336),
+            Just(28672), 1usize..40_000, Just(92544), Just(128_256), Just(151_936)
+        ],
+        config_ix in 0usize..4,
+        gain_permille in 0u64..400,
+        provider_ix in 0usize..3,
+        soc_ix in 0usize..16,
+        bw_ppm in 970_000u64..=1_030_000,
+        gpu_dominant in proptest::bool::ANY,
+    ) {
+        let shape = MatmulShape::new(m, k, n);
+        let dominance = if gpu_dominant { Dominance::GpuDominant } else { Dominance::NpuDominant };
+        let cfg = match config_ix {
+            0 => SolverConfig::default(),
+            1 => SolverConfig::decode(1),
+            2 => SolverConfig {
+                min_parallel_gain: gain_permille as f64 / 1000.0,
+                ..SolverConfig::default()
+            },
+            _ => SolverConfig { enable_seq_cut: false, ..SolverConfig::default() },
+        };
+        match provider_ix {
+            0 => {
+                let soc = bandwidth_scaled(SocConfig::snapdragon_8gen3(), bw_ppm);
+                solve_matches_full_scan(RealExecProvider::new(soc), cfg, shape, dominance)?;
+            }
+            1 => {
+                let socs: Vec<SocConfig> = table1().iter().filter_map(project_config).collect();
+                let soc = socs[soc_ix % socs.len()].clone();
+                solve_matches_full_scan(RealExecProvider::new(soc), cfg, shape, dominance)?;
+            }
+            _ => solve_matches_full_scan(predicted_provider(), cfg, shape, dominance)?,
+        }
     }
 }
