@@ -1,6 +1,6 @@
 //! Typed findings and the aggregated report.
 
-use serde::{Content, ContentError, Deserialize, Serialize};
+use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 
 /// How severe a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -16,18 +16,18 @@ pub enum Severity {
 // Manual impls so the JSON encoding is the same lowercase string the
 // severity displays as ("warn"/"deny"), not the variant name.
 impl Serialize for Severity {
-    fn to_content(&self) -> Content {
-        Content::Str(self.to_string())
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_str(&self.to_string())
     }
 }
 
 impl<'de> Deserialize<'de> for Severity {
-    fn from_content(content: &Content) -> Result<Self, ContentError> {
-        match content.as_str() {
-            Some("warn") => Ok(Self::Warn),
-            Some("deny") => Ok(Self::Deny),
-            _ => Err(ContentError::custom(format!(
-                "expected \"warn\" or \"deny\", got {content}"
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        match String::deserialize(deserializer)?.as_str() {
+            "warn" => Ok(Self::Warn),
+            "deny" => Ok(Self::Deny),
+            other => Err(de::Error::custom(format!(
+                "expected \"warn\" or \"deny\", got \"{other}\""
             ))),
         }
     }

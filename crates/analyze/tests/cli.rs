@@ -57,3 +57,42 @@ fn usage_errors_exit_two() {
     let out = analyze(&["bound", "--model", "no-such-model"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
+
+#[test]
+fn deeply_nested_json_is_a_typed_error_not_a_stack_overflow() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    // 1 MB of `[` on stdin: the event-log reader refuses nesting past
+    // its depth cap, and the CLI reports it in one line with exit 2.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_analyze"))
+        .args(["monitor", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run analyze binary");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(&[b'['; 1 << 20])
+        .expect("write stdin");
+    let out = child.wait_with_output().expect("analyze exits");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("recursion limit exceeded"), "{stderr}");
+
+    // The trace reader shares the parser: the same input inside a
+    // trace file is a `trace-format` finding.
+    let dir = std::env::temp_dir().join("hetero-analyze-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("deep_trace.json");
+    let mut deep = String::from("{\"traceEvents\": ");
+    deep.push_str(&"[".repeat(1 << 20));
+    std::fs::write(&path, deep).expect("write trace");
+    let out = analyze(&["timeline", path.to_str().unwrap(), "--json"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(report_json(&out)["findings"][0]["rule_id"], "trace-format");
+}

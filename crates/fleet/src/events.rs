@@ -492,6 +492,29 @@ mod tests {
     }
 
     #[test]
+    fn v1_log_without_rollout_window_loads_with_zero_window() {
+        let log = FleetEventLog {
+            version: 1,
+            seed: 7,
+            policy: "robust".to_string(),
+            devices: 2,
+            requests: 1,
+            slo_ttft_ns: 5,
+            deadline_ns: 20,
+            census_interval_ns: 3,
+            rollout_window_ns: 0,
+            events: vec![FleetEvent::Lost { at: t(1), req: 0 }],
+        };
+        let json = serde_json::to_string(&log).expect("log serializes");
+        let v1 = json.replace("\"rollout_window_ns\":0,", "");
+        assert_ne!(v1, json);
+        assert_eq!(
+            serde_json::from_str::<FleetEventLog>(&v1).expect("v1 log loads"),
+            log
+        );
+    }
+
+    #[test]
     fn sort_key_orders_ticks_canonically() {
         let census = FleetEvent::CensusRefresh {
             at: t(50),

@@ -38,7 +38,10 @@ fn seeded_fleet_json_is_golden() {
     let artifacts = [
         ("pair.compact", serde_json::to_string(&pair)),
         ("rollout_set.compact", serde_json::to_string(&set)),
-        ("robust_arm.pretty", serde_json::to_string_pretty(&cmp.robust)),
+        (
+            "robust_arm.pretty",
+            serde_json::to_string_pretty(&cmp.robust),
+        ),
         ("naive_arm.pretty", serde_json::to_string_pretty(&cmp.naive)),
     ];
     let mut lines = String::new();
@@ -51,7 +54,10 @@ fn seeded_fleet_json_is_golden() {
         ));
     }
 
-    let path = format!("{}/tests/golden/json_digests.txt", env!("CARGO_MANIFEST_DIR"));
+    let path = format!(
+        "{}/tests/golden/json_digests.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(&path, &lines).expect("write golden");
     }

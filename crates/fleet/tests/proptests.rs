@@ -18,10 +18,15 @@
 //! - Per-priority-class accounting balances under both routing arms:
 //!   `offered == served + shed + lost`, and the class penalty is
 //!   exactly the shed-weight charges plus the lost-penalty charges.
+//! - Event logs holding every `FleetEvent` variant round-trip through
+//!   compact and pretty JSON, the typed writer and the `Value` renderer
+//!   emit the same bytes, and mutated log text is an `Ok` or an `Err`
+//!   from the reader, never a panic.
 
 use hetero_fleet::{
-    calibrate_profiles_with_socs, BreakerConfig, BreakerState, CircuitBreaker, DeviceProfile,
-    FleetConfig, FleetSim, OnlineProfiler, RetryPolicy, RouterPolicy, CALIB_DECODE, CALIB_PROMPT,
+    calibrate_profiles_with_socs, BreakerCause, BreakerConfig, BreakerState, CircuitBreaker,
+    DeviceProfile, FleetConfig, FleetEvent, FleetEventLog, FleetLogPair, FleetSim, OnlineProfiler,
+    Priority, ProfileCause, RetryPolicy, RolloutLogSet, RouterPolicy, CALIB_DECODE, CALIB_PROMPT,
     DRIFT_RESOLVE_THRESHOLD_PPM, PPM,
 };
 use hetero_soc::SimTime;
@@ -399,5 +404,221 @@ proptest! {
             serde_json::to_string(&pair_p).unwrap(),
             "FleetEventLog pair diverged at jobs {}", jobs
         );
+    }
+}
+
+/// Random fields of one event: `(kind, a, b, c, n, s)`.
+type EventFields = (usize, u64, u64, u64, u32, usize);
+
+fn arb_event_fields() -> impl Strategy<Value = EventFields> {
+    (
+        0usize..15,
+        0u64..=u64::MAX,
+        0u64..=u64::MAX,
+        0u64..=u64::MAX,
+        0u32..=u32::MAX,
+        0usize..1 << 10,
+    )
+}
+
+/// The event of variant `kind` (all 15 are reachable) built from
+/// random fields.
+fn event(kind: usize, (_, a, b, c, n, s): EventFields) -> FleetEvent {
+    let at = SimTime(a);
+    let priority = Priority::ALL[s % 3];
+    let states = [
+        BreakerState::Closed,
+        BreakerState::Open,
+        BreakerState::HalfOpen,
+    ];
+    let causes = [
+        BreakerCause::FailureThreshold,
+        BreakerCause::CooldownElapsed,
+        BreakerCause::ProbeSuccess,
+        BreakerCause::ProbeFailure,
+    ];
+    let profile_causes = [
+        ProfileCause::Calibration,
+        ProfileCause::Drift,
+        ProfileCause::CanaryApply,
+        ProfileCause::Rollback,
+    ];
+    match kind {
+        0 => FleetEvent::Offered {
+            at,
+            req: b,
+            priority,
+            prompt_tokens: c,
+            decode_tokens: u64::from(n),
+        },
+        1 => FleetEvent::CensusRefresh { at, healthy: b },
+        2 => FleetEvent::Shed {
+            at,
+            req: b,
+            priority,
+        },
+        3 => FleetEvent::Dispatch {
+            at,
+            req: b,
+            device: c,
+            attempt: n,
+            priority,
+        },
+        4 => FleetEvent::DispatchFail {
+            at,
+            req: b,
+            device: c,
+            attempt: n,
+        },
+        5 => FleetEvent::Retry {
+            at,
+            req: b,
+            attempt: n,
+            delay: SimTime(c),
+        },
+        6 => FleetEvent::Complete {
+            at,
+            req: b,
+            device: c,
+            ttft: SimTime(b ^ c),
+            tpot: SimTime(u64::from(n)),
+        },
+        7 => FleetEvent::Lost { at, req: b },
+        8 => FleetEvent::Breaker {
+            at,
+            device: b,
+            from: states[s % 3],
+            to: states[s / 3 % 3],
+            cause: causes[s / 9 % 4],
+        },
+        9 => FleetEvent::FaultOpen { at, storm: n },
+        10 => FleetEvent::FaultClose { at, storm: n },
+        11 => FleetEvent::RolloutStage {
+            at,
+            stage: n,
+            pct: s as u32,
+            canary: b,
+        },
+        12 => FleetEvent::ProfileUpdate {
+            at,
+            device: b,
+            slowdown_ppm: c,
+            revision: u64::from(n),
+            cause: profile_causes[s % 4],
+        },
+        13 => FleetEvent::Promote { at, stage: n },
+        _ => FleetEvent::Rollback { at, stage: n },
+    }
+}
+
+/// Policy names, including ones that need JSON escapes.
+const POLICIES: [&str; 6] = [
+    "robust",
+    "round-robin",
+    "q\"uote\\slash",
+    "tab\tnew\nline",
+    "\u{1}ctl\u{1f}",
+    "caf\u{e9} \u{1F600}",
+];
+
+/// A log whose first 15 events are one of each variant, then random
+/// ones.
+fn arb_log() -> impl Strategy<Value = FleetEventLog> {
+    (
+        (0u32..=u32::MAX, 0u64..=u64::MAX, 0usize..POLICIES.len()),
+        (0u64..1 << 20, 0u64..1 << 20, 0u64..=u64::MAX),
+        (0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..3),
+        proptest::collection::vec(arb_event_fields(), 15..40),
+    )
+        .prop_map(
+            |(
+                (version, seed, policy),
+                (devices, requests, slo),
+                (deadline, census, window),
+                raw,
+            )| {
+                FleetEventLog {
+                    version,
+                    seed,
+                    policy: POLICIES[policy].to_string(),
+                    devices,
+                    requests,
+                    slo_ttft_ns: slo,
+                    deadline_ns: deadline,
+                    census_interval_ns: census,
+                    rollout_window_ns: window * 1_000_000,
+                    events: raw
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, f)| event(if i < 15 { i } else { f.0 }, f))
+                        .collect(),
+                }
+            },
+        )
+}
+
+fn arb_pair() -> impl Strategy<Value = FleetLogPair> {
+    (arb_log(), arb_log()).prop_map(|(robust, naive)| FleetLogPair { robust, naive })
+}
+
+/// Apply byte edits `(position, op, byte)` to `text`: overwrite,
+/// insert, delete, or truncate. Edits that split a multi-byte
+/// character are repaired lossily, so the result is still a `str`.
+fn mutate(text: &str, edits: &[(usize, usize, u8)]) -> String {
+    const BYTES: &[u8] = b"{}[]:,\"\\-+.0123456789eEtrufalsn \\u";
+    let mut bytes = text.as_bytes().to_vec();
+    for &(pos, op, b) in edits {
+        if bytes.is_empty() {
+            break;
+        }
+        let i = pos % bytes.len();
+        let b = BYTES[usize::from(b) % BYTES.len()];
+        match op {
+            0 => bytes[i] = b,
+            1 => bytes.insert(i, b),
+            2 => {
+                bytes.remove(i);
+            }
+            _ => bytes.truncate(i),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Typed values survive compact and pretty JSON, and the typed
+    /// writer agrees byte for byte with rendering the parsed `Value`.
+    #[test]
+    fn event_logs_round_trip_and_match_the_value_renderer(pair in arb_pair()) {
+        let compact = serde_json::to_string(&pair).unwrap();
+        let pretty = serde_json::to_string_pretty(&pair).unwrap();
+        prop_assert_eq!(&serde_json::from_str::<FleetLogPair>(&compact).unwrap(), &pair);
+        prop_assert_eq!(&serde_json::from_str::<FleetLogPair>(&pretty).unwrap(), &pair);
+        let value: serde_json::Value = serde_json::from_str(&compact).unwrap();
+        prop_assert_eq!(&serde_json::to_string(&value).unwrap(), &compact);
+        prop_assert_eq!(&serde_json::to_string_pretty(&value).unwrap(), &pretty);
+        let value: serde_json::Value = serde_json::from_str(&pretty).unwrap();
+        prop_assert_eq!(&serde_json::to_string(&value).unwrap(), &compact);
+    }
+
+    /// Mutated log text is untrusted input: every reader returns `Ok`
+    /// or `Err`, and never panics.
+    #[test]
+    fn mutated_event_logs_never_panic_the_reader(
+        pair in arb_pair(),
+        edits in proptest::collection::vec((0usize..usize::MAX, 0usize..4, 0u8..=u8::MAX), 1..6),
+        pretty in proptest::bool::ANY,
+    ) {
+        let text = if pretty {
+            serde_json::to_string_pretty(&pair).unwrap()
+        } else {
+            serde_json::to_string(&pair).unwrap()
+        };
+        let text = mutate(&text, &edits);
+        let _ = serde_json::from_str::<FleetLogPair>(&text);
+        let _ = serde_json::from_str::<RolloutLogSet>(&text);
+        let _ = serde_json::from_str::<serde_json::Value>(&text);
     }
 }

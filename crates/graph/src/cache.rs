@@ -170,6 +170,23 @@ mod tests {
     }
 
     #[test]
+    fn cache_saved_without_fingerprints_loads_with_none() {
+        let mut c = cache();
+        c.preload(&[64, 256]);
+        let json = serde_json::to_string(&c).expect("cache serializes");
+        // `fingerprints` is the last field; drop it as an older cache
+        // file would lack it.
+        let (head, _) = json
+            .split_once(",\"fingerprints\"")
+            .expect("fingerprints serialized");
+        let back: GraphCache =
+            serde_json::from_str(&format!("{head}}}")).expect("missing default field loads");
+        assert_eq!(back.compiled_sizes(), vec![64, 256]);
+        assert!(back.fingerprints.is_empty());
+        assert!(back.poisoned_sizes().is_empty());
+    }
+
+    #[test]
     fn preload_standard_sizes() {
         let mut c = cache();
         let t = c.preload(&[32, 64, 128, 256, 512, 1024]);

@@ -2,10 +2,13 @@
 //!
 //! The build environment has no network access to a cargo registry, so
 //! the workspace patches `serde` with this minimal re-implementation.
-//! Instead of serde's visitor architecture, everything round-trips
-//! through a single self-describing tree type, [`Content`] — the same
-//! shape as a JSON document. The public trait surface (`Serialize`,
-//! `Deserialize`, `Serializer`, `Deserializer`, `#[derive(..)]`,
+//! Instead of serde's visitor architecture, the data model is JSON text
+//! itself: every [`Serializer`] is a [`__private::Writer`] that values
+//! write compact or pretty JSON into, and every [`Deserializer`] is a
+//! [`__private::Reader`], a pull parser that values read themselves
+//! from. No intermediate tree is built. The public trait surface
+//! (`Serialize`, `Deserialize`, `Serializer::serialize_str`,
+//! `Deserializer`, `de::Error::custom`, `#[derive(..)]`,
 //! `#[serde(with = "module")]`) is source-compatible with the subset of
 //! serde this workspace uses.
 
@@ -15,285 +18,23 @@ use std::fmt;
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// The self-describing data-model tree every value serializes into.
-///
-/// This doubles as `serde_json::Value` (the `serde_json` shim re-exports
-/// it), so it carries the inspection helpers (`as_f64`, indexing, …)
-/// that crate's users expect.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Content {
-    /// JSON `null`.
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// An unsigned integer.
-    U64(u64),
-    /// A signed (negative) integer.
-    I64(i64),
-    /// A float.
-    F64(f64),
-    /// A string.
-    Str(String),
-    /// An ordered sequence.
-    Seq(Vec<Content>),
-    /// An ordered map with string keys.
-    Map(Vec<(String, Content)>),
-}
+mod read;
+mod write;
 
-impl PartialEq<str> for Content {
-    fn eq(&self, other: &str) -> bool {
-        matches!(self, Content::Str(s) if s == other)
-    }
-}
+use read::Reader;
+use write::Writer;
 
-impl PartialEq<&str> for Content {
-    fn eq(&self, other: &&str) -> bool {
-        self == *other
-    }
-}
-
-impl PartialEq<String> for Content {
-    fn eq(&self, other: &String) -> bool {
-        self == other.as_str()
-    }
-}
-
-macro_rules! impl_content_eq_int {
-    ($($ty:ty),*) => {$(
-        impl PartialEq<$ty> for Content {
-            #[allow(clippy::cast_lossless)]
-            fn eq(&self, other: &$ty) -> bool {
-                self.as_i64() == i64::try_from(*other).ok()
-            }
-        }
-    )*};
-}
-
-impl_content_eq_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl PartialEq<f64> for Content {
-    fn eq(&self, other: &f64) -> bool {
-        self.as_f64() == Some(*other)
-    }
-}
-
-impl PartialEq<bool> for Content {
-    fn eq(&self, other: &bool) -> bool {
-        matches!(self, Content::Bool(b) if b == other)
-    }
-}
-
-impl Content {
-    /// The sequence elements, if this is a sequence.
-    pub fn as_array(&self) -> Option<&Vec<Content>> {
-        match self {
-            Content::Seq(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The map entries, if this is a map.
-    pub fn as_object(&self) -> Option<&Vec<(String, Content)>> {
-        match self {
-            Content::Map(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Numeric value widened to `f64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Content::U64(v) => Some(*v as f64),
-            Content::I64(v) => Some(*v as f64),
-            Content::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Unsigned integer value, if losslessly representable.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Content::U64(v) => Some(*v),
-            Content::I64(v) => u64::try_from(*v).ok(),
-            Content::F64(v) if *v >= 0.0 && v.fract() == 0.0 => Some(*v as u64),
-            _ => None,
-        }
-    }
-
-    /// Signed integer value, if losslessly representable.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Content::U64(v) => i64::try_from(*v).ok(),
-            Content::I64(v) => Some(*v),
-            Content::F64(v) if v.fract() == 0.0 => Some(*v as i64),
-            _ => None,
-        }
-    }
-
-    /// String value.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Content::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Boolean value.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Content::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Content::Null)
-    }
-
-    /// Map lookup by key (`None` for non-maps or missing keys).
-    pub fn get(&self, key: &str) -> Option<&Content> {
-        self.as_object()
-            .and_then(|m| m.iter().find(|(k, _)| k == key).map(|(_, v)| v))
-    }
-
-    /// Render as compact JSON.
-    pub fn render_compact(&self) -> String {
-        let mut out = String::new();
-        self.render(&mut out, None, 0);
-        out
-    }
-
-    /// Render as pretty JSON (two-space indent).
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.render(&mut out, Some(2), 0);
-        out
-    }
-
-    fn render(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
-        };
-        match self {
-            Content::Null => out.push_str("null"),
-            Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Content::U64(v) => out.push_str(&v.to_string()),
-            Content::I64(v) => out.push_str(&v.to_string()),
-            Content::F64(v) => {
-                if v.is_finite() {
-                    // `{:?}` keeps a trailing `.0` on integral floats,
-                    // matching serde_json's output closely enough.
-                    out.push_str(&format!("{v:?}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Content::Str(s) => render_json_string(s, out),
-            Content::Seq(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    item.render(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push(']');
-            }
-            Content::Map(entries) => {
-                if entries.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    render_json_string(k, out);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.render(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn render_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-impl fmt::Display for Content {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render_compact())
-    }
-}
-
-static NULL_CONTENT: Content = Content::Null;
-
-impl std::ops::Index<&str> for Content {
-    type Output = Content;
-    fn index(&self, key: &str) -> &Content {
-        self.get(key).unwrap_or(&NULL_CONTENT)
-    }
-}
-
-impl std::ops::Index<usize> for Content {
-    type Output = Content;
-    fn index(&self, i: usize) -> &Content {
-        self.as_array()
-            .and_then(|v| v.get(i))
-            .unwrap_or(&NULL_CONTENT)
-    }
-}
-
-/// The error type used by [`Content`]-based (de)serialization.
+/// The error every shim (de)serializer reports.
 #[derive(Debug, Clone)]
-pub struct ContentError(pub String);
+pub struct Error(String);
 
-impl ContentError {
-    /// Build an error from any displayable message.
-    pub fn custom(msg: impl fmt::Display) -> Self {
-        ContentError(msg.to_string())
-    }
-}
-
-impl fmt::Display for ContentError {
+impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
     }
 }
 
-impl std::error::Error for ContentError {}
+impl std::error::Error for Error {}
 
 /// Serialization-side error support (mirrors `serde::ser`).
 pub mod ser {
@@ -313,58 +54,62 @@ pub mod de {
     }
 }
 
-impl ser::Error for ContentError {
+impl ser::Error for Error {
     fn custom<T: fmt::Display>(msg: T) -> Self {
-        ContentError(msg.to_string())
+        Error(msg.to_string())
     }
 }
 
-impl de::Error for ContentError {
+impl de::Error for Error {
     fn custom<T: fmt::Display>(msg: T) -> Self {
-        ContentError(msg.to_string())
+        Error(msg.to_string())
     }
 }
 
-/// A value that can be converted into the [`Content`] data model.
+/// A value that can write itself as JSON.
 pub trait Serialize {
-    /// Convert to the data-model tree.
-    fn to_content(&self) -> Content;
-
-    /// Serialize through a [`Serializer`] (serde-compatible entry point).
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_content(self.to_content())
-    }
+    /// Write `self` through `serializer`.
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error>;
 }
 
-/// A sink for one [`Content`] tree (mirrors `serde::Serializer`).
+/// A JSON sink (mirrors `serde::Serializer`).
 pub trait Serializer: Sized {
     /// Success value.
     type Ok;
     /// Error type.
     type Error: ser::Error;
-    /// Consume a fully-built data-model tree.
-    fn collect_content(self, content: Content) -> Result<Self::Ok, Self::Error>;
-}
 
-/// A value reconstructible from the [`Content`] data model.
-pub trait Deserialize<'de>: Sized {
-    /// Reconstruct from a data-model tree.
-    fn from_content(content: &Content) -> Result<Self, ContentError>;
+    /// Run `f` against the underlying JSON writer.
+    fn with_writer(
+        self,
+        f: impl FnOnce(&mut Writer) -> Result<(), Error>,
+    ) -> Result<Self::Ok, Self::Error>;
 
-    /// Deserialize through a [`Deserializer`] (serde-compatible entry
-    /// point).
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let content = deserializer.extract_content()?;
-        Self::from_content(&content).map_err(<D::Error as de::Error>::custom)
+    /// Write a string.
+    fn serialize_str(self, v: &str) -> Result<Self::Ok, Self::Error> {
+        self.with_writer(|w| {
+            w.str(v);
+            Ok(())
+        })
     }
 }
 
-/// A source of one [`Content`] tree (mirrors `serde::Deserializer`).
+/// A value that can read itself from JSON.
+pub trait Deserialize<'de>: Sized {
+    /// Read a value from `deserializer`.
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error>;
+}
+
+/// A JSON source (mirrors `serde::Deserializer`).
 pub trait Deserializer<'de>: Sized {
     /// Error type.
     type Error: de::Error;
-    /// Produce the data-model tree to deserialize from.
-    fn extract_content(self) -> Result<Content, Self::Error>;
+
+    /// Run `f` against the underlying JSON reader.
+    fn with_reader<T>(
+        self,
+        f: impl FnOnce(&mut Reader<'de>) -> Result<T, Error>,
+    ) -> Result<T, Self::Error>;
 }
 
 // ---------------------------------------------------------------------
@@ -374,19 +119,23 @@ pub trait Deserializer<'de>: Sized {
 macro_rules! impl_serde_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_content(&self) -> Content {
-                Content::U64(*self as u64)
+            fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+                s.with_writer(|w| {
+                    w.u64(*self as u64);
+                    Ok(())
+                })
             }
         }
         impl<'de> Deserialize<'de> for $t {
-            fn from_content(content: &Content) -> Result<Self, ContentError> {
-                let v = content.as_u64().ok_or_else(|| {
-                    ContentError::custom(format!(
-                        "expected unsigned integer, got {content}"
-                    ))
-                })?;
-                <$t>::try_from(v).map_err(|_| {
-                    ContentError::custom(format!("integer {v} out of range for {}", stringify!($t)))
+            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+                d.with_reader(|r| {
+                    let n = r.number("unsigned integer")?;
+                    let v = n.as_u64().ok_or_else(|| {
+                        r.error(format_args!("expected unsigned integer, got {n}"))
+                    })?;
+                    <$t>::try_from(v).map_err(|_| {
+                        r.error(format_args!("integer {v} out of range for {}", stringify!($t)))
+                    })
                 })
             }
         }
@@ -396,22 +145,23 @@ macro_rules! impl_serde_uint {
 macro_rules! impl_serde_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_content(&self) -> Content {
-                let v = *self as i64;
-                if v >= 0 {
-                    Content::U64(v as u64)
-                } else {
-                    Content::I64(v)
-                }
+            fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+                s.with_writer(|w| {
+                    w.i64(*self as i64);
+                    Ok(())
+                })
             }
         }
         impl<'de> Deserialize<'de> for $t {
-            fn from_content(content: &Content) -> Result<Self, ContentError> {
-                let v = content.as_i64().ok_or_else(|| {
-                    ContentError::custom(format!("expected integer, got {content}"))
-                })?;
-                <$t>::try_from(v).map_err(|_| {
-                    ContentError::custom(format!("integer {v} out of range for {}", stringify!($t)))
+            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+                d.with_reader(|r| {
+                    let n = r.number("integer")?;
+                    let v = n
+                        .as_i64()
+                        .ok_or_else(|| r.error(format_args!("expected integer, got {n}")))?;
+                    <$t>::try_from(v).map_err(|_| {
+                        r.error(format_args!("integer {v} out of range for {}", stringify!($t)))
+                    })
                 })
             }
         }
@@ -424,15 +174,16 @@ impl_serde_int!(i8, i16, i32, i64, isize);
 macro_rules! impl_serde_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_content(&self) -> Content {
-                Content::F64(*self as f64)
+            fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+                s.with_writer(|w| {
+                    w.f64(f64::from(*self));
+                    Ok(())
+                })
             }
         }
         impl<'de> Deserialize<'de> for $t {
-            fn from_content(content: &Content) -> Result<Self, ContentError> {
-                content.as_f64().map(|v| v as $t).ok_or_else(|| {
-                    ContentError::custom(format!("expected number, got {content}"))
-                })
+            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+                d.with_reader(|r| Ok(r.number("number")?.as_f64() as $t))
             }
         }
     )*};
@@ -441,181 +192,207 @@ macro_rules! impl_serde_float {
 impl_serde_float!(f32, f64);
 
 impl Serialize for bool {
-    fn to_content(&self) -> Content {
-        Content::Bool(*self)
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        s.with_writer(|w| {
+            w.bool(*self);
+            Ok(())
+        })
     }
 }
 
 impl<'de> Deserialize<'de> for bool {
-    fn from_content(content: &Content) -> Result<Self, ContentError> {
-        content
-            .as_bool()
-            .ok_or_else(|| ContentError::custom(format!("expected bool, got {content}")))
-    }
-}
-
-impl Serialize for String {
-    fn to_content(&self) -> Content {
-        Content::Str(self.clone())
-    }
-}
-
-impl<'de> Deserialize<'de> for String {
-    fn from_content(content: &Content) -> Result<Self, ContentError> {
-        content
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| ContentError::custom(format!("expected string, got {content}")))
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        d.with_reader(Reader::bool)
     }
 }
 
 impl Serialize for str {
-    fn to_content(&self) -> Content {
-        Content::Str(self.to_owned())
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        s.serialize_str(self)
+    }
+}
+
+impl Serialize for String {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        s.serialize_str(self)
+    }
+}
+
+impl<'de> Deserialize<'de> for String {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        d.with_reader(|r| r.string().map(str::to_owned))
     }
 }
 
 impl<'de> Deserialize<'de> for &'static str {
-    fn from_content(content: &Content) -> Result<Self, ContentError> {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         // Static string slices (`&'static str` struct fields) cannot
-        // borrow from an owned Content tree; the shim leaks the handful
-        // of small strings this workspace ever deserializes this way
-        // (SoC spec tables), which is bounded and test-only.
-        content
-            .as_str()
-            .map(|s| &*Box::leak(s.to_owned().into_boxed_str()))
-            .ok_or_else(|| ContentError::custom(format!("expected string, got {content}")))
+        // borrow from the input; the shim leaks the handful of small
+        // strings this workspace ever deserializes this way (SoC spec
+        // tables), which is bounded and test-only.
+        d.with_reader(|r| {
+            r.string()
+                .map(|s| &*Box::leak(s.to_owned().into_boxed_str()))
+        })
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_content(&self) -> Content {
-        (**self).to_content()
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        (**self).serialize(s)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_content(&self) -> Content {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         match self {
-            Some(v) => v.to_content(),
-            None => Content::Null,
+            Some(v) => v.serialize(s),
+            None => s.with_writer(|w| {
+                w.null();
+                Ok(())
+            }),
         }
     }
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
-    fn from_content(content: &Content) -> Result<Self, ContentError> {
-        match content {
-            Content::Null => Ok(None),
-            other => T::from_content(other).map(Some),
-        }
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        d.with_reader(|r| {
+            if r.null()? {
+                Ok(None)
+            } else {
+                T::deserialize(r).map(Some)
+            }
+        })
     }
 }
 
+/// Write `items` as a JSON array.
+fn write_seq<'a, T: Serialize + 'a, S: Serializer>(
+    s: S,
+    items: impl IntoIterator<Item = &'a T>,
+) -> Result<S::Ok, S::Error> {
+    s.with_writer(|w| {
+        w.begin_array();
+        for item in items {
+            w.element();
+            item.serialize(&mut *w)?;
+        }
+        w.end_array();
+        Ok(())
+    })
+}
+
+/// Read a JSON array (`expected` names it in errors) into any
+/// collection.
+fn read_seq<'de, T: Deserialize<'de>, C: FromIterator<T>>(
+    r: &mut Reader<'de>,
+    expected: &str,
+) -> Result<C, Error> {
+    r.begin_array(expected)?;
+    std::iter::from_fn(|| match r.next_element() {
+        Ok(true) => Some(T::deserialize(&mut *r)),
+        Ok(false) => None,
+        Err(e) => Some(Err(e)),
+    })
+    .collect()
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        write_seq(s, self)
     }
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
-    fn from_content(content: &Content) -> Result<Self, ContentError> {
-        content
-            .as_array()
-            .ok_or_else(|| ContentError::custom(format!("expected array, got {content}")))?
-            .iter()
-            .map(T::from_content)
-            .collect()
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        d.with_reader(|r| read_seq(r, "array"))
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        write_seq(s, self)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        write_seq(s, self)
     }
 }
 
 impl<'de, T: Deserialize<'de>, const N: usize> Deserialize<'de> for [T; N] {
-    fn from_content(content: &Content) -> Result<Self, ContentError> {
-        let items = content
-            .as_array()
-            .ok_or_else(|| ContentError::custom(format!("expected array, got {content}")))?;
-        let vec: Vec<T> = items
-            .iter()
-            .map(T::from_content)
-            .collect::<Result<_, _>>()?;
-        vec.try_into()
-            .map_err(|_| ContentError::custom(format!("expected array of length {N}")))
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        d.with_reader(|r| {
+            let vec: Vec<T> = read_seq(r, "array")?;
+            vec.try_into()
+                .map_err(|_| r.error(format_args!("expected array of length {N}")))
+        })
     }
 }
 
 impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        write_seq(s, self)
     }
 }
 
 impl<'de, T: Deserialize<'de> + Ord> Deserialize<'de> for BTreeSet<T> {
-    fn from_content(content: &Content) -> Result<Self, ContentError> {
-        content
-            .as_array()
-            .ok_or_else(|| ContentError::custom(format!("expected array, got {content}")))?
-            .iter()
-            .map(T::from_content)
-            .collect()
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        d.with_reader(|r| read_seq(r, "array"))
     }
 }
 
 impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_content(&self) -> Content {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         // Maps serialize as a sequence of `[key, value]` pairs: keys in
         // this workspace are not always strings, and pair lists
         // round-trip uniformly.
-        Content::Seq(
-            self.iter()
-                .map(|(k, v)| Content::Seq(vec![k.to_content(), v.to_content()]))
-                .collect(),
-        )
+        s.with_writer(|w| {
+            w.begin_array();
+            for (k, v) in self {
+                w.element();
+                (k, v).serialize(&mut *w)?;
+            }
+            w.end_array();
+            Ok(())
+        })
     }
 }
 
 impl<'de, K: Deserialize<'de> + Ord, V: Deserialize<'de>> Deserialize<'de> for BTreeMap<K, V> {
-    fn from_content(content: &Content) -> Result<Self, ContentError> {
-        content
-            .as_array()
-            .ok_or_else(|| ContentError::custom(format!("expected array of pairs, got {content}")))?
-            .iter()
-            .map(<(K, V)>::from_content)
-            .collect()
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        d.with_reader(|r| read_seq::<(K, V), _>(r, "array of pairs"))
     }
 }
 
 macro_rules! impl_serde_tuple {
     ($(($($name:ident . $idx:tt),+) ; $len:expr),+ $(,)?) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_content(&self) -> Content {
-                Content::Seq(vec![$(self.$idx.to_content()),+])
+            fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+                s.with_writer(|w| {
+                    w.begin_array();
+                    $(
+                        w.element();
+                        self.$idx.serialize(&mut *w)?;
+                    )+
+                    w.end_array();
+                    Ok(())
+                })
             }
         }
         impl<'de, $($name: Deserialize<'de>),+> Deserialize<'de> for ($($name,)+) {
-            fn from_content(content: &Content) -> Result<Self, ContentError> {
-                let seq = content.as_array().ok_or_else(|| {
-                    ContentError::custom(format!("expected tuple array, got {content}"))
-                })?;
-                if seq.len() != $len {
-                    return Err(ContentError::custom(format!(
-                        "expected tuple of {}, got {} elements",
-                        $len,
-                        seq.len()
-                    )));
-                }
-                Ok(($($name::from_content(&seq[$idx])?,)+))
+            fn deserialize<De: Deserializer<'de>>(d: De) -> Result<Self, De::Error> {
+                d.with_reader(|r| {
+                    r.begin_array("tuple array")?;
+                    let value = ($({
+                        r.tuple_element("tuple", $idx, $len)?;
+                        $name::deserialize(&mut *r)?
+                    },)+);
+                    r.end_tuple("tuple", $len)?;
+                    Ok(value)
+                })
             }
         }
     )+};
@@ -630,56 +407,10 @@ impl_serde_tuple!(
     (A.0, B.1, C.2, D.3, E.4, F.5); 6,
 );
 
-impl Serialize for Content {
-    fn to_content(&self) -> Content {
-        self.clone()
-    }
-}
-
-impl<'de> Deserialize<'de> for Content {
-    fn from_content(content: &Content) -> Result<Self, ContentError> {
-        Ok(content.clone())
-    }
-}
-
 /// Support machinery used by generated derive code and the `serde_json`
 /// shim. Not part of the serde-compatible API surface.
 pub mod __private {
-    pub use super::{Content, ContentError};
-
-    /// A [`super::Serializer`] that returns the tree unchanged — the
-    /// bridge that lets `#[serde(with = "module")]` modules written
-    /// against the generic serde API feed the derive's tree builder.
-    pub struct ContentSink;
-
-    impl super::Serializer for ContentSink {
-        type Ok = Content;
-        type Error = ContentError;
-        fn collect_content(self, content: Content) -> Result<Content, ContentError> {
-            Ok(content)
-        }
-    }
-
-    /// A [`super::Deserializer`] over an owned tree (the inverse bridge
-    /// for `#[serde(with = "module")]` deserialization).
-    pub struct ContentSource(pub Content);
-
-    impl<'de> super::Deserializer<'de> for ContentSource {
-        type Error = ContentError;
-        fn extract_content(self) -> Result<Content, ContentError> {
-            Ok(self.0)
-        }
-    }
-
-    /// Look up a struct field in a map tree.
-    pub fn get_field<'a>(
-        entries: &'a [(String, Content)],
-        name: &str,
-    ) -> Result<&'a Content, ContentError> {
-        entries
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| ContentError::custom(format!("missing field `{name}`")))
-    }
+    pub use super::read::{Number, Reader, Variant, MAX_DEPTH};
+    pub use super::write::Writer;
+    pub use super::Error;
 }

@@ -1,9 +1,10 @@
 //! Offline shim for `serde_derive`.
 //!
-//! Generates `Serialize`/`Deserialize` impls against the shim serde's
-//! [`Content`] data model. The registry is unreachable in this build
-//! environment, so `syn`/`quote` are unavailable; the derive input is
-//! parsed directly from the token stream. Supported shapes cover what
+//! Generates one `Serialize` impl that writes a value as JSON through
+//! the shim serde's writer, and one `Deserialize` impl that reads it
+//! back from the shim's pull reader. The registry is unreachable in
+//! this build environment, so `syn`/`quote` are unavailable; the derive
+//! input is parsed directly from the token stream. Supported shapes cover what
 //! this workspace derives: structs with named fields, tuple/newtype
 //! structs, unit structs, and enums with unit/tuple/struct variants,
 //! plus the `#[serde(with = "module")]`,
@@ -42,13 +43,13 @@ enum Item {
     Enum(Vec<Variant>),
 }
 
-/// Derive `serde::Serialize` (Content-tree shim).
+/// Derive `serde::Serialize` (JSON-writer shim).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, true)
 }
 
-/// Derive `serde::Deserialize` (Content-tree shim).
+/// Derive `serde::Deserialize` (JSON-reader shim).
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, false)
@@ -311,116 +312,146 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 // Code generation
 // -------------------------------------------------------------------
 
-const CONTENT: &str = "::serde::__private::Content";
-const ERR: &str = "::serde::__private::ContentError";
+const OK: &str = "::std::result::Result::Ok";
+const SOME: &str = "::std::option::Option::Some";
+const VARIANT: &str = "::serde::__private::Variant";
 
-fn named_fields_to_content(fields: &[Field], accessor: impl Fn(&str) -> String) -> String {
-    let mut code = String::from(
-        "let mut __fields: ::std::vec::Vec<(::std::string::String, \
-         ::serde::__private::Content)> = ::std::vec::Vec::new();\n",
-    );
+/// Statements writing `fields` as a JSON object to `__w`;
+/// `access(name)` is an expression of type `&FieldType`.
+fn write_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut code = String::from("__w.begin_object();\n");
     for f in fields {
-        let access = accessor(&f.name);
-        let value = match &f.with {
-            Some(module) => format!(
-                "match {module}::serialize(&{access}, ::serde::__private::ContentSink) {{ \
-                 ::std::result::Result::Ok(__c) => __c, \
-                 ::std::result::Result::Err(__e) => \
-                 {CONTENT}::Str(::std::format!(\"<serialize error: {{}}>\", __e)) }}"
-            ),
-            None => format!("::serde::Serialize::to_content(&{access})"),
+        let value = access(&f.name);
+        let write = match &f.with {
+            Some(module) => format!("{module}::serialize({value}, &mut *__w)?;"),
+            None => format!("::serde::Serialize::serialize({value}, &mut *__w)?;"),
         };
-        let push = format!("__fields.push(({:?}.to_string(), {value}));", f.name);
+        let entry = format!("__w.field({:?}); {write}", f.name);
         match &f.skip_if {
-            Some(pred) => {
-                code.push_str(&format!("if !{pred}(&{access}) {{ {push} }}\n"));
-            }
+            Some(pred) => code.push_str(&format!("if !{pred}({value}) {{ {entry} }}\n")),
             None => {
-                code.push_str(&push);
+                code.push_str(&entry);
                 code.push('\n');
             }
         }
     }
-    code.push_str(&format!("{CONTENT}::Map(__fields)"));
+    code.push_str("__w.end_object();\n");
     code
 }
 
-fn named_fields_from_content(fields: &[Field], map_expr: &str) -> String {
-    let mut inits = String::new();
-    for f in fields {
-        // `default` fields tolerate a missing key (they may have been
-        // skipped at serialization time by `skip_serializing_if`).
-        let field_content = if f.default {
-            format!(
-                "match ::serde::__private::get_field({map_expr}, {:?}) {{ \
-                 ::std::result::Result::Ok(__c) => __c, \
-                 ::std::result::Result::Err(_) => &::serde::__private::Content::Null }}",
-                f.name
-            )
-        } else {
-            format!("::serde::__private::get_field({map_expr}, {:?})?", f.name)
-        };
-        let value = match &f.with {
-            Some(module) => format!(
-                "{module}::deserialize(::serde::__private::ContentSource(({field_content}).clone()))?"
-            ),
-            None => format!("::serde::Deserialize::from_content({field_content})?"),
-        };
-        inits.push_str(&format!("{}: {value},\n", f.name));
+/// Statements writing the values `items` as a JSON array to `__w`.
+fn write_items(items: &[String]) -> String {
+    let mut code = String::from("__w.begin_array();\n");
+    for item in items {
+        code.push_str(&format!(
+            "__w.element(); ::serde::Serialize::serialize({item}, &mut *__w)?;\n"
+        ));
     }
-    inits
+    code.push_str("__w.end_array();\n");
+    code
+}
+
+/// A block expression reading a JSON object from `__r` into
+/// `ctor { fields }`. Unknown keys are skipped, the first of duplicate
+/// keys wins, and a missing field is an error unless it is `default`.
+fn read_fields(fields: &[Field], ctor: &str, what: &str) -> String {
+    let keys: Vec<String> = fields.iter().map(|f| format!("{:?}", f.name)).collect();
+    let mut code = format!("{{ __r.begin_object(\"map for {what}\")?;\n");
+    for i in 0..fields.len() {
+        code.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
+    }
+    code.push_str(&format!(
+        "while let {SOME}(__k) = __r.next_key(&[{}])? {{ match __k {{\n",
+        keys.join(", ")
+    ));
+    for (i, f) in fields.iter().enumerate() {
+        let read = match &f.with {
+            Some(module) => format!("{module}::deserialize(&mut *__r)?"),
+            None => "::serde::Deserialize::deserialize(&mut *__r)?".to_string(),
+        };
+        code.push_str(&format!(
+            "{i} if __f{i}.is_none() => __f{i} = {SOME}({read}),\n"
+        ));
+    }
+    code.push_str("_ => __r.skip_value()?,\n} }\n");
+    let inits: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let name = &f.name;
+            if f.default {
+                format!("{name}: __f{i}.unwrap_or_default()")
+            } else {
+                format!(
+                    "{name}: match __f{i} {{ {SOME}(__v) => __v, ::std::option::Option::None => \
+                     return ::std::result::Result::Err(__r.error(\"missing field `{name}`\")) }}"
+                )
+            }
+        })
+        .collect();
+    code.push_str(&format!("{ctor} {{ {} }} }}", inits.join(", ")));
+    code
+}
+
+/// A block expression reading an `n`-element JSON array from `__r` into
+/// `ctor(..)`.
+fn read_items(n: usize, ctor: &str, what: &str) -> String {
+    let items: Vec<String> = (0..n)
+        .map(|i| {
+            format!(
+                "{{ __r.tuple_element({what:?}, {i}, {n})?; \
+                 ::serde::Deserialize::deserialize(&mut *__r)? }}"
+            )
+        })
+        .collect();
+    format!(
+        "{{ __r.begin_array(\"array for {what}\")?; let __v = {ctor}({}); \
+         __r.end_tuple({what:?}, {n})?; __v }}",
+        items.join(", ")
+    )
 }
 
 fn gen_serialize(name: &str, item: &Item) -> String {
     let body = match item {
-        Item::NamedStruct(fields) => named_fields_to_content(fields, |f| format!("self.{f}")),
-        Item::TupleStruct(1) => "::serde::Serialize::to_content(&self.0)".to_string(),
+        Item::NamedStruct(fields) => write_fields(fields, |f| format!("&self.{f}")),
+        Item::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, &mut *__w)?;".to_string(),
         Item::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_content(&self.{i})"))
-                .collect();
-            format!("{CONTENT}::Seq(::std::vec![{}])", items.join(", "))
+            let items: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            write_items(&items)
         }
-        Item::UnitStruct => format!("{CONTENT}::Null"),
+        Item::UnitStruct => "__w.null();".to_string(),
         Item::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.kind {
+                let arm = match &v.kind {
                     VariantKind::Unit => {
-                        arms.push_str(&format!(
-                            "{name}::{vn} => {CONTENT}::Str({vn:?}.to_string()),\n"
-                        ));
+                        arms.push_str(&format!("{name}::{vn} => __w.name({vn:?}),\n"));
+                        continue;
                     }
-                    VariantKind::Tuple(1) => {
-                        arms.push_str(&format!(
-                            "{name}::{vn}(__x0) => {CONTENT}::Map(::std::vec![({vn:?}.to_string(), \
-                             ::serde::Serialize::to_content(__x0))]),\n"
-                        ));
-                    }
+                    VariantKind::Tuple(1) => format!(
+                        "{name}::{vn}(__x0) => {{ __w.begin_object(); __w.field({vn:?}); \
+                         ::serde::Serialize::serialize(__x0, &mut *__w)?;"
+                    ),
                     VariantKind::Tuple(n) => {
                         let binders: Vec<String> = (0..*n).map(|i| format!("__x{i}")).collect();
-                        let items: Vec<String> = binders
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_content({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn}({}) => {CONTENT}::Map(::std::vec![({vn:?}.to_string(), \
-                             {CONTENT}::Seq(::std::vec![{}]))]),\n",
+                        format!(
+                            "{name}::{vn}({}) => {{ __w.begin_object(); __w.field({vn:?});\n{}",
                             binders.join(", "),
-                            items.join(", ")
-                        ));
+                            write_items(&binders)
+                        )
                     }
                     VariantKind::Struct(fields) => {
                         let binders: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-                        let inner = named_fields_to_content(fields, |f| f.to_string());
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => {{ let __inner = {{ {inner} }}; \
-                             {CONTENT}::Map(::std::vec![({vn:?}.to_string(), __inner)]) }},\n",
-                            binders.join(", ")
-                        ));
+                        format!(
+                            "{name}::{vn} {{ {} }} => {{ __w.begin_object(); __w.field({vn:?});\n{}",
+                            binders.join(", "),
+                            write_fields(fields, str::to_string)
+                        )
                     }
-                }
+                };
+                arms.push_str(&arm);
+                arms.push_str(" __w.end_object(); }\n");
             }
             format!("match self {{\n{arms}\n}}")
         }
@@ -428,7 +459,10 @@ fn gen_serialize(name: &str, item: &Item) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn to_content(&self) -> {CONTENT} {{\n{body}\n}}\n\
+             fn serialize<__S: ::serde::Serializer>(&self, __s: __S) -> \
+                 ::std::result::Result<__S::Ok, __S::Error> {{\n\
+                 __s.with_writer(|__w| {{\n{body}\n{OK}(()) }})\n\
+             }}\n\
          }}"
     )
 }
@@ -436,97 +470,65 @@ fn gen_serialize(name: &str, item: &Item) -> String {
 fn gen_deserialize(name: &str, item: &Item) -> String {
     let body = match item {
         Item::NamedStruct(fields) => {
-            let inits = named_fields_from_content(fields, "__map");
             format!(
-                "let __map = __content.as_object().ok_or_else(|| \
-                 {ERR}::custom(::std::format!(\"expected map for struct {name}, got {{}}\", \
-                 __content)))?;\n\
-                 ::std::result::Result::Ok({name} {{\n{inits}\n}})"
+                "{OK}({})",
+                read_fields(fields, name, &format!("struct {name}"))
             )
         }
-        Item::TupleStruct(1) => format!(
-            "::std::result::Result::Ok({name}(::serde::Deserialize::from_content(__content)?))"
-        ),
+        Item::TupleStruct(1) => {
+            format!("{OK}({name}(::serde::Deserialize::deserialize(&mut *__r)?))")
+        }
         Item::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_content(&__seq[{i}])?"))
-                .collect();
             format!(
-                "let __seq = __content.as_array().ok_or_else(|| \
-                 {ERR}::custom(\"expected array for tuple struct {name}\"))?;\n\
-                 if __seq.len() != {n} {{ return ::std::result::Result::Err({ERR}::custom(\
-                 ::std::format!(\"expected {n} elements for {name}, got {{}}\", __seq.len()))); }}\n\
-                 ::std::result::Result::Ok({name}({}))",
-                items.join(", ")
+                "{OK}({})",
+                read_items(*n, name, &format!("tuple struct {name}"))
             )
         }
-        Item::UnitStruct => format!("::std::result::Result::Ok({name})"),
+        Item::UnitStruct => format!("__r.skip_value()?; {OK}({name})"),
         Item::Enum(variants) => {
-            let mut unit_arms = String::new();
-            let mut data_arms = String::new();
+            let (mut unit, mut data) = (Vec::new(), Vec::new());
+            let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.kind {
+                let ctor = format!("{name}::{vn}");
+                let what = format!("variant {name}::{vn}");
+                let read = match &v.kind {
                     VariantKind::Unit => {
-                        unit_arms.push_str(&format!(
-                            "{vn:?} => ::std::result::Result::Ok({name}::{vn}),\n"
+                        arms.push_str(&format!(
+                            "{VARIANT}::Unit({}) => {OK}({ctor}),\n",
+                            unit.len()
                         ));
+                        unit.push(format!("{vn:?}"));
+                        continue;
                     }
                     VariantKind::Tuple(1) => {
-                        data_arms.push_str(&format!(
-                            "{vn:?} => ::std::result::Result::Ok({name}::{vn}(\
-                             ::serde::Deserialize::from_content(__inner)?)),\n"
-                        ));
+                        format!("{ctor}(::serde::Deserialize::deserialize(&mut *__r)?)")
                     }
-                    VariantKind::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::from_content(&__seq[{i}])?"))
-                            .collect();
-                        data_arms.push_str(&format!(
-                            "{vn:?} => {{ let __seq = __inner.as_array().ok_or_else(|| \
-                             {ERR}::custom(\"expected array for variant {name}::{vn}\"))?;\n\
-                             if __seq.len() != {n} {{ return ::std::result::Result::Err(\
-                             {ERR}::custom(\"wrong arity for variant {name}::{vn}\")); }}\n\
-                             ::std::result::Result::Ok({name}::{vn}({})) }},\n",
-                            items.join(", ")
-                        ));
-                    }
-                    VariantKind::Struct(fields) => {
-                        let inits = named_fields_from_content(fields, "__map");
-                        data_arms.push_str(&format!(
-                            "{vn:?} => {{ let __map = __inner.as_object().ok_or_else(|| \
-                             {ERR}::custom(\"expected map for variant {name}::{vn}\"))?;\n\
-                             ::std::result::Result::Ok({name}::{vn} {{\n{inits}\n}}) }},\n"
-                        ));
-                    }
-                }
+                    VariantKind::Tuple(n) => read_items(*n, &ctor, &what),
+                    VariantKind::Struct(fields) => read_fields(fields, &ctor, &what),
+                };
+                arms.push_str(&format!(
+                    "{VARIANT}::Data({}) => {{ let __v = {read}; __r.end_variant({name:?})?; \
+                     {OK}(__v) }},\n",
+                    data.len()
+                ));
+                data.push(format!("{vn:?}"));
             }
             format!(
-                "match __content {{\n\
-                     {CONTENT}::Str(__s) => match __s.as_str() {{\n\
-                         {unit_arms}\
-                         __other => ::std::result::Result::Err({ERR}::custom(\
-                             ::std::format!(\"unknown variant `{{}}` of {name}\", __other))),\n\
-                     }},\n\
-                     {CONTENT}::Map(__entries) if __entries.len() == 1 => {{\n\
-                         let (__tag, __inner) = &__entries[0];\n\
-                         match __tag.as_str() {{\n\
-                             {data_arms}\
-                             __other => ::std::result::Result::Err({ERR}::custom(\
-                                 ::std::format!(\"unknown variant `{{}}` of {name}\", __other))),\n\
-                         }}\n\
-                     }},\n\
-                     __other => ::std::result::Result::Err({ERR}::custom(\
-                         ::std::format!(\"unexpected content for enum {name}: {{}}\", __other))),\n\
-                 }}"
+                "match __r.variant({name:?}, &[{}], &[{}])? {{\n{arms}\
+                 _ => ::std::result::Result::Err(__r.error(\"unknown variant of {name}\")),\n}}",
+                unit.join(", "),
+                data.join(", ")
             )
         }
     };
     format!(
         "#[automatically_derived]\n\
          impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
-             fn from_content(__content: &{CONTENT}) -> \
-                 ::std::result::Result<Self, {ERR}> {{\n{body}\n}}\n\
+             fn deserialize<__D: ::serde::Deserializer<'de>>(__d: __D) -> \
+                 ::std::result::Result<Self, __D::Error> {{\n\
+                 __d.with_reader(|__r| {{\n{body}\n}})\n\
+             }}\n\
          }}"
     )
 }

@@ -1,309 +1,276 @@
 //! Offline shim for `serde_json`.
 //!
-//! Pairs with the shim `serde` crate: values serialize into the shared
-//! [`Content`](serde::Content) tree (re-exported here as [`Value`]) and
-//! render to/parse from real JSON text. Covers the API surface this
-//! workspace uses: `to_string`, `to_string_pretty`, `from_str`,
-//! [`Value`] with `as_*` accessors and indexing, and [`Result`].
+//! Pairs with the shim `serde` crate, whose data model is JSON text:
+//! `to_string`/`to_string_pretty` run a value's `Serialize` impl against
+//! a compact or pretty JSON writer, and `from_str` runs its
+//! `Deserialize` impl against a pull reader over the text. [`Value`], a
+//! parsed document tree with `as_*` accessors and indexing, is one more
+//! such type: it renders and parses itself. Covers the API surface this
+//! workspace uses, plus [`Result`] and [`Error`].
 
 use std::fmt;
 
-use serde::{Content, Deserialize, Serialize};
-
-/// A parsed JSON document (alias of the serde shim's data-model tree).
-pub type Value = Content;
+use serde::__private::{Number, Reader, Writer};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// Error raised by JSON (de)serialization.
-#[derive(Debug, Clone)]
-pub struct Error(String);
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl serde::ser::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error(msg.to_string())
-    }
-}
-
-impl serde::de::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error(msg.to_string())
-    }
-}
+pub use serde::__private::Error;
 
 /// Result alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serialize a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(value.to_content().render_compact())
+    let mut w = Writer::compact();
+    value.serialize(&mut w)?;
+    Ok(w.into_string())
 }
 
-/// Serialize a value to pretty-printed JSON.
+/// Serialize a value to pretty-printed JSON (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(value.to_content().render_pretty())
-}
-
-/// Serialize a value to a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
-    Ok(value.to_content())
+    let mut w = Writer::pretty();
+    value.serialize(&mut w)?;
+    Ok(w.into_string())
 }
 
 /// Deserialize a value from JSON text.
 pub fn from_str<'a, T: Deserialize<'a>>(s: &'a str) -> Result<T> {
-    let value = Parser::new(s).parse_document()?;
-    T::from_content(&value).map_err(|e| Error(e.to_string()))
+    let mut r = Reader::new(s);
+    let value = T::deserialize(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
-/// Deserialize a value from a [`Value`] tree.
-#[allow(clippy::needless_pass_by_value)] // by-value to match the real serde_json API
-pub fn from_value<T: for<'de> Deserialize<'de>>(value: Value) -> Result<T> {
-    T::from_content(&value).map_err(|e| Error(e.to_string()))
+/// A parsed JSON document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// JSON `null`.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// A non-negative integer.
+    U64(u64),
+    /// A negative integer.
+    I64(i64),
+    /// A float.
+    F64(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Seq(Vec<Value>),
+    /// An object, entries in document order.
+    Map(Vec<(String, Value)>),
 }
 
-// -------------------------------------------------------------------
-// JSON parser (recursive descent)
-// -------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+impl PartialEq<str> for Value {
+    fn eq(&self, other: &str) -> bool {
+        matches!(self, Value::Str(s) if s == other)
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            bytes: s.as_bytes(),
-            pos: 0,
+impl PartialEq<&str> for Value {
+    fn eq(&self, other: &&str) -> bool {
+        self == *other
+    }
+}
+
+impl PartialEq<String> for Value {
+    fn eq(&self, other: &String) -> bool {
+        self == other.as_str()
+    }
+}
+
+macro_rules! impl_value_eq_int {
+    ($($ty:ty),*) => {$(
+        impl PartialEq<$ty> for Value {
+            #[allow(clippy::cast_lossless)]
+            fn eq(&self, other: &$ty) -> bool {
+                self.as_i64() == i64::try_from(*other).ok()
+            }
+        }
+    )*};
+}
+
+impl_value_eq_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+impl PartialEq<f64> for Value {
+    fn eq(&self, other: &f64) -> bool {
+        self.as_f64() == Some(*other)
+    }
+}
+
+impl PartialEq<bool> for Value {
+    fn eq(&self, other: &bool) -> bool {
+        matches!(self, Value::Bool(b) if b == other)
+    }
+}
+
+impl Value {
+    /// The array elements, if this is an array.
+    pub fn as_array(&self) -> Option<&Vec<Value>> {
+        match self {
+            Value::Seq(v) => Some(v),
+            _ => None,
         }
     }
 
-    fn err(&self, msg: &str) -> Error {
-        Error(format!("{msg} at byte {}", self.pos))
+    /// The object entries, if this is an object.
+    pub fn as_object(&self) -> Option<&Vec<(String, Value)>> {
+        match self {
+            Value::Map(m) => Some(m),
+            _ => None,
+        }
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
+    fn number(&self) -> Option<Number> {
+        match *self {
+            Value::U64(v) => Some(Number::U64(v)),
+            Value::I64(v) => Some(Number::I64(v)),
+            Value::F64(v) => Some(Number::F64(v)),
+            _ => None,
+        }
+    }
+
+    /// Numeric value widened to `f64`.
+    pub fn as_f64(&self) -> Option<f64> {
+        self.number().map(Number::as_f64)
+    }
+
+    /// Unsigned integer value, if losslessly representable.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.number().and_then(Number::as_u64)
+    }
+
+    /// Signed integer value, if losslessly representable.
+    pub fn as_i64(&self) -> Option<i64> {
+        self.number().and_then(Number::as_i64)
+    }
+
+    /// String value.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Boolean value.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Whether this is `null`.
+    pub fn is_null(&self) -> bool {
+        matches!(self, Value::Null)
+    }
+
+    /// Object lookup by key (`None` for non-objects or missing keys;
+    /// the first entry wins on a duplicate key).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.as_object()
+            .and_then(|m| m.iter().find(|(k, _)| k == key).map(|(_, v)| v))
+    }
+
+    fn write(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::U64(v) => w.u64(*v),
+            Value::I64(v) => w.i64(*v),
+            Value::F64(v) => w.f64(*v),
+            Value::Str(s) => w.str(s),
+            Value::Seq(items) => {
+                w.begin_array();
+                for item in items {
+                    w.element();
+                    item.write(w);
+                }
+                w.end_array();
+            }
+            Value::Map(entries) => {
+                w.begin_object();
+                for (k, v) in entries {
+                    w.key(k);
+                    v.write(w);
+                }
+                w.end_object();
             }
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// Parse one value; nesting is bounded by the reader's depth cap.
+    fn read(r: &mut Reader<'_>) -> Result<Value> {
+        Ok(match r.peek() {
+            Some(b'{') => {
+                r.begin_object("object")?;
+                let mut entries = Vec::new();
+                while let Some(key) = r.next_key_str()? {
+                    let key = key.to_owned();
+                    entries.push((key, Value::read(r)?));
+                }
+                Value::Map(entries)
+            }
+            Some(b'[') => {
+                r.begin_array("array")?;
+                let mut items = Vec::new();
+                while r.next_element()? {
+                    items.push(Value::read(r)?);
+                }
+                Value::Seq(items)
+            }
+            Some(b'"') => Value::Str(r.string()?.to_owned()),
+            Some(b't' | b'f') => Value::Bool(r.bool()?),
+            Some(b'n') if r.null()? => Value::Null,
+            Some(b'-' | b'0'..=b'9') => match r.number("number")? {
+                Number::U64(v) => Value::U64(v),
+                Number::I64(v) => Value::I64(v),
+                Number::F64(v) => Value::F64(v),
+            },
+            Some(_) => return Err(r.error("unexpected character")),
+            None => return Err(r.error("unexpected end of input")),
+        })
     }
+}
 
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+impl Serialize for Value {
+    fn serialize<S: Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
+        s.with_writer(|w| {
+            self.write(w);
             Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
+        })
     }
+}
 
-    fn parse_document(&mut self) -> Result<Value> {
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing characters"));
-        }
-        Ok(v)
+impl<'de> Deserialize<'de> for Value {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
+        d.with_reader(Value::read)
     }
+}
 
-    fn parse_value(&mut self) -> Result<Value> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Content::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Content::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Content::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Content::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.err("unexpected character")),
-        }
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut w = Writer::compact();
+        self.write(&mut w);
+        f.write_str(&w.into_string())
     }
+}
 
-    fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{kw}`")))
-        }
+static NULL: Value = Value::Null;
+
+impl std::ops::Index<&str> for Value {
+    type Output = Value;
+    fn index(&self, key: &str) -> &Value {
+        self.get(key).unwrap_or(&NULL)
     }
+}
 
-    fn parse_object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Content::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Content::Map(entries));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Content::Seq(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Content::Seq(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.parse_hex4()?;
-                            // Surrogate pairs.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.parse_hex4()?;
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (low.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid unicode escape"))?);
-                            continue; // parse_hex4 already advanced
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one multi-byte UTF-8 character. Validate at
-                    // most 4 bytes — validating the whole remaining input
-                    // here would make parsing quadratic in document size.
-                    let end = (self.pos + 4).min(self.bytes.len());
-                    let rest = &self.bytes[self.pos..end];
-                    let s = match std::str::from_utf8(rest) {
-                        Ok(s) => s,
-                        Err(e) if e.valid_up_to() > 0 => {
-                            std::str::from_utf8(&rest[..e.valid_up_to()]).expect("validated prefix")
-                        }
-                        Err(_) => return Err(self.err("invalid utf-8")),
-                    };
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated unicode escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape"))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Content::U64(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Content::I64(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Content::F64)
-            .map_err(|_| self.err("invalid number"))
+impl std::ops::Index<usize> for Value {
+    type Output = Value;
+    fn index(&self, i: usize) -> &Value {
+        self.as_array().and_then(|v| v.get(i)).unwrap_or(&NULL)
     }
 }
 
@@ -349,11 +316,143 @@ mod tests {
     }
 
     #[test]
+    fn default_field_missing_from_input_takes_its_default() {
+        #[derive(serde::Deserialize, PartialEq, Debug)]
+        struct Versioned {
+            version: u32,
+            #[serde(default)]
+            window_ns: u64,
+        }
+
+        let v: Versioned = from_str(r#"{"version":1}"#).unwrap();
+        assert_eq!(
+            v,
+            Versioned {
+                version: 1,
+                window_ns: 0
+            }
+        );
+        let err = from_str::<Versioned>(r#"{"window_ns":1}"#).unwrap_err();
+        assert!(err.to_string().contains("missing field `version`"), "{err}");
+    }
+
+    #[test]
+    fn struct_fields_skip_unknown_keys_and_keep_the_first_duplicate() {
+        #[derive(serde::Deserialize, PartialEq, Debug)]
+        struct Pair {
+            a: u64,
+            b: String,
+        }
+
+        let text = r#"{"x":{"deep":[1,{"y":null}]},"a":1,"b":"one","a":2,"b":"two"}"#;
+        let p: Pair = from_str(text).unwrap();
+        assert_eq!(
+            p,
+            Pair {
+                a: 1,
+                b: "one".into()
+            }
+        );
+        // The skipped value is still syntax-checked.
+        assert!(from_str::<Pair>(r#"{"x":[1,],"a":1,"b":""}"#).is_err());
+    }
+
+    #[test]
+    fn numbers_convert_as_before() {
+        assert_eq!(from_str::<u32>("3.0").unwrap(), 3);
+        assert_eq!(from_str::<i8>("-4").unwrap(), -4);
+        assert_eq!(from_str::<f64>("7").unwrap(), 7.0);
+        assert!(from_str::<u32>("-1").is_err());
+        assert!(from_str::<u8>("256").is_err());
+        assert!(from_str::<u64>("2.5").is_err());
+        let err = from_str::<u64>("null").unwrap_err().to_string();
+        assert!(
+            err.starts_with("expected unsigned integer, got null"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn typed_writer_matches_value_renderer() {
+        let text = r#"{"a":[1,-2,3.5,1e300,[],{}],"s":"q\"\u0001\\","n":null,"t":[true,false]}"#;
+        let v: Value = from_str(text).unwrap();
+        let compact = to_string(&v).unwrap();
+        assert_eq!(
+            compact,
+            r#"{"a":[1,-2,3.5,1e300,[],{}],"s":"q\"\u0001\\","n":null,"t":[true,false]}"#
+        );
+        assert_eq!(v.to_string(), compact);
+        let pretty = to_string_pretty(&v).unwrap();
+        assert!(
+            pretty.starts_with("{\n  \"a\": [\n    1,\n    -2,"),
+            "{pretty}"
+        );
+        assert!(pretty.contains("    [],\n    {}\n  ],"), "{pretty}");
+        assert_eq!(from_str::<Value>(&pretty).unwrap(), v);
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+        assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
+    }
+
+    #[test]
+    fn unicode_escapes_pair_surrogates_and_reject_unpaired_ones() {
+        let s: String = from_str(r#""😀 é""#).unwrap();
+        assert_eq!(s, "\u{1F600} \u{e9}");
+        for bad in [
+            r#""\ud800A""#,
+            r#""\ud800""#,
+            r#""\ud800x""#,
+            r#""\udc00""#,
+            r#""\u12""#,
+            r#""\u12g4""#,
+        ] {
+            assert!(from_str::<String>(bad).is_err(), "{bad} must be rejected");
+            assert!(from_str::<Value>(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nested(serde::__private::MAX_DEPTH)).is_ok());
+        #[derive(serde::Deserialize, Debug)]
+        struct Known {
+            #[allow(dead_code)]
+            a: u64,
+        }
+
+        for text in [nested(serde::__private::MAX_DEPTH + 1), "[".repeat(1 << 20)] {
+            let err = from_str::<Value>(&text).unwrap_err().to_string();
+            assert!(err.contains("recursion limit exceeded"), "{err}");
+            // Skipping an unknown key's value honours the same cap.
+            let doc = format!(r#"{{"a":1,"x":{text}}}"#);
+            let err = from_str::<Known>(&doc).unwrap_err().to_string();
+            assert!(err.contains("recursion limit exceeded"), "{err}");
+        }
+    }
+
+    #[test]
     fn pretty_output_parses_back() {
         let v: Value = from_str(r#"{"k": [1, 2], "s": "q\"uote"}"#).unwrap();
         let pretty = to_string_pretty(&v).unwrap();
         assert!(pretty.contains('\n'));
         let back: Value = from_str(&pretty).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn syntax_errors_are_reported() {
+        for bad in [
+            "",
+            "{",
+            "[1 2]",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "-",
+            "\"abc",
+            "{\"a\":1,}",
+        ] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }
