@@ -20,8 +20,8 @@
 //!   exactly the shed-weight charges plus the lost-penalty charges.
 //! - Event logs holding every `FleetEvent` variant round-trip through
 //!   compact and pretty JSON, the typed writer and the `Value` renderer
-//!   emit the same bytes, and mutated log text is an `Ok` or an `Err`
-//!   from the reader, never a panic.
+//!   emit the same bytes, and mutated or truncated log text is an `Ok`
+//!   or an `Err` from the reader, never a panic.
 
 use hetero_fleet::{
     calibrate_profiles_with_socs, BreakerCause, BreakerConfig, BreakerState, CircuitBreaker,
@@ -620,5 +620,25 @@ proptest! {
         let _ = serde_json::from_str::<FleetLogPair>(&text);
         let _ = serde_json::from_str::<RolloutLogSet>(&text);
         let _ = serde_json::from_str::<serde_json::Value>(&text);
+    }
+}
+
+proptest! {
+    // Each case parses every prefix of a log pair: keep the count low.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Every strict prefix of a log pair's text, cut anywhere (inside
+    /// escapes and numbers included), is an `Err` and never a panic.
+    #[test]
+    fn truncated_event_logs_are_errors(mut pair in arb_pair(), pretty in proptest::bool::ANY) {
+        pair.robust.policy = POLICIES.concat();
+        let text = if pretty {
+            serde_json::to_string_pretty(&pair).unwrap()
+        } else {
+            serde_json::to_string(&pair).unwrap()
+        };
+        for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+            prop_assert!(serde_json::from_str::<FleetLogPair>(&text[..end]).is_err());
+        }
     }
 }

@@ -268,9 +268,9 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
 }
 
 /// Write `items` as a JSON array.
-fn write_seq<'a, T: Serialize + 'a, S: Serializer>(
+fn write_seq<S: Serializer>(
     s: S,
-    items: impl IntoIterator<Item = &'a T>,
+    items: impl IntoIterator<Item = impl Serialize>,
 ) -> Result<S::Ok, S::Error> {
     s.with_writer(|w| {
         w.begin_array();
@@ -349,15 +349,7 @@ impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
         // Maps serialize as a sequence of `[key, value]` pairs: keys in
         // this workspace are not always strings, and pair lists
         // round-trip uniformly.
-        s.with_writer(|w| {
-            w.begin_array();
-            for (k, v) in self {
-                w.element();
-                (k, v).serialize(&mut *w)?;
-            }
-            w.end_array();
-            Ok(())
-        })
+        write_seq(s, self)
     }
 }
 

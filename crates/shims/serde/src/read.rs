@@ -142,7 +142,7 @@ impl<'de> Reader<'de> {
     /// Error for a value that is not the `expected` kind: names the
     /// value found (compacted, truncated), or the syntax error that
     /// stops it from being read.
-    pub fn unexpected(&mut self, expected: &str) -> Error {
+    fn unexpected(&mut self, expected: &str) -> Error {
         self.peek();
         let at = self.pos;
         if let Err(e) = self.skip_value() {
@@ -452,8 +452,9 @@ impl<'de> Reader<'de> {
     /// Read the tag of an externally tagged enum `name` whose unit
     /// variants are `unit` and data variants `data`.
     pub fn variant(&mut self, name: &str, unit: &[&str], data: &[&str]) -> Result<Variant, Error> {
+        let next = self.peek();
         let at = self.pos;
-        let (tag, is_unit) = match self.peek() {
+        let (tag, is_unit) = match next {
             Some(b'"') => (self.string()?, true),
             Some(b'{') => {
                 self.begin_object("")?;
@@ -518,7 +519,12 @@ fn compact(json: &str) -> String {
         } else {
             in_string = c == '"';
         }
-        out.push(c);
+        if c.is_control() {
+            // A raw control character inside a string.
+            out.extend(c.escape_default());
+        } else {
+            out.push(c);
+        }
     }
     out
 }

@@ -2,7 +2,7 @@
 
 use std::io::Write as _;
 
-use crate::{Error, Serialize, Serializer};
+use crate::{Error, Serializer};
 
 /// Appends compact or pretty (two-space indent) JSON text to a string.
 ///
@@ -41,11 +41,6 @@ impl Writer {
     /// The text written so far.
     pub fn into_string(self) -> String {
         String::from_utf8(self.out).expect("only UTF-8 text is written")
-    }
-
-    /// Serialize `value` at the current position.
-    pub fn value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        value.serialize(self)
     }
 
     fn newline(&mut self) {

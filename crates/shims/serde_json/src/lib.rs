@@ -370,6 +370,14 @@ mod tests {
             err.starts_with("expected unsigned integer, got null"),
             "{err}"
         );
+        // The value quoted in an error is compacted onto one line.
+        let err = from_str::<u64>("{\n  \"a\": [1,\n 2],\n \"b\": \"x\ny\"\n}")
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.starts_with(r#"expected unsigned integer, got {"a":[1,2],"b":"x\ny"}"#),
+            "{err}"
+        );
     }
 
     #[test]
