@@ -87,28 +87,11 @@ impl Writer {
         self.colon();
     }
 
-    /// Start the next entry of a struct or data-variant object. `name`
-    /// is a Rust identifier, which needs no escaping.
-    pub fn field(&mut self, name: &str) {
-        self.next_entry();
-        self.name(name);
-        self.colon();
-    }
-
     fn colon(&mut self) {
         self.out.push(b':');
         if self.pretty {
             self.out.push(b' ');
         }
-    }
-
-    /// Write a Rust identifier (a unit variant's name) as a string; it
-    /// needs no escaping.
-    pub fn name(&mut self, name: &str) {
-        debug_assert!(name.bytes().all(|b| ESCAPE[usize::from(b)] == 0));
-        self.out.push(b'"');
-        self.out.extend_from_slice(name.as_bytes());
-        self.out.push(b'"');
     }
 
     /// Close the innermost object.
@@ -143,26 +126,13 @@ impl Writer {
     }
 
     /// Write an unsigned integer.
-    pub fn u64(&mut self, mut v: u64) {
-        let mut buf = [0u8; 20];
-        let mut i = buf.len();
-        loop {
-            i -= 1;
-            buf[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        self.out.extend_from_slice(&buf[i..]);
+    pub fn u64(&mut self, v: u64) {
+        write!(self.out, "{v}").expect("writing to a Vec cannot fail");
     }
 
     /// Write a signed integer.
     pub fn i64(&mut self, v: i64) {
-        if v < 0 {
-            self.out.push(b'-');
-        }
-        self.u64(v.unsigned_abs());
+        write!(self.out, "{v}").expect("writing to a Vec cannot fail");
     }
 
     /// Write a float: `{:?}` keeps a trailing `.0` on integral values;

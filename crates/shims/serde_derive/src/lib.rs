@@ -326,7 +326,7 @@ fn write_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
             Some(module) => format!("{module}::serialize({value}, &mut *__w)?;"),
             None => format!("::serde::Serialize::serialize({value}, &mut *__w)?;"),
         };
-        let entry = format!("__w.field({:?}); {write}", f.name);
+        let entry = format!("__w.key({:?}); {write}", f.name);
         match &f.skip_if {
             Some(pred) => code.push_str(&format!("if !{pred}({value}) {{ {entry} }}\n")),
             None => {
@@ -426,17 +426,17 @@ fn gen_serialize(name: &str, item: &Item) -> String {
                 let vn = &v.name;
                 let arm = match &v.kind {
                     VariantKind::Unit => {
-                        arms.push_str(&format!("{name}::{vn} => __w.name({vn:?}),\n"));
+                        arms.push_str(&format!("{name}::{vn} => __w.str({vn:?}),\n"));
                         continue;
                     }
                     VariantKind::Tuple(1) => format!(
-                        "{name}::{vn}(__x0) => {{ __w.begin_object(); __w.field({vn:?}); \
+                        "{name}::{vn}(__x0) => {{ __w.begin_object(); __w.key({vn:?}); \
                          ::serde::Serialize::serialize(__x0, &mut *__w)?;"
                     ),
                     VariantKind::Tuple(n) => {
                         let binders: Vec<String> = (0..*n).map(|i| format!("__x{i}")).collect();
                         format!(
-                            "{name}::{vn}({}) => {{ __w.begin_object(); __w.field({vn:?});\n{}",
+                            "{name}::{vn}({}) => {{ __w.begin_object(); __w.key({vn:?});\n{}",
                             binders.join(", "),
                             write_items(&binders)
                         )
@@ -444,7 +444,7 @@ fn gen_serialize(name: &str, item: &Item) -> String {
                     VariantKind::Struct(fields) => {
                         let binders: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
                         format!(
-                            "{name}::{vn} {{ {} }} => {{ __w.begin_object(); __w.field({vn:?});\n{}",
+                            "{name}::{vn} {{ {} }} => {{ __w.begin_object(); __w.key({vn:?});\n{}",
                             binders.join(", "),
                             write_fields(fields, str::to_string)
                         )
