@@ -3,7 +3,7 @@
 //! rule, `normalize` is idempotent, and the static cost layer is sound
 //! (simulated times and replayed pool peaks never escape the bounds).
 
-use hetero_analyze::bound::{check_footprint, replay_pool_peak};
+use hetero_analyze::bound::{check_footprint, model_bounds_under, replay_pool_peak};
 use hetero_analyze::{
     check_plan_full, check_schedule_races, model_bounds, retry_schedule, rules,
     schedule_peak_bytes, EventKind, PlanContext, Severity, SyncSchedule,
@@ -11,11 +11,12 @@ use hetero_analyze::{
 use hetero_graph::partition::PartitionPlan;
 use hetero_profiler::RealExecProvider;
 use hetero_soc::calib::NPU_TILE;
+use hetero_soc::specs::{project_config, table1};
 use hetero_soc::sync::{Dominance, SyncMechanism};
 use hetero_soc::SocConfig;
 use hetero_solver::{RegionTable, Solver, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
-use heterollm::engines::{hetero_soc_config, HeteroTensorEngine};
+use heterollm::engines::HeteroTensorEngine;
 use heterollm::{Engine, ModelConfig};
 use proptest::prelude::*;
 
@@ -293,20 +294,31 @@ proptest! {
     // Each case simulates a full engine phase pair; keep the count low.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// DES soundness of the cost layer: for random prompt lengths and
-    /// decode budgets, a freshly simulated tensor-hybrid engine's
-    /// prefill and decode times land inside the static mirror's
-    /// `[lo, hi]` intervals.
+    /// DES soundness of the cost layer: for random models, Table-1
+    /// SoC projections, sync mechanisms, prompt lengths (long enough
+    /// for pipe and multi-chunk sequence cuts) and decode budgets, a
+    /// freshly simulated tensor-hybrid engine's prefill and decode
+    /// times land inside the static mirror's `[lo, hi]` intervals.
     #[test]
     fn static_bounds_bracket_simulated_engine(
-        m in 1usize..600,
+        model_ix in 0usize..3,
+        soc_ix in 0usize..16,
+        driver_sync in proptest::bool::ANY,
+        m in 1usize..1100,
         tokens in 1usize..4,
     ) {
-        let model = ModelConfig::internlm_1_8b();
-        let bounds = model_bounds(&model, m, tokens);
+        let model = [
+            ModelConfig::internlm_1_8b(),
+            ModelConfig::qwen2_1_5b(),
+            ModelConfig::llama_3b(),
+        ][model_ix]
+            .clone();
+        let socs: Vec<SocConfig> = table1().iter().filter_map(project_config).collect();
+        let mechanism = if driver_sync { SyncMechanism::Driver } else { SyncMechanism::Fast };
+        let cfg = socs[soc_ix % socs.len()].clone().with_sync(mechanism);
+        let bounds = model_bounds_under(&model, cfg.clone(), m, tokens);
         prop_assert!(bounds.ttft.lo <= bounds.ttft.hi);
-        let mut engine =
-            HeteroTensorEngine::with_soc_config(&model, hetero_soc_config(SyncMechanism::Fast));
+        let mut engine = HeteroTensorEngine::with_soc_config(&model, cfg);
         let ttft = engine.prefill(m).elapsed;
         prop_assert!(
             bounds.ttft.contains(ttft),

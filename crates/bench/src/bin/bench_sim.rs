@@ -102,7 +102,7 @@ fn parse_args() -> Args {
             "--devices" => {
                 args.devices = hetero_bench::parse_flag("bench_sim", "--devices", &value());
             }
-            "--jobs" => args.jobs = hetero_bench::parse_jobs("bench_sim", &value()),
+            "--jobs" => args.jobs = hetero_bench::parse_positive("bench_sim", "--jobs", &value()),
             "--json" => args.json = true,
             "--analyze" => {} // consumed by maybe_analyze
             _ => usage(),

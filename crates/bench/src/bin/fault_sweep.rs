@@ -88,9 +88,9 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--seed" => args.seed = hetero_bench::parse_flag("fault_sweep", "--seed", &value()),
             "--requests" => {
-                args.requests = hetero_bench::parse_flag("fault_sweep", "--requests", &value());
+                args.requests = hetero_bench::parse_positive("fault_sweep", "--requests", &value());
             }
-            "--jobs" => args.jobs = hetero_bench::parse_jobs("fault_sweep", &value()),
+            "--jobs" => args.jobs = hetero_bench::parse_positive("fault_sweep", "--jobs", &value()),
             "--json" => args.json = true,
             "--integrity" => args.integrity = true,
             "--trace-out" => args.trace_out = Some(value()),

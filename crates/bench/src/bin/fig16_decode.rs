@@ -45,7 +45,7 @@ fn parse_trace_out(bin: &str) -> (Option<String>, usize) {
                     eprintln!("{bin}: --jobs needs a value");
                     std::process::exit(2)
                 });
-                jobs = hetero_bench::parse_jobs(bin, &raw);
+                jobs = hetero_bench::parse_positive(bin, "--jobs", &raw);
             }
             "--analyze" | "--help" | "-h" => {}
             other => {

@@ -63,12 +63,12 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--seed" => args.seed = hetero_bench::parse_flag("fleet_sweep", "--seed", &value()),
             "--devices" => {
-                args.devices = hetero_bench::parse_flag("fleet_sweep", "--devices", &value());
+                args.devices = hetero_bench::parse_positive("fleet_sweep", "--devices", &value());
             }
             "--requests" => {
-                args.requests = hetero_bench::parse_flag("fleet_sweep", "--requests", &value());
+                args.requests = hetero_bench::parse_positive("fleet_sweep", "--requests", &value());
             }
-            "--jobs" => args.jobs = hetero_bench::parse_jobs("fleet_sweep", &value()),
+            "--jobs" => args.jobs = hetero_bench::parse_positive("fleet_sweep", "--jobs", &value()),
             "--json" => args.json = true,
             "--events-out" => args.events_out = Some(value()),
             "--analyze" => {} // consumed by maybe_analyze

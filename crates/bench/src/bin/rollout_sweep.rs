@@ -73,12 +73,15 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--seed" => args.seed = hetero_bench::parse_flag("rollout_sweep", "--seed", &value()),
             "--devices" => {
-                args.devices = hetero_bench::parse_flag("rollout_sweep", "--devices", &value());
+                args.devices = hetero_bench::parse_positive("rollout_sweep", "--devices", &value());
             }
             "--requests" => {
-                args.requests = hetero_bench::parse_flag("rollout_sweep", "--requests", &value());
+                args.requests =
+                    hetero_bench::parse_positive("rollout_sweep", "--requests", &value());
             }
-            "--jobs" => args.jobs = hetero_bench::parse_jobs("rollout_sweep", &value()),
+            "--jobs" => {
+                args.jobs = hetero_bench::parse_positive("rollout_sweep", "--jobs", &value());
+            }
             "--json" => args.json = true,
             "--events-out" => args.events_out = Some(value()),
             "--analyze" => {} // consumed by maybe_analyze

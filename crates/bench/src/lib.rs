@@ -110,27 +110,28 @@ pub fn parse_flag<T: std::str::FromStr>(bin: &str, flag: &str, raw: &str) -> T {
     })
 }
 
-/// Validate a raw `--jobs` value: a positive worker count, or exit
-/// **2** with the uniform `bad value` message.
+/// Parse a raw size flag (`--jobs`, `--devices`, `--requests`): a
+/// positive integer, or exit **2** with one `bad value` line.
 ///
-/// Every session-running binary that accepts `--jobs N` funnels the
-/// raw string through here, so `--jobs 0` and `--jobs junk` fail
-/// identically across the suite. The determinism contract (see
-/// `PERFORMANCE.md`) is that `--jobs` only changes wall-clock time:
-/// output is byte-identical for every accepted value.
-pub fn parse_jobs(bin: &str, raw: &str) -> usize {
-    let jobs: usize = parse_flag(bin, "--jobs", raw);
-    if jobs == 0 {
-        eprintln!("{bin}: bad value '{raw}' for --jobs (must be at least 1)");
-        eprintln!("run with --help for usage");
-        std::process::exit(2);
+/// Zero workers, devices or requests is a usage error, not a run: every
+/// binary that takes such a flag funnels the raw string through here,
+/// so `--devices 0` and `--jobs junk` fail identically across the
+/// suite. The determinism contract (see `PERFORMANCE.md`) is that
+/// `--jobs` only changes wall-clock time: output is byte-identical for
+/// every accepted value.
+pub fn parse_positive(bin: &str, flag: &str, raw: &str) -> usize {
+    match raw.trim().parse() {
+        Ok(v) if v > 0 => v,
+        _ => {
+            eprintln!("{bin}: bad value '{raw}' for {flag} (must be a positive integer)");
+            std::process::exit(2)
+        }
     }
-    jobs
 }
 
 /// Scan argv for the shared `--jobs N` flag (default 1), for binaries
 /// whose remaining argv is handled by [`expect_no_flags`] rather than
-/// a flag loop of their own. Bad values exit **2** via [`parse_jobs`];
+/// a flag loop of their own. Bad values exit **2** via [`parse_positive`];
 /// a trailing `--jobs` with no value exits **2** too.
 pub fn jobs_from_args(bin: &str) -> usize {
     let mut jobs = 1;
@@ -142,7 +143,7 @@ pub fn jobs_from_args(bin: &str) -> usize {
                 eprintln!("run with --help for usage");
                 std::process::exit(2)
             });
-            jobs = parse_jobs(bin, &raw);
+            jobs = parse_positive(bin, "--jobs", &raw);
         }
     }
     jobs

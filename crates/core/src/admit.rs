@@ -3,10 +3,12 @@
 //! from SoC cost queries — no discrete-event simulation runs and no
 //! engine clock advances.
 //!
-//! The mirrors replay each engine's *scheduling policy* (the same plan
-//! tables, chunking rules and backend-switch machine the engines use)
-//! but price every step through `Soc::solo_kernel_time` /
-//! `Soc::contended_kernel_time`, which are pure `&self` queries.
+//! The mirrors are the interval domain of the engines' own walk
+//! ([`crate::engines::walk`]): [`HeteroMirror`] runs the same phase
+//! walk, plan tables and backend-switch machine as
+//! [`crate::engines::HeteroTensorEngine`], but each step is priced
+//! through `Soc::solo_kernel_time` / `Soc::contended_kernel_time`,
+//! which are pure `&self` queries, instead of being executed.
 //! Soundness then reduces to the overlap model's pinned envelope: a
 //! parallel section's makespan is never below the larger per-side
 //! *solo* sum and never above the larger *contended* sum, while serial
@@ -20,12 +22,13 @@
 use hetero_graph::plan::pipe_plan;
 use hetero_profiler::{CostInterval, RealExecProvider};
 use hetero_soc::calib::STANDARD_GRAPH_SIZES;
-use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
-use hetero_soc::{Backend, KernelDesc, SimTime, Soc, SocConfig};
-use hetero_solver::{PartitionPlan, PlanTable, RegionTable, Solver, SolverConfig};
+use hetero_soc::sync::{Dominance, SyncMechanism};
+use hetero_soc::{Backend, SimTime, Soc, SocConfig};
+use hetero_solver::{PartitionPlan, RegionTable};
 use hetero_tensor::shape::MatmulShape;
 
-use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel};
+use crate::engines::walk::{run_phase, CostDomain, Intervals, Planner};
+use crate::engines::{hetero_soc_config, npu_kernel};
 use crate::model::ModelConfig;
 use crate::trace::{decode_trace, prefill_trace, OpRole, PhaseTrace};
 
@@ -33,10 +36,9 @@ use crate::trace::{decode_trace, prefill_trace, OpRole, PhaseTrace};
 /// shape, and the partition plan the mirror (and the engine) adopts.
 pub type PlanSite = (&'static str, MatmulShape, PartitionPlan);
 
-/// Static mirror of [`crate::engines::HeteroTensorEngine`]'s
-/// scheduling: identical solvers and plan tables, identical
-/// backend-switch machine, but all costs are priced as
-/// [`CostInterval`]s instead of being executed.
+/// Static mirror of [`crate::engines::HeteroTensorEngine`]: the
+/// engine's phase walk over identical plan tables, run in the interval
+/// domain.
 ///
 /// Because the engine's plan choice and switch sequence are
 /// deterministic functions of the model and prompt length, the
@@ -44,13 +46,8 @@ pub type PlanSite = (&'static str, MatmulShape, PartitionPlan);
 /// the same phase sequence.
 pub struct HeteroMirror {
     cfg: ModelConfig,
-    /// Pricing-only SoC; its clock is never advanced.
-    soc: Soc,
-    prefill_solver: Solver<RealExecProvider>,
-    decode_solver: Solver<RealExecProvider>,
-    prefill_table: PlanTable,
-    decode_table: PlanTable,
-    current: Option<Backend>,
+    costs: Intervals,
+    planner: Planner<RealExecProvider>,
 }
 
 impl HeteroMirror {
@@ -63,166 +60,20 @@ impl HeteroMirror {
     /// disturbance-adjusted one).
     pub fn with_soc_config(model: &ModelConfig, soc_cfg: SocConfig) -> Self {
         let provider = RealExecProvider::new(soc_cfg.clone());
-        // Plans are design artifacts and always assume fast sync,
-        // exactly as `HeteroTensorEngine::from_provider`.
-        let plan_sync = SyncModel::new(SyncMechanism::Fast);
-        let prefill_solver = Solver::new(
-            provider.clone(),
-            SolverConfig {
-                sync: plan_sync.clone(),
-                ..SolverConfig::default()
-            },
-        );
-        let decode_solver = Solver::new(
-            provider,
-            SolverConfig {
-                sync: plan_sync,
-                ..SolverConfig::decode(1)
-            },
-        );
         Self {
             cfg: model.clone(),
-            soc: Soc::new(soc_cfg),
-            prefill_solver,
-            decode_solver,
-            prefill_table: PlanTable::new(),
-            decode_table: PlanTable::new(),
-            current: None,
+            costs: Intervals::new(Soc::new(soc_cfg)),
+            planner: Planner::standard(provider),
         }
     }
 
-    /// Exact cost of running `kernel` serially on `backend`, including
-    /// the backend-switch constant the engine's switch machine would
-    /// pay at this point in the sequence.
-    fn run_on_bound(&mut self, backend: Backend, kernel: &KernelDesc) -> CostInterval {
-        let mut t = SimTime::ZERO;
-        if self.current != Some(backend) {
-            if self.current.is_some() {
-                t += self.soc.config().sync.backend_switch();
-            }
-            self.current = Some(backend);
-        }
-        CostInterval::exact(t + self.soc.solo_kernel_time(backend, kernel))
-    }
-
-    /// Interval cost of a parallel section: `[max(solo sums),
-    /// max(contended sums)]` plus the exact rendezvous constant —
-    /// the pinned envelope of `Soc::run_parallel`'s overlap model.
-    fn parallel_bound(
-        &mut self,
-        gpu: &[KernelDesc],
-        npu: &[KernelDesc],
-        dominance: Dominance,
-    ) -> CostInterval {
-        let both = [Backend::Gpu, Backend::Npu];
-        let sum = |soc: &Soc, backend: Backend, ks: &[KernelDesc], contended: bool| {
-            ks.iter()
-                .map(|k| {
-                    if contended {
-                        soc.contended_kernel_time(backend, k, &both)
-                    } else {
-                        soc.solo_kernel_time(backend, k)
-                    }
-                })
-                .sum::<SimTime>()
-        };
-        let g_solo = sum(&self.soc, Backend::Gpu, gpu, false);
-        let g_cont = sum(&self.soc, Backend::Gpu, gpu, true);
-        let n_solo = sum(&self.soc, Backend::Npu, npu, false);
-        let n_cont = sum(&self.soc, Backend::Npu, npu, true);
-        let lo = g_solo.max(n_solo);
-        let hi = g_cont.max(n_cont).max(lo);
-        // Both backends just ran; the GPU ends the section primed.
-        self.current = Some(Backend::Gpu);
-        let rendezvous = self.soc.config().sync.rendezvous(dominance);
-        CostInterval { lo, hi } + CostInterval::exact(rendezvous)
-    }
-
-    /// Interval cost of one partition plan, mirroring
-    /// `HeteroTensorEngine::execute_plan` step for step.
-    fn plan_bound(
-        &mut self,
-        plan: &PartitionPlan,
-        shape: MatmulShape,
-        dominance: Dominance,
-    ) -> CostInterval {
-        match plan {
-            PartitionPlan::GpuOnly => self.run_on_bound(Backend::Gpu, &gpu_kernel(shape)),
-            PartitionPlan::NpuOnly { padded_m } => {
-                let k = npu_kernel(MatmulShape {
-                    m: *padded_m,
-                    ..shape
-                });
-                self.run_on_bound(Backend::Npu, &k)
-            }
-            PartitionPlan::NpuPipe { chunks, .. } => {
-                chunks.iter().fold(CostInterval::ZERO, |acc, &c| {
-                    let k = npu_kernel(MatmulShape { m: c, ..shape });
-                    acc + self.run_on_bound(Backend::Npu, &k)
-                })
-            }
-            PartitionPlan::RowCut { gpu_cols, padded_m }
-            | PartitionPlan::HybridCut { gpu_cols, padded_m } => {
-                let gpu = gpu_kernel(MatmulShape::new(shape.m, shape.k, *gpu_cols));
-                let npu = npu_kernel(MatmulShape::new(*padded_m, shape.k, shape.n - gpu_cols));
-                self.parallel_bound(&[gpu], &[npu], dominance)
-            }
-            PartitionPlan::SeqCut {
-                npu_chunks,
-                gpu_rows,
-            } => {
-                let npu: Vec<KernelDesc> = npu_chunks
-                    .iter()
-                    .map(|&c| npu_kernel(MatmulShape { m: c, ..shape }))
-                    .collect();
-                if *gpu_rows == 0 {
-                    npu.iter().fold(CostInterval::ZERO, |acc, k| {
-                        acc + self.run_on_bound(Backend::Npu, k)
-                    })
-                } else {
-                    let gpu = gpu_kernel(MatmulShape {
-                        m: *gpu_rows,
-                        ..shape
-                    });
-                    self.parallel_bound(&[gpu], &npu, dominance)
-                }
-            }
-        }
-    }
-
-    /// Interval over one phase trace; weight Matmuls consult the given
-    /// plan table/solver pair, everything else runs on the GPU — the
-    /// exact routing of the tensor engine's phase loops.
-    fn phase_bound(&mut self, trace: &PhaseTrace, prefill: bool) -> CostInterval {
-        let dominance = if prefill {
-            Dominance::NpuDominant
-        } else {
-            Dominance::GpuDominant
-        };
-        let ops: Vec<_> = trace.iter_all().cloned().collect();
-        let mut total = CostInterval::ZERO;
-        for op in &ops {
-            let step = match op.role {
-                OpRole::WeightMatmul => {
-                    let shape = op.shape.expect("weight matmul carries a shape");
-                    let choice = if prefill {
-                        self.prefill_table.get_or_solve(
-                            &self.prefill_solver,
-                            op.op,
-                            shape,
-                            dominance,
-                        )
-                    } else {
-                        self.decode_table
-                            .get_or_solve(&self.decode_solver, op.op, shape, dominance)
-                    };
-                    self.plan_bound(&choice.plan, shape, dominance)
-                }
-                _ => self.run_on_bound(Backend::Gpu, &op.kernel),
-            };
-            total += step;
-        }
-        total
+    /// Interval over one phase trace, continuing the switch machine
+    /// from wherever the previous phase left it.
+    fn phase_bound(&mut self, trace: &PhaseTrace, dominance: Dominance) -> CostInterval {
+        self.costs.total = CostInterval::ZERO;
+        run_phase(&mut self.costs, &mut self.planner, trace, dominance)
+            .expect("built-in traces give every weight matmul a shape");
+        self.costs.total
     }
 
     /// Sound `[lo, hi]` bound on the engine's prefill elapsed time for
@@ -230,7 +81,7 @@ impl HeteroMirror {
     /// state the engine would be in (call in the same phase order).
     pub fn prefill_bound(&mut self, prompt_len: usize) -> CostInterval {
         let trace = prefill_trace(&self.cfg, prompt_len);
-        self.phase_bound(&trace, true)
+        self.phase_bound(&trace, Dominance::NpuDominant)
     }
 
     /// Sound `[lo, hi]` bound on decoding `n_tokens` tokens after a
@@ -239,7 +90,7 @@ impl HeteroMirror {
         let mut total = CostInterval::ZERO;
         for t in 0..n_tokens {
             let trace = decode_trace(&self.cfg, prompt_len + t + 1, 1);
-            total += self.phase_bound(&trace, false);
+            total += self.phase_bound(&trace, Dominance::GpuDominant);
         }
         total
     }
@@ -249,17 +100,12 @@ impl HeteroMirror {
     /// over.
     pub fn prefill_plans(&mut self, prompt_len: usize) -> Vec<PlanSite> {
         let trace = prefill_trace(&self.cfg, prompt_len);
-        let ops: Vec<_> = trace.iter_all().cloned().collect();
-        ops.iter()
+        trace
+            .iter_all()
             .filter(|op| op.role == OpRole::WeightMatmul)
             .map(|op| {
                 let shape = op.shape.expect("weight matmul carries a shape");
-                let choice = self.prefill_table.get_or_solve(
-                    &self.prefill_solver,
-                    op.op,
-                    shape,
-                    Dominance::NpuDominant,
-                );
+                let choice = self.planner.plan(op.op, shape, Dominance::NpuDominant);
                 (op.op, shape, choice.plan)
             })
             .collect()
@@ -281,14 +127,14 @@ impl HeteroMirror {
 
 /// Exact prefill latency of the GPU-only (PPL-OpenCL tier) fallback
 /// engine under `soc_cfg`: the single-backend engine runs every trace
-/// kernel serially on the GPU with no switch machine, so the mirror is
-/// a plain sum of solo kernel times.
+/// kernel serially on the GPU, so the mirror is a plain sum of solo
+/// kernel times.
 pub fn gpu_only_prefill(model: &ModelConfig, soc_cfg: &SocConfig, prompt_len: usize) -> SimTime {
-    let soc = Soc::new(soc_cfg.clone());
-    prefill_trace(model, prompt_len)
-        .iter_all()
-        .map(|op| soc.solo_kernel_time(Backend::Gpu, &op.kernel))
-        .sum()
+    let mut costs = Intervals::new(Soc::new(soc_cfg.clone()));
+    for op in prefill_trace(model, prompt_len).iter_all() {
+        costs.serial(Backend::Gpu, &op.kernel);
+    }
+    costs.total.lo
 }
 
 /// Exact prefill latency of the NPU-pipe fallback engine under
@@ -297,40 +143,24 @@ pub fn gpu_only_prefill(model: &ModelConfig, soc_cfg: &SocConfig, prompt_len: us
 /// core's switch machine (starting unprimed) paying one backend-switch
 /// constant per transition.
 pub fn npu_pipe_prefill(model: &ModelConfig, soc_cfg: &SocConfig, prompt_len: usize) -> SimTime {
-    let soc = Soc::new(soc_cfg.clone());
-    let switch = soc.config().sync.backend_switch();
+    let mut costs = Intervals::new(Soc::new(soc_cfg.clone()));
     let chunks = pipe_plan(prompt_len, &STANDARD_GRAPH_SIZES).npu_chunks;
-    let mut current: Option<Backend> = None;
-    let mut total = SimTime::ZERO;
-    let mut run = |backend: Backend, kernel: &KernelDesc, total: &mut SimTime| {
-        if current != Some(backend) {
-            if current.is_some() {
-                *total += switch;
-            }
-            current = Some(backend);
-        }
-        *total += soc.solo_kernel_time(backend, kernel);
-    };
     for op in prefill_trace(model, prompt_len).iter_all() {
         match op.role {
             OpRole::WeightMatmul => {
                 let shape = op.shape.expect("weight matmul carries a shape");
                 if shape.m == 1 {
-                    run(Backend::Npu, &npu_kernel(shape), &mut total);
+                    costs.serial(Backend::Npu, &npu_kernel(shape));
                 } else {
                     for &c in &chunks {
-                        run(
-                            Backend::Npu,
-                            &npu_kernel(MatmulShape { m: c, ..shape }),
-                            &mut total,
-                        );
+                        costs.serial(Backend::Npu, &npu_kernel(MatmulShape { m: c, ..shape }));
                     }
                 }
             }
-            OpRole::Attention | OpRole::Aux => run(Backend::Gpu, &op.kernel, &mut total),
+            OpRole::Attention | OpRole::Aux => costs.serial(Backend::Gpu, &op.kernel),
         }
     }
-    total
+    costs.total.lo
 }
 
 #[cfg(test)]

@@ -15,14 +15,12 @@ use hetero_soc::sync::SyncMechanism;
 use hetero_soc::{Backend, SimTime, Soc};
 use hetero_tensor::shape::MatmulShape;
 
+use crate::engines::walk::{Des, Observers};
 use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel, Engine};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
-use crate::obs::{Timeline, TimelineRecorder};
 use crate::report::PhaseReport;
-use crate::trace::{
-    decode_trace, prefill_trace, ConcurrencyLog, ConcurrencyRecorder, OpRole, PhaseTrace,
-};
+use crate::trace::{decode_trace, prefill_trace, OpRole, PhaseTrace};
 
 /// How the NPU handles sequence lengths without a compiled graph
 /// (§5.2.2's baselines).
@@ -47,7 +45,7 @@ pub enum MisalignStrategy {
 /// Shared core: serial execution with per-op backend routing.
 pub(crate) struct RoutedCore {
     pub cfg: ModelConfig,
-    pub soc: Soc,
+    pub des: Des,
     pub cache: GraphCache,
     pub strategy: MisalignStrategy,
     /// Backend of the decode-phase weight Matmuls.
@@ -58,9 +56,6 @@ pub(crate) struct RoutedCore {
     /// INT-only frameworks of Table 2) instead of the permuted W4A16
     /// convention.
     pub int8_matmuls: bool,
-    current: Option<Backend>,
-    recorder: Option<ConcurrencyRecorder>,
-    timeline: Option<TimelineRecorder>,
 }
 
 impl RoutedCore {
@@ -87,36 +82,13 @@ impl RoutedCore {
         soc.set_gpu_assist();
         Self {
             cfg: model.clone(),
-            soc,
+            des: Des::new(soc),
             cache,
             strategy,
             decode_matmul_backend,
             aux_backend: Backend::Gpu,
             int8_matmuls: false,
-            current: None,
-            recorder: None,
-            timeline: None,
         }
-    }
-
-    /// Start (or reset) concurrency-event recording.
-    pub(crate) fn enable_concurrency_log(&mut self) {
-        self.recorder = Some(ConcurrencyRecorder::new());
-    }
-
-    /// Take the recorded log, ending recording.
-    pub(crate) fn take_concurrency_log(&mut self) -> Option<ConcurrencyLog> {
-        self.recorder.take().map(ConcurrencyRecorder::finish)
-    }
-
-    /// Start (or reset) span-timeline recording.
-    pub(crate) fn enable_timeline(&mut self) {
-        self.timeline = Some(TimelineRecorder::new());
-    }
-
-    /// Take the recorded timeline, ending recording.
-    pub(crate) fn take_timeline(&mut self) -> Option<Timeline> {
-        self.timeline.take().map(TimelineRecorder::finish)
     }
 
     fn npu_matmul_kernel(&self, shape: MatmulShape) -> hetero_soc::KernelDesc {
@@ -134,32 +106,6 @@ impl RoutedCore {
         }
     }
 
-    fn run_on(&mut self, backend: Backend, name: &'static str, kernel: &hetero_soc::KernelDesc) {
-        if self.current != Some(backend) {
-            if let Some(from) = self.current {
-                let switch_start = self.soc.clock();
-                self.soc.backend_switch();
-                let mech = self.soc.config().sync.mechanism;
-                if let Some(rec) = &mut self.recorder {
-                    rec.switch(backend, mech, self.soc.clock());
-                }
-                if let Some(tl) = &mut self.timeline {
-                    tl.switch(from, backend, mech, switch_start, self.soc.clock());
-                }
-            }
-            self.current = Some(backend);
-        }
-        if let Some(rec) = &mut self.recorder {
-            let mech = self.soc.config().sync.mechanism;
-            rec.serial_kernel(backend, kernel.bytes(), mech, self.soc.clock());
-        }
-        let kernel_start = self.soc.clock();
-        self.soc.run_serial(backend, std::slice::from_ref(kernel));
-        if let Some(tl) = &mut self.timeline {
-            tl.kernel_named(backend, name, kernel_start, self.soc.clock());
-        }
-    }
-
     /// The NPU chunk sizes covering `m` rows under this strategy, plus
     /// any graph-preparation time to charge to the request.
     fn npu_chunks(&mut self, m: usize) -> (Vec<usize>, SimTime) {
@@ -171,7 +117,7 @@ impl RoutedCore {
             MisalignStrategy::OnlinePrepare => {
                 let hit = self.cache.has(m);
                 let prep = self.cache.ensure(m);
-                if let Some(tl) = &mut self.timeline {
+                if let Some(tl) = self.des.obs.timeline() {
                     tl.graph_lookup(hit || m == 0);
                 }
                 (vec![m], prep)
@@ -185,13 +131,14 @@ impl RoutedCore {
     }
 
     pub fn run_prefill(&mut self, prompt_len: usize) -> Result<PhaseReport, EngineError> {
-        let start = self.soc.clock();
+        let start = self.des.soc.clock();
         let (chunks, prep) = self.npu_chunks(prompt_len);
         // Graph generation (Online-prepare) delays the whole request.
-        self.soc.advance(prep);
+        self.des.soc.advance(prep);
         if prep > SimTime::ZERO {
-            if let Some(tl) = &mut self.timeline {
-                tl.graph_compile(prompt_len, start, self.soc.clock());
+            let end = self.des.soc.clock();
+            if let Some(tl) = self.des.obs.timeline() {
+                tl.graph_compile(prompt_len, start, end);
             }
         }
 
@@ -199,7 +146,7 @@ impl RoutedCore {
         self.run_routed(&trace, &chunks)?;
         Ok(PhaseReport {
             tokens: prompt_len,
-            elapsed: self.soc.clock() - start,
+            elapsed: self.des.soc.clock() - start,
         })
     }
 
@@ -214,18 +161,18 @@ impl RoutedCore {
                     if shape.m == 1 {
                         // LM head (single row): a standard graph exists.
                         let k = self.npu_matmul_kernel(shape);
-                        self.run_on(Backend::Npu, op.op, &k);
+                        self.des.serial_named(Backend::Npu, &k, Some(op.op));
                     } else {
                         for &c in npu_chunks {
                             let k = self.npu_matmul_kernel(MatmulShape { m: c, ..shape });
-                            self.run_on(Backend::Npu, op.op, &k);
+                            self.des.serial_named(Backend::Npu, &k, Some(op.op));
                         }
                     }
                 }
                 OpRole::Attention | OpRole::Aux => {
                     let k = op.kernel.clone();
                     let backend = self.aux_backend;
-                    self.run_on(backend, op.op, &k);
+                    self.des.serial_named(backend, &k, Some(op.op));
                 }
             }
         }
@@ -237,7 +184,7 @@ impl RoutedCore {
         prompt_len: usize,
         n_tokens: usize,
     ) -> Result<PhaseReport, EngineError> {
-        let start = self.soc.clock();
+        let start = self.des.soc.clock();
         for t in 0..n_tokens {
             let trace = decode_trace(&self.cfg, prompt_len + t + 1, 1);
             let ops: Vec<_> = trace.iter_all().cloned().collect();
@@ -248,25 +195,25 @@ impl RoutedCore {
                         match self.decode_matmul_backend {
                             Backend::Npu => {
                                 let k = self.npu_matmul_kernel(shape);
-                                self.run_on(Backend::Npu, op.op, &k);
+                                self.des.serial_named(Backend::Npu, &k, Some(op.op));
                             }
                             other => {
                                 let k = gpu_kernel(shape);
-                                self.run_on(other, op.op, &k);
+                                self.des.serial_named(other, &k, Some(op.op));
                             }
                         }
                     }
                     _ => {
                         let k = op.kernel.clone();
                         let backend = self.aux_backend;
-                        self.run_on(backend, op.op, &k);
+                        self.des.serial_named(backend, &k, Some(op.op));
                     }
                 }
             }
         }
         Ok(PhaseReport {
             tokens: n_tokens,
-            elapsed: self.soc.clock() - start,
+            elapsed: self.des.soc.clock() - start,
         })
     }
 }
@@ -308,28 +255,16 @@ impl Engine for HeteroLayerEngine {
         self.core.run_decode(prompt_len, n_tokens)
     }
 
-    fn enable_concurrency_log(&mut self) {
-        self.core.enable_concurrency_log();
-    }
-
-    fn take_concurrency_log(&mut self) -> Option<ConcurrencyLog> {
-        self.core.take_concurrency_log()
-    }
-
-    fn enable_timeline(&mut self) {
-        self.core.enable_timeline();
-    }
-
-    fn take_timeline(&mut self) -> Option<Timeline> {
-        self.core.take_timeline()
+    fn observers(&mut self) -> &mut Observers {
+        &mut self.core.des.obs
     }
 
     fn soc(&self) -> &Soc {
-        &self.core.soc
+        &self.core.des.soc
     }
 
     fn soc_mut(&mut self) -> &mut Soc {
-        &mut self.core.soc
+        &mut self.core.des.soc
     }
 }
 

@@ -5,23 +5,20 @@
 //! row-cutting, sequence-length cutting or hybrid-cutting, with the
 //! fast-synchronization runtime bounding rendezvous costs (§4).
 
-use hetero_graph::{CompileModel, GraphCache};
 use hetero_profiler::measure::{partition_shape_grid, profile_matmuls};
 use hetero_profiler::{CostProvider, PredictedProvider, RealExecProvider};
 use hetero_soc::calib::STANDARD_GRAPH_SIZES;
-use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
-use hetero_soc::{Backend, KernelDesc, Soc};
-use hetero_solver::{PartitionPlan, PlanTable, Solver, SolverConfig};
+use hetero_soc::sync::{Dominance, SyncMechanism};
+use hetero_soc::{Backend, Soc};
+use hetero_solver::{PartitionPlan, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
 
-use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel, Engine};
+use crate::engines::walk::{run_phase, Des, Observers, Planner};
+use crate::engines::{hetero_soc_config, Engine};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
-use crate::obs::{Timeline, TimelineRecorder};
 use crate::report::PhaseReport;
-use crate::trace::{
-    decode_trace, prefill_trace, ConcurrencyLog, ConcurrencyRecorder, OpRole, PhaseTrace, TraceOp,
-};
+use crate::trace::{decode_trace, prefill_trace};
 
 /// HeteroLLM with tensor-level heterogeneous execution.
 ///
@@ -30,16 +27,8 @@ use crate::trace::{
 /// decision-tree prediction mode of §4.3).
 pub struct HeteroTensorEngine<P: CostProvider = RealExecProvider> {
     cfg: ModelConfig,
-    soc: Soc,
-    #[allow(dead_code)] // Graphs are preloaded; retained for inspection.
-    cache: GraphCache,
-    prefill_solver: Solver<P>,
-    decode_solver: Solver<P>,
-    prefill_table: PlanTable,
-    decode_table: PlanTable,
-    current: Option<Backend>,
-    recorder: Option<ConcurrencyRecorder>,
-    timeline: Option<TimelineRecorder>,
+    des: Des,
+    planner: Planner<P>,
 }
 
 impl HeteroTensorEngine<RealExecProvider> {
@@ -62,14 +51,14 @@ impl HeteroTensorEngine<RealExecProvider> {
         soc_cfg.gpu.achieved_tflops *= derate;
         soc_cfg.gpu.mem_efficiency *= derate;
         let provider = RealExecProvider::new(soc_cfg.clone());
-        Self::from_provider(model, soc_cfg, provider)
+        Self::with_planner(model, soc_cfg, Planner::standard(provider))
     }
 
     /// Engine over an explicit SoC configuration — e.g. a Table-1
     /// cross-SoC projection from [`hetero_soc::specs::project_config`].
     pub fn with_soc_config(model: &ModelConfig, soc_cfg: hetero_soc::SocConfig) -> Self {
         let provider = RealExecProvider::new(soc_cfg.clone());
-        Self::from_provider(model, soc_cfg, provider)
+        Self::with_planner(model, soc_cfg, Planner::standard(provider))
     }
 
     /// Engine with a custom minimum-parallel-gain threshold (§4.3's
@@ -81,25 +70,18 @@ impl HeteroTensorEngine<RealExecProvider> {
     ) -> Self {
         let soc_cfg = hetero_soc_config(sync);
         let provider = RealExecProvider::new(soc_cfg.clone());
-        let mut engine = Self::from_provider(model, soc_cfg, provider.clone());
-        let plan_sync = SyncModel::new(SyncMechanism::Fast);
-        engine.prefill_solver = Solver::new(
-            provider.clone(),
+        let planner = Planner::new(
+            provider,
             SolverConfig {
-                sync: plan_sync.clone(),
                 min_parallel_gain,
                 ..SolverConfig::default()
             },
-        );
-        engine.decode_solver = Solver::new(
-            provider,
             SolverConfig {
-                sync: plan_sync,
                 min_parallel_gain,
                 ..SolverConfig::decode(1)
             },
         );
-        engine
+        Self::with_planner(model, soc_cfg, planner)
     }
 }
 
@@ -135,229 +117,38 @@ impl HeteroTensorEngine<PredictedProvider> {
         );
         let provider =
             PredictedProvider::train(&db, soc_cfg.clone()).expect("profile grid is non-empty");
-        Self::from_provider(model, soc_cfg, provider)
+        Self::with_planner(model, soc_cfg, Planner::standard(provider))
     }
 }
 
-impl<P: CostProvider + Clone> HeteroTensorEngine<P> {
-    /// Shared construction: graph preloading, plan-design solvers and
-    /// the assist-tier SoC.
-    fn from_provider(model: &ModelConfig, soc_cfg: hetero_soc::SocConfig, provider: P) -> Self {
-        let mut cache = GraphCache::new(model.graph_set(), CompileModel::default());
-        cache.preload(&STANDARD_GRAPH_SIZES);
-        cache.preload(&[1]);
-
-        // Partition plans are part of the *design* and always assume
-        // fast synchronization; the runtime's sync mechanism only
-        // changes what each rendezvous costs (the Figs. 15/17 ablation
-        // varies the mechanism, not the plans).
-        let plan_sync = SyncModel::new(SyncMechanism::Fast);
-        let prefill_solver = Solver::new(
-            provider.clone(),
-            SolverConfig {
-                sync: plan_sync.clone(),
-                ..SolverConfig::default()
-            },
-        );
-        let decode_solver = Solver::new(
-            provider,
-            SolverConfig {
-                sync: plan_sync,
-                ..SolverConfig::decode(1)
-            },
-        );
-
+impl<P: CostProvider> HeteroTensorEngine<P> {
+    /// Shared construction: the plan-design planner and the
+    /// assist-tier SoC.
+    fn with_planner(
+        model: &ModelConfig,
+        soc_cfg: hetero_soc::SocConfig,
+        planner: Planner<P>,
+    ) -> Self {
         let mut soc = Soc::new(soc_cfg);
         // Assist-tier GPU power (shallow queues between sync points).
         soc.set_gpu_assist();
         Self {
             cfg: model.clone(),
-            soc,
-            cache,
-            prefill_solver,
-            decode_solver,
-            prefill_table: PlanTable::new(),
-            decode_table: PlanTable::new(),
-            current: None,
-            recorder: None,
-            timeline: None,
-        }
-    }
-}
-
-impl<P: CostProvider> HeteroTensorEngine<P> {
-    fn run_on(&mut self, backend: Backend, kernel: &KernelDesc) {
-        if self.current != Some(backend) {
-            if let Some(from) = self.current {
-                let switch_start = self.soc.clock();
-                self.soc.backend_switch();
-                let mech = self.soc.config().sync.mechanism;
-                if let Some(rec) = &mut self.recorder {
-                    rec.switch(backend, mech, self.soc.clock());
-                }
-                if let Some(tl) = &mut self.timeline {
-                    tl.switch(from, backend, mech, switch_start, self.soc.clock());
-                }
-            }
-            self.current = Some(backend);
-        }
-        if let Some(rec) = &mut self.recorder {
-            let mech = self.soc.config().sync.mechanism;
-            rec.serial_kernel(backend, kernel.bytes(), mech, self.soc.clock());
-        }
-        let kernel_start = self.soc.clock();
-        self.soc.run_serial(backend, std::slice::from_ref(kernel));
-        if let Some(tl) = &mut self.timeline {
-            tl.kernel(backend, kernel, kernel_start, self.soc.clock());
+            des: Des::new(soc),
+            planner,
         }
     }
 
-    fn run_parallel(&mut self, gpu: &[KernelDesc], npu: &[KernelDesc], dominance: Dominance) {
-        if let Some(rec) = &mut self.recorder {
-            let mech = self.soc.config().sync.mechanism;
-            let gpu_bytes: u64 = gpu.iter().map(KernelDesc::bytes).sum();
-            let npu_bytes: u64 = npu.iter().map(KernelDesc::bytes).sum();
-            rec.parallel_section(gpu_bytes, npu_bytes, mech, self.soc.clock());
-        }
-        let start = self.soc.clock();
-        let outcome = self.soc.run_parallel(gpu, npu, dominance);
-        if let Some(tl) = &mut self.timeline {
-            let mech = self.soc.config().sync.mechanism;
-            let side_name = |ks: &[KernelDesc]| match ks {
-                [k] => crate::obs::timeline::kernel_span_name(k),
-                ks => format!("batch×{}", ks.len()),
-            };
-            tl.parallel_section(
-                &side_name(gpu),
-                &side_name(npu),
-                mech,
-                start,
-                start + outcome.a_finish,
-                start + outcome.b_finish,
-                self.soc.clock(),
-            );
-        }
-        // Both backends just ran; the GPU ends the section primed.
-        self.current = Some(Backend::Gpu);
-    }
-
-    fn execute_plan(&mut self, plan: &PartitionPlan, shape: MatmulShape, dominance: Dominance) {
-        match plan {
-            PartitionPlan::GpuOnly => self.run_on(Backend::Gpu, &gpu_kernel(shape)),
-            PartitionPlan::NpuOnly { padded_m } => {
-                let k = npu_kernel(MatmulShape {
-                    m: *padded_m,
-                    ..shape
-                });
-                self.run_on(Backend::Npu, &k);
-            }
-            PartitionPlan::NpuPipe { chunks, .. } => {
-                for &c in chunks {
-                    let k = npu_kernel(MatmulShape { m: c, ..shape });
-                    self.run_on(Backend::Npu, &k);
-                }
-            }
-            PartitionPlan::RowCut { gpu_cols, padded_m }
-            | PartitionPlan::HybridCut { gpu_cols, padded_m } => {
-                let gpu = gpu_kernel(MatmulShape::new(shape.m, shape.k, *gpu_cols));
-                let npu = npu_kernel(MatmulShape::new(*padded_m, shape.k, shape.n - gpu_cols));
-                self.run_parallel(&[gpu], &[npu], dominance);
-            }
-            PartitionPlan::SeqCut {
-                npu_chunks,
-                gpu_rows,
-            } => {
-                let npu: Vec<KernelDesc> = npu_chunks
-                    .iter()
-                    .map(|&c| npu_kernel(MatmulShape { m: c, ..shape }))
-                    .collect();
-                if *gpu_rows == 0 {
-                    for k in &npu {
-                        self.run_on(Backend::Npu, k);
-                    }
-                } else {
-                    let gpu = gpu_kernel(MatmulShape {
-                        m: *gpu_rows,
-                        ..shape
-                    });
-                    self.run_parallel(&[gpu], &npu, dominance);
-                }
-            }
-        }
-    }
-
-    /// Run one trace op: a weight Matmul through its memoized plan
-    /// (prefill plans are solved NPU-dominant, decode plans
-    /// GPU-dominant), anything else on the GPU.
-    fn run_op(&mut self, op: &TraceOp, dominance: Dominance) -> Result<(), EngineError> {
-        if op.role != OpRole::WeightMatmul {
-            self.run_on(Backend::Gpu, &op.kernel);
-            return Ok(());
-        }
-        let shape = op.shape.ok_or(EngineError::MissingShape { op: op.op })?;
-        let (table, solver) = match dominance {
-            Dominance::NpuDominant => (&mut self.prefill_table, &self.prefill_solver),
-            Dominance::GpuDominant => (&mut self.decode_table, &self.decode_solver),
-        };
-        let choice = table.get_or_solve(solver, op.op, shape, dominance);
-        self.execute_plan(&choice.plan, shape, dominance);
-        Ok(())
-    }
-
-    /// Run one phase step: prologue, decoder layers, epilogue.
-    ///
-    /// Every decoder layer runs the same ops through the same memoized
-    /// plans, and SoC costs never depend on the clock. So once a layer
-    /// leaves the backend state as it found it, each remaining layer
-    /// would cost exactly what that one did, and the SoC charges them
-    /// as repeats of it ([`Soc::repeat_since`]). Per-kernel observers
-    /// (concurrency recorder, timeline, SoC trace) need every kernel,
-    /// so while any is on the same loop walks every layer.
-    fn run_trace(&mut self, trace: &PhaseTrace, dominance: Dominance) -> Result<(), EngineError> {
-        for op in &trace.prologue {
-            self.run_op(op, dominance)?;
-        }
-        let observed =
-            self.recorder.is_some() || self.timeline.is_some() || self.soc.trace_enabled();
-        for walked in 1..=trace.layers {
-            let (entry, mark) = (self.current, self.soc.mark());
-            for op in &trace.layer {
-                self.run_op(op, dominance)?;
-            }
-            if !observed && self.current == entry {
-                self.soc.repeat_since(mark, (trace.layers - walked) as u64);
-                break;
-            }
-        }
-        for op in &trace.epilogue {
-            self.run_op(op, dominance)?;
-        }
-        Ok(())
-    }
-
-    /// Execute a partition plan for one logical Matmul (public for the
-    /// speculative-decoding driver and the experiment harness).
-    pub fn execute_plan_pub(
-        &mut self,
-        plan: &PartitionPlan,
-        shape: MatmulShape,
-        dominance: Dominance,
-    ) {
-        self.execute_plan(plan, shape, dominance);
-    }
-
-    /// Run one kernel serially on a backend (public for the
-    /// speculative-decoding driver).
-    pub fn run_on_pub(&mut self, backend: Backend, kernel: &KernelDesc) {
-        self.run_on(backend, kernel);
+    /// The engine's discrete-event domain, for drivers that walk their
+    /// own plans on it (speculative decoding).
+    pub(crate) fn des(&mut self) -> &mut Des {
+        &mut self.des
     }
 
     /// The solved plan for an operator at a sequence length (exposed
     /// for the experiment harness).
     pub fn plan_for(&mut self, op: &'static str, shape: MatmulShape) -> PartitionPlan {
-        self.prefill_table
-            .get_or_solve(&self.prefill_solver, op, shape, Dominance::NpuDominant)
-            .plan
+        self.planner.plan(op, shape, Dominance::NpuDominant).plan
     }
 }
 
@@ -371,14 +162,17 @@ impl<P: CostProvider> Engine for HeteroTensorEngine<P> {
     }
 
     fn try_prefill(&mut self, prompt_len: usize) -> Result<PhaseReport, EngineError> {
-        let start = self.soc.clock();
-        self.run_trace(
-            &prefill_trace(&self.cfg, prompt_len),
+        let start = self.des.soc.clock();
+        let trace = prefill_trace(&self.cfg, prompt_len);
+        run_phase(
+            &mut self.des,
+            &mut self.planner,
+            &trace,
             Dominance::NpuDominant,
         )?;
         Ok(PhaseReport {
             tokens: prompt_len,
-            elapsed: self.soc.clock() - start,
+            elapsed: self.des.soc.clock() - start,
         })
     }
 
@@ -387,39 +181,32 @@ impl<P: CostProvider> Engine for HeteroTensorEngine<P> {
         prompt_len: usize,
         n_tokens: usize,
     ) -> Result<PhaseReport, EngineError> {
-        let start = self.soc.clock();
+        let start = self.des.soc.clock();
         for t in 0..n_tokens {
             let trace = decode_trace(&self.cfg, prompt_len + t + 1, 1);
-            self.run_trace(&trace, Dominance::GpuDominant)?;
+            run_phase(
+                &mut self.des,
+                &mut self.planner,
+                &trace,
+                Dominance::GpuDominant,
+            )?;
         }
         Ok(PhaseReport {
             tokens: n_tokens,
-            elapsed: self.soc.clock() - start,
+            elapsed: self.des.soc.clock() - start,
         })
     }
 
-    fn enable_concurrency_log(&mut self) {
-        self.recorder = Some(ConcurrencyRecorder::new());
-    }
-
-    fn take_concurrency_log(&mut self) -> Option<ConcurrencyLog> {
-        self.recorder.take().map(ConcurrencyRecorder::finish)
-    }
-
-    fn enable_timeline(&mut self) {
-        self.timeline = Some(TimelineRecorder::new());
-    }
-
-    fn take_timeline(&mut self) -> Option<Timeline> {
-        self.timeline.take().map(TimelineRecorder::finish)
+    fn observers(&mut self) -> &mut Observers {
+        &mut self.des.obs
     }
 
     fn soc(&self) -> &Soc {
-        &self.soc
+        &self.des.soc
     }
 
     fn soc_mut(&mut self) -> &mut Soc {
-        &mut self.soc
+        &mut self.des.soc
     }
 }
 

@@ -17,7 +17,7 @@ use hetero_soc::sync::SyncMechanism;
 use hetero_soc::{Backend, Soc};
 
 use crate::engines::hetero_layer::{MisalignStrategy, RoutedCore};
-use crate::engines::{hetero_soc_config, Engine};
+use crate::engines::{hetero_soc_config, Engine, Observers};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
 use crate::report::PhaseReport;
@@ -56,7 +56,7 @@ impl MllmNpuEngine {
         // avoid double-counting.
         soc_cfg.npu.peak_tflops = MLLM_EFFECTIVE_INT8_TFLOPS;
         soc_cfg.npu.min_effective_tflops = MLLM_EFFECTIVE_INT8_TFLOPS;
-        core.soc = Soc::new(soc_cfg);
+        core.des.soc = Soc::new(soc_cfg);
         core.cache.preload(&[MLLM_CHUNK, 1]);
         Self { core }
     }
@@ -83,28 +83,16 @@ impl Engine for MllmNpuEngine {
         self.core.run_decode(prompt_len, n_tokens)
     }
 
-    fn enable_concurrency_log(&mut self) {
-        self.core.enable_concurrency_log();
-    }
-
-    fn take_concurrency_log(&mut self) -> Option<crate::trace::ConcurrencyLog> {
-        self.core.take_concurrency_log()
-    }
-
-    fn enable_timeline(&mut self) {
-        self.core.enable_timeline();
-    }
-
-    fn take_timeline(&mut self) -> Option<crate::obs::Timeline> {
-        self.core.take_timeline()
+    fn observers(&mut self) -> &mut Observers {
+        &mut self.core.des.obs
     }
 
     fn soc(&self) -> &Soc {
-        &self.core.soc
+        &self.core.des.soc
     }
 
     fn soc_mut(&mut self) -> &mut Soc {
-        &mut self.core.soc
+        &mut self.core.des.soc
     }
 }
 

@@ -12,12 +12,14 @@ pub mod hetero_tensor;
 pub mod mllm_npu;
 pub mod npu_only;
 pub mod single;
+pub(crate) mod walk;
 
 pub use hetero_layer::HeteroLayerEngine;
 pub use hetero_tensor::HeteroTensorEngine;
 pub use mllm_npu::MllmNpuEngine;
 pub use npu_only::{MisalignStrategy, NpuOnlyEngine};
 pub use single::{GpuTier, SingleBackendEngine};
+pub use walk::Observers;
 
 use ::hetero_tensor::shape::MatmulShape;
 use ::hetero_tensor::DType;
@@ -78,30 +80,35 @@ pub trait Engine {
         }
     }
 
+    /// The engine's per-kernel observers.
+    fn observers(&mut self) -> &mut Observers;
+
     /// Start recording a concurrency event log (buffer accesses, queue
-    /// submissions, rendezvous signal/wait) for race analysis. Engines
-    /// without cross-backend concurrency may record nothing; calling
+    /// submissions, rendezvous signal/wait) for race analysis. Calling
     /// again resets any partial log.
-    fn enable_concurrency_log(&mut self) {}
+    fn enable_concurrency_log(&mut self) {
+        self.observers().enable_concurrency_log();
+    }
 
     /// Take the concurrency log recorded since
     /// [`Engine::enable_concurrency_log`], ending recording. Returns
-    /// `None` if recording was never enabled (or is unsupported).
+    /// `None` if recording was never enabled.
     fn take_concurrency_log(&mut self) -> Option<ConcurrencyLog> {
-        None
+        self.observers().take_concurrency_log()
     }
 
     /// Start recording a span timeline (kernel submit/complete, sync
     /// waits, graph compiles) against the SoC's simulated clock, for
     /// the observability layer ([`crate::obs`]). Calling again resets
     /// any partial timeline.
-    fn enable_timeline(&mut self) {}
+    fn enable_timeline(&mut self) {
+        self.observers().enable_timeline();
+    }
 
     /// Take the timeline recorded since [`Engine::enable_timeline`],
-    /// ending recording. Returns `None` if recording was never enabled
-    /// (or is unsupported).
+    /// ending recording. Returns `None` if recording was never enabled.
     fn take_timeline(&mut self) -> Option<crate::obs::Timeline> {
-        None
+        self.observers().take_timeline()
     }
 
     /// Access the simulated SoC (clock, meter, trace).

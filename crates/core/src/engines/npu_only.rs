@@ -10,7 +10,7 @@ use hetero_soc::{Backend, Soc};
 
 pub use crate::engines::hetero_layer::MisalignStrategy;
 use crate::engines::hetero_layer::RoutedCore;
-use crate::engines::Engine;
+use crate::engines::{Engine, Observers};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
 use crate::report::PhaseReport;
@@ -61,28 +61,16 @@ impl Engine for NpuOnlyEngine {
         self.core.run_decode(prompt_len, n_tokens)
     }
 
-    fn enable_concurrency_log(&mut self) {
-        self.core.enable_concurrency_log();
-    }
-
-    fn take_concurrency_log(&mut self) -> Option<crate::trace::ConcurrencyLog> {
-        self.core.take_concurrency_log()
-    }
-
-    fn enable_timeline(&mut self) {
-        self.core.enable_timeline();
-    }
-
-    fn take_timeline(&mut self) -> Option<crate::obs::Timeline> {
-        self.core.take_timeline()
+    fn observers(&mut self) -> &mut Observers {
+        &mut self.core.des.obs
     }
 
     fn soc(&self) -> &Soc {
-        &self.core.soc
+        &self.core.des.soc
     }
 
     fn soc_mut(&mut self) -> &mut Soc {
-        &mut self.core.soc
+        &mut self.core.des.soc
     }
 }
 

@@ -9,12 +9,12 @@
 use hetero_soc::gpu::GpuModel;
 use hetero_soc::{calib, Backend, Soc, SocConfig};
 
-use crate::engines::{llama_cpp_soc_config, Engine};
+use crate::engines::walk::Des;
+use crate::engines::{llama_cpp_soc_config, Engine, Observers};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
-use crate::obs::{Timeline, TimelineRecorder};
 use crate::report::PhaseReport;
-use crate::trace::{decode_trace, prefill_trace, ConcurrencyLog, ConcurrencyRecorder, PhaseTrace};
+use crate::trace::{decode_trace, prefill_trace, PhaseTrace};
 
 /// GPU kernel-quality tiers of the baseline frameworks (derived from
 /// the paper's relative results; see [`calib::engine_eff`]).
@@ -66,9 +66,7 @@ pub struct SingleBackendEngine {
     name: String,
     cfg: ModelConfig,
     backend: Backend,
-    soc: Soc,
-    recorder: Option<ConcurrencyRecorder>,
-    timeline: Option<TimelineRecorder>,
+    des: Des,
 }
 
 impl SingleBackendEngine {
@@ -80,9 +78,7 @@ impl SingleBackendEngine {
             name: tier.name().to_string(),
             cfg: model.clone(),
             backend: Backend::Gpu,
-            soc: Soc::new(soc_cfg),
-            recorder: None,
-            timeline: None,
+            des: Des::new(Soc::new(soc_cfg)),
         }
     }
 
@@ -94,24 +90,13 @@ impl SingleBackendEngine {
             name: "llama.cpp".to_string(),
             cfg: model.clone(),
             backend: Backend::Cpu,
-            soc,
-            recorder: None,
-            timeline: None,
+            des: Des::new(soc),
         }
     }
 
     fn run_trace(&mut self, trace: &PhaseTrace) {
-        let mech = self.soc.config().sync.mechanism;
         for op in trace.iter_all() {
-            if let Some(rec) = &mut self.recorder {
-                rec.serial_kernel(self.backend, op.kernel.bytes(), mech, self.soc.clock());
-            }
-            let start = self.soc.clock();
-            self.soc
-                .run_serial(self.backend, std::slice::from_ref(&op.kernel));
-            if let Some(tl) = &mut self.timeline {
-                tl.kernel_named(self.backend, op.op, start, self.soc.clock());
-            }
+            self.des.serial_named(self.backend, &op.kernel, Some(op.op));
         }
     }
 }
@@ -126,12 +111,12 @@ impl Engine for SingleBackendEngine {
     }
 
     fn try_prefill(&mut self, prompt_len: usize) -> Result<PhaseReport, EngineError> {
-        let start = self.soc.clock();
+        let start = self.des.soc.clock();
         let trace = prefill_trace(&self.cfg, prompt_len);
         self.run_trace(&trace);
         Ok(PhaseReport {
             tokens: prompt_len,
-            elapsed: self.soc.clock() - start,
+            elapsed: self.des.soc.clock() - start,
         })
     }
 
@@ -140,39 +125,27 @@ impl Engine for SingleBackendEngine {
         prompt_len: usize,
         n_tokens: usize,
     ) -> Result<PhaseReport, EngineError> {
-        let start = self.soc.clock();
+        let start = self.des.soc.clock();
         for t in 0..n_tokens {
             let trace = decode_trace(&self.cfg, prompt_len + t + 1, 1);
             self.run_trace(&trace);
         }
         Ok(PhaseReport {
             tokens: n_tokens,
-            elapsed: self.soc.clock() - start,
+            elapsed: self.des.soc.clock() - start,
         })
     }
 
-    fn enable_concurrency_log(&mut self) {
-        self.recorder = Some(ConcurrencyRecorder::new());
-    }
-
-    fn take_concurrency_log(&mut self) -> Option<ConcurrencyLog> {
-        self.recorder.take().map(ConcurrencyRecorder::finish)
-    }
-
-    fn enable_timeline(&mut self) {
-        self.timeline = Some(TimelineRecorder::new());
-    }
-
-    fn take_timeline(&mut self) -> Option<Timeline> {
-        self.timeline.take().map(TimelineRecorder::finish)
+    fn observers(&mut self) -> &mut Observers {
+        &mut self.des.obs
     }
 
     fn soc(&self) -> &Soc {
-        &self.soc
+        &self.des.soc
     }
 
     fn soc_mut(&mut self) -> &mut Soc {
-        &mut self.soc
+        &mut self.des.soc
     }
 }
 

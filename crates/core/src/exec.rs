@@ -1,4 +1,4 @@
-//! Deterministic work-stealing executor for independent seeded tasks.
+//! Deterministic parallel executor for independent seeded tasks.
 //!
 //! Fleet-scale sweeps run thousands of *independent* per-device
 //! sessions (calibration micro-benchmarks, per-SoC projections, sweep
@@ -8,13 +8,11 @@
 //! *wall-clock time*, never results. [`Executor`] enforces that shape:
 //!
 //! - tasks are identified by index `0..n`;
-//! - workers are `std::thread::scope` threads claiming indices from a
-//!   shared range registry (contiguous chunks, stolen in halves when
-//!   a worker runs dry — classic work stealing, `Mutex` + channels,
-//!   no external dependencies);
-//! - results are sent back tagged with their index over an
-//!   [`std::sync::mpsc`] channel and collected into a `Vec` in index
-//!   order.
+//! - workers are `std::thread::scope` threads claiming the next
+//!   unclaimed index from one shared [`AtomicUsize`] until all are
+//!   taken, so a worker that draws slow tasks simply claims fewer;
+//! - each worker keeps its results tagged with their index, and after
+//!   the join every result is written into its index's slot.
 //!
 //! Because the output vector is assembled *by index*, the merged
 //! result is byte-for-byte independent of scheduling: `jobs = 1` and
@@ -36,60 +34,7 @@
 //! assert_eq!(serial, parallel);
 //! ```
 
-use std::sync::mpsc;
-use std::sync::Mutex;
-
-/// Claimable index ranges, one slot per worker. A worker that drains
-/// its own slot steals the upper half of the largest remaining slot.
-struct RangeRegistry {
-    /// `(next, end)` half-open ranges, indexed by worker.
-    slots: Mutex<Vec<(usize, usize)>>,
-}
-
-impl RangeRegistry {
-    /// Split `0..n` into `jobs` contiguous, near-equal chunks.
-    fn new(n: usize, jobs: usize) -> Self {
-        let base = n / jobs;
-        let extra = n % jobs;
-        let mut slots = Vec::with_capacity(jobs);
-        let mut start = 0;
-        for w in 0..jobs {
-            let len = base + usize::from(w < extra);
-            slots.push((start, start + len));
-            start += len;
-        }
-        Self {
-            slots: Mutex::new(slots),
-        }
-    }
-
-    /// Claim the next index for worker `w`: from its own slot if any
-    /// remain, otherwise by stealing the upper half of the fullest
-    /// other slot. `None` once every index everywhere is claimed.
-    fn claim(&self, w: usize) -> Option<usize> {
-        let mut slots = self.slots.lock().expect("range registry poisoned");
-        let (next, end) = slots[w];
-        if next < end {
-            slots[w].0 += 1;
-            return Some(next);
-        }
-        // Steal: find the victim with the most remaining work.
-        let victim = (0..slots.len())
-            .filter(|&v| v != w)
-            .max_by_key(|&v| slots[v].1 - slots[v].0)?;
-        let (vnext, vend) = slots[victim];
-        let remaining = vend - vnext;
-        if remaining == 0 {
-            return None;
-        }
-        // Take the upper half (at least one index), leave the lower
-        // half with the victim so its cache-warm prefix stays local.
-        let mid = vend - remaining.div_ceil(2);
-        slots[victim].1 = mid;
-        slots[w] = (mid + 1, vend);
-        Some(mid)
-    }
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A fixed-width pool of workers executing indexed independent tasks.
 ///
@@ -134,41 +79,38 @@ impl Executor {
             // the loop a pre-executor caller would have written.
             return (0..tasks).map(f).collect();
         }
-        let registry = RangeRegistry::new(tasks, workers);
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let tx = tx.clone();
-                    let registry = &registry;
-                    let f = &f;
-                    scope.spawn(move || {
-                        while let Some(i) = registry.claim(w) {
-                            let v = f(i);
-                            if tx.send((i, v)).is_err() {
-                                return; // Receiver gone: caller is unwinding.
-                            }
-                        }
-                    })
-                })
-                .collect();
+        // The counter only hands out indices; results reach the caller
+        // through the join, so `Relaxed` claims are enough.
+        let next = AtomicUsize::new(0);
+        let claim = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= tasks {
+                    return done;
+                }
+                done.push((i, f(i)));
+            }
+        };
+        let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
             // Join explicitly so a worker's panic payload reaches the
             // caller verbatim instead of scope's generic message.
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
         });
-        drop(tx);
-        let mut out: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-        for (i, v) in rx {
-            debug_assert!(out[i].is_none(), "task {i} claimed twice");
-            out[i] = Some(v);
+        let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
+        for (i, v) in per_worker.into_iter().flatten() {
+            slots[i] = Some(v);
         }
-        out.into_iter()
-            .enumerate()
-            .map(|(i, v)| v.unwrap_or_else(|| panic!("task {i} produced no result")))
+        slots
+            .into_iter()
+            .map(|v| v.expect("every index is claimed exactly once"))
             .collect()
     }
 }
@@ -176,7 +118,6 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_arrive_in_index_order_regardless_of_jobs() {
@@ -231,20 +172,5 @@ mod tests {
             assert!(i != 13, "task 13 panicked");
             i
         });
-    }
-
-    #[test]
-    fn registry_steals_half_of_the_largest_slot() {
-        let reg = RangeRegistry::new(16, 2); // slots: (0,8) (8,16)
-        assert_eq!(reg.claim(0), Some(0));
-        // Drain worker 1's slot.
-        for i in 8..16 {
-            assert_eq!(reg.claim(1), Some(i));
-        }
-        // Worker 1 steals the upper half of worker 0's remainder
-        // (1..8 → victim keeps 1..4, thief takes 4..8).
-        assert_eq!(reg.claim(1), Some(4));
-        assert_eq!(reg.claim(1), Some(5));
-        assert_eq!(reg.claim(0), Some(1));
     }
 }

@@ -31,14 +31,15 @@
 use hetero_profiler::RealExecProvider;
 use hetero_soc::disturb::{SdcFault, SdcTrace};
 use hetero_soc::kernel::KernelLabel;
-use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
+use hetero_soc::sync::{Dominance, SyncMechanism};
 use hetero_soc::{Backend, KernelDesc, Soc};
-use hetero_solver::{PartitionPlan, PlanTable, Solver, SolverConfig};
+use hetero_solver::{PartitionPlan, SolverConfig};
 use hetero_tensor::quant::W4Matrix;
 use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::{abft, ops};
 use hetero_tensor::{Result, Tensor, TensorError};
 
+use crate::engines::walk::Planner;
 use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel};
 use crate::functional::matmul_partitioned;
 use crate::integrity::{IntegrityCounters, IntegrityMode};
@@ -54,8 +55,14 @@ struct Tile {
     backend: Backend,
 }
 
-/// The output tiles a partition plan produces for an `[m, n]` result.
-fn plan_tiles(plan: &PartitionPlan, m: usize, n: usize) -> Vec<Tile> {
+/// The output tiles a partition plan produces for the `[m, n]` result
+/// of `shape`. The NPU sub-problems fill the leading columns in
+/// consecutive row chunks (padding rows fall outside `m`). The GPU
+/// takes the rows after them when they span every column (a sequence
+/// cut), otherwise the trailing columns (a row cut).
+fn plan_tiles(plan: &PartitionPlan, shape: MatmulShape) -> Vec<Tile> {
+    let MatmulShape { m, n, .. } = shape;
+    let lowered = plan.lower(shape);
     let mut tiles = Vec::new();
     let mut push = |rows: core::ops::Range<usize>, cols: core::ops::Range<usize>, b: Backend| {
         if !rows.is_empty() && !cols.is_empty() {
@@ -66,32 +73,15 @@ fn plan_tiles(plan: &PartitionPlan, m: usize, n: usize) -> Vec<Tile> {
             });
         }
     };
-    match plan {
-        PartitionPlan::GpuOnly => push(0..m, 0..n, Backend::Gpu),
-        PartitionPlan::NpuOnly { .. } => push(0..m, 0..n, Backend::Npu),
-        PartitionPlan::NpuPipe { chunks, .. } => {
-            let mut row = 0;
-            for &c in chunks {
-                let end = (row + c).min(m);
-                push(row..end, 0..n, Backend::Npu);
-                row = end;
-            }
-        }
-        PartitionPlan::RowCut { gpu_cols, .. } | PartitionPlan::HybridCut { gpu_cols, .. } => {
-            push(0..m, 0..n - gpu_cols, Backend::Npu);
-            push(0..m, n - gpu_cols..n, Backend::Gpu);
-        }
-        PartitionPlan::SeqCut {
-            npu_chunks,
-            gpu_rows,
-        } => {
-            let mut row = 0;
-            for &c in npu_chunks {
-                push(row..row + c, 0..n, Backend::Npu);
-                row += c;
-            }
-            push(row..row + gpu_rows, 0..n, Backend::Gpu);
-        }
+    let (mut row, mut npu_cols) = (0, n);
+    for npu in lowered.npu() {
+        let end = (row + npu.m).min(m);
+        push(row..end, 0..npu.n, Backend::Npu);
+        (row, npu_cols) = (end, npu.n);
+    }
+    if let Some(gpu) = lowered.gpu {
+        let first = if npu_cols == n { row } else { 0 };
+        push(first..first + gpu.m, n - gpu.n..n, Backend::Gpu);
     }
     tiles
 }
@@ -102,8 +92,7 @@ pub struct FunctionalHeteroEngine {
     weights: ModelWeights,
     kv: KvCache,
     soc: Soc,
-    solver: Solver<RealExecProvider>,
-    table: PlanTable,
+    planner: Planner<RealExecProvider>,
     integrity: IntegrityMode,
     counters: IntegrityCounters,
     /// Injected faults not yet applied.
@@ -128,20 +117,19 @@ impl FunctionalHeteroEngine {
         // Graph standards for tiny functional configs: multiples of 32
         // up to max_seq so any test prompt has candidates.
         let standards: Vec<usize> = (1..=8).map(|i| i * 32).collect();
-        let solver = Solver::new(
+        let planner = Planner::new(
             provider,
             SolverConfig {
                 standards,
-                sync: SyncModel::new(SyncMechanism::Fast),
                 ..SolverConfig::default()
             },
+            SolverConfig::decode(1),
         );
         Ok(Self {
             weights: ModelWeights::generate(&cfg, seed)?,
             kv: KvCache::new(cfg.layers, cfg.max_seq, cfg.kv_dim()),
             soc: Soc::new(soc_cfg),
-            solver,
-            table: PlanTable::new(),
+            planner,
             cfg,
             integrity: IntegrityMode::Off,
             counters: IntegrityCounters::default(),
@@ -192,55 +180,21 @@ impl FunctionalHeteroEngine {
         let (m, _) = x.matrix_dims()?;
         let (k, n) = w.dims();
         let shape = MatmulShape::new(m, k, n);
-        let choice = self
-            .table
-            .get_or_solve(&self.solver, op, shape, Dominance::NpuDominant);
+        let choice = self.planner.plan(op, shape, Dominance::NpuDominant);
 
-        // Charge simulated time exactly as the timing engine would.
-        use hetero_solver::PartitionPlan::*;
-        match &choice.plan {
-            GpuOnly => {
-                self.soc.run_serial(Backend::Gpu, &[gpu_kernel(shape)]);
+        // Charge simulated time for the plan's lowering: NPU chunks as
+        // one serial batch, parallel plans NPU-dominant.
+        let lowered = choice.plan.lower(shape);
+        let npu: Vec<_> = lowered.npu().map(npu_kernel).collect();
+        match lowered.gpu.map(gpu_kernel) {
+            Some(gpu) if lowered.parallel => {
+                self.soc.run_parallel(&[gpu], &npu, Dominance::NpuDominant);
             }
-            NpuOnly { padded_m } => {
-                self.soc.run_serial(
-                    Backend::Npu,
-                    &[npu_kernel(MatmulShape {
-                        m: *padded_m,
-                        ..shape
-                    })],
-                );
+            Some(gpu) => {
+                self.soc.run_serial(Backend::Gpu, &[gpu]);
             }
-            NpuPipe { chunks, .. } => {
-                let kernels: Vec<_> = chunks
-                    .iter()
-                    .map(|&c| npu_kernel(MatmulShape { m: c, ..shape }))
-                    .collect();
-                self.soc.run_serial(Backend::Npu, &kernels);
-            }
-            RowCut { gpu_cols, padded_m } | HybridCut { gpu_cols, padded_m } => {
-                let gpu = gpu_kernel(MatmulShape::new(m, k, *gpu_cols));
-                let npu = npu_kernel(MatmulShape::new(*padded_m, k, n - gpu_cols));
-                self.soc
-                    .run_parallel(&[gpu], &[npu], Dominance::NpuDominant);
-            }
-            SeqCut {
-                npu_chunks,
-                gpu_rows,
-            } => {
-                let npu: Vec<_> = npu_chunks
-                    .iter()
-                    .map(|&c| npu_kernel(MatmulShape { m: c, ..shape }))
-                    .collect();
-                if *gpu_rows == 0 {
-                    self.soc.run_serial(Backend::Npu, &npu);
-                } else {
-                    let gpu = gpu_kernel(MatmulShape {
-                        m: *gpu_rows,
-                        ..shape
-                    });
-                    self.soc.run_parallel(&[gpu], &npu, Dominance::NpuDominant);
-                }
+            None => {
+                self.soc.run_serial(Backend::Npu, &npu);
             }
         }
 
@@ -288,7 +242,7 @@ impl FunctionalHeteroEngine {
     ) -> Result<()> {
         let (m, k) = x.matrix_dims()?;
         let (_, n) = w.dims();
-        let tiles = plan_tiles(plan, m, n);
+        let tiles = plan_tiles(plan, MatmulShape::new(m, k, n));
         let mut bad: Vec<Tile> = Vec::new();
         for tile in tiles {
             self.counters.tiles_verified += 1;

@@ -12,11 +12,12 @@
 //! committed-token throughput rises with the acceptance rate.
 
 use hetero_profiler::RealExecProvider;
-use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
+use hetero_soc::sync::{Dominance, SyncMechanism};
 use hetero_soc::Backend;
-use hetero_solver::{PlanTable, Solver, SolverConfig};
+use hetero_solver::SolverConfig;
 
 use crate::engines::hetero_tensor::HeteroTensorEngine;
+use crate::engines::walk::{run_phase, Planner};
 use crate::engines::{gpu_kernel, hetero_soc_config, Engine};
 use crate::error::EngineError;
 use crate::trace::{decode_trace, OpRole};
@@ -59,31 +60,18 @@ pub fn run_speculative_hetero(
     let model = engine.model().clone();
     // Plans for the speculative decode shape: graphs exist for the
     // designated verification length.
-    let solver = Solver::new(
+    let mut planner = Planner::new(
         RealExecProvider::new(hetero_soc_config(SyncMechanism::Fast)),
-        SolverConfig {
-            sync: SyncModel::new(SyncMechanism::Fast),
-            ..SolverConfig::decode(verify_rows)
-        },
+        SolverConfig::default(),
+        SolverConfig::decode(verify_rows),
     );
-    let mut table = PlanTable::new();
 
     let start = engine.soc().clock();
     let mut ctx = prompt_len;
     let mut committed = 0usize;
     for &commit in step_commits {
         let trace = decode_trace(&model, ctx + verify_rows, verify_rows);
-        let ops: Vec<_> = trace.iter_all().cloned().collect();
-        for op in &ops {
-            match op.role {
-                OpRole::WeightMatmul => {
-                    let shape = op.shape.ok_or(EngineError::MissingShape { op: op.op })?;
-                    let choice = table.get_or_solve(&solver, op.op, shape, Dominance::GpuDominant);
-                    engine.execute_plan_pub(&choice.plan, shape, Dominance::GpuDominant);
-                }
-                _ => engine.run_on_pub(Backend::Gpu, &op.kernel),
-            }
-        }
+        run_phase(engine.des(), &mut planner, &trace, Dominance::GpuDominant)?;
         ctx += commit;
         committed += commit;
     }

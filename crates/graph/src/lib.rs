@@ -30,5 +30,5 @@ pub mod template;
 
 pub use cache::GraphCache;
 pub use compile::CompileModel;
-pub use partition::{PartitionPlan, PlanChoice};
+pub use partition::{Lowering, PartitionPlan, PlanChoice};
 pub use template::{GraphSet, OpTemplate};

@@ -13,6 +13,7 @@
 //! analyzer wraps them into named diagnostics.
 
 use hetero_soc::SimTime;
+use hetero_tensor::shape::MatmulShape;
 use serde::{Deserialize, Serialize};
 
 /// How one Matmul `[m,k] x [k,n]` is split across backends (§4.1).
@@ -70,6 +71,47 @@ impl PartitionPlan {
             self,
             Self::RowCut { .. } | Self::SeqCut { gpu_rows: 1.., .. } | Self::HybridCut { .. }
         )
+    }
+
+    /// Lower this plan onto the Matmul `shape`: the GPU and NPU
+    /// sub-problems it runs, and whether they run as one parallel
+    /// section. Every consumer that executes or prices a plan (the
+    /// engines, the static mirror, the solver's cost intervals) reads
+    /// the plan through this one lowering.
+    ///
+    /// A serial plan runs one side only. A parallel plan (exactly
+    /// [`PartitionPlan::is_parallel`]) always has a GPU side, even a
+    /// degenerate one such as `RowCut { gpu_cols: 0 }`.
+    pub fn lower(&self, shape: MatmulShape) -> Lowering<'_> {
+        let MatmulShape { m, k, n } = shape;
+        let (gpu, npu_rows, npu_cols) = match self {
+            Self::GpuOnly => (Some(shape), &[][..], n),
+            Self::NpuOnly { padded_m } => (None, std::slice::from_ref(padded_m), n),
+            Self::NpuPipe { chunks, .. } => (None, &chunks[..], n),
+            Self::RowCut { gpu_cols, padded_m } | Self::HybridCut { padded_m, gpu_cols } => (
+                Some(MatmulShape::new(m, k, *gpu_cols)),
+                std::slice::from_ref(padded_m),
+                n - gpu_cols,
+            ),
+            Self::SeqCut {
+                npu_chunks,
+                gpu_rows,
+            } => (
+                (*gpu_rows > 0).then_some(MatmulShape {
+                    m: *gpu_rows,
+                    ..shape
+                }),
+                &npu_chunks[..],
+                n,
+            ),
+        };
+        Lowering {
+            gpu,
+            npu_rows,
+            npu_k: k,
+            npu_cols,
+            parallel: self.is_parallel(),
+        }
     }
 
     /// Whether the NPU participates at all.
@@ -238,6 +280,31 @@ impl PartitionPlan {
             .filter(|s| !compiled.contains(s))
             .map(|s| format!("no compiled graph for NPU sequence size {s}"))
             .collect()
+    }
+}
+
+/// A [`PartitionPlan`] lowered onto one Matmul by
+/// [`PartitionPlan::lower`]. It borrows the plan's chunk list, so
+/// lowering never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lowering<'a> {
+    /// The GPU sub-problem, if the GPU runs.
+    pub gpu: Option<MatmulShape>,
+    npu_rows: &'a [usize],
+    npu_k: usize,
+    npu_cols: usize,
+    /// Whether the two sides run as one parallel section ending in a
+    /// rendezvous; otherwise each sub-problem runs serially.
+    pub parallel: bool,
+}
+
+impl<'a> Lowering<'a> {
+    /// The NPU sub-problems in submission order, padding included.
+    pub fn npu(&self) -> impl ExactSizeIterator<Item = MatmulShape> + Clone + 'a {
+        let (k, n) = (self.npu_k, self.npu_cols);
+        self.npu_rows
+            .iter()
+            .map(move |&m| MatmulShape::new(m, k, n))
     }
 }
 

@@ -3,7 +3,7 @@
 //! planners must be correct for any configuration a user might choose.
 
 use hetero_graph::plan::{candidate_plans, next_standard, padding_plan, pipe_plan};
-use hetero_graph::{CompileModel, GraphCache, GraphSet, OpTemplate};
+use hetero_graph::{CompileModel, GraphCache, GraphSet, OpTemplate, PartitionPlan};
 use hetero_tensor::shape::MatmulShape;
 use proptest::prelude::*;
 
@@ -13,8 +13,85 @@ fn arb_standards() -> impl Strategy<Value = Vec<usize>> {
         .prop_map(|s| s.into_iter().collect::<Vec<_>>())
 }
 
+/// A plan of one of the shapes the solver produces, for a random
+/// Matmul, with the padding area (`rows × cols`) its NPU side adds.
+fn arb_solver_plan() -> impl Strategy<Value = (PartitionPlan, MatmulShape, usize)> {
+    (
+        (1usize..1100, 1usize..4096, 2usize..4096),
+        arb_standards(),
+        0usize..6,
+        0usize..1 << 20,
+    )
+        .prop_map(|((m, k, n), standards, variant, pick)| {
+            let shape = MatmulShape::new(m, k, n);
+            let padded_m = next_standard(m, &standards).unwrap_or(m);
+            let gpu_cols = 1 + pick % (n - 1);
+            match variant {
+                0 => (PartitionPlan::GpuOnly, shape, 0),
+                1 => (
+                    PartitionPlan::NpuOnly { padded_m },
+                    shape,
+                    (padded_m - m) * n,
+                ),
+                2 => {
+                    let pipe = pipe_plan(m, &standards);
+                    let pad = pipe.padded_rows * n;
+                    let plan = PartitionPlan::NpuPipe {
+                        chunks: pipe.npu_chunks,
+                        padded_rows: pipe.padded_rows,
+                    };
+                    (plan, shape, pad)
+                }
+                3 => {
+                    let plan = PartitionPlan::RowCut { gpu_cols, padded_m };
+                    (plan, shape, (padded_m - m) * (n - gpu_cols))
+                }
+                4 => {
+                    let plan = PartitionPlan::HybridCut { padded_m, gpu_cols };
+                    (plan, shape, (padded_m - m) * (n - gpu_cols))
+                }
+                _ => {
+                    // Sequence cuts leave the GPU a non-empty margin.
+                    let cuts: Vec<_> = candidate_plans(m, &standards)
+                        .into_iter()
+                        .filter(|c| c.margin > 0)
+                        .collect();
+                    let cut = cuts[pick % cuts.len()].clone();
+                    let plan = PartitionPlan::SeqCut {
+                        npu_chunks: cut.npu_chunks,
+                        gpu_rows: cut.margin,
+                    };
+                    (plan, shape, 0)
+                }
+            }
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Lowering conserves work: the GPU and NPU sub-problems together
+    /// cover `m × n`, the GPU side never exceeds the problem (only the
+    /// NPU side carries padding), and the parallel flag is exactly
+    /// `is_parallel`.
+    #[test]
+    fn lowering_conserves_work((plan, shape, pad) in arb_solver_plan()) {
+        let lowered = plan.lower(shape);
+        prop_assert_eq!(lowered.parallel, plan.is_parallel());
+        let mut gpu_area = 0;
+        if let Some(gpu) = lowered.gpu {
+            prop_assert!(gpu.m <= shape.m && gpu.n <= shape.n && gpu.k == shape.k, "{:?}", gpu);
+            gpu_area = gpu.m * gpu.n;
+        } else {
+            prop_assert!(!lowered.parallel, "a parallel plan needs a GPU side");
+        }
+        let mut npu_area = 0;
+        for npu in lowered.npu() {
+            prop_assert_eq!(npu.k, shape.k);
+            npu_area += npu.m * npu.n;
+        }
+        prop_assert_eq!(gpu_area + npu_area, shape.m * shape.n + pad, "{:?}", plan);
+    }
 
     #[test]
     fn padding_plan_covers_and_bounds_waste(

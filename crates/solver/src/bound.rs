@@ -30,11 +30,9 @@ use crate::plan::PartitionPlan;
 use crate::solver::Solver;
 
 impl<P: CostProvider> Solver<P> {
-    /// Interval cost of one NPU chunk of `shape`'s problem at `m`
-    /// rows: `[solo, contended]` under the solver's operand-permutation
-    /// convention.
-    fn npu_interval(&self, m: usize, shape: MatmulShape) -> CostInterval {
-        let s = MatmulShape { m, ..shape };
+    /// Interval cost of an NPU sub-problem: `[solo, contended]` under
+    /// the solver's operand-permutation convention.
+    fn npu_interval(&self, s: MatmulShape) -> CostInterval {
         let lo = self.npu_cost(s, BwCondition::Solo);
         let hi = self.npu_cost(s, BwCondition::Contended).max(lo);
         CostInterval { lo, hi }
@@ -58,78 +56,36 @@ impl<P: CostProvider> Solver<P> {
     /// | `RowCut` / `HybridCut` | `[gpu submit, npu submit, rendezvous]` |
     /// | `SeqCut{gpu_rows > 0}` | `[gpu submit, npu submit…, rendezvous]` |
     ///
-    /// Serial plans run each side solo (exact points); parallel plans
-    /// carry `[solo, contended]` compute intervals with an exact
-    /// rendezvous constant.
+    /// The events are the sub-problems of the plan's lowering. Serial
+    /// plans run each side solo (exact points), plus a switch when the
+    /// NPU side runs; parallel plans carry `[solo, contended]` compute
+    /// intervals with an exact rendezvous constant.
     pub fn event_cost_intervals(
         &self,
         plan: &PartitionPlan,
         shape: MatmulShape,
         dominance: Dominance,
     ) -> Vec<CostInterval> {
-        let cfg = self.config();
-        let switch = CostInterval::exact(cfg.sync.backend_switch());
-        let rendezvous = CostInterval::exact(cfg.sync.rendezvous(dominance));
-        match plan {
-            PartitionPlan::GpuOnly => {
-                vec![CostInterval::exact(self.gpu_cost(shape, BwCondition::Solo))]
-            }
-            PartitionPlan::NpuOnly { padded_m } => {
-                let s = MatmulShape {
-                    m: *padded_m,
-                    ..shape
-                };
-                vec![
-                    CostInterval::exact(self.npu_cost(s, BwCondition::Solo)),
-                    switch,
-                ]
-            }
-            PartitionPlan::NpuPipe { chunks, .. } => {
-                let mut out: Vec<CostInterval> = chunks
-                    .iter()
-                    .map(|&c| {
-                        let s = MatmulShape { m: c, ..shape };
-                        CostInterval::exact(self.npu_cost(s, BwCondition::Solo))
-                    })
-                    .collect();
-                out.push(switch);
-                out
-            }
-            PartitionPlan::RowCut { gpu_cols, padded_m }
-            | PartitionPlan::HybridCut { padded_m, gpu_cols } => {
-                vec![
-                    self.gpu_interval(MatmulShape::new(shape.m, shape.k, *gpu_cols)),
-                    self.npu_interval(
-                        *padded_m,
-                        MatmulShape::new(shape.m, shape.k, shape.n - gpu_cols),
-                    ),
-                    rendezvous,
-                ]
-            }
-            PartitionPlan::SeqCut {
-                npu_chunks,
-                gpu_rows,
-            } => {
-                if *gpu_rows == 0 {
-                    let mut out: Vec<CostInterval> = npu_chunks
-                        .iter()
-                        .map(|&c| {
-                            let s = MatmulShape { m: c, ..shape };
-                            CostInterval::exact(self.npu_cost(s, BwCondition::Solo))
-                        })
-                        .collect();
-                    out.push(switch);
-                    return out;
-                }
-                let mut out = vec![self.gpu_interval(MatmulShape {
-                    m: *gpu_rows,
-                    ..shape
-                })];
-                out.extend(npu_chunks.iter().map(|&c| self.npu_interval(c, shape)));
-                out.push(rendezvous);
-                out
-            }
+        let sync = &self.config().sync;
+        let lowered = plan.lower(shape);
+        if lowered.parallel {
+            let gpu = lowered.gpu.expect("a parallel plan has a GPU side");
+            let mut out = vec![self.gpu_interval(gpu)];
+            out.extend(lowered.npu().map(|s| self.npu_interval(s)));
+            out.push(CostInterval::exact(sync.rendezvous(dominance)));
+            return out;
         }
+        let mut out: Vec<CostInterval> = lowered
+            .gpu
+            .map(|g| self.gpu_cost(g, BwCondition::Solo))
+            .into_iter()
+            .chain(lowered.npu().map(|s| self.npu_cost(s, BwCondition::Solo)))
+            .map(CostInterval::exact)
+            .collect();
+        if lowered.gpu.is_none() {
+            out.push(CostInterval::exact(sync.backend_switch()));
+        }
+        out
     }
 
     /// Closed-form completion-time interval of `plan`: serial plans sum
@@ -147,28 +103,14 @@ impl<P: CostProvider> Solver<P> {
         dominance: Dominance,
     ) -> CostInterval {
         let events = self.event_cost_intervals(plan, shape, dominance);
-        match plan {
-            PartitionPlan::GpuOnly
-            | PartitionPlan::NpuOnly { .. }
-            | PartitionPlan::NpuPipe { .. } => {
-                events.into_iter().fold(CostInterval::ZERO, |a, b| a + b)
-            }
-            PartitionPlan::SeqCut { gpu_rows: 0, .. } => {
-                events.into_iter().fold(CostInterval::ZERO, |a, b| a + b)
-            }
-            PartitionPlan::RowCut { .. } | PartitionPlan::HybridCut { .. } => {
-                let gpu = events[0];
-                let npu = events[1];
-                gpu.join_max(npu) + events[2]
-            }
-            PartitionPlan::SeqCut { .. } => {
-                let gpu = events[0];
-                let npu = events[1..events.len() - 1]
-                    .iter()
-                    .fold(CostInterval::ZERO, |a, &b| a + b);
-                gpu.join_max(npu) + events[events.len() - 1]
-            }
+        let sum = |es: &[CostInterval]| es.iter().fold(CostInterval::ZERO, |a, &b| a + b);
+        if !plan.is_parallel() {
+            return sum(&events);
         }
+        let [gpu, npu @ .., rendezvous] = &events[..] else {
+            unreachable!("a parallel plan has a GPU event and a rendezvous");
+        };
+        gpu.join_max(sum(npu)) + *rendezvous
     }
 }
 
@@ -266,6 +208,28 @@ mod tests {
                     gpu_rows: 12,
                 },
                 4,
+            ),
+            // Degenerate hand-built forms keep their literal layout.
+            (
+                PartitionPlan::RowCut {
+                    gpu_cols: 0,
+                    padded_m: 512,
+                },
+                3,
+            ),
+            (
+                PartitionPlan::SeqCut {
+                    npu_chunks: vec![],
+                    gpu_rows: 300,
+                },
+                2,
+            ),
+            (
+                PartitionPlan::SeqCut {
+                    npu_chunks: vec![256, 32],
+                    gpu_rows: 0,
+                },
+                3,
             ),
         ] {
             let events = s.event_cost_intervals(&plan, shape, Dominance::NpuDominant);
