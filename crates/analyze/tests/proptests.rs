@@ -16,7 +16,7 @@ use hetero_soc::sync::{Dominance, SyncMechanism};
 use hetero_soc::SocConfig;
 use hetero_solver::{RegionTable, Solver, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
-use heterollm::engines::HeteroTensorEngine;
+use heterollm::engines::{hetero_soc_config, HeteroTensorEngine};
 use heterollm::{Engine, ModelConfig};
 use proptest::prelude::*;
 
@@ -291,14 +291,16 @@ proptest! {
 }
 
 proptest! {
-    // Each case simulates a full engine phase pair; keep the count low.
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // Each case simulates a full engine phase pair. 64 cases draw
+    // every model, SoC config and mechanism several times.
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// DES soundness of the cost layer: for random models, Table-1
-    /// SoC projections, sync mechanisms, prompt lengths (long enough
-    /// for pipe and multi-chunk sequence cuts) and decode budgets, a
-    /// freshly simulated tensor-hybrid engine's prefill and decode
-    /// times land inside the static mirror's `[lo, hi]` intervals.
+    /// DES soundness of the cost layer: for random models, SoC configs
+    /// (the certified default engine config or a Table-1 projection),
+    /// sync mechanisms, prompt lengths (long enough for pipe and
+    /// multi-chunk sequence cuts) and decode budgets, a freshly
+    /// simulated tensor-hybrid engine's prefill and decode times land
+    /// inside the static mirror's `[lo, hi]` intervals.
     #[test]
     fn static_bounds_bracket_simulated_engine(
         model_ix in 0usize..3,
@@ -313,9 +315,11 @@ proptest! {
             ModelConfig::llama_3b(),
         ][model_ix]
             .clone();
-        let socs: Vec<SocConfig> = table1().iter().filter_map(project_config).collect();
         let mechanism = if driver_sync { SyncMechanism::Driver } else { SyncMechanism::Fast };
-        let cfg = socs[soc_ix % socs.len()].clone().with_sync(mechanism);
+        let socs: Vec<SocConfig> = std::iter::once(hetero_soc_config(mechanism))
+            .chain(table1().iter().filter_map(project_config).map(|c| c.with_sync(mechanism)))
+            .collect();
+        let cfg = socs[soc_ix % socs.len()].clone();
         let bounds = model_bounds_under(&model, cfg.clone(), m, tokens);
         prop_assert!(bounds.ttft.lo <= bounds.ttft.hi);
         let mut engine = HeteroTensorEngine::with_soc_config(&model, cfg);

@@ -99,34 +99,33 @@ pub fn maybe_help(bin: &str, about: &str, flags: &[(&str, &str)]) {
 ///
 /// Every binary that takes `--seed N` (or any numeric flag) funnels
 /// the raw string through here, so `some_bin --seed junk` fails the
-/// same way everywhere: a `bin: bad value 'junk' for --seed` line, a
-/// pointer at `--help`, and exit code 2 — never a silent fallback to
+/// same way everywhere: one `bin: bad value 'junk' for --seed` line
+/// pointing at `--help`, and exit code 2 — never a silent fallback to
 /// the default.
 pub fn parse_flag<T: std::str::FromStr>(bin: &str, flag: &str, raw: &str) -> T {
-    raw.trim().parse().unwrap_or_else(|_| {
-        eprintln!("{bin}: bad value '{raw}' for {flag}");
-        eprintln!("run with --help for usage");
-        std::process::exit(2)
-    })
+    raw.trim()
+        .parse()
+        .unwrap_or_else(|_| bad_value(bin, flag, raw))
 }
 
-/// Parse a raw size flag (`--jobs`, `--devices`, `--requests`): a
-/// positive integer, or exit **2** with one `bad value` line.
+/// Parse a raw size flag (`--jobs`, `--devices`, `--requests`) through
+/// [`parse_flag`], also rejecting zero with the same `bad value` line.
 ///
-/// Zero workers, devices or requests is a usage error, not a run: every
-/// binary that takes such a flag funnels the raw string through here,
-/// so `--devices 0` and `--jobs junk` fail identically across the
-/// suite. The determinism contract (see `PERFORMANCE.md`) is that
-/// `--jobs` only changes wall-clock time: output is byte-identical for
-/// every accepted value.
+/// Zero workers, devices or requests is a usage error, not a run. The
+/// determinism contract (see `PERFORMANCE.md`) is that `--jobs` only
+/// changes wall-clock time: output is byte-identical for every
+/// accepted value.
 pub fn parse_positive(bin: &str, flag: &str, raw: &str) -> usize {
-    match raw.trim().parse() {
-        Ok(v) if v > 0 => v,
-        _ => {
-            eprintln!("{bin}: bad value '{raw}' for {flag} (must be a positive integer)");
-            std::process::exit(2)
-        }
+    let v = parse_flag(bin, flag, raw);
+    if v == 0 {
+        bad_value(bin, flag, raw);
     }
+    v
+}
+
+fn bad_value(bin: &str, flag: &str, raw: &str) -> ! {
+    eprintln!("{bin}: bad value '{raw}' for {flag} (run with --help for usage)");
+    std::process::exit(2)
 }
 
 /// Scan argv for the shared `--jobs N` flag (default 1), for binaries
