@@ -10,7 +10,7 @@
 use hetero_bench::{fmt, save_json, Table};
 use hetero_soc::sync::SyncMechanism;
 use hetero_workloads::spec::{simulate_steps, SpecDecodeConfig};
-use heterollm::engines::{Engine, GpuTier, HeteroTensorEngine, SingleBackendEngine};
+use heterollm::engines::{BaselineEngine, Engine, GpuTier, HeteroTensorEngine};
 use heterollm::spec_decode::{run_speculative_gpu, run_speculative_hetero};
 use heterollm::ModelConfig;
 use serde::Serialize;
@@ -62,7 +62,7 @@ fn main() {
             let mut hetero = HeteroTensorEngine::new(&model, SyncMechanism::Fast);
             let h = run_speculative_hetero(&mut hetero, 256, draft_len + 1, &commits)
                 .expect("built-in trace is well-formed");
-            let mut gpu = SingleBackendEngine::gpu(&model, GpuTier::PplOpenCl);
+            let mut gpu = BaselineEngine::gpu(&model, GpuTier::PplOpenCl);
             let g = run_speculative_gpu(&mut gpu, 256, draft_len + 1, &commits)
                 .expect("built-in trace is well-formed");
 

@@ -15,20 +15,20 @@
 //! kernels, backend switches and rendezvous are exact constants. Every
 //! serial step is an exact point, so the hetero mirror's interval
 //! width comes only from parallel partitions — and collapses to an
-//! equality for the single-backend fallback mirrors, which the runtime
-//! controller uses to veto statically TTFT-infeasible fallback plans
-//! before building (let alone simulating) the fallback engine.
+//! equality for the fallback mirrors ([`gpu_only_prefill`],
+//! [`npu_pipe_prefill`]), which walk the fallback engines' serial
+//! routes. The runtime controller uses them to veto statically
+//! TTFT-infeasible fallback plans before building (let alone
+//! simulating) the fallback engine.
 
-use hetero_graph::plan::pipe_plan;
 use hetero_profiler::{CostInterval, RealExecProvider};
-use hetero_soc::calib::STANDARD_GRAPH_SIZES;
 use hetero_soc::sync::{Dominance, SyncMechanism};
 use hetero_soc::{Backend, SimTime, Soc, SocConfig};
 use hetero_solver::{PartitionPlan, RegionTable};
 use hetero_tensor::shape::MatmulShape;
 
-use crate::engines::walk::{run_phase, CostDomain, Intervals, Planner};
-use crate::engines::{hetero_soc_config, npu_kernel};
+use crate::engines::walk::{run_phase, Intervals};
+use crate::engines::{hetero_soc_config, FixedRoute, MisalignStrategy, SolverPlanner};
 use crate::model::ModelConfig;
 use crate::trace::{decode_trace, prefill_trace, OpRole, PhaseTrace};
 
@@ -47,7 +47,7 @@ pub type PlanSite = (&'static str, MatmulShape, PartitionPlan);
 pub struct HeteroMirror {
     cfg: ModelConfig,
     costs: Intervals,
-    planner: Planner<RealExecProvider>,
+    planner: SolverPlanner<RealExecProvider>,
 }
 
 impl HeteroMirror {
@@ -63,7 +63,7 @@ impl HeteroMirror {
         Self {
             cfg: model.clone(),
             costs: Intervals::new(Soc::new(soc_cfg)),
-            planner: Planner::standard(provider),
+            planner: SolverPlanner::standard(provider),
         }
     }
 
@@ -105,7 +105,7 @@ impl HeteroMirror {
             .filter(|op| op.role == OpRole::WeightMatmul)
             .map(|op| {
                 let shape = op.shape.expect("weight matmul carries a shape");
-                let choice = self.planner.plan(op.op, shape, Dominance::NpuDominant);
+                let choice = self.planner.choice(op.op, shape, Dominance::NpuDominant);
                 (op.op, shape, choice.plan)
             })
             .collect()
@@ -126,49 +126,47 @@ impl HeteroMirror {
 }
 
 /// Exact prefill latency of the GPU-only (PPL-OpenCL tier) fallback
-/// engine under `soc_cfg`: the single-backend engine runs every trace
-/// kernel serially on the GPU, so the mirror is a plain sum of solo
-/// kernel times.
+/// engine under `soc_cfg`: every trace kernel runs serially on the GPU,
+/// so the bound collapses to a point.
 pub fn gpu_only_prefill(model: &ModelConfig, soc_cfg: &SocConfig, prompt_len: usize) -> SimTime {
-    let mut costs = Intervals::new(Soc::new(soc_cfg.clone()));
-    for op in prefill_trace(model, prompt_len).iter_all() {
-        costs.serial(Backend::Gpu, &op.kernel);
-    }
-    costs.total.lo
+    fallback_prefill(
+        model,
+        soc_cfg,
+        prompt_len,
+        FixedRoute::host_only(Backend::Gpu),
+    )
 }
 
 /// Exact prefill latency of the NPU-pipe fallback engine under
 /// `soc_cfg`: weight Matmuls decompose into standard-size pipe chunks
-/// on the NPU, aux/attention kernels run on the GPU, with the routed
-/// core's switch machine (starting unprimed) paying one backend-switch
-/// constant per transition.
+/// on the NPU, aux/attention kernels run on the GPU, and every backend
+/// transition pays one switch constant.
 pub fn npu_pipe_prefill(model: &ModelConfig, soc_cfg: &SocConfig, prompt_len: usize) -> SimTime {
+    let route = FixedRoute::npu(model, MisalignStrategy::Pipe, true);
+    fallback_prefill(model, soc_cfg, prompt_len, route)
+}
+
+/// A fallback engine's prefill walk in the interval domain. Its route
+/// is serial, so the interval is a point.
+fn fallback_prefill(
+    model: &ModelConfig,
+    soc_cfg: &SocConfig,
+    prompt_len: usize,
+    mut route: FixedRoute,
+) -> SimTime {
     let mut costs = Intervals::new(Soc::new(soc_cfg.clone()));
-    let chunks = pipe_plan(prompt_len, &STANDARD_GRAPH_SIZES).npu_chunks;
-    for op in prefill_trace(model, prompt_len).iter_all() {
-        match op.role {
-            OpRole::WeightMatmul => {
-                let shape = op.shape.expect("weight matmul carries a shape");
-                if shape.m == 1 {
-                    costs.serial(Backend::Npu, &npu_kernel(shape));
-                } else {
-                    for &c in &chunks {
-                        costs.serial(Backend::Npu, &npu_kernel(MatmulShape { m: c, ..shape }));
-                    }
-                }
-            }
-            OpRole::Attention | OpRole::Aux => costs.serial(Backend::Gpu, &op.kernel),
-        }
-    }
+    let trace = prefill_trace(model, prompt_len);
+    run_phase(&mut costs, &mut route, &trace, Dominance::NpuDominant)
+        .expect("built-in traces give every weight matmul a shape");
     costs.total.lo
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::npu_only::{MisalignStrategy, NpuOnlyEngine};
-    use crate::engines::single::{GpuTier, SingleBackendEngine};
-    use crate::engines::{Engine, HeteroTensorEngine};
+    use crate::engines::{BaselineEngine, Engine, EngineKind, HeteroTensorEngine};
+    use hetero_soc::specs::{project_config, table1};
+    use proptest::prelude::*;
 
     #[test]
     fn hetero_mirror_brackets_engine_prefill_and_decode() {
@@ -196,27 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn gpu_only_mirror_is_exact() {
-        let model = ModelConfig::llama_3b();
-        // The PPL fallback engine's SoC config is hetero_soc_config
-        // modulo the sync model, which a single-backend engine never
-        // consults.
-        let cfg = hetero_soc_config(SyncMechanism::Fast);
-        let bound = gpu_only_prefill(&model, &cfg, 300);
-        let mut e = SingleBackendEngine::gpu(&model, GpuTier::PplOpenCl);
-        assert_eq!(bound, e.prefill(300).elapsed);
-    }
-
-    #[test]
-    fn npu_pipe_mirror_is_exact() {
-        let model = ModelConfig::llama_3b();
-        let cfg = hetero_soc_config(SyncMechanism::Fast);
-        let bound = npu_pipe_prefill(&model, &cfg, 300);
-        let mut e = NpuOnlyEngine::new(&model, MisalignStrategy::Pipe, SyncMechanism::Fast);
-        assert_eq!(bound, e.prefill(300).elapsed);
-    }
-
-    #[test]
     fn prefill_peak_covers_every_site_table() {
         let model = ModelConfig::llama_3b();
         let mut mirror = HeteroMirror::new(&model, SyncMechanism::Fast);
@@ -240,5 +217,47 @@ mod tests {
         slow_cfg.gpu.mem_efficiency *= 0.5;
         let slow = HeteroMirror::with_soc_config(&model, slow_cfg).prefill_bound(256);
         assert!(slow.hi > quiet.hi, "slow {} vs quiet {}", slow.hi, quiet.hi);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fallback mirrors are exact: for both fallback kinds,
+        /// three models, prompts past the largest graph size, and the
+        /// default engine config or a Table-1 projection, the interval
+        /// walk equals the DES engine's prefill time on the same route
+        /// and config — and on the default config, the stock engine's.
+        #[test]
+        fn fallback_mirrors_are_exact(
+            pipe in proptest::bool::ANY,
+            model_ix in 0usize..3,
+            soc_ix in 0usize..16,
+            m in 1usize..=1100,
+        ) {
+            let model = [
+                ModelConfig::internlm_1_8b(),
+                ModelConfig::qwen2_1_5b(),
+                ModelConfig::llama_3b(),
+            ][model_ix]
+                .clone();
+            let socs: Vec<SocConfig> = std::iter::once(hetero_soc_config(SyncMechanism::Fast))
+                .chain(table1().iter().filter_map(project_config))
+                .collect();
+            let cfg = &socs[soc_ix % socs.len()];
+            let (bound, route, kind) = if pipe {
+                let route = FixedRoute::npu(&model, MisalignStrategy::Pipe, true);
+                (npu_pipe_prefill(&model, cfg, m), route, EngineKind::NpuPipe)
+            } else {
+                let route = FixedRoute::host_only(Backend::Gpu);
+                (gpu_only_prefill(&model, cfg, m), route, EngineKind::PplOpenCl)
+            };
+            let mut engine =
+                BaselineEngine::with_parts(kind.name(), &model, Soc::new(cfg.clone()), route);
+            prop_assert_eq!(bound, engine.prefill(m).elapsed);
+            if soc_ix % socs.len() == 0 {
+                let mut stock = kind.build(&model, SyncMechanism::Fast);
+                prop_assert_eq!(bound, stock.prefill(m).elapsed);
+            }
+        }
     }
 }

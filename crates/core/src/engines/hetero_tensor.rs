@@ -13,23 +13,16 @@ use hetero_soc::{Backend, Soc};
 use hetero_solver::{PartitionPlan, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
 
-use crate::engines::walk::{run_phase, Des, Observers, Planner};
-use crate::engines::{hetero_soc_config, Engine};
-use crate::error::EngineError;
+use crate::engines::{hetero_soc_config, SolverPlanner, WalkEngine};
 use crate::model::ModelConfig;
-use crate::report::PhaseReport;
-use crate::trace::{decode_trace, prefill_trace};
 
-/// HeteroLLM with tensor-level heterogeneous execution.
+/// HeteroLLM with tensor-level heterogeneous execution: the one
+/// engine under the solver-backed planner.
 ///
 /// Generic over the solver's cost provider: [`RealExecProvider`] (the
 /// default — exact offline profiling) or [`PredictedProvider`] (the
 /// decision-tree prediction mode of §4.3).
-pub struct HeteroTensorEngine<P: CostProvider = RealExecProvider> {
-    cfg: ModelConfig,
-    des: Des,
-    planner: Planner<P>,
-}
+pub type HeteroTensorEngine<P = RealExecProvider> = WalkEngine<SolverPlanner<P>>;
 
 impl HeteroTensorEngine<RealExecProvider> {
     /// New engine for `model` with the given sync mechanism.
@@ -46,19 +39,22 @@ impl HeteroTensorEngine<RealExecProvider> {
     /// partition shares toward the NPU, so the LLM sheds only a small
     /// slowdown instead of stalling behind render work.
     pub fn with_gpu_derate(model: &ModelConfig, sync: SyncMechanism, derate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&derate), "derate must be in (0, 1]");
+        assert!(
+            derate > 0.0 && derate <= 1.0,
+            "derate must be in (0, 1], got {derate}"
+        );
         let mut soc_cfg = hetero_soc_config(sync);
         soc_cfg.gpu.achieved_tflops *= derate;
         soc_cfg.gpu.mem_efficiency *= derate;
         let provider = RealExecProvider::new(soc_cfg.clone());
-        Self::with_planner(model, soc_cfg, Planner::standard(provider))
+        Self::with_planner(model, soc_cfg, SolverPlanner::standard(provider))
     }
 
     /// Engine over an explicit SoC configuration — e.g. a Table-1
     /// cross-SoC projection from [`hetero_soc::specs::project_config`].
     pub fn with_soc_config(model: &ModelConfig, soc_cfg: hetero_soc::SocConfig) -> Self {
         let provider = RealExecProvider::new(soc_cfg.clone());
-        Self::with_planner(model, soc_cfg, Planner::standard(provider))
+        Self::with_planner(model, soc_cfg, SolverPlanner::standard(provider))
     }
 
     /// Engine with a custom minimum-parallel-gain threshold (§4.3's
@@ -70,7 +66,7 @@ impl HeteroTensorEngine<RealExecProvider> {
     ) -> Self {
         let soc_cfg = hetero_soc_config(sync);
         let provider = RealExecProvider::new(soc_cfg.clone());
-        let planner = Planner::new(
+        let planner = SolverPlanner::new(
             provider,
             SolverConfig {
                 min_parallel_gain,
@@ -117,7 +113,7 @@ impl HeteroTensorEngine<PredictedProvider> {
         );
         let provider =
             PredictedProvider::train(&db, soc_cfg.clone()).expect("profile grid is non-empty");
-        Self::with_planner(model, soc_cfg, Planner::standard(provider))
+        Self::with_planner(model, soc_cfg, SolverPlanner::standard(provider))
     }
 }
 
@@ -127,94 +123,25 @@ impl<P: CostProvider> HeteroTensorEngine<P> {
     fn with_planner(
         model: &ModelConfig,
         soc_cfg: hetero_soc::SocConfig,
-        planner: Planner<P>,
+        planner: SolverPlanner<P>,
     ) -> Self {
         let mut soc = Soc::new(soc_cfg);
         // Assist-tier GPU power (shallow queues between sync points).
         soc.set_gpu_assist();
-        Self {
-            cfg: model.clone(),
-            des: Des::new(soc),
-            planner,
-        }
-    }
-
-    /// The engine's discrete-event domain, for drivers that walk their
-    /// own plans on it (speculative decoding).
-    pub(crate) fn des(&mut self) -> &mut Des {
-        &mut self.des
+        Self::with_parts("Hetero-tensor", model, soc, planner)
     }
 
     /// The solved plan for an operator at a sequence length (exposed
     /// for the experiment harness).
     pub fn plan_for(&mut self, op: &'static str, shape: MatmulShape) -> PartitionPlan {
-        self.planner.plan(op, shape, Dominance::NpuDominant).plan
-    }
-}
-
-impl<P: CostProvider> Engine for HeteroTensorEngine<P> {
-    fn name(&self) -> String {
-        "Hetero-tensor".into()
-    }
-
-    fn model(&self) -> &ModelConfig {
-        &self.cfg
-    }
-
-    fn try_prefill(&mut self, prompt_len: usize) -> Result<PhaseReport, EngineError> {
-        let start = self.des.soc.clock();
-        let trace = prefill_trace(&self.cfg, prompt_len);
-        run_phase(
-            &mut self.des,
-            &mut self.planner,
-            &trace,
-            Dominance::NpuDominant,
-        )?;
-        Ok(PhaseReport {
-            tokens: prompt_len,
-            elapsed: self.des.soc.clock() - start,
-        })
-    }
-
-    fn try_decode(
-        &mut self,
-        prompt_len: usize,
-        n_tokens: usize,
-    ) -> Result<PhaseReport, EngineError> {
-        let start = self.des.soc.clock();
-        for t in 0..n_tokens {
-            let trace = decode_trace(&self.cfg, prompt_len + t + 1, 1);
-            run_phase(
-                &mut self.des,
-                &mut self.planner,
-                &trace,
-                Dominance::GpuDominant,
-            )?;
-        }
-        Ok(PhaseReport {
-            tokens: n_tokens,
-            elapsed: self.des.soc.clock() - start,
-        })
-    }
-
-    fn observers(&mut self) -> &mut Observers {
-        &mut self.des.obs
-    }
-
-    fn soc(&self) -> &Soc {
-        &self.des.soc
-    }
-
-    fn soc_mut(&mut self) -> &mut Soc {
-        &mut self.des.soc
+        self.planner.choice(op, shape, Dominance::NpuDominant).plan
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::hetero_layer::HeteroLayerEngine;
-    use crate::engines::single::{GpuTier, SingleBackendEngine};
+    use crate::engines::{BaselineEngine, Engine, GpuTier, MisalignStrategy};
 
     #[test]
     fn tensor_level_beats_layer_level_in_prefill() {
@@ -222,7 +149,7 @@ mod tests {
         // average (up to ~41%).
         let model = ModelConfig::llama_8b();
         let mut tensor = HeteroTensorEngine::new(&model, SyncMechanism::Fast);
-        let mut layer = HeteroLayerEngine::new(&model, SyncMechanism::Fast);
+        let mut layer = BaselineEngine::hetero_layer(&model, SyncMechanism::Fast);
         let t = tensor.prefill(1024).tokens_per_sec();
         let l = layer.prefill(1024).tokens_per_sec();
         let gain = t / l - 1.0;
@@ -235,7 +162,7 @@ mod tests {
         // Llama-8B by using both backends' bandwidth.
         let model = ModelConfig::llama_8b();
         let mut tensor = HeteroTensorEngine::new(&model, SyncMechanism::Fast);
-        let mut ppl = SingleBackendEngine::gpu(&model, GpuTier::PplOpenCl);
+        let mut ppl = BaselineEngine::gpu(&model, GpuTier::PplOpenCl);
         let t = tensor.decode(256, 8).tokens_per_sec();
         let p = ppl.decode(256, 8).tokens_per_sec();
         let gain = t / p - 1.0;
@@ -286,12 +213,11 @@ mod tests {
     #[test]
     fn misaligned_beats_padding_baseline() {
         // Fig. 14: Hetero-tensor vs Padding at misaligned lengths.
-        use crate::engines::npu_only::{MisalignStrategy, NpuOnlyEngine};
         let model = ModelConfig::llama_8b();
         for len in [300usize, 525] {
             let mut tensor = HeteroTensorEngine::new(&model, SyncMechanism::Fast);
             let mut pad =
-                NpuOnlyEngine::new(&model, MisalignStrategy::Padding, SyncMechanism::Fast);
+                BaselineEngine::npu_only(&model, MisalignStrategy::Padding, SyncMechanism::Fast);
             let t = tensor.prefill(len).elapsed.as_millis_f64();
             let p = pad.prefill(len).elapsed.as_millis_f64();
             assert!(t < p, "len {len}: tensor {t} !< padding {p}");
@@ -316,6 +242,12 @@ mod tests {
             (pd / rd - 1.0).abs() < 0.25,
             "pred decode {pd} vs real {rd}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "derate must be in (0, 1]")]
+    fn zero_gpu_derate_is_rejected() {
+        HeteroTensorEngine::with_gpu_derate(&ModelConfig::tiny(), SyncMechanism::Fast, 0.0);
     }
 
     #[test]

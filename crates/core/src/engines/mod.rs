@@ -1,36 +1,33 @@
 //! Inference engines: HeteroLLM (layer- and tensor-level) plus the
 //! baseline engines the paper compares against.
 //!
-//! All engines execute the same [`crate::trace`] through the
-//! `hetero-soc` simulator; they differ only in *scheduling policy* —
-//! which backend each kernel runs on, whether Matmuls are partitioned,
-//! and which synchronization mechanism crosses backends. That is
-//! exactly the degrees of freedom the paper explores.
+//! Every engine is one [`WalkEngine`]: it executes the same
+//! [`crate::trace`] through the one plan walk ([`walk`]) on the
+//! `hetero-soc` simulator, and engines differ only in their per-op
+//! policy — which backend each kernel runs on, whether and how
+//! Matmuls are partitioned — and in their SoC configuration (kernel
+//! quality tier, synchronization mechanism). That is exactly the
+//! degrees of freedom the paper explores.
 
-pub mod hetero_layer;
+pub mod baseline;
 pub mod hetero_tensor;
-pub mod mllm_npu;
-pub mod npu_only;
-pub mod single;
 pub(crate) mod walk;
 
-pub use hetero_layer::HeteroLayerEngine;
+pub use baseline::{BaselineEngine, FixedRoute, GpuTier, MisalignStrategy};
 pub use hetero_tensor::HeteroTensorEngine;
-pub use mllm_npu::MllmNpuEngine;
-pub use npu_only::{MisalignStrategy, NpuOnlyEngine};
-pub use single::{GpuTier, SingleBackendEngine};
-pub use walk::Observers;
+pub use walk::{Observers, SolverPlanner};
 
 use ::hetero_tensor::shape::MatmulShape;
 use ::hetero_tensor::DType;
 use hetero_soc::power::PowerReport;
-use hetero_soc::sync::SyncMechanism;
+use hetero_soc::sync::{Dominance, SyncMechanism};
 use hetero_soc::{calib, KernelDesc, Soc, SocConfig};
 
 use crate::error::EngineError;
 use crate::model::ModelConfig;
 use crate::report::PhaseReport;
-use crate::trace::ConcurrencyLog;
+use crate::trace::{decode_trace, prefill_trace, ConcurrencyLog};
+use walk::{run_phase, Des, Planner};
 
 /// A schedulable inference engine (timing mode).
 pub trait Engine {
@@ -123,6 +120,93 @@ pub trait Engine {
     }
 }
 
+/// The one engine: a model, the discrete-event domain and a per-op
+/// policy ([`walk::Planner`]), with prefill and decode run through
+/// [`walk::run_phase`]. [`HeteroTensorEngine`] plans with the solver,
+/// [`BaselineEngine`] follows a [`FixedRoute`].
+pub struct WalkEngine<Pl> {
+    name: &'static str,
+    pub(crate) cfg: ModelConfig,
+    pub(crate) des: Des,
+    pub(crate) planner: Pl,
+}
+
+impl<Pl> WalkEngine<Pl> {
+    /// An engine named `name` serving `model` on `soc` under `planner`.
+    pub(crate) fn with_parts(
+        name: &'static str,
+        model: &ModelConfig,
+        soc: Soc,
+        planner: Pl,
+    ) -> Self {
+        Self {
+            name,
+            cfg: model.clone(),
+            des: Des::new(soc),
+            planner,
+        }
+    }
+}
+
+impl<Pl: Planner> Engine for WalkEngine<Pl> {
+    fn name(&self) -> String {
+        self.name.into()
+    }
+
+    fn model(&self) -> &ModelConfig {
+        &self.cfg
+    }
+
+    fn try_prefill(&mut self, prompt_len: usize) -> Result<PhaseReport, EngineError> {
+        let start = self.des.soc.clock();
+        self.planner.prepare(&mut self.des, prompt_len);
+        let trace = prefill_trace(&self.cfg, prompt_len);
+        run_phase(
+            &mut self.des,
+            &mut self.planner,
+            &trace,
+            Dominance::NpuDominant,
+        )?;
+        Ok(PhaseReport {
+            tokens: prompt_len,
+            elapsed: self.des.soc.clock() - start,
+        })
+    }
+
+    fn try_decode(
+        &mut self,
+        prompt_len: usize,
+        n_tokens: usize,
+    ) -> Result<PhaseReport, EngineError> {
+        let start = self.des.soc.clock();
+        for t in 0..n_tokens {
+            let trace = decode_trace(&self.cfg, prompt_len + t + 1, 1);
+            run_phase(
+                &mut self.des,
+                &mut self.planner,
+                &trace,
+                Dominance::GpuDominant,
+            )?;
+        }
+        Ok(PhaseReport {
+            tokens: n_tokens,
+            elapsed: self.des.soc.clock() - start,
+        })
+    }
+
+    fn observers(&mut self) -> &mut Observers {
+        &mut self.des.obs
+    }
+
+    fn soc(&self) -> &Soc {
+        &self.des.soc
+    }
+
+    fn soc_mut(&mut self) -> &mut Soc {
+        &mut self.des.soc
+    }
+}
+
 /// The engines evaluated in the paper, constructible by name.
 ///
 /// # Examples
@@ -195,32 +279,25 @@ impl EngineKind {
         }
     }
 
-    /// Build an engine for `model` with the given sync mechanism
-    /// (baselines ignore `sync` — they use their stock driver paths,
-    /// which for single-backend engines involve no cross-backend
-    /// synchronization at all).
+    /// Build an engine for `model` with the given sync mechanism.
+    ///
+    /// `sync` prices every cross-backend rendezvous and backend switch.
+    /// The single-backend engines (llama.cpp, MLC, MNN, PPL) never
+    /// cross backends and run their stock SoC configuration, so they
+    /// ignore it; every other engine pays it.
     pub fn build(self, model: &ModelConfig, sync: SyncMechanism) -> Box<dyn Engine> {
+        let npu_only = |strategy| Box::new(BaselineEngine::npu_only(model, strategy, sync));
         match self {
-            Self::LlamaCpp => Box::new(SingleBackendEngine::llama_cpp(model)),
-            Self::Mlc => Box::new(SingleBackendEngine::gpu(model, GpuTier::Mlc)),
-            Self::MnnOpenCl => Box::new(SingleBackendEngine::gpu(model, GpuTier::Mnn)),
-            Self::PplOpenCl => Box::new(SingleBackendEngine::gpu(model, GpuTier::PplOpenCl)),
-            Self::NpuPadding => {
-                Box::new(NpuOnlyEngine::new(model, MisalignStrategy::Padding, sync))
-            }
-            Self::NpuOnlinePrepare => Box::new(NpuOnlyEngine::new(
-                model,
-                MisalignStrategy::OnlinePrepare,
-                sync,
-            )),
-            Self::NpuPipe => Box::new(NpuOnlyEngine::new(model, MisalignStrategy::Pipe, sync)),
-            Self::ChunkedPrefill => Box::new(NpuOnlyEngine::new(
-                model,
-                MisalignStrategy::Chunked { chunk: 512 },
-                sync,
-            )),
-            Self::MllmNpu => Box::new(MllmNpuEngine::new(model, sync)),
-            Self::HeteroLayer => Box::new(HeteroLayerEngine::new(model, sync)),
+            Self::LlamaCpp => Box::new(BaselineEngine::llama_cpp(model)),
+            Self::Mlc => Box::new(BaselineEngine::gpu(model, GpuTier::Mlc)),
+            Self::MnnOpenCl => Box::new(BaselineEngine::gpu(model, GpuTier::Mnn)),
+            Self::PplOpenCl => Box::new(BaselineEngine::gpu(model, GpuTier::PplOpenCl)),
+            Self::NpuPadding => npu_only(MisalignStrategy::Padding),
+            Self::NpuOnlinePrepare => npu_only(MisalignStrategy::OnlinePrepare),
+            Self::NpuPipe => npu_only(MisalignStrategy::Pipe),
+            Self::ChunkedPrefill => npu_only(MisalignStrategy::Chunked { chunk: 512 }),
+            Self::MllmNpu => Box::new(BaselineEngine::mllm_npu(model, sync)),
+            Self::HeteroLayer => Box::new(BaselineEngine::hetero_layer(model, sync)),
             Self::HeteroTensor => Box::new(HeteroTensorEngine::new(model, sync)),
         }
     }

@@ -1,20 +1,26 @@
-//! The one plan walk: how the tensor-level engine runs a phase trace,
-//! written once and run in two cost domains.
+//! The one plan walk: how every engine runs a phase trace, written
+//! once and run in two cost domains.
 //!
-//! A [`Planner`] holds the solved partition plans. [`run_phase`] walks
-//! a [`PhaseTrace`]: weight Matmuls run their plan's lowering
-//! ([`hetero_graph::PartitionPlan::lower`]), everything else runs on the
-//! GPU, and a serial step pays a backend switch whenever the backend
-//! changes. The walk is generic over a [`CostDomain`]:
+//! A [`Planner`] is an engine's per-op policy: a partition plan (or
+//! none) for each weight Matmul, the host backend of every other op,
+//! and the NPU kernel of a lowered NPU sub-problem. [`SolverPlanner`]
+//! solves plans per `(op, m)` (Hetero-tensor);
+//! [`crate::engines::baseline::FixedRoute`] is a baseline's fixed
+//! route. [`run_phase`] walks a [`PhaseTrace`]: a planned weight Matmul
+//! runs its plan's lowering ([`hetero_graph::PartitionPlan::lower`]),
+//! everything else runs on the host backend, and a serial step pays a
+//! backend switch whenever the backend changes. The walk is generic
+//! over a [`CostDomain`]:
 //!
 //! - [`Des`] executes each step on the discrete-event [`Soc`] and feeds
-//!   the per-kernel [`Observers`]. [`crate::engines::HeteroTensorEngine`]
-//!   and the speculative-decoding driver run here.
+//!   the per-kernel [`Observers`]. Every engine
+//!   ([`crate::engines::WalkEngine`]) and the speculative-decoding
+//!   drivers run here.
 //! - [`Intervals`] prices each step as a [`CostInterval`] without
 //!   advancing any clock. [`crate::admit::HeteroMirror`] and the
 //!   fallback mirrors run here.
 //!
-//! Because both domains share the walk, the mirror's bound covers
+//! Because both domains share the walk, a mirror's bound covers
 //! exactly the steps the engine executes.
 
 use hetero_profiler::{CostInterval, CostProvider};
@@ -28,17 +34,45 @@ use crate::error::EngineError;
 use crate::obs::{Timeline, TimelineRecorder};
 use crate::trace::{ConcurrencyLog, ConcurrencyRecorder, OpRole, PhaseTrace, TraceOp};
 
-/// The partition plans a tensor-level walk runs: NPU-dominant prefill
-/// plans and GPU-dominant decode plans, each solved once per
-/// `(op, m)` and memoized.
-pub(crate) struct Planner<P: CostProvider> {
+/// An engine's per-op policy for [`run_phase`]. Prefill walks are
+/// NPU-dominant and decode walks GPU-dominant, so `dominance` also
+/// names the phase.
+pub trait Planner {
+    /// The plan for the weight Matmul `op` at `shape`, or `None` to
+    /// run its trace kernel unpartitioned on [`Planner::host`].
+    fn plan(
+        &mut self,
+        op: &'static str,
+        shape: MatmulShape,
+        dominance: Dominance,
+    ) -> Option<PartitionPlan>;
+
+    /// The backend of every op that is not a planned weight Matmul.
+    fn host(&self) -> Backend {
+        Backend::Gpu
+    }
+
+    /// The NPU kernel of one lowered NPU sub-problem (logical shape).
+    fn npu_kernel(&self, shape: MatmulShape) -> KernelDesc {
+        npu_kernel(shape)
+    }
+
+    /// Per-request prefill prologue on the DES, before the walk (graph
+    /// preparation). Nothing by default.
+    fn prepare(&mut self, _des: &mut Des, _prompt_len: usize) {}
+}
+
+/// The solver-backed planner: NPU-dominant prefill plans and
+/// GPU-dominant decode plans, each solved once per `(op, m)` and
+/// memoized.
+pub struct SolverPlanner<P: CostProvider> {
     prefill_solver: Solver<P>,
     decode_solver: Solver<P>,
     prefill_table: PlanTable,
     decode_table: PlanTable,
 }
 
-impl<P: CostProvider + Clone> Planner<P> {
+impl<P: CostProvider + Clone> SolverPlanner<P> {
     /// Planner over `provider` with the standard prefill graph sizes
     /// and single-row decode.
     pub(crate) fn standard(provider: P) -> Self {
@@ -65,10 +99,10 @@ impl<P: CostProvider + Clone> Planner<P> {
     }
 }
 
-impl<P: CostProvider> Planner<P> {
-    /// The plan for `op` at `shape`: prefill plans are solved
+impl<P: CostProvider> SolverPlanner<P> {
+    /// The solved choice for `op` at `shape`: prefill plans are solved
     /// NPU-dominant, decode plans GPU-dominant.
-    pub(crate) fn plan(
+    pub(crate) fn choice(
         &mut self,
         op: &'static str,
         shape: MatmulShape,
@@ -79,6 +113,17 @@ impl<P: CostProvider> Planner<P> {
             Dominance::GpuDominant => (&mut self.decode_table, &self.decode_solver),
         };
         table.get_or_solve(solver, op, shape, dominance)
+    }
+}
+
+impl<P: CostProvider> Planner for SolverPlanner<P> {
+    fn plan(
+        &mut self,
+        op: &'static str,
+        shape: MatmulShape,
+        dominance: Dominance,
+    ) -> Option<PartitionPlan> {
+        Some(self.choice(op, shape, dominance).plan)
     }
 }
 
@@ -125,53 +170,57 @@ fn switch_to(primed: &mut Option<Backend>, backend: Backend) -> Option<Backend> 
 /// Run one partition plan for the Matmul `shape`.
 fn run_plan(
     domain: &mut impl CostDomain,
+    planner: &impl Planner,
     plan: &PartitionPlan,
     shape: MatmulShape,
     dominance: Dominance,
 ) {
     let lowered = plan.lower(shape);
+    let npu = lowered.npu().map(|s| planner.npu_kernel(s));
     if lowered.parallel {
         let gpu = lowered.gpu.expect("a parallel plan has a GPU side");
-        domain.parallel(&gpu_kernel(gpu), lowered.npu().map(npu_kernel), dominance);
+        domain.parallel(&gpu_kernel(gpu), npu, dominance);
         return;
     }
     if let Some(gpu) = lowered.gpu {
         domain.serial(Backend::Gpu, &gpu_kernel(gpu));
     }
-    for npu in lowered.npu() {
-        domain.serial(Backend::Npu, &npu_kernel(npu));
+    for kernel in npu {
+        domain.serial(Backend::Npu, &kernel);
     }
 }
 
-/// Run one trace op: a weight Matmul through its plan, anything else
-/// on the GPU.
-fn run_op<P: CostProvider>(
+/// Run one trace op: a planned weight Matmul through its plan,
+/// anything else on the host backend.
+fn run_op(
     domain: &mut impl CostDomain,
-    planner: &mut Planner<P>,
+    planner: &mut impl Planner,
     op: &TraceOp,
     dominance: Dominance,
 ) -> Result<(), EngineError> {
-    if op.role != OpRole::WeightMatmul {
-        domain.serial(Backend::Gpu, &op.kernel);
-        return Ok(());
+    if op.role == OpRole::WeightMatmul {
+        let shape = op.shape.ok_or(EngineError::MissingShape { op: op.op })?;
+        if let Some(plan) = planner.plan(op.op, shape, dominance) {
+            run_plan(domain, planner, &plan, shape, dominance);
+            return Ok(());
+        }
     }
-    let shape = op.shape.ok_or(EngineError::MissingShape { op: op.op })?;
-    let choice = planner.plan(op.op, shape, dominance);
-    run_plan(domain, &choice.plan, shape, dominance);
+    domain.serial(planner.host(), &op.kernel);
     Ok(())
 }
 
 /// Run one phase trace: prologue, decoder layers, epilogue.
 ///
-/// Every decoder layer runs the same ops through the same memoized
-/// plans, and step costs never depend on the clock. So once a layer
+/// Every decoder layer runs the same ops through the same plans (a
+/// planner's answer depends only on the op, its shape and the phase),
+/// and step costs never depend on the clock. So once a layer
 /// leaves the switch machine as it found it, each remaining layer
 /// would cost exactly what that one did, and the domain charges them
 /// as repeats of it. Per-kernel observers need every kernel, so while
 /// any is on the same loop walks every layer.
-pub(crate) fn run_phase<P: CostProvider>(
+pub(crate) fn run_phase(
     domain: &mut impl CostDomain,
-    planner: &mut Planner<P>,
+    planner: &mut impl Planner,
     trace: &PhaseTrace,
     dominance: Dominance,
 ) -> Result<(), EngineError> {
@@ -232,7 +281,7 @@ impl Observers {
 
 /// The discrete-event domain: steps execute on the simulated [`Soc`]
 /// and are reported to the [`Observers`].
-pub(crate) struct Des {
+pub struct Des {
     pub(crate) soc: Soc,
     pub(crate) obs: Observers,
     primed: Option<Backend>,
@@ -250,15 +299,12 @@ impl Des {
             npu: Vec::new(),
         }
     }
+}
 
-    /// [`CostDomain::serial`] with the kernel's timeline span named
-    /// `name`, or after the kernel itself when `None`.
-    pub(crate) fn serial_named(
-        &mut self,
-        backend: Backend,
-        kernel: &KernelDesc,
-        name: Option<&'static str>,
-    ) {
+impl CostDomain for Des {
+    type Mark = SocMark;
+
+    fn serial(&mut self, backend: Backend, kernel: &KernelDesc) {
         let mech = self.soc.config().sync.mechanism;
         if let Some(from) = switch_to(&mut self.primed, backend) {
             let switch_start = self.soc.clock();
@@ -276,19 +322,8 @@ impl Des {
         let start = self.soc.clock();
         self.soc.run_serial(backend, std::slice::from_ref(kernel));
         if let Some(tl) = &mut self.obs.timeline {
-            match name {
-                Some(name) => tl.kernel_named(backend, name, start, self.soc.clock()),
-                None => tl.kernel(backend, kernel, start, self.soc.clock()),
-            }
+            tl.kernel(backend, kernel, start, self.soc.clock());
         }
-    }
-}
-
-impl CostDomain for Des {
-    type Mark = SocMark;
-
-    fn serial(&mut self, backend: Backend, kernel: &KernelDesc) {
-        self.serial_named(backend, kernel, None);
     }
 
     fn parallel(

@@ -39,7 +39,7 @@ use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::{abft, ops};
 use hetero_tensor::{Result, Tensor, TensorError};
 
-use crate::engines::walk::Planner;
+use crate::engines::SolverPlanner;
 use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel};
 use crate::functional::matmul_partitioned;
 use crate::integrity::{IntegrityCounters, IntegrityMode};
@@ -92,7 +92,7 @@ pub struct FunctionalHeteroEngine {
     weights: ModelWeights,
     kv: KvCache,
     soc: Soc,
-    planner: Planner<RealExecProvider>,
+    planner: SolverPlanner<RealExecProvider>,
     integrity: IntegrityMode,
     counters: IntegrityCounters,
     /// Injected faults not yet applied.
@@ -117,7 +117,7 @@ impl FunctionalHeteroEngine {
         // Graph standards for tiny functional configs: multiples of 32
         // up to max_seq so any test prompt has candidates.
         let standards: Vec<usize> = (1..=8).map(|i| i * 32).collect();
-        let planner = Planner::new(
+        let planner = SolverPlanner::new(
             provider,
             SolverConfig {
                 standards,
@@ -180,7 +180,7 @@ impl FunctionalHeteroEngine {
         let (m, _) = x.matrix_dims()?;
         let (k, n) = w.dims();
         let shape = MatmulShape::new(m, k, n);
-        let choice = self.planner.plan(op, shape, Dominance::NpuDominant);
+        let choice = self.planner.choice(op, shape, Dominance::NpuDominant);
 
         // Charge simulated time for the plan's lowering: NPU chunks as
         // one serial batch, parallel plans NPU-dominant.

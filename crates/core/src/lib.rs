@@ -8,7 +8,7 @@
 //! that raises the NPU's lower-bound performance, and the CPU purely as
 //! a control plane. Two levels of heterogeneous execution are provided:
 //!
-//! - **Layer-level** ([`engines::HeteroLayerEngine`]): each operator
+//! - **Layer-level** ([`engines::BaselineEngine::hetero_layer`]): each operator
 //!   runs on its best backend — Matmuls on the NPU (operand-permuted to
 //!   the weight-stall-friendly order), RMSNorm/SwiGLU/attention on the
 //!   GPU.
@@ -17,9 +17,10 @@
 //!   row/sequence/hybrid cuts, with the fast-synchronization runtime
 //!   keeping rendezvous costs at microsecond scale.
 //!
-//! Baseline engines (llama.cpp-, MLC-, MNN-, PPL-OpenCL-style) run the
-//! same workloads under their published execution strategies for the
-//! evaluation comparisons.
+//! Baseline engines (llama.cpp-, MLC-, MNN-, PPL-OpenCL-style, the
+//! NPU-only strategies and MLLM-NPU) run the same workloads under their
+//! published execution strategies for the evaluation comparisons; every
+//! engine runs its trace through the one plan walk.
 //!
 //! The engine operates in two modes: **timing mode** simulates
 //! full-size models (shapes only) on the `hetero-soc` simulator, and

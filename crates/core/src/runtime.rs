@@ -39,7 +39,7 @@ use hetero_tensor::rng::splitmix64;
 use hetero_tensor::shape::MatmulShape;
 use serde::{Deserialize, Serialize};
 
-use crate::engines::hetero_tensor::HeteroTensorEngine;
+use crate::engines::HeteroTensorEngine;
 use crate::engines::{hetero_soc_config, Engine, EngineKind};
 use crate::error::EngineError;
 use crate::integrity::{IntegrityCounters, IntegrityMode};

@@ -13,14 +13,13 @@
 
 use hetero_profiler::RealExecProvider;
 use hetero_soc::sync::{Dominance, SyncMechanism};
-use hetero_soc::Backend;
 use hetero_solver::SolverConfig;
 
-use crate::engines::hetero_tensor::HeteroTensorEngine;
-use crate::engines::walk::{run_phase, Planner};
-use crate::engines::{gpu_kernel, hetero_soc_config, Engine};
+use crate::engines::walk::{run_phase, Des, Planner};
+use crate::engines::{hetero_soc_config, BaselineEngine, HeteroTensorEngine, SolverPlanner};
 use crate::error::EngineError;
-use crate::trace::{decode_trace, OpRole};
+use crate::model::ModelConfig;
+use crate::trace::decode_trace;
 
 /// Outcome of a speculative decoding run.
 #[derive(Debug, Clone, Copy)]
@@ -57,72 +56,63 @@ pub fn run_speculative_hetero(
     step_commits: &[usize],
 ) -> Result<SpecDecodeReport, EngineError> {
     assert!(verify_rows >= 1, "verify at least one row");
-    let model = engine.model().clone();
     // Plans for the speculative decode shape: graphs exist for the
     // designated verification length.
-    let mut planner = Planner::new(
+    let mut planner = SolverPlanner::new(
         RealExecProvider::new(hetero_soc_config(SyncMechanism::Fast)),
         SolverConfig::default(),
         SolverConfig::decode(verify_rows),
     );
-
-    let start = engine.soc().clock();
-    let mut ctx = prompt_len;
-    let mut committed = 0usize;
-    for &commit in step_commits {
-        let trace = decode_trace(&model, ctx + verify_rows, verify_rows);
-        run_phase(engine.des(), &mut planner, &trace, Dominance::GpuDominant)?;
-        ctx += commit;
-        committed += commit;
-    }
-    Ok(SpecDecodeReport {
-        steps: step_commits.len(),
-        committed_tokens: committed,
-        elapsed: engine.soc().clock() - start,
-    })
+    let (des, model) = (&mut engine.des, &engine.cfg);
+    run_steps(
+        des,
+        &mut planner,
+        model,
+        prompt_len,
+        verify_rows,
+        step_commits,
+    )
 }
 
-/// Speculative decoding on a GPU-only baseline engine, for comparison.
+/// Speculative decoding on a baseline engine (a GPU-only one, for
+/// comparison), along the engine's own route.
 pub fn run_speculative_gpu(
-    engine: &mut crate::engines::single::SingleBackendEngine,
+    engine: &mut BaselineEngine,
     prompt_len: usize,
     verify_rows: usize,
     step_commits: &[usize],
 ) -> Result<SpecDecodeReport, EngineError> {
-    let model = engine.model().clone();
-    let start = engine.soc().clock();
+    let (des, route, model) = (&mut engine.des, &mut engine.planner, &engine.cfg);
+    run_steps(des, route, model, prompt_len, verify_rows, step_commits)
+}
+
+/// Walk one `verify_rows`-row decode step per entry of `step_commits`.
+fn run_steps(
+    des: &mut Des,
+    planner: &mut impl Planner,
+    model: &ModelConfig,
+    prompt_len: usize,
+    verify_rows: usize,
+    step_commits: &[usize],
+) -> Result<SpecDecodeReport, EngineError> {
+    let start = des.soc.clock();
     let mut ctx = prompt_len;
-    let mut committed = 0usize;
     for &commit in step_commits {
-        let trace = decode_trace(&model, ctx + verify_rows, verify_rows);
-        let ops: Vec<_> = trace.iter_all().cloned().collect();
-        for op in &ops {
-            let kernel = match op.role {
-                OpRole::WeightMatmul => {
-                    gpu_kernel(op.shape.ok_or(EngineError::MissingShape { op: op.op })?)
-                }
-                _ => op.kernel.clone(),
-            };
-            engine
-                .soc_mut()
-                .run_serial(Backend::Gpu, std::slice::from_ref(&kernel));
-        }
+        let trace = decode_trace(model, ctx + verify_rows, verify_rows);
+        run_phase(des, planner, &trace, Dominance::GpuDominant)?;
         ctx += commit;
-        committed += commit;
     }
     Ok(SpecDecodeReport {
         steps: step_commits.len(),
-        committed_tokens: committed,
-        elapsed: engine.soc().clock() - start,
+        committed_tokens: ctx - prompt_len,
+        elapsed: des.soc.clock() - start,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::single::GpuTier;
-    use crate::engines::SingleBackendEngine;
-    use crate::model::ModelConfig;
+    use crate::engines::{Engine, GpuTier};
     use hetero_workloads_testshim::simulate_steps_shim;
 
     // `hetero-workloads` depends on this crate, so tests generate the
@@ -201,7 +191,7 @@ mod tests {
         let model = ModelConfig::llama_3b();
         let commits = simulate_steps_shim(4, 0.8, 32, 11);
 
-        let mut gpu = SingleBackendEngine::gpu(&model, GpuTier::PplOpenCl);
+        let mut gpu = BaselineEngine::gpu(&model, GpuTier::PplOpenCl);
         let gpu_spec = run_speculative_gpu(&mut gpu, 128, 5, &commits).unwrap();
 
         let mut hetero = HeteroTensorEngine::new(&model, SyncMechanism::Fast);

@@ -182,16 +182,17 @@ mod tests {
     fn hetero_engine_trace_has_low_gpu_occupancy() {
         // End-to-end: a Hetero-layer prefill leaves the GPU mostly idle
         // (NPU-dominant), unlike a GPU-only engine.
-        use heterollm::engines::{Engine, HeteroLayerEngine, SingleBackendEngine};
+        use heterollm::engines::{BaselineEngine, Engine};
         use heterollm::ModelConfig;
 
         let model = ModelConfig::llama_8b();
-        let mut hetero = HeteroLayerEngine::new(&model, hetero_soc::sync::SyncMechanism::Fast);
+        let mut hetero =
+            BaselineEngine::hetero_layer(&model, hetero_soc::sync::SyncMechanism::Fast);
         hetero.soc_mut().enable_trace();
         hetero.prefill(256);
         let h_occ = gpu_occupancy(&gpu_bursts(hetero.soc().trace(), SimTime::from_micros(20)));
 
-        let mut ppl = SingleBackendEngine::gpu(&model, heterollm::engines::GpuTier::PplOpenCl);
+        let mut ppl = BaselineEngine::gpu(&model, heterollm::engines::GpuTier::PplOpenCl);
         ppl.soc_mut().enable_trace();
         ppl.prefill(256);
         let p_occ = gpu_occupancy(&gpu_bursts(ppl.soc().trace(), SimTime::from_micros(20)));
