@@ -4,7 +4,7 @@
 //! engine clock advances.
 //!
 //! The mirrors are the interval domain of the engines' own walk
-//! ([`crate::engines::walk`]): [`HeteroMirror`] runs the same phase
+//! (`crate::engines::walk`): [`HeteroMirror`] runs the same phase
 //! walk, plan tables and backend-switch machine as
 //! [`crate::engines::HeteroTensorEngine`], but each step is priced
 //! through `Soc::solo_kernel_time` / `Soc::contended_kernel_time`,

@@ -2,7 +2,7 @@
 //! baseline engines the paper compares against.
 //!
 //! Every engine is one [`WalkEngine`]: it executes the same
-//! [`crate::trace`] through the one plan walk ([`walk`]) on the
+//! [`crate::trace`] through the one plan walk (`walk`) on the
 //! `hetero-soc` simulator, and engines differ only in their per-op
 //! policy — which backend each kernel runs on, whether and how
 //! Matmuls are partitioned — and in their SoC configuration (kernel
@@ -121,8 +121,8 @@ pub trait Engine {
 }
 
 /// The one engine: a model, the discrete-event domain and a per-op
-/// policy ([`walk::Planner`]), with prefill and decode run through
-/// [`walk::run_phase`]. [`HeteroTensorEngine`] plans with the solver,
+/// policy (`walk::Planner`), with prefill and decode run through
+/// `walk::run_phase`. [`HeteroTensorEngine`] plans with the solver,
 /// [`BaselineEngine`] follows a [`FixedRoute`].
 pub struct WalkEngine<Pl> {
     name: &'static str,

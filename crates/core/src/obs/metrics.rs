@@ -278,7 +278,8 @@ mod tests {
     use super::super::timeline::TimelineRecorder;
     use super::*;
     use hetero_soc::sync::SyncMechanism;
-    use hetero_soc::Backend;
+    use hetero_soc::{Backend, KernelDesc};
+    use hetero_tensor::shape::MatmulShape;
 
     fn us(x: u64) -> SimTime {
         SimTime::from_micros(x)
@@ -366,7 +367,8 @@ mod tests {
     #[test]
     fn from_timeline_derives_span_and_sync_metrics() {
         let mut rec = TimelineRecorder::new();
-        rec.kernel_named(Backend::Gpu, "qkv", us(0), us(40));
+        let matmul = KernelDesc::matmul_w4a16(MatmulShape::new(64, 512, 512));
+        rec.kernel(Backend::Gpu, &matmul, us(0), us(40));
         rec.switch(
             Backend::Gpu,
             Backend::Npu,
@@ -374,7 +376,7 @@ mod tests {
             us(40),
             us(43),
         );
-        rec.kernel_named(Backend::Npu, "gate_up", us(43), us(90));
+        rec.kernel(Backend::Npu, &matmul, us(43), us(90));
         rec.graph_lookup(true);
         let reg = MetricsRegistry::from_timeline(&rec.finish());
         assert_eq!(reg.counter("spans_gpu"), 1);

@@ -470,12 +470,6 @@ impl TimelineRecorder {
         self.tl.push_span(track, SpanKind::Kernel, name, start, end);
     }
 
-    /// A serial kernel with an explicit display name (trace-op label).
-    pub fn kernel_named(&mut self, backend: Backend, name: &str, start: SimTime, end: SimTime) {
-        let track = Track::from_backend(backend);
-        self.tl.push_span(track, SpanKind::Kernel, name, start, end);
-    }
-
     /// A backend switch `from → to` paid `[start, end]` of sync cost.
     /// The wait lands on the destination track; a flow arrow crosses
     /// the sync edge.

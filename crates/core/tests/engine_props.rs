@@ -124,16 +124,24 @@ enum Observer {
     SocTrace,
 }
 
-/// One Hetero-tensor session under `observer`: prefill and decode
-/// reports, the SoC's clock and meter counters, and the power report.
+/// One `kind` session under `observer`: prefill and decode reports,
+/// the SoC's clock and meter counters, and the power report.
+/// Hetero-tensor runs on `cfg`; every other engine on its own SoC
+/// config under `cfg`'s sync mechanism.
 fn observed_session(
+    kind: EngineKind,
     model: &ModelConfig,
     cfg: &SocConfig,
     observer: Observer,
     prompt: usize,
     decode: usize,
 ) -> (PhaseReport, PhaseReport, SocMark, PowerReport) {
-    let mut e = HeteroTensorEngine::with_soc_config(model, cfg.clone());
+    let mut e: Box<dyn Engine> = match kind {
+        EngineKind::HeteroTensor => {
+            Box::new(HeteroTensorEngine::with_soc_config(model, cfg.clone()))
+        }
+        kind => kind.build(model, cfg.sync.mechanism),
+    };
     match observer {
         Observer::None => {}
         Observer::Timeline => e.enable_timeline(),
@@ -147,10 +155,12 @@ fn observed_session(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    // 11 engine kinds: 64 cases draw each about six times.
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn hetero_tensor_numbers_do_not_depend_on_observation(
+    fn engine_numbers_do_not_depend_on_observation(
+        kind_ix in 0usize..EngineKind::ALL.len(),
         model_ix in 0usize..3,
         soc_ix in 0usize..16,
         driver_sync in proptest::bool::ANY,
@@ -159,7 +169,9 @@ proptest! {
     ) {
         // Unobserved sessions charge repeated decoder layers without
         // walking them; observed ones walk every kernel. The simulated
-        // numbers must be bit-identical either way.
+        // numbers must be bit-identical either way, for every engine's
+        // route, backend mix and kernel types.
+        let kind = EngineKind::ALL[kind_ix];
         let model = [
             ModelConfig::internlm_1_8b(),
             ModelConfig::qwen2_1_5b(),
@@ -169,10 +181,19 @@ proptest! {
         let socs: Vec<SocConfig> = table1().iter().filter_map(project_config).collect();
         let mechanism = if driver_sync { SyncMechanism::Driver } else { SyncMechanism::Fast };
         let cfg = socs[soc_ix % socs.len()].clone().with_sync(mechanism);
-        let plain = observed_session(&model, &cfg, Observer::None, prompt, decode);
+        let plain = observed_session(kind, &model, &cfg, Observer::None, prompt, decode);
         for observer in [Observer::Timeline, Observer::ConcurrencyLog, Observer::SocTrace] {
-            let watched = observed_session(&model, &cfg, observer, prompt, decode);
-            prop_assert_eq!(&watched, &plain, "{:?} on {} at {}+{}", observer, model.name, prompt, decode);
+            let watched = observed_session(kind, &model, &cfg, observer, prompt, decode);
+            prop_assert_eq!(
+                &watched,
+                &plain,
+                "{} under {:?} on {} at {}+{}",
+                kind.name(),
+                observer,
+                model.name,
+                prompt,
+                decode
+            );
         }
     }
 }

@@ -9,13 +9,7 @@ use heterollm::{EngineKind, InferenceSession, ModelConfig};
 use proptest::prelude::*;
 
 fn arb_engine() -> impl Strategy<Value = EngineKind> {
-    prop_oneof![
-        Just(EngineKind::HeteroTensor),
-        Just(EngineKind::HeteroLayer),
-        Just(EngineKind::PplOpenCl),
-        Just(EngineKind::MllmNpu),
-        Just(EngineKind::LlamaCpp),
-    ]
+    (0..EngineKind::ALL.len()).prop_map(|i| EngineKind::ALL[i])
 }
 
 fn arb_model() -> impl Strategy<Value = ModelConfig> {
@@ -31,7 +25,8 @@ fn arb_sync() -> impl Strategy<Value = SyncMechanism> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    // 11 engine kinds: 48 cases draw each several times.
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Spans always nest per track, ends never precede starts, and the
     /// exported JSON parses with every submit matched by a complete.
