@@ -129,12 +129,8 @@ impl HeteroMirror {
 /// engine under `soc_cfg`: every trace kernel runs serially on the GPU,
 /// so the bound collapses to a point.
 pub fn gpu_only_prefill(model: &ModelConfig, soc_cfg: &SocConfig, prompt_len: usize) -> SimTime {
-    fallback_prefill(
-        model,
-        soc_cfg,
-        prompt_len,
-        FixedRoute::host_only(Backend::Gpu),
-    )
+    let route = FixedRoute::host_only(Backend::Gpu);
+    fallback_prefill(model, soc_cfg, prompt_len, route)
 }
 
 /// Exact prefill latency of the NPU-pipe fallback engine under

@@ -34,7 +34,7 @@ use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::DType;
 
 use crate::engines::walk::{Des, Planner};
-use crate::engines::{hetero_soc_config, llama_cpp_soc_config, npu_kernel, WalkEngine};
+use crate::engines::{assist_soc, hetero_soc_config, llama_cpp_soc_config, npu_kernel, WalkEngine};
 use crate::model::ModelConfig;
 
 /// How the NPU handles sequence lengths without a compiled graph
@@ -99,7 +99,7 @@ pub struct FixedRoute {
 
 impl FixedRoute {
     /// Every op on `backend`.
-    pub fn host_only(backend: Backend) -> Self {
+    pub(crate) fn host_only(backend: Backend) -> Self {
         Self {
             prefill: None,
             decode_on_npu: false,
@@ -112,7 +112,11 @@ impl FixedRoute {
     /// Prefill weight Matmuls on the NPU under `strategy` (single-row
     /// ones always have a graph), decode weight Matmuls on the NPU when
     /// `decode_on_npu`, everything else on the GPU.
-    pub fn npu(model: &ModelConfig, strategy: MisalignStrategy, decode_on_npu: bool) -> Self {
+    pub(crate) fn npu(
+        model: &ModelConfig,
+        strategy: MisalignStrategy,
+        decode_on_npu: bool,
+    ) -> Self {
         // Online-prepare generates prefill graphs per request; only the
         // decode graph is prepared offline.
         let graphs = (strategy == MisalignStrategy::OnlinePrepare).then(|| {
@@ -258,7 +262,12 @@ impl BaselineEngine {
     /// misaligned lengths, decode Matmuls go to the GPU (§5.3).
     pub fn hetero_layer(model: &ModelConfig, sync: SyncMechanism) -> Self {
         let route = FixedRoute::npu(model, MisalignStrategy::Padding, false);
-        Self::with_parts("Hetero-layer", model, assist_soc(sync), route)
+        Self::with_parts(
+            "Hetero-layer",
+            model,
+            assist_soc(hetero_soc_config(sync)),
+            route,
+        )
     }
 
     /// An engine whose weight Matmuls all run on the NPU under one
@@ -271,7 +280,7 @@ impl BaselineEngine {
             MisalignStrategy::Chunked { .. } => "Chunked-Prefill",
         };
         let route = FixedRoute::npu(model, strategy, true);
-        Self::with_parts(name, model, assist_soc(sync), route)
+        Self::with_parts(name, model, assist_soc(hetero_soc_config(sync)), route)
     }
 
     /// MLLM-NPU-style engine: chunked INT8 NPU prefill, CPU aux kernels.
@@ -291,14 +300,6 @@ impl BaselineEngine {
         };
         Self::with_parts("MLLM-NPU", model, Soc::new(soc_cfg), route)
     }
-}
-
-/// The HeteroLLM-family SoC: its GPU runs short assist kernels between
-/// sync points, not a deep full-throttle queue (power tier; Fig. 19).
-fn assist_soc(sync: SyncMechanism) -> Soc {
-    let mut soc = Soc::new(hetero_soc_config(sync));
-    soc.set_gpu_assist();
-    soc
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use hetero_soc::{Backend, Soc};
 use hetero_solver::{PartitionPlan, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
 
-use crate::engines::{hetero_soc_config, SolverPlanner, WalkEngine};
+use crate::engines::{assist_soc, hetero_soc_config, SolverPlanner, WalkEngine};
 use crate::model::ModelConfig;
 
 /// HeteroLLM with tensor-level heterogeneous execution: the one
@@ -125,10 +125,7 @@ impl<P: CostProvider> HeteroTensorEngine<P> {
         soc_cfg: hetero_soc::SocConfig,
         planner: SolverPlanner<P>,
     ) -> Self {
-        let mut soc = Soc::new(soc_cfg);
-        // Assist-tier GPU power (shallow queues between sync points).
-        soc.set_gpu_assist();
-        Self::with_parts("Hetero-tensor", model, soc, planner)
+        Self::with_parts("Hetero-tensor", model, assist_soc(soc_cfg), planner)
     }
 
     /// The solved plan for an operator at a sequence length (exposed

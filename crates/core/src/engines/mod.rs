@@ -334,6 +334,15 @@ pub fn hetero_soc_config(sync: SyncMechanism) -> SocConfig {
     cfg
 }
 
+/// A HeteroLLM-family SoC on `cfg`: its GPU runs short assist kernels
+/// between sync points, not a deep full-throttle queue (power tier;
+/// Fig. 19).
+pub(crate) fn assist_soc(cfg: SocConfig) -> Soc {
+    let mut soc = Soc::new(cfg);
+    soc.set_gpu_assist();
+    soc
+}
+
 /// The NPU-side kernel for a logical Matmul `[m,k] x [k,n]`: operands
 /// permuted to `[n,k] x [k,m]` (§4) so the INT4 weight streams and the
 /// FP16 activation is stationary.

@@ -37,7 +37,7 @@ use crate::trace::{ConcurrencyLog, ConcurrencyRecorder, OpRole, PhaseTrace, Trac
 /// An engine's per-op policy for [`run_phase`]. Prefill walks are
 /// NPU-dominant and decode walks GPU-dominant, so `dominance` also
 /// names the phase.
-pub trait Planner {
+pub(crate) trait Planner {
     /// The plan for the weight Matmul `op` at `shape`, or `None` to
     /// run its trace kernel unpartitioned on [`Planner::host`].
     fn plan(
@@ -281,7 +281,7 @@ impl Observers {
 
 /// The discrete-event domain: steps execute on the simulated [`Soc`]
 /// and are reported to the [`Observers`].
-pub struct Des {
+pub(crate) struct Des {
     pub(crate) soc: Soc,
     pub(crate) obs: Observers,
     primed: Option<Backend>,

@@ -97,14 +97,16 @@ fn run_steps(
 ) -> Result<SpecDecodeReport, EngineError> {
     let start = des.soc.clock();
     let mut ctx = prompt_len;
+    let mut committed = 0usize;
     for &commit in step_commits {
         let trace = decode_trace(model, ctx + verify_rows, verify_rows);
         run_phase(des, planner, &trace, Dominance::GpuDominant)?;
         ctx += commit;
+        committed += commit;
     }
     Ok(SpecDecodeReport {
         steps: step_commits.len(),
-        committed_tokens: ctx - prompt_len,
+        committed_tokens: committed,
         elapsed: des.soc.clock() - start,
     })
 }
