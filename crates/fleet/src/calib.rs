@@ -51,6 +51,14 @@ pub const DEVICE_CALIB_DECODE: usize = 4;
 /// binning spread must never masquerade as drift.
 pub const SILICON_SPREAD_PPM: u64 = 30_000;
 
+/// Width of one silicon-lottery step, ppm: every device's bandwidth
+/// factor sits on a 0.1% grid across the spread.
+pub const SILICON_STEP_PPM: u64 = 1_000;
+
+/// Grid points across `[1 - spread, 1 + spread]`, both ends included
+/// (61 at 0.1% steps over ±3%).
+const SILICON_STEPS: u64 = 2 * SILICON_SPREAD_PPM / SILICON_STEP_PPM + 1;
+
 /// How one device's measured per-token latencies sit relative to its
 /// class profile, in parts per million (exactly [`PPM`] = on-profile).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,11 +91,16 @@ pub struct FleetCalibration {
     pub faulted: u64,
 }
 
-/// The per-device silicon-lottery bandwidth factor, drawn uniformly
-/// from `[1 - spread, 1 + spread]` on the device-indexed stream.
-fn silicon_factor(seed: u64, device: usize) -> f64 {
-    let span = 2 * SILICON_SPREAD_PPM + 1;
-    let ppm = PPM - SILICON_SPREAD_PPM + draw(seed, OFF_SILICON + device as u64) % span;
+/// The per-device silicon-lottery step, drawn uniformly from the
+/// grid's `0..SILICON_STEPS` on the device-indexed stream.
+fn silicon_step(seed: u64, device: usize) -> usize {
+    (draw(seed, OFF_SILICON + device as u64) % SILICON_STEPS) as usize
+}
+
+/// The bandwidth factor of grid step `step`: `1 - spread` at step 0,
+/// exactly `1.0` at the centre step, `1 + spread` at the last.
+fn step_factor(step: usize) -> f64 {
+    let ppm = PPM - SILICON_SPREAD_PPM + step as u64 * SILICON_STEP_PPM;
     ppm as f64 / PPM as f64
 }
 
@@ -122,7 +135,7 @@ pub fn calibrate_devices(
     assert!(!profiles.is_empty(), "no calibrated class profiles");
     let per_device = Executor::new(jobs).run(devices, |d| {
         let class = d % profiles.len();
-        let factor = silicon_factor(seed, d);
+        let factor = step_factor(silicon_step(seed, d));
         let engine = HeteroTensorEngine::with_soc_config(model, device_soc(&socs[class], factor));
         let mut session = InferenceSession::from_engine(Box::new(engine));
         let Ok(report) = session.try_run(DEVICE_CALIB_PROMPT, DEVICE_CALIB_DECODE) else {
@@ -206,7 +219,7 @@ mod tests {
         let mut seen_lo = false;
         let mut seen_hi = false;
         for d in 0..200 {
-            let f = silicon_factor(7, d);
+            let f = step_factor(silicon_step(7, d));
             assert!((0.97..=1.03).contains(&f), "{f}");
             seen_lo |= f < 0.995;
             seen_hi |= f > 1.005;

@@ -50,7 +50,7 @@ pub mod workload;
 
 pub use calib::{
     calibrate_devices, DeviceCalibration, FleetCalibration, DEVICE_CALIB_DECODE,
-    DEVICE_CALIB_PROMPT, SILICON_SPREAD_PPM,
+    DEVICE_CALIB_PROMPT, SILICON_SPREAD_PPM, SILICON_STEP_PPM,
 };
 pub use device::{
     calibrate_profiles, calibrate_profiles_with_socs, Device, DeviceProfile, CALIB_DECODE,
