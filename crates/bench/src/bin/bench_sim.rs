@@ -6,11 +6,13 @@
 //! checked-in `BENCH_sim.json` baseline can gate regressions without
 //! float-comparison noise:
 //!
-//! - **calibration sessions/s** — per-device silicon-lottery
-//!   calibration micro-sessions ([`hetero_fleet::calibrate_devices`]),
-//!   serial (`jobs = 1`) vs parallel (`--jobs`, default: all cores).
-//!   This is the workload `fleet_sweep --jobs` parallelizes; the two
-//!   runs are asserted byte-identical here, not just in CI.
+//! - **calibration sessions/s** — silicon-lottery calibration
+//!   micro-sessions ([`hetero_fleet::calibrate_devices`], one per
+//!   distinct `(class, step)` key, counted by
+//!   [`hetero_fleet::FleetCalibration::sessions`]), serial
+//!   (`jobs = 1`) vs parallel (`--jobs`, default: all cores). This is
+//!   the stage `fleet_sweep --jobs` parallelizes; the two runs are
+//!   asserted byte-identical here, not just in CI.
 //! - **GEMM MFLOP/s** — the blocked functional-mode matmul
 //!   ([`hetero_tensor::ops::matmul`]), FLOPs counted as `2·m·k·n`.
 //! - **DES events/s** — schedule/pop churn through the calendar-queue
@@ -25,9 +27,10 @@
 //!
 //! Wall-clock rates are machine-dependent by nature; everything else
 //! in the snapshot (session counts, FLOPs, event counts) is exact.
-//! `scripts/bench_sim.sh` wraps this binary, adds the `fleet_sweep`
-//! serial-vs-parallel wall-clock comparison, and writes the combined
-//! `BENCH_sim.json`.
+//! `scripts/bench_sim.sh` wraps this binary, gates the serial vs
+//! parallel calibration speedup, adds the `fleet_sweep` --jobs
+//! byte-identity check and wall-clock comparison, and writes the
+//! combined `BENCH_sim.json`.
 
 use std::time::Instant;
 
@@ -48,6 +51,8 @@ struct BenchSim {
     devices: u64,
     /// Parallel-arm worker count (`--jobs`).
     jobs: u64,
+    /// Engine micro-sessions one calibration run executes.
+    calib_sessions: u64,
     /// Serial (`jobs = 1`) calibration wall time, microseconds.
     calib_serial_us: u64,
     /// Parallel (`--jobs`) calibration wall time, microseconds.
@@ -155,7 +160,7 @@ fn main() {
         serial.devices, parallel.devices,
         "parallel calibration diverged from serial: the determinism contract is broken"
     );
-    let sessions = args.devices as u64;
+    let sessions = serial.sessions;
 
     // --- blocked GEMM MFLOP/s ----------------------------------------
     let (m, k, n) = (64usize, 256usize, 256usize);
@@ -235,6 +240,7 @@ fn main() {
     let snapshot = BenchSim {
         devices: args.devices as u64,
         jobs: args.jobs as u64,
+        calib_sessions: sessions,
         calib_serial_us: serial_ns / 1_000,
         calib_parallel_us: parallel_ns / 1_000,
         calib_serial_sessions_per_sec: per_sec(sessions, serial_ns),
@@ -277,8 +283,8 @@ fn main() {
     t.print();
     println!(
         "\nserial and parallel calibration verified identical over {} devices \
-         ({} faulted)",
-        args.devices, serial.faulted
+         ({} sessions, {} faulted)",
+        args.devices, sessions, serial.faulted
     );
 
     if args.json {

@@ -19,7 +19,8 @@
 //!
 //! Flags: `--seed N` (default 42), `--devices N` (default 256),
 //! `--requests N` (default 3000), `--jobs N` (workers for the
-//! per-device calibration sessions, default 1 — output is
+//! calibration sessions, one per SoC class and bandwidth step,
+//! default 1 — output is
 //! byte-identical for every value; CI `cmp`s `--jobs 1` against
 //! `--jobs 4`), `--json` (print the
 //! machine-readable comparison on stdout), `--events-out FILE` (also
@@ -189,8 +190,8 @@ fn main() {
             ("--requests N", "requests offered (default 3000)"),
             (
                 "--jobs N",
-                "workers for the per-device calibration sessions (default 1; output is \
-byte-identical for every value)",
+                "workers for the calibration sessions, one per SoC class and bandwidth \
+step (default 1; output is byte-identical for every value)",
             ),
             ("--json", "print the machine-readable comparison on stdout"),
             (

@@ -27,7 +27,8 @@
 //!
 //! Flags: `--seed N` (default 42), `--devices N` (default 256),
 //! `--requests N` (default 1500, per stage window), `--jobs N`
-//! (workers for the per-device calibration sessions, default 1 —
+//! (workers for the calibration sessions, one per SoC class and
+//! bandwidth step, default 1 —
 //! output is byte-identical for every value), `--json` (print
 //! the machine-readable report pair on stdout), `--events-out FILE`
 //! (record the master event log of both rollouts as a JSON
@@ -265,8 +266,8 @@ fn main() {
             ),
             (
                 "--jobs N",
-                "workers for the per-device calibration sessions (default 1; output is \
-byte-identical for every value)",
+                "workers for the calibration sessions, one per SoC class and bandwidth \
+step (default 1; output is byte-identical for every value)",
             ),
             ("--json", "print the machine-readable report pair on stdout"),
             (

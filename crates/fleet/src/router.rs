@@ -153,10 +153,11 @@ impl FleetSim {
         Self::with_jobs(config, 1)
     }
 
-    /// Calibrate class profiles, run the per-device calibration
-    /// micro-sessions across `jobs` workers, generate the seeded
-    /// workload and fault plan, and derive fleet SLOs (3× the slowest
-    /// profile's quiet per-token latencies at a 512-token prompt).
+    /// Calibrate class profiles, run the calibration micro-sessions
+    /// (one per class and bandwidth step, see [`crate::calib`]) across
+    /// `jobs` workers, generate the seeded workload and fault plan,
+    /// and derive fleet SLOs (3× the slowest profile's quiet per-token
+    /// latencies at a 512-token prompt).
     ///
     /// `jobs` lives *outside* [`FleetConfig`] because it must never
     /// change the world: the materialized sim — profiles, per-device

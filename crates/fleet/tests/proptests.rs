@@ -374,7 +374,7 @@ proptest! {
     /// byte-identical serialized [`hetero_fleet::ArmReport`]s and
     /// canonically-ordered [`hetero_fleet::FleetEventLog`]s to the
     /// serial `jobs = 1` build, for random seeds, fleet sizes, and
-    /// worker counts. The executor merges per-device calibration
+    /// worker counts. The executor merges calibration session
     /// results by index, so thread scheduling must never leak into
     /// the world.
     #[test]

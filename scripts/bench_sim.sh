@@ -7,9 +7,10 @@
 # determinism-under-parallelism gate from PERFORMANCE.md. Writes the
 # combined all-integer BENCH_sim.json and, when a checked-in baseline
 # is present, fails if calibration sessions/s regresses by more than
-# 20% against it. The parallel speedup gate only arms on machines
-# with at least 4 cores (a 1-core runner can only prove determinism,
-# not speedup). CI runs this after the build and uploads the JSON as
+# 20% against it. The parallel speedup gate applies to the stage that
+# runs in parallel — bench_sim's serial vs parallel calibration — and
+# only arms on machines with at least 4 cores (a 1-core runner can
+# only prove determinism, not speedup). CI runs this after the build and uploads the JSON as
 # an artifact; run locally with
 #   ./scripts/bench_sim.sh
 # Knobs: DEVICES / REQUESTS / SEED / JOBS / OUT / BASELINE
@@ -43,11 +44,14 @@ field() {
 }
 calib_serial_sessions_per_sec=$(field calib_serial_sessions_per_sec)
 calib_parallel_sessions_per_sec=$(field calib_parallel_sessions_per_sec)
+calib_sessions=$(field calib_sessions)
+calib_serial_us=$(field calib_serial_us)
+calib_parallel_us=$(field calib_parallel_us)
 gemm_mflops=$(field gemm_mflops)
 des_events_per_sec=$(field des_events_per_sec)
 monitor_events_per_sec=$(field monitor_events_per_sec)
 for var in calib_serial_sessions_per_sec calib_parallel_sessions_per_sec \
-    gemm_mflops des_events_per_sec monitor_events_per_sec; do
+    calib_sessions calib_serial_us calib_parallel_us gemm_mflops des_events_per_sec monitor_events_per_sec; do
     if [ -z "${!var}" ]; then
         echo "bench_sim: failed to parse $var from bench_sim --json output" >&2
         printf '%s\n' "$micro" >&2
@@ -79,14 +83,18 @@ echo "bench_sim: fleet_sweep --jobs 1 vs --jobs $JOBS byte-identical [verified]"
 serial_wall_ns=$((t1 - t0))
 parallel_wall_ns=$((t2 - t1))
 speedup_x100=$((serial_wall_ns * 100 / (parallel_wall_ns > 0 ? parallel_wall_ns : 1)))
+calib_speedup_x100=$((calib_serial_us * 100 / (calib_parallel_us > 0 ? calib_parallel_us : 1)))
 
 cores=$(nproc)
 if [ "$cores" -ge 4 ] && [ "$JOBS" -ge 4 ]; then
     # Parallel calibration must pay for itself on a real multi-core
-    # machine: at least 2x on 4 cores (the calibration phase is the
-    # parallel fraction; the replay phase stays serial).
-    if [ "$speedup_x100" -lt 200 ]; then
-        echo "bench_sim: fleet_sweep --jobs $JOBS speedup ${speedup_x100}/100x < 2x on $cores cores" >&2
+    # machine: at least 2x on 4 cores. The gate reads the calibration
+    # stage alone. Memoized calibration is only about half of a
+    # 1000-device fleet_sweep, and the replay stays serial, so by
+    # Amdahl's law the whole sweep cannot reach 2x; its wall-clock
+    # ratio is recorded below, not gated.
+    if [ "$calib_speedup_x100" -lt 200 ]; then
+        echo "bench_sim: calibration --jobs $JOBS speedup ${calib_speedup_x100}/100x < 2x on $cores cores" >&2
         exit 1
     fi
 fi
@@ -117,8 +125,10 @@ cat > "$OUT" <<EOF
   "requests": $REQUESTS,
   "jobs": $JOBS,
   "cores": $cores,
+  "calib_sessions": $calib_sessions,
   "calib_serial_sessions_per_sec": $calib_serial_sessions_per_sec,
   "calib_parallel_sessions_per_sec": $calib_parallel_sessions_per_sec,
+  "calib_speedup_x100": $calib_speedup_x100,
   "gemm_mflops": $gemm_mflops,
   "des_events_per_sec": $des_events_per_sec,
   "monitor_events_per_sec": $monitor_events_per_sec,
