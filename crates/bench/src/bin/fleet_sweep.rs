@@ -20,9 +20,8 @@
 //! Flags: `--seed N` (default 42), `--devices N` (default 256),
 //! `--requests N` (default 3000), `--jobs N` (workers for the
 //! calibration sessions, one per SoC class and bandwidth step,
-//! default 1 — output is
-//! byte-identical for every value; CI `cmp`s `--jobs 1` against
-//! `--jobs 4`), `--json` (print the
+//! default 1 — output is byte-identical for every value; CI `cmp`s
+//! `--jobs 1` against `--jobs 4`), `--json` (print the
 //! machine-readable comparison on stdout), `--events-out FILE` (also
 //! record the typed fleet event-log pair, write it as JSON, and gate
 //! the arms through the past-time-LTL monitor: robust must certify

@@ -28,8 +28,8 @@
 //! Flags: `--seed N` (default 42), `--devices N` (default 256),
 //! `--requests N` (default 1500, per stage window), `--jobs N`
 //! (workers for the calibration sessions, one per SoC class and
-//! bandwidth step, default 1 —
-//! output is byte-identical for every value), `--json` (print
+//! bandwidth step, default 1 — output is byte-identical for every
+//! value), `--json` (print
 //! the machine-readable report pair on stdout), `--events-out FILE`
 //! (record the master event log of both rollouts as a JSON
 //! `RolloutLogSet`), `--analyze` (standard pre-experiment solver

@@ -10,8 +10,8 @@
 # 20% against it. The parallel speedup gate applies to the stage that
 # runs in parallel — bench_sim's serial vs parallel calibration — and
 # only arms on machines with at least 4 cores (a 1-core runner can
-# only prove determinism, not speedup). CI runs this after the build and uploads the JSON as
-# an artifact; run locally with
+# only prove determinism, not speedup). CI runs this after the build
+# and uploads the JSON as an artifact; run locally with
 #   ./scripts/bench_sim.sh
 # Knobs: DEVICES / REQUESTS / SEED / JOBS / OUT / BASELINE
 # environment variables; set BASELINE= (empty) to skip the
@@ -51,7 +51,8 @@ gemm_mflops=$(field gemm_mflops)
 des_events_per_sec=$(field des_events_per_sec)
 monitor_events_per_sec=$(field monitor_events_per_sec)
 for var in calib_serial_sessions_per_sec calib_parallel_sessions_per_sec \
-    calib_sessions calib_serial_us calib_parallel_us gemm_mflops des_events_per_sec monitor_events_per_sec; do
+    calib_sessions calib_serial_us calib_parallel_us \
+    gemm_mflops des_events_per_sec monitor_events_per_sec; do
     if [ -z "${!var}" ]; then
         echo "bench_sim: failed to parse $var from bench_sim --json output" >&2
         printf '%s\n' "$micro" >&2
