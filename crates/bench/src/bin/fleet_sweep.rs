@@ -14,8 +14,9 @@
 //! runs the binary twice at 1000 devices and compares (`cmp`), then
 //! gates on the in-binary asserts: zero unrecovered requests in the
 //! robust arm, strictly better p999 TTFT, SLO attainment, and
-//! goodput than round-robin, and a clean `retry-storm` /
-//! `shed-starvation` fleet lint.
+//! goodput than round-robin, p999 TTFT at or above the lost penalty
+//! in any arm that loses more than 0.1% of its requests, and a clean
+//! `retry-storm` / `shed-starvation` fleet lint.
 //!
 //! Flags: `--seed N` (default 42), `--devices N` (default 256),
 //! `--requests N` (default 3000), `--jobs N` (workers for the
@@ -86,8 +87,23 @@ fn pct_ppm(ppm: u64) -> String {
     format!("{:.2}", ppm as f64 / 10_000.0)
 }
 
-fn gate(cmp: &FleetComparison) {
+fn gate(cmp: &FleetComparison, lost_penalty_ns: u64) {
     let (r, n) = (&cmp.robust, &cmp.naive);
+    // Each lost request is recorded at the lost penalty, so an arm
+    // losing more than 0.1% of its requests has its p999 TTFT at or
+    // above it — a histogram that clamps its tail would fail here.
+    for arm in [r, n] {
+        assert!(
+            arm.lost * 1000 <= arm.offered || arm.ttft_p999_ns >= lost_penalty_ns,
+            "{} arm lost {} of {} requests but reports p999 TTFT {} ns below the \
+             {} ns lost penalty",
+            arm.policy,
+            arm.lost,
+            arm.offered,
+            arm.ttft_p999_ns,
+            lost_penalty_ns
+        );
+    }
     assert_eq!(
         r.lost, 0,
         "robust arm stranded {} requests: retry/breaker/probe layers failed to recover",
@@ -260,13 +276,13 @@ step (default 1; output is byte-identical for every value)",
     ]);
     t.print();
     println!(
-        "\nSLOs: TTFT {} ms, TPOT {} ms (quantiles are power-of-two bucket \
+        "\nSLOs: TTFT {} ms, TPOT {} ms (quantiles are log-linear bucket \
          upper bounds; lost requests recorded at the 4x-SLO penalty)",
         ms(r.slo_ttft_ns),
         ms(r.slo_tpot_ns)
     );
 
-    gate(&cmp);
+    gate(&cmp, sim.lost_penalty().as_nanos());
     println!(
         "robust arm: 0 unrecovered, p999 TTFT / attainment / goodput all \
          strictly better than round-robin [verified]"

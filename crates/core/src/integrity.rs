@@ -12,6 +12,7 @@
 use hetero_soc::SimTime;
 use serde::{Deserialize, Serialize};
 
+use crate::obs::metrics::exact_quantile;
 use crate::report::IntegritySummary;
 
 /// How much of the integrity layer is active.
@@ -87,13 +88,6 @@ impl IntegrityCounters {
     pub fn summary(&self, total: SimTime) -> IntegritySummary {
         let mut lat = self.recompute_latencies.clone();
         lat.sort_unstable();
-        let pct = |p: usize| -> SimTime {
-            if lat.is_empty() {
-                SimTime::ZERO
-            } else {
-                lat[(lat.len() - 1) * p / 100]
-            }
-        };
         let overhead = if total.as_nanos() == 0 {
             0
         } else {
@@ -116,8 +110,8 @@ impl IntegrityCounters {
             graph_rebuilds: self.graph_rebuilds,
             fallback_escalations: self.fallback_escalations,
             verify_overhead_pct: overhead,
-            recompute_p50: pct(50),
-            recompute_p99: pct(99),
+            recompute_p50: exact_quantile(&lat, 50, 100),
+            recompute_p99: exact_quantile(&lat, 99, 100),
         }
     }
 }

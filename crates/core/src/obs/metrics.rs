@@ -1,4 +1,5 @@
-//! All-integer metrics: counters and fixed-bucket histograms.
+//! All-integer metrics: counters, log-linear histograms and the one
+//! quantile rank rule every reported quantile uses.
 //!
 //! Same determinism discipline as
 //! [`crate::runtime::DegradationSummary`] and
@@ -31,28 +32,62 @@ use serde::{Deserialize, Serialize};
 
 use super::timeline::{SpanKind, Timeline, Track};
 
-/// Number of power-of-two histogram buckets.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+/// Sub-bucket bits: each octave `[2^e, 2^(e+1))` splits into
+/// `2^SUB_BUCKET_BITS` = 8 equal-width buckets, so a bucket's upper
+/// bound exceeds any value in it by at most 1/8 (12.5%) of that value.
+const SUB_BUCKET_BITS: u32 = 3;
 
-/// A fixed-bucket duration histogram: bucket `i` counts observations
-/// with `floor(log2(ns)) == i` (zero-duration observations land in
-/// bucket 0), clamped to [`HISTOGRAM_BUCKETS`] buckets — covering
-/// 1 ns to ~2 simulated seconds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// 1-based nearest rank of the `num/den` quantile among `n` samples:
+/// `max(1, ⌈n·num/den⌉)`. A fraction above one (`num > den`) or with
+/// `den == 0` is clamped to one, i.e. rank `n`: the maximum. The one
+/// rank rule behind [`exact_quantile`] and
+/// [`Histogram::quantile_upper_ns`].
+pub fn nearest_rank(n: u64, num: u64, den: u64) -> u64 {
+    if den == 0 || num >= den {
+        return n.max(1);
+    }
+    // num < den, so the rank is at most n and fits a u64.
+    let rank = (u128::from(num) * u128::from(n)).div_ceil(u128::from(den)) as u64;
+    rank.max(1)
+}
+
+/// Exact `num/den` quantile of an ascending-sorted slice: the sample
+/// at [`nearest_rank`], i.e. the smallest sample with at least
+/// `num/den` of the mass at or below it. `T::default()` when empty.
+pub fn exact_quantile<T: Copy + Default>(sorted: &[T], num: u64, den: u64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    sorted[(nearest_rank(sorted.len() as u64, num, den) - 1) as usize]
+}
+
+/// Bucket index of `ns`: values below 16 get one exact bucket each;
+/// above, `(shift << 3) + (ns >> shift)` where `shift` keeps the top
+/// four significant bits. `u64::MAX` lands in the last index, 495.
+fn bucket_index(ns: u64) -> u16 {
+    let shift = (63 - (ns | 1).leading_zeros()).saturating_sub(SUB_BUCKET_BITS);
+    ((u64::from(shift) << SUB_BUCKET_BITS) + (ns >> shift)) as u16
+}
+
+/// Largest value (inclusive, nanoseconds) that lands in bucket
+/// `index`; the inverse of [`bucket_index`].
+fn bucket_upper_ns(index: u16) -> u64 {
+    let index = u64::from(index);
+    let shift = (index >> SUB_BUCKET_BITS).saturating_sub(1);
+    let lower = (index - (shift << SUB_BUCKET_BITS)) << shift;
+    lower + ((1u64 << shift) - 1)
+}
+
+/// A log-linear duration histogram in the HDR style: one exact bucket
+/// per value below 16 ns, then eight equal-width buckets per octave
+/// (496 in all), the last one ending at `u64::MAX` — nothing clamps. Only non-empty buckets are stored, as
+/// `(index, count)` pairs sorted by index, so a histogram that saw a
+/// handful of values stays a handful of pairs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
     sum_ns: u64,
-    buckets: [u64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            sum_ns: 0,
-            buckets: [0; HISTOGRAM_BUCKETS],
-        }
-    }
+    buckets: Vec<(u16, u64)>,
 }
 
 impl Histogram {
@@ -64,14 +99,22 @@ impl Histogram {
     /// Record one duration.
     pub fn observe(&mut self, t: SimTime) {
         let ns = t.as_nanos();
-        let bucket = if ns == 0 {
-            0
-        } else {
-            (63 - ns.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1)
-        };
-        self.buckets[bucket] += 1;
+        self.add(bucket_index(ns), 1);
         self.count += 1;
-        self.sum_ns += ns;
+        self.sum_ns = self.sum_ns.saturating_add(ns);
+    }
+
+    fn add(&mut self, index: u16, n: u64) {
+        match self.buckets.binary_search_by_key(&index, |&(i, _)| i) {
+            Ok(at) => self.buckets[at].1 += n,
+            Err(at) => {
+                // Grow one pair at a time: most histograms (one per
+                // device and metric) hold a handful of buckets, and
+                // doubling's spare capacity showed in fleet peak RSS.
+                self.buckets.reserve_exact(1);
+                self.buckets.insert(at, (index, n));
+            }
+        }
     }
 
     /// Number of observations.
@@ -79,52 +122,50 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of all observed durations, nanoseconds.
+    /// Sum of all observed durations, nanoseconds; saturates at
+    /// `u64::MAX` rather than wrapping.
     pub fn sum_ns(&self) -> u64 {
         self.sum_ns
     }
 
-    /// Bucket counts.
-    pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
+    /// Non-empty buckets as `(index, count)`, sorted by index.
+    pub fn buckets(&self) -> &[(u16, u64)] {
         &self.buckets
     }
 
-    /// Fold another histogram into this one (bucket-wise sums).
+    /// Fold another histogram into this one (bucket-wise sums; the
+    /// sum saturates).
     ///
     /// Merging is commutative and associative, so per-device fleet
     /// histograms can be combined in any order with a byte-identical
     /// result.
     pub fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
+        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
+        for &(index, n) in &other.buckets {
+            self.add(index, n);
         }
     }
 
     /// Upper bound (inclusive, nanoseconds) of the bucket holding the
-    /// `num/den` nearest-rank quantile; 0 when the histogram is empty.
-    ///
-    /// Because buckets are powers of two, the bound is exact to within
-    /// one bucket of the true sample quantile — the property the fleet
-    /// merge proptests pin against a sorted-sample oracle.
+    /// [`nearest_rank`] `num/den` quantile; 0 when the histogram is
+    /// empty. The bound is at most 12.5% above the true sample
+    /// quantile `q` (`q ≤ bound ≤ q + q/8`), and exact below 16 ns.
+    /// Like the rank, a fraction above one or `den == 0` clamps to
+    /// the maximum: the highest non-empty bucket's upper bound.
     pub fn quantile_upper_ns(&self, num: u64, den: u64) -> u64 {
-        assert!(den > 0 && num <= den, "quantile must be in [0, 1]");
         if self.count == 0 {
             return 0;
         }
-        // Nearest-rank: the ceil(num/den * count)-th smallest sample
-        // (1-based), clamped to at least the first.
-        let rank = (u128::from(num) * u128::from(self.count)).div_ceil(u128::from(den));
-        let rank = rank.max(1) as u64;
+        let rank = nearest_rank(self.count, num, den);
         let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
+        for &(index, n) in &self.buckets {
+            seen += n;
             if seen >= rank {
-                return (1u64 << (i + 1)) - 1;
+                return bucket_upper_ns(index);
             }
         }
-        (1u64 << HISTOGRAM_BUCKETS) - 1
+        unreachable!("bucket counts sum to the observation count")
     }
 }
 
@@ -146,8 +187,9 @@ pub struct MetricHistogram {
     pub count: u64,
     /// Sum of observed durations, nanoseconds.
     pub sum_ns: u64,
-    /// Power-of-two bucket counts ([`HISTOGRAM_BUCKETS`] entries).
-    pub buckets: Vec<u64>,
+    /// Non-empty log-linear buckets as `(index, count)`, sorted by
+    /// index (see [`Histogram`]).
+    pub buckets: Vec<(u16, u64)>,
 }
 
 /// Serializable, byte-stable view of a [`MetricsRegistry`]: counters
@@ -266,7 +308,7 @@ impl MetricsRegistry {
                     name: name.clone(),
                     count: h.count,
                     sum_ns: h.sum_ns,
-                    buckets: h.buckets.to_vec(),
+                    buckets: h.buckets.clone(),
                 })
                 .collect(),
         }
@@ -286,17 +328,50 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_power_of_two() {
+    fn buckets_are_log_linear_with_no_clamp() {
+        // Exact below 16 ns, then eight buckets per octave.
+        for ns in 0..16 {
+            assert_eq!(bucket_index(ns), ns as u16);
+            assert_eq!(bucket_upper_ns(ns as u16), ns);
+        }
+        assert_eq!(bucket_index(16), 16);
+        assert_eq!(bucket_index(17), 16);
+        assert_eq!(bucket_upper_ns(16), 17);
+        assert_eq!(bucket_index(u64::MAX), 495);
+        assert_eq!(bucket_upper_ns(495), u64::MAX);
+        // Every bucket's upper bound lands in it, and the next value
+        // starts the next bucket.
+        for i in 0..495u16 {
+            let up = bucket_upper_ns(i);
+            assert_eq!(bucket_index(up), i);
+            assert_eq!(bucket_index(up + 1), i + 1);
+        }
+    }
+
+    #[test]
+    fn histogram_stores_only_non_empty_buckets() {
         let mut h = Histogram::new();
-        h.observe(SimTime::ZERO); // bucket 0
-        h.observe(SimTime::from_nanos(1)); // bucket 0
-        h.observe(SimTime::from_nanos(1024)); // bucket 10
-        h.observe(SimTime::from_nanos(1500)); // bucket 10
-        h.observe(SimTime::from_secs_f64(10.0)); // clamped to last bucket
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[10], 2);
-        assert_eq!(h.buckets()[HISTOGRAM_BUCKETS - 1], 1);
+        h.observe(SimTime::ZERO);
+        h.observe(SimTime::from_nanos(1500));
+        h.observe(SimTime::from_nanos(1024));
+        h.observe(SimTime::from_nanos(1));
+        h.observe(SimTime::from_nanos(1100));
+        h.observe(SimTime::from_nanos(u64::MAX));
+        assert_eq!(h.count(), 6);
+        // 1024 and 1100 share [1024, 1151]; 1500 is in [1408, 1535].
+        assert_eq!(h.buckets(), &[(0, 1), (1, 1), (64, 2), (67, 1), (495, 1)]);
+    }
+
+    #[test]
+    fn sum_saturates_instead_of_overflowing() {
+        let mut h = Histogram::new();
+        h.observe(SimTime::from_nanos(u64::MAX - 1));
+        h.observe(SimTime::from_nanos(5));
+        assert_eq!(h.sum_ns(), u64::MAX);
+        let mut merged = h.clone();
+        merged.merge(&h);
+        assert_eq!(merged.sum_ns(), u64::MAX);
+        assert_eq!(merged.count(), 4);
     }
 
     #[test]
@@ -310,7 +385,7 @@ mod tests {
         merged.merge(&b);
         assert_eq!(merged.count(), 3);
         assert_eq!(merged.sum_ns(), a.sum_ns() + b.sum_ns());
-        assert_eq!(merged.buckets()[1], 2); // two 3 ns observations
+        assert_eq!(merged.buckets()[0], (3, 2)); // two 3 ns observations
 
         // Commutative: b.merge(a) gives the same histogram.
         let mut other = b.clone();
@@ -324,11 +399,46 @@ mod tests {
         for ns in [10u64, 20, 30, 1000, 5000] {
             h.observe(SimTime::from_nanos(ns));
         }
-        // p50 is the 3rd sample (30 ns, bucket 4: [16, 32)).
+        // p50 is the 3rd sample (30 ns, bucket [30, 31]).
         assert_eq!(h.quantile_upper_ns(50, 100), 31);
-        // p100 is the largest sample (5000 ns, bucket 12).
-        assert_eq!(h.quantile_upper_ns(100, 100), 8191);
+        // p100 is the largest sample (5000 ns, bucket [4608, 5119]).
+        assert_eq!(h.quantile_upper_ns(100, 100), 5119);
         assert_eq!(Histogram::new().quantile_upper_ns(99, 100), 0);
+        // Far past the old 2^32 ns clamp, still within 12.5%.
+        let mut big = Histogram::new();
+        big.observe(SimTime::from_millis(6618));
+        let got = big.quantile_upper_ns(999, 1000);
+        let want = SimTime::from_millis(6618).as_nanos();
+        assert!(want <= got && got <= want + want / 8, "{got}");
+    }
+
+    #[test]
+    fn quantile_clamps_fractions_above_one_to_the_maximum() {
+        let mut h = Histogram::new();
+        for ns in [10u64, 20, 5000] {
+            h.observe(SimTime::from_nanos(ns));
+        }
+        let max = h.quantile_upper_ns(1, 1);
+        assert_eq!(max, 5119);
+        assert_eq!(h.quantile_upper_ns(101, 100), max);
+        assert_eq!(h.quantile_upper_ns(u64::MAX, 1), max);
+        assert_eq!(h.quantile_upper_ns(50, 0), max);
+        assert_eq!(h.quantile_upper_ns(0, 0), max);
+    }
+
+    #[test]
+    fn nearest_rank_and_exact_quantile() {
+        assert_eq!(nearest_rank(100, 50, 100), 50);
+        assert_eq!(nearest_rank(24, 99, 100), 24);
+        assert_eq!(nearest_rank(5, 0, 100), 1);
+        assert_eq!(nearest_rank(7, 3, 0), 7);
+        assert_eq!(nearest_rank(u64::MAX, u64::MAX - 1, u64::MAX), u64::MAX - 1);
+        let v: Vec<SimTime> = (1..=100).map(SimTime::from_nanos).collect();
+        assert_eq!(exact_quantile(&v, 50, 100), SimTime::from_nanos(50));
+        assert_eq!(exact_quantile(&v, 99, 100), SimTime::from_nanos(99));
+        assert_eq!(exact_quantile(&v, 100, 100), SimTime::from_nanos(100));
+        assert_eq!(exact_quantile(&v, 999, 1000), SimTime::from_nanos(100));
+        assert_eq!(exact_quantile::<SimTime>(&[], 50, 100), SimTime::ZERO);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   one process row per track and `s`/`f` flow arrows across sync
 //!   edges.
 //! - [`MetricsRegistry`] / [`MetricsSnapshot`]: integer counters and
-//!   fixed-bucket histograms derived from a timeline, attached to
+//!   log-linear histograms derived from a timeline, attached to
 //!   [`crate::report::SessionReport`] behind an opt-in so existing
 //!   golden reports stay byte-identical.
 //!

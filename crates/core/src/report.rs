@@ -177,7 +177,7 @@ pub struct SessionReport {
     /// byte-identical to pre-integrity ones.
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub integrity: Option<IntegritySummary>,
-    /// All-integer observability metrics (counters + fixed-bucket
+    /// All-integer observability metrics (counters + log-linear
     /// histograms derived from the span timeline) when the session ran
     /// through the opt-in observed path
     /// ([`crate::InferenceSession::run_observed`] or a runtime

@@ -44,6 +44,7 @@ use crate::engines::{hetero_soc_config, Engine, EngineKind};
 use crate::error::EngineError;
 use crate::integrity::{IntegrityCounters, IntegrityMode};
 use crate::model::ModelConfig;
+use crate::obs::metrics::exact_quantile;
 use crate::obs::{MetricsRegistry, SpanKind, Timeline as SpanTimeline, Track};
 use crate::report::{DegradationSummary, SessionReport};
 use crate::trace::ConcurrencyLog;
@@ -474,10 +475,10 @@ impl RuntimeController {
             completed: self.completions.len(),
             shed: self.shed,
             slo_violations: self.slo_violations,
-            p50_ttft: percentile(&ttfts, 50),
-            p99_ttft: percentile(&ttfts, 99),
-            p50_tpot: percentile(&tpots, 50),
-            p99_tpot: percentile(&tpots, 99),
+            p50_ttft: exact_quantile(&ttfts, 50, 100),
+            p99_ttft: exact_quantile(&ttfts, 99, 100),
+            p50_tpot: exact_quantile(&tpots, 50, 100),
+            p99_tpot: exact_quantile(&tpots, 99, 100),
             replans: self.replans,
             fallbacks: self.fallbacks,
             sync_retries: self.sync_retries,
@@ -952,14 +953,6 @@ impl RuntimeController {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[SimTime], pct: usize) -> SimTime {
-    if sorted.is_empty() {
-        return SimTime::ZERO;
-    }
-    sorted[(sorted.len() - 1) * pct / 100]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1231,14 +1224,5 @@ mod tests {
         let (kind, _) = c.fallback_decision(&cond);
         assert_eq!(kind, EngineKind::NpuPipe);
         assert_eq!(c.bound_rejections(), 0);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v: Vec<SimTime> = (1..=100).map(SimTime::from_nanos).collect();
-        assert_eq!(percentile(&v, 50), SimTime::from_nanos(50));
-        assert_eq!(percentile(&v, 99), SimTime::from_nanos(99));
-        assert_eq!(percentile(&v, 100), SimTime::from_nanos(100));
-        assert_eq!(percentile(&[], 50), SimTime::ZERO);
     }
 }

@@ -68,9 +68,10 @@ pub struct ArmReport {
     pub retries: u64,
     /// Circuit-breaker trips across the fleet.
     pub breaker_trips: u64,
-    /// TTFT quantiles (merged power-of-two histograms, bucket upper
-    /// bounds, nanoseconds). Lost requests are recorded at the
-    /// penalty deadline so tail quantiles reflect them.
+    /// TTFT quantiles (merged log-linear histograms, bucket upper
+    /// bounds at most 12.5% above the sample quantile, nanoseconds).
+    /// Lost requests are recorded at the penalty deadline so tail
+    /// quantiles reflect them.
     pub ttft_p50_ns: u64,
     /// p99 TTFT upper bound, nanoseconds.
     pub ttft_p99_ns: u64,

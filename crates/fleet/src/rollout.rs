@@ -34,6 +34,7 @@ use hetero_soc::sync::Dominance;
 use hetero_soc::{SimTime, SocConfig};
 use hetero_solver::{resolve_for_drift, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
+use heterollm::obs::metrics::exact_quantile;
 use serde::{Deserialize, Serialize};
 
 use crate::device::{CALIB_DECODE, CALIB_PROMPT};
@@ -168,10 +169,10 @@ impl RolloutConfig {
 
 /// All-integer per-group SLO stats accumulated during one stage
 /// window. Quantiles are exact order statistics over the raw samples
-/// (sorted at verdict time, so order-independent): the fleet report's
-/// power-of-two histogram buckets quantize a one-bucket jump to a 2×
-/// ratio, which at canary sample sizes cannot distinguish a real 2×
-/// regression from a value straddling a bucket edge.
+/// (sorted at verdict time, so order-independent), read through the
+/// shared [`exact_quantile`] rank rule: the fleet report's histogram
+/// buckets overstate a quantile by up to 12.5%, and at canary sample
+/// sizes that error would blur the `max_p50_regress_pct` comparison.
 #[derive(Debug, Default)]
 pub(crate) struct GroupStats {
     /// Raw per-completion TTFTs, arrival order (observability).
@@ -186,18 +187,6 @@ pub(crate) struct GroupStats {
     pub(crate) slo_met: u64,
 }
 
-/// Exact upper quantile of unsorted samples: the smallest sample with
-/// at least `num/den` of the mass at or below it (0 when empty).
-fn exact_quantile_ns(samples: &[u64], num: u64, den: u64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = (sorted.len() as u64 * num).div_ceil(den).max(1) - 1;
-    sorted[(rank as usize).min(sorted.len() - 1)]
-}
-
 impl GroupStats {
     fn new() -> Self {
         Self::default()
@@ -208,17 +197,21 @@ impl GroupStats {
     }
 
     fn ttft_quantiles(&self) -> (u64, u64, u64) {
+        let mut sorted = self.ttft_ns.clone();
+        sorted.sort_unstable();
         (
-            exact_quantile_ns(&self.ttft_ns, 50, 100),
-            exact_quantile_ns(&self.ttft_ns, 99, 100),
-            exact_quantile_ns(&self.ttft_ns, 999, 1000),
+            exact_quantile(&sorted, 50, 100),
+            exact_quantile(&sorted, 99, 100),
+            exact_quantile(&sorted, 999, 1000),
         )
     }
 
     fn service_quantiles_ppm(&self) -> (u64, u64) {
+        let mut sorted = self.service_ppm.clone();
+        sorted.sort_unstable();
         (
-            exact_quantile_ns(&self.service_ppm, 50, 100),
-            exact_quantile_ns(&self.service_ppm, 99, 100),
+            exact_quantile(&sorted, 50, 100),
+            exact_quantile(&sorted, 99, 100),
         )
     }
 }

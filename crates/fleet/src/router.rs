@@ -265,8 +265,9 @@ impl FleetSim {
         self.horizon
     }
 
-    /// Per-request lost-penalty deadline.
-    pub(crate) fn lost_penalty(&self) -> SimTime {
+    /// Per-request lost-penalty deadline (4× the TTFT SLO): a lost
+    /// request is recorded in the TTFT histogram at this value.
+    pub fn lost_penalty(&self) -> SimTime {
         self.lost_penalty
     }
 
@@ -922,6 +923,20 @@ mod tests {
         assert!(cmp.robust.attainment_ppm > cmp.naive.attainment_ppm);
         assert!(cmp.robust.goodput > cmp.naive.goodput);
         assert!(cmp.robust.ttft_p999_ns < cmp.naive.ttft_p999_ns);
+    }
+
+    #[test]
+    fn lossy_arm_tail_carries_the_lost_penalty() {
+        let sim = small_sim(42);
+        let naive = sim.compare().naive;
+        // More than 0.1% lost puts the lost penalty at or below p999.
+        assert!(naive.lost * 1000 > naive.offered, "lost {}", naive.lost);
+        let penalty = sim.lost_penalty().as_nanos();
+        assert!(
+            naive.ttft_p999_ns >= penalty,
+            "p999 TTFT {} ns understates the {penalty} ns lost penalty",
+            naive.ttft_p999_ns
+        );
     }
 
     #[test]

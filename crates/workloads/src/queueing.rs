@@ -8,6 +8,7 @@
 
 use hetero_soc::des::FifoServer;
 use hetero_soc::SimTime;
+use heterollm::obs::metrics::exact_quantile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -98,10 +99,9 @@ pub fn simulate_queue(
     let makespan = server.free_at();
     let mut waits: Vec<SimTime> = outcomes.iter().map(|o| o.queue_wait).collect();
     waits.sort_unstable();
-    let pct = |p: f64| waits[((waits.len() - 1) as f64 * p) as usize];
     let stats = QueueStats {
-        p50_wait: pct(0.5),
-        p95_wait: pct(0.95),
+        p50_wait: exact_quantile(&waits, 50, 100),
+        p95_wait: exact_quantile(&waits, 95, 100),
         utilization: if makespan == SimTime::ZERO {
             0.0
         } else {
@@ -139,6 +139,15 @@ mod tests {
         assert!(outcomes.iter().all(|o| o.queue_wait == SimTime::ZERO));
         assert_eq!(stats.p95_wait, SimTime::ZERO);
         assert!(stats.utilization < 0.01);
+    }
+
+    #[test]
+    fn empty_trace_has_zero_waits() {
+        let (outcomes, stats) = simulate_queue(&[], |_, _| ms(10));
+        assert!(outcomes.is_empty());
+        assert_eq!(stats.p50_wait, SimTime::ZERO);
+        assert_eq!(stats.p95_wait, SimTime::ZERO);
+        assert_eq!(stats.utilization, 0.0);
     }
 
     #[test]
