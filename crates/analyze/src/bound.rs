@@ -46,11 +46,11 @@
 //!   and a seeded degraded session by [`bound_lint_models`] and
 //!   [`bound_lint_degraded_session`].
 
-use hetero_profiler::{CostInterval, RealExecProvider};
+use hetero_profiler::CostInterval;
 use hetero_soc::disturb::DisturbanceTrace;
-use hetero_soc::sync::{Dominance, SyncMechanism};
+use hetero_soc::sync::SyncMechanism;
 use hetero_soc::{SimTime, SocConfig};
-use hetero_solver::{RegionTable, Solver};
+use hetero_solver::RegionTable;
 use heterollm::admit::{HeteroMirror, PlanSite};
 use heterollm::engines::{hetero_soc_config, HeteroTensorEngine};
 use heterollm::kv::KvCache;
@@ -254,7 +254,7 @@ pub fn model_bounds_under(
         .iter()
         .map(|(_, shape, plan)| {
             let table = RegionTable::for_plan(plan, *shape);
-            schedule_peak_bytes(&SyncSchedule::for_plan(plan), &table)
+            schedule_peak_bytes(&SyncSchedule::for_plan(plan, *shape), &table)
         })
         .max()
         .unwrap_or(0);
@@ -494,7 +494,7 @@ fn bound_lint_one(
         let table = RegionTable::for_plan(plan, *shape);
         let site_loc = format!("{location}/{op}");
         let mut site = check_plan_regions(&table, &site_loc);
-        let static_peak = schedule_peak_bytes(&SyncSchedule::for_plan(plan), &table);
+        let static_peak = schedule_peak_bytes(&SyncSchedule::for_plan(plan, *shape), &table);
         site.extend(check_pool_replay(&table, static_peak, &site_loc));
         report.extend(site);
     }
@@ -580,24 +580,14 @@ pub fn bound_lint_degraded_session(model: &ModelConfig, seed: u64, prompt_len: u
     report
 }
 
-/// A decode-phase cost interval cross-check used by the tests: the
-/// worklist interpreter over a plan's event intervals must reproduce
-/// the solver's closed form.
-pub fn interval_via_dag(
-    solver: &Solver<RealExecProvider>,
-    plan: &hetero_solver::PartitionPlan,
-    shape: hetero_tensor::shape::MatmulShape,
-    dominance: Dominance,
-) -> CostInterval {
-    let costs = solver.event_cost_intervals(plan, shape, dominance);
-    schedule_completion_interval(&SyncSchedule::for_plan(plan), &costs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_solver::{PartitionPlan, SolverConfig};
+    use hetero_profiler::RealExecProvider;
+    use hetero_soc::sync::Dominance;
+    use hetero_solver::{PartitionPlan, Solver, SolverConfig};
     use hetero_tensor::shape::MatmulShape;
+    use proptest::prelude::*;
 
     fn solver() -> Solver<RealExecProvider> {
         Solver::new(
@@ -629,26 +619,68 @@ mod tests {
         ]
     }
 
+    /// The worklist interpreter over a plan's event intervals.
+    fn interval_via_dag(
+        solver: &Solver<RealExecProvider>,
+        plan: &PartitionPlan,
+        shape: MatmulShape,
+        dominance: Dominance,
+    ) -> CostInterval {
+        let costs = solver.event_cost_intervals(plan, shape, dominance);
+        schedule_completion_interval(&SyncSchedule::for_plan(plan, shape), &costs)
+    }
+
+    /// The worklist interpreter reproduces the closed-form completion
+    /// interval of `plan` under both dominances.
+    fn assert_dag_interval(s: &Solver<RealExecProvider>, plan: &PartitionPlan, shape: MatmulShape) {
+        for dominance in [Dominance::NpuDominant, Dominance::GpuDominant] {
+            let dag = interval_via_dag(s, plan, shape, dominance);
+            let closed = s.plan_cost_interval(plan, shape, dominance);
+            assert_eq!(dag, closed, "{plan:?} {shape:?} {dominance:?}");
+        }
+    }
+
+    /// The worklist interpreter reproduces the region table's peak
+    /// plateau for `plan`.
+    fn assert_dag_peak(plan: &PartitionPlan, shape: MatmulShape) {
+        let table = RegionTable::for_plan(plan, shape);
+        let via_dag = schedule_peak_bytes(&SyncSchedule::for_plan(plan, shape), &table);
+        assert_eq!(via_dag, table.peak_bytes() as u64, "{plan:?} {shape:?}");
+    }
+
     #[test]
     fn dag_interpreter_matches_closed_form_interval() {
         let s = solver();
-        let shape = MatmulShape::new(300, 4096, 4096);
         for plan in plans() {
-            for dominance in [Dominance::NpuDominant, Dominance::GpuDominant] {
-                let dag = interval_via_dag(&s, &plan, shape, dominance);
-                let closed = s.plan_cost_interval(&plan, shape, dominance);
-                assert_eq!(dag, closed, "{plan:?} {dominance:?}");
-            }
+            assert_dag_interval(&s, &plan, MatmulShape::new(300, 4096, 4096));
         }
     }
 
     #[test]
     fn dag_peak_matches_region_table_plateau() {
-        let shape = MatmulShape::new(300, 4096, 4096);
         for plan in plans() {
-            let table = RegionTable::for_plan(&plan, shape);
-            let via_dag = schedule_peak_bytes(&SyncSchedule::for_plan(&plan), &table);
-            assert_eq!(via_dag, table.peak_bytes() as u64, "{plan:?}");
+            assert_dag_peak(&plan, MatmulShape::new(300, 4096, 4096));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Both cross-checks on the plans the solver chooses for drawn
+        /// shapes under either dominance.
+        #[test]
+        fn dag_interpreters_match_closed_forms_on_solver_plans(
+            m in 1usize..2200,
+            k in prop_oneof![Just(2048usize), Just(4096), Just(14336)],
+            n in prop_oneof![Just(2048usize), Just(4096), Just(14336)],
+        ) {
+            let s = solver();
+            let shape = MatmulShape::new(m, k, n);
+            for dominance in [Dominance::NpuDominant, Dominance::GpuDominant] {
+                let plan = s.solve(shape, dominance).plan;
+                assert_dag_interval(&s, &plan, shape);
+                assert_dag_peak(&plan, shape);
+            }
         }
     }
 

@@ -312,6 +312,11 @@ mod tests {
     use super::*;
     use crate::sched::{retry_schedule, SyncEvent};
     use hetero_graph::partition::PartitionPlan;
+    use hetero_tensor::shape::MatmulShape;
+
+    /// The Matmul the test plans split; a schedule reads only the
+    /// plan's own split from it.
+    const SHAPE: MatmulShape = MatmulShape::new(300, 4096, 4096);
 
     fn ev(label: &str, backend: Backend, kind: EventKind, waits_on: Vec<usize>) -> SyncEvent {
         SyncEvent {
@@ -336,7 +341,7 @@ mod tests {
                 gpu_cols: 1024,
             },
         ] {
-            let s = SyncSchedule::for_plan(&plan);
+            let s = SyncSchedule::for_plan(&plan, SHAPE);
             for base in [s.clone(), retry_schedule(&s)] {
                 let (cert, diags) = explore_schedule(&base, &ExploreConfig::default(), "test");
                 assert!(diags.is_empty(), "{plan:?}: {diags:?}");
@@ -371,10 +376,13 @@ mod tests {
 
     #[test]
     fn certificates_are_reproducible() {
-        let s = SyncSchedule::for_plan(&PartitionPlan::SeqCut {
-            npu_chunks: vec![256, 32],
-            gpu_rows: 12,
-        });
+        let s = SyncSchedule::for_plan(
+            &PartitionPlan::SeqCut {
+                npu_chunks: vec![256, 32],
+                gpu_rows: 12,
+            },
+            SHAPE,
+        );
         let cfg = ExploreConfig::default();
         let (a, _) = explore_schedule(&s, &cfg, "test");
         let (b, _) = explore_schedule(&s, &cfg, "test");
@@ -411,10 +419,13 @@ mod tests {
 
     #[test]
     fn replay_respects_dependencies() {
-        let s = SyncSchedule::for_plan(&PartitionPlan::HybridCut {
-            padded_m: 512,
-            gpu_cols: 1024,
-        });
+        let s = SyncSchedule::for_plan(
+            &PartitionPlan::HybridCut {
+                padded_m: 512,
+                gpu_cols: 1024,
+            },
+            SHAPE,
+        );
         let sync = SyncModel::new(SyncMechanism::Fast);
         let (span, busy) = replay(&s, &[0, 1, 2], &sync, Dominance::NpuDominant);
         // The rendezvous starts only after both submissions complete.

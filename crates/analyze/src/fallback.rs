@@ -26,7 +26,7 @@ use crate::sched::{check_schedule, retry_schedule, SyncSchedule};
 pub fn check_fallback(plan: &PartitionPlan, ctx: &PlanContext) -> Vec<Diagnostic> {
     let mut out = crate::check_plan_full(plan, ctx);
     let info = rules::rule(rules::FALLBACK_INTEGRITY).expect("registered");
-    let retried = retry_schedule(&SyncSchedule::for_plan(plan));
+    let retried = retry_schedule(&SyncSchedule::for_plan(plan, ctx.shape()));
     for d in check_schedule(&retried, &ctx.location) {
         out.push(Diagnostic {
             rule_id: rules::FALLBACK_INTEGRITY.into(),

@@ -150,7 +150,7 @@ use hetero_graph::partition::PartitionPlan;
 /// vector-clock race check of that schedule's lowered event log.
 pub fn check_plan_full(plan: &PartitionPlan, ctx: &PlanContext) -> Vec<Diagnostic> {
     let mut out = plan_rules::check_plan(plan, ctx);
-    let schedule = SyncSchedule::for_plan(plan);
+    let schedule = SyncSchedule::for_plan(plan, ctx.shape());
     out.extend(sched::check_schedule(&schedule, &ctx.location));
     out.extend(race::check_schedule_races(
         &schedule,

@@ -2,6 +2,7 @@
 
 use hetero_graph::partition::PartitionPlan;
 use hetero_soc::sync::SyncMechanism;
+use hetero_tensor::shape::MatmulShape;
 
 use crate::diag::Diagnostic;
 use crate::rules;
@@ -45,6 +46,12 @@ impl PlanContext {
             mechanism: SyncMechanism::Fast,
             fast_sync_available: true,
         }
+    }
+
+    /// The `[m, ·] x [·, n]` Matmul the plan splits. The rules never
+    /// read the reduction depth, so it is 0.
+    pub fn shape(&self) -> MatmulShape {
+        MatmulShape::new(self.m, 0, self.n)
     }
 }
 

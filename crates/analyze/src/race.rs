@@ -458,7 +458,12 @@ pub fn check_schedule_races(
 mod tests {
     use super::*;
     use hetero_graph::partition::PartitionPlan;
+    use hetero_tensor::shape::MatmulShape;
     use heterollm::trace::ConcurrencyRecorder;
+
+    /// The Matmul the test plans split; a schedule reads only the
+    /// plan's own split from it.
+    const SHAPE: MatmulShape = MatmulShape::new(300, 4096, 4096);
 
     fn ids(diags: &[Diagnostic]) -> Vec<&str> {
         diags.iter().map(|d| d.rule_id.as_str()).collect()
@@ -612,7 +617,7 @@ mod tests {
                 gpu_cols: 1024,
             },
         ] {
-            let s = SyncSchedule::for_plan(&plan);
+            let s = SyncSchedule::for_plan(&plan, SHAPE);
             for mech in [SyncMechanism::Fast, SyncMechanism::Driver] {
                 let diags = check_schedule_races(&s, mech, "test");
                 assert!(diags.is_empty(), "{plan:?} under {mech:?}: {diags:?}");
@@ -629,7 +634,7 @@ mod tests {
             padded_m: 512,
             gpu_cols: 1024,
         };
-        let mut s = SyncSchedule::for_plan(&plan);
+        let mut s = SyncSchedule::for_plan(&plan, SHAPE);
         let r = s
             .events
             .iter()
@@ -642,10 +647,13 @@ mod tests {
 
     #[test]
     fn dangling_wait_lowers_to_a_lost_signal() {
-        let mut s = SyncSchedule::for_plan(&PartitionPlan::HybridCut {
-            padded_m: 512,
-            gpu_cols: 1024,
-        });
+        let mut s = SyncSchedule::for_plan(
+            &PartitionPlan::HybridCut {
+                padded_m: 512,
+                gpu_cols: 1024,
+            },
+            SHAPE,
+        );
         s.events[2].waits_on[1] = 77;
         let diags = check_schedule_races(&s, SyncMechanism::Driver, "test");
         assert!(ids(&diags).contains(&rules::LOST_SIGNAL), "{diags:?}");

@@ -1,16 +1,19 @@
 //! Sync-schedule sanity: the happens-before graph over GPU/NPU
 //! submissions and rendezvous points (§4.2).
 //!
-//! A partition plan implies a small dependency graph: kernel
-//! submissions on each backend, serial backend switches, and — for
-//! parallel plans — a rendezvous where both sides' results become
-//! visible. The checker verifies the graph can actually execute: waits
+//! A partition plan implies a small dependency graph with one event per
+//! step of its lowering (`PartitionPlan::lower`): kernel submissions on
+//! each backend, serial backend switches, and — for parallel plans — a
+//! rendezvous where both sides' results become visible. The region
+//! table and the solver's cost intervals index the same steps. The
+//! checker verifies the graph can actually execute: waits
 //! are acyclic, reference real events, and every rendezvous joins both
 //! backends (a one-sided rendezvous is a wait on nothing and models a
 //! lost synchronization).
 
-use hetero_graph::partition::PartitionPlan;
+use hetero_graph::partition::{PartitionPlan, Step};
 use hetero_soc::Backend;
+use hetero_tensor::shape::MatmulShape;
 use serde::{Deserialize, Serialize};
 
 use crate::diag::Diagnostic;
@@ -51,82 +54,55 @@ pub struct SyncSchedule {
 }
 
 impl SyncSchedule {
-    /// The canonical schedule a [`PartitionPlan`] implies.
+    /// The canonical schedule a [`PartitionPlan`] implies on `shape`:
+    /// one event per step of the plan's lowering
+    /// ([`PartitionPlan::lower`]), in step order, so event `i` is step
+    /// `i` of the region table and the cost intervals.
     ///
-    /// Serial NPU plans chain a backend switch into the NPU dispatches;
-    /// parallel plans submit both sides independently and join them
-    /// with a rendezvous on the CPU control plane.
-    pub fn for_plan(plan: &PartitionPlan) -> Self {
+    /// NPU submissions chain in submission order. A backend switch
+    /// waits on the last NPU submission; a rendezvous on the CPU
+    /// control plane waits on the GPU submission and the last NPU
+    /// submission.
+    pub fn for_plan(plan: &PartitionPlan, shape: MatmulShape) -> Self {
+        let lowered = plan.lower(shape);
+        let (mut gpu, mut last_npu) = (None, None);
         let mut events = Vec::new();
-        let mut submit = |label: String, backend: Backend, waits_on: Vec<usize>| {
+        for (i, step) in lowered.steps().enumerate() {
+            let (label, backend, kind, waits_on) = match step {
+                Step::Compute(c) if c.backend == Backend::Gpu => {
+                    gpu = Some(i);
+                    let label = match (lowered.parallel, lowered.npu_graph) {
+                        (false, _) => "gpu kernel".into(),
+                        (true, true) => format!("gpu cols {}", c.shape.n),
+                        (true, false) => format!("gpu rows {}", c.shape.m),
+                    };
+                    (label, Backend::Gpu, EventKind::Submit, vec![])
+                }
+                Step::Compute(c) => {
+                    let what = if lowered.npu_graph { "graph" } else { "chunk" };
+                    let waits = last_npu.replace(i).into_iter().collect();
+                    let label = format!("npu {what} {}", c.shape.m);
+                    (label, Backend::Npu, EventKind::Submit, waits)
+                }
+                Step::Switch => (
+                    "switch to gpu consumer".into(),
+                    Backend::Npu,
+                    EventKind::Switch,
+                    last_npu.into_iter().collect(),
+                ),
+                Step::Rendezvous => (
+                    "rendezvous".into(),
+                    Backend::Cpu,
+                    EventKind::Rendezvous,
+                    gpu.into_iter().chain(last_npu).collect(),
+                ),
+            };
             events.push(SyncEvent {
                 label,
                 backend,
-                kind: EventKind::Submit,
+                kind,
                 waits_on,
             });
-            events.len() - 1
-        };
-        match plan {
-            PartitionPlan::GpuOnly => {
-                submit("gpu kernel".into(), Backend::Gpu, vec![]);
-            }
-            PartitionPlan::NpuOnly { padded_m } => {
-                let s = submit(format!("npu graph {padded_m}"), Backend::Npu, vec![]);
-                events.push(SyncEvent {
-                    label: "switch to gpu consumer".into(),
-                    backend: Backend::Npu,
-                    kind: EventKind::Switch,
-                    waits_on: vec![s],
-                });
-            }
-            PartitionPlan::NpuPipe { chunks, .. }
-            | PartitionPlan::SeqCut {
-                npu_chunks: chunks,
-                gpu_rows: 0,
-            } => {
-                let mut prev: Option<usize> = None;
-                for c in chunks {
-                    let waits = prev.map(|p| vec![p]).unwrap_or_default();
-                    prev = Some(submit(format!("npu chunk {c}"), Backend::Npu, waits));
-                }
-                events.push(SyncEvent {
-                    label: "switch to gpu consumer".into(),
-                    backend: Backend::Npu,
-                    kind: EventKind::Switch,
-                    waits_on: prev.map(|p| vec![p]).unwrap_or_default(),
-                });
-            }
-            PartitionPlan::RowCut { gpu_cols, padded_m }
-            | PartitionPlan::HybridCut { padded_m, gpu_cols } => {
-                let g = submit(format!("gpu cols {gpu_cols}"), Backend::Gpu, vec![]);
-                let n = submit(format!("npu graph {padded_m}"), Backend::Npu, vec![]);
-                events.push(SyncEvent {
-                    label: "rendezvous".into(),
-                    backend: Backend::Cpu,
-                    kind: EventKind::Rendezvous,
-                    waits_on: vec![g, n],
-                });
-            }
-            PartitionPlan::SeqCut {
-                npu_chunks,
-                gpu_rows,
-            } => {
-                let g = submit(format!("gpu rows {gpu_rows}"), Backend::Gpu, vec![]);
-                let mut prev: Option<usize> = None;
-                for c in npu_chunks {
-                    let waits = prev.map(|p| vec![p]).unwrap_or_default();
-                    prev = Some(submit(format!("npu chunk {c}"), Backend::Npu, waits));
-                }
-                let mut waits = vec![g];
-                waits.extend(prev);
-                events.push(SyncEvent {
-                    label: "rendezvous".into(),
-                    backend: Backend::Cpu,
-                    kind: EventKind::Rendezvous,
-                    waits_on: waits,
-                });
-            }
         }
         Self { events }
     }
@@ -411,6 +387,10 @@ pub fn check_schedule(schedule: &SyncSchedule, location: &str) -> Vec<Diagnostic
 mod tests {
     use super::*;
 
+    /// The Matmul the test plans split; a schedule reads only the
+    /// plan's own split from it.
+    const SHAPE: MatmulShape = MatmulShape::new(300, 4096, 4096);
+
     fn ev(label: &str, backend: Backend, kind: EventKind, waits_on: Vec<usize>) -> SyncEvent {
         SyncEvent {
             label: label.into(),
@@ -426,7 +406,7 @@ mod tests {
             npu_chunks: vec![512, 32],
             gpu_rows: 56,
         };
-        let s = SyncSchedule::for_plan(&plan);
+        let s = SyncSchedule::for_plan(&plan, SHAPE);
         assert!(check_schedule(&s, "test").is_empty());
         // 1 GPU submit + 2 NPU chunks + rendezvous.
         assert_eq!(s.events.len(), 4);
@@ -442,7 +422,7 @@ mod tests {
                 padded_rows: 4,
             },
         ] {
-            let s = SyncSchedule::for_plan(&plan);
+            let s = SyncSchedule::for_plan(&plan, SHAPE);
             assert!(check_schedule(&s, "test").is_empty(), "{plan:?}");
         }
     }
@@ -495,13 +475,13 @@ mod tests {
             npu_chunks: vec![512, 32],
             gpu_rows: 56,
         };
-        let base = SyncSchedule::for_plan(&plan);
+        let base = SyncSchedule::for_plan(&plan, SHAPE);
         let retried = retry_schedule(&base);
         // One retry submit per backend plus a retried rendezvous.
         assert_eq!(retried.events.len(), base.events.len() + 3);
         assert!(check_schedule(&retried, "test").is_empty());
         // Serial plans have no rendezvous: retry is the identity.
-        let serial = SyncSchedule::for_plan(&PartitionPlan::NpuOnly { padded_m: 256 });
+        let serial = SyncSchedule::for_plan(&PartitionPlan::NpuOnly { padded_m: 256 }, SHAPE);
         assert_eq!(retry_schedule(&serial), serial);
     }
 
@@ -542,7 +522,7 @@ mod tests {
                 gpu_rows: 56,
             },
         ] {
-            let s = SyncSchedule::for_plan(&plan);
+            let s = SyncSchedule::for_plan(&plan, SHAPE);
             assert!(!check_unverified_sink(&s, "test").is_empty(), "{plan:?}");
         }
     }
@@ -565,7 +545,7 @@ mod tests {
                 gpu_rows: 56,
             },
         ] {
-            let v = verified_schedule(&SyncSchedule::for_plan(&plan));
+            let v = verified_schedule(&SyncSchedule::for_plan(&plan, SHAPE));
             assert!(check_schedule(&v, "test").is_empty(), "{plan:?}");
             assert!(check_unverified_sink(&v, "test").is_empty(), "{plan:?}");
         }
@@ -573,10 +553,13 @@ mod tests {
 
     #[test]
     fn verified_schedule_adds_one_verify_per_submit() {
-        let base = SyncSchedule::for_plan(&PartitionPlan::SeqCut {
-            npu_chunks: vec![512, 32],
-            gpu_rows: 56,
-        });
+        let base = SyncSchedule::for_plan(
+            &PartitionPlan::SeqCut {
+                npu_chunks: vec![512, 32],
+                gpu_rows: 56,
+            },
+            SHAPE,
+        );
         let submits = base
             .events
             .iter()
@@ -598,13 +581,13 @@ mod tests {
     #[test]
     fn unverified_sink_names_the_leak() {
         // submit → switch (sink): the diagnostic should name the sink.
-        let s = SyncSchedule::for_plan(&PartitionPlan::NpuOnly { padded_m: 256 });
+        let s = SyncSchedule::for_plan(&PartitionPlan::NpuOnly { padded_m: 256 }, SHAPE);
         let diags = check_unverified_sink(&s, "test");
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("switch to gpu consumer"));
         assert_eq!(diags[0].rule_id, rules::UNVERIFIED_SINK);
         // A lone submission is flagged as consumed by nothing.
-        let lone = SyncSchedule::for_plan(&PartitionPlan::GpuOnly);
+        let lone = SyncSchedule::for_plan(&PartitionPlan::GpuOnly, SHAPE);
         let diags = check_unverified_sink(&lone, "test");
         assert!(diags[0].message.contains("consumed by nothing"));
     }

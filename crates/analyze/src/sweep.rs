@@ -106,15 +106,17 @@ pub fn integrity_lint_models(
         );
         for (op, k, n) in model.matmul_ops() {
             for &m in seqs {
-                let choice = prefill.solve(MatmulShape::new(m, k, n), Dominance::NpuDominant);
+                let shape = MatmulShape::new(m, k, n);
+                let choice = prefill.solve(shape, Dominance::NpuDominant);
                 lint_one(
-                    &SyncSchedule::for_plan(&choice.plan),
+                    &SyncSchedule::for_plan(&choice.plan, shape),
                     format!("{}/{op}[m={m},verified]", model.name),
                 );
             }
-            let choice = decode.solve(MatmulShape::new(1, k, n), Dominance::GpuDominant);
+            let shape = MatmulShape::new(1, k, n);
+            let choice = decode.solve(shape, Dominance::GpuDominant);
             lint_one(
-                &SyncSchedule::for_plan(&choice.plan),
+                &SyncSchedule::for_plan(&choice.plan, shape),
                 format!("{}/{op}[decode,verified]", model.name),
             );
         }
@@ -222,16 +224,18 @@ pub fn explore_models(
         );
         for (op, k, n) in model.matmul_ops() {
             for &m in seqs {
-                let choice = prefill.solve(MatmulShape::new(m, k, n), Dominance::NpuDominant);
-                let s = SyncSchedule::for_plan(&choice.plan);
+                let shape = MatmulShape::new(m, k, n);
+                let choice = prefill.solve(shape, Dominance::NpuDominant);
+                let s = SyncSchedule::for_plan(&choice.plan, shape);
                 explore_one(&s, format!("{}/{op}[m={m}]", model.name));
                 explore_one(
                     &retry_schedule(&s),
                     format!("{}/{op}[m={m},retry]", model.name),
                 );
             }
-            let choice = decode.solve(MatmulShape::new(1, k, n), Dominance::GpuDominant);
-            let s = SyncSchedule::for_plan(&choice.plan);
+            let shape = MatmulShape::new(1, k, n);
+            let choice = decode.solve(shape, Dominance::GpuDominant);
+            let s = SyncSchedule::for_plan(&choice.plan, shape);
             explore_one(&s, format!("{}/{op}[decode]", model.name));
             explore_one(
                 &retry_schedule(&s),

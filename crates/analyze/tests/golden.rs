@@ -14,6 +14,7 @@ use hetero_analyze::{rules, EventKind, Report, SyncEvent, SyncSchedule};
 use hetero_graph::partition::PartitionPlan;
 use hetero_soc::sync::SyncMechanism;
 use hetero_soc::{Backend, SimTime};
+use hetero_tensor::shape::MatmulShape;
 use heterollm::trace::{ConcurrencyLog, ConcurrencyOp};
 
 fn ev(label: &str, backend: Backend, kind: EventKind, waits_on: Vec<usize>) -> SyncEvent {
@@ -31,10 +32,13 @@ fn diagnostics_report() -> Report {
     let mech = SyncMechanism::Fast;
 
     // data-race: a hybrid plan's rendezvous with the NPU edge deleted.
-    let mut racy = SyncSchedule::for_plan(&PartitionPlan::HybridCut {
-        padded_m: 512,
-        gpu_cols: 1024,
-    });
+    let mut racy = SyncSchedule::for_plan(
+        &PartitionPlan::HybridCut {
+            padded_m: 512,
+            gpu_cols: 1024,
+        },
+        MatmulShape::new(300, 4096, 4096),
+    );
     racy.events[2].waits_on.pop();
     report.extend(check_schedule_races(
         &racy,
@@ -43,10 +47,13 @@ fn diagnostics_report() -> Report {
     ));
 
     // lost-signal: an extra wait on a flag nothing signals.
-    let mut lost = SyncSchedule::for_plan(&PartitionPlan::HybridCut {
-        padded_m: 512,
-        gpu_cols: 1024,
-    });
+    let mut lost = SyncSchedule::for_plan(
+        &PartitionPlan::HybridCut {
+            padded_m: 512,
+            gpu_cols: 1024,
+        },
+        MatmulShape::new(300, 4096, 4096),
+    );
     lost.events[2].waits_on.push(77);
     report.extend(check_schedule_races(
         &lost,
@@ -94,7 +101,10 @@ fn diagnostics_report() -> Report {
 
     // unverified-sink: a base plan schedule with no verify nodes lets
     // the NPU output flow into its consumer unchecked.
-    let unverified = SyncSchedule::for_plan(&PartitionPlan::NpuOnly { padded_m: 512 });
+    let unverified = SyncSchedule::for_plan(
+        &PartitionPlan::NpuOnly { padded_m: 512 },
+        MatmulShape::new(300, 4096, 4096),
+    );
     report.extend(check_unverified_sink(
         &unverified,
         "golden/npu-only[no-verify]",

@@ -173,7 +173,7 @@ proptest! {
                 gpu_rows: 32,
             },
         };
-        let mut schedule = SyncSchedule::for_plan(&plan);
+        let mut schedule = SyncSchedule::for_plan(&plan, MatmulShape::new(300, 4096, 4096));
         if retried {
             schedule = retry_schedule(&schedule);
         }
@@ -259,9 +259,10 @@ proptest! {
         } else {
             Dominance::GpuDominant
         };
-        let choice = solver.solve(MatmulShape::new(m, k, n), dominance);
-        let table = RegionTable::for_plan(&choice.plan, MatmulShape::new(m, k, n));
-        let static_peak = schedule_peak_bytes(&SyncSchedule::for_plan(&choice.plan), &table);
+        let shape = MatmulShape::new(m, k, n);
+        let choice = solver.solve(shape, dominance);
+        let table = RegionTable::for_plan(&choice.plan, shape);
+        let static_peak = schedule_peak_bytes(&SyncSchedule::for_plan(&choice.plan, shape), &table);
         let replayed = replay_pool_peak(&table);
         prop_assert!(
             replayed <= static_peak,

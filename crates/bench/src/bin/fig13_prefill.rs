@@ -6,7 +6,7 @@
 //! through the observability layer and writes a Chrome trace-event
 //! JSON (Perfetto-loadable; see `OBSERVABILITY.md`).
 
-use hetero_bench::{fmt, print_claims, save_json, Claim, Table};
+use hetero_bench::{fmt, or_engine_exit, print_claims, save_json, Claim, Table};
 use hetero_soc::sync::SyncMechanism;
 use heterollm::{EngineKind, InferenceSession, ModelConfig};
 use serde::Serialize;
@@ -208,7 +208,7 @@ every value)",
 
     if let Some(path) = trace_out {
         let mut session = InferenceSession::new(EngineKind::HeteroTensor, &ModelConfig::llama_8b());
-        let (_, tl) = session.run_observed(256, 0);
+        let (_, tl) = or_engine_exit("fig13_prefill", session.try_run_observed(256, 0));
         tl.check_well_formed().expect("fig13 timeline well-formed");
         std::fs::write(&path, heterollm::obs::chrome::to_chrome_json(&tl)).expect("write trace");
         println!(

@@ -7,7 +7,7 @@
 //! Chrome trace-event JSON (Perfetto-loadable; see
 //! `OBSERVABILITY.md`).
 
-use hetero_bench::{fmt, print_claims, save_json, Claim, Table};
+use hetero_bench::{fmt, or_engine_exit, print_claims, save_json, Claim, Table};
 use hetero_soc::sync::SyncMechanism;
 use heterollm::{EngineKind, InferenceSession, ModelConfig};
 use serde::Serialize;
@@ -168,7 +168,7 @@ every value)",
 
     if let Some(path) = trace_out {
         let mut session = InferenceSession::new(EngineKind::HeteroTensor, &ModelConfig::llama_8b());
-        let (_, tl) = session.run_observed(256, 16);
+        let (_, tl) = or_engine_exit("fig16_decode", session.try_run_observed(256, 16));
         tl.check_well_formed().expect("fig16 timeline well-formed");
         std::fs::write(&path, heterollm::obs::chrome::to_chrome_json(&tl)).expect("write trace");
         println!(

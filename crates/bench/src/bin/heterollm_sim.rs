@@ -119,10 +119,12 @@ fn main() {
     let mut session = InferenceSession::with_sync(args.engine, &args.model, args.sync);
     let observed = args.trace_out.is_some() || args.metrics;
     let (r, timeline) = if observed {
-        let (r, tl) = session.run_observed(args.prompt, args.decode);
+        let run = session.try_run_observed(args.prompt, args.decode);
+        let (r, tl) = hetero_bench::or_engine_exit("heterollm_sim", run);
         (r, Some(tl))
     } else {
-        (session.run(args.prompt, args.decode), None)
+        let run = session.try_run(args.prompt, args.decode);
+        (hetero_bench::or_engine_exit("heterollm_sim", run), None)
     };
     println!(
         "prefill : {:>10}  ({:.1} tokens/s)",

@@ -107,7 +107,8 @@ fn main() {
         args.sync
     );
     let mut session = InferenceSession::with_sync(args.engine, &args.model, args.sync);
-    let (report, tl) = session.run_observed(args.prompt, args.decode);
+    let run = session.try_run_observed(args.prompt, args.decode);
+    let (report, tl) = hetero_bench::or_engine_exit("timeline", run);
     tl.check_well_formed().expect("timeline well-formed");
 
     print!("{}", swimlane::render(&tl, args.width));

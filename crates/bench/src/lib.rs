@@ -128,6 +128,15 @@ fn bad_value(bin: &str, flag: &str, raw: &str) -> ! {
     std::process::exit(2)
 }
 
+/// Unwrap a session result, or print one `bin: engine error: …` line
+/// and exit **1**: an engine fault is a failed run, not a usage error.
+pub fn or_engine_exit<T>(bin: &str, result: Result<T, heterollm::EngineError>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{bin}: engine error: {e}");
+        std::process::exit(1)
+    })
+}
+
 /// Scan argv for the shared `--jobs N` flag (default 1), for binaries
 /// whose remaining argv is handled by [`expect_no_flags`] rather than
 /// a flag loop of their own. Bad values exit **2** via [`parse_positive`];

@@ -20,8 +20,9 @@ use crate::report::SessionReport;
 ///     EngineKind::HeteroTensor,
 ///     &ModelConfig::internlm_1_8b(),
 /// );
-/// let report = session.run(256, 32);
+/// let report = session.try_run(256, 32)?;
 /// assert!(report.prefill.tokens_per_sec() > 100.0);
+/// # Ok::<(), heterollm::EngineError>(())
 /// ```
 pub struct InferenceSession {
     engine: Box<dyn Engine>,
@@ -86,43 +87,16 @@ impl InferenceSession {
         })
     }
 
-    /// Infallible [`InferenceSession::try_run`] for experiment
-    /// harnesses running well-formed built-in traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine fails; callers that must survive faults
-    /// use [`InferenceSession::try_run`].
-    pub fn run(&mut self, prompt_len: usize, decode_tokens: usize) -> SessionReport {
-        match self.try_run(prompt_len, decode_tokens) {
-            Ok(r) => r,
-            Err(e) => panic!("session run failed: {e}"),
-        }
-    }
-
     /// Run the session with the observability layer armed: records a
     /// span [`Timeline`] against the SoC's simulated clock (kernel
     /// submit/complete, sync waits, graph compiles, prefill/decode
     /// phase spans) and attaches an all-integer
     /// [`crate::obs::MetricsSnapshot`] to the report.
     ///
-    /// Plain [`InferenceSession::run`] leaves `report.metrics` as
-    /// `None`, so existing golden reports are unaffected by this
-    /// opt-in path.
-    pub fn run_observed(
-        &mut self,
-        prompt_len: usize,
-        decode_tokens: usize,
-    ) -> (SessionReport, Timeline) {
-        match self.try_run_observed(prompt_len, decode_tokens) {
-            Ok(r) => r,
-            Err(e) => panic!("observed session run failed: {e}"),
-        }
-    }
-
-    /// Fallible [`InferenceSession::run_observed`]: engine faults are
-    /// returned instead of panicking, with the partial timeline
-    /// dropped.
+    /// Engine faults are returned instead of panicking, with the
+    /// partial timeline dropped. Plain [`InferenceSession::try_run`]
+    /// leaves `report.metrics` as `None`, so existing golden reports
+    /// are unaffected by this opt-in path.
     pub fn try_run_observed(
         &mut self,
         prompt_len: usize,
@@ -205,16 +179,9 @@ impl InferenceSession {
     /// Attention cost during a turn's prefill is approximated with the
     /// turn's own length; decode attends over the full accumulated
     /// context.
-    pub fn run_conversation(&mut self, turns: &[ChatTurn]) -> ConversationReport {
-        match self.try_run_conversation(turns) {
-            Ok(r) => r,
-            Err(e) => panic!("conversation run failed: {e}"),
-        }
-    }
-
-    /// Fallible [`InferenceSession::run_conversation`]: the first
-    /// engine fault aborts the conversation and is returned as a
-    /// value.
+    ///
+    /// The first engine fault aborts the conversation and is returned
+    /// as a value.
     pub fn try_run_conversation(
         &mut self,
         turns: &[ChatTurn],
@@ -249,7 +216,7 @@ mod tests {
     #[test]
     fn session_produces_full_report() {
         let mut s = InferenceSession::new(EngineKind::HeteroTensor, &ModelConfig::llama_3b());
-        let r = s.run(64, 8);
+        let r = s.try_run(64, 8).expect("built-in trace");
         assert_eq!(r.engine, "Hetero-tensor");
         assert_eq!(r.model, "Llama-3B");
         assert_eq!(r.prefill.tokens, 64);
@@ -276,7 +243,7 @@ mod tests {
                 response_tokens: 8,
             },
         ];
-        let r = s.run_conversation(&turns);
+        let r = s.try_run_conversation(&turns).expect("built-in trace");
         assert_eq!(r.turns.len(), 3);
         assert_eq!(r.turns[0].context_at_start, 0);
         assert_eq!(r.turns[1].context_at_start, 72);
@@ -285,17 +252,6 @@ mod tests {
         assert!(r.turns[2].tpot >= r.turns[0].tpot);
         assert!(r.total > hetero_soc::SimTime::ZERO);
         assert!(r.power.avg_power_w > 0.0);
-    }
-
-    #[test]
-    fn try_run_matches_run_on_well_formed_traces() {
-        let model = ModelConfig::llama_3b();
-        let mut a = InferenceSession::new(EngineKind::HeteroTensor, &model);
-        let mut b = InferenceSession::new(EngineKind::HeteroTensor, &model);
-        let ra = a.run(64, 8);
-        let rb = b.try_run(64, 8).expect("well-formed trace");
-        assert_eq!(ra.prefill.elapsed, rb.prefill.elapsed);
-        assert_eq!(ra.decode.elapsed, rb.decode.elapsed);
     }
 
     #[test]
@@ -313,8 +269,8 @@ mod tests {
     fn ttft_scales_with_prompt() {
         let mut short = InferenceSession::new(EngineKind::PplOpenCl, &ModelConfig::llama_3b());
         let mut long = InferenceSession::new(EngineKind::PplOpenCl, &ModelConfig::llama_3b());
-        let a = short.run(64, 1);
-        let b = long.run(512, 1);
+        let a = short.try_run(64, 1).expect("built-in trace");
+        let b = long.try_run(512, 1).expect("built-in trace");
         assert!(b.ttft() > a.ttft());
     }
 }

@@ -7,9 +7,11 @@
 //! numerically identical to the monolithic computation, which is what
 //! makes the timing engines' scheduling policies *legal*.
 
+use hetero_graph::partition::ComputeStep;
 use hetero_solver::PartitionPlan;
 use hetero_tensor::ops;
 use hetero_tensor::quant::{Int8Matrix, W4Matrix};
+use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::{Result, Tensor, TensorError};
 
 use crate::kv::KvCache;
@@ -215,65 +217,65 @@ pub(crate) fn attention_gqa(
     )
 }
 
-/// Execute a Matmul `x [m,k] × w [k,n]` under a partition plan,
-/// slicing/merging exactly as the engine's backends would.
+/// Execute a Matmul `x [m,k] × w [k,n]` under a partition plan: each
+/// compute step of the plan's lowering ([`PartitionPlan::lower`])
+/// computes its output tile, and the tiles are assembled into the
+/// result.
 ///
-/// Padding plans compute extra rows and discard them, mirroring NPU
-/// padding semantics.
+/// A full-width tile runs [`ops::matmul_w4`] on its row slice; a column
+/// tile multiplies its row slice by the dequantized columns. Padding
+/// rows produce nothing (each output row depends only on its own input
+/// row). A plan whose tiles do not cover `[m, n]` exactly once is
+/// rejected.
 pub fn matmul_partitioned(x: &Tensor, w: &W4Matrix, plan: &PartitionPlan) -> Result<Tensor> {
-    let (m, _) = x.matrix_dims()?;
+    let (m, k) = x.matrix_dims()?;
     let (_, n) = w.dims();
-    match plan {
-        PartitionPlan::GpuOnly => ops::matmul_w4(x, w),
-        PartitionPlan::NpuOnly { padded_m } => {
-            // Pad rows with zeros, compute, then drop the padding.
-            let padded = pad_rows(x, *padded_m)?;
-            let full = ops::matmul_w4(&padded, w)?;
-            full.slice_rows(0, m)
-        }
-        PartitionPlan::NpuPipe { chunks, .. } => {
-            let mut parts = Vec::new();
-            let mut row = 0;
-            for &c in chunks {
-                let end = (row + c).min(m);
-                if end > row {
-                    let slice = x.slice_rows(row, end)?;
-                    let padded = pad_rows(&slice, c)?;
-                    parts.push(ops::matmul_w4(&padded, w)?.slice_rows(0, end - row)?);
-                }
-                row = end;
-            }
-            let refs: Vec<&Tensor> = parts.iter().collect();
-            Tensor::concat_rows(&refs)
-        }
-        PartitionPlan::RowCut { gpu_cols, padded_m }
-        | PartitionPlan::HybridCut { gpu_cols, padded_m } => {
-            // NPU computes the left columns on (possibly padded) rows;
-            // GPU computes the right `gpu_cols` columns exactly.
-            let npu_w = w.dequantize_cols(0, n - gpu_cols)?;
-            let gpu_w = w.dequantize_cols(n - gpu_cols, n)?;
-            let padded = pad_rows(x, (*padded_m).max(m))?;
-            let npu_part = ops::matmul(&padded, &npu_w)?.slice_rows(0, m)?;
-            let gpu_part = ops::matmul(x, &gpu_w)?;
-            Tensor::concat_cols(&[&npu_part, &gpu_part])
-        }
-        PartitionPlan::SeqCut {
-            npu_chunks,
-            gpu_rows,
-        } => {
-            let mut parts = Vec::new();
-            let mut row = 0;
-            for &c in npu_chunks {
-                parts.push(ops::matmul_w4(&x.slice_rows(row, row + c)?, w)?);
-                row += c;
-            }
-            if *gpu_rows > 0 {
-                parts.push(ops::matmul_w4(&x.slice_rows(row, row + gpu_rows)?, w)?);
-            }
-            let refs: Vec<&Tensor> = parts.iter().collect();
-            Tensor::concat_rows(&refs)
+    let tiles = plan_tiles(plan, MatmulShape::new(m, k, n));
+    if !covers_exactly_once(&tiles, m, n) {
+        return Err(TensorError::ShapeMismatch {
+            context: format!("plan {plan:?} does not cover the [{m}, {n}] result exactly once"),
+        });
+    }
+    let mut out = vec![0.0f32; m * n];
+    for t in tiles {
+        let rows = x.slice_rows(t.rows.start, t.rows.end)?;
+        let part = if t.cols.len() == n {
+            ops::matmul_w4(&rows, w)?
+        } else {
+            ops::matmul(&rows, &w.dequantize_cols(t.cols.start, t.cols.end)?)?
+        };
+        for (r, src) in t.rows.zip(part.data().chunks_exact(t.cols.len())) {
+            out[r * n + t.cols.start..r * n + t.cols.end].copy_from_slice(src);
         }
     }
+    Tensor::from_vec(out, &[m, n])
+}
+
+/// The non-empty output tiles of a plan's compute steps for the
+/// `[m, n]` result of `shape`, each with the backend that produces it.
+pub(crate) fn plan_tiles(plan: &PartitionPlan, shape: MatmulShape) -> Vec<ComputeStep> {
+    plan.lower(shape)
+        .compute()
+        .filter(|t| !t.rows.is_empty() && !t.cols.is_empty())
+        .collect()
+}
+
+/// Whether `tiles` cover the `[m, n]` result exactly once: inside it,
+/// pairwise disjoint, with areas summing to the whole.
+fn covers_exactly_once(tiles: &[ComputeStep], m: usize, n: usize) -> bool {
+    let inside = tiles.iter().all(|t| t.rows.end <= m && t.cols.end <= n);
+    let overlap = |a: &ComputeStep, b: &ComputeStep| {
+        a.rows.start < b.rows.end
+            && b.rows.start < a.rows.end
+            && a.cols.start < b.cols.end
+            && b.cols.start < a.cols.end
+    };
+    let disjoint = tiles
+        .iter()
+        .enumerate()
+        .all(|(i, a)| tiles[i + 1..].iter().all(|b| !overlap(a, b)));
+    let sum: usize = tiles.iter().map(|t| t.rows.len() * t.cols.len()).sum();
+    inside && disjoint && sum == m * n
 }
 
 /// Divergence statistics between two arithmetic modes on the same
@@ -324,15 +326,6 @@ pub fn quant_divergence(
         logit_mse: mse,
         first_token_agrees: ta.first() == tb.first(),
     })
-}
-
-fn pad_rows(x: &Tensor, rows: usize) -> Result<Tensor> {
-    let (m, k) = x.matrix_dims()?;
-    if rows <= m {
-        return Ok(x.clone());
-    }
-    let pad = Tensor::zeros(&[rows - m, k]);
-    Tensor::concat_rows(&[x, &pad])
 }
 
 #[cfg(test)]
@@ -504,6 +497,36 @@ mod tests {
             m.generate(&[3, 1, 4], 8).unwrap()
         };
         assert_eq!(gen(), gen());
+    }
+
+    #[test]
+    fn plans_that_drop_or_repeat_results_are_rejected() {
+        let (x, w) = partition_fixture();
+        for plan in [
+            // Rows dropped: 32 + 8 < 48.
+            PartitionPlan::SeqCut {
+                npu_chunks: vec![32],
+                gpu_rows: 8,
+            },
+            // Rows computed twice: 32 + 32 > 48.
+            PartitionPlan::SeqCut {
+                npu_chunks: vec![32],
+                gpu_rows: 32,
+            },
+            // Rows dropped: the graph covers 32 < 48.
+            PartitionPlan::NpuOnly { padded_m: 32 },
+            // Columns computed twice: the GPU takes more than n = 96.
+            PartitionPlan::RowCut {
+                gpu_cols: 128,
+                padded_m: 48,
+            },
+        ] {
+            let err = matmul_partitioned(&x, &w, &plan).unwrap_err();
+            assert!(
+                matches!(err, TensorError::ShapeMismatch { .. }),
+                "{plan:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

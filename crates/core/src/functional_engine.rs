@@ -28,6 +28,7 @@
 //! both charge simulated time, so the integrity tax is visible in the
 //! timing reports.
 
+use hetero_graph::partition::ComputeStep;
 use hetero_profiler::RealExecProvider;
 use hetero_soc::disturb::{SdcFault, SdcTrace};
 use hetero_soc::kernel::KernelLabel;
@@ -41,50 +42,11 @@ use hetero_tensor::{Result, Tensor, TensorError};
 
 use crate::engines::SolverPlanner;
 use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel};
-use crate::functional::matmul_partitioned;
+use crate::functional::{matmul_partitioned, plan_tiles};
 use crate::integrity::{IntegrityCounters, IntegrityMode};
 use crate::kv::KvCache;
 use crate::model::{ModelConfig, ModelWeights};
 use crate::report::{IntegritySummary, PhaseReport};
-
-/// One verifiable region of a projection's output, as the partition
-/// plan produced it.
-struct Tile {
-    rows: core::ops::Range<usize>,
-    cols: core::ops::Range<usize>,
-    backend: Backend,
-}
-
-/// The output tiles a partition plan produces for the `[m, n]` result
-/// of `shape`. The NPU sub-problems fill the leading columns in
-/// consecutive row chunks (padding rows fall outside `m`). The GPU
-/// takes the rows after them when they span every column (a sequence
-/// cut), otherwise the trailing columns (a row cut).
-fn plan_tiles(plan: &PartitionPlan, shape: MatmulShape) -> Vec<Tile> {
-    let MatmulShape { m, n, .. } = shape;
-    let lowered = plan.lower(shape);
-    let mut tiles = Vec::new();
-    let mut push = |rows: core::ops::Range<usize>, cols: core::ops::Range<usize>, b: Backend| {
-        if !rows.is_empty() && !cols.is_empty() {
-            tiles.push(Tile {
-                rows,
-                cols,
-                backend: b,
-            });
-        }
-    };
-    let (mut row, mut npu_cols) = (0, n);
-    for npu in lowered.npu() {
-        let end = (row + npu.m).min(m);
-        push(row..end, 0..npu.n, Backend::Npu);
-        (row, npu_cols) = (end, npu.n);
-    }
-    if let Some(gpu) = lowered.gpu {
-        let first = if npu_cols == n { row } else { 0 };
-        push(first..first + gpu.m, n - gpu.n..n, Backend::Gpu);
-    }
-    tiles
-}
 
 /// Real-math engine executing solver-partitioned kernels.
 pub struct FunctionalHeteroEngine {
@@ -243,7 +205,7 @@ impl FunctionalHeteroEngine {
         let (m, k) = x.matrix_dims()?;
         let (_, n) = w.dims();
         let tiles = plan_tiles(plan, MatmulShape::new(m, k, n));
-        let mut bad: Vec<Tile> = Vec::new();
+        let mut bad: Vec<ComputeStep> = Vec::new();
         for tile in tiles {
             self.counters.tiles_verified += 1;
             let xt = x.slice_rows(tile.rows.start, tile.rows.end)?;

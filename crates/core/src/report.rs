@@ -4,14 +4,14 @@
 //! sections ([`SessionReport::degradation`],
 //! [`SessionReport::integrity`], [`SessionReport::metrics`]) are
 //! skipped when absent, so a report produced by a plain
-//! [`crate::InferenceSession::run`] is byte-identical to one from
+//! [`crate::InferenceSession::try_run`] is byte-identical to one from
 //! before those sections existed.
 //!
 //! ```
 //! use heterollm::{EngineKind, InferenceSession, ModelConfig};
 //!
 //! let mut s = InferenceSession::new(EngineKind::HeteroTensor, &ModelConfig::internlm_1_8b());
-//! let report = s.run(64, 4);
+//! let report = s.try_run(64, 4).expect("built-in trace");
 //! let json = serde_json::to_string(&report).unwrap();
 //! // Opt-in sections absent -> keys absent, not null.
 //! assert!(!json.contains("\"metrics\""));
@@ -180,7 +180,7 @@ pub struct SessionReport {
     /// All-integer observability metrics (counters + log-linear
     /// histograms derived from the span timeline) when the session ran
     /// through the opt-in observed path
-    /// ([`crate::InferenceSession::run_observed`] or a runtime
+    /// ([`crate::InferenceSession::try_run_observed`] or a runtime
     /// controller with the timeline armed). `None` — and omitted from
     /// the serialized form — otherwise, keeping pre-observability
     /// golden reports byte-identical.

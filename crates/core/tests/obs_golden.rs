@@ -19,7 +19,7 @@ use heterollm::{EngineKind, InferenceSession, ModelConfig};
 fn observed_session() -> Timeline {
     let mut session =
         InferenceSession::new(EngineKind::HeteroTensor, &ModelConfig::internlm_1_8b());
-    let (_, tl) = session.run_observed(64, 1);
+    let (_, tl) = session.try_run_observed(64, 1).expect("built-in trace");
     tl
 }
 

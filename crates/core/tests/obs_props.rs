@@ -39,7 +39,7 @@ proptest! {
         sync in arb_sync(),
     ) {
         let mut session = InferenceSession::with_sync(kind, &model, sync);
-        let (_, tl) = session.run_observed(prompt, decode);
+        let (_, tl) = session.try_run_observed(prompt, decode).expect("built-in trace");
         prop_assert!(tl.check_well_formed().is_ok(), "{:?}", tl.check_well_formed());
 
         let json = chrome::to_chrome_json(&tl);
@@ -76,7 +76,7 @@ proptest! {
         decode in 0usize..5,
     ) {
         let mut session = InferenceSession::new(kind, &ModelConfig::tiny());
-        let (report, tl) = session.run_observed(prompt, decode);
+        let (report, tl) = session.try_run_observed(prompt, decode).expect("built-in trace");
 
         let reg = MetricsRegistry::from_timeline(&tl);
         prop_assert_eq!(reg.counter("flows_total"), tl.flows().len() as u64);

@@ -30,5 +30,5 @@ pub mod template;
 
 pub use cache::GraphCache;
 pub use compile::CompileModel;
-pub use partition::{Lowering, PartitionPlan, PlanChoice};
+pub use partition::{ComputeStep, Lowering, PartitionPlan, PlanChoice, Step};
 pub use template::{GraphSet, OpTemplate};

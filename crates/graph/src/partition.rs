@@ -12,7 +12,9 @@
 //! them in debug builds (behind its `validate` feature) and the
 //! analyzer wraps them into named diagnostics.
 
-use hetero_soc::SimTime;
+use core::ops::Range;
+
+use hetero_soc::{Backend, SimTime};
 use hetero_tensor::shape::MatmulShape;
 use serde::{Deserialize, Serialize};
 
@@ -73,25 +75,31 @@ impl PartitionPlan {
         )
     }
 
-    /// Lower this plan onto the Matmul `shape`: the GPU and NPU
-    /// sub-problems it runs, and whether they run as one parallel
-    /// section. Every consumer that executes or prices a plan (the
-    /// engines, the static mirror, the solver's cost intervals) reads
-    /// the plan through this one lowering.
+    /// Lower this plan onto the Matmul `shape`: the steps it runs, in
+    /// order (see [`Lowering::steps`]). Every consumer that executes,
+    /// prices, schedules or lays out a plan (the engines, the static
+    /// mirror, the solver's cost intervals and region tables, the sync
+    /// schedule and the functional math) reads the plan through this
+    /// one lowering.
     ///
     /// A serial plan runs one side only. A parallel plan (exactly
     /// [`PartitionPlan::is_parallel`]) always has a GPU side, even a
-    /// degenerate one such as `RowCut { gpu_cols: 0 }`.
+    /// degenerate one such as `RowCut { gpu_cols: 0 }`. Lowering never
+    /// panics, even for a plan that violates conservation against
+    /// `shape`.
     pub fn lower(&self, shape: MatmulShape) -> Lowering<'_> {
         let MatmulShape { m, k, n } = shape;
-        let (gpu, npu_rows, npu_cols) = match self {
-            Self::GpuOnly => (Some(shape), &[][..], n),
-            Self::NpuOnly { padded_m } => (None, std::slice::from_ref(padded_m), n),
-            Self::NpuPipe { chunks, .. } => (None, &chunks[..], n),
+        // The NPU side's rows, its columns (the ones the GPU leaves),
+        // and whether it is one padded graph.
+        let (gpu, npu_rows, npu_cols, npu_graph) = match self {
+            Self::GpuOnly => (Some(shape), &[][..], n, false),
+            Self::NpuOnly { padded_m } => (None, std::slice::from_ref(padded_m), n, true),
+            Self::NpuPipe { chunks, .. } => (None, &chunks[..], n, false),
             Self::RowCut { gpu_cols, padded_m } | Self::HybridCut { padded_m, gpu_cols } => (
                 Some(MatmulShape::new(m, k, *gpu_cols)),
                 std::slice::from_ref(padded_m),
-                n - gpu_cols,
+                n.saturating_sub(*gpu_cols),
+                true,
             ),
             Self::SeqCut {
                 npu_chunks,
@@ -103,13 +111,15 @@ impl PartitionPlan {
                 }),
                 &npu_chunks[..],
                 n,
+                false,
             ),
         };
         Lowering {
+            shape,
             gpu,
             npu_rows,
-            npu_k: k,
             npu_cols,
+            npu_graph,
             parallel: self.is_parallel(),
         }
     }
@@ -284,27 +294,115 @@ impl PartitionPlan {
 }
 
 /// A [`PartitionPlan`] lowered onto one Matmul by
-/// [`PartitionPlan::lower`]. It borrows the plan's chunk list, so
-/// lowering never allocates.
+/// [`PartitionPlan::lower`]: the one list of the steps the plan runs.
+/// It borrows the plan's chunk list, so lowering never allocates.
+///
+/// The steps, in order ([`Lowering::steps`]):
+///
+/// 1. the GPU sub-problem, if the GPU runs;
+/// 2. the NPU sub-problems, in submission order, padding included;
+/// 3. one publishing step: [`Step::Rendezvous`] for a parallel plan,
+///    [`Step::Switch`] for a serial plan with an NPU side, none for
+///    `GpuOnly`.
+///
+/// Each compute step carries the tile of the `[m, n]` result it
+/// produces. The NPU sub-problems fill the leading columns in
+/// consecutive row bands from row 0 (padding rows fall outside `m`);
+/// the GPU sub-problem fills the trailing rows and columns (a GPU side
+/// larger than the result overruns it). For a plan with no
+/// shape-conservation violation the tiles cover `[m, n]` exactly once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lowering<'a> {
+    shape: MatmulShape,
     /// The GPU sub-problem, if the GPU runs.
     pub gpu: Option<MatmulShape>,
     npu_rows: &'a [usize],
-    npu_k: usize,
     npu_cols: usize,
+    /// Whether the NPU side is one padded graph (`NpuOnly`, `RowCut`,
+    /// `HybridCut`) rather than a list of chunks. Only display labels
+    /// read it.
+    pub npu_graph: bool,
     /// Whether the two sides run as one parallel section ending in a
     /// rendezvous; otherwise each sub-problem runs serially.
     pub parallel: bool,
 }
 
+/// One step of a lowered plan (§4.2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Step {
+    /// A sub-problem on one backend.
+    Compute(ComputeStep),
+    /// Serial handoff of the NPU side's result to the GPU consumer.
+    Switch,
+    /// Parallel-section join: both sides' results become visible.
+    Rendezvous,
+}
+
+/// A sub-problem of a lowered plan and the tile of the result it
+/// produces.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ComputeStep {
+    /// The backend that runs it ([`Backend::Gpu`] or [`Backend::Npu`]).
+    pub backend: Backend,
+    /// The sub-problem, padding included.
+    pub shape: MatmulShape,
+    /// Result rows it produces.
+    pub rows: Range<usize>,
+    /// Result columns it produces.
+    pub cols: Range<usize>,
+}
+
 impl<'a> Lowering<'a> {
     /// The NPU sub-problems in submission order, padding included.
     pub fn npu(&self) -> impl ExactSizeIterator<Item = MatmulShape> + Clone + 'a {
-        let (k, n) = (self.npu_k, self.npu_cols);
+        let (k, n) = (self.shape.k, self.npu_cols);
         self.npu_rows
             .iter()
             .map(move |&m| MatmulShape::new(m, k, n))
+    }
+
+    /// The compute steps: the GPU sub-problem, then the NPU ones.
+    pub fn compute(&self) -> impl Iterator<Item = ComputeStep> + 'a {
+        let MatmulShape { m, n, .. } = self.shape;
+        let trailing = |len: usize, of: usize| {
+            let start = of.saturating_sub(len);
+            start..start + len
+        };
+        let gpu = self.gpu.map(|g| ComputeStep {
+            backend: Backend::Gpu,
+            shape: g,
+            rows: trailing(g.m, m),
+            cols: trailing(g.n, n),
+        });
+        let mut row = 0;
+        let npu = self.npu().map(move |s| {
+            let start = row;
+            row = (row + s.m).min(m);
+            ComputeStep {
+                backend: Backend::Npu,
+                shape: s,
+                rows: start..row,
+                cols: 0..s.n,
+            }
+        });
+        gpu.into_iter().chain(npu)
+    }
+
+    /// The step that publishes the result, if any.
+    pub fn publish(&self) -> Option<Step> {
+        if self.parallel {
+            Some(Step::Rendezvous)
+        } else if self.gpu.is_none() {
+            Some(Step::Switch)
+        } else {
+            None
+        }
+    }
+
+    /// Every step in order: the compute steps, then the publishing
+    /// step.
+    pub fn steps(&self) -> impl Iterator<Item = Step> + 'a {
+        self.compute().map(Step::Compute).chain(self.publish())
     }
 }
 

@@ -3,7 +3,8 @@
 //! planners must be correct for any configuration a user might choose.
 
 use hetero_graph::plan::{candidate_plans, next_standard, padding_plan, pipe_plan};
-use hetero_graph::{CompileModel, GraphCache, GraphSet, OpTemplate, PartitionPlan};
+use hetero_graph::{CompileModel, GraphCache, GraphSet, OpTemplate, PartitionPlan, Step};
+use hetero_soc::Backend;
 use hetero_tensor::shape::MatmulShape;
 use proptest::prelude::*;
 
@@ -67,6 +68,72 @@ fn arb_solver_plan() -> impl Strategy<Value = (PartitionPlan, MatmulShape, usize
         })
 }
 
+/// A plan of any of the six variants for a small Matmul, degenerate
+/// forms included (`gpu_cols: 0`, `gpu_rows: 0`, empty chunk lists).
+/// With `clean` the plan is built to pass shape conservation;
+/// without, its split is drawn freely and usually does not.
+fn arb_any_plan() -> impl Strategy<Value = (PartitionPlan, MatmulShape)> {
+    (
+        (0usize..160, 1usize..40),
+        0usize..6,
+        proptest::collection::vec(1usize..96, 0..4),
+        0usize..48,
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+    )
+        .prop_map(|((m, n), variant, mut chunks, extra, clean, degenerate)| {
+            let shape = MatmulShape::new(m, 8, n);
+            let gpu_cols = match (degenerate, clean) {
+                (true, _) => 0,
+                (false, true) => extra % n,
+                (false, false) => n + extra,
+            };
+            let padded_m = if clean { m + extra } else { extra };
+            let plan = match variant {
+                0 => PartitionPlan::GpuOnly,
+                1 => PartitionPlan::NpuOnly { padded_m },
+                2 => {
+                    let sum: usize = chunks.iter().sum();
+                    if clean && sum < m {
+                        chunks.push(m - sum + extra);
+                    }
+                    let sum: usize = chunks.iter().sum();
+                    let padded_rows = if clean { sum.saturating_sub(m) } else { extra };
+                    PartitionPlan::NpuPipe {
+                        chunks,
+                        padded_rows,
+                    }
+                }
+                3 => PartitionPlan::RowCut { gpu_cols, padded_m },
+                4 => PartitionPlan::HybridCut { padded_m, gpu_cols },
+                _ if clean => {
+                    // Keep the chunks that fit, then split the rest
+                    // between one more chunk and the GPU.
+                    let mut sum = 0;
+                    chunks.retain(|&c| {
+                        let fits = sum + c <= m;
+                        sum += if fits { c } else { 0 };
+                        fits
+                    });
+                    let rest = m - sum;
+                    let gpu_rows = if degenerate { 0 } else { extra.min(rest) };
+                    if rest > gpu_rows {
+                        chunks.push(rest - gpu_rows);
+                    }
+                    PartitionPlan::SeqCut {
+                        npu_chunks: chunks,
+                        gpu_rows,
+                    }
+                }
+                _ => PartitionPlan::SeqCut {
+                    npu_chunks: chunks,
+                    gpu_rows: if degenerate { 0 } else { extra },
+                },
+            };
+            (plan, shape)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -91,6 +158,54 @@ proptest! {
             npu_area += npu.m * npu.n;
         }
         prop_assert_eq!(gpu_area + npu_area, shape.m * shape.n + pad, "{:?}", plan);
+    }
+
+    /// `lower()` lists the plan's steps: its sub-problems in order (GPU,
+    /// then NPU in submission order), then one publishing step — a
+    /// rendezvous for a parallel plan, a switch for a serial plan with
+    /// an NPU side, none for `GpuOnly`. For a conservation-clean plan
+    /// the compute steps' tiles cover `[m, n]` exactly once.
+    #[test]
+    fn lowering_lists_the_plan_steps((plan, shape) in arb_any_plan()) {
+        let lowered = plan.lower(shape);
+        let steps: Vec<Step> = lowered.steps().collect();
+        let subproblems: Vec<(Backend, MatmulShape)> = lowered
+            .gpu
+            .map(|g| (Backend::Gpu, g))
+            .into_iter()
+            .chain(lowered.npu().map(|s| (Backend::Npu, s)))
+            .collect();
+        let compute: Vec<(Backend, MatmulShape)> = steps
+            .iter()
+            .map_while(|s| match s {
+                Step::Compute(c) => Some((c.backend, c.shape)),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(&compute, &subproblems, "{:?}", plan);
+
+        let publish = if plan.is_parallel() {
+            Some(Step::Rendezvous)
+        } else if plan.uses_npu() {
+            Some(Step::Switch)
+        } else {
+            None
+        };
+        prop_assert_eq!(&steps[compute.len()..], publish.as_slice(), "{:?}", plan);
+
+        let MatmulShape { m, n, .. } = shape;
+        if plan.conservation_violations(m, n).is_empty() {
+            let mut hits = vec![0u32; m * n];
+            for c in lowered.compute() {
+                prop_assert!(c.rows.end <= m && c.cols.end <= n, "{:?}: {:?}", plan, c);
+                for r in c.rows {
+                    for col in c.cols.clone() {
+                        hits[r * n + col] += 1;
+                    }
+                }
+            }
+            prop_assert!(hits.iter().all(|&h| h == 1), "{:?} on {:?}: {:?}", plan, shape, hits);
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! The solver's `solve` picks a plan by *estimating* its latency; this
 //! module exposes the same cost arithmetic as a sound interval per
-//! plan, aligned with the plan's sync-schedule event layout so the
-//! abstract interpreter in `hetero-analyze` can propagate the
-//! intervals through the submission DAG.
+//! step of the plan's lowering (`PartitionPlan::lower`). The sync
+//! schedule has one event per step of the same list, so the abstract
+//! interpreter in `hetero-analyze` can propagate the intervals through
+//! the submission DAG.
 //!
 //! Soundness argument (matched against `hetero_soc::Soc`):
 //!
@@ -21,45 +22,25 @@
 //! - Rendezvous and backend-switch costs are fixed constants of the
 //!   sync model, unaffected by bandwidth conditions: exact points.
 
+use hetero_graph::partition::{ComputeStep, Step};
 use hetero_profiler::db::BwCondition;
 use hetero_profiler::{CostInterval, CostProvider};
 use hetero_soc::sync::Dominance;
+use hetero_soc::Backend;
 use hetero_tensor::shape::MatmulShape;
 
 use crate::plan::PartitionPlan;
 use crate::solver::Solver;
 
 impl<P: CostProvider> Solver<P> {
-    /// Interval cost of an NPU sub-problem: `[solo, contended]` under
-    /// the solver's operand-permutation convention.
-    fn npu_interval(&self, s: MatmulShape) -> CostInterval {
-        let lo = self.npu_cost(s, BwCondition::Solo);
-        let hi = self.npu_cost(s, BwCondition::Contended).max(lo);
-        CostInterval { lo, hi }
-    }
-
-    /// Interval cost of a GPU sub-problem.
-    fn gpu_interval(&self, s: MatmulShape) -> CostInterval {
-        let lo = self.gpu_cost(s, BwCondition::Solo);
-        let hi = self.gpu_cost(s, BwCondition::Contended).max(lo);
-        CostInterval { lo, hi }
-    }
-
-    /// Per-event cost intervals for `plan`, in the exact order of
-    /// `SyncSchedule::for_plan`'s event layout:
+    /// Per-step cost intervals for `plan`, one per step of the plan's
+    /// lowering ([`PartitionPlan::lower`]), so interval `i` prices
+    /// event `i` of the sync schedule.
     ///
-    /// | plan | events |
-    /// |---|---|
-    /// | `GpuOnly` | `[gpu submit]` |
-    /// | `NpuOnly` | `[npu submit, switch]` |
-    /// | `NpuPipe` / `SeqCut{gpu_rows: 0}` | `[npu submit…, switch]` |
-    /// | `RowCut` / `HybridCut` | `[gpu submit, npu submit, rendezvous]` |
-    /// | `SeqCut{gpu_rows > 0}` | `[gpu submit, npu submit…, rendezvous]` |
-    ///
-    /// The events are the sub-problems of the plan's lowering. Serial
-    /// plans run each side solo (exact points), plus a switch when the
-    /// NPU side runs; parallel plans carry `[solo, contended]` compute
-    /// intervals with an exact rendezvous constant.
+    /// Serial plans run each compute step solo (exact points); parallel
+    /// plans carry `[solo, contended]` compute intervals under the
+    /// solver's operand-permutation convention. A backend switch or
+    /// rendezvous costs its exact sync constant.
     pub fn event_cost_intervals(
         &self,
         plan: &PartitionPlan,
@@ -68,24 +49,26 @@ impl<P: CostProvider> Solver<P> {
     ) -> Vec<CostInterval> {
         let sync = &self.config().sync;
         let lowered = plan.lower(shape);
-        if lowered.parallel {
-            let gpu = lowered.gpu.expect("a parallel plan has a GPU side");
-            let mut out = vec![self.gpu_interval(gpu)];
-            out.extend(lowered.npu().map(|s| self.npu_interval(s)));
-            out.push(CostInterval::exact(sync.rendezvous(dominance)));
-            return out;
-        }
-        let mut out: Vec<CostInterval> = lowered
-            .gpu
-            .map(|g| self.gpu_cost(g, BwCondition::Solo))
-            .into_iter()
-            .chain(lowered.npu().map(|s| self.npu_cost(s, BwCondition::Solo)))
-            .map(CostInterval::exact)
-            .collect();
-        if lowered.gpu.is_none() {
-            out.push(CostInterval::exact(sync.backend_switch()));
-        }
-        out
+        let cost = |c: &ComputeStep, bw| match c.backend {
+            Backend::Gpu => self.gpu_cost(c.shape, bw),
+            _ => self.npu_cost(c.shape, bw),
+        };
+        lowered
+            .steps()
+            .map(|step| match step {
+                Step::Compute(c) => {
+                    let lo = cost(&c, BwCondition::Solo);
+                    let hi = if lowered.parallel {
+                        cost(&c, BwCondition::Contended).max(lo)
+                    } else {
+                        lo
+                    };
+                    CostInterval { lo, hi }
+                }
+                Step::Switch => CostInterval::exact(sync.backend_switch()),
+                Step::Rendezvous => CostInterval::exact(sync.rendezvous(dominance)),
+            })
+            .collect()
     }
 
     /// Closed-form completion-time interval of `plan`: serial plans sum
@@ -178,63 +161,6 @@ mod tests {
                 iv.lo,
                 iv.hi
             );
-        }
-    }
-
-    #[test]
-    fn event_layout_matches_schedule_shape() {
-        let s = solver();
-        let shape = MatmulShape::new(300, 4096, 4096);
-        for (plan, expect) in [
-            (PartitionPlan::GpuOnly, 1),
-            (PartitionPlan::NpuOnly { padded_m: 512 }, 2),
-            (
-                PartitionPlan::NpuPipe {
-                    chunks: vec![256, 64],
-                    padded_rows: 20,
-                },
-                3,
-            ),
-            (
-                PartitionPlan::HybridCut {
-                    padded_m: 512,
-                    gpu_cols: 1024,
-                },
-                3,
-            ),
-            (
-                PartitionPlan::SeqCut {
-                    npu_chunks: vec![256, 32],
-                    gpu_rows: 12,
-                },
-                4,
-            ),
-            // Degenerate hand-built forms keep their literal layout.
-            (
-                PartitionPlan::RowCut {
-                    gpu_cols: 0,
-                    padded_m: 512,
-                },
-                3,
-            ),
-            (
-                PartitionPlan::SeqCut {
-                    npu_chunks: vec![],
-                    gpu_rows: 300,
-                },
-                2,
-            ),
-            (
-                PartitionPlan::SeqCut {
-                    npu_chunks: vec![256, 32],
-                    gpu_rows: 0,
-                },
-                3,
-            ),
-        ] {
-            let events = s.event_cost_intervals(&plan, shape, Dominance::NpuDominant);
-            assert_eq!(events.len(), expect, "{plan:?}");
-            assert!(events.iter().all(CostInterval::is_valid), "{plan:?}");
         }
     }
 }

@@ -2,18 +2,19 @@
 //!
 //! For each plan the solver can emit, this module derives the pooled
 //! tensor regions the plan's execution touches — activation input,
-//! per-side partial outputs — with their live ranges expressed in
-//! *schedule steps* (indices into `SyncSchedule::for_plan`'s event
-//! list). The abstract interpreter in `hetero-analyze` folds these
-//! tables into a sound peak-footprint bound, and the `buffer-leak`
-//! rule checks that no region stays live past its last structural
-//! reader.
+//! one output per compute step — with their live ranges expressed in
+//! *steps* of the plan's lowering (`PartitionPlan::lower`), the same
+//! list the sync schedule has one event per. The abstract interpreter
+//! in `hetero-analyze` folds these tables into a sound peak-footprint
+//! bound, and the `buffer-leak` rule checks that no region stays live
+//! past its last structural reader.
 //!
 //! Region sizes follow the runtime's `MemoryPool` accounting: every
 //! acquisition is rounded up to a power of two with a 4 KiB floor, so
 //! the static sum over-approximates (never under-approximates) what
 //! the pool's high-water mark can reach for the same acquisitions.
 
+use hetero_soc::Backend;
 use hetero_tensor::shape::MatmulShape;
 
 use crate::plan::PartitionPlan;
@@ -77,146 +78,46 @@ pub struct RegionTable {
 impl RegionTable {
     /// Derive the region table for `plan` solving `shape`.
     ///
-    /// The layout mirrors the sync-schedule event order used by
-    /// `SyncSchedule::for_plan` and `Solver::event_cost_intervals`:
-    /// the activation input is live from step 0 through the last
-    /// compute step that reads it, and each side's partial output is
-    /// live from the step producing it through the rendezvous/switch
-    /// step that publishes it.
+    /// Steps are the steps of the plan's lowering
+    /// ([`PartitionPlan::lower`]), the same list the sync schedule and
+    /// the cost intervals index. One activation input, sized for the
+    /// most rows any step reads, is live from step 0 through the last
+    /// compute step and read by every compute step. Each compute step's
+    /// output is live from that step through the publishing step (the
+    /// switch or rendezvous), or only at its own step when nothing
+    /// publishes it.
     pub fn for_plan(plan: &PartitionPlan, shape: MatmulShape) -> Self {
-        let input_bytes = shape.m * shape.k * ACT_BYTES;
-        let mut regions: Vec<PlanRegion> = Vec::new();
-        let steps = match plan {
-            PartitionPlan::GpuOnly => {
-                regions.push(PlanRegion {
-                    label: "input".into(),
-                    offset: 0,
-                    bytes: input_bytes,
-                    live_from: 0,
-                    live_until: 0,
-                    readers: vec![0],
-                });
-                regions.push(PlanRegion {
-                    label: "gpu-out".into(),
-                    offset: 0,
-                    bytes: shape.m * shape.n * ACT_BYTES,
-                    live_from: 0,
-                    live_until: 0,
-                    readers: vec![0],
-                });
-                1
-            }
-            PartitionPlan::NpuOnly { padded_m } => {
-                // Events: [npu submit, switch].
-                regions.push(PlanRegion {
-                    label: "input".into(),
-                    offset: 0,
-                    bytes: padded_m * shape.k * ACT_BYTES,
-                    live_from: 0,
-                    live_until: 0,
-                    readers: vec![0],
-                });
-                regions.push(PlanRegion {
-                    label: "npu-out".into(),
-                    offset: 0,
-                    bytes: padded_m * shape.n * ACT_BYTES,
-                    live_from: 0,
-                    live_until: 1,
-                    readers: vec![0, 1],
-                });
-                2
-            }
-            PartitionPlan::NpuPipe { chunks, .. }
-            | PartitionPlan::SeqCut {
-                npu_chunks: chunks,
-                gpu_rows: 0,
-            } => {
-                // Events: [chunk 0 … chunk K-1, switch].
-                let switch = chunks.len();
-                regions.push(PlanRegion {
-                    label: "input".into(),
-                    offset: 0,
-                    bytes: input_bytes,
-                    live_from: 0,
-                    live_until: switch.saturating_sub(1),
-                    readers: (0..switch.max(1)).collect(),
-                });
-                for (i, &c) in chunks.iter().enumerate() {
-                    regions.push(PlanRegion {
-                        label: format!("npu-chunk-{i}"),
-                        offset: 0,
-                        bytes: c * shape.n * ACT_BYTES,
-                        live_from: i,
-                        live_until: switch,
-                        readers: vec![i, switch],
-                    });
-                }
-                switch + 1
-            }
-            PartitionPlan::RowCut { gpu_cols, padded_m }
-            | PartitionPlan::HybridCut { padded_m, gpu_cols } => {
-                // Events: [gpu submit, npu submit, rendezvous].
-                regions.push(PlanRegion {
-                    label: "input".into(),
-                    offset: 0,
-                    bytes: (*padded_m).max(shape.m) * shape.k * ACT_BYTES,
-                    live_from: 0,
-                    live_until: 1,
-                    readers: vec![0, 1],
-                });
-                regions.push(PlanRegion {
-                    label: "gpu-partial".into(),
-                    offset: 0,
-                    bytes: shape.m * gpu_cols * ACT_BYTES,
-                    live_from: 0,
-                    live_until: 2,
-                    readers: vec![0, 2],
-                });
-                regions.push(PlanRegion {
-                    label: "npu-partial".into(),
-                    offset: 0,
-                    bytes: padded_m * (shape.n - gpu_cols) * ACT_BYTES,
-                    live_from: 1,
-                    live_until: 2,
-                    readers: vec![1, 2],
-                });
-                3
-            }
-            PartitionPlan::SeqCut {
-                npu_chunks,
-                gpu_rows,
-            } => {
-                // Events: [gpu submit, chunk 0 … chunk K-1, rendezvous].
-                let rendezvous = 1 + npu_chunks.len();
-                regions.push(PlanRegion {
-                    label: "input".into(),
-                    offset: 0,
-                    bytes: input_bytes,
-                    live_from: 0,
-                    live_until: rendezvous - 1,
-                    readers: (0..rendezvous).collect(),
-                });
-                regions.push(PlanRegion {
-                    label: "gpu-partial".into(),
-                    offset: 0,
-                    bytes: gpu_rows * shape.n * ACT_BYTES,
-                    live_from: 0,
-                    live_until: rendezvous,
-                    readers: vec![0, rendezvous],
-                });
-                for (i, &c) in npu_chunks.iter().enumerate() {
-                    regions.push(PlanRegion {
-                        label: format!("npu-chunk-{i}"),
-                        offset: 0,
-                        bytes: c * shape.n * ACT_BYTES,
-                        live_from: 1 + i,
-                        live_until: rendezvous,
-                        readers: vec![1 + i, rendezvous],
-                    });
-                }
-                rendezvous + 1
-            }
-        };
+        let lowered = plan.lower(shape);
+        let compute: Vec<_> = lowered.compute().collect();
+        let last = compute.len().saturating_sub(1);
+        let publish = lowered.publish().map(|_| compute.len());
+        let input_rows = compute.iter().map(|c| c.shape.m).fold(shape.m, usize::max);
+        let mut regions = vec![PlanRegion {
+            label: "input".into(),
+            offset: 0,
+            bytes: input_rows * shape.k * ACT_BYTES,
+            live_from: 0,
+            live_until: last,
+            readers: (0..compute.len().max(1)).collect(),
+        }];
+        let first_npu = usize::from(lowered.gpu.is_some());
+        for (i, c) in compute.iter().enumerate() {
+            let label = match (c.backend, lowered.npu_graph, lowered.parallel) {
+                (Backend::Gpu, _, false) => "gpu-out".into(),
+                (Backend::Gpu, _, true) => "gpu-partial".into(),
+                (_, false, _) => format!("npu-chunk-{}", i - first_npu),
+                (_, true, false) => "npu-out".into(),
+                (_, true, true) => "npu-partial".into(),
+            };
+            regions.push(PlanRegion {
+                label,
+                offset: 0,
+                bytes: c.shape.m * c.shape.n * ACT_BYTES,
+                live_from: i,
+                live_until: publish.unwrap_or(i),
+                readers: std::iter::once(i).chain(publish).collect(),
+            });
+        }
         // Bump-allocate offsets in declaration order, at pool-rounded
         // granularity, so regions can never alias.
         let mut cursor = 0usize;
@@ -224,7 +125,10 @@ impl RegionTable {
             r.offset = cursor;
             cursor += r.rounded_bytes();
         }
-        Self { steps, regions }
+        Self {
+            steps: compute.len() + usize::from(publish.is_some()),
+            regions,
+        }
     }
 
     /// Pool-rounded bytes live at schedule step `step`.
@@ -262,43 +166,6 @@ mod tests {
         assert_eq!(pool_rounded(4097), 8192);
         assert_eq!(pool_rounded(1 << 20), 1 << 20);
         assert_eq!(pool_rounded((1 << 20) + 1), 1 << 21);
-    }
-
-    #[test]
-    fn step_counts_match_schedule_layout() {
-        let shape = MatmulShape::new(300, 4096, 4096);
-        let cases = [
-            (PartitionPlan::GpuOnly, 1),
-            (PartitionPlan::NpuOnly { padded_m: 512 }, 2),
-            (
-                PartitionPlan::NpuPipe {
-                    chunks: vec![256, 64],
-                    padded_rows: 20,
-                },
-                3,
-            ),
-            (
-                PartitionPlan::HybridCut {
-                    padded_m: 512,
-                    gpu_cols: 1024,
-                },
-                3,
-            ),
-            (
-                PartitionPlan::SeqCut {
-                    npu_chunks: vec![256, 32],
-                    gpu_rows: 12,
-                },
-                4,
-            ),
-        ];
-        for (plan, expect) in cases {
-            assert_eq!(
-                RegionTable::for_plan(&plan, shape).steps,
-                expect,
-                "{plan:?}"
-            );
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ```
 
 use heterollm_suite::engine::api::ChatTurn;
-use heterollm_suite::engine::{EngineKind, InferenceSession, ModelConfig};
+use heterollm_suite::engine::{EngineError, EngineKind, InferenceSession, ModelConfig};
 
 fn conversation() -> Vec<ChatTurn> {
     vec![
@@ -36,7 +36,7 @@ fn conversation() -> Vec<ChatTurn> {
     ]
 }
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let model = ModelConfig::llama_3b();
     println!(
         "5-turn chat on {} (simulated Snapdragon 8 Gen 3)\n",
@@ -45,7 +45,7 @@ fn main() {
 
     for kind in [EngineKind::PplOpenCl, EngineKind::HeteroTensor] {
         let mut session = InferenceSession::new(kind, &model);
-        let report = session.run_conversation(&conversation());
+        let report = session.try_run_conversation(&conversation())?;
 
         println!("== {} ==", kind.name());
         println!("turn  context  TTFT        TPOT");
@@ -64,4 +64,5 @@ fn main() {
         );
     }
     println!("HeteroLLM keeps every turn's TTFT interactive; the GPU-only engine\nstalls noticeably on long prompts and burns substantially more energy.");
+    Ok(())
 }

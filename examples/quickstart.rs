@@ -5,9 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use heterollm_suite::engine::{EngineKind, InferenceSession, ModelConfig};
+use heterollm_suite::engine::{EngineError, EngineKind, InferenceSession, ModelConfig};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let model = ModelConfig::llama_8b();
     println!(
         "model: {} ({:.1}B params, {:.1} GB as W4A16)",
@@ -21,7 +21,7 @@ fn main() {
     let mut session = InferenceSession::new(EngineKind::HeteroTensor, &model);
 
     // A 256-token prompt followed by 64 generated tokens.
-    let report = session.run(256, 64);
+    let report = session.try_run(256, 64)?;
 
     println!("\nengine: {}", report.engine);
     println!(
@@ -44,11 +44,12 @@ fn main() {
 
     // Compare with the GPU-only baseline HeteroLLM builds on.
     let mut baseline = InferenceSession::new(EngineKind::PplOpenCl, &model);
-    let base = baseline.run(256, 64);
+    let base = baseline.try_run(256, 64)?;
     println!(
         "\nvs {}: prefill {:.2}x, decode {:.2}x",
         base.engine,
         report.prefill.tokens_per_sec() / base.prefill.tokens_per_sec(),
         report.decode.tokens_per_sec() / base.decode.tokens_per_sec()
     );
+    Ok(())
 }

@@ -43,10 +43,8 @@ for bin in $bins; do
 done
 
 # Advertised flags must be accepted: for each documented invocation of
-# the observability binaries, every long flag must appear in the
-# binary's --help output.
-for bin in heterollm_sim timeline fault_sweep fleet_sweep fig13_prefill \
-    fig16_decode bench_sim compare_socs rollout_sweep; do
+# any binary, every long flag must appear in the binary's --help output.
+for bin in $bins; do
     exe="target/release/$bin"
     [ -x "$exe" ] || continue
     help=$("$exe" --help 2>&1)

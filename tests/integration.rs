@@ -196,7 +196,7 @@ fn session_reports_consistent_across_engines() {
     let model = ModelConfig::llama_3b();
     for kind in EngineKind::ALL {
         let mut session = heterollm_suite::engine::InferenceSession::new(kind, &model);
-        let r = session.run(64, 4);
+        let r = session.try_run(64, 4).expect("built-in trace");
         assert_eq!(r.prefill.tokens, 64, "{}", r.engine);
         assert_eq!(r.decode.tokens, 4, "{}", r.engine);
         assert!(
