@@ -289,23 +289,12 @@ pub fn model_bounds(model: &ModelConfig, prompt_len: usize, decode_tokens: usize
     )
 }
 
-fn diag(rule_id: &str, location: &str, message: String, suggestion: Option<String>) -> Diagnostic {
-    let info = rules::rule(rule_id).expect("registered");
-    Diagnostic {
-        rule_id: rule_id.into(),
-        severity: info.severity,
-        location: location.into(),
-        message,
-        suggestion,
-    }
-}
-
 /// Check the static peak footprint against a pool capacity
 /// (`mem-overcommit`).
 pub fn check_footprint(bounds: &ModelBounds, pool_bytes: u64, location: &str) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if bounds.peak_bytes > pool_bytes {
-        out.push(diag(
+        out.push(Diagnostic::with_suggestion(
             rules::MEM_OVERCOMMIT,
             location,
             format!(
@@ -330,7 +319,7 @@ pub fn check_plan_regions(table: &RegionTable, location: &str) -> Vec<Diagnostic
     let mut out = Vec::new();
     for r in table.leaked_regions() {
         let last_reader = r.readers.iter().max();
-        out.push(diag(
+        out.push(Diagnostic::with_suggestion(
             rules::BUFFER_LEAK,
             location,
             match last_reader {
@@ -368,7 +357,7 @@ pub fn check_deadlines(bounds: &ModelBounds, slo: &SloPolicy, location: &str) ->
     let mut out = Vec::new();
     let mut check = |what: &str, iv: CostInterval, budget: SimTime| {
         if iv.lo > budget {
-            out.push(diag(
+            out.push(Diagnostic::with_suggestion(
                 rules::DEADLINE_INFEASIBLE,
                 location,
                 format!(
@@ -379,7 +368,7 @@ pub fn check_deadlines(bounds: &ModelBounds, slo: &SloPolicy, location: &str) ->
                 Some("reject this configuration before simulation".into()),
             ));
         } else if iv.hi > budget {
-            out.push(diag(
+            out.push(Diagnostic::new(
                 rules::DEADLINE_AT_RISK,
                 location,
                 format!(
@@ -387,7 +376,6 @@ pub fn check_deadlines(bounds: &ModelBounds, slo: &SloPolicy, location: &str) ->
                      bound {} still meets it)",
                     iv.hi, iv.lo
                 ),
-                None,
             ));
         }
     };
@@ -430,14 +418,13 @@ pub fn check_pool_replay(
 ) -> Vec<Diagnostic> {
     let replayed = replay_pool_peak(table);
     if replayed > claimed_peak {
-        vec![diag(
+        vec![Diagnostic::new(
             rules::BOUND_UNSOUND,
             location,
             format!(
                 "memory pool replay peaked at {replayed} bytes, above the static \
                  bound of {claimed_peak}"
             ),
-            None,
         )]
     } else {
         Vec::new()
@@ -455,14 +442,13 @@ pub fn check_observed_within(
     if bound.contains(observed) {
         Vec::new()
     } else {
-        vec![diag(
+        vec![Diagnostic::new(
             rules::BOUND_UNSOUND,
             location,
             format!(
                 "observed {what} {observed} outside the static bound [{}, {}]",
                 bound.lo, bound.hi
             ),
-            None,
         )]
     }
 }

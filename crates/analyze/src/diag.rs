@@ -57,6 +57,30 @@ pub struct Diagnostic {
     pub suggestion: Option<String>,
 }
 
+impl Diagnostic {
+    /// A finding of registered rule `rule_id`, at the rule's severity.
+    pub fn new(rule_id: &str, location: impl Into<String>, message: impl Into<String>) -> Self {
+        Self::with_suggestion(rule_id, location, message, None)
+    }
+
+    /// [`Diagnostic::new`] with an optional fix.
+    pub fn with_suggestion(
+        rule_id: &str,
+        location: impl Into<String>,
+        message: impl Into<String>,
+        suggestion: Option<String>,
+    ) -> Self {
+        let info = crate::rules::rule(rule_id).expect("findings name a registered rule");
+        Self {
+            rule_id: rule_id.into(),
+            severity: info.severity,
+            location: location.into(),
+            message: message.into(),
+            suggestion,
+        }
+    }
+}
+
 impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -271,12 +271,10 @@ pub fn explore_schedule(
     let mut out = Vec::new();
     let divergent = encoded.iter().position(|e| e != &encoded[0]);
     if let Some(k) = divergent {
-        let info = rules::rule(rules::INTERLEAVING_DETERMINISM).expect("registered");
-        out.push(Diagnostic {
-            rule_id: rules::INTERLEAVING_DETERMINISM.into(),
-            severity: info.severity,
-            location: location.into(),
-            message: format!(
+        out.push(Diagnostic::with_suggestion(
+            rules::INTERLEAVING_DETERMINISM,
+            location,
+            format!(
                 "schedule output depends on the interleaving: {} of {} replayed \
                  classes diverge from class 0 (first at class {k}; {} extensions \
                  walked{})",
@@ -285,12 +283,12 @@ pub fn explore_schedule(
                 orders.len(),
                 if truncated { ", truncated" } else { "" },
             ),
-            suggestion: Some(
+            Some(
                 "add a waits_on edge ordering the unordered same-backend work so \
                  every legal execution yields the same report"
                     .into(),
             ),
-        });
+        ));
     }
     let deterministic = divergent.is_none() && !encoded.is_empty();
     let cert = DeterminismCertificate {

@@ -25,16 +25,14 @@ use crate::sched::{check_schedule, retry_schedule, SyncSchedule};
 /// [`rules::FALLBACK_INTEGRITY`].
 pub fn check_fallback(plan: &PartitionPlan, ctx: &PlanContext) -> Vec<Diagnostic> {
     let mut out = crate::check_plan_full(plan, ctx);
-    let info = rules::rule(rules::FALLBACK_INTEGRITY).expect("registered");
     let retried = retry_schedule(&SyncSchedule::for_plan(plan, ctx.shape()));
     for d in check_schedule(&retried, &ctx.location) {
-        out.push(Diagnostic {
-            rule_id: rules::FALLBACK_INTEGRITY.into(),
-            severity: info.severity,
-            location: d.location,
-            message: format!("under retry rescheduling: {}", d.message),
-            suggestion: d.suggestion,
-        });
+        out.push(Diagnostic::with_suggestion(
+            rules::FALLBACK_INTEGRITY,
+            d.location,
+            format!("under retry rescheduling: {}", d.message),
+            d.suggestion,
+        ));
     }
     out
 }

@@ -16,7 +16,7 @@
 
 use hetero_fleet::{ArmReport, RetryPolicy};
 
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::rules;
 
 /// A class is starving when it sheds more than this fraction of its
@@ -28,39 +28,30 @@ const STARVATION_SHED_PCT: u64 = 50;
 /// overload response.
 const IDLE_CAPACITY_PPM: u64 = 900_000;
 
-fn storm(location: &str, message: String, suggestion: &str) -> Diagnostic {
-    Diagnostic {
-        rule_id: rules::RETRY_STORM.into(),
-        severity: Severity::Deny,
-        location: location.into(),
-        message,
-        suggestion: Some(suggestion.into()),
-    }
-}
-
 /// Check one retry policy against the `retry-storm` rule.
 pub fn check_retry_policy(policy: &RetryPolicy, location: &str) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if policy.max_attempts == 0 {
-        out.push(storm(
+        out.push(Diagnostic::with_suggestion(
+            rules::RETRY_STORM,
             location,
             "max_attempts = 0 means retry forever: a dead device turns every \
-             request into an infinite dispatch loop"
-                .into(),
-            "bound the attempt budget (the shipped policy uses 4)",
+             request into an infinite dispatch loop",
+            Some("bound the attempt budget (the shipped policy uses 4)".into()),
         ));
     }
     if policy.base.as_nanos() == 0 && policy.max_attempts != 1 {
-        out.push(storm(
+        out.push(Diagnostic::with_suggestion(
+            rules::RETRY_STORM,
             location,
             "zero base delay retries immediately: every failure is retried \
-             within the same fault window it failed in"
-                .into(),
-            "use a non-zero base delay (the shipped policy uses 2 ms)",
+             within the same fault window it failed in",
+            Some("use a non-zero base delay (the shipped policy uses 2 ms)".into()),
         ));
     }
     if policy.factor < 2 && (policy.max_attempts > 2 || policy.max_attempts == 0) {
-        out.push(storm(
+        out.push(Diagnostic::with_suggestion(
+            rules::RETRY_STORM,
             location,
             format!(
                 "backoff factor {} is not exponential: retry pressure never \
@@ -68,20 +59,21 @@ pub fn check_retry_policy(policy: &RetryPolicy, location: &str) -> Vec<Diagnosti
                  hammering the surviving devices",
                 policy.factor
             ),
-            "use a multiplicative factor of at least 2 (the shipped policy uses 4)",
+            Some("use a multiplicative factor of at least 2 (the shipped policy uses 4)".into()),
         ));
     }
     if policy.jitter_pct == 0 && policy.max_attempts != 1 {
-        out.push(storm(
+        out.push(Diagnostic::with_suggestion(
+            rules::RETRY_STORM,
             location,
             "unjittered backoff synchronizes retries: every request that \
-             failed in the same storm retries at the same instant"
-                .into(),
-            "add jitter (the shipped policy adds up to 20% of each delay)",
+             failed in the same storm retries at the same instant",
+            Some("add jitter (the shipped policy adds up to 20% of each delay)".into()),
         ));
     }
     if policy.cap < policy.base {
-        out.push(storm(
+        out.push(Diagnostic::with_suggestion(
+            rules::RETRY_STORM,
             location,
             format!(
                 "delay cap {} ns is below the base delay {} ns: the schedule \
@@ -89,7 +81,7 @@ pub fn check_retry_policy(policy: &RetryPolicy, location: &str) -> Vec<Diagnosti
                 policy.cap.as_nanos(),
                 policy.base.as_nanos()
             ),
-            "set the cap at or above the base delay",
+            Some("set the cap at or above the base delay".into()),
         ));
     }
     out
@@ -108,11 +100,10 @@ pub fn check_fleet_arm(arm: &ArmReport, location: &str) -> Vec<Diagnostic> {
         }
         let shed_pct = class.shed * 100 / class.offered;
         if shed_pct > STARVATION_SHED_PCT {
-            out.push(Diagnostic {
-                rule_id: rules::SHED_STARVATION.into(),
-                severity: Severity::Warn,
-                location: format!("{location}/{}", class.class),
-                message: format!(
+            out.push(Diagnostic::with_suggestion(
+                rules::SHED_STARVATION,
+                format!("{location}/{}", class.class),
+                format!(
                     "class shed {}/{} offered requests ({shed_pct}%) while the \
                      fleet was only {}.{:04}% busy — admission control is \
                      starving it despite idle capacity",
@@ -121,12 +112,12 @@ pub fn check_fleet_arm(arm: &ArmReport, location: &str) -> Vec<Diagnostic> {
                     arm.busy_ppm / 10_000,
                     arm.busy_ppm % 10_000
                 ),
-                suggestion: Some(
+                Some(
                     "raise the class's shed threshold or fix the busy/healthy \
                      signal admission control reads"
                         .into(),
                 ),
-            });
+            ));
         }
     }
     out
@@ -135,6 +126,7 @@ pub fn check_fleet_arm(arm: &ArmReport, location: &str) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::Severity;
     use hetero_fleet::{FleetConfig, FleetSim, RouterPolicy};
     use hetero_soc::SimTime;
 

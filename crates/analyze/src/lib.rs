@@ -79,8 +79,9 @@
 //! same treatment: [`model_check::check_rollout_product`] proves
 //! promotion reachable and rollback reachable from *every* non-terminal
 //! rollout state, and the [`rollout`] evidence rules re-derive every
-//! stage verdict of a finished [`hetero_fleet::RolloutReport`] from its
-//! echoed thresholds.
+//! stage verdict of a finished [`hetero_fleet::RolloutReport`] through
+//! the controller's own [`hetero_fleet::stage_regressed`] on its
+//! echoed evidence and thresholds.
 //!
 //! The bound rules ([`bound`]) are the analyzer's cost layer: a
 //! generic join-semilattice worklist interpreter over the submission

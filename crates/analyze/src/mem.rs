@@ -40,48 +40,35 @@ impl TensorRegion {
     }
 }
 
-fn emit(out: &mut Vec<Diagnostic>, location: &str, message: String, suggestion: Option<String>) {
-    let info = rules::rule(rules::MEMPOOL_ALIASING).expect("registered");
-    out.push(Diagnostic {
-        rule_id: rules::MEMPOOL_ALIASING.into(),
-        severity: info.severity,
-        location: location.into(),
-        message,
-        suggestion,
-    });
-}
-
 /// Check a pool layout for aliasing between live tensor regions.
 pub fn check_regions(regions: &[TensorRegion], location: &str) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     for r in regions {
         if r.bytes == 0 {
-            emit(
-                &mut out,
+            out.push(Diagnostic::new(
+                rules::MEMPOOL_ALIASING,
                 location,
                 format!("region '{}' is empty (0 bytes)", r.label),
-                None,
-            );
+            ));
         }
         if r.live_from >= r.live_until {
-            emit(
-                &mut out,
+            out.push(Diagnostic::new(
+                rules::MEMPOOL_ALIASING,
                 location,
                 format!(
                     "region '{}' has an empty or inverted live range [{}, {})",
                     r.label, r.live_from, r.live_until
                 ),
-                None,
-            );
+            ));
         }
     }
 
     for (i, a) in regions.iter().enumerate() {
         for b in &regions[i + 1..] {
             if a.overlaps_space(b) && a.overlaps_time(b) {
-                emit(
-                    &mut out,
+                out.push(Diagnostic::with_suggestion(
+                    rules::MEMPOOL_ALIASING,
                     location,
                     format!(
                         "regions '{}' [{}, {}) and '{}' [{}, {}) alias while both live",
@@ -93,7 +80,7 @@ pub fn check_regions(regions: &[TensorRegion], location: &str) -> Vec<Diagnostic
                         b.offset + b.bytes
                     ),
                     Some("serialize the tensors' lifetimes or separate their slots".into()),
-                );
+                ));
             }
         }
     }

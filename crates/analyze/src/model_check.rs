@@ -15,6 +15,13 @@
 //! - **Open escapability** ([`rules::BREAKER_TRAP`]): every state with
 //!   an `Open` breaker can reach a non-`Open` breaker state.
 //!
+//! The breaker side is the fleet's own breaker: a `(BreakerState,
+//! consecutive failures)` pair stepped by
+//! [`hetero_fleet::BreakerConfig::step`], the transition the router's
+//! [`hetero_fleet::CircuitBreaker`] runs. Only when the cooldown input
+//! fires is the checker's modelling choice: from a pending retry
+//! behind an `Open` breaker.
+//!
 //! The request side abstracts the router's per-request lifecycle:
 //! `Start(p)` (admission decision under every representative census
 //! band), `Admitted{p, attempt}` (dispatch in flight),
@@ -26,17 +33,26 @@
 //! `NextRequest` edges loop terminals back to `Start` with the breaker
 //! state *preserved*, so breaker behaviour across consecutive requests
 //! is part of the reachable space; these edges are excluded from the
-//! retry-cycle analysis (budget is per request).
+//! retry-cycle analysis (budget is per request). The budget is
+//! `RetryPolicy::max_attempts`; the router itself retries until the
+//! request's deadline, up to `MAX_DISPATCHES`, so `max_retry_chain`
+//! bounds the model, not the router.
 //!
-//! Exploration reuses the truncation discipline of
+//! Both checks here, the policy product and the rollout ladder of
+//! [`check_rollout_product`], run one breadth-first explorer. It
+//! reuses the truncation discipline of
 //! [`crate::explore::ExploreConfig`]: a hard state cap, an explicit
 //! `truncated` flag in the [`ProductCertificate`], and — when
 //! truncated — *no* property claims (all three proofs report `false`
 //! and no diagnostics are emitted, since the subgraph is incomplete).
-//! Everything is deterministic: states are interned in `BTreeMap`
+//! The rollout ladder is small and finite and runs uncapped.
+//! Everything is deterministic: states are numbered in discovery
 //! order and edges dedupe through a `BTreeSet`.
 
-use hetero_fleet::{AdmissionControl, BreakerConfig, Priority, RetryPolicy, MAX_DISPATCHES};
+use hetero_fleet::{
+    AdmissionControl, BreakerConfig, BreakerInput, BreakerState, Priority, RetryPolicy,
+    MAX_DISPATCHES, ROLLOUT_STAGES,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -107,18 +123,11 @@ enum ReqState {
     Lost,
 }
 
-/// Breaker side of the product state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Brk {
-    /// Closed with this many consecutive failures (< threshold).
-    Closed(u32),
-    /// Tripped.
-    Open,
-    /// Cooldown elapsed, one probe may pass.
-    HalfOpen,
-}
+/// Breaker side of the product state: the fleet breaker's state and
+/// its consecutive failures, stepped by [`BreakerConfig::step`].
+type Breaker = (BreakerState, u32);
 
-type State = (ReqState, Brk);
+type State = (ReqState, Breaker);
 
 /// Edge labels (dedupe key component; also used to classify fail
 /// edges for the retry-cycle analysis).
@@ -174,27 +183,6 @@ fn admission_bands(admission: &AdmissionControl) -> Vec<(usize, usize)> {
     bands
 }
 
-fn brk_on_success(b: Brk) -> Brk {
-    match b {
-        Brk::Closed(_) | Brk::HalfOpen => Brk::Closed(0),
-        Brk::Open => Brk::Open,
-    }
-}
-
-fn brk_on_failure(b: Brk, threshold: u32) -> Brk {
-    match b {
-        Brk::Closed(f) => {
-            if f + 1 >= threshold.max(1) {
-                Brk::Open
-            } else {
-                Brk::Closed(f + 1)
-            }
-        }
-        Brk::HalfOpen => Brk::Open,
-        Brk::Open => Brk::Open,
-    }
-}
-
 fn successors(
     (req, brk): State,
     automata: &PolicyAutomata,
@@ -209,6 +197,8 @@ fn successors(
     } else {
         Some(automata.retry.max_attempts.min(MAX_DISPATCHES))
     };
+    let step = |input| automata.breaker.step(brk, input).0;
+    let open = brk.0 == BreakerState::Open;
     let mut out = Vec::new();
     match req {
         ReqState::Start(p) => {
@@ -216,7 +206,7 @@ fn successors(
             for &(busy, healthy) in bands {
                 if automata.admission.should_shed(priority, busy, healthy) {
                     out.push((EdgeKind::Shed, (ReqState::Shed, brk)));
-                } else if brk == Brk::Open {
+                } else if open {
                     out.push((EdgeKind::Admit, (ReqState::Pending { p, attempt: 0 }, brk)));
                 } else {
                     out.push((EdgeKind::Admit, (ReqState::Admitted { p, attempt: 0 }, brk)));
@@ -226,9 +216,8 @@ fn successors(
         ReqState::Admitted { p, attempt } => {
             out.push((
                 EdgeKind::DispatchOk,
-                (ReqState::Served, brk_on_success(brk)),
+                (ReqState::Served, step(BreakerInput::Success)),
             ));
-            let brk_f = brk_on_failure(brk, automata.breaker.failure_threshold);
             let next_req = match budget {
                 None => ReqState::Pending { p, attempt },
                 Some(b) if attempt + 1 >= b => ReqState::Lost,
@@ -237,10 +226,13 @@ fn successors(
                     attempt: attempt + 1,
                 },
             };
-            out.push((EdgeKind::DispatchFail, (next_req, brk_f)));
+            out.push((
+                EdgeKind::DispatchFail,
+                (next_req, step(BreakerInput::Failure)),
+            ));
         }
         ReqState::Pending { p, attempt } => {
-            if brk != Brk::Open {
+            if !open {
                 out.push((
                     EdgeKind::Redispatch,
                     (ReqState::Admitted { p, attempt }, brk),
@@ -248,7 +240,10 @@ fn successors(
             } else if opts.cooldown_edges {
                 out.push((
                     EdgeKind::Cooldown,
-                    (ReqState::Pending { p, attempt }, Brk::HalfOpen),
+                    (
+                        ReqState::Pending { p, attempt },
+                        step(BreakerInput::Cooldown),
+                    ),
                 ));
             }
             if opts.deadline_edges {
@@ -348,6 +343,69 @@ fn describe((req, brk): &State) -> String {
     format!("{req:?} x {brk:?}")
 }
 
+/// The reachable graph of one automaton: states interned in
+/// breadth-first discovery order, labelled edges deduplicated.
+struct Explored<S, E> {
+    states: Vec<S>,
+    edges: BTreeSet<(usize, E, usize)>,
+    /// Whether `max_states` cut exploration short.
+    truncated: bool,
+}
+
+impl<S, E: Copy> Explored<S, E> {
+    /// The edges with their labels dropped, optionally filtered.
+    fn pairs(&self, keep: impl Fn(E) -> bool) -> Vec<(usize, usize)> {
+        self.edges
+            .iter()
+            .filter(|&&(_, k, _)| keep(k))
+            .map(|&(u, _, v)| (u, v))
+            .collect()
+    }
+}
+
+/// Breadth-first exploration from `init`, interning at most
+/// `max_states` states; an edge to a state past the cap is dropped and
+/// sets `truncated`.
+fn explore<S: Copy + Ord, E: Copy + Ord>(
+    init: impl IntoIterator<Item = S>,
+    max_states: usize,
+    successors: impl Fn(S) -> Vec<(E, S)>,
+) -> Explored<S, E> {
+    let mut ids: BTreeMap<S, usize> = BTreeMap::new();
+    let mut states: Vec<S> = Vec::new();
+    for s in init {
+        ids.insert(s, states.len());
+        states.push(s);
+    }
+    let mut queue: VecDeque<usize> = (0..states.len()).collect();
+    let mut edges = BTreeSet::new();
+    let mut truncated = false;
+    while let Some(uid) = queue.pop_front() {
+        for (kind, next) in successors(states[uid]) {
+            let vid = match ids.get(&next) {
+                Some(&v) => v,
+                None if states.len() >= max_states => {
+                    truncated = true;
+                    continue;
+                }
+                None => {
+                    let v = states.len();
+                    ids.insert(next, v);
+                    states.push(next);
+                    queue.push_back(v);
+                    v
+                }
+            };
+            edges.insert((uid, kind, vid));
+        }
+    }
+    Explored {
+        states,
+        edges,
+        truncated,
+    }
+}
+
 /// Exhaustively explore the product automaton and prove (or refute)
 /// livelock freedom, bounded retry, and Open escapability. Returns
 /// the exact-count certificate plus one diagnostic per refuted
@@ -359,43 +417,16 @@ pub fn check_policy_product(
     location: &str,
 ) -> (ProductCertificate, Vec<Diagnostic>) {
     let bands = admission_bands(&automata.admission);
-    let mut ids: BTreeMap<State, usize> = BTreeMap::new();
-    let mut states: Vec<State> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut truncated = false;
-
     // One initial state per priority class, breaker fresh.
-    for p in 0..Priority::ALL.len() as u8 {
-        let s = (ReqState::Start(p), Brk::Closed(0));
-        let id = states.len();
-        ids.insert(s, id);
-        states.push(s);
-        queue.push_back(id);
-    }
-
-    let mut edge_set: BTreeSet<(usize, EdgeKind, usize)> = BTreeSet::new();
-    while let Some(uid) = queue.pop_front() {
-        for (kind, next) in successors(states[uid], automata, opts, &bands) {
-            let vid = match ids.get(&next) {
-                Some(&v) => v,
-                None => {
-                    if states.len() >= opts.max_states {
-                        truncated = true;
-                        continue;
-                    }
-                    let v = states.len();
-                    ids.insert(next, v);
-                    states.push(next);
-                    queue.push_back(v);
-                    v
-                }
-            };
-            edge_set.insert((uid, kind, vid));
-        }
-    }
-
+    let graph = explore(
+        (0..Priority::ALL.len() as u8).map(|p| (ReqState::Start(p), (BreakerState::Closed, 0))),
+        opts.max_states,
+        |s| successors(s, automata, opts, &bands),
+    );
+    let states = &graph.states;
     let n = states.len();
-    let open_states = states.iter().filter(|(_, b)| *b == Brk::Open).count() as u64;
+    let is_open = |i: usize| matches!(states[i], (_, (BreakerState::Open, _)));
+    let open_states = (0..n).filter(|&i| is_open(i)).count() as u64;
     let terminal_states = states.iter().filter(|(r, _)| is_terminal(*r)).count() as u64;
     let max_retry_chain = states
         .iter()
@@ -410,8 +441,8 @@ pub fn check_policy_product(
 
     let mut cert = ProductCertificate {
         states: n as u64,
-        transitions: edge_set.len() as u64,
-        truncated,
+        transitions: graph.edges.len() as u64,
+        truncated: graph.truncated,
         open_states,
         terminal_states,
         max_retry_chain,
@@ -419,29 +450,15 @@ pub fn check_policy_product(
         open_escapable: false,
         retry_bounded: false,
     };
-    if truncated {
+    if graph.truncated {
         // Incomplete subgraph: claim nothing, flag nothing.
         return (cert, Vec::new());
     }
 
-    let all_edges: Vec<(usize, usize)> = edge_set.iter().map(|&(u, _, v)| (u, v)).collect();
-    let per_request_edges: Vec<(usize, usize)> = edge_set
-        .iter()
-        .filter(|&&(_, k, _)| k != EdgeKind::NextRequest)
-        .map(|&(u, _, v)| (u, v))
-        .collect();
+    let all_edges = graph.pairs(|_| true);
+    let per_request_edges = graph.pairs(|k| k != EdgeKind::NextRequest);
 
     let mut diags = Vec::new();
-    let mut push = |rule_id: &str, message: String| {
-        let info = rules::rule(rule_id).expect("model-check rules are registered");
-        diags.push(Diagnostic {
-            rule_id: rule_id.to_string(),
-            severity: info.severity,
-            location: location.to_string(),
-            message,
-            suggestion: None,
-        });
-    };
 
     // Livelock freedom: every state reaches a resolution.
     let resolutions: Vec<usize> = (0..n).filter(|&i| is_terminal(states[i].0)).collect();
@@ -449,48 +466,50 @@ pub fn check_policy_product(
     let stuck: Vec<usize> = (0..n).filter(|&i| !reaches[i]).collect();
     cert.livelock_free = stuck.is_empty();
     if let Some(&first) = stuck.first() {
-        push(
+        diags.push(Diagnostic::new(
             rules::POLICY_LIVELOCK,
+            location,
             format!(
                 "{} state(s) cannot reach served/shed/lost; e.g. {}",
                 stuck.len(),
                 describe(&states[first])
             ),
-        );
+        ));
     }
 
     // Open escapability: every Open state reaches a non-Open state.
-    let non_open: Vec<usize> = (0..n).filter(|&i| states[i].1 != Brk::Open).collect();
+    let non_open: Vec<usize> = (0..n).filter(|&i| !is_open(i)).collect();
     let escapes = can_reach(n, &all_edges, &non_open);
-    let trapped: Vec<usize> = (0..n)
-        .filter(|&i| states[i].1 == Brk::Open && !escapes[i])
-        .collect();
+    let trapped: Vec<usize> = (0..n).filter(|&i| is_open(i) && !escapes[i]).collect();
     cert.open_escapable = trapped.is_empty();
     if let Some(&first) = trapped.first() {
-        push(
+        diags.push(Diagnostic::new(
             rules::BREAKER_TRAP,
+            location,
             format!(
                 "{} Open-breaker state(s) can never re-close; e.g. {}",
                 trapped.len(),
                 describe(&states[first])
             ),
-        );
+        ));
     }
 
     // Bounded retry: no fail edge inside a per-request cycle.
     let comp = sccs(n, &per_request_edges);
-    let cyclic_fail = edge_set
+    let cyclic_fail = graph
+        .edges
         .iter()
         .find(|&&(u, k, v)| k == EdgeKind::DispatchFail && comp[u] == comp[v]);
     cert.retry_bounded = cyclic_fail.is_none();
     if let Some(&(u, _, _)) = cyclic_fail {
-        push(
+        diags.push(Diagnostic::new(
             rules::RETRY_UNBOUNDED,
+            location,
             format!(
                 "dispatch failure repeats without consuming retry budget; cycle through {}",
                 describe(&states[u])
             ),
-        );
+        ));
     }
 
     (cert, diags)
@@ -510,7 +529,9 @@ pub struct RolloutAutomata {
 impl RolloutAutomata {
     /// The shipped staged-rollout ladder.
     pub fn standard() -> Self {
-        Self { stages: 4 }
+        Self {
+            stages: ROLLOUT_STAGES.len() as u32,
+        }
     }
 }
 
@@ -636,32 +657,17 @@ pub fn check_rollout_product(
     opts: &RolloutOptions,
     location: &str,
 ) -> (RolloutCertificate, Vec<Diagnostic>) {
-    let mut ids: BTreeMap<RolState, usize> = BTreeMap::new();
-    let mut states: Vec<RolState> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
     let init = RolState::Canary {
         stage: 1,
         drifted: false,
     };
-    ids.insert(init, 0);
-    states.push(init);
-    queue.push_back(0);
-    let mut edge_set: BTreeSet<(usize, RolEdge, usize)> = BTreeSet::new();
-    while let Some(uid) = queue.pop_front() {
-        for (kind, next) in rollout_successors(states[uid], automata, opts) {
-            let vid = *ids.entry(next).or_insert_with(|| {
-                let v = states.len();
-                states.push(next);
-                queue.push_back(v);
-                v
-            });
-            edge_set.insert((uid, kind, vid));
-        }
-    }
-
+    let graph = explore([init], usize::MAX, |s| {
+        rollout_successors(s, automata, opts)
+    });
+    let states = &graph.states;
     let n = states.len();
     let terminal = |s: &RolState| matches!(s, RolState::Promoted | RolState::RolledBack);
-    let edges: Vec<(usize, usize)> = edge_set.iter().map(|&(u, _, v)| (u, v)).collect();
+    let edges = graph.pairs(|_| true);
 
     let promoted: Vec<usize> = (0..n)
         .filter(|&i| states[i] == RolState::Promoted)
@@ -678,7 +684,7 @@ pub fn check_rollout_product(
 
     let cert = RolloutCertificate {
         states: n as u64,
-        transitions: edge_set.len() as u64,
+        transitions: graph.edges.len() as u64,
         terminal_states: states.iter().filter(|s| terminal(s)).count() as u64,
         stages: automata.stages,
         promote_reachable,
@@ -686,34 +692,26 @@ pub fn check_rollout_product(
     };
 
     let mut diags = Vec::new();
-    let mut push = |rule_id: &str, message: String| {
-        let info = rules::rule(rule_id).expect("model-check rules are registered");
-        diags.push(Diagnostic {
-            rule_id: rule_id.to_string(),
-            severity: info.severity,
-            location: location.to_string(),
-            message,
-            suggestion: None,
-        });
-    };
     if !promote_reachable {
-        push(
+        diags.push(Diagnostic::new(
             rules::ROLLOUT_STUCK,
+            location,
             format!(
                 "no path from the initial 1% stage to Promoted across {} stage(s)",
                 automata.stages
             ),
-        );
+        ));
     }
     if let Some(&first) = unrevertable.first() {
-        push(
+        diags.push(Diagnostic::new(
             rules::ROLLBACK_MISSED,
+            location,
             format!(
                 "{} non-terminal state(s) cannot reach RolledBack; e.g. {:?}",
                 unrevertable.len(),
                 states[first]
             ),
-        );
+        ));
     }
     (cert, diags)
 }

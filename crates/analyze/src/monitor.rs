@@ -738,22 +738,19 @@ pub fn monitor_fleet_log(log: &FleetEventLog) -> MonitorVerdict {
             continue;
         }
         let (first_t, first_where) = tally.first.clone().expect("violations imply a first");
-        let info = rules::rule(spec.rule).expect("monitor specs are registered");
         let qualifier = if spec.instance.is_empty() {
             String::new()
         } else {
             format!("/{}", spec.instance)
         };
-        findings.push(Diagnostic {
-            rule_id: spec.rule.to_string(),
-            severity: info.severity,
-            location: format!("fleet[{}]/{}{}", log.seed, log.policy, qualifier),
-            message: format!(
+        findings.push(Diagnostic::new(
+            spec.rule,
+            format!("fleet[{}]/{}{}", log.seed, log.policy, qualifier),
+            format!(
                 "{}: {} violating event(s); first at t={} ns{}",
                 spec.describe, tally.violations, first_t, first_where
             ),
-            suggestion: None,
-        });
+        ));
     }
     MonitorVerdict {
         findings,

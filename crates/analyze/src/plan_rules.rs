@@ -55,89 +55,68 @@ impl PlanContext {
     }
 }
 
-fn emit(
-    out: &mut Vec<Diagnostic>,
-    rule_id: &str,
-    ctx: &PlanContext,
-    message: String,
-    suggestion: Option<String>,
-) {
-    let info = rules::rule(rule_id).expect("emitting an unregistered rule");
-    out.push(Diagnostic {
-        rule_id: rule_id.into(),
-        severity: info.severity,
-        location: ctx.location.clone(),
-        message,
-        suggestion,
-    });
-}
-
 /// Run every plan-level rule against `plan` in `ctx`.
 pub fn check_plan(plan: &PartitionPlan, ctx: &PlanContext) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     // shape-conservation (§4.1): no dropped or duplicated work.
     for v in plan.conservation_violations(ctx.m, ctx.n) {
-        emit(&mut out, rules::SHAPE_CONSERVATION, ctx, v, None);
+        out.push(Diagnostic::new(rules::SHAPE_CONSERVATION, &ctx.location, v));
     }
 
     // tile-alignment (§3.2): NPU sequence sizes fit the systolic array.
     for v in plan.alignment_violations(ctx.tile) {
-        emit(
-            &mut out,
+        out.push(Diagnostic::with_suggestion(
             rules::TILE_ALIGNMENT,
-            ctx,
+            &ctx.location,
             v,
             Some(format!(
                 "round NPU sequence sizes to multiples of {}",
                 ctx.tile
             )),
-        );
+        ));
     }
 
     // graph-membership (§4.1.1): static graphs only.
     for v in plan.membership_violations(&ctx.compiled_sizes) {
-        emit(
-            &mut out,
+        out.push(Diagnostic::with_suggestion(
             rules::GRAPH_MEMBERSHIP,
-            ctx,
+            &ctx.location,
             v,
             Some(format!(
                 "preload the size or restrict the plan to {:?}",
                 ctx.compiled_sizes
             )),
-        );
+        ));
     }
 
     // plan-normalization: canonical serial form for degenerate splits,
     // and GPU column cuts on the solver's row alignment.
     if !plan.is_normalized() {
-        emit(
-            &mut out,
+        out.push(Diagnostic::with_suggestion(
             rules::PLAN_NORMALIZATION,
-            ctx,
+            &ctx.location,
             format!(
                 "degenerate {} with an empty GPU share; canonical form is {}",
                 plan.label(),
                 plan.clone().normalize().label()
             ),
             Some("call PartitionPlan::normalize() on solver output".into()),
-        );
+        ));
     }
     if let PartitionPlan::RowCut { gpu_cols, .. } | PartitionPlan::HybridCut { gpu_cols, .. } = plan
     {
         if *gpu_cols % ctx.row_align != 0 {
-            emit(
-                &mut out,
+            out.push(Diagnostic::with_suggestion(
                 rules::PLAN_NORMALIZATION,
-                ctx,
+                &ctx.location,
                 format!(
                     "gpu_cols {gpu_cols} not a multiple of the row alignment {}: outside the \
                      solver search space and off the NPU's stage-performance plateau",
                     ctx.row_align
                 ),
                 Some(format!("align the column cut to {}", ctx.row_align)),
-            );
+            ));
         }
     }
 
@@ -145,15 +124,13 @@ pub fn check_plan(plan: &PartitionPlan, ctx: &PlanContext) -> Vec<Diagnostic> {
     // driver-level sync wastes hundreds of µs per operator when the
     // fast path exists.
     if plan.uses_npu() && ctx.mechanism == SyncMechanism::Driver && ctx.fast_sync_available {
-        emit(
-            &mut out,
+        out.push(Diagnostic::with_suggestion(
             rules::SYNC_MECHANISM,
-            ctx,
+            &ctx.location,
             "plan crosses backends under driver synchronization (~400 µs mapped-buffer copy \
-             per handoff) although fast sync is available"
-                .into(),
+             per handoff) although fast sync is available",
             Some("use SyncMechanism::Fast (shared memory pool + flag polling)".into()),
-        );
+        ));
     }
 
     out

@@ -111,14 +111,12 @@ impl<'a> Detector<'a> {
     }
 
     fn emit(&mut self, rule_id: &'static str, message: String, suggestion: Option<String>) {
-        let info = rules::rule(rule_id).expect("registered");
-        self.out.push(Diagnostic {
-            rule_id: rule_id.into(),
-            severity: info.severity,
-            location: self.location.into(),
+        self.out.push(Diagnostic::with_suggestion(
+            rule_id,
+            self.location,
             message,
             suggestion,
-        });
+        ));
     }
 
     fn emit_buffer(

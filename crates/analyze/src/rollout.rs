@@ -3,65 +3,30 @@
 //!
 //! These read a finished [`RolloutReport`] — the all-integer evidence
 //! `rollout_sweep` emits — and re-derive every stage verdict from the
-//! echoed thresholds, independently of the controller that produced
-//! it:
+//! echoed evidence and thresholds through the controller's own
+//! predicate, [`hetero_fleet::stage_regressed`]:
 //!
 //! - `rollout-stuck` (deny): the rollout must *terminate* — the
 //!   outcome is `promoted` or `rolled-back`, and is consistent with
 //!   the per-stage verdicts (promotion requires every stage clean and
 //!   a 100% final stage; a rollback outcome requires a non-clean final
 //!   stage verdict).
-//! - `rollback-missed` (deny): a stage whose re-derived
-//!   canary-vs-control deltas regress past the echoed thresholds must
-//!   not carry a `promote` verdict — the controller shipped a
-//!   regressing candidate further down the ladder.
+//! - `rollback-missed` (deny): a stage whose echoed canary-vs-control
+//!   deltas regress past the echoed thresholds must not carry a
+//!   `promote` verdict — the controller shipped a regressing candidate
+//!   further down the ladder. The report does not echo the final
+//!   window's p99 TTFT, so at the 100% stage only attainment against
+//!   the baseline is re-checked.
 //! - `canary-starved` (warn): a decided sub-100% stage must have
 //!   served the canary cohort at least `min_canary_samples`
 //!   completions; below that the verdict carries no statistical
 //!   weight (the shipped controller rolls back conservatively and
 //!   marks the stage `starved`).
 
-use hetero_fleet::{RolloutReport, StageReport};
+use hetero_fleet::{stage_regressed, RolloutReport, StageReport};
 
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::rules;
-
-fn diag(rule_id: &str, severity: Severity, location: String, message: String) -> Diagnostic {
-    Diagnostic {
-        rule_id: rule_id.into(),
-        severity,
-        location,
-        message,
-        suggestion: None,
-    }
-}
-
-/// The controller's regression predicate, re-derived from the echoed
-/// thresholds (kept in lockstep with
-/// `hetero_fleet::rollout::RolloutConfig`-driven verdicts).
-fn regressed(report: &RolloutReport, stage: &StageReport) -> bool {
-    if stage.pct < 100 {
-        let tail_ok = stage.canary_served >= report.tail_min_samples
-            && stage.control_served >= report.tail_min_samples;
-        stage.canary_attainment_ppm + report.max_attainment_drop_ppm < stage.control_attainment_ppm
-            || (stage.control_service_p50_ppm > 0
-                && stage.canary_service_p50_ppm.saturating_mul(100)
-                    > stage
-                        .control_service_p50_ppm
-                        .saturating_mul(100 + report.max_p50_regress_pct))
-            || (tail_ok
-                && stage.control_service_p99_ppm > 0
-                && stage.canary_service_p99_ppm.saturating_mul(100)
-                    > stage
-                        .control_service_p99_ppm
-                        .saturating_mul(100 + report.max_p99_regress_pct))
-    } else {
-        // The 100% stage has no control group: the fleet-wide window
-        // attainment is compared against the baseline window.
-        report.final_attainment_ppm + report.max_attainment_drop_ppm
-            < report.baseline_attainment_ppm
-    }
-}
 
 /// Check one finished rollout report against the three rollout
 /// evidence rules.
@@ -72,10 +37,9 @@ pub fn check_rollout_report(report: &RolloutReport, location: &str) -> Vec<Diagn
     // rollout-stuck: the run terminated, consistently with its stages.
     let terminal = matches!(report.outcome.as_str(), "promoted" | "rolled-back");
     if !terminal {
-        out.push(diag(
+        out.push(Diagnostic::new(
             rules::ROLLOUT_STUCK,
-            Severity::Deny,
-            location.into(),
+            location,
             format!(
                 "rollout outcome `{}` is not a terminal verdict (promoted / rolled-back)",
                 report.outcome
@@ -96,10 +60,9 @@ pub fn check_rollout_report(report: &RolloutReport, location: &str) -> Vec<Diagn
             _ => false,
         };
         if !consistent {
-            out.push(diag(
+            out.push(Diagnostic::new(
                 rules::ROLLOUT_STUCK,
-                Severity::Deny,
-                location.into(),
+                location,
                 format!(
                     "outcome `{}` is inconsistent with the stage verdicts [{}]",
                     report.outcome,
@@ -114,12 +77,33 @@ pub fn check_rollout_report(report: &RolloutReport, location: &str) -> Vec<Diagn
         }
     }
 
+    let t = report.thresholds();
     for stage in &report.stages {
-        // rollback-missed: promote verdicts must survive re-derivation.
-        if stage.verdict == "promote" && regressed(report, stage) {
-            out.push(diag(
+        // rollback-missed: promote verdicts must survive the
+        // controller's predicate on the echoed evidence. The 100%
+        // stage has no control group: the final window's attainment
+        // is compared against the baseline window.
+        let regressed = if stage.pct < 100 {
+            stage_regressed(
+                &t,
+                (stage.canary_attainment_ppm, stage.control_attainment_ppm),
+                (stage.canary_service_p50_ppm, stage.control_service_p50_ppm),
+                t.tail(
+                    (stage.canary_served, stage.control_served),
+                    (stage.canary_service_p99_ppm, stage.control_service_p99_ppm),
+                ),
+            )
+        } else {
+            stage_regressed(
+                &t,
+                (report.final_attainment_ppm, report.baseline_attainment_ppm),
+                (0, 0),
+                None,
+            )
+        };
+        if stage.verdict == "promote" && regressed {
+            out.push(Diagnostic::new(
                 rules::ROLLBACK_MISSED,
-                Severity::Deny,
                 loc(stage),
                 format!(
                     "stage {} ({}%) was promoted but its deltas regress past the echoed \
@@ -138,9 +122,8 @@ pub fn check_rollout_report(report: &RolloutReport, location: &str) -> Vec<Diagn
         }
         // canary-starved: decided sub-100% stages carried evidence.
         if stage.pct < 100 && stage.canary_served < report.min_canary_samples {
-            out.push(diag(
+            out.push(Diagnostic::new(
                 rules::CANARY_STARVED,
-                Severity::Warn,
                 loc(stage),
                 format!(
                     "stage {} ({}%) decided on {} canary completions, below the {}-sample \
@@ -156,6 +139,7 @@ pub fn check_rollout_report(report: &RolloutReport, location: &str) -> Vec<Diagn
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::Severity;
 
     fn stage(no: u32, pct: u32, verdict: &str) -> StageReport {
         StageReport {

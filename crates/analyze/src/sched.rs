@@ -235,7 +235,6 @@ pub fn check_unverified_sink(schedule: &SyncSchedule, location: &str) -> Vec<Dia
             }
         }
     }
-    let info = rules::rule(rules::UNVERIFIED_SINK).expect("registered");
     for (s, ev) in schedule.events.iter().enumerate() {
         if ev.kind != EventKind::Submit {
             continue;
@@ -269,31 +268,19 @@ pub fn check_unverified_sink(schedule: &SyncSchedule, location: &str) -> Vec<Dia
                     schedule.events[sink].label
                 )
             };
-            out.push(Diagnostic {
-                rule_id: rules::UNVERIFIED_SINK.into(),
-                severity: info.severity,
-                location: location.into(),
-                message: format!("submission '{}' {what}", ev.label),
-                suggestion: Some(
+            out.push(Diagnostic::with_suggestion(
+                rules::UNVERIFIED_SINK,
+                location,
+                format!("submission '{}' {what}", ev.label),
+                Some(
                     "insert a Verify event between the submission and its consumers \
                      (see verified_schedule)"
                         .into(),
                 ),
-            });
+            ));
         }
     }
     out
-}
-
-fn emit(out: &mut Vec<Diagnostic>, location: &str, message: String, suggestion: Option<String>) {
-    let info = rules::rule(rules::SYNC_SCHEDULE).expect("registered");
-    out.push(Diagnostic {
-        rule_id: rules::SYNC_SCHEDULE.into(),
-        severity: info.severity,
-        location: location.into(),
-        message,
-        suggestion,
-    });
 }
 
 /// Check a sync schedule's happens-before graph.
@@ -305,12 +292,11 @@ pub fn check_schedule(schedule: &SyncSchedule, location: &str) -> Vec<Diagnostic
     for (i, e) in schedule.events.iter().enumerate() {
         for &w in &e.waits_on {
             if w >= n {
-                emit(
-                    &mut out,
+                out.push(Diagnostic::new(
+                    rules::SYNC_SCHEDULE,
                     location,
                     format!("event {i} ({}) waits on nonexistent event {w}", e.label),
-                    None,
-                );
+                ));
             }
         }
     }
@@ -347,12 +333,12 @@ pub fn check_schedule(schedule: &SyncSchedule, location: &str) -> Vec<Diagnostic
             .filter(|&i| remaining_deps[i] > 0)
             .map(|i| schedule.events[i].label.clone())
             .collect();
-        emit(
-            &mut out,
+        out.push(Diagnostic::with_suggestion(
+            rules::SYNC_SCHEDULE,
             location,
             format!("cyclic waits: events {stuck:?} can never execute"),
             Some("break the cycle; a rendezvous must not be waited on by its inputs".into()),
-        );
+        ));
     }
 
     // Rendezvous pairing: each rendezvous must (transitively) wait on
@@ -368,15 +354,15 @@ pub fn check_schedule(schedule: &SyncSchedule, location: &str) -> Vec<Diagnostic
             })
         };
         if !sees(Backend::Gpu) || !sees(Backend::Npu) {
-            emit(
-                &mut out,
+            out.push(Diagnostic::with_suggestion(
+                rules::SYNC_SCHEDULE,
                 location,
                 format!(
                     "rendezvous '{}' does not join both backends (waits on {:?})",
                     e.label, e.waits_on
                 ),
                 Some("a rendezvous must wait on at least one GPU and one NPU submission".into()),
-            );
+            ));
         }
     }
 

@@ -24,18 +24,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::rules;
-
-fn deny(rule_id: &str, loc: &str, message: String) -> Diagnostic {
-    Diagnostic {
-        rule_id: rule_id.into(),
-        severity: Severity::Deny,
-        location: loc.into(),
-        message,
-        suggestion: None,
-    }
-}
 
 /// One parsed duration/flow event (the fields the lint needs).
 struct Event {
@@ -57,7 +47,7 @@ pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
     let doc: serde_json::Value = match serde_json::from_str(text) {
         Ok(v) => v,
         Err(e) => {
-            return vec![deny(
+            return vec![Diagnostic::new(
                 rules::TRACE_FORMAT,
                 loc,
                 format!("not valid JSON: {e}"),
@@ -65,10 +55,10 @@ pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
         }
     };
     let Some(events) = doc.get("traceEvents").and_then(|v| v.as_array()) else {
-        return vec![deny(
+        return vec![Diagnostic::new(
             rules::TRACE_FORMAT,
             loc,
-            "document has no `traceEvents` array".into(),
+            "document has no `traceEvents` array",
         )];
     };
 
@@ -76,7 +66,7 @@ pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
     let mut parsed: Vec<Event> = Vec::new();
     for (index, ev) in events.iter().enumerate() {
         let Some(ph) = ev.get("ph").and_then(|v| v.as_str()) else {
-            findings.push(deny(
+            findings.push(Diagnostic::new(
                 rules::TRACE_FORMAT,
                 loc,
                 format!("event #{index} has no `ph` phase field"),
@@ -93,7 +83,7 @@ pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
             .to_string();
         let int = |key: &str| ev.get(key).and_then(|v| v.as_u64());
         let (Some(pid), Some(tid), Some(ts)) = (int("pid"), int("tid"), int("ts")) else {
-            findings.push(deny(
+            findings.push(Diagnostic::new(
                 rules::TRACE_FORMAT,
                 loc,
                 format!(
@@ -126,7 +116,7 @@ pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
         }
         let prev = last_ts.entry(track).or_insert(ev.ts);
         if ev.ts < *prev {
-            findings.push(deny(
+            findings.push(Diagnostic::new(
                 rules::SPAN_NESTING,
                 loc,
                 format!(
@@ -144,7 +134,7 @@ pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
             match stack.pop() {
                 Some((_, open_name, open_ts)) => {
                     if ev.ts < open_ts {
-                        findings.push(deny(
+                        findings.push(Diagnostic::new(
                             rules::SPAN_NESTING,
                             loc,
                             format!(
@@ -156,7 +146,7 @@ pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
                     }
                 }
                 None => {
-                    findings.push(deny(
+                    findings.push(Diagnostic::new(
                         rules::SUBMIT_COMPLETE,
                         loc,
                         format!(
@@ -171,7 +161,7 @@ pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
     }
     for (track, stack) in &stacks {
         for (index, name, ts) in stack {
-            findings.push(deny(
+            findings.push(Diagnostic::new(
                 rules::SUBMIT_COMPLETE,
                 loc,
                 format!(
@@ -189,7 +179,7 @@ pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
             continue;
         }
         let Some(id) = ev.id else {
-            findings.push(deny(
+            findings.push(Diagnostic::new(
                 rules::FLOW_MATCH,
                 loc,
                 format!("flow event #{} ({:?}) has no integer id", ev.index, ev.name),
@@ -207,7 +197,7 @@ pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
     }
     for (id, (starts, finishes, s_ts, f_ts)) in &flows {
         if *starts != 1 || *finishes != 1 {
-            findings.push(deny(
+            findings.push(Diagnostic::new(
                 rules::FLOW_MATCH,
                 loc,
                 format!("flow id {id}: {starts} start(s) and {finishes} finish(es), expected 1+1"),
@@ -216,7 +206,7 @@ pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
         }
         if let (Some(s), Some(f)) = (s_ts, f_ts) {
             if f < s {
-                findings.push(deny(
+                findings.push(Diagnostic::new(
                     rules::FLOW_MATCH,
                     loc,
                     format!("flow id {id}: finish at ts {f} precedes start at ts {s}"),

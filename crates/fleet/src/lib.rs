@@ -59,14 +59,14 @@ pub use device::{
 pub use events::{FleetEvent, FleetEventLog, FleetLogPair, ProfileCause, EVENT_LOG_VERSION};
 pub use fault::{FaultInjector, FaultPlanConfig};
 pub use policy::{
-    AdmissionControl, BreakerCause, BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker,
-    RetryPolicy,
+    AdmissionControl, BreakerCause, BreakerConfig, BreakerInput, BreakerState, BreakerTransition,
+    CircuitBreaker, RetryPolicy,
 };
 pub use profiler::{OnlineProfiler, DRIFT_RESOLVE_THRESHOLD_PPM, FEW_SHOT_SAMPLES, PPM};
 pub use report::{ArmReport, FleetComparison, PriorityStats};
 pub use rollout::{
-    PolicyRevision, RolloutConfig, RolloutController, RolloutLogSet, RolloutReport, StageReport,
-    ROLLOUT_STAGES,
+    stage_regressed, PolicyRevision, RolloutConfig, RolloutController, RolloutLogSet,
+    RolloutReport, StageReport, StageThresholds, ROLLOUT_STAGES,
 };
 pub use router::{FleetConfig, FleetSim, RouterPolicy, MAX_DISPATCHES};
 pub use workload::{fleet_traffic, FleetRequest, Priority};

@@ -12,12 +12,15 @@ use crate::draw;
 use crate::workload::Priority;
 
 /// Deterministic retry schedule: exponential backoff with seeded
-/// jitter, a delay cap, and a bounded attempt budget.
+/// jitter and a delay cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
-    /// Total dispatch attempts per request (first try included).
-    /// Zero means "retry forever" and is rejected by the
-    /// `retry-storm` analyzer rule.
+    /// Length of the exponential schedule plus one: [`Self::schedule`]
+    /// holds `max_attempts - 1` delays. It does not bound a request's
+    /// dispatches. The robust router retries until the request's
+    /// deadline, up to [`crate::MAX_DISPATCHES`], waiting `cap` once
+    /// the schedule runs out. Zero means "retry forever" and is
+    /// rejected by the `retry-storm` analyzer rule.
     pub max_attempts: u32,
     /// Delay before the first retry.
     pub base: SimTime,
@@ -80,8 +83,10 @@ impl RetryPolicy {
             .collect()
     }
 
-    /// Upper bound on the summed backoff delays of one request:
-    /// every delay is at most `cap` plus the full jitter span.
+    /// Upper bound on the summed delays of [`Self::schedule`]: every
+    /// delay is at most `cap` plus the full jitter span. It does not
+    /// bound a request's total backoff, which runs past the schedule
+    /// at `cap` per retry until the deadline.
     pub fn total_backoff_bound(&self) -> SimTime {
         let per = self.cap.as_nanos() + self.cap.as_nanos() / 100 * u64::from(self.jitter_pct);
         SimTime::from_nanos(per.saturating_mul(u64::from(self.max_attempts.saturating_sub(1))))
@@ -89,7 +94,7 @@ impl RetryPolicy {
 }
 
 /// Circuit-breaker states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum BreakerState {
     /// Healthy: requests flow.
     Closed,
@@ -123,6 +128,17 @@ pub enum BreakerCause {
     ProbeFailure,
 }
 
+/// One input to the breaker state machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BreakerInput {
+    /// A dispatch succeeded.
+    Success,
+    /// A dispatch failed.
+    Failure,
+    /// The open cooldown elapsed.
+    Cooldown,
+}
+
 /// One typed breaker state transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BreakerTransition {
@@ -152,6 +168,30 @@ impl BreakerConfig {
         Self {
             failure_threshold: 2,
             cooldown: SimTime::from_millis(500),
+        }
+    }
+
+    /// The breaker's one transition rule. From `state` with
+    /// `failures` consecutive failures (counted only while closed),
+    /// `input` gives the next pair, plus the cause when the state
+    /// changes. [`CircuitBreaker`] runs it against its clock;
+    /// `hetero_analyze::model_check` explores it exhaustively.
+    pub fn step(
+        &self,
+        (state, failures): (BreakerState, u32),
+        input: BreakerInput,
+    ) -> ((BreakerState, u32), Option<BreakerCause>) {
+        use BreakerState::{Closed, HalfOpen, Open};
+        match (state, input) {
+            (Closed, BreakerInput::Success) => ((Closed, 0), None),
+            (Closed, BreakerInput::Failure) if failures + 1 >= self.failure_threshold => {
+                ((Open, 0), Some(BreakerCause::FailureThreshold))
+            }
+            (Closed, BreakerInput::Failure) => ((Closed, failures + 1), None),
+            (Open, BreakerInput::Cooldown) => ((HalfOpen, 0), Some(BreakerCause::CooldownElapsed)),
+            (HalfOpen, BreakerInput::Success) => ((Closed, 0), Some(BreakerCause::ProbeSuccess)),
+            (HalfOpen, BreakerInput::Failure) => ((Open, 0), Some(BreakerCause::ProbeFailure)),
+            _ => ((state, failures), None),
         }
     }
 }
@@ -205,11 +245,26 @@ impl CircuitBreaker {
         self.state = to;
     }
 
+    /// Run one input through [`BreakerConfig::step`] at `now`,
+    /// arming the cooldown clock whenever the breaker opens.
+    fn apply(&mut self, now: SimTime, input: BreakerInput) {
+        let ((to, failures), cause) = self
+            .config
+            .step((self.state, self.consecutive_failures), input);
+        self.consecutive_failures = failures;
+        if let Some(cause) = cause {
+            if to == BreakerState::Open {
+                self.open_until = now + self.config.cooldown;
+            }
+            self.transition(now, to, cause);
+        }
+    }
+
     /// Advance the timed part of the state machine: an open breaker
     /// whose cooldown has elapsed becomes half-open.
     pub fn poll(&mut self, now: SimTime) -> BreakerState {
-        if self.state == BreakerState::Open && now >= self.open_until {
-            self.transition(now, BreakerState::HalfOpen, BreakerCause::CooldownElapsed);
+        if now >= self.open_until {
+            self.apply(now, BreakerInput::Cooldown);
         }
         self.state
     }
@@ -223,29 +278,13 @@ impl CircuitBreaker {
     /// Record a successful dispatch outcome.
     pub fn record_success(&mut self, now: SimTime) {
         self.poll(now);
-        self.consecutive_failures = 0;
-        if self.state == BreakerState::HalfOpen {
-            self.transition(now, BreakerState::Closed, BreakerCause::ProbeSuccess);
-        }
+        self.apply(now, BreakerInput::Success);
     }
 
     /// Record a failed dispatch outcome.
     pub fn record_failure(&mut self, now: SimTime) {
         self.poll(now);
-        self.consecutive_failures += 1;
-        match self.state {
-            BreakerState::Closed => {
-                if self.consecutive_failures >= self.config.failure_threshold {
-                    self.open_until = now + self.config.cooldown;
-                    self.transition(now, BreakerState::Open, BreakerCause::FailureThreshold);
-                }
-            }
-            BreakerState::HalfOpen => {
-                self.open_until = now + self.config.cooldown;
-                self.transition(now, BreakerState::Open, BreakerCause::ProbeFailure);
-            }
-            BreakerState::Open => {}
-        }
+        self.apply(now, BreakerInput::Failure);
     }
 
     /// Current state (without advancing the clock).
@@ -372,6 +411,45 @@ mod tests {
             .find(|t| t.cause == BreakerCause::ProbeFailure)
             .expect("reopen recorded");
         assert_eq!(probe_fail.from, BreakerState::HalfOpen);
+    }
+
+    #[test]
+    fn breaker_step_transition_table() {
+        use BreakerCause::*;
+        use BreakerInput::{Cooldown, Failure, Success};
+        use BreakerState::{Closed, HalfOpen, Open};
+        for threshold in 0..=3 {
+            let cfg = BreakerConfig {
+                failure_threshold: threshold,
+                cooldown: ms(100),
+            };
+            let mut table = vec![
+                ((Open, 0), Success, (Open, 0), None),
+                ((Open, 0), Failure, (Open, 0), None),
+                ((Open, 0), Cooldown, (HalfOpen, 0), Some(CooldownElapsed)),
+                ((HalfOpen, 0), Success, (Closed, 0), Some(ProbeSuccess)),
+                ((HalfOpen, 0), Failure, (Open, 0), Some(ProbeFailure)),
+                ((HalfOpen, 0), Cooldown, (HalfOpen, 0), None),
+            ];
+            // A threshold of 0 trips like 1: on the first failure.
+            let trip_at = threshold.max(1) - 1;
+            for f in 0..=trip_at {
+                table.push(((Closed, f), Success, (Closed, 0), None));
+                table.push(((Closed, f), Cooldown, (Closed, f), None));
+                table.push(if f == trip_at {
+                    ((Closed, f), Failure, (Open, 0), Some(FailureThreshold))
+                } else {
+                    ((Closed, f), Failure, (Closed, f + 1), None)
+                });
+            }
+            for (from, input, to, cause) in table {
+                assert_eq!(
+                    cfg.step(from, input),
+                    (to, cause),
+                    "threshold {threshold}: {from:?} on {input:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -165,6 +165,57 @@ impl RolloutConfig {
             revert_lag: SimTime::from_millis(1),
         }
     }
+
+    /// The thresholds [`stage_regressed`] judges a stage against.
+    pub fn thresholds(&self) -> StageThresholds {
+        StageThresholds {
+            max_attainment_drop_ppm: self.max_attainment_drop_ppm,
+            max_p50_regress_pct: self.max_p50_regress_pct,
+            max_p99_regress_pct: self.max_p99_regress_pct,
+            tail_min_samples: self.tail_min_samples,
+        }
+    }
+}
+
+/// The four stage-verdict thresholds. [`RolloutConfig`] sets them and
+/// [`RolloutReport`] echoes them, so the controller and the evidence
+/// lint judge a stage through the one [`stage_regressed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageThresholds {
+    /// See [`RolloutConfig::max_attainment_drop_ppm`].
+    pub max_attainment_drop_ppm: u64,
+    /// See [`RolloutConfig::max_p50_regress_pct`].
+    pub max_p50_regress_pct: u64,
+    /// See [`RolloutConfig::max_p99_regress_pct`].
+    pub max_p99_regress_pct: u64,
+    /// See [`RolloutConfig::tail_min_samples`].
+    pub tail_min_samples: u64,
+}
+
+impl StageThresholds {
+    /// A sub-100% stage's `(canary, control)` p99 pair, gated on both
+    /// groups' completions `served` reaching `tail_min_samples`.
+    pub fn tail(&self, served: (u64, u64), p99: (u64, u64)) -> Option<(u64, u64)> {
+        (served.0 >= self.tail_min_samples && served.1 >= self.tail_min_samples).then_some(p99)
+    }
+}
+
+/// The stage-regression predicate over `(observed, reference)` pairs:
+/// attainment (ppm) dropped past the threshold, or the p50 or the
+/// optional p99 tail grew past its percent bound. A zero reference
+/// disables its quantile gate.
+pub fn stage_regressed(
+    t: &StageThresholds,
+    (att, att_ref): (u64, u64),
+    (p50, p50_ref): (u64, u64),
+    tail: Option<(u64, u64)>,
+) -> bool {
+    let grew = |x: u64, reference: u64, pct: u64| {
+        reference > 0 && x.saturating_mul(100) > reference.saturating_mul(100 + pct)
+    };
+    att.saturating_add(t.max_attainment_drop_ppm) < att_ref
+        || grew(p50, p50_ref, t.max_p50_regress_pct)
+        || tail.is_some_and(|(p99, p99_ref)| grew(p99, p99_ref, t.max_p99_regress_pct))
 }
 
 /// All-integer per-group SLO stats accumulated during one stage
@@ -444,6 +495,18 @@ pub struct RolloutReport {
     pub tail_min_samples: u64,
     /// Per-stage evidence, in replay order.
     pub stages: Vec<StageReport>,
+}
+
+impl RolloutReport {
+    /// The echoed thresholds the stage verdicts were judged against.
+    pub fn thresholds(&self) -> StageThresholds {
+        StageThresholds {
+            max_attainment_drop_ppm: self.max_attainment_drop_ppm,
+            max_p50_regress_pct: self.max_p50_regress_pct,
+            max_p99_regress_pct: self.max_p99_regress_pct,
+            tail_min_samples: self.tail_min_samples,
+        }
+    }
 }
 
 /// A set of rollout event logs (one per candidate), the JSON shape
@@ -736,48 +799,21 @@ impl<'a> RolloutController<'a> {
         let canary_att = canary.attainment_ppm();
         let control_att = control.attainment_ppm();
 
-        let regressed = |att: u64,
-                         att_ref: u64,
-                         p50: u64,
-                         p50_ref: u64,
-                         p99: u64,
-                         p99_ref: u64,
-                         tail_ok: bool| {
-            att + cfg.max_attainment_drop_ppm < att_ref
-                || (p50_ref > 0
-                    && p50.saturating_mul(100)
-                        > p50_ref.saturating_mul(100 + cfg.max_p50_regress_pct))
-                || (tail_ok
-                    && p99_ref > 0
-                    && p99.saturating_mul(100)
-                        > p99_ref.saturating_mul(100 + cfg.max_p99_regress_pct))
-        };
+        let t = cfg.thresholds();
         let verdict = if pct < 100 {
-            let tail_ok =
-                canary.served >= cfg.tail_min_samples && control.served >= cfg.tail_min_samples;
+            let tail = t.tail((canary.served, control.served), (c_sv99, k_sv99));
             if canary.served < cfg.min_canary_samples {
                 "starved"
-            } else if regressed(
-                canary_att,
-                control_att,
-                c_sv50,
-                k_sv50,
-                c_sv99,
-                k_sv99,
-                tail_ok,
-            ) {
+            } else if stage_regressed(&t, (canary_att, control_att), (c_sv50, k_sv50), tail) {
                 "rollback"
             } else {
                 "promote"
             }
-        } else if regressed(
-            win_report.attainment_ppm,
-            baseline_attainment_ppm,
-            0,
-            0,
-            win_report.ttft_p99_ns,
-            baseline_ttft_p99_ns,
-            true,
+        } else if stage_regressed(
+            &t,
+            (win_report.attainment_ppm, baseline_attainment_ppm),
+            (0, 0),
+            Some((win_report.ttft_p99_ns, baseline_ttft_p99_ns)),
         ) {
             "rollback"
         } else {

@@ -53,8 +53,9 @@ const SELECT_SAMPLES: u64 = 16;
 /// the loop if a zero-delay policy sneaks past the `retry-storm`
 /// lint, and keeps each request inside its private draw namespace
 /// (`MAX_DISPATCHES × SELECT_SAMPLES = 1024` draws per request).
-/// Public so the `hetero_analyze` model checker explores the same
-/// attempt budget the replay loop enforces.
+/// Public so the `hetero_analyze` model checker can clamp its attempt
+/// budget to it; that budget is `RetryPolicy::max_attempts`, not this
+/// cap.
 pub const MAX_DISPATCHES: u32 = 64;
 
 /// Reference request shape for sizing arrival rate and EWMA seeds.

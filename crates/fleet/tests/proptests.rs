@@ -199,6 +199,7 @@ proptest! {
             );
             if t.to == BreakerState::Closed {
                 prop_assert_eq!(t.from, BreakerState::HalfOpen);
+                prop_assert_eq!(t.cause, BreakerCause::ProbeSuccess);
             }
             if t.from == BreakerState::Open {
                 prop_assert_eq!(t.to, BreakerState::HalfOpen);
