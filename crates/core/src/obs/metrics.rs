@@ -215,17 +215,41 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Bump `name` by `n`.
+    /// Bump `name` by `n`. The name is copied only the first time it
+    /// is seen.
     pub fn incr(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
-    /// Record a duration observation under `name`.
+    /// Record a duration observation under `name`. The name is copied
+    /// only the first time it is seen.
     pub fn observe(&mut self, name: &str, t: SimTime) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(t);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(t),
+            None => self
+                .histograms
+                .entry(name.to_string())
+                .or_default()
+                .observe(t),
+        }
+    }
+
+    /// Fold a whole histogram into `name`, as if every observation it
+    /// holds had been recorded here through [`Self::observe`]. An
+    /// empty histogram leaves the registry unchanged, so `name`
+    /// appears exactly when something was observed.
+    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
+        if h.count() > 0 {
+            self.histograms
+                .entry(name.to_string())
+                .or_default()
+                .merge(h);
+        }
     }
 
     /// Value of counter `name` (zero if never bumped).

@@ -14,7 +14,6 @@
 use hetero_soc::specs::{project_config, table1};
 use hetero_soc::{SimTime, SocConfig};
 use heterollm::engines::HeteroTensorEngine;
-use heterollm::obs::MetricsRegistry;
 use heterollm::{InferenceSession, ModelConfig};
 use serde::{Deserialize, Serialize};
 
@@ -96,8 +95,6 @@ pub struct Device {
     pub ewma_ns: u64,
     /// The device's circuit breaker.
     pub breaker: CircuitBreaker,
-    /// Per-device metrics (merged fleet-wide at report time).
-    pub metrics: MetricsRegistry,
     /// Total simulated busy time.
     pub busy_ns: u64,
 }
@@ -112,7 +109,6 @@ impl Device {
             busy_until: SimTime::ZERO,
             ewma_ns: ewma_init.as_nanos(),
             breaker: CircuitBreaker::new(breaker),
-            metrics: MetricsRegistry::new(),
             busy_ns: 0,
         }
     }

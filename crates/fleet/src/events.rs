@@ -467,8 +467,18 @@ pub struct FleetEventLog {
 impl FleetEventLog {
     /// Sort `events` into canonical content order (stable under any
     /// interleaved merge of the same event set).
+    ///
+    /// The order is exactly that of a stable sort by
+    /// [`FleetEvent::sort_key`], whose first field is the timestamp:
+    /// comparing timestamps first and building the full key only on a
+    /// tie gives the same comparison, and the sort stays stable and in
+    /// place.
     pub fn normalize(&mut self) {
-        self.events.sort_by_key(FleetEvent::sort_key);
+        self.events.sort_by(|a, b| {
+            a.at()
+                .cmp(&b.at())
+                .then_with(|| a.sort_key().cmp(&b.sort_key()))
+        });
     }
 }
 

@@ -27,7 +27,7 @@
 //! [`router::FleetSim`] replays an identical seeded workload and
 //! fault plan under either the robust policy or naive round-robin and
 //! reports fleet-wide SLO attainment ([`report::ArmReport`] — all
-//! integers, per-device histograms merged through
+//! integers, fleet-wide histograms reported through one
 //! [`heterollm::obs::MetricsRegistry`]), so the `fleet_sweep` bench
 //! can gate on the robust router strictly dominating round-robin
 //! under the same storm.

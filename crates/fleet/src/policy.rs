@@ -73,14 +73,24 @@ impl RetryPolicy {
     /// decrease even when jitter at the cap would dip. Deterministic
     /// in `(seed, request_id)`.
     pub fn schedule(&self, seed: u64, request_id: u64) -> Vec<SimTime> {
-        let mut prev = SimTime::ZERO;
-        (1..self.max_attempts)
-            .map(|attempt| {
-                let d = self.raw_backoff(seed, request_id, attempt).max(prev);
-                prev = d;
-                d
-            })
+        (0..self.max_attempts.saturating_sub(1))
+            .map(|attempt| self.delay_after(seed, request_id, attempt))
             .collect()
+    }
+
+    /// The delay the robust router waits after zero-based dispatch
+    /// `attempt` fails: entry `attempt` of [`Self::schedule`] while the
+    /// schedule lasts, then `cap`. Computed in place, without building
+    /// the schedule.
+    pub fn delay_after(&self, seed: u64, request_id: u64, attempt: u32) -> SimTime {
+        if attempt.saturating_add(1) >= self.max_attempts {
+            return self.cap;
+        }
+        // Monotonized: the largest raw delay up to this retry.
+        (1..=attempt + 1)
+            .map(|retry| self.raw_backoff(seed, request_id, retry))
+            .max()
+            .unwrap_or(SimTime::ZERO)
     }
 
     /// Upper bound on the summed delays of [`Self::schedule`]: every

@@ -97,7 +97,7 @@ pub struct ArmReport {
     pub busy_ppm: u64,
     /// Per-class breakdown, ordered like [`Priority::ALL`].
     pub by_priority: Vec<PriorityStats>,
-    /// Merged per-device metrics registry (counters + histograms).
+    /// Fleet-wide metrics registry (counters + histograms).
     pub metrics: MetricsSnapshot,
 }
 

@@ -276,6 +276,8 @@ pub(crate) struct StageOverlay {
     pct: u32,
     /// Whether each device runs the candidate this window.
     pub(crate) canary: Vec<bool>,
+    /// The control (`[0]`) and canary (`[1]`) pools, each ascending.
+    pools: [Vec<usize>; 2],
     /// Per-device online drift profilers (few-shot calibrated).
     pub(crate) profilers: Vec<OnlineProfiler>,
     /// Per-device service gain from a drift-triggered partition
@@ -306,6 +308,12 @@ impl StageOverlay {
     pub(crate) fn is_canary_request(&self, seed: u64, req_id: u64) -> bool {
         let phase = draw(seed, OFF_CANARY_POOL + u64::from(self.pct)) % 100;
         (req_id + phase) % 100 < u64::from(self.pct)
+    }
+
+    /// The canary (`true`) or control (`false`) pool's devices, in
+    /// ascending order.
+    pub(crate) fn pool(&self, canary: bool) -> &[usize] {
+        &self.pools[usize::from(canary)]
     }
 
     /// Candidate service multipliers for device `idx` (ppm), with any
@@ -705,10 +713,12 @@ impl<'a> RolloutController<'a> {
             });
         }
 
+        let pools = [false, true].map(|pool| (0..n).filter(|&d| canary[d] == pool).collect());
         let mut overlay = StageOverlay {
             candidate: candidate.clone(),
             pct,
             canary,
+            pools,
             profilers: Vec::with_capacity(n),
             resolved_gain_ppm: vec![PPM; n],
             drift_emitted: vec![false; n],
@@ -740,12 +750,10 @@ impl<'a> RolloutController<'a> {
                 SimTime::from_nanos(profile.decode_ns_per_token * CALIB_DECODE as u64),
                 dm,
             );
-            let samples: Vec<u64> = (0..FEW_SHOT_SAMPLES)
-                .map(|j| {
-                    let t = SimTime::from_nanos(probe.as_nanos() * j as u64);
-                    quiet.scale(sim.injector().slowdown_at(d, t)).as_nanos()
-                })
-                .collect();
+            let samples: [u64; FEW_SHOT_SAMPLES] = std::array::from_fn(|j| {
+                let t = SimTime::from_nanos(probe.as_nanos() * j as u64);
+                quiet.scale(sim.injector().slowdown_at(d, t)).as_nanos()
+            });
             profiler.calibrate(&samples);
             events.push(FleetEvent::ProfileUpdate {
                 at: SimTime::ZERO,
@@ -928,6 +936,27 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, FleetEvent::Rollback { .. })));
+    }
+
+    #[test]
+    fn pool_walk_matches_the_full_scan() {
+        // A 1% stage's canary requests fall back to the pool scan on
+        // almost every attempt; the oracle replay scans the whole
+        // fleet there, so equal logs mean the member walk picked the
+        // same devices and polled the same breakers.
+        for seed in 0..5 {
+            let sim = FleetSim::new(FleetConfig::standard(seed, 512, 1000));
+            let ctl = RolloutController::new(&sim, RolloutConfig::standard());
+            let profiles = sim.profiles().len();
+            for candidate in [
+                PolicyRevision::uniform(7, "npu-inversion", profiles, 2_500_000),
+                PolicyRevision::uniform(8, "tuned-partition", profiles, 930_000),
+            ] {
+                let walked = ctl.run(&candidate);
+                let scanned = crate::router::tests::with_oracle_scans(|| ctl.run(&candidate));
+                assert_eq!(walked, scanned, "seed {seed}, {}", candidate.name);
+            }
+        }
     }
 
     #[test]

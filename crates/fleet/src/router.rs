@@ -25,7 +25,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use hetero_soc::{SimTime, SocConfig};
-use heterollm::obs::MetricsRegistry;
+use heterollm::obs::{Histogram, MetricsRegistry};
 use heterollm::ModelConfig;
 use serde::{Deserialize, Serialize};
 
@@ -33,8 +33,8 @@ use crate::calib::{calibrate_devices, FleetCalibration};
 use crate::device::{calibrate_profiles_with_socs, Device, DeviceProfile};
 use crate::draw;
 use crate::events::{FleetEvent, FleetEventLog, FleetLogPair, EVENT_LOG_VERSION};
-use crate::fault::{FaultInjector, FaultPlanConfig};
-use crate::policy::{AdmissionControl, BreakerConfig, RetryPolicy};
+use crate::fault::{DowntimeSweep, FaultInjector, FaultPlanConfig};
+use crate::policy::{AdmissionControl, BreakerConfig, BreakerState, RetryPolicy};
 use crate::profiler::PPM;
 use crate::report::{quantiles_ns, ArmReport, FleetComparison, PriorityStats};
 use crate::rollout::{scale_ppm, StageOverlay};
@@ -126,6 +126,90 @@ impl FleetConfig {
             fault: FaultPlanConfig::standard(),
         }
     }
+}
+
+/// The robust router's health census: devices whose breaker admits a
+/// dispatch and whose last probe saw them up.
+///
+/// It is swept, not scanned. A [`DowntimeSweep`] counts the crashed
+/// devices, and only breakers that may be open are polled: `poll`
+/// changes nothing but `Open → HalfOpen`, so polling any other breaker
+/// would leave every state and transition as it is.
+struct HealthCensus<'a> {
+    injector: &'a FaultInjector,
+    down: DowntimeSweep<'a>,
+    /// Every device whose breaker is open, plus some that no longer
+    /// are: an entry leaves when a poll finds its breaker admitting.
+    open: Vec<usize>,
+    listed: Vec<bool>,
+}
+
+impl<'a> HealthCensus<'a> {
+    fn new(injector: &'a FaultInjector, devices: usize) -> Self {
+        Self {
+            injector,
+            down: injector.downtime_sweep(),
+            open: Vec::new(),
+            listed: vec![false; devices],
+        }
+    }
+
+    /// Start tracking `idx` if its breaker's `state` is open. Only a
+    /// recorded failure opens a breaker, so the router calls this after
+    /// each.
+    fn note(&mut self, idx: usize, state: BreakerState) {
+        if state == BreakerState::Open && !self.listed[idx] {
+            self.listed[idx] = true;
+            self.open.push(idx);
+        }
+    }
+
+    /// Poll every possibly-open breaker at `t` except those in `skip`,
+    /// as a scan over the whole fleet would, and drop the entries that
+    /// now admit.
+    fn poll_open(&mut self, devices: &mut [Device], t: SimTime, skip: &[usize]) {
+        let listed = &mut self.listed;
+        self.open.retain(|&d| {
+            if skip.contains(&d) {
+                return true;
+            }
+            let admits = devices[d].breaker.allows(t);
+            if admits {
+                listed[d] = false;
+            }
+            !admits
+        });
+    }
+
+    /// Devices with an admitting breaker that the probe at `probe_t`
+    /// sees up. Queries must come in non-decreasing `probe_t` order.
+    fn healthy(&mut self, devices: &mut [Device], probe_t: SimTime) -> usize {
+        #[cfg(test)]
+        let scan =
+            tests::oracle_scans().then(|| tests::scan_healthy(self.injector, devices, probe_t));
+        self.poll_open(devices, probe_t, &[]);
+        let up = devices.len() - self.down.down_at(probe_t);
+        let blocked = self
+            .open
+            .iter()
+            .filter(|&&d| self.injector.probe_reachable_at(d, probe_t))
+            .count();
+        #[cfg(test)]
+        if let Some(scan) = scan {
+            assert_eq!(up - blocked, scan, "swept census diverged at {probe_t:?}");
+        }
+        up - blocked
+    }
+}
+
+/// Fleet-wide replay metrics, kept typed while the replay runs and
+/// assembled into the report's one [`MetricsRegistry`] at the end.
+#[derive(Default)]
+struct ReplayMetrics {
+    ttft: Histogram,
+    tpot: Histogram,
+    shed_penalty: Histogram,
+    dispatch_failures: u64,
 }
 
 /// One materialized fleet world, replayable under any policy.
@@ -330,7 +414,8 @@ impl FleetSim {
     /// candidates, drop devices already failed for this request,
     /// breaker-blocked, or unreachable as of the last health probe,
     /// and keep the best score. Falls back to a full deterministic
-    /// scan when every sample is filtered (mid-storm).
+    /// scan when every sample is filtered (mid-storm); a
+    /// pool-restricted fallback walks only the pool's members.
     ///
     /// Under a rollout overlay, selection is pool-restricted
     /// (`want_canary`) so canary traffic share tracks the stage's
@@ -351,6 +436,7 @@ impl FleetSim {
         failed: &[usize],
         overlay: Option<&StageOverlay>,
         want_canary: Option<bool>,
+        census: &mut HealthCensus<'_>,
     ) -> Option<usize> {
         let probe_t = self.probe_view(t);
         let n = devices.len() as u64;
@@ -402,10 +488,30 @@ impl FleetSim {
             }
         }
         if best.is_none() {
-            for idx in 0..devices.len() {
+            // A pool-restricted scan walks only the pool's members, in
+            // ascending order like the full scan, so the argmin is the
+            // same. The full scan also polled every other breaker;
+            // polling the possibly-open ones keeps that state.
+            let pool = overlay.zip(want_canary).map(|(ov, w)| ov.pool(w));
+            #[cfg(test)]
+            let pool = pool.filter(|_| !tests::oracle_scans());
+            let mut consider = |idx: usize, devices: &mut [Device]| {
                 if let Some(key) = eval(idx, devices, want_canary) {
                     if best.is_none_or(|b| key < b) {
                         best = Some(key);
+                    }
+                }
+            };
+            match pool {
+                Some(members) => {
+                    census.poll_open(devices, t, failed);
+                    for &idx in members {
+                        consider(idx, devices);
+                    }
+                }
+                None => {
+                    for idx in 0..devices.len() {
+                        consider(idx, devices);
                     }
                 }
             }
@@ -496,7 +602,8 @@ impl FleetSim {
                 Device::new(d as u32, profile, ewma, cfg.breaker)
             })
             .collect();
-        let mut router = MetricsRegistry::new();
+        let mut metrics = ReplayMetrics::default();
+        let mut census = HealthCensus::new(&self.injector, n);
         let mut by_priority: Vec<PriorityStats> = Priority::ALL
             .iter()
             .map(|&p| PriorityStats::new(p))
@@ -507,6 +614,9 @@ impl FleetSim {
         let mut rr_next = 0usize;
         let (mut served, mut shed, mut lost, mut retries, mut goodput) =
             (0u64, 0u64, 0u64, 0u64, 0u64);
+        // Devices already failed for the current request, reused
+        // across requests.
+        let mut failed: Vec<usize> = Vec::new();
 
         // Naive: one shot. Robust: retry until the per-request
         // deadline (the lost-penalty point) — the exponential
@@ -543,12 +653,15 @@ impl FleetSim {
             if policy == RouterPolicy::Robust {
                 let period = cfg.probe_interval.as_nanos().max(1);
                 let end = self.horizon.as_nanos() + self.lost_penalty.as_nanos();
+                let mut down = self.injector.downtime_sweep();
                 let mut tick_ns = 0u64;
                 while tick_ns <= end {
                     let probe_t = SimTime::from_nanos(tick_ns);
-                    let reachable = (0..n)
-                        .filter(|&d| self.injector.probe_reachable_at(d, probe_t))
-                        .count();
+                    let reachable = n - down.down_at(probe_t);
+                    #[cfg(test)]
+                    if tests::oracle_scans() {
+                        assert_eq!(reachable, tests::scan_reachable(&self.injector, n, probe_t));
+                    }
                     Self::emit(
                         &mut log,
                         FleetEvent::CensusRefresh {
@@ -587,13 +700,7 @@ impl FleetSim {
                 let tick = now.as_nanos() / cfg.probe_interval.as_nanos().max(1);
                 if tick != healthy_tick {
                     healthy_tick = tick;
-                    let probe_t = self.probe_view(now);
-                    healthy = (0..n)
-                        .filter(|&d| {
-                            devices[d].breaker.allows(probe_t)
-                                && self.injector.probe_reachable_at(d, probe_t)
-                        })
-                        .count();
+                    healthy = census.healthy(&mut devices, self.probe_view(now));
                 }
                 if cfg
                     .admission
@@ -609,8 +716,7 @@ impl FleetSim {
                         self.slo_ttft.as_nanos() * (4u64 >> req.priority.index()),
                     );
                     class.penalty_ns += penalty.as_nanos();
-                    router.observe("shed_penalty_ns", penalty);
-                    router.incr(&format!("shed_{}", req.priority.name()), 1);
+                    metrics.shed_penalty.observe(penalty);
                     Self::emit(
                         &mut log,
                         FleetEvent::Shed {
@@ -628,18 +734,12 @@ impl FleetSim {
             let want_canary = overlay
                 .as_deref()
                 .map(|ov| ov.is_canary_request(cfg.seed, req.id));
-            let schedule = cfg.retry.schedule(cfg.seed, req.id);
             let deadline = now + self.lost_penalty;
             // Delay before the next attempt: the seeded exponential
             // schedule while it lasts, then the policy's cap.
-            let backoff = |attempt: u32| {
-                schedule
-                    .get(attempt as usize)
-                    .copied()
-                    .unwrap_or(cfg.retry.cap)
-            };
+            let backoff = |attempt: u32| cfg.retry.delay_after(cfg.seed, req.id, attempt);
             let mut t = now;
-            let mut failed: Vec<usize> = Vec::new();
+            failed.clear();
             let mut done = false;
             for attempt in 0..budget {
                 if attempt > 0 && t >= deadline {
@@ -659,6 +759,7 @@ impl FleetSim {
                         &failed,
                         overlay.as_deref(),
                         want_canary,
+                        &mut census,
                     ),
                 };
                 let Some(idx) = picked else {
@@ -680,7 +781,6 @@ impl FleetSim {
                 };
                 if attempt > 0 {
                     retries += 1;
-                    devices[idx].metrics.incr("retry_dispatches", 1);
                 }
                 Self::emit(
                     &mut log,
@@ -723,9 +823,10 @@ impl FleetSim {
                     || self.injector.first_downtime_in(idx, start, end).is_some();
                 if faulted {
                     let fail_at = start + cfg.retry.timeout;
-                    devices[idx].metrics.incr("dispatch_failures", 1);
+                    metrics.dispatch_failures += 1;
                     if policy == RouterPolicy::Robust {
                         devices[idx].breaker.record_failure(fail_at);
+                        census.note(idx, devices[idx].breaker.state());
                     }
                     failed.push(idx);
                     Self::emit(
@@ -758,9 +859,8 @@ impl FleetSim {
                 releases.push(Reverse(end.as_nanos()));
                 let ttft = (start - req.arrival) + link + prefill;
                 let tpot = SimTime::from_nanos(decode.as_nanos() / req.decode_tokens.max(1) as u64);
-                devices[idx].metrics.observe("ttft_ns", ttft);
-                devices[idx].metrics.observe("tpot_ns", tpot);
-                devices[idx].metrics.incr("served", 1);
+                metrics.ttft.observe(ttft);
+                metrics.tpot.observe(tpot);
                 devices[idx].observe_latency(prefill + decode);
                 if policy == RouterPolicy::Robust {
                     devices[idx].breaker.record_success(end);
@@ -814,10 +914,9 @@ impl FleetSim {
                 lost += 1;
                 class.lost += 1;
                 class.penalty_ns += self.lost_penalty.as_nanos();
-                router.incr("lost", 1);
                 // A stranded user never saw a token: record the
                 // penalty deadline so tail quantiles carry the loss.
-                router.observe("ttft_ns", self.lost_penalty);
+                metrics.ttft.observe(self.lost_penalty);
                 Self::emit(
                     &mut log,
                     FleetEvent::Lost {
@@ -851,14 +950,32 @@ impl FleetSim {
         }
 
         let breaker_trips: u64 = devices.iter().map(|d| d.breaker.trips()).sum();
-        router.incr("breaker_trips", breaker_trips);
-        router.incr("retries", retries);
-        let mut merged = router;
-        for d in &devices {
-            merged.merge(&d.metrics);
+        // The one registry of the report. `breaker_trips` and `retries`
+        // are always present; every other name appears once its count
+        // is nonzero.
+        let mut registry = MetricsRegistry::new();
+        registry.incr("breaker_trips", breaker_trips);
+        registry.incr("retries", retries);
+        for (name, count) in [
+            ("dispatch_failures", metrics.dispatch_failures),
+            ("lost", lost),
+            ("retry_dispatches", retries),
+            ("served", served),
+        ] {
+            if count > 0 {
+                registry.incr(name, count);
+            }
         }
-        let (ttft_p50, ttft_p99, ttft_p999) = quantiles_ns(&merged, "ttft_ns");
-        let (tpot_p50, tpot_p99, tpot_p999) = quantiles_ns(&merged, "tpot_ns");
+        for (p, class) in Priority::ALL.iter().zip(&by_priority) {
+            if class.shed > 0 {
+                registry.incr(&format!("shed_{}", p.name()), class.shed);
+            }
+        }
+        registry.merge_histogram("shed_penalty_ns", &metrics.shed_penalty);
+        registry.merge_histogram("ttft_ns", &metrics.ttft);
+        registry.merge_histogram("tpot_ns", &metrics.tpot);
+        let (ttft_p50, ttft_p99, ttft_p999) = quantiles_ns(&registry, "ttft_ns");
+        let (tpot_p50, tpot_p99, tpot_p999) = quantiles_ns(&registry, "tpot_ns");
         let busy_total: u64 = devices.iter().map(|d| d.busy_ns).sum();
         let offered = self.requests.len() as u64;
         let report = ArmReport {
@@ -885,18 +1002,86 @@ impl FleetSim {
                 ((u128::from(busy_total) * 1_000_000) / u128::from(cap)) as u64
             },
             by_priority,
-            metrics: merged.snapshot(),
+            metrics: registry.snapshot(),
         };
         (report, log)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::cell::Cell;
+
     use super::*;
+
+    thread_local! {
+        /// Replay with the O(devices) scans the census sweep and the
+        /// pool member walk replace, checking each swept census
+        /// against its scan.
+        static ORACLE_SCANS: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn oracle_scans() -> bool {
+        ORACLE_SCANS.with(Cell::get)
+    }
+
+    /// Run `f` with the oracle scans on.
+    pub(crate) fn with_oracle_scans<T>(f: impl FnOnce() -> T) -> T {
+        ORACLE_SCANS.with(|on| on.set(true));
+        let out = f();
+        ORACLE_SCANS.with(|on| on.set(false));
+        out
+    }
+
+    /// The census as a scan over every device: poll each breaker and
+    /// count the admitting, probe-reachable ones.
+    pub(crate) fn scan_healthy(
+        injector: &FaultInjector,
+        devices: &mut [Device],
+        probe_t: SimTime,
+    ) -> usize {
+        (0..devices.len())
+            .filter(|&d| {
+                devices[d].breaker.allows(probe_t) && injector.probe_reachable_at(d, probe_t)
+            })
+            .count()
+    }
+
+    /// The logged census as a scan: probe-reachable devices.
+    pub(crate) fn scan_reachable(
+        injector: &FaultInjector,
+        devices: usize,
+        probe_t: SimTime,
+    ) -> usize {
+        (0..devices)
+            .filter(|&d| injector.probe_reachable_at(d, probe_t))
+            .count()
+    }
 
     fn small_sim(seed: u64) -> FleetSim {
         FleetSim::new(FleetConfig::standard(seed, 48, 400))
+    }
+
+    #[test]
+    fn swept_census_matches_the_scan() {
+        for seed in 0..5 {
+            for devices in [1, 7, 64, 512] {
+                let sim = FleetSim::new(FleetConfig::standard(seed, devices, 400));
+                // The oracle replay asserts every tick's swept census
+                // against the scan; its polls are the scan's, so equal
+                // logs mean the sweep polled every breaker the scan did,
+                // at the same instants.
+                let swept = sim.run_events(RouterPolicy::Robust);
+                let scanned = with_oracle_scans(|| sim.run_events(RouterPolicy::Robust));
+                assert_eq!(swept.0, scanned.0, "seed {seed}, {devices} devices");
+                assert_eq!(swept.1, scanned.1, "seed {seed}, {devices} devices");
+                assert!(swept
+                    .1
+                    .events
+                    .iter()
+                    .any(|e| matches!(e, FleetEvent::CensusRefresh { .. })));
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //! - Per-priority-class accounting balances under both routing arms:
 //!   `offered == served + shed + lost`, and the class penalty is
 //!   exactly the shed-weight charges plus the lost-penalty charges.
+//! - `FleetEventLog::normalize` orders events exactly like a stable
+//!   `sort_by_key(FleetEvent::sort_key)`, on shuffled logs with forced
+//!   timestamp and whole-key ties.
 //! - Event logs holding every `FleetEvent` variant round-trip through
 //!   compact and pretty JSON, the typed writer and the `Value` renderer
 //!   emit the same bytes, and mutated or truncated log text is an `Ok`
@@ -150,7 +153,8 @@ proptest! {
     }
 
     /// Backoff schedules: same seed byte-identical, delays never
-    /// decrease, and the total never exceeds the advertised bound.
+    /// decrease, the total never exceeds the advertised bound, and
+    /// the delay after the schedule is the cap.
     #[test]
     fn backoff_schedule_contracts(
         policy in arb_retry_policy(),
@@ -164,6 +168,8 @@ proptest! {
         prop_assert!(a.windows(2).all(|w| w[0] <= w[1]), "delays decreased: {a:?}");
         let total: SimTime = a.iter().copied().sum();
         prop_assert!(total <= policy.total_backoff_bound());
+        // Past the schedule the router waits the cap.
+        prop_assert_eq!(policy.delay_after(seed, request_id, policy.max_attempts - 1), policy.cap);
     }
 
     /// For any outcome interleaving, the breaker reaches `Closed`
@@ -491,6 +497,46 @@ fn event(kind: usize, (_, a, b, c, n, s): EventFields) -> FleetEvent {
         },
         13 => FleetEvent::Promote { at, stage: n },
         _ => FleetEvent::Rollback { at, stage: n },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `normalize` compares timestamps before building the full key;
+    /// the order must be the stable `sort_by_key(sort_key)` one. Four
+    /// timestamps and three field values force ties on `at` and on
+    /// whole keys of events that differ outside the key, so stability
+    /// shows.
+    #[test]
+    fn normalize_matches_the_stable_sort_key_oracle(
+        raw in proptest::collection::vec(
+            (arb_event_fields(), 0u64..4, 0u64..3, 0u64..=u64::MAX),
+            1..120,
+        ),
+    ) {
+        let mut shuffled: Vec<(u64, FleetEvent)> = raw
+            .iter()
+            .map(|&((kind, ..), at, v, order)| (order, event(kind, (kind, at, v, v ^ 1, (order % 2) as u32, (order >> 8) as usize % 1024))))
+            .collect();
+        shuffled.sort_by_key(|&(order, _)| order);
+        let events: Vec<FleetEvent> = shuffled.into_iter().map(|(_, ev)| ev).collect();
+        let mut oracle = events.clone();
+        oracle.sort_by_key(FleetEvent::sort_key);
+        let mut log = FleetEventLog {
+            version: 2,
+            seed: 0,
+            policy: "robust".to_string(),
+            devices: 1,
+            requests: 1,
+            slo_ttft_ns: 1,
+            deadline_ns: 1,
+            census_interval_ns: 1,
+            rollout_window_ns: 0,
+            events,
+        };
+        log.normalize();
+        prop_assert_eq!(log.events, oracle);
     }
 }
 

@@ -17,6 +17,8 @@
 //! Generation is seeded (splitmix64) and uses no ambient randomness, so
 //! the same seed always yields the same trace and the same timeline.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use hetero_tensor::rng::splitmix64;
@@ -204,8 +206,10 @@ impl DisturbanceTrace {
     /// magnitudes. The same seed always produces the same trace.
     pub fn standard(seed: u64) -> Self {
         // Thermal step from the calibrated model: the factor a sustained
-        // GPU-class power draw reaches after 90 s (§4).
-        let thermal = ThermalModel::default().sustained_factor(7.0, 90.0);
+        // GPU-class power draw reaches after 90 s (§4). It does not
+        // depend on the seed, so it is computed once per process.
+        static THERMAL: OnceLock<f64> = OnceLock::new();
+        let thermal = *THERMAL.get_or_init(|| ThermalModel::default().sustained_factor(7.0, 90.0));
         let render_start = ms_in(seed, 0, 400, 1_200);
         let render_len = ms_in(seed, 1, 1_200, 2_200);
         let thermal_start = ms_in(seed, 2, 1_800, 2_800);
