@@ -78,11 +78,13 @@ impl std::ops::AddAssign for CostInterval {
 /// # Contract
 ///
 /// For fixed `m`, `k`, dtypes and condition, the GPU cost must never
-/// decrease as `n` grows. The solver's row-cut scan relies on it to
+/// decrease as `n` grows. The solver's row-cut search relies on it to
 /// stop early without changing its answer. Both shipped GPU models
 /// satisfy it: flops and bytes grow with `n`, and the GPU's
-/// sequence-efficiency factor depends only on `m`. NPU costs carry no
-/// such requirement.
+/// sequence-efficiency factor depends only on `m`.
+///
+/// NPU costs carry a requirement only where the provider declares one
+/// with [`CostProvider::npu_monotone_past_depth`].
 pub trait CostProvider {
     /// Cost of `[m,k] x [k,n]` on `backend` where the streamed `[m,k]`
     /// operand is stored as `act_dtype` and the stationary `[k,n]`
@@ -120,6 +122,19 @@ pub trait CostProvider {
             .max(lo);
         CostInterval { lo, hi }
     }
+
+    /// Whether, for fixed `k`, `n`, dtypes and condition, the NPU cost
+    /// of `[m,k,n]` never decreases as `m` grows while `m ≥ k`.
+    ///
+    /// Past that depth the stationary operand is no deeper than the
+    /// streamed one, so the weight-stall penalty (§3.2, NPU-②) is off
+    /// and cost tracks padded flops and bytes. With the guarantee the
+    /// solver finds the best row cut by bisection instead of a scan.
+    /// The default promises nothing; a provider that claims it falsely
+    /// gets wrong plans, not slower ones.
+    fn npu_monotone_past_depth(&self) -> bool {
+        false
+    }
 }
 
 /// Real-execution provider: queries the hardware (simulator) directly.
@@ -154,6 +169,13 @@ impl CostProvider for RealExecProvider {
                     .contended_kernel_time(backend, &kernel, &[Backend::Gpu, Backend::Npu])
             }
         }
+    }
+
+    /// The NPU model's padded flops, fill/drain amortization and bytes
+    /// all grow with `m`, and its stationary-pressure penalty applies
+    /// only while the padded `k` exceeds the padded `m`.
+    fn npu_monotone_past_depth(&self) -> bool {
+        true
     }
 }
 

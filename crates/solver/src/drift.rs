@@ -65,6 +65,11 @@ impl<P: CostProvider> CostProvider for DeratedProvider<P> {
             Backend::Gpu | Backend::Cpu => base,
         }
     }
+
+    /// Scaling by a fixed factor and flooring keeps the order.
+    fn npu_monotone_past_depth(&self) -> bool {
+        self.inner.npu_monotone_past_depth()
+    }
 }
 
 /// Outcome of one drifted re-solve, all integers.

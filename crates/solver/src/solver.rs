@@ -134,12 +134,6 @@ impl<P: CostProvider> Solver<P> {
         )
     }
 
-    fn row_cuts(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
-        (1..)
-            .map(|i| i * self.cfg.row_align)
-            .take_while(move |&c| c < n)
-    }
-
     /// Solve for the optimal partition of `[m,k] x [k,n]`.
     ///
     /// `dominance` selects the rendezvous cost regime (prefill is
@@ -196,27 +190,7 @@ impl<P: CostProvider> Solver<P> {
             self.cfg.enable_row_cut,
             next_standard(shape.m, &self.cfg.standards),
         ) {
-            // Cuts are scanned in increasing GPU share `c`. Every cut
-            // costs at least its GPU side plus the rendezvous, and GPU
-            // cost never falls as `c` grows (the `CostProvider`
-            // contract), so once that floor reaches the best cut so far
-            // no later cut can beat it strictly and the scan stops.
-            // NPU cost carries no such guarantee and never prunes.
-            let mut best_cut = SimTime(u64::MAX);
-            for c in self.row_cuts(shape.n) {
-                let gpu = self.gpu_cost(
-                    MatmulShape::new(shape.m, shape.k, c),
-                    BwCondition::Contended,
-                );
-                if gpu + rendezvous >= best_cut {
-                    break;
-                }
-                let npu = self.npu_cost(
-                    MatmulShape::new(padded_m, shape.k, shape.n - c),
-                    BwCondition::Contended,
-                );
-                let t = npu.max(gpu) + rendezvous;
-                best_cut = best_cut.min(t);
+            if let Some((c, t)) = self.best_row_cut(shape, padded_m, rendezvous) {
                 let plan = if padded_m == shape.m {
                     PartitionPlan::RowCut {
                         gpu_cols: c,
@@ -299,6 +273,103 @@ impl<P: CostProvider> Solver<P> {
         choice
     }
 
+    /// The smallest row cut `c` (a multiple of `row_align` in `(0, n)`)
+    /// whose cost `max(npu, gpu) + rendezvous` is least, with that
+    /// cost; `None` when `n` admits no cut. The NPU runs
+    /// `[padded_m, k, n−c]`, the GPU `[m, k, c]`.
+    ///
+    /// GPU cost never falls as `c` grows (the `CostProvider` contract).
+    /// With permuted operands the NPU streams the `n − c` weight rows,
+    /// so where the provider declares
+    /// [`CostProvider::npu_monotone_past_depth`], NPU cost never rises
+    /// as `c` grows over the prefix of cuts with `n − c ≥ k`. There the
+    /// best cut sits where the two curves cross, and two bisections
+    /// find it. The cuts past the prefix (the weight-stall regime, or
+    /// every cut without the guarantee) are scanned in increasing `c`:
+    /// each costs at least its GPU side plus the rendezvous, so once
+    /// that floor reaches the best cost so far no later cut can beat it
+    /// strictly and the scan stops.
+    fn best_row_cut(
+        &self,
+        shape: MatmulShape,
+        padded_m: usize,
+        rendezvous: SimTime,
+    ) -> Option<(usize, SimTime)> {
+        let align = self.cfg.row_align;
+        // Cut `i` gives the GPU `i · align` columns; cuts `1..=last` exist.
+        let gpu = |i: usize| {
+            self.gpu_cost(
+                MatmulShape::new(shape.m, shape.k, i * align),
+                BwCondition::Contended,
+            )
+        };
+        let npu = |i: usize| {
+            self.npu_cost(
+                MatmulShape::new(padded_m, shape.k, shape.n - i * align),
+                BwCondition::Contended,
+            )
+        };
+        let last = shape.n.saturating_sub(1) / align;
+        let prefix = if self.cfg.permute_for_npu && self.provider.npu_monotone_past_depth() {
+            (shape.n.saturating_sub(shape.k) / align).min(last)
+        } else {
+            0
+        };
+
+        let mut best: Option<(usize, SimTime)> = None;
+        if prefix > 0 {
+            // First cut `j` in `1..=prefix` whose GPU cost reaches its
+            // NPU cost (`prefix + 1` if none). Before `j` a cut costs its
+            // NPU side, which falls to `npu(j − 1)`; from `j` on it
+            // costs its GPU side, which rises from `gpu(j)`. The search
+            // keeps both values from its last probes on either side.
+            let (mut lo, mut hi) = (1, prefix + 1);
+            let (mut npu_before, mut gpu_at) = (None, None);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                let (g, n) = (gpu(mid), npu(mid));
+                if g >= n {
+                    hi = mid;
+                    gpu_at = Some(g);
+                } else {
+                    lo = mid + 1;
+                    npu_before = Some(n);
+                }
+            }
+            let j = lo;
+            best = match (npu_before, gpu_at) {
+                // A tie goes to the NPU side: its cuts come first. The
+                // smallest cut at that cost is the first whose NPU
+                // cost has fallen to it.
+                (Some(v), g) if g.is_none_or(|g| v <= g) => {
+                    let (mut lo, mut hi) = (1, j - 1);
+                    while lo < hi {
+                        let mid = lo + (hi - lo) / 2;
+                        if npu(mid) <= v {
+                            hi = mid;
+                        } else {
+                            lo = mid + 1;
+                        }
+                    }
+                    Some((lo, v + rendezvous))
+                }
+                (_, g) => g.map(|g| (j, g + rendezvous)),
+            };
+        }
+
+        for i in prefix + 1..=last {
+            let gpu = gpu(i);
+            if best.is_some_and(|(_, t)| gpu + rendezvous >= t) {
+                break;
+            }
+            let t = npu(i).max(gpu) + rendezvous;
+            if best.is_none_or(|(_, b)| t < b) {
+                best = Some((i, t));
+            }
+        }
+        best.map(|(i, t)| (i * align, t))
+    }
+
     /// Debug-build self-check: re-verify the chosen plan against the
     /// shared structural invariants in [`hetero_graph::partition`]
     /// (shape conservation, tile alignment, graph membership,
@@ -329,6 +400,8 @@ mod tests {
     use super::*;
     use hetero_profiler::RealExecProvider;
     use hetero_soc::SocConfig;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn solver() -> Solver<RealExecProvider> {
         Solver::new(
@@ -444,6 +517,66 @@ mod tests {
         } = &choice.plan
         {
             assert_eq!(npu_chunks.iter().sum::<usize>() + gpu_rows, 2100);
+        }
+    }
+
+    /// Counts the cost queries a solve makes.
+    struct Counting {
+        inner: RealExecProvider,
+        queries: Rc<Cell<u64>>,
+    }
+
+    impl CostProvider for Counting {
+        fn matmul_cost(
+            &self,
+            backend: Backend,
+            shape: MatmulShape,
+            act_dtype: DType,
+            weight_dtype: DType,
+            condition: BwCondition,
+        ) -> SimTime {
+            self.queries.set(self.queries.get() + 1);
+            self.inner
+                .matmul_cost(backend, shape, act_dtype, weight_dtype, condition)
+        }
+
+        fn npu_monotone_past_depth(&self) -> bool {
+            self.inner.npu_monotone_past_depth()
+        }
+    }
+
+    #[test]
+    fn lm_head_row_cut_search_makes_few_cost_queries() {
+        // The `lm_head` projections of InternLM-1.8B (n = 92 544) and
+        // Llama-8B (n = 128 256) offer 361 and 500 row cuts. A linear
+        // scan with the GPU-floor exit alone makes 100, 354, 130 and
+        // 488 queries for these prefill (m = 64) and decode (m = 1)
+        // solves; the crossover search 24 to 27.
+        for (m, k, n) in [
+            (64, 2048, 92_544),
+            (1, 2048, 92_544),
+            (64, 4096, 128_256),
+            (1, 4096, 128_256),
+        ] {
+            let (cfg, dominance) = if m == 1 {
+                (SolverConfig::decode(1), Dominance::GpuDominant)
+            } else {
+                (SolverConfig::default(), Dominance::NpuDominant)
+            };
+            let queries = Rc::new(Cell::new(0));
+            let solver = Solver::new(
+                Counting {
+                    inner: RealExecProvider::new(SocConfig::snapdragon_8gen3()),
+                    queries: Rc::clone(&queries),
+                },
+                cfg,
+            );
+            solver.solve(MatmulShape::new(m, k, n), dominance);
+            assert!(
+                queries.get() <= 40,
+                "[{m},{k},{n}] took {} cost queries",
+                queries.get()
+            );
         }
     }
 }

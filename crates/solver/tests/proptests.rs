@@ -9,10 +9,18 @@ use hetero_profiler::{CostProvider, PredictedProvider, RealExecProvider};
 use hetero_soc::specs::{project_config, table1};
 use hetero_soc::sync::Dominance;
 use hetero_soc::{Backend, SimTime, Soc, SocConfig};
-use hetero_solver::{PartitionPlan, PlanChoice, Solver, SolverConfig};
+use hetero_solver::{DeratedProvider, PartitionPlan, PlanChoice, Solver, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::DType;
 use proptest::prelude::*;
+
+/// Cases per property: `PROPTEST_CASES` if set, else 48.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(48)
+}
 
 fn solver() -> Solver<RealExecProvider> {
     Solver::new(
@@ -38,7 +46,7 @@ fn arb_shape() -> impl Strategy<Value = MatmulShape> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn plan_always_covers_the_problem(shape in arb_shape()) {
@@ -309,6 +317,36 @@ fn bandwidth_scaled(mut cfg: SocConfig, ppm: u64) -> SocConfig {
     cfg
 }
 
+/// Real-execution costs rounded up to a whole number of `quantum_ns`.
+/// Rounding up keeps every order the inner provider guarantees, and
+/// the plateaus it makes give the row-cut search many exact ties.
+#[derive(Clone)]
+struct QuantizedProvider {
+    inner: RealExecProvider,
+    quantum_ns: u64,
+}
+
+impl CostProvider for QuantizedProvider {
+    fn matmul_cost(
+        &self,
+        backend: Backend,
+        shape: MatmulShape,
+        act_dtype: DType,
+        weight_dtype: DType,
+        condition: BwCondition,
+    ) -> SimTime {
+        let t = self
+            .inner
+            .matmul_cost(backend, shape, act_dtype, weight_dtype, condition)
+            .as_nanos();
+        SimTime::from_nanos(t.div_ceil(self.quantum_ns) * self.quantum_ns)
+    }
+
+    fn npu_monotone_past_depth(&self) -> bool {
+        self.inner.npu_monotone_past_depth()
+    }
+}
+
 fn solve_matches_full_scan<P: CostProvider + Clone>(
     provider: P,
     cfg: SolverConfig,
@@ -322,7 +360,7 @@ fn solve_matches_full_scan<P: CostProvider + Clone>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn early_exit_row_cut_scan_matches_full_scan(
@@ -332,11 +370,13 @@ proptest! {
             Just(256usize), Just(1000), Just(2048), Just(4096), Just(6144), Just(14336),
             Just(28672), 1usize..40_000, Just(92544), Just(128_256), Just(151_936)
         ],
-        config_ix in 0usize..4,
+        config_ix in 0usize..5,
         gain_permille in 0u64..400,
-        provider_ix in 0usize..3,
+        provider_ix in 0usize..5,
         soc_ix in 0usize..16,
         bw_ppm in 970_000u64..=1_030_000,
+        derate_ppm in 1_000_000u64..=3_000_000,
+        quantum_ns in prop_oneof![1u64..1_000, 1_000u64..200_000, 200_000u64..5_000_000],
         gpu_dominant in proptest::bool::ANY,
     ) {
         let shape = MatmulShape::new(m, k, n);
@@ -348,7 +388,8 @@ proptest! {
                 min_parallel_gain: gain_permille as f64 / 1000.0,
                 ..SolverConfig::default()
             },
-            _ => SolverConfig { enable_seq_cut: false, ..SolverConfig::default() },
+            3 => SolverConfig { enable_seq_cut: false, ..SolverConfig::default() },
+            _ => SolverConfig { permute_for_npu: false, ..SolverConfig::default() },
         };
         match provider_ix {
             0 => {
@@ -360,7 +401,53 @@ proptest! {
                 let soc = socs[soc_ix % socs.len()].clone();
                 solve_matches_full_scan(RealExecProvider::new(soc), cfg, shape, dominance)?;
             }
-            _ => solve_matches_full_scan(predicted_provider(), cfg, shape, dominance)?,
+            2 => solve_matches_full_scan(predicted_provider(), cfg, shape, dominance)?,
+            3 => {
+                // The drift re-solve path: a slowed NPU over a real one.
+                let socs: Vec<SocConfig> = table1().iter().filter_map(project_config).collect();
+                let soc = bandwidth_scaled(socs[soc_ix % socs.len()].clone(), bw_ppm);
+                let provider = DeratedProvider::new(RealExecProvider::new(soc), derate_ppm);
+                solve_matches_full_scan(provider, cfg, shape, dominance)?;
+            }
+            _ => {
+                let soc = bandwidth_scaled(SocConfig::snapdragon_8gen3(), bw_ppm);
+                let provider = QuantizedProvider { inner: RealExecProvider::new(soc), quantum_ns };
+                solve_matches_full_scan(provider, cfg, shape, dominance)?;
+            }
+        }
+    }
+
+    #[test]
+    fn real_npu_cost_is_monotone_past_depth(
+        bw_ppm in 970_000u64..=1_030_000,
+        k in prop_oneof![1usize..20_000, Just(1536), Just(2048), Just(4096), Just(14336)],
+        depth in prop_oneof![0usize..64, 0usize..200_000],
+        grow in prop_oneof![1usize..=32, 1usize..100_000],
+        padded_m in prop_oneof![Just(1usize), Just(64), Just(256), 1usize..2200],
+    ) {
+        // The solver's permuted NPU operands, `[n−c, k, padded_m]` with
+        // the INT4 weight streamed and the FP16 activation stationary,
+        // on every projected SoC under its silicon-lottery bandwidth.
+        let m = k + depth;
+        for soc in table1().iter().filter_map(project_config) {
+            let provider = RealExecProvider::new(bandwidth_scaled(soc, bw_ppm));
+            prop_assert!(provider.npu_monotone_past_depth());
+            for condition in [BwCondition::Solo, BwCondition::Contended] {
+                let cost = |m| {
+                    provider.matmul_cost(
+                        Backend::Npu,
+                        MatmulShape::new(m, k, padded_m),
+                        DType::Int4,
+                        DType::F16,
+                        condition,
+                    )
+                };
+                let (short, long) = (cost(m), cost(m + grow));
+                prop_assert!(
+                    long >= short,
+                    "[{m},{k},{padded_m}] {condition:?}: {short:?} > {long:?} at m + {grow}"
+                );
+            }
         }
     }
 }
