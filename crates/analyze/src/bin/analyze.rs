@@ -310,7 +310,6 @@ fn main() -> ExitCode {
             // Same treatment for the staged-rollout ladder.
             let (rollout_cert, rollout_diags) = hetero_analyze::check_rollout_product(
                 &hetero_analyze::RolloutAutomata::standard(),
-                &hetero_analyze::RolloutOptions::default(),
                 "RolloutAutomata::standard",
             );
             if !args.json {

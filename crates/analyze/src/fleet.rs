@@ -3,7 +3,7 @@
 //!
 //! `retry-storm` (deny) is a *configuration* rule: it rejects retry
 //! policies that can amplify a correlated fault into a fleet-wide
-//! traffic storm — unbounded attempt budgets, zero base delay,
+//! traffic storm — no exponential schedule at all, zero base delay,
 //! multiplicative factors below 2 (not actually exponential), and
 //! unjittered schedules that synchronize every client's retries onto
 //! the same instant.
@@ -35,9 +35,10 @@ pub fn check_retry_policy(policy: &RetryPolicy, location: &str) -> Vec<Diagnosti
         out.push(Diagnostic::with_suggestion(
             rules::RETRY_STORM,
             location,
-            "max_attempts = 0 means retry forever: a dead device turns every \
-             request into an infinite dispatch loop",
-            Some("bound the attempt budget (the shipped policy uses 4)".into()),
+            "max_attempts = 0 leaves no exponential schedule: every retry \
+             waits exactly the cap, unjittered, so requests that failed in \
+             the same fault retry in lockstep",
+            Some("give the schedule its exponential steps (the shipped policy uses 4)".into()),
         ));
     }
     if policy.base.as_nanos() == 0 && policy.max_attempts != 1 {

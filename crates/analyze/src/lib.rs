@@ -32,7 +32,7 @@
 //! | `deadline-infeasible` | deny | static *lower* latency bound already busts the SLO (§4.3) |
 //! | `deadline-at-risk`   | warn | static *upper* latency bound busts the SLO, lower meets it (§4.3) |
 //! | `bound-unsound`      | deny | DES peak bytes and TTFT/TPOT stay inside the static bounds (§4.2, §4.3) |
-//! | `retry-storm`        | deny | fleet retry policies are storm-safe: bounded, backed-off, jittered (§6) |
+//! | `retry-storm`        | deny | fleet retry policies are storm-safe: scheduled, backed-off, jittered (§6) |
 //! | `shed-starvation`    | warn | load shedding never starves a class while the fleet is idle (§6) |
 //! | `breaker-skip-probe` | deny | breakers only re-close via a successful half-open probe (§6) |
 //! | `retry-past-deadline` | deny | no dispatch after the request's lost-penalty deadline (§6) |
@@ -127,7 +127,7 @@ pub use fleet::{check_fleet_arm, check_retry_policy};
 pub use mem::{check_regions, TensorRegion};
 pub use model_check::{
     check_policy_product, check_rollout_product, ModelOptions, PolicyAutomata, ProductCertificate,
-    RolloutAutomata, RolloutCertificate, RolloutOptions,
+    RolloutAutomata, RolloutCertificate,
 };
 pub use monitor::{
     monitor_fleet_log, Ltl, LtlMonitor, MonitorVerdict, STORM_AMPLIFICATION_FACTOR,

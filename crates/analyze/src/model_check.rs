@@ -2,44 +2,46 @@
 //!
 //! [`check_policy_product`] enumerates every reachable state of the
 //! product automaton *request lifecycle × circuit breaker* under a
-//! given [`PolicyAutomata`] (breaker config × retry policy × admission
-//! control) and proves three liveness/boundedness properties with
-//! exact state and transition counts:
+//! given [`PolicyAutomata`] (breaker config × admission control) and
+//! proves three liveness/boundedness properties with exact state and
+//! transition counts:
 //!
 //! - **no livelock** ([`rules::POLICY_LIVELOCK`]): every reachable
 //!   state can reach a resolution (`Served`, `Shed`, or `Lost`);
-//! - **bounded retry** ([`rules::RETRY_UNBOUNDED`]): no dispatch-fail
-//!   edge sits on a cycle, i.e. no failure loop repeats without
-//!   consuming retry budget (`max_attempts == 0` models "retry
-//!   forever" and is caught here);
+//! - **bounded retry** ([`rules::RETRY_UNBOUNDED`]): no retry edge (a
+//!   failed or unroutable attempt) sits on a per-request cycle, i.e.
+//!   every retry consumes dispatch budget;
 //! - **Open escapability** ([`rules::BREAKER_TRAP`]): every state with
 //!   an `Open` breaker can reach a non-`Open` breaker state.
 //!
-//! The breaker side is the fleet's own breaker: a `(BreakerState,
-//! consecutive failures)` pair stepped by
+//! Both sides of the product are the fleet's own rules. The breaker is
+//! a `(BreakerState, consecutive failures)` pair stepped by
 //! [`hetero_fleet::BreakerConfig::step`], the transition the router's
-//! [`hetero_fleet::CircuitBreaker`] runs. Only when the cooldown input
-//! fires is the checker's modelling choice: from a pending retry
-//! behind an `Open` breaker.
+//! [`hetero_fleet::CircuitBreaker`] runs. The request is its pending
+//! attempt index, stepped by the robust router's
+//! [`hetero_fleet::RouterPolicy::step`] behind the deadline gate
+//! [`hetero_fleet::RouterPolicy::may_dispatch`], the two calls
+//! `FleetSim::replay` makes per attempt. The checker keeps no budget of
+//! its own, so `max_retry_chain` is the router's own bound
+//! ([`hetero_fleet::MAX_DISPATCHES`]). Only the inputs are modelling
+//! choices: an attempt behind a non-`Open` breaker is served or fails,
+//! one behind an `Open` breaker is unroutable and still uses an
+//! attempt; the clock is abstracted away, so the gate is asked both
+//! before the request's deadline and at it; and the cooldown fires
+//! from a pending attempt behind an `Open` breaker.
 //!
-//! The request side abstracts the router's per-request lifecycle:
-//! `Start(p)` (admission decision under every representative census
-//! band), `Admitted{p, attempt}` (dispatch in flight),
-//! `Pending{p, attempt}` (failed, waiting to re-dispatch), and the
-//! three terminal resolutions. Census state is abstracted into
-//! *bands* — one representative `(busy, healthy)` pair per distinct
-//! admission outcome (idle, each shed threshold, total outage) — so
-//! the product stays finite while covering every admission branch.
-//! `NextRequest` edges loop terminals back to `Start` with the breaker
-//! state *preserved*, so breaker behaviour across consecutive requests
-//! is part of the reachable space; these edges are excluded from the
-//! retry-cycle analysis (budget is per request). The budget is
-//! `RetryPolicy::max_attempts`; the router itself retries until the
-//! request's deadline, up to `MAX_DISPATCHES`, so `max_retry_chain`
-//! bounds the model, not the router.
+//! `Start(p)` makes the admission decision under every representative
+//! census *band* — one `(busy, healthy)` pair per distinct admission
+//! outcome (idle, each shed threshold, total outage) — so the product
+//! stays finite while covering every admission branch. `NextRequest`
+//! edges loop terminals back to `Start` with the breaker state
+//! *preserved*, so breaker behaviour across consecutive requests is
+//! part of the reachable space; these edges are excluded from the
+//! retry-cycle analysis (budget is per request).
 //!
 //! Both checks here, the policy product and the rollout ladder of
-//! [`check_rollout_product`], run one breadth-first explorer. It
+//! [`check_rollout_product`], run one breadth-first explorer and then
+//! a separate property pass over the explored graph. The explorer
 //! reuses the truncation discipline of
 //! [`crate::explore::ExploreConfig`]: a hard state cap, an explicit
 //! `truncated` flag in the [`ProductCertificate`], and — when
@@ -50,22 +52,22 @@
 //! order and edges dedupe through a `BTreeSet`.
 
 use hetero_fleet::{
-    AdmissionControl, BreakerConfig, BreakerInput, BreakerState, Priority, RetryPolicy,
-    MAX_DISPATCHES, ROLLOUT_STAGES,
+    AdmissionControl, AttemptOutcome, BreakerConfig, BreakerInput, BreakerState, DispatchStep,
+    Priority, RouterPolicy, ROLLOUT_STAGES,
 };
+use hetero_soc::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::diag::Diagnostic;
 use crate::rules;
 
-/// The three policy state machines whose product is checked.
+/// The policy state machines whose product is checked with the robust
+/// router's dispatch step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PolicyAutomata {
     /// Circuit-breaker tuning (threshold, cooldown).
     pub breaker: BreakerConfig,
-    /// Retry/backoff schedule (only `max_attempts` shapes the graph).
-    pub retry: RetryPolicy,
     /// Priority shed thresholds (shape the admission bands).
     pub admission: AdmissionControl,
 }
@@ -75,33 +77,22 @@ impl PolicyAutomata {
     pub fn standard() -> Self {
         Self {
             breaker: BreakerConfig::standard(),
-            retry: RetryPolicy::standard(),
             admission: AdmissionControl::standard(),
         }
     }
 }
 
-/// Exploration options (the fault-injection knobs exist so tests can
-/// prove the checker *detects* broken automata, not just passes good
-/// ones).
+/// Exploration options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelOptions {
     /// Hard cap on interned states; exceeding it sets `truncated`.
     pub max_states: usize,
-    /// Model the breaker's cooldown → half-open timer edge. Disabling
-    /// it models a breaker with no recovery path.
-    pub cooldown_edges: bool,
-    /// Model the router's lost-penalty deadline edge out of a pending
-    /// retry. Disabling it models a router that waits forever.
-    pub deadline_edges: bool,
 }
 
 impl Default for ModelOptions {
     fn default() -> Self {
         Self {
             max_states: 1 << 16,
-            cooldown_edges: true,
-            deadline_edges: true,
         }
     }
 }
@@ -111,10 +102,8 @@ impl Default for ModelOptions {
 enum ReqState {
     /// Arrived, admission not yet decided (priority index).
     Start(u8),
-    /// Dispatch `attempt` in flight.
-    Admitted { p: u8, attempt: u32 },
-    /// Dispatch failed, waiting to re-dispatch `attempt`.
-    Pending { p: u8, attempt: u32 },
+    /// Dispatch `attempt` waiting at the deadline gate.
+    Pending { attempt: u32 },
     /// Completed within SLO accounting.
     Served,
     /// Rejected at admission.
@@ -129,7 +118,7 @@ type Breaker = (BreakerState, u32);
 
 type State = (ReqState, Breaker);
 
-/// Edge labels (dedupe key component; also used to classify fail
+/// Edge labels (dedupe key component; also used to classify retry
 /// edges for the retry-cycle analysis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EdgeKind {
@@ -137,11 +126,19 @@ enum EdgeKind {
     Shed,
     DispatchOk,
     DispatchFail,
-    Redispatch,
+    Unroutable,
     Cooldown,
     Deadline,
     NextRequest,
 }
+
+/// The router whose dispatch step the product explores: round-robin
+/// has no breaker, no admission control and a single attempt.
+const ROUTER: RouterPolicy = RouterPolicy::Robust;
+
+/// The abstract request deadline: a pending attempt meets the deadline
+/// gate at `SimTime::ZERO` (before it) or here (at it).
+const DEADLINE: SimTime = SimTime::from_nanos(1);
 
 /// Exact exploration results and property proofs. All counts are
 /// integers and the whole struct serializes deterministically.
@@ -158,14 +155,14 @@ pub struct ProductCertificate {
     pub open_states: u64,
     /// States whose request side is a resolution (served/shed/lost).
     pub terminal_states: u64,
-    /// Maximum dispatches any single request performs (attempt index
-    /// + 1 over in-flight states).
+    /// Maximum dispatch attempts any single request makes (pending
+    /// attempt index + 1).
     pub max_retry_chain: u32,
     /// Every reachable state reaches a resolution.
     pub livelock_free: bool,
     /// Every `Open`-breaker state reaches a non-`Open` state.
     pub open_escapable: bool,
-    /// No dispatch-fail edge lies on a per-request cycle.
+    /// No retry edge lies on a per-request cycle.
     pub retry_bounded: bool,
 }
 
@@ -186,17 +183,8 @@ fn admission_bands(admission: &AdmissionControl) -> Vec<(usize, usize)> {
 fn successors(
     (req, brk): State,
     automata: &PolicyAutomata,
-    opts: &ModelOptions,
     bands: &[(usize, usize)],
 ) -> Vec<(EdgeKind, State)> {
-    // Budget: `max_attempts == 0` means retry forever (the attempt
-    // counter then never advances, producing the fail cycle the SCC
-    // pass detects); otherwise capped by the router's hard ceiling.
-    let budget = if automata.retry.max_attempts == 0 {
-        None
-    } else {
-        Some(automata.retry.max_attempts.min(MAX_DISPATCHES))
-    };
     let step = |input| automata.breaker.step(brk, input).0;
     let open = brk.0 == BreakerState::Open;
     let mut out = Vec::new();
@@ -204,50 +192,33 @@ fn successors(
         ReqState::Start(p) => {
             let priority = Priority::ALL[p as usize];
             for &(busy, healthy) in bands {
-                if automata.admission.should_shed(priority, busy, healthy) {
-                    out.push((EdgeKind::Shed, (ReqState::Shed, brk)));
-                } else if open {
-                    out.push((EdgeKind::Admit, (ReqState::Pending { p, attempt: 0 }, brk)));
+                out.push(if automata.admission.should_shed(priority, busy, healthy) {
+                    (EdgeKind::Shed, (ReqState::Shed, brk))
                 } else {
-                    out.push((EdgeKind::Admit, (ReqState::Admitted { p, attempt: 0 }, brk)));
+                    (EdgeKind::Admit, (ReqState::Pending { attempt: 0 }, brk))
+                });
+            }
+        }
+        ReqState::Pending { attempt } => {
+            use AttemptOutcome::{Failed, Served, Unroutable};
+            let after = |outcome| match ROUTER.step(attempt, outcome) {
+                DispatchStep::Served => ReqState::Served,
+                DispatchStep::Retry { attempt } => ReqState::Pending { attempt },
+                DispatchStep::Lost => ReqState::Lost,
+            };
+            let (ok, fail) = (step(BreakerInput::Success), step(BreakerInput::Failure));
+            for now in [SimTime::ZERO, DEADLINE] {
+                if !RouterPolicy::may_dispatch(attempt, now, DEADLINE) {
+                    out.push((EdgeKind::Deadline, (ReqState::Lost, brk)));
+                } else if open {
+                    out.push((EdgeKind::Unroutable, (after(Unroutable), brk)));
+                } else {
+                    out.push((EdgeKind::DispatchOk, (after(Served), ok)));
+                    out.push((EdgeKind::DispatchFail, (after(Failed), fail)));
                 }
             }
-        }
-        ReqState::Admitted { p, attempt } => {
-            out.push((
-                EdgeKind::DispatchOk,
-                (ReqState::Served, step(BreakerInput::Success)),
-            ));
-            let next_req = match budget {
-                None => ReqState::Pending { p, attempt },
-                Some(b) if attempt + 1 >= b => ReqState::Lost,
-                Some(_) => ReqState::Pending {
-                    p,
-                    attempt: attempt + 1,
-                },
-            };
-            out.push((
-                EdgeKind::DispatchFail,
-                (next_req, step(BreakerInput::Failure)),
-            ));
-        }
-        ReqState::Pending { p, attempt } => {
-            if !open {
-                out.push((
-                    EdgeKind::Redispatch,
-                    (ReqState::Admitted { p, attempt }, brk),
-                ));
-            } else if opts.cooldown_edges {
-                out.push((
-                    EdgeKind::Cooldown,
-                    (
-                        ReqState::Pending { p, attempt },
-                        step(BreakerInput::Cooldown),
-                    ),
-                ));
-            }
-            if opts.deadline_edges {
-                out.push((EdgeKind::Deadline, (ReqState::Lost, brk)));
+            if open {
+                out.push((EdgeKind::Cooldown, (req, step(BreakerInput::Cooldown))));
             }
         }
         ReqState::Served | ReqState::Shed | ReqState::Lost => {
@@ -406,6 +377,19 @@ fn explore<S: Copy + Ord, E: Copy + Ord>(
     }
 }
 
+/// Explore the policy product from one fresh-breaker `Start` per
+/// priority class along `successors`.
+fn explore_policy(
+    max_states: usize,
+    successors: impl Fn(State) -> Vec<(EdgeKind, State)>,
+) -> Explored<State, EdgeKind> {
+    explore(
+        (0..Priority::ALL.len() as u8).map(|p| (ReqState::Start(p), (BreakerState::Closed, 0))),
+        max_states,
+        successors,
+    )
+}
+
 /// Exhaustively explore the product automaton and prove (or refute)
 /// livelock freedom, bounded retry, and Open escapability. Returns
 /// the exact-count certificate plus one diagnostic per refuted
@@ -417,12 +401,15 @@ pub fn check_policy_product(
     location: &str,
 ) -> (ProductCertificate, Vec<Diagnostic>) {
     let bands = admission_bands(&automata.admission);
-    // One initial state per priority class, breaker fresh.
-    let graph = explore(
-        (0..Priority::ALL.len() as u8).map(|p| (ReqState::Start(p), (BreakerState::Closed, 0))),
-        opts.max_states,
-        |s| successors(s, automata, opts, &bands),
-    );
+    let graph = explore_policy(opts.max_states, |s| successors(s, automata, &bands));
+    certify_policy(&graph, location)
+}
+
+/// The property pass over an explored policy product.
+fn certify_policy(
+    graph: &Explored<State, EdgeKind>,
+    location: &str,
+) -> (ProductCertificate, Vec<Diagnostic>) {
     let states = &graph.states;
     let n = states.len();
     let is_open = |i: usize| matches!(states[i], (_, (BreakerState::Open, _)));
@@ -431,9 +418,7 @@ pub fn check_policy_product(
     let max_retry_chain = states
         .iter()
         .filter_map(|(r, _)| match r {
-            ReqState::Admitted { attempt, .. } | ReqState::Pending { attempt, .. } => {
-                Some(attempt + 1)
-            }
+            ReqState::Pending { attempt } => Some(attempt + 1),
             _ => None,
         })
         .max()
@@ -494,19 +479,18 @@ pub fn check_policy_product(
         ));
     }
 
-    // Bounded retry: no fail edge inside a per-request cycle.
+    // Bounded retry: no retry edge inside a per-request cycle.
     let comp = sccs(n, &per_request_edges);
-    let cyclic_fail = graph
-        .edges
-        .iter()
-        .find(|&&(u, k, v)| k == EdgeKind::DispatchFail && comp[u] == comp[v]);
-    cert.retry_bounded = cyclic_fail.is_none();
-    if let Some(&(u, _, _)) = cyclic_fail {
+    let cyclic_retry = graph.edges.iter().find(|&&(u, k, v)| {
+        matches!(k, EdgeKind::DispatchFail | EdgeKind::Unroutable) && comp[u] == comp[v]
+    });
+    cert.retry_bounded = cyclic_retry.is_none();
+    if let Some(&(u, _, _)) = cyclic_retry {
         diags.push(Diagnostic::new(
             rules::RETRY_UNBOUNDED,
             location,
             format!(
-                "dispatch failure repeats without consuming retry budget; cycle through {}",
+                "a retry repeats without consuming dispatch budget; cycle through {}",
                 describe(&states[u])
             ),
         ));
@@ -531,28 +515,6 @@ impl RolloutAutomata {
     pub fn standard() -> Self {
         Self {
             stages: ROLLOUT_STAGES.len() as u32,
-        }
-    }
-}
-
-/// Fault-injection knobs for the rollout checker (tests prove the
-/// checker *detects* a controller that cannot promote or cannot roll
-/// back, not just passes the shipped one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RolloutOptions {
-    /// Model the clean-verdict edge out of a deciding state. Disabling
-    /// it models a controller that can never promote past a stage.
-    pub verdict_edges: bool,
-    /// Model the regressed-verdict edge out of a deciding state.
-    /// Disabling it models a controller with no rollback path.
-    pub rollback_edges: bool,
-}
-
-impl Default for RolloutOptions {
-    fn default() -> Self {
-        Self {
-            verdict_edges: true,
-            rollback_edges: true,
         }
     }
 }
@@ -599,11 +561,7 @@ pub struct RolloutCertificate {
     pub rollback_reachable: bool,
 }
 
-fn rollout_successors(
-    s: RolState,
-    automata: &RolloutAutomata,
-    opts: &RolloutOptions,
-) -> Vec<(RolEdge, RolState)> {
+fn rollout_successors(s: RolState, automata: &RolloutAutomata) -> Vec<(RolEdge, RolState)> {
     let mut out = Vec::new();
     match s {
         RolState::Canary { stage, drifted } => {
@@ -627,24 +585,32 @@ fn rollout_successors(
             out.push((RolEdge::StageDone, RolState::Deciding { stage, drifted }));
         }
         RolState::Deciding { stage, .. } => {
-            if opts.verdict_edges {
-                let next = if stage >= automata.stages {
-                    RolState::Promoted
-                } else {
-                    RolState::Canary {
-                        stage: stage + 1,
-                        drifted: false,
-                    }
-                };
-                out.push((RolEdge::CleanVerdict, next));
-            }
-            if opts.rollback_edges {
-                out.push((RolEdge::RegressedVerdict, RolState::RolledBack));
-            }
+            let next = if stage >= automata.stages {
+                RolState::Promoted
+            } else {
+                RolState::Canary {
+                    stage: stage + 1,
+                    drifted: false,
+                }
+            };
+            out.push((RolEdge::CleanVerdict, next));
+            out.push((RolEdge::RegressedVerdict, RolState::RolledBack));
         }
         RolState::Promoted | RolState::RolledBack => {}
     }
     out
+}
+
+/// Explore the rollout ladder from its initial 1%-stage state along
+/// `successors`.
+fn explore_rollout(
+    successors: impl Fn(RolState) -> Vec<(RolEdge, RolState)>,
+) -> Explored<RolState, RolEdge> {
+    let init = RolState::Canary {
+        stage: 1,
+        drifted: false,
+    };
+    explore([init], usize::MAX, successors)
 }
 
 /// Exhaustively explore the rollout automaton and prove (or refute)
@@ -654,16 +620,18 @@ fn rollout_successors(
 /// can always revert.
 pub fn check_rollout_product(
     automata: &RolloutAutomata,
-    opts: &RolloutOptions,
     location: &str,
 ) -> (RolloutCertificate, Vec<Diagnostic>) {
-    let init = RolState::Canary {
-        stage: 1,
-        drifted: false,
-    };
-    let graph = explore([init], usize::MAX, |s| {
-        rollout_successors(s, automata, opts)
-    });
+    let graph = explore_rollout(|s| rollout_successors(s, automata));
+    certify_rollout(&graph, automata, location)
+}
+
+/// The property pass over an explored rollout ladder.
+fn certify_rollout(
+    graph: &Explored<RolState, RolEdge>,
+    automata: &RolloutAutomata,
+    location: &str,
+) -> (RolloutCertificate, Vec<Diagnostic>) {
     let states = &graph.states;
     let n = states.len();
     let terminal = |s: &RolState| matches!(s, RolState::Promoted | RolState::RolledBack);
@@ -719,71 +687,107 @@ pub fn check_rollout_product(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetero_fleet::MAX_DISPATCHES;
 
-    fn check(automata: PolicyAutomata, opts: ModelOptions) -> (ProductCertificate, Vec<String>) {
-        let (cert, diags) = check_policy_product(&automata, &opts, "test");
-        (cert, diags.into_iter().map(|d| d.rule_id).collect())
+    type Edges = Vec<(EdgeKind, State)>;
+
+    fn rule_ids(diags: Vec<Diagnostic>) -> Vec<String> {
+        diags.into_iter().map(|d| d.rule_id).collect()
+    }
+
+    /// Certify the standard product with every state's real successor
+    /// edges passed through `edit`: a broken router the checker must
+    /// refute.
+    fn check_edited(edit: impl Fn(State, Edges) -> Edges) -> (ProductCertificate, Vec<String>) {
+        let automata = PolicyAutomata::standard();
+        let bands = admission_bands(&automata.admission);
+        let graph = explore_policy(ModelOptions::default().max_states, |s| {
+            edit(s, successors(s, &automata, &bands))
+        });
+        let (cert, diags) = certify_policy(&graph, "test");
+        (cert, rule_ids(diags))
+    }
+
+    /// The real successor edges without those of the given kinds.
+    fn without(kinds: &'static [EdgeKind]) -> impl Fn(State, Edges) -> Edges {
+        |_, edges| {
+            edges
+                .into_iter()
+                .filter(|(k, _)| !kinds.contains(k))
+                .collect()
+        }
     }
 
     #[test]
     fn standard_policies_certify_with_exact_counts() {
-        let (cert, rules_hit) = check(PolicyAutomata::standard(), ModelOptions::default());
+        let (cert, diags) = check_policy_product(
+            &PolicyAutomata::standard(),
+            &ModelOptions::default(),
+            "test",
+        );
+        let rules_hit = rule_ids(diags);
         assert!(rules_hit.is_empty(), "{rules_hit:?}");
         assert!(!cert.truncated);
         assert!(cert.livelock_free);
         assert!(cert.open_escapable);
         assert!(cert.retry_bounded);
-        assert_eq!(cert.max_retry_chain, 4, "max_attempts dispatches");
+        assert_eq!(cert.max_retry_chain, MAX_DISPATCHES, "the router's budget");
         // Exact reachable product: pinned so any policy or abstraction
         // change shows up as a diff here.
-        assert_eq!(cert.states, 68);
-        assert_eq!(cert.transitions, 144);
+        assert_eq!(cert.states, 151);
+        assert_eq!(cert.transitions, 437);
     }
 
     #[test]
-    fn unbounded_retry_is_refuted() {
-        let mut automata = PolicyAutomata::standard();
-        automata.retry.max_attempts = 0;
-        let (cert, rules_hit) = check(automata, ModelOptions::default());
+    fn failure_that_keeps_its_attempt_is_unbounded_retry() {
+        // A router whose failed dispatch does not use budget.
+        let (cert, rules_hit) = check_edited(|(req, _), edges| {
+            edges
+                .into_iter()
+                .map(|(k, (next, brk))| match (k, req, next) {
+                    (
+                        EdgeKind::DispatchFail,
+                        ReqState::Pending { .. },
+                        ReqState::Pending { .. },
+                    ) => (k, (req, brk)),
+                    _ => (k, (next, brk)),
+                })
+                .collect()
+        });
         assert!(!cert.retry_bounded);
         assert!(rules_hit.contains(&rules::RETRY_UNBOUNDED.to_string()));
-        assert!(cert.livelock_free, "ok edges still resolve requests");
+        assert!(cert.livelock_free, "the deadline still resolves requests");
     }
 
     #[test]
     fn missing_cooldown_edge_traps_the_breaker() {
-        let opts = ModelOptions {
-            cooldown_edges: false,
-            ..ModelOptions::default()
-        };
-        let (cert, rules_hit) = check(PolicyAutomata::standard(), opts);
+        let (cert, rules_hit) = check_edited(without(&[EdgeKind::Cooldown]));
         assert!(!cert.open_escapable);
         assert!(rules_hit.contains(&rules::BREAKER_TRAP.to_string()));
     }
 
     #[test]
-    fn no_cooldown_and_no_deadline_livelocks() {
-        let opts = ModelOptions {
-            cooldown_edges: false,
-            deadline_edges: false,
-            ..ModelOptions::default()
-        };
-        let (cert, rules_hit) = check(PolicyAutomata::standard(), opts);
+    fn waiting_forever_behind_an_open_breaker_livelocks() {
+        // No cooldown, no deadline, and an unroutable round that does
+        // not count: a pending request behind an Open breaker has no
+        // way out.
+        let (cert, rules_hit) = check_edited(without(&[
+            EdgeKind::Cooldown,
+            EdgeKind::Deadline,
+            EdgeKind::Unroutable,
+        ]));
         assert!(!cert.livelock_free);
         assert!(rules_hit.contains(&rules::POLICY_LIVELOCK.to_string()));
     }
 
     #[test]
     fn truncation_is_flagged_and_claims_nothing() {
-        let opts = ModelOptions {
-            max_states: 10,
-            ..ModelOptions::default()
-        };
-        let (cert, rules_hit) = check(PolicyAutomata::standard(), opts);
+        let opts = ModelOptions { max_states: 10 };
+        let (cert, diags) = check_policy_product(&PolicyAutomata::standard(), &opts, "test");
         assert!(cert.truncated);
         assert_eq!(cert.states, 10);
         assert!(!cert.livelock_free && !cert.open_escapable && !cert.retry_bounded);
-        assert!(rules_hit.is_empty(), "no claims from a truncated graph");
+        assert!(diags.is_empty(), "no claims from a truncated graph");
     }
 
     #[test]
@@ -798,13 +802,22 @@ mod tests {
         assert_eq!(back, cert);
     }
 
+    /// Certify the standard ladder without the edges of `dropped`.
+    fn check_rollout_without(dropped: RolEdge) -> (RolloutCertificate, Vec<String>) {
+        let automata = RolloutAutomata::standard();
+        let graph = explore_rollout(|s| {
+            rollout_successors(s, &automata)
+                .into_iter()
+                .filter(|&(k, _)| k != dropped)
+                .collect()
+        });
+        let (cert, diags) = certify_rollout(&graph, &automata, "test");
+        (cert, rule_ids(diags))
+    }
+
     #[test]
     fn rollout_ladder_certifies_with_exact_counts() {
-        let (cert, diags) = check_rollout_product(
-            &RolloutAutomata::standard(),
-            &RolloutOptions::default(),
-            "test",
-        );
+        let (cert, diags) = check_rollout_product(&RolloutAutomata::standard(), "test");
         assert!(diags.is_empty(), "{diags:?}");
         assert!(cert.promote_reachable);
         assert!(cert.rollback_reachable);
@@ -818,35 +831,23 @@ mod tests {
 
     #[test]
     fn missing_clean_verdict_edge_is_rollout_stuck() {
-        let opts = RolloutOptions {
-            verdict_edges: false,
-            ..RolloutOptions::default()
-        };
-        let (cert, diags) = check_rollout_product(&RolloutAutomata::standard(), &opts, "test");
+        let (cert, rules_hit) = check_rollout_without(RolEdge::CleanVerdict);
         assert!(!cert.promote_reachable);
         assert!(cert.rollback_reachable, "rollback path is intact");
-        assert!(diags.iter().any(|d| d.rule_id == rules::ROLLOUT_STUCK));
+        assert!(rules_hit.contains(&rules::ROLLOUT_STUCK.to_string()));
     }
 
     #[test]
     fn missing_rollback_edge_is_rollback_missed() {
-        let opts = RolloutOptions {
-            rollback_edges: false,
-            ..RolloutOptions::default()
-        };
-        let (cert, diags) = check_rollout_product(&RolloutAutomata::standard(), &opts, "test");
+        let (cert, rules_hit) = check_rollout_without(RolEdge::RegressedVerdict);
         assert!(cert.promote_reachable, "promotion path is intact");
         assert!(!cert.rollback_reachable);
-        assert!(diags.iter().any(|d| d.rule_id == rules::ROLLBACK_MISSED));
+        assert!(rules_hit.contains(&rules::ROLLBACK_MISSED.to_string()));
     }
 
     #[test]
     fn rollout_certificate_roundtrips_through_json() {
-        let (cert, _) = check_rollout_product(
-            &RolloutAutomata::standard(),
-            &RolloutOptions::default(),
-            "test",
-        );
+        let (cert, _) = check_rollout_product(&RolloutAutomata::standard(), "test");
         let json = serde_json::to_string(&cert).expect("serialize");
         let back: RolloutCertificate = serde_json::from_str(&json).expect("parse");
         assert_eq!(back, cert);

@@ -68,9 +68,9 @@ pub const DEADLINE_AT_RISK: &str = "deadline-at-risk";
 /// Rule: DES-simulated peak bytes and observed TTFT/TPOT must fall
 /// inside the abstract interpreter's static bounds.
 pub const BOUND_UNSOUND: &str = "bound-unsound";
-/// Rule: a retry policy must have a bounded attempt budget and a real
-/// exponential backoff (factor ≥ 2, non-zero base) so correlated
-/// failures cannot amplify into a fleet-wide retry storm.
+/// Rule: a retry policy must have a real exponential backoff (a
+/// schedule, factor ≥ 2, non-zero base, jitter) so correlated failures
+/// cannot amplify into a fleet-wide retry storm.
 pub const RETRY_STORM: &str = "retry-storm";
 /// Rule: no priority class may be starved by load shedding while the
 /// fleet still has idle capacity.
@@ -120,7 +120,8 @@ pub const CANARY_STARVED: &str = "canary-starved";
 /// breaker×retry×admission product must reach a request resolution.
 pub const POLICY_LIVELOCK: &str = "policy-livelock";
 /// Rule (model checker): no cycle of the product automaton may
-/// contain a dispatch-failure edge (retry chains are bounded).
+/// contain a retry edge, a failed or unroutable attempt (retry chains
+/// are bounded).
 pub const RETRY_UNBOUNDED: &str = "retry-unbounded";
 /// Rule (model checker): from every reachable Open-breaker state the
 /// breaker can eventually leave Open.
@@ -296,9 +297,9 @@ pub const RULES: [RuleInfo; 39] = [
     RuleInfo {
         id: RETRY_STORM,
         severity: Severity::Deny,
-        summary: "retry policies are storm-safe: bounded attempts, non-zero \
-                  base delay, backoff factor ≥ 2, jittered, with a finite \
-                  total-backoff bound",
+        summary: "retry policies are storm-safe: an exponential schedule \
+                  with non-zero base delay, backoff factor ≥ 2 and jitter, \
+                  and a cap no smaller than the base",
         paper: "§6 (fleet serving)",
     },
     RuleInfo {
@@ -407,7 +408,8 @@ pub const RULES: [RuleInfo; 39] = [
         id: RETRY_UNBOUNDED,
         severity: Severity::Deny,
         summary: "no cycle of the policy product automaton contains a \
-                  dispatch-failure edge: every retry chain is finite",
+                  retry edge (failed or unroutable attempt): every retry \
+                  chain is finite",
         paper: "§6 (fleet serving)",
     },
     RuleInfo {

@@ -232,7 +232,6 @@ fn monitor_gate(logs: &[(&str, &FleetEventLog)]) {
     }
     let (cert, diags) = hetero_analyze::check_rollout_product(
         &hetero_analyze::RolloutAutomata::standard(),
-        &hetero_analyze::RolloutOptions::default(),
         "rollout_sweep/ladder",
     );
     assert!(diags.is_empty(), "{diags:?}");

@@ -35,7 +35,7 @@ use hetero_soc::power::PowerReport;
 use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
 use hetero_soc::{Backend, KernelDesc, SimTime, Soc, SocConfig};
 use hetero_solver::PartitionPlan;
-use hetero_tensor::rng::splitmix64;
+use hetero_tensor::rng::draw;
 use hetero_tensor::shape::MatmulShape;
 use serde::{Deserialize, Serialize};
 
@@ -80,12 +80,6 @@ pub fn conversation_traffic(seed: u64, count: usize, mean_gap: SimTime) -> Vec<I
             }
         })
         .collect()
-}
-
-/// The `i`-th draw of a splitmix64 stream over `seed` (the same
-/// decorrelation scheme `hetero_soc::disturb` uses).
-fn draw(seed: u64, i: u64) -> u64 {
-    splitmix64(seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// Service-level objectives the watchdog enforces.

@@ -28,13 +28,13 @@
 //! class calibration skips faulting SoCs.
 
 use hetero_soc::SocConfig;
+use hetero_tensor::rng::draw;
 use heterollm::engines::HeteroTensorEngine;
 use heterollm::exec::Executor;
 use heterollm::{InferenceSession, ModelConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::device::DeviceProfile;
-use crate::draw;
 use crate::profiler::PPM;
 
 /// Draw-offset namespace for per-device silicon-lottery perturbation

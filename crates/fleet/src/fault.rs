@@ -22,11 +22,10 @@
 
 use hetero_soc::disturb::{DisturbanceTrace, SocCondition, Timeline};
 use hetero_soc::SimTime;
+use hetero_tensor::rng::draw;
 use heterollm::coldstart::{cold_start, GraphPrep};
 use heterollm::ModelConfig;
 use serde::{Deserialize, Serialize};
-
-use crate::draw;
 
 /// Draw-offset namespaces so fault classes decorrelate.
 const OFF_STORM: u64 = 1 << 40;

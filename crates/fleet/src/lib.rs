@@ -59,8 +59,8 @@ pub use device::{
 pub use events::{FleetEvent, FleetEventLog, FleetLogPair, ProfileCause, EVENT_LOG_VERSION};
 pub use fault::{FaultInjector, FaultPlanConfig};
 pub use policy::{
-    AdmissionControl, BreakerCause, BreakerConfig, BreakerInput, BreakerState, BreakerTransition,
-    CircuitBreaker, RetryPolicy,
+    AdmissionControl, AttemptOutcome, BreakerCause, BreakerConfig, BreakerInput, BreakerState,
+    BreakerTransition, CircuitBreaker, DispatchStep, RetryPolicy, RouterPolicy, MAX_DISPATCHES,
 };
 pub use profiler::{OnlineProfiler, DRIFT_RESOLVE_THRESHOLD_PPM, FEW_SHOT_SAMPLES, PPM};
 pub use report::{ArmReport, FleetComparison, PriorityStats};
@@ -68,12 +68,5 @@ pub use rollout::{
     stage_regressed, PolicyRevision, RolloutConfig, RolloutController, RolloutLogSet,
     RolloutReport, StageReport, StageThresholds, ROLLOUT_STAGES,
 };
-pub use router::{FleetConfig, FleetSim, RouterPolicy, MAX_DISPATCHES};
+pub use router::{FleetConfig, FleetSim};
 pub use workload::{fleet_traffic, FleetRequest, Priority};
-
-/// The `i`-th draw of a splitmix64 stream over `seed` (the same
-/// decorrelation scheme `hetero_soc::disturb` and
-/// `heterollm::runtime` use).
-pub(crate) fn draw(seed: u64, i: u64) -> u64 {
-    hetero_tensor::rng::splitmix64(seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-}

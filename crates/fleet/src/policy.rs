@@ -1,26 +1,111 @@
-//! Router robustness policies: retry/backoff, circuit breakers, and
-//! priority-aware admission control.
+//! Router robustness policies: the per-attempt dispatch step and its
+//! deadline gate, retry/backoff, circuit breakers, and priority-aware
+//! admission control.
 //!
 //! All schedules are integer-nanosecond and seeded — the same seed
 //! yields a byte-identical backoff schedule, which the fleet
 //! determinism gate (and a proptest) pins.
 
 use hetero_soc::SimTime;
+use hetero_tensor::rng::draw;
 use serde::{Deserialize, Serialize};
 
-use crate::draw;
 use crate::workload::Priority;
+
+/// Dispatch attempts one robust-router request may use: the robust
+/// arm's budget in [`RouterPolicy::step`].
+///
+/// Every attempt uses one, including a round in which no device was
+/// routable. Most chains end earlier, at the request's deadline
+/// ([`RouterPolicy::may_dispatch`]); the cap bounds a chain whose
+/// backoff never reaches the deadline, and keeps each request inside
+/// its private draw namespace (`MAX_DISPATCHES × SELECT_SAMPLES = 1024`
+/// draws per request).
+pub const MAX_DISPATCHES: u32 = 64;
+
+/// Routing policy under test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RouterPolicy {
+    /// Naive round-robin: no health, no retry, no shedding.
+    RoundRobin,
+    /// The full robustness toolkit.
+    Robust,
+}
+
+/// How one dispatch attempt ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttemptOutcome {
+    /// The device served the request.
+    Served,
+    /// The dispatch went out and failed (crash or lost link).
+    Failed,
+    /// No device was routable, so nothing went out.
+    Unroutable,
+}
+
+/// What the router does after one attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DispatchStep {
+    /// The request is served.
+    Served,
+    /// Back off, then try dispatch `attempt`.
+    Retry {
+        /// The next attempt's zero-based index.
+        attempt: u32,
+    },
+    /// The budget is spent: the request is lost.
+    Lost,
+}
+
+impl RouterPolicy {
+    /// Stable report name.
+    pub fn name(self) -> &'static str {
+        match self {
+            RouterPolicy::RoundRobin => "round-robin",
+            RouterPolicy::Robust => "robust",
+        }
+    }
+
+    /// The router's one per-attempt rule: after zero-based dispatch
+    /// `attempt` ends in `outcome`, serve, retry while the dispatch
+    /// budget (1 for round-robin, [`MAX_DISPATCHES`] for robust)
+    /// remains, or lose the request. [`crate::FleetSim`] runs it for
+    /// every attempt; `hetero_analyze::model_check` explores it
+    /// exhaustively.
+    pub fn step(self, attempt: u32, outcome: AttemptOutcome) -> DispatchStep {
+        let budget = match self {
+            RouterPolicy::RoundRobin => 1,
+            RouterPolicy::Robust => MAX_DISPATCHES,
+        };
+        match outcome {
+            AttemptOutcome::Served => DispatchStep::Served,
+            _ if attempt < budget - 1 => DispatchStep::Retry {
+                attempt: attempt + 1,
+            },
+            _ => DispatchStep::Lost,
+        }
+    }
+
+    /// The deadline gate: whether dispatch `attempt` of a request due
+    /// at `deadline` may still go out at `t`. The first attempt always
+    /// may, a retry only before the deadline; a closed gate loses the
+    /// request.
+    pub fn may_dispatch(attempt: u32, t: SimTime, deadline: SimTime) -> bool {
+        attempt == 0 || t < deadline
+    }
+}
 
 /// Deterministic retry schedule: exponential backoff with seeded
 /// jitter and a delay cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
-    /// Length of the exponential schedule plus one: [`Self::schedule`]
-    /// holds `max_attempts - 1` delays. It does not bound a request's
-    /// dispatches. The robust router retries until the request's
-    /// deadline, up to [`crate::MAX_DISPATCHES`], waiting `cap` once
-    /// the schedule runs out. Zero means "retry forever" and is
-    /// rejected by the `retry-storm` analyzer rule.
+    /// Length of the exponential schedule plus one: [`Self::delay_after`]
+    /// follows it for the first `max_attempts - 1` retries. It does
+    /// not bound a request's dispatches. The robust router retries
+    /// until the request's deadline, up to [`MAX_DISPATCHES`], waiting
+    /// `cap` once the schedule runs out. Zero leaves no schedule, so
+    /// every retry waits the cap; the `retry-storm` analyzer rule
+    /// rejects it.
     pub max_attempts: u32,
     /// Delay before the first retry.
     pub base: SimTime,
@@ -38,9 +123,9 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The shipped robust-router schedule: 4 attempts, 2 ms → 8 ms →
-    /// 32 ms (×4, capped at 200 ms), 20% jitter, 250 ms attempt
-    /// timeout.
+    /// The shipped robust-router schedule: 2 ms → 8 ms → 32 ms (×4),
+    /// then the 200 ms cap for every later retry, 20% jitter, 250 ms
+    /// attempt timeout.
     pub fn standard() -> Self {
         Self {
             max_attempts: 4,
@@ -68,20 +153,12 @@ impl RetryPolicy {
         SimTime::from_nanos(capped + jitter)
     }
 
-    /// The full backoff schedule for one request: one delay per retry
-    /// (so `max_attempts - 1` entries), monotonized so delays never
-    /// decrease even when jitter at the cap would dip. Deterministic
-    /// in `(seed, request_id)`.
-    pub fn schedule(&self, seed: u64, request_id: u64) -> Vec<SimTime> {
-        (0..self.max_attempts.saturating_sub(1))
-            .map(|attempt| self.delay_after(seed, request_id, attempt))
-            .collect()
-    }
-
     /// The delay the robust router waits after zero-based dispatch
-    /// `attempt` fails: entry `attempt` of [`Self::schedule`] while the
-    /// schedule lasts, then `cap`. Computed in place, without building
-    /// the schedule.
+    /// `attempt` fails or finds no routable device. While the
+    /// exponential schedule lasts (`attempt + 1 < max_attempts`) it is
+    /// the largest jittered delay so far, so delays never decrease even
+    /// when jitter at the cap would dip; then it is `cap`.
+    /// Deterministic in `(seed, request_id)`.
     pub fn delay_after(&self, seed: u64, request_id: u64, attempt: u32) -> SimTime {
         if attempt.saturating_add(1) >= self.max_attempts {
             return self.cap;
@@ -91,15 +168,6 @@ impl RetryPolicy {
             .map(|retry| self.raw_backoff(seed, request_id, retry))
             .max()
             .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Upper bound on the summed delays of [`Self::schedule`]: every
-    /// delay is at most `cap` plus the full jitter span. It does not
-    /// bound a request's total backoff, which runs past the schedule
-    /// at `cap` per retry until the deadline.
-    pub fn total_backoff_bound(&self) -> SimTime {
-        let per = self.cap.as_nanos() + self.cap.as_nanos() / 100 * u64::from(self.jitter_pct);
-        SimTime::from_nanos(per.saturating_mul(u64::from(self.max_attempts.saturating_sub(1))))
     }
 }
 
@@ -359,24 +427,64 @@ mod tests {
         SimTime::from_millis(x)
     }
 
-    #[test]
-    fn schedule_is_seed_deterministic_and_monotone() {
-        let p = RetryPolicy::standard();
-        let a = p.schedule(42, 7);
-        let b = p.schedule(42, 7);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
-        assert!(a.windows(2).all(|w| w[0] <= w[1]));
-        assert_ne!(a, p.schedule(43, 7), "different seed, different jitter");
+    /// Every delay a request can wait, one per attempt of the robust
+    /// router's budget.
+    fn delays(p: &RetryPolicy, seed: u64, request_id: u64) -> Vec<SimTime> {
+        (0..MAX_DISPATCHES)
+            .map(|attempt| p.delay_after(seed, request_id, attempt))
+            .collect()
     }
 
     #[test]
-    fn schedule_total_is_bounded() {
+    fn schedule_is_seed_deterministic_and_monotone() {
         let p = RetryPolicy::standard();
+        let a = delays(&p, 42, 7);
+        assert_eq!(a, delays(&p, 42, 7));
+        assert!(a.windows(2).all(|w| w[0] <= w[1]));
+        assert_ne!(a, delays(&p, 43, 7), "different seed, different jitter");
+    }
+
+    #[test]
+    fn delays_are_capped() {
+        let p = RetryPolicy::standard();
+        let jittered_cap = p.cap + SimTime::from_nanos(p.cap.as_nanos() / 100 * 20);
         for rid in 0..50 {
-            let total: SimTime = p.schedule(9, rid).into_iter().sum();
-            assert!(total <= p.total_backoff_bound());
+            let d = delays(&p, 9, rid);
+            assert!(d.iter().all(|&x| x <= jittered_cap), "{d:?}");
+            // Past the three-step schedule every retry waits the cap.
+            assert!(d[3..].iter().all(|&x| x == p.cap), "{d:?}");
         }
+    }
+
+    #[test]
+    fn dispatch_step_spends_the_budget() {
+        use AttemptOutcome::{Failed, Served, Unroutable};
+        let rr = RouterPolicy::RoundRobin;
+        assert_eq!(rr.step(0, Served), DispatchStep::Served);
+        assert_eq!(rr.step(0, Failed), DispatchStep::Lost);
+        assert_eq!(rr.step(0, Unroutable), DispatchStep::Lost);
+        let robust = RouterPolicy::Robust;
+        for attempt in 0..MAX_DISPATCHES {
+            assert_eq!(robust.step(attempt, Served), DispatchStep::Served);
+            let expected = if attempt + 1 < MAX_DISPATCHES {
+                DispatchStep::Retry {
+                    attempt: attempt + 1,
+                }
+            } else {
+                DispatchStep::Lost
+            };
+            assert_eq!(robust.step(attempt, Failed), expected);
+            assert_eq!(robust.step(attempt, Unroutable), expected);
+        }
+    }
+
+    #[test]
+    fn deadline_gate_holds_retries_only() {
+        let deadline = ms(10);
+        assert!(RouterPolicy::may_dispatch(0, ms(20), deadline));
+        assert!(RouterPolicy::may_dispatch(1, ms(9), deadline));
+        assert!(!RouterPolicy::may_dispatch(1, deadline, deadline));
+        assert!(!RouterPolicy::may_dispatch(5, ms(11), deadline));
     }
 
     #[test]

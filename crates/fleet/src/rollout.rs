@@ -33,13 +33,13 @@ use hetero_profiler::RealExecProvider;
 use hetero_soc::sync::Dominance;
 use hetero_soc::{SimTime, SocConfig};
 use hetero_solver::{resolve_for_drift, SolverConfig};
+use hetero_tensor::rng::draw;
 use hetero_tensor::shape::MatmulShape;
 use heterollm::obs::metrics::exact_quantile;
 use serde::{Deserialize, Serialize};
 
 use crate::device::{CALIB_DECODE, CALIB_PROMPT};
-use crate::draw;
-use crate::events::{FleetEvent, FleetEventLog, ProfileCause, EVENT_LOG_VERSION};
+use crate::events::{FleetEvent, FleetEventLog, ProfileCause};
 use crate::profiler::{OnlineProfiler, DRIFT_RESOLVE_THRESHOLD_PPM, FEW_SHOT_SAMPLES, PPM};
 use crate::report::ArmReport;
 use crate::router::FleetSim;
@@ -566,18 +566,7 @@ impl<'a> RolloutController<'a> {
         let sim = self.sim;
         let n = sim.config().devices;
         let span = self.window_span();
-        let mut master = FleetEventLog {
-            version: EVENT_LOG_VERSION,
-            seed: sim.config().seed,
-            policy: format!("rollout-{}", candidate.name),
-            devices: n as u64,
-            requests: sim.config().requests as u64,
-            slo_ttft_ns: sim.slo_ttft().as_nanos(),
-            deadline_ns: sim.lost_penalty().as_nanos(),
-            census_interval_ns: sim.config().probe_interval.as_nanos(),
-            rollout_window_ns: span.as_nanos(),
-            events: Vec::new(),
-        };
+        let mut master = sim.event_log(format!("rollout-{}", candidate.name), span.as_nanos());
         let perm = self.cohort_permutation();
 
         // Window 0: baseline — the overlay machinery active (profiler

@@ -25,16 +25,18 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use hetero_soc::{SimTime, SocConfig};
+use hetero_tensor::rng::draw;
 use heterollm::obs::{Histogram, MetricsRegistry};
 use heterollm::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::calib::{calibrate_devices, FleetCalibration};
 use crate::device::{calibrate_profiles_with_socs, Device, DeviceProfile};
-use crate::draw;
 use crate::events::{FleetEvent, FleetEventLog, FleetLogPair, EVENT_LOG_VERSION};
 use crate::fault::{DowntimeSweep, FaultInjector, FaultPlanConfig};
-use crate::policy::{AdmissionControl, BreakerConfig, BreakerState, RetryPolicy};
+use crate::policy::{
+    AdmissionControl, AttemptOutcome, BreakerConfig, BreakerState, DispatchStep, RetryPolicy,
+    RouterPolicy,
+};
 use crate::profiler::PPM;
 use crate::report::{quantiles_ns, ArmReport, FleetComparison, PriorityStats};
 use crate::rollout::{scale_ppm, StageOverlay};
@@ -47,40 +49,10 @@ const OFF_SELECT: u64 = 9 << 40;
 /// Candidates sampled per selection round (power-of-d-choices).
 const SELECT_SAMPLES: u64 = 16;
 
-/// Hard safety cap on dispatch attempts per request (robust arm).
-///
-/// The real bound is the per-request deadline; this cap only bounds
-/// the loop if a zero-delay policy sneaks past the `retry-storm`
-/// lint, and keeps each request inside its private draw namespace
-/// (`MAX_DISPATCHES × SELECT_SAMPLES = 1024` draws per request).
-/// Public so the `hetero_analyze` model checker can clamp its attempt
-/// budget to it; that budget is `RetryPolicy::max_attempts`, not this
-/// cap.
-pub const MAX_DISPATCHES: u32 = 64;
-
 /// Reference request shape for sizing arrival rate and EWMA seeds.
 const TYPICAL_PROMPT: usize = 272;
 /// Reference decode length for the same.
 const TYPICAL_DECODE: usize = 36;
-
-/// Routing policy under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RouterPolicy {
-    /// Naive round-robin: no health, no retry, no shedding.
-    RoundRobin,
-    /// The full robustness toolkit.
-    Robust,
-}
-
-impl RouterPolicy {
-    /// Stable report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RouterPolicy::RoundRobin => "round-robin",
-            RouterPolicy::Robust => "robust",
-        }
-    }
-}
 
 /// Configuration of one fleet world.
 #[derive(Debug, Clone)]
@@ -537,18 +509,7 @@ impl FleetSim {
     /// Replay the world under one policy while recording the typed
     /// event log. The report is byte-identical to [`Self::run`].
     pub fn run_events(&self, policy: RouterPolicy) -> (ArmReport, FleetEventLog) {
-        let log = FleetEventLog {
-            version: EVENT_LOG_VERSION,
-            seed: self.config.seed,
-            policy: policy.name().to_string(),
-            devices: self.config.devices as u64,
-            requests: self.config.requests as u64,
-            slo_ttft_ns: self.slo_ttft.as_nanos(),
-            deadline_ns: self.lost_penalty.as_nanos(),
-            census_interval_ns: self.config.probe_interval.as_nanos(),
-            rollout_window_ns: 0,
-            events: Vec::new(),
-        };
+        let log = self.event_log(policy.name().to_string(), 0);
         let (report, log) = self.replay(policy, Some(log), None);
         (report, log.expect("recording replay returns its log"))
     }
@@ -558,20 +519,26 @@ impl FleetSim {
     /// carries the canary flags, profilers, and group accounting back
     /// to the rollout controller.
     pub(crate) fn replay_stage(&self, overlay: &mut StageOverlay) -> (ArmReport, FleetEventLog) {
-        let log = FleetEventLog {
+        let log = self.event_log("rollout-stage".to_string(), 0);
+        let (report, log) = self.replay(RouterPolicy::Robust, Some(log), Some(overlay));
+        (report, log.expect("recording replay returns its log"))
+    }
+
+    /// An empty event log for this world, headed with `policy` and
+    /// `rollout_window_ns` (0 outside a rollout master log).
+    pub(crate) fn event_log(&self, policy: String, rollout_window_ns: u64) -> FleetEventLog {
+        FleetEventLog {
             version: EVENT_LOG_VERSION,
             seed: self.config.seed,
-            policy: "rollout-stage".to_string(),
+            policy,
             devices: self.config.devices as u64,
             requests: self.config.requests as u64,
             slo_ttft_ns: self.slo_ttft.as_nanos(),
             deadline_ns: self.lost_penalty.as_nanos(),
             census_interval_ns: self.config.probe_interval.as_nanos(),
-            rollout_window_ns: 0,
+            rollout_window_ns,
             events: Vec::new(),
-        };
-        let (report, log) = self.replay(RouterPolicy::Robust, Some(log), Some(overlay));
-        (report, log.expect("recording replay returns its log"))
+        }
     }
 
     /// Push `ev` onto the log when recording is on.
@@ -617,16 +584,6 @@ impl FleetSim {
         // Devices already failed for the current request, reused
         // across requests.
         let mut failed: Vec<usize> = Vec::new();
-
-        // Naive: one shot. Robust: retry until the per-request
-        // deadline (the lost-penalty point) — the exponential
-        // schedule first, then the capped delay. Fault windows are
-        // finite and much shorter than the deadline, so recovery is
-        // structural, not probabilistic.
-        let budget = match policy {
-            RouterPolicy::RoundRobin => 1,
-            RouterPolicy::Robust => MAX_DISPATCHES,
-        };
 
         if log.is_some() {
             // World-level fault windows exist under either policy.
@@ -735,15 +692,17 @@ impl FleetSim {
                 .as_deref()
                 .map(|ov| ov.is_canary_request(cfg.seed, req.id));
             let deadline = now + self.lost_penalty;
-            // Delay before the next attempt: the seeded exponential
-            // schedule while it lasts, then the policy's cap.
-            let backoff = |attempt: u32| cfg.retry.delay_after(cfg.seed, req.id, attempt);
             let mut t = now;
             failed.clear();
-            let mut done = false;
-            for attempt in 0..budget {
-                if attempt > 0 && t >= deadline {
-                    break;
+            // Naive: one shot. Robust: retry until the per-request
+            // deadline (the lost-penalty point) — the exponential
+            // schedule first, then the capped delay. Fault windows are
+            // finite and much shorter than the deadline, so recovery is
+            // structural, not probabilistic.
+            let mut attempt = 0;
+            let done = loop {
+                if !RouterPolicy::may_dispatch(attempt, t, deadline) {
+                    break false;
                 }
                 let picked = match policy {
                     RouterPolicy::RoundRobin => {
@@ -762,154 +721,155 @@ impl FleetSim {
                         &mut census,
                     ),
                 };
-                let Some(idx) = picked else {
-                    // Nobody routable right now: wait out the backoff.
-                    let delay = backoff(attempt);
-                    if attempt + 1 < budget {
+                let outcome = 'attempt: {
+                    let Some(idx) = picked else {
+                        // Nobody routable right now: the round still uses
+                        // an attempt.
+                        break 'attempt AttemptOutcome::Unroutable;
+                    };
+                    if attempt > 0 {
+                        retries += 1;
+                    }
+                    Self::emit(
+                        &mut log,
+                        FleetEvent::Dispatch {
+                            at: t,
+                            req: req.id,
+                            device: idx as u64,
+                            attempt,
+                            priority: req.priority,
+                        },
+                    );
+                    let start = t.max(devices[idx].busy_until);
+                    let link = self.injector.link_delay_at(idx, start);
+                    let profile = &self.profiles[devices[idx].profile];
+                    let slowdown = self.injector.slowdown_at(idx, start);
+                    // Price from the class profile, adjusted to *this*
+                    // device's measured silicon-lottery ratio, then
+                    // derated by the current fault condition.
+                    let cal = &self.calibration.devices[idx];
+                    let mut prefill = scale_ppm(
+                        SimTime::from_nanos(
+                            profile.prefill_ns_per_token * req.prompt_tokens as u64,
+                        ),
+                        cal.prefill_adjust_ppm,
+                    )
+                    .scale(slowdown);
+                    let mut decode = scale_ppm(
+                        SimTime::from_nanos(profile.decode_ns_per_token * req.decode_tokens as u64),
+                        cal.decode_adjust_ppm,
+                    )
+                    .scale(slowdown);
+                    if let Some(ov) = overlay.as_deref() {
+                        // Canary devices run the candidate's plan; any
+                        // drift-resolved device runs its re-solved plan.
+                        let (pm, dm) = ov.service_mults_ppm(idx, devices[idx].profile);
+                        prefill = scale_ppm(prefill, pm);
+                        decode = scale_ppm(decode, dm);
+                    }
+                    let end = start + prefill + decode;
+
+                    let faulted = self.injector.link_lost_at(idx, start)
+                        || self.injector.first_downtime_in(idx, start, end).is_some();
+                    if faulted {
+                        let fail_at = start + cfg.retry.timeout;
+                        metrics.dispatch_failures += 1;
+                        if policy == RouterPolicy::Robust {
+                            devices[idx].breaker.record_failure(fail_at);
+                            census.note(idx, devices[idx].breaker.state());
+                        }
+                        failed.push(idx);
+                        Self::emit(
+                            &mut log,
+                            FleetEvent::DispatchFail {
+                                at: fail_at,
+                                req: req.id,
+                                device: idx as u64,
+                                attempt,
+                            },
+                        );
+                        t = fail_at;
+                        break 'attempt AttemptOutcome::Failed;
+                    }
+
+                    devices[idx].busy_until = end;
+                    devices[idx].busy_ns += (end - start).as_nanos();
+                    releases.push(Reverse(end.as_nanos()));
+                    let ttft = (start - req.arrival) + link + prefill;
+                    let tpot =
+                        SimTime::from_nanos(decode.as_nanos() / req.decode_tokens.max(1) as u64);
+                    metrics.ttft.observe(ttft);
+                    metrics.tpot.observe(tpot);
+                    devices[idx].observe_latency(prefill + decode);
+                    if policy == RouterPolicy::Robust {
+                        devices[idx].breaker.record_success(end);
+                    }
+                    Self::emit(
+                        &mut log,
+                        FleetEvent::Complete {
+                            at: end,
+                            req: req.id,
+                            device: idx as u64,
+                            ttft,
+                            tpot,
+                        },
+                    );
+                    served += 1;
+                    class.served += 1;
+                    if ttft <= self.slo_ttft && tpot <= self.slo_tpot {
+                        goodput += 1;
+                        class.slo_met += 1;
+                    }
+                    if let Some(ov) = overlay.as_deref_mut() {
+                        // Feed the device's online profiler; the first
+                        // threshold crossing re-solves its partition plan
+                        // and logs the drift.
+                        let expected =
+                            profile.service_estimate(req.prompt_tokens, req.decode_tokens);
+                        let observed = (prefill + decode).as_nanos();
+                        let service_ppm = observed.saturating_mul(PPM) / expected.as_nanos().max(1);
+                        if let Some(ev) = ov.observe_completion(
+                            idx,
+                            devices[idx].profile,
+                            observed,
+                            expected.as_nanos(),
+                            end,
+                        ) {
+                            Self::emit(&mut log, ev);
+                        }
+                        let served_by_canary = ov.canary[idx];
+                        ov.record_outcome(
+                            served_by_canary,
+                            service_ppm,
+                            ttft,
+                            tpot,
+                            self.slo_ttft,
+                            self.slo_tpot,
+                        );
+                    }
+                    AttemptOutcome::Served
+                };
+                match policy.step(attempt, outcome) {
+                    DispatchStep::Served => break true,
+                    DispatchStep::Lost => break false,
+                    DispatchStep::Retry { attempt: next } => {
+                        // Wait out the backoff: the seeded exponential
+                        // schedule while it lasts, then the cap.
+                        let delay = cfg.retry.delay_after(cfg.seed, req.id, attempt);
                         Self::emit(
                             &mut log,
                             FleetEvent::Retry {
                                 at: t,
                                 req: req.id,
-                                attempt: attempt + 1,
+                                attempt: next,
                                 delay,
                             },
                         );
+                        t += delay;
+                        attempt = next;
                     }
-                    t += delay;
-                    continue;
-                };
-                if attempt > 0 {
-                    retries += 1;
                 }
-                Self::emit(
-                    &mut log,
-                    FleetEvent::Dispatch {
-                        at: t,
-                        req: req.id,
-                        device: idx as u64,
-                        attempt,
-                        priority: req.priority,
-                    },
-                );
-                let start = t.max(devices[idx].busy_until);
-                let link = self.injector.link_delay_at(idx, start);
-                let profile = &self.profiles[devices[idx].profile];
-                let slowdown = self.injector.slowdown_at(idx, start);
-                // Price from the class profile, adjusted to *this*
-                // device's measured silicon-lottery ratio, then
-                // derated by the current fault condition.
-                let cal = &self.calibration.devices[idx];
-                let mut prefill = scale_ppm(
-                    SimTime::from_nanos(profile.prefill_ns_per_token * req.prompt_tokens as u64),
-                    cal.prefill_adjust_ppm,
-                )
-                .scale(slowdown);
-                let mut decode = scale_ppm(
-                    SimTime::from_nanos(profile.decode_ns_per_token * req.decode_tokens as u64),
-                    cal.decode_adjust_ppm,
-                )
-                .scale(slowdown);
-                if let Some(ov) = overlay.as_deref() {
-                    // Canary devices run the candidate's plan; any
-                    // drift-resolved device runs its re-solved plan.
-                    let (pm, dm) = ov.service_mults_ppm(idx, devices[idx].profile);
-                    prefill = scale_ppm(prefill, pm);
-                    decode = scale_ppm(decode, dm);
-                }
-                let end = start + prefill + decode;
-
-                let faulted = self.injector.link_lost_at(idx, start)
-                    || self.injector.first_downtime_in(idx, start, end).is_some();
-                if faulted {
-                    let fail_at = start + cfg.retry.timeout;
-                    metrics.dispatch_failures += 1;
-                    if policy == RouterPolicy::Robust {
-                        devices[idx].breaker.record_failure(fail_at);
-                        census.note(idx, devices[idx].breaker.state());
-                    }
-                    failed.push(idx);
-                    Self::emit(
-                        &mut log,
-                        FleetEvent::DispatchFail {
-                            at: fail_at,
-                            req: req.id,
-                            device: idx as u64,
-                            attempt,
-                        },
-                    );
-                    let delay = backoff(attempt);
-                    if attempt + 1 < budget {
-                        Self::emit(
-                            &mut log,
-                            FleetEvent::Retry {
-                                at: fail_at,
-                                req: req.id,
-                                attempt: attempt + 1,
-                                delay,
-                            },
-                        );
-                    }
-                    t = fail_at + delay;
-                    continue;
-                }
-
-                devices[idx].busy_until = end;
-                devices[idx].busy_ns += (end - start).as_nanos();
-                releases.push(Reverse(end.as_nanos()));
-                let ttft = (start - req.arrival) + link + prefill;
-                let tpot = SimTime::from_nanos(decode.as_nanos() / req.decode_tokens.max(1) as u64);
-                metrics.ttft.observe(ttft);
-                metrics.tpot.observe(tpot);
-                devices[idx].observe_latency(prefill + decode);
-                if policy == RouterPolicy::Robust {
-                    devices[idx].breaker.record_success(end);
-                }
-                Self::emit(
-                    &mut log,
-                    FleetEvent::Complete {
-                        at: end,
-                        req: req.id,
-                        device: idx as u64,
-                        ttft,
-                        tpot,
-                    },
-                );
-                served += 1;
-                class.served += 1;
-                if ttft <= self.slo_ttft && tpot <= self.slo_tpot {
-                    goodput += 1;
-                    class.slo_met += 1;
-                }
-                if let Some(ov) = overlay.as_deref_mut() {
-                    // Feed the device's online profiler; the first
-                    // threshold crossing re-solves its partition plan
-                    // and logs the drift.
-                    let expected = profile.service_estimate(req.prompt_tokens, req.decode_tokens);
-                    let observed = (prefill + decode).as_nanos();
-                    let service_ppm = observed.saturating_mul(PPM) / expected.as_nanos().max(1);
-                    if let Some(ev) = ov.observe_completion(
-                        idx,
-                        devices[idx].profile,
-                        observed,
-                        expected.as_nanos(),
-                        end,
-                    ) {
-                        Self::emit(&mut log, ev);
-                    }
-                    let served_by_canary = ov.canary[idx];
-                    ov.record_outcome(
-                        served_by_canary,
-                        service_ppm,
-                        ttft,
-                        tpot,
-                        self.slo_ttft,
-                        self.slo_tpot,
-                    );
-                }
-                done = true;
-                break;
-            }
+            };
             if !done {
                 lost += 1;
                 class.lost += 1;

@@ -4,9 +4,8 @@
 //! with per-request priority classes for admission control.
 
 use hetero_soc::SimTime;
+use hetero_tensor::rng::draw;
 use serde::{Deserialize, Serialize};
-
-use crate::draw;
 
 /// Priority class of one request, highest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]

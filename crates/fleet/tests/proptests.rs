@@ -5,9 +5,9 @@
 //!   12.5% above a sorted-sample oracle over the pooled samples, for
 //!   samples up to `u64::MAX`, and merging is order-independent (fleet
 //!   quantiles do not depend on device enumeration order).
-//! - Seeded backoff schedules are byte-identical per seed,
-//!   non-decreasing, and their total is bounded by the policy's
-//!   advertised bound.
+//! - Seeded backoff delays are byte-identical per seed,
+//!   non-decreasing while the exponential schedule lasts, at most the
+//!   jittered cap, and exactly the cap past the schedule.
 //! - The circuit breaker never moves `Open → Closed` without a
 //!   successful half-open probe, for any interleaving of outcomes.
 //! - The online drift profiler is deterministic (same samples, same
@@ -30,7 +30,7 @@ use hetero_fleet::{
     calibrate_profiles_with_socs, BreakerCause, BreakerConfig, BreakerState, CircuitBreaker,
     DeviceProfile, FleetConfig, FleetEvent, FleetEventLog, FleetLogPair, FleetSim, OnlineProfiler,
     Priority, ProfileCause, RetryPolicy, RolloutLogSet, RouterPolicy, CALIB_DECODE, CALIB_PROMPT,
-    DRIFT_RESOLVE_THRESHOLD_PPM, PPM,
+    DRIFT_RESOLVE_THRESHOLD_PPM, MAX_DISPATCHES, PPM,
 };
 use hetero_soc::SimTime;
 use heterollm::admit::HeteroMirror;
@@ -152,24 +152,32 @@ proptest! {
         prop_assert_eq!(forward.snapshot(), left.snapshot());
     }
 
-    /// Backoff schedules: same seed byte-identical, delays never
-    /// decrease, the total never exceeds the advertised bound, and
-    /// the delay after the schedule is the cap.
+    /// Backoff delays over the robust router's whole budget: same
+    /// seed byte-identical, never decreasing while the exponential
+    /// schedule lasts, each at most the cap plus its jitter span, and
+    /// exactly the cap past the schedule.
     #[test]
     fn backoff_schedule_contracts(
         policy in arb_retry_policy(),
         seed in 0u64..u64::MAX,
         request_id in 0u64..u64::MAX,
     ) {
-        let a = policy.schedule(seed, request_id);
-        let b = policy.schedule(seed, request_id);
-        prop_assert_eq!(&a, &b, "same seed must replay byte-identically");
-        prop_assert_eq!(a.len(), policy.max_attempts as usize - 1);
-        prop_assert!(a.windows(2).all(|w| w[0] <= w[1]), "delays decreased: {a:?}");
-        let total: SimTime = a.iter().copied().sum();
-        prop_assert!(total <= policy.total_backoff_bound());
-        // Past the schedule the router waits the cap.
-        prop_assert_eq!(policy.delay_after(seed, request_id, policy.max_attempts - 1), policy.cap);
+        let delays = |seed| -> Vec<SimTime> {
+            (0..MAX_DISPATCHES)
+                .map(|attempt| policy.delay_after(seed, request_id, attempt))
+                .collect()
+        };
+        let a = delays(seed);
+        prop_assert_eq!(&a, &delays(seed), "same seed must replay byte-identically");
+        let (schedule, tail) = a.split_at(policy.max_attempts as usize - 1);
+        prop_assert!(
+            schedule.windows(2).all(|w| w[0] <= w[1]),
+            "delays decreased: {schedule:?}"
+        );
+        let span = policy.cap.as_nanos() / 100 * u64::from(policy.jitter_pct);
+        let jittered_cap = policy.cap + SimTime::from_nanos(span);
+        prop_assert!(a.iter().all(|&d| d <= jittered_cap), "over the cap: {a:?}");
+        prop_assert!(tail.iter().all(|&d| d == policy.cap), "past the schedule: {tail:?}");
     }
 
     /// For any outcome interleaving, the breaker reaches `Closed`

@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use hetero_tensor::rng::splitmix64;
+use hetero_tensor::rng::draw;
 
 use crate::des::{CausalityError, EventQueue};
 use crate::interference::RenderWorkload;
@@ -169,11 +169,6 @@ pub struct DisturbanceTrace {
     pub seed: u64,
     /// The scheduled windows, in construction order.
     pub windows: Vec<DisturbanceWindow>,
-}
-
-/// The `i`-th draw of a splitmix64 stream over `seed`.
-fn draw(seed: u64, i: u64) -> u64 {
-    splitmix64(seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// A draw mapped into `[lo, hi)` milliseconds.

@@ -59,6 +59,13 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The `i`-th draw of a splitmix64 stream over `seed`: the one
+/// decorrelation scheme every seeded stream in the simulator uses
+/// (disturbance traces, runtime traffic, fleet worlds).
+pub fn draw(seed: u64, i: u64) -> u64 {
+    splitmix64(seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

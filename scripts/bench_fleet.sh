@@ -38,7 +38,7 @@ monitor_out="$("$ANALYZE" monitor "$events")"
 t2=$(date +%s%N)
 
 # Parse the analyzer's stats lines, e.g.
-#   model-check[standard]: 68 states, 144 transitions, ...
+#   model-check[standard]: N states, M transitions, ...
 #   monitor[fleet[42]/robust]: events=10291 instances=3068 violations=0
 robust_events=$(printf '%s\n' "$monitor_out" | sed -n 's|.*/robust\]: events=\([0-9]*\).*|\1|p')
 robust_instances=$(printf '%s\n' "$monitor_out" | sed -n 's|.*/robust\]: .*instances=\([0-9]*\).*|\1|p')

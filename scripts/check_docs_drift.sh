@@ -68,7 +68,45 @@ for script in $scripts; do
     fi
 done
 
+# The model-check certificates the docs quote must be the ones
+# `analyze monitor` prints: each doc quotes both as
+# `model-check[TAG]: N states, M transitions`, and every
+# "N states, M transitions" in it is one of the two.
+CERT_DOCS="DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
+analyze="target/release/analyze"
+if [ ! -x "$analyze" ]; then
+    echo "docs-drift: $analyze not built (run cargo build --release first)" >&2
+    fail=1
+else
+    certs=$("$analyze" monitor 2>/dev/null | grep -o '^model-check\[[a-z]*\]: [0-9]* states, [0-9]* transitions')
+    for tag in standard rollout; do
+        cert=$(printf '%s\n' "$certs" | grep -F "model-check[$tag]: ")
+        if [ -z "$cert" ]; then
+            echo "docs-drift: analyze monitor printed no model-check[$tag] certificate" >&2
+            fail=1
+            continue
+        fi
+        for doc in $CERT_DOCS; do
+            if ! grep -qF -- "$cert" "$doc"; then
+                echo "docs-drift: $doc does not quote '$cert'" >&2
+                fail=1
+            fi
+        done
+    done
+    counts=$(printf '%s\n' "$certs" | sed 's/^[^:]*: //')
+    for doc in $CERT_DOCS; do
+        grep -o '[0-9]* states, [0-9]* transitions' "$doc" | sort -u |
+            while IFS= read -r quoted; do
+                if ! printf '%s\n' "$counts" | grep -qxF -- "$quoted"; then
+                    echo "docs-drift: $doc quotes '$quoted', which no model-check certificate prints" >&2
+                    exit 1
+                fi
+            done || fail=1
+    done
+fi
+
 if [ "$fail" -eq 0 ]; then
     echo "docs-drift: $(echo "$bins" | wc -w | tr -d ' ') documented binaries all exist and take --help"
+    echo "docs-drift: model-check certificates quoted in $CERT_DOCS match analyze monitor"
 fi
 exit $fail
