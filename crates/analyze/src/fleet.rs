@@ -31,17 +31,23 @@ const IDLE_CAPACITY_PPM: u64 = 900_000;
 /// Check one retry policy against the `retry-storm` rule.
 pub fn check_retry_policy(policy: &RetryPolicy, location: &str) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if policy.max_attempts == 0 {
+    // `max_attempts` is the schedule length plus one: below 2 there is
+    // no exponential schedule, and every retry waits the bare cap.
+    let has_schedule = policy.max_attempts >= 2;
+    if !has_schedule {
         out.push(Diagnostic::with_suggestion(
             rules::RETRY_STORM,
             location,
-            "max_attempts = 0 leaves no exponential schedule: every retry \
-             waits exactly the cap, unjittered, so requests that failed in \
-             the same fault retry in lockstep",
+            format!(
+                "max_attempts = {} leaves no exponential schedule: every retry \
+                 waits exactly the cap, unjittered, so requests that failed in \
+                 the same fault retry in lockstep",
+                policy.max_attempts
+            ),
             Some("give the schedule its exponential steps (the shipped policy uses 4)".into()),
         ));
     }
-    if policy.base.as_nanos() == 0 && policy.max_attempts != 1 {
+    if has_schedule && policy.base.as_nanos() == 0 {
         out.push(Diagnostic::with_suggestion(
             rules::RETRY_STORM,
             location,
@@ -50,7 +56,8 @@ pub fn check_retry_policy(policy: &RetryPolicy, location: &str) -> Vec<Diagnosti
             Some("use a non-zero base delay (the shipped policy uses 2 ms)".into()),
         ));
     }
-    if policy.factor < 2 && (policy.max_attempts > 2 || policy.max_attempts == 0) {
+    // The factor first applies to the schedule's second delay.
+    if policy.factor < 2 && policy.max_attempts > 2 {
         out.push(Diagnostic::with_suggestion(
             rules::RETRY_STORM,
             location,
@@ -63,7 +70,7 @@ pub fn check_retry_policy(policy: &RetryPolicy, location: &str) -> Vec<Diagnosti
             Some("use a multiplicative factor of at least 2 (the shipped policy uses 4)".into()),
         ));
     }
-    if policy.jitter_pct == 0 && policy.max_attempts != 1 {
+    if has_schedule && policy.jitter_pct == 0 {
         out.push(Diagnostic::with_suggestion(
             rules::RETRY_STORM,
             location,
@@ -136,27 +143,71 @@ mod tests {
         assert!(check_retry_policy(&RetryPolicy::standard(), "std").is_empty());
     }
 
+    /// The rule ids of `policy`'s findings, by message head.
+    fn storm_findings(policy: RetryPolicy) -> Vec<&'static str> {
+        check_retry_policy(&policy, "p")
+            .iter()
+            .map(|d| {
+                assert!(d.rule_id == rules::RETRY_STORM && d.severity == Severity::Deny);
+                [
+                    "max_attempts",
+                    "zero base",
+                    "backoff factor",
+                    "unjittered",
+                    "delay cap",
+                ]
+                .into_iter()
+                .find(|head| d.message.starts_with(head))
+                .expect("known retry-storm finding")
+            })
+            .collect()
+    }
+
     #[test]
     fn storm_prone_policies_are_denied() {
         let bad = RetryPolicy {
-            max_attempts: 0,
+            max_attempts: 2,
             base: SimTime::ZERO,
             factor: 1,
             cap: SimTime::ZERO,
             jitter_pct: 0,
             timeout: SimTime::from_millis(250),
         };
-        let diags = check_retry_policy(&bad, "bad");
-        assert!(diags.len() >= 3, "{diags:?}");
-        assert!(diags
-            .iter()
-            .all(|d| d.rule_id == rules::RETRY_STORM && d.severity == Severity::Deny));
-        // Factor 1 with a real budget is still a deny: no decay.
+        // A one-step schedule never applies its factor.
+        assert_eq!(storm_findings(bad), ["zero base", "unjittered"]);
+        // Factor 1 with a real schedule is still a deny: no decay.
         let linear = RetryPolicy {
             factor: 1,
             ..RetryPolicy::standard()
         };
-        assert_eq!(check_retry_policy(&linear, "linear").len(), 1);
+        assert_eq!(storm_findings(linear), ["backoff factor"]);
+        let inverted = RetryPolicy {
+            cap: SimTime::from_millis(1),
+            ..RetryPolicy::standard()
+        };
+        assert_eq!(storm_findings(inverted), ["delay cap"]);
+    }
+
+    #[test]
+    fn no_schedule_is_denied_alike_for_zero_and_one_attempts() {
+        // Without a schedule every retry waits the bare cap: base,
+        // factor and jitter are never read, so only the missing
+        // schedule is reported, for 0 and 1 alike.
+        for max_attempts in [0, 1] {
+            let flat = RetryPolicy {
+                max_attempts,
+                base: SimTime::ZERO,
+                factor: 1,
+                jitter_pct: 0,
+                ..RetryPolicy::standard()
+            };
+            assert_eq!(storm_findings(flat), ["max_attempts"], "{max_attempts}");
+            let msg = &check_retry_policy(&flat, "p")[0].message;
+            assert!(
+                msg.starts_with(&format!("max_attempts = {max_attempts} ")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! canonically ordered [`FleetEventLog`] and checks a library of named
 //! temporal specs — the policy-monitoring gate ROADMAP item 5 calls
 //! for. Each spec is a past-time LTL formula ([`Ltl`]) over event
-//! atoms, evaluated by [`LtlMonitor`] in O(|formula|) per event with
-//! O(1) state per subformula:
+//! atoms. A formula is compiled once into a flat program, and one
+//! evaluator runs it, for [`LtlMonitor`] and for the sweep alike:
+//! O(|formula|) work and O(1) state per subformula per event.
 //!
 //! | operator | semantics at position `i` |
 //! |---|---|
@@ -19,9 +20,24 @@
 //! Specs are *sliced*: per-device, per-request, or global monitor
 //! instances are spun up lazily per slice key, so one sweep certifies
 //! every device's breaker discipline and every request's deadline at
-//! once. Because the log is normalized to a content-based total order
-//! first, the verdict is identical under any per-device interleaved
-//! merge of the same events (a proptest pins this).
+//! once. An instance is only its state (the previous node values, one
+//! clock per `OnceWithin`, one tally per `CountLe`), kept in flat
+//! per-spec arrays. A global spec's one instance has a fixed slot; the
+//! sliced ones are found through std's keyed hash map, because slice
+//! keys come from the log, which may be untrusted.
+//!
+//! Each spec declares once which events it reads: a set of
+//! [`EventKind`]s and, where its atoms test fields, the guard that an
+//! event of those kinds counts only when one of its atoms holds. The
+//! sweep dispatches every event by its kind to the specs that read
+//! that kind and hands the atoms over as a bitmask.
+//!
+//! The verdict is that of the log in canonical content order, so it
+//! is identical under any per-device interleaved merge of the same
+//! events (a proptest pins this). Every producer writes its logs in
+//! that order, so a log that passes the linear order check is swept in
+//! place; any other (a shuffled or hand-edited input) is sorted in a
+//! copy first.
 //!
 //! The spec library (severities in [`crate::rules`]):
 //!
@@ -58,8 +74,12 @@
 //!   percentage; inside stage `k`, canary-apply profile updates stay
 //!   within the stage's cohort bound `⌈devices × pct / 100⌉`.
 
-use hetero_fleet::{FleetEvent, FleetEventLog, Priority, ProfileCause, ROLLOUT_STAGES};
-use std::collections::BTreeMap;
+use hetero_fleet::{
+    BreakerCause, BreakerState, EventKind, FleetEvent, FleetEventLog, Priority, ProfileCause,
+    ROLLOUT_STAGES,
+};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 use crate::diag::Diagnostic;
 use crate::rules;
@@ -71,10 +91,17 @@ pub const STORM_AMPLIFICATION_FACTOR: u64 = 3;
 /// scheduled just before the window that land inside it).
 pub const STORM_AMPLIFICATION_SLACK: u64 = 16;
 
+/// Atoms one formula can read: they travel as the bits of a `u64`.
+const MAX_ATOMS: usize = u64::BITS as usize;
+
+/// Clock value of an `OnceWithin` whose operand never held.
+const NEVER: u64 = u64::MAX;
+
 /// A past-time LTL formula over indexed boolean atoms.
 #[derive(Debug, Clone)]
 pub enum Ltl {
-    /// The `i`-th atom of the owning spec at the current event.
+    /// The `i`-th atom of the owning spec at the current event
+    /// (`i < 64`).
     Atom(usize),
     /// Logical negation.
     Not(Box<Ltl>),
@@ -159,7 +186,7 @@ impl Ltl {
 /// One compiled subformula node (children precede parents).
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Atom(usize),
+    Atom(u32),
     Not(usize),
     And(usize, usize),
     Or(usize, usize),
@@ -168,99 +195,120 @@ enum Op {
     Once(usize),
     Historically(usize),
     Since(usize, usize),
-    OnceWithin(usize, u64),
+    OnceWithin {
+        of: usize,
+        within: u64,
+        clock: usize,
+    },
     CountLe {
         count: usize,
         reset: usize,
         mul: u64,
         bound: usize,
         add: u64,
+        tally: usize,
     },
 }
 
-fn compile(f: &Ltl, ops: &mut Vec<Op>) -> usize {
-    let op = match f {
-        Ltl::Atom(i) => Op::Atom(*i),
-        Ltl::Not(c) => Op::Not(compile(c, ops)),
-        Ltl::And(a, b) => Op::And(compile(a, ops), compile(b, ops)),
-        Ltl::Or(a, b) => Op::Or(compile(a, ops), compile(b, ops)),
-        Ltl::Implies(a, b) => Op::Implies(compile(a, ops), compile(b, ops)),
-        Ltl::Yesterday(c) => Op::Yesterday(compile(c, ops)),
-        Ltl::Once(c) => Op::Once(compile(c, ops)),
-        Ltl::Historically(c) => Op::Historically(compile(c, ops)),
-        Ltl::Since(a, b) => Op::Since(compile(a, ops), compile(b, ops)),
-        Ltl::OnceWithin(c, d) => Op::OnceWithin(compile(c, ops), *d),
-        Ltl::CountLe {
-            count,
-            reset,
-            mul,
-            bound,
-            add,
-        } => Op::CountLe {
-            count: compile(count, ops),
-            reset: compile(reset, ops),
-            mul: *mul,
-            bound: compile(bound, ops),
-            add: *add,
-        },
-    };
-    ops.push(op);
-    ops.len() - 1
-}
-
-/// Incremental evaluator for one [`Ltl`] formula: O(|formula|) work
-/// and O(1) state per subformula per event.
+/// A formula compiled once: its nodes in evaluation order, and the
+/// clocks and tallies each instance of it keeps.
 #[derive(Debug, Clone)]
-pub struct LtlMonitor {
+struct Program {
     ops: Vec<Op>,
     root: usize,
-    prev: Vec<bool>,
-    cur: Vec<bool>,
-    /// Timestamp of the operand's most recent hold (`OnceWithin`),
-    /// `u64::MAX` = never.
-    last_true: Vec<u64>,
-    /// `CountLe` tallies since the last reset.
-    tally: Vec<(u64, u64)>,
-    first: bool,
+    clocks: usize,
+    tallies: usize,
 }
 
-impl LtlMonitor {
-    /// Compile `formula` into a fresh monitor at the initial state.
-    pub fn new(formula: &Ltl) -> Self {
-        let mut ops = Vec::new();
-        let root = compile(formula, &mut ops);
-        let n = ops.len();
-        Self {
-            ops,
-            root,
-            prev: vec![false; n],
-            cur: vec![false; n],
-            last_true: vec![u64::MAX; n],
-            tally: vec![(0, 0); n],
-            first: true,
-        }
+impl Program {
+    fn compile(formula: &Ltl) -> Self {
+        let mut program = Program {
+            ops: Vec::new(),
+            root: 0,
+            clocks: 0,
+            tallies: 0,
+        };
+        program.root = program.push(formula);
+        program
     }
 
-    /// Advance one position with the given atom values at timestamp
-    /// `t_ns` (non-decreasing across calls); returns whether the
-    /// formula holds at this position.
-    pub fn step(&mut self, atoms: &[bool], t_ns: u64) -> bool {
-        for i in 0..self.ops.len() {
-            self.cur[i] = match self.ops[i] {
-                Op::Atom(a) => atoms[a],
-                Op::Not(c) => !self.cur[c],
-                Op::And(a, b) => self.cur[a] && self.cur[b],
-                Op::Or(a, b) => self.cur[a] || self.cur[b],
-                Op::Implies(a, b) => !self.cur[a] || self.cur[b],
-                Op::Yesterday(c) => !self.first && self.prev[c],
-                Op::Once(c) => self.cur[c] || (!self.first && self.prev[i]),
-                Op::Historically(c) => self.cur[c] && (self.first || self.prev[i]),
-                Op::Since(p, q) => self.cur[q] || (self.cur[p] && !self.first && self.prev[i]),
-                Op::OnceWithin(c, d) => {
-                    if self.cur[c] {
-                        self.last_true[i] = t_ns;
+    /// Append `f`'s nodes, children first; returns `f`'s node.
+    fn push(&mut self, f: &Ltl) -> usize {
+        let op = match f {
+            Ltl::Atom(i) => {
+                assert!(
+                    *i < MAX_ATOMS,
+                    "atom {i}: a formula reads atoms 0..{MAX_ATOMS}"
+                );
+                Op::Atom(*i as u32)
+            }
+            Ltl::Not(c) => Op::Not(self.push(c)),
+            Ltl::And(a, b) => Op::And(self.push(a), self.push(b)),
+            Ltl::Or(a, b) => Op::Or(self.push(a), self.push(b)),
+            Ltl::Implies(a, b) => Op::Implies(self.push(a), self.push(b)),
+            Ltl::Yesterday(c) => Op::Yesterday(self.push(c)),
+            Ltl::Once(c) => Op::Once(self.push(c)),
+            Ltl::Historically(c) => Op::Historically(self.push(c)),
+            Ltl::Since(a, b) => Op::Since(self.push(a), self.push(b)),
+            Ltl::OnceWithin(c, d) => {
+                let of = self.push(c);
+                self.clocks += 1;
+                Op::OnceWithin {
+                    of,
+                    within: *d,
+                    clock: self.clocks - 1,
+                }
+            }
+            Ltl::CountLe {
+                count,
+                reset,
+                mul,
+                bound,
+                add,
+            } => {
+                let (count, reset, bound) = (self.push(count), self.push(reset), self.push(bound));
+                self.tallies += 1;
+                Op::CountLe {
+                    count,
+                    reset,
+                    mul: *mul,
+                    bound,
+                    add: *add,
+                    tally: self.tallies - 1,
+                }
+            }
+        };
+        self.ops.push(op);
+        self.ops.len() - 1
+    }
+
+    /// The evaluator: advance instance `k` of `states` one position,
+    /// with atom `i` = bit `i` of `atoms`, at timestamp `t_ns`
+    /// (non-decreasing across the instance's calls); returns whether
+    /// the formula holds at this position.
+    fn step(&self, states: &mut States, k: usize, atoms: u64, t_ns: u64) -> bool {
+        let n = self.ops.len();
+        let first = !std::mem::replace(&mut states.started[k], true);
+        let prev = &mut states.prev[k * n..(k + 1) * n];
+        let clocks = &mut states.clocks[k * self.clocks..(k + 1) * self.clocks];
+        let tallies = &mut states.tallies[k * self.tallies..(k + 1) * self.tallies];
+        let cur = &mut states.cur[..n];
+        for (i, op) in self.ops.iter().enumerate() {
+            cur[i] = match *op {
+                Op::Atom(a) => atoms >> a & 1 == 1,
+                Op::Not(c) => !cur[c],
+                Op::And(a, b) => cur[a] && cur[b],
+                Op::Or(a, b) => cur[a] || cur[b],
+                Op::Implies(a, b) => !cur[a] || cur[b],
+                Op::Yesterday(c) => !first && prev[c],
+                Op::Once(c) => cur[c] || (!first && prev[i]),
+                Op::Historically(c) => cur[c] && (first || prev[i]),
+                Op::Since(p, q) => cur[q] || (cur[p] && !first && prev[i]),
+                Op::OnceWithin { of, within, clock } => {
+                    if cur[of] {
+                        clocks[clock] = t_ns;
                     }
-                    self.last_true[i] != u64::MAX && t_ns - self.last_true[i] <= d
+                    clocks[clock] != NEVER && t_ns - clocks[clock] <= within
                 }
                 Op::CountLe {
                     count,
@@ -268,24 +316,106 @@ impl LtlMonitor {
                     mul,
                     bound,
                     add,
+                    tally,
                 } => {
-                    if self.cur[reset] {
-                        self.tally[i] = (0, 0);
+                    let tally = &mut tallies[tally];
+                    if cur[reset] {
+                        *tally = (0, 0);
                     }
-                    if self.cur[count] {
-                        self.tally[i].0 += 1;
+                    if cur[count] {
+                        tally.0 += 1;
                     }
-                    if self.cur[bound] {
-                        self.tally[i].1 += 1;
+                    if cur[bound] {
+                        tally.1 += 1;
                     }
-                    self.tally[i].0 <= mul.saturating_mul(self.tally[i].1).saturating_add(add)
+                    tally.0 <= mul.saturating_mul(tally.1).saturating_add(add)
                 }
             };
         }
-        self.prev.copy_from_slice(&self.cur);
-        self.first = false;
-        self.cur[self.root]
+        prev.copy_from_slice(cur);
+        cur[self.root]
     }
+}
+
+/// The state of every instance of one [`Program`], in flat arrays:
+/// instance `k` owns `prev[k·n..(k+1)·n]` for a program of `n` nodes,
+/// and likewise its run of `clocks` and `tallies`.
+#[derive(Debug, Clone, Default)]
+struct States {
+    /// Whether the instance has seen a position.
+    started: Vec<bool>,
+    /// Node values at the instance's previous position.
+    prev: Vec<bool>,
+    /// Per `OnceWithin`: the timestamp its operand last held, or
+    /// [`NEVER`].
+    clocks: Vec<u64>,
+    /// Per `CountLe`: both counts since the last reset.
+    tallies: Vec<(u64, u64)>,
+    /// Node values at the position being evaluated (a work buffer).
+    cur: Vec<bool>,
+}
+
+impl States {
+    fn len(&self) -> usize {
+        self.started.len()
+    }
+
+    /// Add an instance of `program` at the initial state; returns its
+    /// index.
+    fn add(&mut self, program: &Program) -> usize {
+        let n = program.ops.len();
+        self.started.push(false);
+        self.prev.resize(self.prev.len() + n, false);
+        self.clocks
+            .resize(self.clocks.len() + program.clocks, NEVER);
+        self.tallies
+            .resize(self.tallies.len() + program.tallies, (0, 0));
+        if self.cur.len() < n {
+            self.cur.resize(n, false);
+        }
+        self.len() - 1
+    }
+}
+
+/// Incremental evaluator for one [`Ltl`] formula: O(|formula|) work
+/// and O(1) state per subformula per event. It runs the same compiled
+/// program step as [`monitor_fleet_log`].
+#[derive(Debug, Clone)]
+pub struct LtlMonitor {
+    program: Program,
+    state: States,
+}
+
+impl LtlMonitor {
+    /// Compile `formula` into a fresh monitor at the initial state.
+    ///
+    /// # Panics
+    ///
+    /// If the formula reads an atom numbered 64 or more.
+    pub fn new(formula: &Ltl) -> Self {
+        let program = Program::compile(formula);
+        let mut state = States::default();
+        state.add(&program);
+        Self { program, state }
+    }
+
+    /// Advance one position with the given atom values at timestamp
+    /// `t_ns` (non-decreasing across calls); returns whether the
+    /// formula holds at this position. An atom past the end of
+    /// `atoms` reads false.
+    pub fn step(&mut self, atoms: &[bool], t_ns: u64) -> bool {
+        let bits = atoms
+            .iter()
+            .take(MAX_ATOMS)
+            .enumerate()
+            .fold(0, |bits, (i, &a)| bits | bit(i as u32, a));
+        self.program.step(&mut self.state, 0, bits, t_ns)
+    }
+}
+
+/// Atom `i` as a bit of an atom mask.
+fn bit(i: u32, holds: bool) -> u64 {
+    u64::from(holds) << i
 }
 
 /// How a spec's monitor instances are keyed.
@@ -299,27 +429,25 @@ enum Slice {
     PerRequest,
 }
 
-type EventPred = Box<dyn Fn(&FleetEvent) -> bool>;
+/// An event's atom values for one spec, atom `i` in bit `i`.
+type AtomFn = Box<dyn Fn(&FleetEvent) -> u64>;
 
-/// One named temporal spec: an event filter, atom extractors, and a
+/// One named temporal spec: the events it reads, their atoms, and a
 /// must-hold formula over them.
 struct Spec {
     rule: &'static str,
     /// Instance qualifier for parameterized specs (empty otherwise).
     instance: &'static str,
     slice: Slice,
-    relevant: EventPred,
-    atoms: Vec<EventPred>,
+    /// The event kinds the spec reads.
+    kinds: &'static [EventKind],
+    /// The field guard: an event of `kinds` is read only when one of
+    /// its atoms holds. Set on the specs whose atoms test fields and
+    /// that must skip the rest of a kind.
+    guarded: bool,
+    atoms: AtomFn,
     formula: Ltl,
     describe: String,
-}
-
-fn is_census(e: &FleetEvent) -> bool {
-    matches!(e, FleetEvent::CensusRefresh { .. })
-}
-
-fn is_stage(e: &FleetEvent) -> bool {
-    matches!(e, FleetEvent::RolloutStage { .. })
 }
 
 /// Static instance qualifier for one rollout stage percentage.
@@ -336,46 +464,27 @@ fn stage_instance(pct: u32) -> &'static str {
 /// The spec library, with timing bounds taken from the log's contract
 /// header.
 fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
+    use EventKind as K;
     let deadline = log.deadline_ns;
     let contract = log.census_interval_ns;
     let mut specs = Vec::new();
 
-    // breaker-skip-probe: per device, over breaker transitions only,
+    // breaker-skip-probe: per device, over every breaker transition,
     //   enter_closed → probe_success ∧ Y enter_half_open.
     specs.push(Spec {
         rule: rules::BREAKER_SKIP_PROBE,
         instance: "",
         slice: Slice::PerDevice,
-        relevant: Box::new(|e| matches!(e, FleetEvent::Breaker { .. })),
-        atoms: vec![
-            Box::new(|e| {
-                matches!(
-                    e,
-                    FleetEvent::Breaker {
-                        to: hetero_fleet::BreakerState::Closed,
-                        ..
-                    }
-                )
-            }),
-            Box::new(|e| {
-                matches!(
-                    e,
-                    FleetEvent::Breaker {
-                        cause: hetero_fleet::BreakerCause::ProbeSuccess,
-                        ..
-                    }
-                )
-            }),
-            Box::new(|e| {
-                matches!(
-                    e,
-                    FleetEvent::Breaker {
-                        to: hetero_fleet::BreakerState::HalfOpen,
-                        ..
-                    }
-                )
-            }),
-        ],
+        kinds: &[K::Breaker],
+        guarded: false,
+        atoms: Box::new(|e| match *e {
+            FleetEvent::Breaker { to, cause, .. } => {
+                bit(0, to == BreakerState::Closed)
+                    | bit(1, cause == BreakerCause::ProbeSuccess)
+                    | bit(2, to == BreakerState::HalfOpen)
+            }
+            _ => 0,
+        }),
         formula: Ltl::atom(0).implies(Ltl::atom(1).and(Ltl::atom(2).yesterday())),
         describe: "breaker closed without an immediately preceding successful half-open probe"
             .into(),
@@ -387,13 +496,13 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
         rule: rules::RETRY_PAST_DEADLINE,
         instance: "",
         slice: Slice::PerRequest,
-        relevant: Box::new(|e| {
-            matches!(e, FleetEvent::Offered { .. } | FleetEvent::Dispatch { .. })
+        kinds: &[K::Offered, K::Dispatch],
+        guarded: false,
+        atoms: Box::new(|e| match e {
+            FleetEvent::Dispatch { .. } => bit(0, true),
+            FleetEvent::Offered { .. } => bit(1, true),
+            _ => 0,
         }),
-        atoms: vec![
-            Box::new(|e| matches!(e, FleetEvent::Dispatch { .. })),
-            Box::new(|e| matches!(e, FleetEvent::Offered { .. })),
-        ],
         formula: Ltl::atom(0).implies(Ltl::atom(1).once_within(deadline)),
         describe: format!(
             "dispatch more than the lost-penalty deadline ({deadline} ns) after the request's \
@@ -401,7 +510,8 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
         ),
     });
 
-    // shed-inversion: one instance per guarded class p,
+    // shed-inversion: one instance per guarded class p, over census
+    // refreshes, sheds of p and first admits of a lower class,
     //   ¬(admit_lower(p) ∧ ((¬census) S shed(p))).
     for guarded in [Priority::Interactive, Priority::Standard] {
         let lower_than = guarded.index();
@@ -409,26 +519,16 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
             rule: rules::SHED_INVERSION,
             instance: guarded.name(),
             slice: Slice::Global,
-            relevant: Box::new(move |e| match *e {
-                FleetEvent::CensusRefresh { .. } => true,
-                FleetEvent::Shed { priority, .. } => priority == guarded,
+            kinds: &[K::CensusRefresh, K::Shed, K::Dispatch],
+            guarded: true,
+            atoms: Box::new(move |e| match *e {
                 FleetEvent::Dispatch {
                     attempt, priority, ..
-                } => attempt == 0 && priority.index() > lower_than,
-                _ => false,
+                } => bit(0, attempt == 0 && priority.index() > lower_than),
+                FleetEvent::Shed { priority, .. } => bit(1, priority == guarded),
+                FleetEvent::CensusRefresh { .. } => bit(2, true),
+                _ => 0,
             }),
-            atoms: vec![
-                Box::new(move |e| match *e {
-                    FleetEvent::Dispatch {
-                        attempt, priority, ..
-                    } => attempt == 0 && priority.index() > lower_than,
-                    _ => false,
-                }),
-                Box::new(
-                    move |e| matches!(*e, FleetEvent::Shed { priority, .. } if priority == guarded),
-                ),
-                Box::new(is_census),
-            ],
             formula: Ltl::atom(0)
                 .and(Ltl::atom(2).not().since(Ltl::atom(1)))
                 .not(),
@@ -446,41 +546,35 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
         rule: rules::CENSUS_STALENESS,
         instance: "",
         slice: Slice::Global,
-        relevant: Box::new(|e| {
-            matches!(
-                e,
-                FleetEvent::Dispatch { .. } | FleetEvent::CensusRefresh { .. }
-            )
+        kinds: &[K::Dispatch, K::CensusRefresh],
+        guarded: false,
+        atoms: Box::new(|e| match e {
+            FleetEvent::Dispatch { .. } => bit(0, true),
+            FleetEvent::CensusRefresh { .. } => bit(1, true),
+            _ => 0,
         }),
-        atoms: vec![
-            Box::new(|e| matches!(e, FleetEvent::Dispatch { .. })),
-            Box::new(is_census),
-        ],
         formula: Ltl::atom(0).implies(Ltl::atom(1).once_within(contract)),
         describe: format!(
             "routing decision without a census refresh within the {contract} ns probe contract"
         ),
     });
 
-    // storm-amplification: global, evaluated at fault-window close,
+    // storm-amplification: global, over window boundaries, offers and
+    // retry dispatches, evaluated at fault-window close,
     //   close → #retry ≤ K·#offered + C, counted since the open.
     specs.push(Spec {
         rule: rules::STORM_AMPLIFICATION,
         instance: "",
         slice: Slice::Global,
-        relevant: Box::new(|e| match *e {
-            FleetEvent::FaultOpen { .. }
-            | FleetEvent::FaultClose { .. }
-            | FleetEvent::Offered { .. } => true,
-            FleetEvent::Dispatch { attempt, .. } => attempt > 0,
-            _ => false,
+        kinds: &[K::FaultOpen, K::FaultClose, K::Offered, K::Dispatch],
+        guarded: true,
+        atoms: Box::new(|e| match *e {
+            FleetEvent::FaultClose { .. } => bit(0, true),
+            FleetEvent::FaultOpen { .. } => bit(1, true),
+            FleetEvent::Dispatch { attempt, .. } => bit(2, attempt > 0),
+            FleetEvent::Offered { .. } => bit(3, true),
+            _ => 0,
         }),
-        atoms: vec![
-            Box::new(|e| matches!(e, FleetEvent::FaultClose { .. })),
-            Box::new(|e| matches!(e, FleetEvent::FaultOpen { .. })),
-            Box::new(|e| matches!(e, FleetEvent::Dispatch { attempt, .. } if *attempt > 0)),
-            Box::new(|e| matches!(e, FleetEvent::Offered { .. })),
-        ],
         formula: Ltl::atom(0).implies(Ltl::CountLe {
             count: Box::new(Ltl::atom(2)),
             reset: Box::new(Ltl::atom(1)),
@@ -494,7 +588,8 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
         ),
     });
 
-    // brownout-unshed: global,
+    // brownout-unshed: global, over window boundaries, sheds, census
+    // refreshes and first batch admits,
     //   ¬(batch_admit ∧ inside_window ∧ no_shed_since_open ∧ ¬fresh_census)
     // where inside_window = (¬close) S open, no_shed_since_open =
     // (¬shed) S open, fresh_census = OnceWithin(census, contract).
@@ -502,26 +597,24 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
         rule: rules::BROWNOUT_UNSHED,
         instance: "",
         slice: Slice::Global,
-        relevant: Box::new(|e| match *e {
-            FleetEvent::FaultOpen { .. }
-            | FleetEvent::FaultClose { .. }
-            | FleetEvent::Shed { .. }
-            | FleetEvent::CensusRefresh { .. } => true,
+        kinds: &[
+            K::FaultOpen,
+            K::FaultClose,
+            K::Shed,
+            K::CensusRefresh,
+            K::Dispatch,
+        ],
+        guarded: true,
+        atoms: Box::new(|e| match *e {
             FleetEvent::Dispatch {
                 attempt, priority, ..
-            } => attempt == 0 && priority == Priority::Batch,
-            _ => false,
+            } => bit(0, attempt == 0 && priority == Priority::Batch),
+            FleetEvent::FaultOpen { .. } => bit(1, true),
+            FleetEvent::FaultClose { .. } => bit(2, true),
+            FleetEvent::Shed { .. } => bit(3, true),
+            FleetEvent::CensusRefresh { .. } => bit(4, true),
+            _ => 0,
         }),
-        atoms: vec![
-            Box::new(|e| {
-                matches!(*e, FleetEvent::Dispatch { attempt, priority, .. }
-                    if attempt == 0 && priority == Priority::Batch)
-            }),
-            Box::new(|e| matches!(e, FleetEvent::FaultOpen { .. })),
-            Box::new(|e| matches!(e, FleetEvent::FaultClose { .. })),
-            Box::new(|e| matches!(e, FleetEvent::Shed { .. })),
-            Box::new(is_census),
-        ],
         formula: Ltl::atom(0)
             .and(Ltl::atom(2).not().since(Ltl::atom(1)))
             .and(Ltl::atom(3).not().since(Ltl::atom(1)))
@@ -548,19 +641,14 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
             rule: rules::PROMOTION_LEGALITY,
             instance: "",
             slice: Slice::Global,
-            relevant: Box::new(|e| {
-                matches!(
-                    e,
-                    FleetEvent::RolloutStage { .. }
-                        | FleetEvent::Promote { .. }
-                        | FleetEvent::Rollback { .. }
-                )
+            kinds: &[K::RolloutStage, K::Promote, K::Rollback],
+            guarded: false,
+            atoms: Box::new(|e| match e {
+                FleetEvent::Promote { .. } => bit(0, true),
+                FleetEvent::Rollback { .. } => bit(1, true),
+                FleetEvent::RolloutStage { .. } => bit(2, true),
+                _ => 0,
             }),
-            atoms: vec![
-                Box::new(|e| matches!(e, FleetEvent::Promote { .. })),
-                Box::new(|e| matches!(e, FleetEvent::Rollback { .. })),
-                Box::new(is_stage),
-            ],
             formula: Ltl::atom(0).implies(
                 Ltl::atom(0)
                     .not()
@@ -573,7 +661,8 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
                 .into(),
         });
 
-        // rollback-completeness: global,
+        // rollback-completeness: global, over stages, Rollback verdicts
+        // and baseline reverts,
         //   (revert → (¬stage) S rollback) ∧
         //   (rollback → OnceWithin(stage, window)):
         // every baseline revert traces back to a Rollback verdict with
@@ -583,19 +672,14 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
             rule: rules::ROLLBACK_COMPLETENESS,
             instance: "",
             slice: Slice::Global,
-            relevant: Box::new(|e| match *e {
-                FleetEvent::RolloutStage { .. } | FleetEvent::Rollback { .. } => true,
-                FleetEvent::ProfileUpdate { cause, .. } => cause == ProfileCause::Rollback,
-                _ => false,
+            kinds: &[K::RolloutStage, K::Rollback, K::ProfileUpdate],
+            guarded: true,
+            atoms: Box::new(|e| match *e {
+                FleetEvent::ProfileUpdate { cause, .. } => bit(0, cause == ProfileCause::Rollback),
+                FleetEvent::RolloutStage { .. } => bit(1, true),
+                FleetEvent::Rollback { .. } => bit(2, true),
+                _ => 0,
             }),
-            atoms: vec![
-                Box::new(|e| {
-                    matches!(*e, FleetEvent::ProfileUpdate { cause, .. }
-                        if cause == ProfileCause::Rollback)
-                }),
-                Box::new(is_stage),
-                Box::new(|e| matches!(e, FleetEvent::Rollback { .. })),
-            ],
             formula: Ltl::atom(0)
                 .implies(Ltl::atom(1).not().since(Ltl::atom(2)))
                 .and(Ltl::atom(2).implies(Ltl::atom(1).once_within(window))),
@@ -605,7 +689,8 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
             ),
         });
 
-        // blast-radius: one instance per stage percentage,
+        // blast-radius: one instance per stage percentage, over stages
+        // and canary applies,
         //   ((¬stage_other) S stage_k) → #canary_apply ≤ ⌈devices·pct/100⌉,
         // counted since the last stage boundary.
         for pct in ROLLOUT_STAGES {
@@ -614,24 +699,17 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
                 rule: rules::BLAST_RADIUS,
                 instance: stage_instance(pct),
                 slice: Slice::Global,
-                relevant: Box::new(|e| match *e {
-                    FleetEvent::RolloutStage { .. } => true,
-                    FleetEvent::ProfileUpdate { cause, .. } => cause == ProfileCause::CanaryApply,
-                    _ => false,
+                kinds: &[K::RolloutStage, K::ProfileUpdate],
+                guarded: true,
+                atoms: Box::new(move |e| match *e {
+                    FleetEvent::ProfileUpdate { cause, .. } => {
+                        bit(0, cause == ProfileCause::CanaryApply)
+                    }
+                    FleetEvent::RolloutStage { pct: p, .. } => {
+                        bit(1, true) | bit(2, p == pct) | bit(3, p != pct)
+                    }
+                    _ => 0,
                 }),
-                atoms: vec![
-                    Box::new(|e| {
-                        matches!(*e, FleetEvent::ProfileUpdate { cause, .. }
-                            if cause == ProfileCause::CanaryApply)
-                    }),
-                    Box::new(is_stage),
-                    Box::new(
-                        move |e| matches!(*e, FleetEvent::RolloutStage { pct: p, .. } if p == pct),
-                    ),
-                    Box::new(
-                        move |e| matches!(*e, FleetEvent::RolloutStage { pct: p, .. } if p != pct),
-                    ),
-                ],
                 formula: Ltl::atom(3)
                     .not()
                     .since(Ltl::atom(2))
@@ -652,10 +730,14 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
     specs
 }
 
-/// One spec's aggregated outcome after a sweep.
-#[derive(Debug, Clone)]
-struct SpecTally {
+/// One spec's outcome after a sweep.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SpecOutcome {
+    /// Monitor instances spun up.
+    instances: u64,
+    /// Violating positions across the instances.
     violations: u64,
+    /// Timestamp and slice description of the first violating event.
     first: Option<(u64, String)>,
 }
 
@@ -688,56 +770,106 @@ fn slice_desc(e: &FleetEvent, slice: Slice) -> String {
     }
 }
 
-/// Sweep `log` once against the whole spec library and report one
-/// diagnostic per violated spec instance. The log is re-normalized
-/// into canonical content order first, so verdicts do not depend on
-/// how per-device streams were interleaved.
-pub fn monitor_fleet_log(log: &FleetEventLog) -> MonitorVerdict {
-    let mut events = log.events.clone();
-    events.sort_by_key(FleetEvent::sort_key);
-    let specs = build_specs(log);
-    let mut instances: Vec<BTreeMap<u64, LtlMonitor>> =
-        specs.iter().map(|_| BTreeMap::new()).collect();
-    let mut tallies: Vec<SpecTally> = specs
-        .iter()
-        .map(|_| SpecTally {
+/// One spec's compiled program, its instances and its tally.
+struct Pool {
+    program: Program,
+    /// Instance per slice key of a sliced spec (a global spec's one
+    /// instance is instance 0). Keyed SipHash, because the keys come
+    /// from the log.
+    by_key: HashMap<u64, usize>,
+    states: States,
+    violations: u64,
+    first: Option<(u64, String)>,
+}
+
+impl Pool {
+    fn new(spec: &Spec) -> Self {
+        Self {
+            program: Program::compile(&spec.formula),
+            by_key: HashMap::new(),
+            states: States::default(),
             violations: 0,
             first: None,
-        })
-        .collect();
-    let mut atom_buf: Vec<bool> = Vec::new();
+        }
+    }
 
-    for ev in &events {
-        for (si, spec) in specs.iter().enumerate() {
-            if !(spec.relevant)(ev) {
+    /// The instance for `key`, spun up on first use.
+    fn instance(&mut self, slice: Slice, key: u64) -> usize {
+        let (states, program) = (&mut self.states, &self.program);
+        match slice {
+            Slice::Global if states.len() > 0 => 0,
+            Slice::Global => states.add(program),
+            Slice::PerDevice | Slice::PerRequest => *self
+                .by_key
+                .entry(key)
+                .or_insert_with(|| states.add(program)),
+        }
+    }
+
+    fn outcome(self) -> SpecOutcome {
+        SpecOutcome {
+            instances: self.states.len() as u64,
+            violations: self.violations,
+            first: self.first,
+        }
+    }
+}
+
+/// Sweep `log` in canonical order against `specs`; one outcome per
+/// spec.
+fn sweep(log: &FleetEventLog, specs: &[Spec]) -> Vec<SpecOutcome> {
+    let events: Cow<'_, [FleetEvent]> = if log.is_normalized() {
+        Cow::Borrowed(&log.events)
+    } else {
+        let mut sorted = log.events.clone();
+        sorted.sort_by(FleetEvent::canonical_cmp);
+        Cow::Owned(sorted)
+    };
+    let mut pools: Vec<Pool> = specs.iter().map(Pool::new).collect();
+    // The specs that read each kind, in spec order.
+    let mut readers: [Vec<usize>; EventKind::COUNT] = Default::default();
+    for (si, spec) in specs.iter().enumerate() {
+        for &kind in spec.kinds {
+            readers[kind as usize].push(si);
+        }
+    }
+
+    for ev in events.iter() {
+        let t_ns = ev.at().as_nanos();
+        for &si in &readers[ev.event_kind() as usize] {
+            let spec = &specs[si];
+            let atoms = (spec.atoms)(ev);
+            if spec.guarded && atoms == 0 {
                 continue;
             }
             let Some(key) = slice_key(ev, spec.slice) else {
                 continue;
             };
-            atom_buf.clear();
-            atom_buf.extend(spec.atoms.iter().map(|a| a(ev)));
-            let monitor = instances[si]
-                .entry(key)
-                .or_insert_with(|| LtlMonitor::new(&spec.formula));
-            if !monitor.step(&atom_buf, ev.at().as_nanos()) {
-                let tally = &mut tallies[si];
-                tally.violations += 1;
-                if tally.first.is_none() {
-                    tally.first = Some((ev.at().as_nanos(), slice_desc(ev, spec.slice)));
+            let pool = &mut pools[si];
+            let k = pool.instance(spec.slice, key);
+            if !pool.program.step(&mut pool.states, k, atoms, t_ns) {
+                pool.violations += 1;
+                if pool.first.is_none() {
+                    pool.first = Some((t_ns, slice_desc(ev, spec.slice)));
                 }
             }
         }
     }
+    pools.into_iter().map(Pool::outcome).collect()
+}
 
+/// Sweep `log` once against the whole spec library and report one
+/// diagnostic per violated spec instance. The verdict is that of the
+/// log in canonical content order, so it does not depend on how
+/// per-device streams were interleaved.
+pub fn monitor_fleet_log(log: &FleetEventLog) -> MonitorVerdict {
+    let specs = build_specs(log);
+    let outcomes = sweep(log, &specs);
     let mut findings = Vec::new();
-    let mut total_violations = 0u64;
-    for (spec, tally) in specs.iter().zip(&tallies) {
-        total_violations += tally.violations;
-        if tally.violations == 0 {
+    for (spec, outcome) in specs.iter().zip(&outcomes) {
+        let Some((first_t, first_where)) = &outcome.first else {
             continue;
-        }
-        let (first_t, first_where) = tally.first.clone().expect("violations imply a first");
+        };
         let qualifier = if spec.instance.is_empty() {
             String::new()
         } else {
@@ -748,23 +880,28 @@ pub fn monitor_fleet_log(log: &FleetEventLog) -> MonitorVerdict {
             format!("fleet[{}]/{}{}", log.seed, log.policy, qualifier),
             format!(
                 "{}: {} violating event(s); first at t={} ns{}",
-                spec.describe, tally.violations, first_t, first_where
+                spec.describe, outcome.violations, first_t, first_where
             ),
         ));
     }
     MonitorVerdict {
         findings,
-        events: events.len() as u64,
-        instances: instances.iter().map(|m| m.len() as u64).sum(),
-        violations: total_violations,
+        events: log.events.len() as u64,
+        instances: outcomes.iter().map(|o| o.instances).sum(),
+        violations: outcomes.iter().map(|o| o.violations).sum(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_fleet::{BreakerCause, BreakerState, EVENT_LOG_VERSION};
+    use hetero_fleet::{
+        FleetConfig, FleetSim, PolicyRevision, RolloutConfig, RolloutController, EVENT_LOG_VERSION,
+    };
     use hetero_soc::SimTime;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::sync::OnceLock;
 
     fn eval_seq(f: &Ltl, steps: &[(&[bool], u64)]) -> Vec<bool> {
         let mut m = LtlMonitor::new(f);
@@ -927,6 +1064,22 @@ mod tests {
     }
 
     #[test]
+    fn guarded_specs_skip_events_none_of_their_atoms_hold_on() {
+        // A first interactive dispatch is of a kind shed-inversion,
+        // storm-amplification and brownout-unshed read, but none of
+        // their atoms holds on it: only retry-past-deadline and
+        // census-staleness spin up an instance.
+        let log = tiny_log(vec![FleetEvent::Dispatch {
+            at: SimTime::from_millis(1),
+            req: 0,
+            device: 0,
+            attempt: 0,
+            priority: Priority::Interactive,
+        }]);
+        assert_eq!(monitor_fleet_log(&log).instances, 2);
+    }
+
+    #[test]
     fn synthetic_shed_inversion_needs_no_census_between() {
         let t = SimTime::from_millis;
         let shed = FleetEvent::Shed {
@@ -1055,5 +1208,192 @@ mod tests {
         assert_eq!(verdict.findings.len(), 1, "{:?}", verdict.findings);
         assert_eq!(verdict.findings[0].rule_id, rules::BLAST_RADIUS);
         assert!(verdict.findings[0].message.contains("1% stage"));
+    }
+
+    #[test]
+    #[should_panic(expected = "atom 64")]
+    fn atoms_past_the_mask_are_refused_at_compile_time() {
+        LtlMonitor::new(&Ltl::atom(64));
+    }
+
+    /// Cases per property: `PROPTEST_CASES` if set, else 48.
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(48)
+    }
+
+    /// Seeded logs to corrupt: both arms of a 32-device world and the
+    /// regressing candidate's rollout master log.
+    fn seed_logs() -> &'static [FleetEventLog] {
+        static LOGS: OnceLock<Vec<FleetEventLog>> = OnceLock::new();
+        LOGS.get_or_init(|| {
+            let sim = FleetSim::new(FleetConfig::standard(42, 32, 240));
+            let (_, pair) = sim.compare_events();
+            let ctl = RolloutController::new(&sim, RolloutConfig::standard());
+            let bad = PolicyRevision::uniform(7, "npu-inversion", sim.profiles().len(), 2_500_000);
+            vec![pair.robust, pair.naive, ctl.run(&bad).1]
+        })
+    }
+
+    /// One seeded corruption of `events`: `op` picks what, `a` and `b`
+    /// pick where and how.
+    fn mutate(events: &mut Vec<FleetEvent>, op: u8, a: u64, b: u64) {
+        const PRIORITIES: [Priority; 3] =
+            [Priority::Interactive, Priority::Standard, Priority::Batch];
+        const STATES: [BreakerState; 3] = [
+            BreakerState::Closed,
+            BreakerState::Open,
+            BreakerState::HalfOpen,
+        ];
+        const CAUSES: [BreakerCause; 4] = [
+            BreakerCause::FailureThreshold,
+            BreakerCause::CooldownElapsed,
+            BreakerCause::ProbeSuccess,
+            BreakerCause::ProbeFailure,
+        ];
+        const PROFILE_CAUSES: [ProfileCause; 4] = [
+            ProfileCause::Calibration,
+            ProfileCause::Drift,
+            ProfileCause::CanaryApply,
+            ProfileCause::Rollback,
+        ];
+        if events.is_empty() {
+            return;
+        }
+        let n = events.len() as u64;
+        let (i, j) = ((a % n) as usize, (b % n) as usize);
+        let pick = |len: usize| (b >> 8) as usize % len;
+        match op {
+            0 => {
+                events.remove(i);
+            }
+            1 => events.insert(i, events[i]),
+            // Move the earlier of two events to the later one's time.
+            2 => {
+                let (lo, hi) = if events[i].at() <= events[j].at() {
+                    (i, j)
+                } else {
+                    (j, i)
+                };
+                events[lo] = events[lo].shifted(events[hi].at() - events[lo].at());
+            }
+            3 => match &mut events[i] {
+                FleetEvent::Dispatch {
+                    attempt, priority, ..
+                } => {
+                    *attempt = if *attempt == 0 { 1 + (b % 3) as u32 } else { 0 };
+                    *priority = PRIORITIES[pick(3)];
+                }
+                FleetEvent::Shed { priority, .. } | FleetEvent::Offered { priority, .. } => {
+                    *priority = PRIORITIES[pick(3)];
+                }
+                FleetEvent::Breaker { to, cause, .. } => {
+                    *to = STATES[pick(3)];
+                    *cause = CAUSES[(b % 4) as usize];
+                }
+                FleetEvent::ProfileUpdate { cause, .. } => *cause = PROFILE_CAUSES[pick(4)],
+                FleetEvent::RolloutStage { pct, .. } => *pct = ROLLOUT_STAGES[pick(4)],
+                _ => {}
+            },
+            // Merge slices: a few request and device ids only.
+            4 => match &mut events[i] {
+                FleetEvent::Offered { req, .. } => *req = b % 4,
+                FleetEvent::Dispatch { req, device, .. } => {
+                    *req = b % 4;
+                    *device = b % 3;
+                }
+                FleetEvent::Breaker { device, .. } => *device = b % 3,
+                _ => {}
+            },
+            _ => events.swap(i, j),
+        }
+    }
+
+    /// The sweep's bookkeeping by brute force: per spec, the events it
+    /// reads, grouped by slice key, each group through a fresh public
+    /// [`LtlMonitor`].
+    fn oracle(log: &FleetEventLog, specs: &[Spec]) -> Vec<SpecOutcome> {
+        let mut events = log.events.clone();
+        events.sort_by_key(FleetEvent::sort_key);
+        specs
+            .iter()
+            .map(|spec| {
+                let mut groups: BTreeMap<u64, Vec<(usize, &FleetEvent)>> = BTreeMap::new();
+                for (pos, ev) in events.iter().enumerate() {
+                    let atoms = (spec.atoms)(ev);
+                    if !spec.kinds.contains(&ev.event_kind()) || (spec.guarded && atoms == 0) {
+                        continue;
+                    }
+                    if let Some(key) = slice_key(ev, spec.slice) {
+                        groups.entry(key).or_default().push((pos, ev));
+                    }
+                }
+                let mut violations = 0;
+                let mut first: Option<(usize, u64, String)> = None;
+                for group in groups.values() {
+                    let mut monitor = LtlMonitor::new(&spec.formula);
+                    for &(pos, ev) in group {
+                        let atoms = (spec.atoms)(ev);
+                        let atoms: Vec<bool> = (0..64).map(|i| atoms >> i & 1 == 1).collect();
+                        let t = ev.at().as_nanos();
+                        if !monitor.step(&atoms, t) {
+                            violations += 1;
+                            if first.as_ref().is_none_or(|f| pos < f.0) {
+                                first = Some((pos, t, slice_desc(ev, spec.slice)));
+                            }
+                        }
+                    }
+                }
+                SpecOutcome {
+                    instances: groups.len() as u64,
+                    violations,
+                    first: first.map(|(_, t, desc)| (t, desc)),
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// Per spec, the sweep counts the same instances and
+        /// violations and reports the same first violation as the
+        /// brute-force oracle, on seeded corruptions of real logs,
+        /// shuffled or left in order.
+        #[test]
+        fn sweep_matches_the_per_slice_oracle(
+            which in 0usize..3,
+            ops in proptest::collection::vec((0u8..6, 0u64..u64::MAX, 0u64..u64::MAX), 0..12),
+            shuffle in 0u64..u64::MAX,
+        ) {
+            let mut log = seed_logs()[which].clone();
+            for &(op, a, b) in &ops {
+                mutate(&mut log.events, op, a, b);
+            }
+            // Odd draws shuffle (xorshift Fisher–Yates); even ones keep
+            // the order, so the in-place path runs too.
+            if shuffle % 2 == 1 {
+                let mut state = shuffle;
+                for i in (1..log.events.len()).rev() {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    log.events.swap(i, (state % (i as u64 + 1)) as usize);
+                }
+            }
+            let specs = build_specs(&log);
+            let expected = oracle(&log, &specs);
+            prop_assert_eq!(sweep(&log, &specs), expected);
+            let verdict = monitor_fleet_log(&log);
+            prop_assert_eq!(verdict.events, log.events.len() as u64);
+            prop_assert_eq!(verdict.instances, expected.iter().map(|o| o.instances).sum::<u64>());
+            prop_assert_eq!(verdict.violations, expected.iter().map(|o| o.violations).sum::<u64>());
+            prop_assert_eq!(
+                verdict.findings.len(),
+                expected.iter().filter(|o| o.first.is_some()).count()
+            );
+        }
     }
 }

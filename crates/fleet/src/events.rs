@@ -17,6 +17,7 @@
 
 use hetero_soc::SimTime;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 use crate::policy::{BreakerCause, BreakerState};
 use crate::workload::Priority;
@@ -214,6 +215,54 @@ pub enum FleetEvent {
     },
 }
 
+/// The kind of a [`FleetEvent`], one per variant, declared in
+/// same-timestamp order: rollout stage boundaries open their window
+/// before anything inside it; window boundaries sort before the
+/// observations inside the tick; completions and breaker transitions
+/// (which happen *at* service end) sort before the admission/dispatch
+/// activity of requests arriving at the same instant; census refreshes
+/// and profile updates precede the decisions they inform; rollout
+/// verdicts (`Promote`/`Rollback`) close their stage after every
+/// observation inside it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// [`FleetEvent::RolloutStage`].
+    RolloutStage,
+    /// [`FleetEvent::FaultClose`].
+    FaultClose,
+    /// [`FleetEvent::FaultOpen`].
+    FaultOpen,
+    /// [`FleetEvent::Complete`].
+    Complete,
+    /// [`FleetEvent::Breaker`].
+    Breaker,
+    /// [`FleetEvent::CensusRefresh`].
+    CensusRefresh,
+    /// [`FleetEvent::ProfileUpdate`].
+    ProfileUpdate,
+    /// [`FleetEvent::Offered`].
+    Offered,
+    /// [`FleetEvent::Shed`].
+    Shed,
+    /// [`FleetEvent::Dispatch`].
+    Dispatch,
+    /// [`FleetEvent::DispatchFail`].
+    DispatchFail,
+    /// [`FleetEvent::Retry`].
+    Retry,
+    /// [`FleetEvent::Lost`].
+    Lost,
+    /// [`FleetEvent::Promote`].
+    Promote,
+    /// [`FleetEvent::Rollback`].
+    Rollback,
+}
+
+impl EventKind {
+    /// Number of kinds; `kind as usize` indexes `0..COUNT`.
+    pub const COUNT: usize = EventKind::Rollback as usize + 1;
+}
+
 fn breaker_state_rank(s: BreakerState) -> u64 {
     match s {
         BreakerState::Closed => 0,
@@ -328,41 +377,36 @@ impl FleetEvent {
         }
     }
 
-    /// Same-timestamp ordering rank. Rollout stage boundaries open
-    /// their window before anything inside it; window boundaries sort
-    /// before the observations inside the tick; completions and
-    /// breaker transitions (which happen *at* service end) sort before
-    /// the admission/dispatch activity of requests arriving at the
-    /// same instant; census refreshes and profile updates precede the
-    /// decisions they inform; rollout verdicts (`Promote`/`Rollback`)
-    /// close their stage after every observation inside it.
-    fn rank(&self) -> u64 {
+    /// The event's kind, whose order is the same-timestamp order of
+    /// the canonical sort.
+    pub fn event_kind(&self) -> EventKind {
         match self {
-            FleetEvent::RolloutStage { .. } => 0,
-            FleetEvent::FaultClose { .. } => 1,
-            FleetEvent::FaultOpen { .. } => 2,
-            FleetEvent::Complete { .. } => 3,
-            FleetEvent::Breaker { .. } => 4,
-            FleetEvent::CensusRefresh { .. } => 5,
-            FleetEvent::ProfileUpdate { .. } => 6,
-            FleetEvent::Offered { .. } => 7,
-            FleetEvent::Shed { .. } => 8,
-            FleetEvent::Dispatch { .. } => 9,
-            FleetEvent::DispatchFail { .. } => 10,
-            FleetEvent::Retry { .. } => 11,
-            FleetEvent::Lost { .. } => 12,
-            FleetEvent::Promote { .. } => 13,
-            FleetEvent::Rollback { .. } => 14,
+            FleetEvent::RolloutStage { .. } => EventKind::RolloutStage,
+            FleetEvent::FaultClose { .. } => EventKind::FaultClose,
+            FleetEvent::FaultOpen { .. } => EventKind::FaultOpen,
+            FleetEvent::Complete { .. } => EventKind::Complete,
+            FleetEvent::Breaker { .. } => EventKind::Breaker,
+            FleetEvent::CensusRefresh { .. } => EventKind::CensusRefresh,
+            FleetEvent::ProfileUpdate { .. } => EventKind::ProfileUpdate,
+            FleetEvent::Offered { .. } => EventKind::Offered,
+            FleetEvent::Shed { .. } => EventKind::Shed,
+            FleetEvent::Dispatch { .. } => EventKind::Dispatch,
+            FleetEvent::DispatchFail { .. } => EventKind::DispatchFail,
+            FleetEvent::Retry { .. } => EventKind::Retry,
+            FleetEvent::Lost { .. } => EventKind::Lost,
+            FleetEvent::Promote { .. } => EventKind::Promote,
+            FleetEvent::Rollback { .. } => EventKind::Rollback,
         }
     }
 
-    /// Content-based total ordering key: `(t_ns, kind rank,
-    /// discriminating fields)`. Two events compare equal under this
-    /// key only if they are field-for-field identical, so sorting by
-    /// it canonicalizes any interleaved merge of the same event set.
+    /// Content-based total ordering key: `(t_ns, kind, discriminating
+    /// fields)`, kinds in [`EventKind`] order. Two events compare equal
+    /// under this key only if they are field-for-field identical, so
+    /// sorting by it canonicalizes any interleaved merge of the same
+    /// event set.
     pub fn sort_key(&self) -> (u64, u64, u64, u64, u64, u64) {
         let t = self.at().as_nanos();
-        let r = self.rank();
+        let r = self.event_kind() as u64;
         match *self {
             FleetEvent::Offered { req, priority, .. } | FleetEvent::Shed { req, priority, .. } => {
                 (t, r, req, priority.index() as u64, 0, 0)
@@ -429,6 +473,15 @@ impl FleetEvent {
             }
         }
     }
+
+    /// The canonical order: that of [`Self::sort_key`], whose first
+    /// field is the timestamp. Comparing timestamps first and building
+    /// the full keys only on a tie gives the same comparison.
+    pub fn canonical_cmp(a: &FleetEvent, b: &FleetEvent) -> Ordering {
+        a.at()
+            .cmp(&b.at())
+            .then_with(|| a.sort_key().cmp(&b.sort_key()))
+    }
 }
 
 /// One arm's typed event log plus the contract constants the temporal
@@ -469,16 +522,19 @@ impl FleetEventLog {
     /// interleaved merge of the same event set).
     ///
     /// The order is exactly that of a stable sort by
-    /// [`FleetEvent::sort_key`], whose first field is the timestamp:
-    /// comparing timestamps first and building the full key only on a
-    /// tie gives the same comparison, and the sort stays stable and in
-    /// place.
+    /// [`FleetEvent::sort_key`] ([`FleetEvent::canonical_cmp`]), and the
+    /// sort stays stable and in place.
     pub fn normalize(&mut self) {
-        self.events.sort_by(|a, b| {
-            a.at()
-                .cmp(&b.at())
-                .then_with(|| a.sort_key().cmp(&b.sort_key()))
-        });
+        self.events.sort_by(FleetEvent::canonical_cmp);
+    }
+
+    /// Whether `events` is already in canonical order, checked in one
+    /// linear pass. A normalized log sorts to itself, so a reader may
+    /// use it as it is.
+    pub fn is_normalized(&self) -> bool {
+        self.events
+            .windows(2)
+            .all(|w| FleetEvent::canonical_cmp(&w[0], &w[1]).is_le())
     }
 }
 

@@ -56,7 +56,9 @@ pub use device::{
     calibrate_profiles, calibrate_profiles_with_socs, Device, DeviceProfile, CALIB_DECODE,
     CALIB_PROMPT,
 };
-pub use events::{FleetEvent, FleetEventLog, FleetLogPair, ProfileCause, EVENT_LOG_VERSION};
+pub use events::{
+    EventKind, FleetEvent, FleetEventLog, FleetLogPair, ProfileCause, EVENT_LOG_VERSION,
+};
 pub use fault::{FaultInjector, FaultPlanConfig};
 pub use policy::{
     AdmissionControl, AttemptOutcome, BreakerCause, BreakerConfig, BreakerInput, BreakerState,

@@ -103,9 +103,10 @@ pub struct RetryPolicy {
     /// follows it for the first `max_attempts - 1` retries. It does
     /// not bound a request's dispatches. The robust router retries
     /// until the request's deadline, up to [`MAX_DISPATCHES`], waiting
-    /// `cap` once the schedule runs out. Zero leaves no schedule, so
+    /// `cap` (or the last scheduled delay, if jitter lifted it higher)
+    /// once the schedule runs out. Zero or one leaves no schedule, so
     /// every retry waits the cap; the `retry-storm` analyzer rule
-    /// rejects it.
+    /// rejects both.
     pub max_attempts: u32,
     /// Delay before the first retry.
     pub base: SimTime,
@@ -157,17 +158,22 @@ impl RetryPolicy {
     /// `attempt` fails or finds no routable device. While the
     /// exponential schedule lasts (`attempt + 1 < max_attempts`) it is
     /// the largest jittered delay so far, so delays never decrease even
-    /// when jitter at the cap would dip; then it is `cap`.
-    /// Deterministic in `(seed, request_id)`.
+    /// when jitter at the cap would dip. Past the schedule it is `cap`,
+    /// or the last scheduled delay where jitter lifted that above the
+    /// cap, so the wait never dips where the schedule meets the cap
+    /// either. Deterministic in `(seed, request_id)`.
     pub fn delay_after(&self, seed: u64, request_id: u64, attempt: u32) -> SimTime {
-        if attempt.saturating_add(1) >= self.max_attempts {
-            return self.cap;
-        }
-        // Monotonized: the largest raw delay up to this retry.
-        (1..=attempt + 1)
+        let retries = attempt.saturating_add(1);
+        // Monotonized: the largest raw delay of the schedule up to
+        // this retry.
+        let scheduled = (1..=retries.min(self.max_attempts.saturating_sub(1)))
             .map(|retry| self.raw_backoff(seed, request_id, retry))
-            .max()
-            .unwrap_or(SimTime::ZERO)
+            .max();
+        if retries < self.max_attempts {
+            scheduled.unwrap_or(SimTime::ZERO)
+        } else {
+            scheduled.map_or(self.cap, |last| last.max(self.cap))
+        }
     }
 }
 

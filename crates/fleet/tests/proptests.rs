@@ -6,8 +6,10 @@
 //!   samples up to `u64::MAX`, and merging is order-independent (fleet
 //!   quantiles do not depend on device enumeration order).
 //! - Seeded backoff delays are byte-identical per seed,
-//!   non-decreasing while the exponential schedule lasts, at most the
-//!   jittered cap, and exactly the cap past the schedule.
+//!   non-decreasing over the robust router's whole dispatch budget
+//!   (also where the schedule meets the cap), at most the jittered cap,
+//!   and past the schedule the larger of the cap and the last
+//!   scheduled delay.
 //! - The circuit breaker never moves `Open → Closed` without a
 //!   successful half-open probe, for any interleaving of outcomes.
 //! - The online drift profiler is deterministic (same samples, same
@@ -20,7 +22,8 @@
 //!   exactly the shed-weight charges plus the lost-penalty charges.
 //! - `FleetEventLog::normalize` orders events exactly like a stable
 //!   `sort_by_key(FleetEvent::sort_key)`, on shuffled logs with forced
-//!   timestamp and whole-key ties.
+//!   timestamp and whole-key ties, and `is_normalized` tells that
+//!   order apart from any other.
 //! - Event logs holding every `FleetEvent` variant round-trip through
 //!   compact and pretty JSON, the typed writer and the `Value` renderer
 //!   emit the same bytes, and mutated or truncated log text is an `Ok`
@@ -81,6 +84,65 @@ fn arb_retry_policy() -> impl Strategy<Value = RetryPolicy> {
             timeout: SimTime::from_millis(250),
         },
     )
+}
+
+/// Backoff delays over the robust router's whole budget: same seed
+/// byte-identical, never decreasing over every attempt
+/// `0..MAX_DISPATCHES`, each at most the cap plus its jitter span, and
+/// past the schedule the larger of the cap and the last scheduled
+/// delay.
+fn check_backoff_contracts(
+    policy: &RetryPolicy,
+    seed: u64,
+    request_id: u64,
+) -> Result<(), TestCaseError> {
+    let delays = |seed| -> Vec<SimTime> {
+        (0..MAX_DISPATCHES)
+            .map(|attempt| policy.delay_after(seed, request_id, attempt))
+            .collect()
+    };
+    let a = delays(seed);
+    prop_assert_eq!(&a, &delays(seed), "same seed must replay byte-identically");
+    prop_assert!(
+        a.windows(2).all(|w| w[0] <= w[1]),
+        "delays decreased: {a:?}"
+    );
+    let span = policy.cap.as_nanos() / 100 * u64::from(policy.jitter_pct);
+    let jittered_cap = policy.cap + SimTime::from_nanos(span);
+    prop_assert!(a.iter().all(|&d| d <= jittered_cap), "over the cap: {a:?}");
+    let (schedule, tail) = a.split_at(policy.max_attempts.saturating_sub(1) as usize);
+    let after = schedule
+        .last()
+        .map_or(policy.cap, |&last| last.max(policy.cap));
+    prop_assert!(
+        tail.iter().all(|&d| d == after),
+        "past the schedule: {tail:?}"
+    );
+    Ok(())
+}
+
+/// Factor 5 with `cap = 50 × base` reaches the cap on the schedule's
+/// fourth delay, and jitter lifts that delay above the bare cap: the
+/// delays after the schedule must not dip back to it.
+#[test]
+fn backoff_never_dips_where_the_schedule_meets_the_cap() {
+    let policy = RetryPolicy {
+        max_attempts: 5,
+        base: SimTime::from_millis(2),
+        factor: 5,
+        cap: SimTime::from_millis(100),
+        jitter_pct: 20,
+        timeout: SimTime::from_millis(250),
+    };
+    let mut lifted = 0;
+    for request_id in 0..64 {
+        check_backoff_contracts(&policy, 42, request_id).expect("backoff contracts hold");
+        lifted += usize::from(policy.delay_after(42, request_id, MAX_DISPATCHES - 1) > policy.cap);
+    }
+    assert!(
+        lifted > 0,
+        "no request's last scheduled delay rose above the cap"
+    );
 }
 
 proptest! {
@@ -152,32 +214,15 @@ proptest! {
         prop_assert_eq!(forward.snapshot(), left.snapshot());
     }
 
-    /// Backoff delays over the robust router's whole budget: same
-    /// seed byte-identical, never decreasing while the exponential
-    /// schedule lasts, each at most the cap plus its jitter span, and
-    /// exactly the cap past the schedule.
+    /// Backoff delays over the robust router's whole budget keep
+    /// their contracts ([`check_backoff_contracts`]).
     #[test]
     fn backoff_schedule_contracts(
         policy in arb_retry_policy(),
         seed in 0u64..u64::MAX,
         request_id in 0u64..u64::MAX,
     ) {
-        let delays = |seed| -> Vec<SimTime> {
-            (0..MAX_DISPATCHES)
-                .map(|attempt| policy.delay_after(seed, request_id, attempt))
-                .collect()
-        };
-        let a = delays(seed);
-        prop_assert_eq!(&a, &delays(seed), "same seed must replay byte-identically");
-        let (schedule, tail) = a.split_at(policy.max_attempts as usize - 1);
-        prop_assert!(
-            schedule.windows(2).all(|w| w[0] <= w[1]),
-            "delays decreased: {schedule:?}"
-        );
-        let span = policy.cap.as_nanos() / 100 * u64::from(policy.jitter_pct);
-        let jittered_cap = policy.cap + SimTime::from_nanos(span);
-        prop_assert!(a.iter().all(|&d| d <= jittered_cap), "over the cap: {a:?}");
-        prop_assert!(tail.iter().all(|&d| d == policy.cap), "past the schedule: {tail:?}");
+        check_backoff_contracts(&policy, seed, request_id)?;
     }
 
     /// For any outcome interleaving, the breaker reaches `Closed`
@@ -515,7 +560,8 @@ proptest! {
     /// the order must be the stable `sort_by_key(sort_key)` one. Four
     /// timestamps and three field values force ties on `at` and on
     /// whole keys of events that differ outside the key, so stability
-    /// shows.
+    /// shows. `is_normalized` holds exactly when the log already is in
+    /// that order.
     #[test]
     fn normalize_matches_the_stable_sort_key_oracle(
         raw in proptest::collection::vec(
@@ -543,7 +589,9 @@ proptest! {
             rollout_window_ns: 0,
             events,
         };
+        prop_assert_eq!(log.is_normalized(), log.events == oracle);
         log.normalize();
+        prop_assert!(log.is_normalized());
         prop_assert_eq!(log.events, oracle);
     }
 }
