@@ -94,9 +94,6 @@ pub const STORM_AMPLIFICATION_SLACK: u64 = 16;
 /// Atoms one formula can read: they travel as the bits of a `u64`.
 const MAX_ATOMS: usize = u64::BITS as usize;
 
-/// Clock value of an `OnceWithin` whose operand never held.
-const NEVER: u64 = u64::MAX;
-
 /// A past-time LTL formula over indexed boolean atoms.
 #[derive(Debug, Clone)]
 pub enum Ltl {
@@ -306,9 +303,9 @@ impl Program {
                 Op::Since(p, q) => cur[q] || (cur[p] && !first && prev[i]),
                 Op::OnceWithin { of, within, clock } => {
                     if cur[of] {
-                        clocks[clock] = t_ns;
+                        clocks[clock] = Some(t_ns);
                     }
-                    clocks[clock] != NEVER && t_ns - clocks[clock] <= within
+                    clocks[clock].is_some_and(|held| t_ns - held <= within)
                 }
                 Op::CountLe {
                     count,
@@ -346,9 +343,10 @@ struct States {
     started: Vec<bool>,
     /// Node values at the instance's previous position.
     prev: Vec<bool>,
-    /// Per `OnceWithin`: the timestamp its operand last held, or
-    /// [`NEVER`].
-    clocks: Vec<u64>,
+    /// Per `OnceWithin`: the timestamp its operand last held, if it
+    /// ever did. Every `u64` is a valid timestamp, so "never" is
+    /// `None` rather than a reserved clock value.
+    clocks: Vec<Option<u64>>,
     /// Per `CountLe`: both counts since the last reset.
     tallies: Vec<(u64, u64)>,
     /// Node values at the position being evaluated (a work buffer).
@@ -366,8 +364,7 @@ impl States {
         let n = program.ops.len();
         self.started.push(false);
         self.prev.resize(self.prev.len() + n, false);
-        self.clocks
-            .resize(self.clocks.len() + program.clocks, NEVER);
+        self.clocks.resize(self.clocks.len() + program.clocks, None);
         self.tallies
             .resize(self.tallies.len() + program.tallies, (0, 0));
         if self.cur.len() < n {
@@ -962,6 +959,54 @@ mod tests {
         assert_eq!(
             eval_seq(&f, steps),
             vec![true, true, true, false, true, true]
+        );
+    }
+
+    #[test]
+    fn once_within_holds_at_the_last_timestamp() {
+        // u64::MAX is a valid timestamp, not a "never held" marker.
+        let f = Ltl::atom(0).once_within(0);
+        assert_eq!(
+            eval_seq(&f, &[(&[false], u64::MAX - 1), (&[true], u64::MAX)]),
+            vec![false, true]
+        );
+        let deadline = Ltl::atom(0).implies(Ltl::atom(1).once_within(10));
+        assert_eq!(
+            eval_seq(
+                &deadline,
+                &[(&[false, true], u64::MAX), (&[true, false], u64::MAX)]
+            ),
+            vec![true, true]
+        );
+    }
+
+    #[test]
+    fn dispatch_at_arrival_on_the_last_timestamp_is_in_time() {
+        let at = SimTime::from_nanos(u64::MAX);
+        let log = tiny_log(vec![
+            FleetEvent::Offered {
+                at,
+                req: 0,
+                priority: Priority::Interactive,
+                prompt_tokens: 1,
+                decode_tokens: 1,
+            },
+            FleetEvent::Dispatch {
+                at,
+                req: 0,
+                device: 0,
+                attempt: 0,
+                priority: Priority::Interactive,
+            },
+        ]);
+        let verdict = monitor_fleet_log(&log);
+        assert!(
+            verdict
+                .findings
+                .iter()
+                .all(|d| d.rule_id != rules::RETRY_PAST_DEADLINE),
+            "{:?}",
+            verdict.findings
         );
     }
 

@@ -343,13 +343,10 @@ impl CostDomain for Des {
         let start = self.soc.clock();
         let outcome = self.soc.run_parallel(gpu, npu, dominance);
         if let Some(tl) = &mut self.obs.timeline {
-            let side_name = |ks: &[KernelDesc]| match ks {
-                [k] => crate::obs::timeline::kernel_span_name(k),
-                ks => format!("batch×{}", ks.len()),
-            };
+            let (gpu_name, npu_name) = (tl.section_label(gpu), tl.section_label(npu));
             tl.parallel_section(
-                &side_name(gpu),
-                &side_name(npu),
+                gpu_name,
+                npu_name,
                 mech,
                 start,
                 start + outcome.a_finish,

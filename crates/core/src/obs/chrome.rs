@@ -20,23 +20,124 @@
 //!   metadata), and `s`/`f` flow events with shared ids crossing
 //!   tracks at sync edges.
 
-use super::timeline::{Timeline, Track};
+use std::fmt::Write as _;
 
-/// Escape a string for a JSON literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+use super::timeline::{Span, Timeline, Track};
+
+/// Most bytes of one span event besides its name and timestamp
+/// digits: `{"name":"","cat":"control","ph":"B","ts":,"pid":1,"tid":1}`
+/// and the `,\n` separator.
+const SPAN_EVENT_BYTES: usize = 60;
+/// Bytes of one flow event besides its name, timestamp and id digits:
+/// `{"name":"","cat":"flow","ph":"f","bp":"e","ts":,"pid":1,"tid":1,"id":}`
+/// and the `,\n` separator.
+const FLOW_EVENT_BYTES: usize = 72;
+/// Digits reserved per rendered integer in the size estimate: enough
+/// for timestamps below 10¹² ns (about 17 simulated minutes). A longer
+/// trace, or a name that needs escaping, only makes the buffer grow.
+const INT_BYTES: usize = 12;
+
+/// The trace document under construction: one `String`, written in
+/// place event by event.
+struct Writer {
+    out: String,
+    first: bool,
+}
+
+impl Writer {
+    fn with_capacity(bytes: usize) -> Self {
+        let mut out = String::with_capacity(bytes);
+        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
+        Self { out, first: true }
     }
-    out
+
+    /// Open the next event: the `,\n` separator (none before the
+    /// first) and `{"name":"<escaped name>"`.
+    fn open(&mut self, name: &str) {
+        if !std::mem::take(&mut self.first) {
+            self.out.push_str(",\n");
+        }
+        self.out.push_str("{\"name\":\"");
+        self.escaped(name);
+        self.out.push('"');
+    }
+
+    /// Append `s` as the body of a JSON string literal. A name with no
+    /// byte to escape (the common case) is copied as one slice; every
+    /// byte that needs escaping is ASCII, so splitting at those bytes
+    /// never cuts a UTF-8 sequence.
+    fn escaped(&mut self, s: &str) {
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let esc = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\t' => "\\t",
+                b'\r' => "\\r",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            self.out.push_str(&s[run..i]);
+            if esc.is_empty() {
+                let _ = write!(self.out, "\\u{b:04x}");
+            } else {
+                self.out.push_str(esc);
+            }
+            run = i + 1;
+        }
+        self.out.push_str(&s[run..]);
+    }
+
+    /// Append `n` in decimal.
+    fn int(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.out
+            .push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    }
+
+    /// A `B` or `E` event of a span on process `pid`.
+    fn span_event(&mut self, name: &str, cat: &str, ph: &str, ts: u64, pid: u32) {
+        self.open(name);
+        self.out.push_str(",\"cat\":\"");
+        self.out.push_str(cat);
+        self.out.push_str("\",\"ph\":\"");
+        self.out.push_str(ph);
+        self.out.push_str("\",\"ts\":");
+        self.int(ts);
+        self.out.push_str(",\"pid\":");
+        self.int(pid.into());
+        self.out.push_str(",\"tid\":1}");
+    }
+
+    /// One end of flow `id`: `ph` is the raw JSON after `"ph":` —
+    /// `"s"`, or `"f"` with its binding point.
+    fn flow_event(&mut self, name: &str, ph: &str, ts: u64, pid: u32, id: u64) {
+        self.open(name);
+        self.out.push_str(",\"cat\":\"flow\",\"ph\":");
+        self.out.push_str(ph);
+        self.out.push_str(",\"ts\":");
+        self.int(ts);
+        self.out.push_str(",\"pid\":");
+        self.int(pid.into());
+        self.out.push_str(",\"tid\":1,\"id\":");
+        self.int(id);
+        self.out.push('}');
+    }
+
+    fn finish(mut self) -> String {
+        self.out.push_str("\n]}\n");
+        self.out
+    }
 }
 
 /// Render `tl` as a Chrome trace-event JSON document.
@@ -44,87 +145,65 @@ fn escape(s: &str) -> String {
 /// Metadata rows for all four tracks are always emitted (so the
 /// Perfetto layout is stable across engines), followed by each
 /// track's `B`/`E` span events in stack order, then flow events
-/// sorted by id.
+/// sorted by id. Every event is written straight into one buffer
+/// sized up front from the timeline.
 pub fn to_chrome_json(tl: &Timeline) -> String {
-    let mut events: Vec<String> = Vec::new();
+    // The metadata rows, header and trailer fit in the first KiB.
+    let bytes = 1024
+        + tl.spans()
+            .iter()
+            .map(|s| 2 * (SPAN_EVENT_BYTES + INT_BYTES + s.name.len()))
+            .sum::<usize>()
+        + tl.flows()
+            .iter()
+            .map(|f| 2 * (FLOW_EVENT_BYTES + 2 * INT_BYTES + f.name.len()))
+            .sum::<usize>();
+    let mut w = Writer::with_capacity(bytes);
 
     for track in Track::ALL {
         let pid = track.pid();
-        events.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\
-             \"args\":{{\"name\":\"{}\"}}}}",
+        w.open("process_name");
+        let _ = write!(
+            w.out,
+            ",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\"args\":{{\"name\":\"{}\"}}}}",
             track.name()
-        ));
-        events.push(format!(
-            "{{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\
-             \"args\":{{\"sort_index\":{pid}}}}}"
-        ));
+        );
+        w.open("process_sort_index");
+        let _ = write!(
+            w.out,
+            ",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\"args\":{{\"sort_index\":{pid}}}}}"
+        );
     }
 
+    // Stack-disciplined traversal: sorted parents-first; close every
+    // span whose end precedes the next span's start.
+    let mut stack: Vec<&Span> = Vec::new();
     for track in Track::ALL {
         let pid = track.pid();
-        // Stack-disciplined traversal: sorted parents-first; close
-        // every span whose end precedes the next span's start.
-        let mut stack: Vec<(&str, &str, u64)> = Vec::new(); // (name, cat, end)
-        let emit_end = |events: &mut Vec<String>, (name, cat, end): (&str, &str, u64)| {
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"E\",\"ts\":{},\
-                 \"pid\":{},\"tid\":1}}",
-                escape(name),
-                cat,
-                end,
-                pid
-            ));
+        let end = |w: &mut Writer, s: &Span| {
+            w.span_event(&s.name, s.kind.cat(), "E", s.end.as_nanos(), pid);
         };
         for span in tl.track_spans(track) {
-            while let Some(top) = stack.last() {
-                if top.2 <= span.start.as_nanos() {
-                    let top = stack.pop().expect("non-empty stack");
-                    emit_end(&mut events, top);
-                } else {
-                    break;
-                }
+            while let Some(top) = stack.pop_if(|top| top.end <= span.start) {
+                end(&mut w, top);
             }
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{},\
-                 \"pid\":{},\"tid\":1}}",
-                escape(&span.name),
-                span.kind.cat(),
-                span.start.as_nanos(),
-                pid
-            ));
-            stack.push((&span.name, span.kind.cat(), span.end.as_nanos()));
+            w.span_event(&span.name, span.kind.cat(), "B", span.start.as_nanos(), pid);
+            stack.push(span);
         }
         while let Some(top) = stack.pop() {
-            emit_end(&mut events, top);
+            end(&mut w, top);
         }
     }
 
     let mut flows: Vec<_> = tl.flows().iter().collect();
     flows.sort_by_key(|f| f.id);
     for f in flows {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"s\",\"ts\":{},\
-             \"pid\":{},\"tid\":1,\"id\":{}}}",
-            escape(&f.name),
-            f.from_time.as_nanos(),
-            f.from_track.pid(),
-            f.id
-        ));
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"ts\":{},\
-             \"pid\":{},\"tid\":1,\"id\":{}}}",
-            escape(&f.name),
-            f.to_time.as_nanos(),
-            f.to_track.pid(),
-            f.id
-        ));
+        let (from, to) = (f.from_time.as_nanos(), f.to_time.as_nanos());
+        w.flow_event(&f.name, "\"s\"", from, f.from_track.pid(), f.id);
+        w.flow_event(&f.name, "\"f\",\"bp\":\"e\"", to, f.to_track.pid(), f.id);
     }
 
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n]}\n");
-    out
+    w.finish()
 }
 
 #[cfg(test)]

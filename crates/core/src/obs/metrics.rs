@@ -283,11 +283,13 @@ impl MetricsRegistry {
                 tl.spans().iter().filter(|s| s.track == track).count() as u64,
             );
         }
+        // Indexed by `Track as usize`: `Track::ALL` is in declaration
+        // order.
+        let kernel_ns = Track::ALL.map(|t| format!("kernel_ns_{}", t.name().to_ascii_lowercase()));
         for span in tl.spans() {
             match span.kind {
                 SpanKind::Kernel => {
-                    let name = format!("kernel_ns_{}", span.track.name().to_ascii_lowercase());
-                    reg.observe(&name, span.duration());
+                    reg.observe(&kernel_ns[span.track as usize], span.duration());
                 }
                 SpanKind::Sync => {
                     reg.incr("sync_wait_ns", span.duration().as_nanos());

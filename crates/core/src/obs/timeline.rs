@@ -271,9 +271,15 @@ impl Timeline {
         id
     }
 
-    /// Bump the named counter by `n`.
+    /// Bump the named counter by `n`. The name is copied only the
+    /// first time it is seen.
     pub fn count(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// All spans, in recording order.
@@ -343,19 +349,10 @@ impl Timeline {
     /// by start ascending, then end *descending* (parents before
     /// children at equal starts), then recording order.
     pub(crate) fn track_spans(&self, track: Track) -> Vec<&Span> {
-        let mut spans: Vec<(usize, &Span)> = self
-            .spans
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.track == track)
-            .collect();
-        spans.sort_by(|(ia, a), (ib, b)| {
-            a.start
-                .cmp(&b.start)
-                .then(b.end.cmp(&a.end))
-                .then(ia.cmp(ib))
-        });
-        spans.into_iter().map(|(_, s)| s).collect()
+        let mut spans: Vec<&Span> = self.spans.iter().filter(|s| s.track == track).collect();
+        // Stable, so ties keep recording order.
+        spans.sort_by(|a, b| a.start.cmp(&b.start).then(b.end.cmp(&a.end)));
+        spans
     }
 
     /// Check the structural invariants the exported trace must hold:
@@ -411,9 +408,9 @@ impl Timeline {
 /// Label memoization: a decode loop launches the *same* kernels layer
 /// after layer, token after token, so the recorder interns every
 /// derived name ([`Label`]) keyed by what it was derived from (matmul
-/// shape, sync mechanism, compile bucket) and hands out O(1) clones —
-/// the formatted string is built once per distinct name per session,
-/// not once per span.
+/// shape, parallel-section batch size, sync mechanism, compile
+/// bucket) and hands out O(1) clones — the formatted string is built
+/// once per distinct name per session, not once per span.
 #[derive(Debug, Default)]
 pub struct TimelineRecorder {
     tl: Timeline,
@@ -421,15 +418,7 @@ pub struct TimelineRecorder {
     static_labels: BTreeMap<&'static str, Label>,
     sync_labels: BTreeMap<(&'static str, &'static str), Label>,
     compile_labels: BTreeMap<usize, Label>,
-}
-
-/// Display name of a kernel, derived from its descriptor.
-pub(crate) fn kernel_span_name(kernel: &KernelDesc) -> String {
-    match &kernel.op {
-        OpKind::Matmul { shape, .. } => format!("matmul[{}x{}x{}]", shape.m, shape.k, shape.n),
-        OpKind::MemBound { label, .. } => label.name().to_string(),
-        OpKind::HostCopy { .. } => "host_copy".to_string(),
-    }
+    batch_labels: BTreeMap<usize, Label>,
 }
 
 impl TimelineRecorder {
@@ -438,16 +427,33 @@ impl TimelineRecorder {
         Self::default()
     }
 
-    /// The interned label for a kernel descriptor.
+    /// The interned display name of a kernel, derived from its
+    /// descriptor.
     fn kernel_label(&mut self, kernel: &KernelDesc) -> Label {
         match &kernel.op {
             OpKind::Matmul { shape, .. } => self
                 .matmul_labels
                 .entry((shape.m, shape.k, shape.n))
-                .or_insert_with(|| Label::from(kernel_span_name(kernel)))
+                .or_insert_with(|| {
+                    Label::from(format!("matmul[{}x{}x{}]", shape.m, shape.k, shape.n))
+                })
                 .clone(),
             OpKind::MemBound { label, .. } => Self::intern(&mut self.static_labels, label.name()),
             OpKind::HostCopy { .. } => Self::intern(&mut self.static_labels, "host_copy"),
+        }
+    }
+
+    /// The interned label of one side of a parallel section: the
+    /// kernel's own name when the side runs one kernel, `batch×N` when
+    /// it runs `N` (including none).
+    pub fn section_label(&mut self, kernels: &[KernelDesc]) -> Label {
+        match kernels {
+            [k] => self.kernel_label(k),
+            ks => self
+                .batch_labels
+                .entry(ks.len())
+                .or_insert_with(|| Label::from(format!("batch×{}", ks.len())))
+                .clone(),
         }
     }
 
@@ -503,12 +509,13 @@ impl TimelineRecorder {
     /// finished at `gpu_end`, the NPU side at `npu_end`, and the
     /// rendezvous completed at `rendezvous_end`. Each side gets a
     /// kernel span; the rendezvous wait lands on the CPU track with a
-    /// flow arrow from each producer.
+    /// flow arrow from each producer. Side names come from
+    /// [`Self::section_label`].
     #[allow(clippy::too_many_arguments)]
     pub fn parallel_section(
         &mut self,
-        gpu_name: &str,
-        npu_name: &str,
+        gpu_name: Label,
+        npu_name: Label,
         mechanism: SyncMechanism,
         start: SimTime,
         gpu_end: SimTime,
@@ -651,8 +658,8 @@ mod tests {
     fn recorder_parallel_section_produces_cross_track_flows() {
         let mut rec = TimelineRecorder::new();
         rec.parallel_section(
-            "matmul[256x4096x4096]",
-            "matmul[256x4096x4096]",
+            Label::from("matmul[256x4096x4096]"),
+            Label::from("matmul[256x4096x4096]"),
             SyncMechanism::Fast,
             us(0),
             us(40),
@@ -691,12 +698,64 @@ mod tests {
     }
 
     #[test]
+    fn parallel_section_labels_are_interned() {
+        use hetero_tensor::shape::MatmulShape;
+        let mm = |m| KernelDesc::matmul_w4a16(MatmulShape { m, k: 16, n: 32 });
+        let chunks = [mm(1), mm(2), mm(3)];
+        let mut rec = TimelineRecorder::new();
+        for t in [0, 100] {
+            let (gpu, npu) = (rec.section_label(&[mm(8)]), rec.section_label(&chunks));
+            rec.parallel_section(
+                gpu,
+                npu,
+                SyncMechanism::Fast,
+                us(t),
+                us(t + 40),
+                us(t + 55),
+                us(t + 57),
+            );
+        }
+        assert_eq!(rec.section_label(&[]), "batch×0");
+        // A one-kernel side shares the serial kernel's label.
+        rec.kernel(Backend::Gpu, &mm(8), us(200), us(210));
+        let tl = rec.finish();
+
+        let names = |track| -> Vec<&Label> {
+            let spans = tl.spans().iter().filter(|s| s.track == track);
+            spans.map(|s| &s.name).collect()
+        };
+        let (gpu, npu) = (names(Track::Gpu), names(Track::Npu));
+        assert_eq!(gpu.len(), 3);
+        assert_eq!(*gpu[0], "matmul[8x16x32]");
+        assert_eq!(npu, [&Label::from("batch×3"); 2]);
+        assert!(gpu.iter().all(|l| Arc::ptr_eq(&l.0, &gpu[0].0)));
+        assert!(Arc::ptr_eq(&npu[0].0, &npu[1].0));
+        assert_eq!(tl.counters()["parallel_sections"], 2);
+    }
+
+    #[test]
+    fn counters_sum_into_one_key_per_name() {
+        let mut tl = Timeline::new();
+        tl.count("switches", 1);
+        tl.count("graph_hits", 3);
+        tl.count("switches", 2);
+        tl.count("graph_hits", 0);
+        let counters: Vec<_> = tl
+            .counters()
+            .iter()
+            .map(|(k, v)| (k.as_str(), *v))
+            .collect();
+        assert_eq!(counters, [("graph_hits", 3), ("switches", 3)]);
+    }
+
+    #[test]
     fn kernel_names_derive_from_descriptors() {
         use hetero_tensor::shape::MatmulShape;
+        let mut rec = TimelineRecorder::new();
         let mm = KernelDesc::matmul_w4a16(MatmulShape { m: 8, k: 16, n: 32 });
-        assert_eq!(kernel_span_name(&mm), "matmul[8x16x32]");
+        assert_eq!(rec.kernel_label(&mm), "matmul[8x16x32]");
         let mb = KernelDesc::mem_bound(hetero_soc::kernel::KernelLabel::Softmax, 1, 1, 1);
-        assert_eq!(kernel_span_name(&mb), "softmax");
-        assert_eq!(kernel_span_name(&KernelDesc::host_copy(64)), "host_copy");
+        assert_eq!(rec.kernel_label(&mb), "softmax");
+        assert_eq!(rec.kernel_label(&KernelDesc::host_copy(64)), "host_copy");
     }
 }

@@ -1,12 +1,254 @@
 //! Property-based tests of the observability layer: for any engine,
 //! model preset, prompt/decode length, and sync mechanism, an observed
 //! session must yield a well-formed timeline whose export and metrics
-//! keep their structural contracts.
+//! keep their structural contracts; and for any timeline, the
+//! streaming Chrome exporter must write the same bytes as the
+//! one-string-per-event reference below.
 
 use hetero_soc::sync::SyncMechanism;
-use heterollm::obs::{chrome, MetricsRegistry, SpanKind, Track};
+use hetero_soc::SimTime;
+use heterollm::obs::{chrome, MetricsRegistry, Span, SpanKind, Timeline, Track};
 use heterollm::{EngineKind, InferenceSession, ModelConfig};
 use proptest::prelude::*;
+
+/// Cases for the writer oracle: `PROPTEST_CASES` if set, else 48.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(48)
+}
+
+/// Reference exporter: renders every event to its own `String` with
+/// `format!`, escapes each name into a fresh `String`, and joins the
+/// events at the end. Slow, but each event's bytes are spelled out in
+/// one place; [`chrome::to_chrome_json`] must match it byte for byte.
+mod oracle {
+    use super::*;
+
+    fn escape(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Spans of one track: by start ascending, then end descending,
+    /// then recording order.
+    fn track_spans(tl: &Timeline, track: Track) -> Vec<&Span> {
+        let mut spans: Vec<(usize, &Span)> = tl
+            .spans()
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.track == track)
+            .collect();
+        spans.sort_by(|(ia, a), (ib, b)| {
+            a.start
+                .cmp(&b.start)
+                .then(b.end.cmp(&a.end))
+                .then(ia.cmp(ib))
+        });
+        spans.into_iter().map(|(_, s)| s).collect()
+    }
+
+    pub fn to_chrome_json(tl: &Timeline) -> String {
+        let mut events: Vec<String> = Vec::new();
+
+        for track in Track::ALL {
+            let pid = track.pid();
+            events.push(format!(
+                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\
+                 \"args\":{{\"name\":\"{}\"}}}}",
+                track.name()
+            ));
+            events.push(format!(
+                "{{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\
+                 \"args\":{{\"sort_index\":{pid}}}}}"
+            ));
+        }
+
+        for track in Track::ALL {
+            let pid = track.pid();
+            let mut stack: Vec<(&str, &str, u64)> = Vec::new(); // (name, cat, end)
+            let emit_end = |events: &mut Vec<String>, (name, cat, end): (&str, &str, u64)| {
+                events.push(format!(
+                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"E\",\"ts\":{},\
+                     \"pid\":{},\"tid\":1}}",
+                    escape(name),
+                    cat,
+                    end,
+                    pid
+                ));
+            };
+            for span in track_spans(tl, track) {
+                while let Some(top) = stack.last() {
+                    if top.2 <= span.start.as_nanos() {
+                        let top = stack.pop().expect("non-empty stack");
+                        emit_end(&mut events, top);
+                    } else {
+                        break;
+                    }
+                }
+                events.push(format!(
+                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{},\
+                     \"pid\":{},\"tid\":1}}",
+                    escape(&span.name),
+                    span.kind.cat(),
+                    span.start.as_nanos(),
+                    pid
+                ));
+                stack.push((&span.name, span.kind.cat(), span.end.as_nanos()));
+            }
+            while let Some(top) = stack.pop() {
+                emit_end(&mut events, top);
+            }
+        }
+
+        let mut flows: Vec<_> = tl.flows().iter().collect();
+        flows.sort_by_key(|f| f.id);
+        for f in flows {
+            events.push(format!(
+                "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"s\",\"ts\":{},\
+                 \"pid\":{},\"tid\":1,\"id\":{}}}",
+                escape(&f.name),
+                f.from_time.as_nanos(),
+                f.from_track.pid(),
+                f.id
+            ));
+            events.push(format!(
+                "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"ts\":{},\
+                 \"pid\":{},\"tid\":1,\"id\":{}}}",
+                escape(&f.name),
+                f.to_time.as_nanos(),
+                f.to_track.pid(),
+                f.id
+            ));
+        }
+
+        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
+        out.push_str(&events.join(",\n"));
+        out.push_str("\n]}\n");
+        out
+    }
+}
+
+/// Characters a name is drawn from: plain ASCII, every character the
+/// exporter escapes by name, other control characters (`\u00XX`),
+/// DEL (not escaped), and multi-byte UTF-8.
+const NAME_CHARS: [char; 18] = [
+    'a', 'Z', '0', ':', ' ', '"', '\\', '\n', '\t', '\r', '\u{0}', '\u{1}', '\u{1f}', '\u{7f}',
+    'é', '×', '漢', '🦀',
+];
+
+fn arb_name() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..NAME_CHARS.len(), 0..6)
+        .prop_map(|ix| ix.into_iter().map(|i| NAME_CHARS[i]).collect())
+}
+
+fn arb_track() -> impl Strategy<Value = Track> {
+    (0..Track::ALL.len()).prop_map(|i| Track::ALL[i])
+}
+
+fn arb_kind() -> impl Strategy<Value = SpanKind> {
+    const KINDS: [SpanKind; 5] = [
+        SpanKind::Kernel,
+        SpanKind::Sync,
+        SpanKind::Cache,
+        SpanKind::Phase,
+        SpanKind::Control,
+    ];
+    (0..KINDS.len()).prop_map(|i| KINDS[i])
+}
+
+/// A span on a coarse clock (so equal starts and ends are common),
+/// zero-length about one time in eight, optionally with a child
+/// nested inside it.
+fn arb_span() -> impl Strategy<Value = (Track, SpanKind, String, u64, u64, bool)> {
+    (
+        arb_track(),
+        arb_kind(),
+        arb_name(),
+        0u64..40,
+        (0u64..8, 0u64..20).prop_map(|(z, len)| if z == 0 { 0 } else { len }),
+        proptest::bool::ANY,
+    )
+}
+
+fn arb_flow() -> impl Strategy<Value = (String, Track, u64, Track, u64)> {
+    (arb_name(), arb_track(), 0u64..60, arb_track(), 0u64..10)
+}
+
+/// One timeline segment from drawn spans and flows; clock ticks are
+/// 250 ns so timestamps run to several digits.
+fn segment(
+    spans: &[(Track, SpanKind, String, u64, u64, bool)],
+    flows: &[(String, Track, u64, Track, u64)],
+) -> Timeline {
+    let t = |tick: u64| SimTime::from_nanos(tick * 250);
+    let mut tl = Timeline::new();
+    for (track, kind, name, start, len, nest) in spans {
+        tl.push_span(*track, *kind, name.as_str(), t(*start), t(start + len));
+        if *nest {
+            let (s, e) = (start + len / 3, start + len - len / 3);
+            tl.push_span(*track, SpanKind::Kernel, name.as_str(), t(s), t(e));
+        }
+    }
+    for (name, from, at, to, dt) in flows {
+        tl.push_flow(name.as_str(), *from, t(*at), *to, t(at + dt));
+    }
+    tl
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// The streaming exporter writes exactly the reference bytes for
+    /// timelines with hostile names, zero-length and nested spans,
+    /// equal starts and flows, including ones spliced in with
+    /// re-based flow ids.
+    #[test]
+    fn chrome_writer_matches_the_reference(
+        spans in proptest::collection::vec(arb_span(), 0..24),
+        flows in proptest::collection::vec(arb_flow(), 0..8),
+        more_spans in proptest::collection::vec(arb_span(), 0..8),
+        more_flows in proptest::collection::vec(arb_flow(), 0..4),
+        base in 0u64..100_000,
+    ) {
+        let mut tl = segment(&spans, &flows);
+        let seg = segment(&more_spans, &more_flows);
+        tl.append_shifted(&seg, SimTime::ZERO, SimTime::from_nanos(base));
+        let want = oracle::to_chrome_json(&tl);
+        serde_json::from_str::<serde_json::Value>(&want).expect("reference output parses");
+        prop_assert_eq!(chrome::to_chrome_json(&tl), want);
+    }
+}
+
+/// Real observed sessions (every engine, both sync mechanisms) export
+/// the reference bytes too.
+#[test]
+fn chrome_writer_matches_the_reference_on_observed_sessions() {
+    for kind in EngineKind::ALL {
+        for sync in [SyncMechanism::Fast, SyncMechanism::Driver] {
+            let mut session =
+                InferenceSession::with_sync(kind, &ModelConfig::internlm_1_8b(), sync);
+            let (_, tl) = session.try_run_observed(64, 2).expect("built-in trace");
+            assert_eq!(
+                chrome::to_chrome_json(&tl),
+                oracle::to_chrome_json(&tl),
+                "{kind:?} {sync:?}"
+            );
+        }
+    }
+}
 
 fn arb_engine() -> impl Strategy<Value = EngineKind> {
     (0..EngineKind::ALL.len()).prop_map(|i| EngineKind::ALL[i])

@@ -507,8 +507,10 @@ pub struct FleetEventLog {
     /// older than this, nanoseconds.
     pub census_interval_ns: u64,
     /// Rollout stage window span, nanoseconds: stage `k` of a staged
-    /// rollout occupies `[k·span, (k+1)·span)` on the shared timeline
-    /// and its verdict must land inside the window. Zero means the log
+    /// rollout starts at `k·span` on the shared timeline, where its
+    /// requests arrive and its verdict must land before `(k+1)·span`.
+    /// The window's late events (completions, drift updates) can land
+    /// after `(k+1)·span`, among the next window's. Zero means the log
     /// contains no rollout (plain `fleet_sweep` arms), which disables
     /// the rollout temporal specs.
     #[serde(default)]
