@@ -8,7 +8,9 @@
 //! One more line digests the 512-device, 3000-request seed-42 world the
 //! `fleet-replay` benchmark replays (fault storms, pool fallbacks and
 //! breaker churn): its recorded arm pair plus both candidates' rollout
-//! reports and master logs, concatenated.
+//! reports and master logs, concatenated. The last line digests the
+//! four rollout reports alone (both candidates in both worlds), so a
+//! change to how the logs are laid out cannot move a verdict unseen.
 //! A host-speed change must leave every line in place. Regenerate (only
 //! for an intended, reviewed change of the serialized form) with
 //! `UPDATE_GOLDEN=1 cargo test -p hetero-fleet --test json_golden`.
@@ -27,17 +29,20 @@ fn candidates(profiles: usize) -> [PolicyRevision; 2] {
 }
 
 /// The recorded arm pair, then each candidate's rollout report and
-/// master log, as one compact JSON text.
-fn replay_world_json(sim: &FleetSim) -> serde_json::Result<String> {
+/// master log, as one compact JSON text; and the reports alone.
+fn replay_world_json(sim: &FleetSim) -> serde_json::Result<(String, String)> {
     let (_, pair) = sim.compare_events();
     let mut text = serde_json::to_string(&pair)?;
+    let mut reports = String::new();
     let ctl = RolloutController::new(sim, RolloutConfig::standard());
     for candidate in candidates(sim.profiles().len()) {
         let (report, log) = ctl.run(&candidate);
-        text.push_str(&serde_json::to_string(&report)?);
+        let report = serde_json::to_string(&report)?;
+        text.push_str(&report);
         text.push_str(&serde_json::to_string(&log)?);
+        reports.push_str(&report);
     }
-    Ok(text)
+    Ok((text, reports))
 }
 
 /// 64-bit FNV-1a.
@@ -52,12 +57,19 @@ fn seeded_fleet_json_is_golden() {
     let sim = FleetSim::new(FleetConfig::standard(42, 64, 480));
     let (cmp, pair) = sim.compare_events();
     let ctl = RolloutController::new(&sim, RolloutConfig::standard());
-    let runs = candidates(sim.profiles().len())
+    let (reports, runs): (Vec<_>, Vec<_>) = candidates(sim.profiles().len())
         .iter()
-        .map(|candidate| ctl.run(candidate).1)
-        .collect();
+        .map(|candidate| ctl.run(candidate))
+        .unzip();
     let set = RolloutLogSet { runs };
-    let replay_world = FleetSim::new(FleetConfig::standard(42, 512, 3000));
+    let (replay_world, replay_reports) =
+        replay_world_json(&FleetSim::new(FleetConfig::standard(42, 512, 3000)))
+            .expect("fleet artifacts serialize");
+    let mut all_reports = String::new();
+    for report in &reports {
+        all_reports.push_str(&serde_json::to_string(report).expect("reports serialize"));
+    }
+    all_reports.push_str(&replay_reports);
 
     let artifacts = [
         ("pair.compact", serde_json::to_string(&pair)),
@@ -67,7 +79,8 @@ fn seeded_fleet_json_is_golden() {
             serde_json::to_string_pretty(&cmp.robust),
         ),
         ("naive_arm.pretty", serde_json::to_string_pretty(&cmp.naive)),
-        ("replay_world_512.compact", replay_world_json(&replay_world)),
+        ("replay_world_512.compact", Ok(replay_world)),
+        ("rollout_reports.compact", Ok(all_reports)),
     ];
     let mut lines = String::new();
     for (name, json) in artifacts {
