@@ -42,11 +42,12 @@
 //!   then sweep the past-time-LTL spec library over fleet event logs —
 //!   `FILE` (JSON written by `fleet_sweep --events-out` or
 //!   `rollout_sweep --events-out`), `-` for the same JSON on stdin, or
-//!   a fresh seeded in-process run. Naive-arm findings are expected
-//!   evidence; CI greps for them.
+//!   a fresh seeded in-process run. A log whose `windows` header does
+//!   not describe its events is refused. Naive-arm findings are
+//!   expected evidence; CI greps for them.
 //!
 //! Exit status: 0 when no deny-level finding, 1 otherwise, 2 on usage
-//! errors. CI gates on this.
+//! errors and unreadable or malformed input. CI gates on this.
 
 use std::process::ExitCode;
 
@@ -345,7 +346,9 @@ fn main() -> ExitCode {
                             }
                         }
                     };
-                    if let Ok(pair) = serde_json::from_str::<hetero_fleet::FleetLogPair>(&text) {
+                    let logs = if let Ok(pair) =
+                        serde_json::from_str::<hetero_fleet::FleetLogPair>(&text)
+                    {
                         vec![pair.robust, pair.naive]
                     } else {
                         match serde_json::from_str::<hetero_fleet::RolloutLogSet>(&text) {
@@ -358,7 +361,14 @@ fn main() -> ExitCode {
                                 return ExitCode::from(2);
                             }
                         }
+                    };
+                    for (i, log) in logs.iter().enumerate() {
+                        if let Err(e) = log.check_windows() {
+                            eprintln!("malformed windows in {path}, log {i} ({}): {e}", log.policy);
+                            return ExitCode::from(2);
+                        }
                     }
+                    logs
                 }
                 None => {
                     let sim = FleetSim::new(FleetConfig::standard(42, 64, 600));

@@ -17,14 +17,21 @@
 //! | `OnceWithin(φ, d)` | `φ` held at some `j ≤ i` with `t_i − t_j ≤ d` ns |
 //! | `CountLe{φ, ρ, k, χ, c}` | `#φ ≤ k·#χ + c`, both counted since the last `ρ` |
 //!
-//! Specs are *sliced*: per-device, per-request, or global monitor
+//! Specs are *sliced*: per-device, per-request, or per-window monitor
 //! instances are spun up lazily per slice key, so one sweep certifies
 //! every device's breaker discipline and every request's deadline at
-//! once. An instance is only its state (the previous node values, one
-//! clock per `OnceWithin`, one tally per `CountLe`), kept in flat
-//! per-spec arrays. A global spec's one instance has a fixed slot; the
+//! once. A rollout log is a sequence of windows (`windows` in the
+//! header), each a replay of the same world on its own clock, so a
+//! serving spec's slice key is `(window, id)`: every window starts
+//! from fresh per-device, per-request and global state. The rollout
+//! specs alone run once across all windows in order. An instance is
+//! only its state (the previous node values, one clock per
+//! `OnceWithin`, one tally per `CountLe`), kept in flat per-spec
+//! arrays. A global spec's current instance has a fixed slot; the
 //! sliced ones are found through std's keyed hash map, because slice
-//! keys come from the log, which may be untrusted.
+//! keys come from the log, which may be untrusted. Keys carry their
+//! window, so the sweep never clears a map: a log of many small
+//! windows stays linear in its events.
 //!
 //! Each spec declares once which events it reads: a set of
 //! [`EventKind`]s and, where its atoms test fields, the guard that an
@@ -32,12 +39,15 @@
 //! sweep dispatches every event by its kind to the specs that read
 //! that kind and hands the atoms over as a bitmask.
 //!
-//! The verdict is that of the log in canonical content order, so it
-//! is identical under any per-device interleaved merge of the same
-//! events (a proptest pins this). Every producer writes its logs in
-//! that order, so a log that passes the linear order check is swept in
-//! place; any other (a shuffled or hand-edited input) is sorted in a
-//! copy first.
+//! The verdict is that of the log in canonical content order within
+//! each window, so it is identical under any per-device interleaved
+//! merge of the same events (a proptest pins this). Every producer
+//! writes its logs in that order, so a log that passes the linear
+//! order check is swept in place; any other (a shuffled or hand-edited
+//! input) is sorted in a copy first. A malformed `windows` header is
+//! read leniently ([`FleetEventLog::window_ranges`]); the `analyze`
+//! CLI rejects one before it gets here
+//! ([`FleetEventLog::check_windows`]).
 //!
 //! The spec library (severities in [`crate::rules`]):
 //!
@@ -60,16 +70,16 @@
 //!   inside a fault window requires a contract-fresh census or a shed
 //!   since the window opened (no admitting batch blind mid-storm).
 //!
-//! Rollout logs (`rollout_window_ns > 0` in the header) additionally
-//! arm three staged-rollout specs:
+//! Rollout logs (a non-empty `windows` header) additionally arm three
+//! staged-rollout specs, each one instance across all windows:
 //!
 //! - [`rules::PROMOTION_LEGALITY`] — deny: every `Promote` verdict
 //!   immediately follows a cleanly completed stage — no verdict since
 //!   that stage opened.
 //! - [`rules::ROLLBACK_COMPLETENESS`] — deny: every baseline-revert
 //!   `ProfileUpdate` follows a `Rollback` with no newer stage between
-//!   them, and every `Rollback` lands within the stage window of a
-//!   `RolloutStage` event.
+//!   them, and every `Rollback` lies in the window its `RolloutStage`
+//!   opened.
 //! - [`rules::BLAST_RADIUS`] — deny: one instance per stage
 //!   percentage; inside stage `k`, canary-apply profile updates stay
 //!   within the stage's cohort bound `⌈devices × pct / 100⌉`.
@@ -93,6 +103,10 @@ pub const STORM_AMPLIFICATION_SLACK: u64 = 16;
 
 /// Atoms one formula can read: they travel as the bits of a `u64`.
 const MAX_ATOMS: usize = u64::BITS as usize;
+
+/// The atom the sweep sets for a [`Slice::Log`] spec on the first
+/// event it reads in a window; the specs' own atoms sit below it.
+const WINDOW_OPEN: u32 = MAX_ATOMS as u32 - 1;
 
 /// A past-time LTL formula over indexed boolean atoms.
 #[derive(Debug, Clone)]
@@ -418,11 +432,14 @@ fn bit(i: u32, holds: bool) -> u64 {
 /// How a spec's monitor instances are keyed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slice {
-    /// One instance for the whole log.
-    Global,
-    /// One instance per device id.
+    /// One instance across every window, which also reads atom
+    /// [`WINDOW_OPEN`].
+    Log,
+    /// One instance per window.
+    Window,
+    /// One instance per (window, device id).
     PerDevice,
-    /// One instance per request id.
+    /// One instance per (window, request id).
     PerRequest,
 }
 
@@ -515,7 +532,7 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
         specs.push(Spec {
             rule: rules::SHED_INVERSION,
             instance: guarded.name(),
-            slice: Slice::Global,
+            slice: Slice::Window,
             kinds: &[K::CensusRefresh, K::Shed, K::Dispatch],
             guarded: true,
             atoms: Box::new(move |e| match *e {
@@ -542,7 +559,7 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
     specs.push(Spec {
         rule: rules::CENSUS_STALENESS,
         instance: "",
-        slice: Slice::Global,
+        slice: Slice::Window,
         kinds: &[K::Dispatch, K::CensusRefresh],
         guarded: false,
         atoms: Box::new(|e| match e {
@@ -562,7 +579,7 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
     specs.push(Spec {
         rule: rules::STORM_AMPLIFICATION,
         instance: "",
-        slice: Slice::Global,
+        slice: Slice::Window,
         kinds: &[K::FaultOpen, K::FaultClose, K::Offered, K::Dispatch],
         guarded: true,
         atoms: Box::new(|e| match *e {
@@ -593,7 +610,7 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
     specs.push(Spec {
         rule: rules::BROWNOUT_UNSHED,
         instance: "",
-        slice: Slice::Global,
+        slice: Slice::Window,
         kinds: &[
             K::FaultOpen,
             K::FaultClose,
@@ -623,12 +640,10 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
         ),
     });
 
-    // The staged-rollout specs only arm on rollout logs (the master
-    // timeline `RolloutController::run` emits); plain `fleet_sweep`
-    // arms carry `rollout_window_ns = 0` and skip them.
-    if log.rollout_window_ns > 0 {
-        let window = log.rollout_window_ns;
-
+    // The staged-rollout specs only arm on rollout logs (the windowed
+    // logs `RolloutController::run` emits); plain `fleet_sweep` arms
+    // carry no windows and skip them.
+    if !log.windows.is_empty() {
         // promotion-legality: global, over stage/verdict events only,
         //   promote → Y((¬promote ∧ ¬rollback) S stage):
         // the stage the verdict covers completed with no verdict since
@@ -637,7 +652,7 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
         specs.push(Spec {
             rule: rules::PROMOTION_LEGALITY,
             instance: "",
-            slice: Slice::Global,
+            slice: Slice::Log,
             kinds: &[K::RolloutStage, K::Promote, K::Rollback],
             guarded: false,
             atoms: Box::new(|e| match e {
@@ -658,17 +673,17 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
                 .into(),
         });
 
-        // rollback-completeness: global, over stages, Rollback verdicts
-        // and baseline reverts,
+        // rollback-completeness: across windows, over stages, Rollback
+        // verdicts and baseline reverts,
         //   (revert → (¬stage) S rollback) ∧
-        //   (rollback → OnceWithin(stage, window)):
+        //   (rollback → (¬window_open) S stage):
         // every baseline revert traces back to a Rollback verdict with
-        // no newer stage in between, and the verdict itself lands
-        // inside its stage window.
+        // no newer stage in between, and the verdict itself lies in
+        // the window its stage opened.
         specs.push(Spec {
             rule: rules::ROLLBACK_COMPLETENESS,
             instance: "",
-            slice: Slice::Global,
+            slice: Slice::Log,
             kinds: &[K::RolloutStage, K::Rollback, K::ProfileUpdate],
             guarded: true,
             atoms: Box::new(|e| match *e {
@@ -679,11 +694,12 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
             }),
             formula: Ltl::atom(0)
                 .implies(Ltl::atom(1).not().since(Ltl::atom(2)))
-                .and(Ltl::atom(2).implies(Ltl::atom(1).once_within(window))),
-            describe: format!(
-                "baseline revert without a governing Rollback verdict, or a Rollback more than \
-                 the {window} ns stage window after its stage opened"
-            ),
+                .and(
+                    Ltl::atom(2).implies(Ltl::atom(WINDOW_OPEN as usize).not().since(Ltl::atom(1))),
+                ),
+            describe: "baseline revert without a governing Rollback verdict, or a Rollback \
+                       outside the window its stage opened"
+                .into(),
         });
 
         // blast-radius: one instance per stage percentage, over stages
@@ -695,7 +711,7 @@ fn build_specs(log: &FleetEventLog) -> Vec<Spec> {
             specs.push(Spec {
                 rule: rules::BLAST_RADIUS,
                 instance: stage_instance(pct),
-                slice: Slice::Global,
+                slice: Slice::Log,
                 kinds: &[K::RolloutStage, K::ProfileUpdate],
                 guarded: true,
                 atoms: Box::new(move |e| match *e {
@@ -751,29 +767,47 @@ pub struct MonitorVerdict {
     pub violations: u64,
 }
 
-fn slice_key(e: &FleetEvent, slice: Slice) -> Option<u64> {
+/// The instance key of `e` in window `w` under `slice`, if the event
+/// has one.
+fn slice_key(e: &FleetEvent, slice: Slice, w: u64) -> Option<(u64, u64)> {
     match slice {
-        Slice::Global => Some(0),
-        Slice::PerDevice => e.device(),
-        Slice::PerRequest => e.req(),
+        Slice::Log => Some((0, 0)),
+        Slice::Window => Some((w, 0)),
+        Slice::PerDevice => e.device().map(|d| (w, d)),
+        Slice::PerRequest => e.req().map(|r| (w, r)),
     }
 }
 
-fn slice_desc(e: &FleetEvent, slice: Slice) -> String {
-    match slice {
-        Slice::Global => String::new(),
-        Slice::PerDevice => format!(" (device {})", e.device().unwrap_or(0)),
-        Slice::PerRequest => format!(" (request {})", e.req().unwrap_or(0)),
+/// Where a violation happened: the slice's id, and the window when the
+/// log has windows.
+fn slice_desc(e: &FleetEvent, slice: Slice, window: Option<u64>) -> String {
+    let id = match slice {
+        Slice::Log | Slice::Window => None,
+        Slice::PerDevice => Some(format!("device {}", e.device().unwrap_or(0))),
+        Slice::PerRequest => Some(format!("request {}", e.req().unwrap_or(0))),
+    };
+    let parts: Vec<String> = id
+        .into_iter()
+        .chain(window.map(|w| format!("window {w}")))
+        .collect();
+    if parts.is_empty() {
+        String::new()
+    } else {
+        format!(" ({})", parts.join(", "))
     }
 }
 
 /// One spec's compiled program, its instances and its tally.
 struct Pool {
     program: Program,
-    /// Instance per slice key of a sliced spec (a global spec's one
-    /// instance is instance 0). Keyed SipHash, because the keys come
-    /// from the log.
-    by_key: HashMap<u64, usize>,
+    /// Instance per slice key of a per-device or per-request spec.
+    /// Keyed SipHash, because the keys come from the log.
+    by_key: HashMap<(u64, u64), usize>,
+    /// The key and instance of a [`Slice::Log`] or [`Slice::Window`]
+    /// spec's current instance.
+    fixed: Option<((u64, u64), usize)>,
+    /// The window of the last event the spec read.
+    window: Option<u64>,
     states: States,
     violations: u64,
     first: Option<(u64, String)>,
@@ -784,23 +818,37 @@ impl Pool {
         Self {
             program: Program::compile(&spec.formula),
             by_key: HashMap::new(),
+            fixed: None,
+            window: None,
             states: States::default(),
             violations: 0,
             first: None,
         }
     }
 
-    /// The instance for `key`, spun up on first use.
-    fn instance(&mut self, slice: Slice, key: u64) -> usize {
+    /// The instance for `key`, spun up on first use. Windows are swept
+    /// in order, so a fixed-slot spec never returns to an old key.
+    fn instance(&mut self, slice: Slice, key: (u64, u64)) -> usize {
         let (states, program) = (&mut self.states, &self.program);
         match slice {
-            Slice::Global if states.len() > 0 => 0,
-            Slice::Global => states.add(program),
+            Slice::Log | Slice::Window => match self.fixed {
+                Some((fixed, k)) if fixed == key => k,
+                _ => {
+                    let k = states.add(program);
+                    self.fixed = Some((key, k));
+                    k
+                }
+            },
             Slice::PerDevice | Slice::PerRequest => *self
                 .by_key
                 .entry(key)
                 .or_insert_with(|| states.add(program)),
         }
+    }
+
+    /// Whether window `w` is new to the spec; records it as seen.
+    fn opens(&mut self, w: u64) -> bool {
+        self.window.replace(w) != Some(w)
     }
 
     fn outcome(self) -> SpecOutcome {
@@ -812,16 +860,17 @@ impl Pool {
     }
 }
 
-/// Sweep `log` in canonical order against `specs`; one outcome per
-/// spec.
+/// Sweep `log` in canonical order against `specs`, window by window;
+/// one outcome per spec.
 fn sweep(log: &FleetEventLog, specs: &[Spec]) -> Vec<SpecOutcome> {
     let events: Cow<'_, [FleetEvent]> = if log.is_normalized() {
         Cow::Borrowed(&log.events)
     } else {
-        let mut sorted = log.events.clone();
-        sorted.sort_by(FleetEvent::canonical_cmp);
-        Cow::Owned(sorted)
+        let mut sorted = log.clone();
+        sorted.normalize();
+        Cow::Owned(sorted.events)
     };
+    let windowed = !log.windows.is_empty();
     let mut pools: Vec<Pool> = specs.iter().map(Pool::new).collect();
     // The specs that read each kind, in spec order.
     let mut readers: [Vec<usize>; EventKind::COUNT] = Default::default();
@@ -831,23 +880,30 @@ fn sweep(log: &FleetEventLog, specs: &[Spec]) -> Vec<SpecOutcome> {
         }
     }
 
-    for ev in events.iter() {
-        let t_ns = ev.at().as_nanos();
-        for &si in &readers[ev.event_kind() as usize] {
-            let spec = &specs[si];
-            let atoms = (spec.atoms)(ev);
-            if spec.guarded && atoms == 0 {
-                continue;
-            }
-            let Some(key) = slice_key(ev, spec.slice) else {
-                continue;
-            };
-            let pool = &mut pools[si];
-            let k = pool.instance(spec.slice, key);
-            if !pool.program.step(&mut pool.states, k, atoms, t_ns) {
-                pool.violations += 1;
-                if pool.first.is_none() {
-                    pool.first = Some((t_ns, slice_desc(ev, spec.slice)));
+    for (w, range) in log.window_ranges().enumerate() {
+        let w = w as u64;
+        for ev in &events[range] {
+            let t_ns = ev.at().as_nanos();
+            for &si in &readers[ev.event_kind() as usize] {
+                let spec = &specs[si];
+                let mut atoms = (spec.atoms)(ev);
+                if spec.guarded && atoms == 0 {
+                    continue;
+                }
+                let Some(key) = slice_key(ev, spec.slice, w) else {
+                    continue;
+                };
+                let pool = &mut pools[si];
+                if spec.slice == Slice::Log {
+                    atoms |= bit(WINDOW_OPEN, pool.opens(w));
+                }
+                let k = pool.instance(spec.slice, key);
+                if !pool.program.step(&mut pool.states, k, atoms, t_ns) {
+                    pool.violations += 1;
+                    if pool.first.is_none() {
+                        let window = windowed.then_some(w);
+                        pool.first = Some((t_ns, slice_desc(ev, spec.slice, window)));
+                    }
                 }
             }
         }
@@ -857,8 +913,9 @@ fn sweep(log: &FleetEventLog, specs: &[Spec]) -> Vec<SpecOutcome> {
 
 /// Sweep `log` once against the whole spec library and report one
 /// diagnostic per violated spec instance. The verdict is that of the
-/// log in canonical content order, so it does not depend on how
-/// per-device streams were interleaved.
+/// log in canonical content order within each window, so it does not
+/// depend on how per-device streams were interleaved. It never panics:
+/// a malformed `windows` header is read leniently.
 pub fn monitor_fleet_log(log: &FleetEventLog) -> MonitorVerdict {
     let specs = build_specs(log);
     let outcomes = sweep(log, &specs);
@@ -1040,14 +1097,15 @@ mod tests {
             slo_ttft_ns: 1_000_000,
             deadline_ns: 4_000_000,
             census_interval_ns: 50_000_000,
-            rollout_window_ns: 0,
+            windows: Vec::new(),
             events,
         }
     }
 
+    /// A one-window rollout log.
     fn rollout_log(events: Vec<FleetEvent>) -> FleetEventLog {
         let mut log = tiny_log(events);
-        log.rollout_window_ns = 10_000_000_000;
+        log.windows = vec![0];
         log
     }
 
@@ -1241,6 +1299,81 @@ mod tests {
     }
 
     #[test]
+    fn a_rollback_outside_its_stage_window_trips_rollback_completeness() {
+        let rollback = FleetEvent::Rollback {
+            at: SimTime::from_millis(150),
+            stage: 1,
+        };
+        let mut log = rollout_log(vec![
+            stage(0, 1, 1, 1),
+            profile(0, 0, ProfileCause::CanaryApply),
+            rollback,
+        ]);
+        assert!(monitor_fleet_log(&log).findings.is_empty());
+        // The same verdict one window later, on that window's clock.
+        log.windows = vec![0, 2];
+        let verdict = monitor_fleet_log(&log);
+        assert_eq!(verdict.findings.len(), 1, "{:?}", verdict.findings);
+        assert_eq!(verdict.findings[0].rule_id, rules::ROLLBACK_COMPLETENESS);
+        assert!(verdict.findings[0].message.ends_with("(window 1)"));
+    }
+
+    #[test]
+    fn each_window_starts_every_breaker_from_fresh_state() {
+        let t = SimTime::from_millis;
+        let breaker = |at, from, to, cause| FleetEvent::Breaker {
+            at: t(at),
+            device: 3,
+            from,
+            to,
+            cause,
+        };
+        // Window 0 leaves device 3 half-open; window 1 re-closes it on
+        // its own clock, with no half-open entry of its own.
+        let mut log = tiny_log(vec![
+            breaker(
+                5,
+                BreakerState::Open,
+                BreakerState::HalfOpen,
+                BreakerCause::CooldownElapsed,
+            ),
+            breaker(
+                1,
+                BreakerState::HalfOpen,
+                BreakerState::Closed,
+                BreakerCause::ProbeSuccess,
+            ),
+        ]);
+        log.windows = vec![0, 1];
+        let verdict = monitor_fleet_log(&log);
+        assert_eq!(verdict.instances, 2);
+        assert_eq!(verdict.findings.len(), 1, "{:?}", verdict.findings);
+        assert_eq!(verdict.findings[0].rule_id, rules::BREAKER_SKIP_PROBE);
+        assert!(verdict.findings[0]
+            .message
+            .ends_with("first at t=1000000 ns (device 3, window 1)"));
+    }
+
+    #[test]
+    fn malformed_windows_sweep_without_panicking() {
+        let lost = |req| FleetEvent::Lost {
+            at: SimTime::from_millis(1),
+            req,
+        };
+        for windows in [
+            vec![7],
+            vec![0, 0, 0],
+            vec![0, 9, 1],
+            vec![0, u64::MAX],
+            vec![u64::MAX, 1, 2],
+        ] {
+            let mut log = tiny_log(vec![lost(0), lost(1), lost(2)]);
+            log.windows = windows;
+            assert_eq!(monitor_fleet_log(&log).events, 3);
+        }
+    }
+
+    #[test]
     fn synthetic_cohort_overflow_trips_blast_radius() {
         // tiny_log has devices = 2, so the 1% stage allows
         // ⌈2·1/100⌉ = 1 canary apply; a second one overflows.
@@ -1270,7 +1403,7 @@ mod tests {
     }
 
     /// Seeded logs to corrupt: both arms of a 32-device world and the
-    /// regressing candidate's rollout master log.
+    /// regressing candidate's two-window rollout log.
     fn seed_logs() -> &'static [FleetEventLog] {
         static LOGS: OnceLock<Vec<FleetEventLog>> = OnceLock::new();
         LOGS.get_or_init(|| {
@@ -1282,9 +1415,9 @@ mod tests {
         })
     }
 
-    /// One seeded corruption of `events`: `op` picks what, `a` and `b`
+    /// One seeded corruption of `log`: `op` picks what, `a` and `b`
     /// pick where and how.
-    fn mutate(events: &mut Vec<FleetEvent>, op: u8, a: u64, b: u64) {
+    fn mutate(log: &mut FleetEventLog, op: u8, a: u64, b: u64) {
         const PRIORITIES: [Priority; 3] =
             [Priority::Interactive, Priority::Standard, Priority::Batch];
         const STATES: [BreakerState; 3] = [
@@ -1304,6 +1437,22 @@ mod tests {
             ProfileCause::CanaryApply,
             ProfileCause::Rollback,
         ];
+        if op == 6 {
+            // Move, drop or add a window boundary, in range or not.
+            let w = &mut log.windows;
+            match (a % 3, w.is_empty()) {
+                (0, false) => {
+                    let i = (b % w.len() as u64) as usize;
+                    w[i] = a >> 2;
+                }
+                (1, false) => {
+                    w.remove((b % w.len() as u64) as usize);
+                }
+                _ => w.push(b % (log.events.len() as u64 + 2)),
+            }
+            return;
+        }
+        let events = &mut log.events;
         if events.is_empty() {
             return;
         }
@@ -1356,37 +1505,53 @@ mod tests {
         }
     }
 
-    /// The sweep's bookkeeping by brute force: per spec, the events it
-    /// reads, grouped by slice key, each group through a fresh public
-    /// [`LtlMonitor`].
+    /// The sweep's bookkeeping by brute force: each window sorted by
+    /// the sort key on its own, then per spec the events it reads,
+    /// grouped by slice key, each group through a fresh public
+    /// [`LtlMonitor`]; a [`Slice::Log`] group sets [`WINDOW_OPEN`] on
+    /// its first event of each window.
     fn oracle(log: &FleetEventLog, specs: &[Spec]) -> Vec<SpecOutcome> {
-        let mut events = log.events.clone();
-        events.sort_by_key(FleetEvent::sort_key);
+        let mut events: Vec<(u64, FleetEvent)> = Vec::new();
+        for (w, range) in log.window_ranges().enumerate() {
+            let mut window = log.events[range].to_vec();
+            window.sort_by_key(FleetEvent::sort_key);
+            events.extend(window.into_iter().map(|ev| (w as u64, ev)));
+        }
+        let windowed = !log.windows.is_empty();
         specs
             .iter()
             .map(|spec| {
-                let mut groups: BTreeMap<u64, Vec<(usize, &FleetEvent)>> = BTreeMap::new();
-                for (pos, ev) in events.iter().enumerate() {
+                // Positions in `events`, per slice key.
+                let mut groups: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
+                for (pos, (w, ev)) in events.iter().enumerate() {
                     let atoms = (spec.atoms)(ev);
                     if !spec.kinds.contains(&ev.event_kind()) || (spec.guarded && atoms == 0) {
                         continue;
                     }
-                    if let Some(key) = slice_key(ev, spec.slice) {
-                        groups.entry(key).or_default().push((pos, ev));
+                    if let Some(key) = slice_key(ev, spec.slice, *w) {
+                        groups.entry(key).or_default().push(pos);
                     }
                 }
                 let mut violations = 0;
                 let mut first: Option<(usize, u64, String)> = None;
                 for group in groups.values() {
                     let mut monitor = LtlMonitor::new(&spec.formula);
-                    for &(pos, ev) in group {
-                        let atoms = (spec.atoms)(ev);
-                        let atoms: Vec<bool> = (0..64).map(|i| atoms >> i & 1 == 1).collect();
+                    let mut last_window = None;
+                    for &pos in group {
+                        let (w, ev) = &events[pos];
+                        let w = *w;
+                        let mut atoms: Vec<bool> =
+                            (0..64).map(|i| (spec.atoms)(ev) >> i & 1 == 1).collect();
+                        if spec.slice == Slice::Log {
+                            atoms[WINDOW_OPEN as usize] = last_window != Some(w);
+                        }
+                        last_window = Some(w);
                         let t = ev.at().as_nanos();
                         if !monitor.step(&atoms, t) {
                             violations += 1;
                             if first.as_ref().is_none_or(|f| pos < f.0) {
-                                first = Some((pos, t, slice_desc(ev, spec.slice)));
+                                let window = windowed.then_some(w);
+                                first = Some((pos, t, slice_desc(ev, spec.slice, window)));
                             }
                         }
                     }
@@ -1405,17 +1570,17 @@ mod tests {
 
         /// Per spec, the sweep counts the same instances and
         /// violations and reports the same first violation as the
-        /// brute-force oracle, on seeded corruptions of real logs,
-        /// shuffled or left in order.
+        /// brute-force oracle, on seeded corruptions of real logs and
+        /// of their `windows` headers, shuffled or left in order.
         #[test]
         fn sweep_matches_the_per_slice_oracle(
             which in 0usize..3,
-            ops in proptest::collection::vec((0u8..6, 0u64..u64::MAX, 0u64..u64::MAX), 0..12),
+            ops in proptest::collection::vec((0u8..7, 0u64..u64::MAX, 0u64..u64::MAX), 0..12),
             shuffle in 0u64..u64::MAX,
         ) {
             let mut log = seed_logs()[which].clone();
             for &(op, a, b) in &ops {
-                mutate(&mut log.events, op, a, b);
+                mutate(&mut log, op, a, b);
             }
             // Odd draws shuffle (xorshift Fisher–Yates); even ones keep
             // the order, so the in-place path runs too.

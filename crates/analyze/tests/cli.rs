@@ -96,3 +96,92 @@ fn deeply_nested_json_is_a_typed_error_not_a_stack_overflow() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert_eq!(report_json(&out)["findings"][0]["rule_id"], "trace-format");
 }
+
+/// `analyze monitor -` on `stdin`: its exit code and stderr.
+fn monitor_stdin(stdin: &str) -> (Option<i32>, String) {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_analyze"))
+        .args(["monitor", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run analyze binary");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(stdin.as_bytes())
+        .expect("write stdin");
+    let out = child.wait_with_output().expect("analyze exits");
+    (
+        out.status.code(),
+        String::from_utf8(out.stderr).expect("utf-8 stderr"),
+    )
+}
+
+#[test]
+fn malformed_rollout_windows_are_typed_errors() {
+    use hetero_fleet::{FleetEvent, FleetEventLog, RolloutLogSet, EVENT_LOG_VERSION};
+    use hetero_soc::SimTime;
+
+    let at = SimTime::from_millis(1);
+    let log = |windows: Vec<u64>| FleetEventLog {
+        version: EVENT_LOG_VERSION,
+        seed: 1,
+        policy: "rollout-test".into(),
+        devices: 2,
+        requests: 1,
+        slo_ttft_ns: 1_000_000,
+        deadline_ns: 4_000_000,
+        census_interval_ns: 50_000_000,
+        windows,
+        events: vec![
+            FleetEvent::Lost { at, req: 0 },
+            FleetEvent::RolloutStage {
+                at,
+                stage: 1,
+                pct: 1,
+                canary: 1,
+            },
+            FleetEvent::Promote { at, stage: 1 },
+        ],
+    };
+    let text = |windows| {
+        serde_json::to_string(&RolloutLogSet {
+            runs: vec![log(windows)],
+        })
+        .expect("log set serializes")
+    };
+
+    let (code, stderr) = monitor_stdin(&text(vec![0, 1]));
+    assert_eq!(code, Some(0), "{stderr}");
+
+    for (windows, message) in [
+        (vec![1], "windows[0] is 1, not 0"),
+        (
+            vec![0, 2, 1],
+            "windows[2] = 1 does not exceed windows[1] = 2",
+        ),
+        (
+            vec![0, 1, 1],
+            "windows[2] = 1 does not exceed windows[1] = 1",
+        ),
+        (vec![0, 3], "windows[1] = 3 is not below the log's 3 events"),
+        (
+            Vec::new(),
+            "events[1] is a `rollout-stage` rollout event, but the log has no windows",
+        ),
+    ] {
+        let (code, stderr) = monitor_stdin(&text(windows));
+        assert_eq!(code, Some(2), "{message}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(
+            stderr.starts_with("malformed windows in -, log 0 (rollout-test): "),
+            "{stderr}"
+        );
+        assert!(stderr.trim_end().ends_with(message), "{stderr}");
+    }
+}

@@ -21,7 +21,7 @@ fn robust_log() -> FleetEventLog {
     sim.run_events(RouterPolicy::Robust).1
 }
 
-/// One seeded rollout master log per candidate kind, cached: the
+/// One seeded windowed rollout log per candidate kind, cached: the
 /// regressing NPU-inversion candidate (rolls back at 1%) and the
 /// genuinely better one (promotes to 100%).
 fn rollout_log(mult_ppm: u64) -> FleetEventLog {
@@ -193,7 +193,7 @@ fn rollout_arms_sweep_clean() {
     // promotion ladder — pass every spec untouched, so the mutations
     // below isolate exactly one corruption each.
     for log in [rollout_log(2_500_000), rollout_log(930_000)] {
-        assert!(log.rollout_window_ns > 0);
+        assert!(log.windows.len() >= 2);
         let verdict = monitor_fleet_log(&log);
         assert!(verdict.findings.is_empty(), "{:?}", verdict.findings);
     }
@@ -217,31 +217,33 @@ fn dropping_the_rollback_verdict_trips_rollback_completeness() {
     );
 }
 
-// Rollout mutation 2: move the good candidate's stage-2 Promote to
-// 1 ns *before* the 10% stage opens. The verdict now lands inside the
-// still-deciding 1% stage — whose own Promote already closed it — so
-// the stage it claims to close was never cleanly completed:
-// promotion-legality.
+// Rollout mutation 2: move the good candidate's stage-2 Promote out
+// of its window to the end of the window before, ahead of the 10%
+// stage it claims to close. The verdict now lands inside the 1%
+// window — whose own Promote already closed it — so the stage it
+// claims to close was never cleanly completed: promotion-legality.
 #[test]
 fn reordering_promote_before_its_stage_trips_promotion_legality() {
     let mut log = rollout_log(930_000);
-    let stage2_open = log
+    let window2 = log.windows[2] as usize;
+    assert!(matches!(
+        log.events[window2],
+        FleetEvent::RolloutStage { stage: 2, .. }
+    ));
+    let idx = log
         .events
         .iter()
-        .find_map(|e| match *e {
-            FleetEvent::RolloutStage { at, stage: 2, .. } => Some(at),
-            _ => None,
-        })
-        .expect("the good candidate reaches the 10% stage");
-    let promote2 = log
-        .events
-        .iter_mut()
-        .find_map(|e| match e {
-            FleetEvent::Promote { at, stage: 2 } => Some(at),
-            _ => None,
-        })
+        .position(|e| matches!(e, FleetEvent::Promote { stage: 2, .. }))
         .expect("the 10% stage is promoted");
-    *promote2 = stage2_open - SimTime::from_nanos(1);
+    assert!(idx > window2, "the stage-2 verdict lies in window 2");
+    let promote = log.events.remove(idx);
+    log.events.insert(window2, promote);
+    for offset in &mut log.windows[2..] {
+        if *offset as usize <= idx {
+            *offset += 1;
+        }
+    }
+    assert_eq!(log.check_windows(), Ok(()));
     assert_eq!(
         violated_rules(&log),
         BTreeSet::from([rules::PROMOTION_LEGALITY.to_string()])
@@ -251,6 +253,8 @@ fn reordering_promote_before_its_stage_trips_promotion_legality() {
 // Rollout mutation 3: inject one extra canary apply inside the 1%
 // stage. 48 devices at 1% allow ⌈48/100⌉ = 1 canary device; a second
 // CanaryApply inside the stage overflows the cohort: blast-radius.
+// The regressing candidate's log ends with the 1% window, so the
+// pushed event lands in it.
 #[test]
 fn injecting_an_extra_canary_apply_trips_blast_radius() {
     let mut log = rollout_log(2_500_000);
@@ -270,6 +274,7 @@ fn injecting_an_extra_canary_apply_trips_blast_radius() {
             _ => None,
         }))
         .expect("the 1% stage opens and applies its canary");
+    assert_eq!(log.windows.len(), 2, "the log ends with the 1% window");
     log.events.push(FleetEvent::ProfileUpdate {
         at: stage1_open + SimTime::from_nanos(1),
         device: 47,

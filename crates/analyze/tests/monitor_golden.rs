@@ -2,12 +2,12 @@
 //!
 //! One line per seeded event log: the events swept, the monitor
 //! instances spun up, the violating positions, then every finding's
-//! rule, location and message. The logs are both arms and both rollout
-//! master logs of the 64-device, 480-request seed-42 world
+//! rule, location and message. The logs are both arms and both
+//! windowed rollout logs of the 64-device, 480-request seed-42 world
 //! `json_golden` pins, and of the 512-device, 3000-request seed-42
-//! world the `fleet-replay` benchmark sweeps. A shuffled copy of every
-//! log must produce the same line, so the verdict cannot depend on the
-//! order the events arrive in.
+//! world the `fleet-replay` benchmark sweeps. A copy of every log
+//! shuffled within each window must produce the same line, so the
+//! verdict cannot depend on the order the events arrive in.
 //!
 //! A speed change to the monitor must leave every line in place.
 //! Regenerate (only for an intended, reviewed change of a spec) with
@@ -19,7 +19,7 @@ use hetero_fleet::{
 };
 
 /// Both arms' logs, then the regressing and the improving candidate's
-/// rollout master logs, named.
+/// windowed rollout logs, named.
 fn world_logs(devices: usize, requests: usize) -> Vec<(&'static str, FleetEventLog)> {
     let sim = FleetSim::new(FleetConfig::standard(42, devices, requests));
     let (_, pair) = sim.compare_events();
@@ -35,15 +35,19 @@ fn world_logs(devices: usize, requests: usize) -> Vec<(&'static str, FleetEventL
     ]
 }
 
-/// A Fisher–Yates shuffle of the events, driven by a fixed xorshift.
+/// A Fisher–Yates shuffle of each window's events, driven by a fixed
+/// xorshift; the windows keep their order.
 fn shuffled(log: &FleetEventLog) -> FleetEventLog {
     let mut out = log.clone();
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    for i in (1..out.events.len()).rev() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        out.events.swap(i, (state % (i as u64 + 1)) as usize);
+    for range in log.window_ranges() {
+        let window = &mut out.events[range];
+        for i in (1..window.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            window.swap(i, (state % (i as u64 + 1)) as usize);
+        }
     }
     out
 }

@@ -9,9 +9,13 @@
 //! - every timestamp equal (the canonical order falls back to the
 //!   full sort key on every comparison);
 //! - reversed order (the sweep must sort a copy);
+//! - the log as one window followed by every event again as a window
+//!   of its own (fresh per-window state on every event, after a window
+//!   that filled the per-slice maps: a sweep that cleared its maps per
+//!   window would pay their capacity on every one);
 //! - 16 time-shifted copies concatenated.
 //!
-//! The first three are also built from the 16-copy log. Time per
+//! The first four are also built from the 16-copy log. Time per
 //! event on the 16× log must stay within [`MAX_PER_EVENT_GROWTH`]× the
 //! time per event on the 1× log, best of [`RUNS`] timings each. This
 //! test is alone in its binary so no other test shares its cores
@@ -84,6 +88,16 @@ fn equal_timestamps(log: &FleetEventLog) -> FleetEventLog {
     out
 }
 
+/// `log` as window 0, then each of its events again as a one-event
+/// window.
+fn one_event_windows(log: &FleetEventLog) -> FleetEventLog {
+    let mut out = log.clone();
+    let len = log.events.len() as u64;
+    out.events.extend_from_slice(&log.events);
+    out.windows = std::iter::once(0).chain(len..2 * len).collect();
+    out
+}
+
 fn reversed(log: &FleetEventLog) -> FleetEventLog {
     let mut out = log.clone();
     out.events.reverse();
@@ -135,11 +149,12 @@ fn adversarial_logs_sweep_in_bounded_time_per_event() {
         .run_events(RouterPolicy::Robust)
         .1;
     let big = concatenated(&base);
-    let transforms: [(&str, Transform); 4] = [
+    let transforms: [(&str, Transform); 5] = [
         ("as recorded", FleetEventLog::clone),
         ("distinct request ids", distinct_requests),
         ("equal timestamps", equal_timestamps),
         ("reversed", reversed),
+        ("one-event windows", one_event_windows),
     ];
     for (name, transform) in transforms {
         let (small, large) = (transform(&base), transform(&big));

@@ -17,7 +17,7 @@
 //! service ratios (exact order-statistic quantiles, ppm), so slow-SoC
 //! canary cohorts are not mistaken for regressions. Every decision is
 //! re-derived from the echoed thresholds by the `analyze` evidence
-//! lint, every master event log is swept through the past-time-LTL
+//! lint, every windowed event log is swept through the past-time-LTL
 //! monitor (promotion-legality, rollback-completeness, blast-radius),
 //! and the rollout ladder automaton is exhaustively model-checked for
 //! rollback reachability — all gated in-binary.
@@ -31,7 +31,7 @@
 //! bandwidth step, default 1 — output is byte-identical for every
 //! value), `--json` (print
 //! the machine-readable report pair on stdout), `--events-out FILE`
-//! (record the master event log of both rollouts as a JSON
+//! (record the windowed event log of both rollouts as a JSON
 //! `RolloutLogSet`), `--analyze` (standard pre-experiment solver
 //! lint).
 
@@ -212,9 +212,9 @@ fn evidence_gate(report: &RolloutReport, label: &str) {
     );
 }
 
-/// Temporal gate: both master logs sweep clean through every
+/// Temporal gate: both windowed logs sweep clean through every
 /// past-time-LTL spec — including the three rollout specs armed by the
-/// log's rollout window — and the rollout ladder automaton proves
+/// log's windows — and the rollout ladder automaton proves
 /// promotion reachable and rollback reachable from every non-terminal
 /// state.
 fn monitor_gate(logs: &[(&str, &FleetEventLog)]) {
@@ -271,7 +271,7 @@ step (default 1; output is byte-identical for every value)",
             ("--json", "print the machine-readable report pair on stdout"),
             (
                 "--events-out FILE",
-                "record both rollouts' master event logs as a JSON RolloutLogSet",
+                "record both rollouts' windowed event logs as a JSON RolloutLogSet",
             ),
         ],
     );

@@ -14,10 +14,17 @@
 //! any per-device interleaved merge of the same events normalizes to
 //! the same byte sequence and monitor verdicts cannot depend on merge
 //! order.
+//!
+//! A staged-rollout log is a sequence of **windows**: one replay of
+//! the same seeded world per stage, each with its own clock from
+//! t = 0. [`FleetEventLog::windows`] holds the offset in `events`
+//! where each window starts; the canonical order holds within each
+//! window, and the windows stay in replay order.
 
 use hetero_soc::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use crate::policy::{BreakerCause, BreakerState};
 use crate::workload::Priority;
@@ -25,8 +32,9 @@ use crate::workload::Priority;
 /// Schema version of [`FleetEventLog`] (bumped on any field change;
 /// the fleet golden test pins the serialized form). v2 added the four
 /// rollout events (`RolloutStage`, `ProfileUpdate`, `Promote`,
-/// `Rollback`) and the `rollout_window_ns` header field.
-pub const EVENT_LOG_VERSION: u32 = 2;
+/// `Rollback`); v3 replaced v2's rollout window span, which placed
+/// the windows on one shared timeline, with the `windows` offsets.
+pub const EVENT_LOG_VERSION: u32 = 3;
 
 /// Why a device's profile estimate or policy revision changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -304,9 +312,7 @@ impl FleetEvent {
 
     /// The same event with its timestamp shifted forward by `delta`.
     /// Durations carried in fields (`ttft`, `tpot`, `delay`) are
-    /// relative and stay put — only `at` moves. Used by the rollout
-    /// controller to place each stage's replay window on one shared
-    /// timeline.
+    /// relative and stay put — only `at` moves.
     #[must_use]
     pub fn shifted(&self, delta: SimTime) -> FleetEvent {
         let mut ev = *self;
@@ -506,37 +512,176 @@ pub struct FleetEventLog {
     /// Census contract: routing decisions must not act on a census
     /// older than this, nanoseconds.
     pub census_interval_ns: u64,
-    /// Rollout stage window span, nanoseconds: stage `k` of a staged
-    /// rollout starts at `k·span` on the shared timeline, where its
-    /// requests arrive and its verdict must land before `(k+1)·span`.
-    /// The window's late events (completions, drift updates) can land
-    /// after `(k+1)·span`, among the next window's. Zero means the log
-    /// contains no rollout (plain `fleet_sweep` arms), which disables
-    /// the rollout temporal specs.
+    /// Rollout windows: the offset in `events` where each window
+    /// starts, ascending from 0. Each window is one replay of the
+    /// seeded world with its own clock from t = 0 (window 0 the
+    /// baseline, window `k` stage `k`). Empty on a plain arm, which
+    /// disables the rollout temporal specs.
     #[serde(default)]
-    pub rollout_window_ns: u64,
+    pub windows: Vec<u64>,
     /// Canonically ordered events.
     pub events: Vec<FleetEvent>,
 }
 
+/// Why a log's `windows` header does not describe its events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowsError {
+    /// The first window does not start at offset 0.
+    FirstNotZero {
+        /// The offset found.
+        offset: u64,
+    },
+    /// An offset does not exceed the one before it.
+    NotIncreasing {
+        /// Index into `windows`.
+        index: usize,
+        /// The offset found.
+        offset: u64,
+        /// The offset before it.
+        previous: u64,
+    },
+    /// An offset is not below the number of events.
+    PastEnd {
+        /// Index into `windows`.
+        index: usize,
+        /// The offset found.
+        offset: u64,
+        /// Events in the log.
+        events: usize,
+    },
+    /// A log without windows carries a rollout event.
+    RolloutEventWithoutWindows {
+        /// Index of the event in `events`.
+        index: usize,
+        /// The event's kind name.
+        kind: &'static str,
+    },
+}
+
+impl std::fmt::Display for WindowsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            WindowsError::FirstNotZero { offset } => {
+                write!(f, "windows[0] is {offset}, not 0")
+            }
+            WindowsError::NotIncreasing {
+                index,
+                offset,
+                previous,
+            } => write!(
+                f,
+                "windows[{index}] = {offset} does not exceed windows[{}] = {previous}",
+                index - 1
+            ),
+            WindowsError::PastEnd {
+                index,
+                offset,
+                events,
+            } => write!(
+                f,
+                "windows[{index}] = {offset} is not below the log's {events} events"
+            ),
+            WindowsError::RolloutEventWithoutWindows { index, kind } => write!(
+                f,
+                "events[{index}] is a `{kind}` rollout event, but the log has no windows"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for WindowsError {}
+
+/// The event range of each window: one per offset in `windows`, or the
+/// whole log when there are none. Offsets are read leniently, clamped
+/// into the log and made non-decreasing, so any header gives ranges
+/// that tile `0..len` ([`FleetEventLog::check_windows`] names what a
+/// malformed header gets wrong).
+fn window_ranges(windows: &[u64], len: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut start = 0;
+    windows
+        .iter()
+        .skip(1)
+        .map(move |&offset| usize::try_from(offset).map_or(len, |o| o.min(len)))
+        .chain(std::iter::once(len))
+        .map(move |end| {
+            let range = start..end.max(start);
+            start = range.end;
+            range
+        })
+}
+
 impl FleetEventLog {
-    /// Sort `events` into canonical content order (stable under any
-    /// interleaved merge of the same event set).
+    /// The event range of each window, in replay order: one range per
+    /// offset in [`Self::windows`], or the whole log when it has none.
+    /// The ranges tile `0..events.len()` for any header; a malformed
+    /// one is read leniently (see [`Self::check_windows`]).
+    pub fn window_ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        window_ranges(&self.windows, self.events.len())
+    }
+
+    /// Check the `windows` header against the events: it starts at 0,
+    /// increases strictly, stays below the event count, and is present
+    /// whenever a rollout event is.
+    pub fn check_windows(&self) -> Result<(), WindowsError> {
+        if let Some(&offset) = self.windows.first() {
+            if offset != 0 {
+                return Err(WindowsError::FirstNotZero { offset });
+            }
+        } else if let Some(index) = self.events.iter().position(|e| {
+            matches!(
+                e.event_kind(),
+                EventKind::RolloutStage
+                    | EventKind::ProfileUpdate
+                    | EventKind::Promote
+                    | EventKind::Rollback
+            )
+        }) {
+            return Err(WindowsError::RolloutEventWithoutWindows {
+                index,
+                kind: self.events[index].kind(),
+            });
+        }
+        for (index, pair) in self.windows.windows(2).enumerate() {
+            if pair[1] <= pair[0] {
+                return Err(WindowsError::NotIncreasing {
+                    index: index + 1,
+                    offset: pair[1],
+                    previous: pair[0],
+                });
+            }
+        }
+        match self.windows.last() {
+            Some(&offset) if offset >= self.events.len() as u64 => Err(WindowsError::PastEnd {
+                index: self.windows.len() - 1,
+                offset,
+                events: self.events.len(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Sort each window's events into canonical content order (stable
+    /// under any interleaved merge of the same event set); the windows
+    /// keep their order.
     ///
     /// The order is exactly that of a stable sort by
     /// [`FleetEvent::sort_key`] ([`FleetEvent::canonical_cmp`]), and the
     /// sort stays stable and in place.
     pub fn normalize(&mut self) {
-        self.events.sort_by(FleetEvent::canonical_cmp);
+        for range in window_ranges(&self.windows, self.events.len()) {
+            self.events[range].sort_by(FleetEvent::canonical_cmp);
+        }
     }
 
-    /// Whether `events` is already in canonical order, checked in one
-    /// linear pass. A normalized log sorts to itself, so a reader may
-    /// use it as it is.
+    /// Whether every window is already in canonical order, checked in
+    /// one linear pass. A normalized log sorts to itself, so a reader
+    /// may use it as it is.
     pub fn is_normalized(&self) -> bool {
-        self.events
-            .windows(2)
-            .all(|w| FleetEvent::canonical_cmp(&w[0], &w[1]).is_le())
+        self.window_ranges().all(|range| {
+            self.events[range]
+                .windows(2)
+                .all(|w| FleetEvent::canonical_cmp(&w[0], &w[1]).is_le())
+        })
     }
 }
 
@@ -559,10 +704,9 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    #[test]
-    fn v1_log_without_rollout_window_loads_with_zero_window() {
-        let log = FleetEventLog {
-            version: 1,
+    fn plain_log(events: Vec<FleetEvent>) -> FleetEventLog {
+        FleetEventLog {
+            version: EVENT_LOG_VERSION,
             seed: 7,
             policy: "robust".to_string(),
             devices: 2,
@@ -570,16 +714,84 @@ mod tests {
             slo_ttft_ns: 5,
             deadline_ns: 20,
             census_interval_ns: 3,
-            rollout_window_ns: 0,
-            events: vec![FleetEvent::Lost { at: t(1), req: 0 }],
-        };
+            windows: Vec::new(),
+            events,
+        }
+    }
+
+    #[test]
+    fn log_without_windows_loads_as_a_plain_arm() {
+        let log = plain_log(vec![FleetEvent::Lost { at: t(1), req: 0 }]);
         let json = serde_json::to_string(&log).expect("log serializes");
-        let v1 = json.replace("\"rollout_window_ns\":0,", "");
+        let v1 = json.replace("\"windows\":[],", "");
         assert_ne!(v1, json);
         assert_eq!(
             serde_json::from_str::<FleetEventLog>(&v1).expect("v1 log loads"),
             log
         );
+    }
+
+    #[test]
+    fn normalize_sorts_each_window_and_keeps_their_order() {
+        let lost = |ms, req| FleetEvent::Lost { at: t(ms), req };
+        let mut log = plain_log(vec![lost(9, 0), lost(1, 1), lost(5, 2), lost(2, 3)]);
+        log.windows = vec![0, 2];
+        assert!(!log.is_normalized());
+        log.normalize();
+        assert!(log.is_normalized());
+        assert_eq!(
+            log.events,
+            vec![lost(1, 1), lost(9, 0), lost(2, 3), lost(5, 2)]
+        );
+        assert_eq!(log.window_ranges().collect::<Vec<_>>(), vec![0..2, 2..4]);
+    }
+
+    #[test]
+    fn malformed_windows_are_named_and_still_tile_the_log() {
+        let lost = |req| FleetEvent::Lost { at: t(1), req };
+        let stage = FleetEvent::Promote { at: t(1), stage: 1 };
+        let cases = [
+            (
+                vec![1, 2],
+                vec![lost(0), lost(1), lost(2)],
+                "windows[0] is 1, not 0",
+            ),
+            (
+                vec![0, 2, 2],
+                vec![lost(0), lost(1), lost(2)],
+                "windows[2] = 2 does not exceed windows[1] = 2",
+            ),
+            (
+                vec![0, 3],
+                vec![lost(0), lost(1), lost(2)],
+                "windows[1] = 3 is not below the log's 3 events",
+            ),
+            (
+                vec![0, u64::MAX, 1],
+                vec![lost(0), lost(1)],
+                "windows[2] = 1 does not exceed windows[1] = 18446744073709551615",
+            ),
+            (
+                Vec::new(),
+                vec![lost(0), stage],
+                "events[1] is a `promote` rollout event, but the log has no windows",
+            ),
+        ];
+        for (windows, events, message) in cases {
+            let mut log = plain_log(events);
+            log.windows = windows;
+            let err = log.check_windows().expect_err(message);
+            assert_eq!(err.to_string(), message);
+            let ranges: Vec<_> = log.window_ranges().collect();
+            assert_eq!(ranges.first().map(|r| r.start), Some(0), "{message}");
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+            assert_eq!(ranges.last().map(|r| r.end), Some(log.events.len()));
+            log.normalize();
+        }
+        let mut ok = plain_log(vec![lost(0), stage]);
+        ok.windows = vec![0, 1];
+        assert_eq!(ok.check_windows(), Ok(()));
+        assert_eq!(plain_log(Vec::new()).check_windows(), Ok(()));
     }
 
     #[test]

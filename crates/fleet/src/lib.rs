@@ -57,7 +57,8 @@ pub use device::{
     CALIB_PROMPT,
 };
 pub use events::{
-    EventKind, FleetEvent, FleetEventLog, FleetLogPair, ProfileCause, EVENT_LOG_VERSION,
+    EventKind, FleetEvent, FleetEventLog, FleetLogPair, ProfileCause, WindowsError,
+    EVENT_LOG_VERSION,
 };
 pub use fault::{FaultInjector, FaultPlanConfig};
 pub use policy::{

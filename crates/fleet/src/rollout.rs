@@ -5,14 +5,17 @@
 //! modeled as per-profile service multipliers) is shipped to seeded
 //! device cohorts in stages — [`ROLLOUT_STAGES`] percent of the fleet
 //! — and each stage replays the *identical* seeded workload and fault
-//! plan in its own time window of the master event log. Canary
-//! devices run the candidate; a matching share of requests is pinned
-//! to the canary pool so the canary-vs-control comparison sees the
-//! same traffic mix. After each window the controller compares the
-//! two groups on all-integer SLO deltas (attainment ppm, merged-
-//! histogram TTFT quantile ratios, with a min-sample starvation
-//! guard) and either promotes to the next stage or rolls back,
-//! reverting every canary.
+//! plan from t = 0 with fresh devices, as one window of the rollout's
+//! event log. Window 0 is the baseline (zero canaries); it reads no
+//! candidate, so a controller replays it once and every rollout it
+//! runs shares it. Canary devices run the candidate; a matching share
+//! of requests is pinned to the canary pool so the canary-vs-control
+//! comparison sees the same traffic mix. After each window the
+//! controller compares the two groups on all-integer SLO deltas
+//! (attainment ppm, exact order-statistic quantiles of the normalized
+//! service ratio, with a min-sample starvation guard) and either
+//! promotes to the next stage or rolls back, reverting every canary.
+//! Only the verdict passes from one window to the next.
 //!
 //! Every decision is a typed event in the canonical
 //! [`FleetEventLog`] — [`FleetEvent::RolloutStage`],
@@ -28,6 +31,7 @@
 //! `k` bounds exposure to the stage-`k` cohort.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use hetero_profiler::RealExecProvider;
 use hetero_soc::sync::Dominance;
@@ -434,7 +438,7 @@ pub struct StageReport {
     pub canary_attainment_ppm: u64,
     /// Control SLO attainment over completions, ppm.
     pub control_attainment_ppm: u64,
-    /// Canary median TTFT, ns (merged-histogram upper bound).
+    /// Canary median TTFT, ns (exact order statistic).
     pub canary_ttft_p50_ns: u64,
     /// Control median TTFT, ns.
     pub control_ttft_p50_ns: u64,
@@ -521,7 +525,7 @@ impl RolloutReport {
 /// `rollout_sweep --events-out` writes and `analyze monitor` reads.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RolloutLogSet {
-    /// One master log per rollout run.
+    /// One windowed log per rollout run.
     pub runs: Vec<FleetEventLog>,
 }
 
@@ -530,12 +534,19 @@ pub struct RolloutLogSet {
 pub struct RolloutController<'a> {
     sim: &'a FleetSim,
     cfg: RolloutConfig,
+    /// Window 0's fleet report and normalized events, replayed on
+    /// first use.
+    baseline: OnceLock<(ArmReport, Vec<FleetEvent>)>,
 }
 
 impl<'a> RolloutController<'a> {
     /// Controller over one materialized fleet world.
     pub fn new(sim: &'a FleetSim, cfg: RolloutConfig) -> Self {
-        Self { sim, cfg }
+        Self {
+            sim,
+            cfg,
+            baseline: OnceLock::new(),
+        }
     }
 
     /// The seeded cohort permutation: stage cohorts are prefixes, so
@@ -551,29 +562,20 @@ impl<'a> RolloutController<'a> {
         perm
     }
 
-    /// Width of one rollout window on the master timeline: the replay
-    /// horizon, the lost-penalty retry tail, and a slack second for
-    /// the decision and revert events.
-    pub fn window_span(&self) -> SimTime {
-        self.sim.horizon() + self.sim.lost_penalty() + SimTime::from_millis(1_000)
-    }
-
-    /// Run the staged rollout of `candidate`: a baseline window, then
+    /// Run the staged rollout of `candidate`: the baseline window, then
     /// one window per stage until promotion at 100% or rollback.
-    /// Returns the all-integer report and the master event log
-    /// (canonically ordered, byte-identical per seed).
+    /// Returns the all-integer report and the windowed event log
+    /// (each window canonically ordered on its own clock,
+    /// byte-identical per seed).
     pub fn run(&self, candidate: &PolicyRevision) -> (RolloutReport, FleetEventLog) {
         let sim = self.sim;
         let n = sim.config().devices;
-        let span = self.window_span();
-        let mut master = sim.event_log(format!("rollout-{}", candidate.name), span.as_nanos());
+        let mut log = sim.event_log(format!("rollout-{}", candidate.name));
         let perm = self.cohort_permutation();
 
-        // Window 0: baseline — the overlay machinery active (profiler
-        // scoring, drift re-solves) but zero canaries, so stage
-        // verdicts compare against the same serving stack.
-        let (base_report, base_events, _) = self.window(candidate, 0, &[]);
-        master.events.extend(base_events);
+        let (base_report, base_events) = self.baseline();
+        log.windows.push(0);
+        log.events.extend_from_slice(base_events);
         let baseline_attainment_ppm = base_report.attainment_ppm;
         let baseline_ttft_p99_ns = base_report.ttft_p99_ns;
         let mut lost = base_report.lost;
@@ -589,7 +591,6 @@ impl<'a> RolloutController<'a> {
         for (k, &pct) in self.cfg.stages.iter().enumerate() {
             let stage_no = k as u32 + 1;
             let cohort = (n * pct as usize).div_ceil(100).min(n);
-            let base_t = SimTime::from_nanos(span.as_nanos() * (k as u64 + 1));
             let (win_report, mut events, overlay) = self.window(candidate, pct, &perm[..cohort]);
             events.push(FleetEvent::RolloutStage {
                 at: SimTime::ZERO,
@@ -629,9 +630,9 @@ impl<'a> RolloutController<'a> {
                     });
                 }
             }
-            master
-                .events
-                .extend(events.iter().map(|e| e.shifted(base_t)));
+            events.sort_by(FleetEvent::canonical_cmp);
+            log.windows.push(log.events.len() as u64);
+            log.events.extend(events);
 
             lost += win_report.lost;
             exposed_devices = exposed_devices.max(cohort as u64);
@@ -645,7 +646,6 @@ impl<'a> RolloutController<'a> {
             }
         }
 
-        master.normalize();
         let report = RolloutReport {
             candidate: candidate.name.clone(),
             revision: candidate.revision,
@@ -668,7 +668,22 @@ impl<'a> RolloutController<'a> {
             tail_min_samples: self.cfg.tail_min_samples,
             stages,
         };
-        (report, master)
+        (report, log)
+    }
+
+    /// Window 0, the baseline: the overlay machinery active (profiler
+    /// scoring, drift re-solves) but zero canaries, so stage verdicts
+    /// compare against the same serving stack. With no canary device
+    /// and no canary request the window reads no candidate, so it is
+    /// replayed once, under the baseline revision, and shared by every
+    /// rollout this controller runs.
+    fn baseline(&self) -> &(ArmReport, Vec<FleetEvent>) {
+        self.baseline.get_or_init(|| {
+            let baseline = PolicyRevision::uniform(0, "baseline", self.sim.profiles().len(), PPM);
+            let (report, mut events, _) = self.window(&baseline, 0, &[]);
+            events.sort_by(FleetEvent::canonical_cmp);
+            (report, events)
+        })
     }
 
     /// Replay one stage window: build the overlay (canary flags,
@@ -942,7 +957,10 @@ mod tests {
                 PolicyRevision::uniform(8, "tuned-partition", profiles, 930_000),
             ] {
                 let walked = ctl.run(&candidate);
-                let scanned = crate::router::tests::with_oracle_scans(|| ctl.run(&candidate));
+                // A fresh controller, so the oracle replays window 0 too.
+                let scanned = crate::router::tests::with_oracle_scans(|| {
+                    RolloutController::new(&sim, RolloutConfig::standard()).run(&candidate)
+                });
                 assert_eq!(walked, scanned, "seed {seed}, {}", candidate.name);
             }
         }

@@ -509,7 +509,7 @@ impl FleetSim {
     /// Replay the world under one policy while recording the typed
     /// event log. The report is byte-identical to [`Self::run`].
     pub fn run_events(&self, policy: RouterPolicy) -> (ArmReport, FleetEventLog) {
-        let log = self.event_log(policy.name().to_string(), 0);
+        let log = self.event_log(policy.name().to_string());
         let (report, log) = self.replay(policy, Some(log), None);
         (report, log.expect("recording replay returns its log"))
     }
@@ -519,14 +519,14 @@ impl FleetSim {
     /// carries the canary flags, profilers, and group accounting back
     /// to the rollout controller.
     pub(crate) fn replay_stage(&self, overlay: &mut StageOverlay) -> (ArmReport, FleetEventLog) {
-        let log = self.event_log("rollout-stage".to_string(), 0);
+        let log = self.event_log("rollout-stage".to_string());
         let (report, log) = self.replay(RouterPolicy::Robust, Some(log), Some(overlay));
         (report, log.expect("recording replay returns its log"))
     }
 
-    /// An empty event log for this world, headed with `policy` and
-    /// `rollout_window_ns` (0 outside a rollout master log).
-    pub(crate) fn event_log(&self, policy: String, rollout_window_ns: u64) -> FleetEventLog {
+    /// An empty event log for this world, headed with `policy`, with
+    /// no windows.
+    pub(crate) fn event_log(&self, policy: String) -> FleetEventLog {
         FleetEventLog {
             version: EVENT_LOG_VERSION,
             seed: self.config.seed,
@@ -536,7 +536,7 @@ impl FleetSim {
             slo_ttft_ns: self.slo_ttft.as_nanos(),
             deadline_ns: self.lost_penalty.as_nanos(),
             census_interval_ns: self.config.probe_interval.as_nanos(),
-            rollout_window_ns,
+            windows: Vec::new(),
             events: Vec::new(),
         }
     }

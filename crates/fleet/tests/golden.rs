@@ -12,8 +12,8 @@ use hetero_fleet::{
 };
 use hetero_soc::SimTime;
 
-/// A tiny hand-built log with one event of every kind, in canonical
-/// order after `normalize()`.
+/// A tiny hand-built two-window log with one event of every kind, in
+/// canonical order within each window after `normalize()`.
 fn one_of_each_log() -> FleetEventLog {
     let t = SimTime::from_millis;
     let mut log = FleetEventLog {
@@ -25,29 +25,10 @@ fn one_of_each_log() -> FleetEventLog {
         slo_ttft_ns: 1_000_000_000,
         deadline_ns: 4_000_000_000,
         census_interval_ns: 50_000_000,
-        rollout_window_ns: 5_000_000_000,
+        // Window 0 holds the 12 serving events, window 1 the rollout
+        // events, on its own clock.
+        windows: vec![0, 12],
         events: vec![
-            FleetEvent::RolloutStage {
-                at: t(5000),
-                stage: 1,
-                pct: 1,
-                canary: 1,
-            },
-            FleetEvent::ProfileUpdate {
-                at: t(5000),
-                device: 1,
-                slowdown_ppm: 1_000_000,
-                revision: 1,
-                cause: ProfileCause::CanaryApply,
-            },
-            FleetEvent::Rollback {
-                at: t(9000),
-                stage: 1,
-            },
-            FleetEvent::Promote {
-                at: t(9500),
-                stage: 2,
-            },
             FleetEvent::Complete {
                 at: t(900),
                 req: 0,
@@ -115,6 +96,27 @@ fn one_of_each_log() -> FleetEventLog {
             FleetEvent::FaultClose {
                 at: t(600),
                 storm: 0,
+            },
+            FleetEvent::RolloutStage {
+                at: t(0),
+                stage: 1,
+                pct: 1,
+                canary: 1,
+            },
+            FleetEvent::ProfileUpdate {
+                at: t(0),
+                device: 1,
+                slowdown_ppm: 1_000_000,
+                revision: 1,
+                cause: ProfileCause::CanaryApply,
+            },
+            FleetEvent::Rollback {
+                at: t(4500),
+                stage: 1,
+            },
+            FleetEvent::Promote {
+                at: t(4800),
+                stage: 2,
             },
         ],
     };

@@ -20,10 +20,10 @@
 //! - Per-priority-class accounting balances under both routing arms:
 //!   `offered == served + shed + lost`, and the class penalty is
 //!   exactly the shed-weight charges plus the lost-penalty charges.
-//! - `FleetEventLog::normalize` orders events exactly like a stable
-//!   `sort_by_key(FleetEvent::sort_key)`, on shuffled logs with forced
-//!   timestamp and whole-key ties, and `is_normalized` tells that
-//!   order apart from any other.
+//! - `FleetEventLog::normalize` orders each window's events exactly
+//!   like a stable `sort_by_key(FleetEvent::sort_key)`, on shuffled
+//!   logs with forced timestamp and whole-key ties, and
+//!   `is_normalized` tells that order apart from any other.
 //! - Event logs holding every `FleetEvent` variant round-trip through
 //!   compact and pretty JSON, the typed writer and the `Value` renderer
 //!   emit the same bytes, and mutated or truncated log text is an `Ok`
@@ -33,7 +33,7 @@ use hetero_fleet::{
     calibrate_profiles_with_socs, BreakerCause, BreakerConfig, BreakerState, CircuitBreaker,
     DeviceProfile, FleetConfig, FleetEvent, FleetEventLog, FleetLogPair, FleetSim, OnlineProfiler,
     Priority, ProfileCause, RetryPolicy, RolloutLogSet, RouterPolicy, CALIB_DECODE, CALIB_PROMPT,
-    DRIFT_RESOLVE_THRESHOLD_PPM, MAX_DISPATCHES, PPM,
+    DRIFT_RESOLVE_THRESHOLD_PPM, EVENT_LOG_VERSION, MAX_DISPATCHES, PPM,
 };
 use hetero_soc::SimTime;
 use heterollm::admit::HeteroMirror;
@@ -557,17 +557,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// `normalize` compares timestamps before building the full key;
-    /// the order must be the stable `sort_by_key(sort_key)` one. Four
-    /// timestamps and three field values force ties on `at` and on
-    /// whole keys of events that differ outside the key, so stability
-    /// shows. `is_normalized` holds exactly when the log already is in
-    /// that order.
+    /// the order must be the stable `sort_by_key(sort_key)` one within
+    /// each window, the windows kept in place. Four timestamps and
+    /// three field values force ties on `at` and on whole keys of
+    /// events that differ outside the key, so stability shows.
+    /// `is_normalized` holds exactly when the log already is in that
+    /// order.
     #[test]
     fn normalize_matches_the_stable_sort_key_oracle(
         raw in proptest::collection::vec(
             (arb_event_fields(), 0u64..4, 0u64..3, 0u64..=u64::MAX),
             1..120,
         ),
+        cuts in proptest::collection::btree_set(1u64..120, 0..4),
     ) {
         let mut shuffled: Vec<(u64, FleetEvent)> = raw
             .iter()
@@ -575,10 +577,17 @@ proptest! {
             .collect();
         shuffled.sort_by_key(|&(order, _)| order);
         let events: Vec<FleetEvent> = shuffled.into_iter().map(|(_, ev)| ev).collect();
-        let mut oracle = events.clone();
-        oracle.sort_by_key(FleetEvent::sort_key);
+        let mut windows = vec![0];
+        windows.extend(cuts.into_iter().filter(|&c| c < events.len() as u64));
+        let mut oracle = Vec::new();
+        for (k, &start) in windows.iter().enumerate() {
+            let end = windows.get(k + 1).map_or(events.len(), |&e| e as usize);
+            let mut window = events[start as usize..end].to_vec();
+            window.sort_by_key(FleetEvent::sort_key);
+            oracle.extend(window);
+        }
         let mut log = FleetEventLog {
-            version: 2,
+            version: EVENT_LOG_VERSION,
             seed: 0,
             policy: "robust".to_string(),
             devices: 1,
@@ -586,9 +595,10 @@ proptest! {
             slo_ttft_ns: 1,
             deadline_ns: 1,
             census_interval_ns: 1,
-            rollout_window_ns: 0,
+            windows,
             events,
         };
+        prop_assert_eq!(log.check_windows(), Ok(()));
         prop_assert_eq!(log.is_normalized(), log.events == oracle);
         log.normalize();
         prop_assert!(log.is_normalized());
@@ -607,19 +617,24 @@ const POLICIES: [&str; 6] = [
 ];
 
 /// A log whose first 15 events are one of each variant, then random
-/// ones.
+/// ones, under a drawn `windows` header (well-formed or not: the
+/// reader does not judge it).
 fn arb_log() -> impl Strategy<Value = FleetEventLog> {
     (
         (0u32..=u32::MAX, 0u64..=u64::MAX, 0usize..POLICIES.len()),
         (0u64..1 << 20, 0u64..1 << 20, 0u64..=u64::MAX),
-        (0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..3),
+        (
+            0u64..=u64::MAX,
+            0u64..=u64::MAX,
+            proptest::collection::vec(0u64..=u64::MAX, 0..4),
+        ),
         proptest::collection::vec(arb_event_fields(), 15..40),
     )
         .prop_map(
             |(
                 (version, seed, policy),
                 (devices, requests, slo),
-                (deadline, census, window),
+                (deadline, census, windows),
                 raw,
             )| {
                 FleetEventLog {
@@ -631,7 +646,7 @@ fn arb_log() -> impl Strategy<Value = FleetEventLog> {
                     slo_ttft_ns: slo,
                     deadline_ns: deadline,
                     census_interval_ns: census,
-                    rollout_window_ns: window * 1_000_000,
+                    windows,
                     events: raw
                         .into_iter()
                         .enumerate()

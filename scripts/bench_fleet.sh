@@ -72,7 +72,7 @@ rollback_latency_ns=$(printf '%s\n' "$rollout_out" \
     | grep -o '"rollback_latency_ns":[0-9]*' | head -1 | cut -d: -f2)
 rollout_exposed_ppm=$(printf '%s\n' "$rollout_out" \
     | grep -o '"exposed_ppm":[0-9]*' | head -1 | cut -d: -f2)
-# Sum of both master logs' monitored events, from the in-binary
+# Sum of both rollout logs' monitored events, from the in-binary
 # temporal-monitor lines: "temporal monitor [x]: clean (N events, ...".
 rollout_events=$(printf '%s\n' "$rollout_out" \
     | sed -n 's|^temporal monitor \[.*\]: clean (\([0-9]*\) events.*|\1|p' \
