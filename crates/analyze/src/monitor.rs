@@ -27,11 +27,13 @@
 //! specs alone run once across all windows in order. An instance is
 //! only its state (the previous node values, one clock per
 //! `OnceWithin`, one tally per `CountLe`), kept in flat per-spec
-//! arrays. A global spec's current instance has a fixed slot; the
-//! sliced ones are found through std's keyed hash map, because slice
-//! keys come from the log, which may be untrusted. Keys carry their
-//! window, so the sweep never clears a map: a log of many small
-//! windows stays linear in its events.
+//! arrays. A global spec's instance has a fixed slot; the sliced ones
+//! are found through std's keyed hash map, because slice keys come
+//! from the log, which may be untrusted. A serving spec drops the
+//! instances of a window when it enters the next one, replacing its
+//! map rather than clearing it (a clear costs the map's capacity), so
+//! the sweep holds one window's state at a time and a log of many
+//! small windows stays linear in its events.
 //!
 //! Each spec declares once which events it reads: a set of
 //! [`EventKind`]s and, where its atoms test fields, the guard that an
@@ -372,6 +374,14 @@ impl States {
         self.started.len()
     }
 
+    /// Drop every instance, keeping the buffers.
+    fn clear(&mut self) {
+        self.started.clear();
+        self.prev.clear();
+        self.clocks.clear();
+        self.tallies.clear();
+    }
+
     /// Add an instance of `program` at the initial state; returns its
     /// index.
     fn add(&mut self, program: &Program) -> usize {
@@ -437,9 +447,9 @@ enum Slice {
     Log,
     /// One instance per window.
     Window,
-    /// One instance per (window, device id).
+    /// One instance per device id per window.
     PerDevice,
-    /// One instance per (window, request id).
+    /// One instance per request id per window.
     PerRequest,
 }
 
@@ -767,14 +777,13 @@ pub struct MonitorVerdict {
     pub violations: u64,
 }
 
-/// The instance key of `e` in window `w` under `slice`, if the event
-/// has one.
-fn slice_key(e: &FleetEvent, slice: Slice, w: u64) -> Option<(u64, u64)> {
+/// The instance key of `e` under `slice` within its window, if the
+/// event has one.
+fn slice_key(e: &FleetEvent, slice: Slice) -> Option<u64> {
     match slice {
-        Slice::Log => Some((0, 0)),
-        Slice::Window => Some((w, 0)),
-        Slice::PerDevice => e.device().map(|d| (w, d)),
-        Slice::PerRequest => e.req().map(|r| (w, r)),
+        Slice::Log | Slice::Window => Some(0),
+        Slice::PerDevice => e.device(),
+        Slice::PerRequest => e.req(),
     }
 }
 
@@ -800,15 +809,15 @@ fn slice_desc(e: &FleetEvent, slice: Slice, window: Option<u64>) -> String {
 /// One spec's compiled program, its instances and its tally.
 struct Pool {
     program: Program,
-    /// Instance per slice key of a per-device or per-request spec.
-    /// Keyed SipHash, because the keys come from the log.
-    by_key: HashMap<(u64, u64), usize>,
-    /// The key and instance of a [`Slice::Log`] or [`Slice::Window`]
-    /// spec's current instance.
-    fixed: Option<((u64, u64), usize)>,
+    /// Instance per slice key of a sliced spec in the current window
+    /// (a global spec's one instance is instance 0). Keyed SipHash,
+    /// because the keys come from the log.
+    by_key: HashMap<u64, usize>,
+    states: States,
+    /// Instances of the windows the spec has left.
+    retired: u64,
     /// The window of the last event the spec read.
     window: Option<u64>,
-    states: States,
     violations: u64,
     first: Option<(u64, String)>,
 }
@@ -818,27 +827,33 @@ impl Pool {
         Self {
             program: Program::compile(&spec.formula),
             by_key: HashMap::new(),
-            fixed: None,
-            window: None,
             states: States::default(),
+            retired: 0,
+            window: None,
             violations: 0,
             first: None,
         }
     }
 
-    /// The instance for `key`, spun up on first use. Windows are swept
-    /// in order, so a fixed-slot spec never returns to an old key.
-    fn instance(&mut self, slice: Slice, key: (u64, u64)) -> usize {
+    /// Move the spec into window `w` (windows come in order); returns
+    /// whether `w` is new to it. A spec sliced per window drops the
+    /// instances of the window it leaves.
+    fn enter(&mut self, slice: Slice, w: u64) -> bool {
+        let opens = self.window.replace(w) != Some(w);
+        if opens && slice != Slice::Log {
+            self.retired += self.states.len() as u64;
+            self.states.clear();
+            self.by_key = HashMap::new();
+        }
+        opens
+    }
+
+    /// The instance for `key`, spun up on first use.
+    fn instance(&mut self, slice: Slice, key: u64) -> usize {
         let (states, program) = (&mut self.states, &self.program);
         match slice {
-            Slice::Log | Slice::Window => match self.fixed {
-                Some((fixed, k)) if fixed == key => k,
-                _ => {
-                    let k = states.add(program);
-                    self.fixed = Some((key, k));
-                    k
-                }
-            },
+            Slice::Log | Slice::Window if states.len() > 0 => 0,
+            Slice::Log | Slice::Window => states.add(program),
             Slice::PerDevice | Slice::PerRequest => *self
                 .by_key
                 .entry(key)
@@ -846,14 +861,9 @@ impl Pool {
         }
     }
 
-    /// Whether window `w` is new to the spec; records it as seen.
-    fn opens(&mut self, w: u64) -> bool {
-        self.window.replace(w) != Some(w)
-    }
-
     fn outcome(self) -> SpecOutcome {
         SpecOutcome {
-            instances: self.states.len() as u64,
+            instances: self.retired + self.states.len() as u64,
             violations: self.violations,
             first: self.first,
         }
@@ -890,12 +900,13 @@ fn sweep(log: &FleetEventLog, specs: &[Spec]) -> Vec<SpecOutcome> {
                 if spec.guarded && atoms == 0 {
                     continue;
                 }
-                let Some(key) = slice_key(ev, spec.slice, w) else {
+                let Some(key) = slice_key(ev, spec.slice) else {
                     continue;
                 };
                 let pool = &mut pools[si];
+                let opens = pool.enter(spec.slice, w);
                 if spec.slice == Slice::Log {
-                    atoms |= bit(WINDOW_OPEN, pool.opens(w));
+                    atoms |= bit(WINDOW_OPEN, opens);
                 }
                 let k = pool.instance(spec.slice, key);
                 if !pool.program.step(&mut pool.states, k, atoms, t_ns) {
@@ -1528,8 +1539,9 @@ mod tests {
                     if !spec.kinds.contains(&ev.event_kind()) || (spec.guarded && atoms == 0) {
                         continue;
                     }
-                    if let Some(key) = slice_key(ev, spec.slice, *w) {
-                        groups.entry(key).or_default().push(pos);
+                    if let Some(key) = slice_key(ev, spec.slice) {
+                        let w = if spec.slice == Slice::Log { 0 } else { *w };
+                        groups.entry((w, key)).or_default().push(pos);
                     }
                 }
                 let mut violations = 0;

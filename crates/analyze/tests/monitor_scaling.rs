@@ -9,10 +9,11 @@
 //! - every timestamp equal (the canonical order falls back to the
 //!   full sort key on every comparison);
 //! - reversed order (the sweep must sort a copy);
-//! - the log as one window followed by every event again as a window
-//!   of its own (fresh per-window state on every event, after a window
-//!   that filled the per-slice maps: a sweep that cleared its maps per
-//!   window would pay their capacity on every one);
+//! - the distinct-request-id log as one window, then every event again
+//!   as a window of its own (fresh per-window state on every event,
+//!   after a window that filled the per-request map with one key per
+//!   event: a sweep that cleared its maps per window would pay their
+//!   capacity on every one);
 //! - 16 time-shifted copies concatenated.
 //!
 //! The first four are also built from the 16-copy log. Time per
@@ -88,10 +89,10 @@ fn equal_timestamps(log: &FleetEventLog) -> FleetEventLog {
     out
 }
 
-/// `log` as window 0, then each of its events again as a one-event
-/// window.
+/// `log` with distinct request ids as window 0, then each of `log`'s
+/// events again as a one-event window.
 fn one_event_windows(log: &FleetEventLog) -> FleetEventLog {
-    let mut out = log.clone();
+    let mut out = distinct_requests(log);
     let len = log.events.len() as u64;
     out.events.extend_from_slice(&log.events);
     out.windows = std::iter::once(0).chain(len..2 * len).collect();
