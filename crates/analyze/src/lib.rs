@@ -44,7 +44,7 @@
 //! | `retry-unbounded`    | deny | no failure cycle that never consumes retry budget (§6) |
 //! | `breaker-trap`       | deny | every Open breaker state can escape to HalfOpen (§6) |
 //! | `promotion-legality` | deny | every Promote verdict follows a cleanly completed stage (§6) |
-//! | `rollback-completeness` | deny | every canary revert follows a Rollback, inside the stage window (§6) |
+//! | `rollback-completeness` | deny | every canary revert follows a Rollback, which lies in the window its stage opened (§6) |
 //! | `blast-radius`       | deny | canary exposure inside stage k stays within ⌈devices·pct/100⌉ (§6) |
 //! | `rollout-stuck`      | deny | a rollout terminates, consistently with its stage verdicts (§6) |
 //! | `rollback-missed`    | deny | no stage with regressing re-derived deltas is promoted (§6) |

@@ -96,7 +96,8 @@ pub const STORM_AMPLIFICATION: &str = "storm-amplification";
 pub const BROWNOUT_UNSHED: &str = "brownout-unshed";
 /// Rule (temporal): every baseline-revert `ProfileUpdate` in a rollout
 /// log must follow a `Rollback` verdict with no newer stage in
-/// between, and every `Rollback` must land inside its stage window.
+/// between, and every `Rollback` must lie in the window its stage
+/// opened.
 pub const ROLLBACK_COMPLETENESS: &str = "rollback-completeness";
 /// Rule (temporal): a `Promote` verdict is only legal immediately
 /// after a cleanly completed stage — no double-promotion and no
@@ -358,7 +359,7 @@ pub const RULES: [RuleInfo; 39] = [
         severity: Severity::Deny,
         summary: "every baseline-revert profile update follows a Rollback \
                   verdict with no newer stage between them, and every \
-                  Rollback lands inside its stage window",
+                  Rollback lies in the window its stage opened",
         paper: "§6 (fleet serving)",
     },
     RuleInfo {
