@@ -943,6 +943,25 @@ mod tests {
     }
 
     #[test]
+    fn the_baseline_window_reads_no_candidate() {
+        // The shared window 0 equals window 0 replayed under each
+        // candidate, as every rollout replayed it before it was shared.
+        let sim = small_sim(42);
+        let ctl = RolloutController::new(&sim, RolloutConfig::standard());
+        let (base_report, base_events) = ctl.baseline();
+        let profiles = sim.profiles().len();
+        for candidate in [
+            PolicyRevision::uniform(7, "npu-inversion", profiles, 2_500_000),
+            PolicyRevision::uniform(8, "tuned-partition", profiles, 930_000),
+        ] {
+            let (report, mut events, _) = ctl.window(&candidate, 0, &[]);
+            events.sort_by(FleetEvent::canonical_cmp);
+            assert_eq!(&events, base_events, "{}", candidate.name);
+            assert_eq!(&report, base_report, "{}", candidate.name);
+        }
+    }
+
+    #[test]
     fn pool_walk_matches_the_full_scan() {
         // A 1% stage's canary requests fall back to the pool scan on
         // almost every attempt; the oracle replay scans the whole
