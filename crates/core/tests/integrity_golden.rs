@@ -4,7 +4,9 @@
 //! The integrity report is consumed by the CI determinism gate
 //! (`fault_sweep --integrity` runs twice and `cmp`s the output), so
 //! any change to field names, field order, or value encoding must be
-//! an explicit, reviewed diff. Regenerate with
+//! an explicit, reviewed diff. Three runs are pinned: `Recover` and
+//! `Verify` under the standard SDC trace, and a clean `Verify` run.
+//! Regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p heterollm --test integrity_golden`.
 
 use hetero_soc::disturb::SdcTrace;
@@ -12,32 +14,63 @@ use heterollm::functional_engine::FunctionalHeteroEngine;
 use heterollm::integrity::IntegrityMode;
 use heterollm::ModelConfig;
 
-/// The deterministic summary the unit tests also pin: tiny weights
-/// (seed 77), the standard SDC trace (seed 42), recover mode.
-fn recover_summary_json() -> String {
+/// The summary of one deterministic run: tiny weights (seed 77), the
+/// 8-token prompt, 12 generated tokens, in `mode`, optionally injected
+/// with the standard SDC trace (seed 42).
+fn summary_json(mode: IntegrityMode, sdc: bool) -> String {
     let mut engine = FunctionalHeteroEngine::new(ModelConfig::tiny(), 77)
         .unwrap()
-        .with_integrity(IntegrityMode::Recover);
-    engine.inject(&SdcTrace::standard(42));
+        .with_integrity(mode);
+    if sdc {
+        engine.inject(&SdcTrace::standard(42));
+    }
     engine.generate(&[3, 17, 99, 4, 42, 7, 250, 1], 12).unwrap();
-    let summary = engine.integrity_summary().expect("recover summary");
+    let summary = engine.integrity_summary().expect("integrity summary");
     serde_json::to_string_pretty(&summary).expect("serialize summary")
+}
+
+/// The summary the unit tests also pin: recover mode under the
+/// standard SDC trace.
+fn recover_summary_json() -> String {
+    summary_json(IntegrityMode::Recover, true)
+}
+
+/// Compare `json` with `tests/golden/{name}`, rewriting it first when
+/// `UPDATE_GOLDEN` is set.
+fn assert_golden(name: &str, json: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, json).expect("write golden");
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file checked in");
+    assert_eq!(
+        json, golden,
+        "{name}: IntegritySummary JSON changed; review and regenerate with UPDATE_GOLDEN=1"
+    );
 }
 
 #[test]
 fn integrity_summary_json_is_golden() {
-    let json = recover_summary_json();
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/integrity_summary.json"
+    assert_golden("integrity_summary.json", &recover_summary_json());
+}
+
+#[test]
+fn clean_verify_summary_is_golden() {
+    // Verify mode on a clean run: the tile and KV-row counts and the
+    // detection tax, with nothing detected.
+    assert_golden(
+        "integrity_summary_verify.json",
+        &summary_json(IntegrityMode::Verify, false),
     );
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(path, &json).expect("write golden");
-    }
-    let golden = std::fs::read_to_string(path).expect("golden file checked in");
-    assert_eq!(
-        json, golden,
-        "IntegritySummary JSON encoding changed; review and regenerate with UPDATE_GOLDEN=1"
+}
+
+#[test]
+fn faulted_verify_summary_is_golden() {
+    // Verify mode under the standard trace: every fault detected,
+    // none corrected, sticky KV corruption re-flagging each forward.
+    assert_golden(
+        "integrity_summary_verify_sdc.json",
+        &summary_json(IntegrityMode::Verify, true),
     );
 }
 
