@@ -16,7 +16,7 @@
 //! rows bit-for-bit (decoder rows are position-independent: row `i` of
 //! every projection depends only on row `i` of its input).
 
-use hetero_tensor::abft::{flip_bit, seal_bits};
+use hetero_tensor::abft::{flip_bit, seal_bits, seal_bits_from};
 use hetero_tensor::{DType, Result, Tensor, TensorError};
 
 /// Per-layer key/value cache for one sequence.
@@ -147,14 +147,13 @@ impl KvCache {
         Ok(())
     }
 
-    /// Bit-exact seal of one stored row: keys then values.
+    /// Bit-exact seal of one stored row: keys then values, hashed in
+    /// place as one FNV-1a stream.
     fn seal_row(&self, layer: usize, row: usize) -> u64 {
         let lo = row * self.kv_dim;
         let hi = lo + self.kv_dim;
-        let mut joined = Vec::with_capacity(2 * self.kv_dim);
-        joined.extend_from_slice(&self.k[layer].data()[lo..hi]);
-        joined.extend_from_slice(&self.v[layer].data()[lo..hi]);
-        seal_bits(&joined)
+        let keys = seal_bits(&self.k[layer].data()[lo..hi]);
+        seal_bits_from(keys, &self.v[layer].data()[lo..hi])
     }
 
     /// Re-hash the sealed prefix and return the first corrupted
@@ -358,6 +357,23 @@ mod tests {
         assert_eq!(kv.verify(), None);
         kv.corrupt_key(1, 2, 1, 0).unwrap();
         assert_eq!(kv.verify(), Some((1, 2)));
+    }
+
+    #[test]
+    fn in_place_seal_equals_the_joined_row_seal() {
+        let mut kv = KvCache::new(2, 8, 4);
+        let (k, v) = (filled(3, 4, -1.5), filled(3, 4, 0.25));
+        kv.append(0, &k, &v).unwrap();
+        kv.append(1, &v, &k).unwrap();
+        kv.advance(3).unwrap();
+        for layer in 0..2 {
+            for row in 0..3 {
+                let mut joined = kv.keys(layer, 3).unwrap().row(row).unwrap().to_vec();
+                joined.extend_from_slice(kv.values(layer, 3).unwrap().row(row).unwrap());
+                assert_eq!(kv.seal_row(layer, row), seal_bits(&joined));
+                assert_eq!(kv.seals[layer][row], seal_bits(&joined));
+            }
+        }
     }
 
     #[test]

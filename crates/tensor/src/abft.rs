@@ -150,10 +150,14 @@ pub fn verify_tile(checksum: &TileChecksum, got: &[f64]) -> Option<usize> {
         })
 }
 
+/// The FNV-1a offset basis: the state [`fingerprint_bytes`] and
+/// [`seal_bits`] start from.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a over raw bytes — the hash under both [`seal_bits`]
 /// and the compiled-graph fingerprints in `hetero-graph`.
 pub fn fingerprint_bytes(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for byte in data {
         h ^= u64::from(*byte);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -166,7 +170,13 @@ pub fn fingerprint_bytes(data: &[u8]) -> u64 {
 /// change to the stored pattern changes the seal: the per-byte
 /// transform is a bijection on the running state.
 pub fn seal_bits(data: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    seal_bits_from(FNV_OFFSET, data)
+}
+
+/// Continue a [`seal_bits`] hash state `h` over `data`: sealing `a`
+/// and then `b` this way, `seal_bits_from(seal_bits(a), b)`, equals
+/// `seal_bits` of `a` followed by `b`, with no joined copy.
+pub fn seal_bits_from(mut h: u64, data: &[f32]) -> u64 {
     for x in data {
         for byte in x.to_bits().to_le_bytes() {
             h ^= u64::from(byte);
@@ -261,6 +271,15 @@ mod tests {
             .flat_map(|x| x.to_bits().to_le_bytes())
             .collect();
         assert_eq!(seal_bits(&data), fingerprint_bytes(&bytes));
+    }
+
+    #[test]
+    fn seal_continues_across_slices() {
+        let data = [1.0f32, -3.5, 0.0, 1e-20, -0.0];
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(seal_bits_from(seal_bits(a), b), seal_bits(&data));
+        }
     }
 
     #[test]
