@@ -7,7 +7,6 @@
 //! numerically identical to the monolithic computation, which is what
 //! makes the timing engines' scheduling policies *legal*.
 
-use hetero_graph::partition::ComputeStep;
 use hetero_solver::PartitionPlan;
 use hetero_tensor::ops;
 use hetero_tensor::quant::{Int8Matrix, W4Matrix};
@@ -16,6 +15,7 @@ use hetero_tensor::{Result, Tensor, TensorError};
 
 use crate::kv::KvCache;
 use crate::model::{ModelConfig, ModelWeights};
+use crate::upload::{ModelUpload, PerWeight, WeightId, WeightUpload};
 
 /// Arithmetic mode of the weight projections.
 ///
@@ -32,17 +32,27 @@ pub enum QuantMode {
     Int8,
 }
 
+/// The weight matrices as an arithmetic mode reads them, uploaded once
+/// per model.
+#[derive(Debug)]
+enum Upload {
+    /// Dequantized INT4 weights.
+    W4A16(ModelUpload),
+    /// Per-row INT8 weights, quantized once from the dequantized ones.
+    Int8(PerWeight<Int8Matrix>),
+}
+
 /// A functional (real-math) model instance with its KV cache.
 #[derive(Debug)]
 pub struct FunctionalModel {
     cfg: ModelConfig,
     weights: ModelWeights,
+    upload: Upload,
     kv: KvCache,
-    mode: QuantMode,
     /// Shapes of every weight Matmul executed, in order — used to
     /// validate that functional execution launches exactly the kernels
     /// the timing trace prices.
-    matmul_log: Vec<hetero_tensor::shape::MatmulShape>,
+    matmul_log: Vec<MatmulShape>,
 }
 
 impl FunctionalModel {
@@ -54,41 +64,51 @@ impl FunctionalModel {
     /// Build a model with an explicit arithmetic mode.
     pub fn with_mode(cfg: ModelConfig, seed: u64, mode: QuantMode) -> Result<Self> {
         let weights = ModelWeights::generate(&cfg, seed)?;
+        let dequantized = ModelUpload::new(&weights)?;
+        let upload = match mode {
+            QuantMode::W4A16 => Upload::W4A16(dequantized),
+            // INT-only NPU path: the dequantized weight re-quantized to
+            // per-row INT8.
+            QuantMode::Int8 => {
+                Upload::Int8(dequantized.try_map(|w| Int8Matrix::quantize(w.dequantized()))?)
+            }
+        };
         let kv = KvCache::new(cfg.layers, cfg.max_seq, cfg.kv_dim());
         Ok(Self {
             cfg,
             weights,
+            upload,
             kv,
-            mode,
             matmul_log: Vec::new(),
         })
     }
 
     /// Shapes of every weight Matmul executed so far, in launch order.
-    pub fn executed_matmuls(&self) -> &[hetero_tensor::shape::MatmulShape] {
+    pub fn executed_matmuls(&self) -> &[MatmulShape] {
         &self.matmul_log
     }
 
     /// The arithmetic mode in use.
     pub fn mode(&self) -> QuantMode {
-        self.mode
+        match self.upload {
+            Upload::W4A16(_) => QuantMode::W4A16,
+            Upload::Int8(_) => QuantMode::Int8,
+        }
     }
 
     /// A weight projection under the configured arithmetic mode.
-    fn proj(&mut self, x: &Tensor, w: &W4Matrix) -> Result<Tensor> {
+    fn proj(&mut self, x: &Tensor, id: WeightId) -> Result<Tensor> {
         let (m, _) = x.matrix_dims()?;
-        let (k, n) = w.dims();
-        self.matmul_log
-            .push(hetero_tensor::shape::MatmulShape::new(m, k, n));
-        match self.mode {
-            QuantMode::W4A16 => ops::matmul_w4(x, w),
-            QuantMode::Int8 => {
-                // INT-only NPU path: re-quantize the dequantized weight
-                // and the activation to per-row INT8, integer GEMM.
-                let qx = Int8Matrix::quantize(x)?;
-                let qw = Int8Matrix::quantize(&w.dequantize()?)?;
-                qx.matmul_int8(&qw)
-            }
+        let (k, n) = match &self.upload {
+            Upload::W4A16(up) => up.get(id).dims(),
+            Upload::Int8(q) => q.get(id).dims(),
+        };
+        self.matmul_log.push(MatmulShape::new(m, k, n));
+        match &self.upload {
+            Upload::W4A16(up) => ops::matmul(x, up.get(id).dequantized()),
+            // The activation is quantized to per-row INT8 too: integer
+            // GEMM.
+            Upload::Int8(q) => Int8Matrix::quantize(x)?.matmul_int8(q.get(id)),
         }
     }
 
@@ -145,8 +165,7 @@ impl FunctionalModel {
 
     fn logits(&mut self, h: &Tensor) -> Result<Tensor> {
         let normed = ops::rmsnorm(h, &self.weights.final_norm, self.cfg.norm_eps)?;
-        let lm_head = self.weights.lm_head.clone();
-        self.proj(&normed, &lm_head)
+        self.proj(&normed, WeightId::LmHead)
     }
 
     /// Forward `x` (`[m, hidden]`, the new rows) through all layers,
@@ -164,11 +183,10 @@ impl FunctionalModel {
     fn layer_forward(&mut self, layer: usize, x: &Tensor, pos: usize) -> Result<Tensor> {
         let cfg = self.cfg.clone();
         let (hidden, kv_dim) = (cfg.hidden, cfg.kv_dim());
-        let lw = self.weights.layers[layer].clone();
 
         // Attention block.
-        let normed = ops::rmsnorm(x, &lw.attn_norm, cfg.norm_eps)?;
-        let qkv = self.proj(&normed, &lw.qkv)?;
+        let normed = ops::rmsnorm(x, &self.weights.layers[layer].attn_norm, cfg.norm_eps)?;
+        let qkv = self.proj(&normed, WeightId::Qkv(layer))?;
         let mut q = qkv.slice_cols(0, hidden)?;
         let mut k = qkv.slice_cols(hidden, hidden + kv_dim)?;
         let v = qkv.slice_cols(hidden + kv_dim, hidden + 2 * kv_dim)?;
@@ -181,16 +199,16 @@ impl FunctionalModel {
         let keys = self.kv.keys(layer, ctx)?;
         let values = self.kv.values(layer, ctx)?;
         let attn = attention_gqa(&self.cfg, &q, &keys, &values, pos)?;
-        let attn_out = self.proj(&attn, &lw.attn_out)?;
+        let attn_out = self.proj(&attn, WeightId::AttnOut(layer))?;
         let x = ops::add(x, &attn_out)?;
 
         // FFN block.
-        let normed = ops::rmsnorm(&x, &lw.ffn_norm, cfg.norm_eps)?;
-        let gate_up = self.proj(&normed, &lw.gate_up)?;
+        let normed = ops::rmsnorm(&x, &self.weights.layers[layer].ffn_norm, cfg.norm_eps)?;
+        let gate_up = self.proj(&normed, WeightId::GateUp(layer))?;
         let gate = gate_up.slice_cols(0, cfg.ffn)?;
         let up = gate_up.slice_cols(cfg.ffn, 2 * cfg.ffn)?;
         let act = ops::swiglu(&gate, &up)?;
-        let down = self.proj(&act, &lw.ffn_down)?;
+        let down = self.proj(&act, WeightId::FfnDown(layer))?;
         ops::add(&x, &down)
     }
 }
@@ -217,65 +235,12 @@ pub(crate) fn attention_gqa(
     )
 }
 
-/// Execute a Matmul `x [m,k] × w [k,n]` under a partition plan: each
-/// compute step of the plan's lowering ([`PartitionPlan::lower`])
-/// computes its output tile, and the tiles are assembled into the
-/// result.
-///
-/// A full-width tile runs [`ops::matmul_w4`] on its row slice; a column
-/// tile multiplies its row slice by the dequantized columns. Padding
-/// rows produce nothing (each output row depends only on its own input
-/// row). A plan whose tiles do not cover `[m, n]` exactly once is
-/// rejected.
+/// Execute a Matmul `x [m,k] × w [k,n]` under a partition plan, on a
+/// one-off upload of `w` (see [`WeightUpload::matmul_partitioned`]).
+/// Code that runs many projections of one weight keeps its
+/// [`WeightUpload`] instead, so the weight is dequantized once.
 pub fn matmul_partitioned(x: &Tensor, w: &W4Matrix, plan: &PartitionPlan) -> Result<Tensor> {
-    let (m, k) = x.matrix_dims()?;
-    let (_, n) = w.dims();
-    let tiles = plan_tiles(plan, MatmulShape::new(m, k, n));
-    if !covers_exactly_once(&tiles, m, n) {
-        return Err(TensorError::ShapeMismatch {
-            context: format!("plan {plan:?} does not cover the [{m}, {n}] result exactly once"),
-        });
-    }
-    let mut out = vec![0.0f32; m * n];
-    for t in tiles {
-        let rows = x.slice_rows(t.rows.start, t.rows.end)?;
-        let part = if t.cols.len() == n {
-            ops::matmul_w4(&rows, w)?
-        } else {
-            ops::matmul(&rows, &w.dequantize_cols(t.cols.start, t.cols.end)?)?
-        };
-        for (r, src) in t.rows.zip(part.data().chunks_exact(t.cols.len())) {
-            out[r * n + t.cols.start..r * n + t.cols.end].copy_from_slice(src);
-        }
-    }
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// The non-empty output tiles of a plan's compute steps for the
-/// `[m, n]` result of `shape`, each with the backend that produces it.
-pub(crate) fn plan_tiles(plan: &PartitionPlan, shape: MatmulShape) -> Vec<ComputeStep> {
-    plan.lower(shape)
-        .compute()
-        .filter(|t| !t.rows.is_empty() && !t.cols.is_empty())
-        .collect()
-}
-
-/// Whether `tiles` cover the `[m, n]` result exactly once: inside it,
-/// pairwise disjoint, with areas summing to the whole.
-fn covers_exactly_once(tiles: &[ComputeStep], m: usize, n: usize) -> bool {
-    let inside = tiles.iter().all(|t| t.rows.end <= m && t.cols.end <= n);
-    let overlap = |a: &ComputeStep, b: &ComputeStep| {
-        a.rows.start < b.rows.end
-            && b.rows.start < a.rows.end
-            && a.cols.start < b.cols.end
-            && b.cols.start < a.cols.end
-    };
-    let disjoint = tiles
-        .iter()
-        .enumerate()
-        .all(|(i, a)| tiles[i + 1..].iter().all(|b| !overlap(a, b)));
-    let sum: usize = tiles.iter().map(|t| t.rows.len() * t.cols.len()).sum();
-    inside && disjoint && sum == m * n
+    WeightUpload::new(w)?.matmul_partitioned(x, plan)
 }
 
 /// Divergence statistics between two arithmetic modes on the same

@@ -18,8 +18,13 @@
 //! With [`IntegrityMode::Verify`] or [`IntegrityMode::Recover`] the
 //! engine becomes the functional arm of the data-integrity layer:
 //! every projection's output is checked per partition tile against its
-//! ABFT row checksum ([`hetero_tensor::abft`]), the KV cache's sealed
-//! prefix is re-verified at the start of every forward, and seeded
+//! ABFT row checksum ([`hetero_tensor::abft`]). The weight side of
+//! that checksum, the column sums `s` and `|s|`, is taken once per
+//! (weight, tile column range), when the engine's upload
+//! ([`crate::upload`]) first builds the range; a verified tile then
+//! costs only its `O(m·k)` dot products and output row sums. The KV
+//! cache's sealed prefix is re-verified at the start of every forward,
+//! and seeded
 //! [`SdcTrace`] faults are applied deterministically. In `Recover`
 //! mode a mismatched tile is recomputed (charged to the *opposite*
 //! backend — cross-backend diversity as the arbiter) and a corrupted
@@ -35,23 +40,25 @@ use hetero_soc::kernel::KernelLabel;
 use hetero_soc::sync::{Dominance, SyncMechanism};
 use hetero_soc::{Backend, KernelDesc, Soc};
 use hetero_solver::{PartitionPlan, SolverConfig};
-use hetero_tensor::quant::W4Matrix;
 use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::{abft, ops};
 use hetero_tensor::{Result, Tensor, TensorError};
 
 use crate::engines::SolverPlanner;
 use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel};
-use crate::functional::{matmul_partitioned, plan_tiles};
 use crate::integrity::{IntegrityCounters, IntegrityMode};
 use crate::kv::KvCache;
 use crate::model::{ModelConfig, ModelWeights};
 use crate::report::{IntegritySummary, PhaseReport};
+use crate::upload::{plan_tiles, ModelUpload, WeightId};
 
 /// Real-math engine executing solver-partitioned kernels.
 pub struct FunctionalHeteroEngine {
     cfg: ModelConfig,
     weights: ModelWeights,
+    /// The weight matrices, dequantized once, with the column blocks
+    /// and ABFT column sums of the tiles the plans have read.
+    upload: ModelUpload,
     kv: KvCache,
     soc: Soc,
     planner: SolverPlanner<RealExecProvider>,
@@ -87,8 +94,10 @@ impl FunctionalHeteroEngine {
             },
             SolverConfig::decode(1),
         );
+        let weights = ModelWeights::generate(&cfg, seed)?;
         Ok(Self {
-            weights: ModelWeights::generate(&cfg, seed)?,
+            upload: ModelUpload::new(&weights)?,
+            weights,
             kv: KvCache::new(cfg.layers, cfg.max_seq, cfg.kv_dim()),
             soc: Soc::new(soc_cfg),
             planner,
@@ -137,10 +146,16 @@ impl FunctionalHeteroEngine {
         self.soc.clock()
     }
 
+    /// The (weight, tile column range) blocks uploaded so far: each
+    /// was dequantized and had its ABFT column sums taken once.
+    pub fn uploaded_blocks(&self) -> usize {
+        self.upload.blocks_built()
+    }
+
     /// A partitioned, time-charged weight projection.
-    fn proj(&mut self, op: &'static str, x: &Tensor, w: &W4Matrix) -> Result<Tensor> {
+    fn proj(&mut self, op: &'static str, x: &Tensor, id: WeightId) -> Result<Tensor> {
         let (m, _) = x.matrix_dims()?;
-        let (k, n) = w.dims();
+        let (k, n) = self.upload.get(id).dims();
         let shape = MatmulShape::new(m, k, n);
         let choice = self.planner.choice(op, shape, Dominance::NpuDominant);
 
@@ -161,12 +176,15 @@ impl FunctionalHeteroEngine {
         }
 
         // Execute the real math through the same plan.
-        let mut out = matmul_partitioned(x, w, &choice.plan)?;
+        let mut out = self
+            .upload
+            .get_mut(id)
+            .matmul_partitioned(x, &choice.plan)?;
         if self.integrity.verifies() && !self.replaying {
             let idx = self.proj_count;
             self.proj_count += 1;
             self.apply_tile_faults(idx, &mut out);
-            self.verify_tiles(x, w, &choice.plan, &mut out)?;
+            self.verify_tiles(x, id, &choice.plan, &mut out)?;
         }
         Ok(out)
     }
@@ -194,23 +212,24 @@ impl FunctionalHeteroEngine {
 
     /// Verify every tile of `out` against its ABFT checksum, charging
     /// the detection tax; in `Recover` mode, repair mismatched tiles by
-    /// recomputing on the opposite backend.
+    /// recomputing on the opposite backend. The weight side of each
+    /// checksum comes from the upload, built when the tile was first
+    /// computed.
     fn verify_tiles(
         &mut self,
         x: &Tensor,
-        w: &W4Matrix,
+        id: WeightId,
         plan: &PartitionPlan,
         out: &mut Tensor,
     ) -> Result<()> {
         let (m, k) = x.matrix_dims()?;
-        let (_, n) = w.dims();
+        let (_, n) = self.upload.get(id).dims();
         let tiles = plan_tiles(plan, MatmulShape::new(m, k, n));
         let mut bad: Vec<ComputeStep> = Vec::new();
         for tile in tiles {
             self.counters.tiles_verified += 1;
             let xt = x.slice_rows(tile.rows.start, tile.rows.end)?;
-            let bt = w.dequantize_cols(tile.cols.start, tile.cols.end)?;
-            let checksum = abft::input_checksum(&xt, &bt)?;
+            let checksum = self.upload.get(id).tile_checksum(&xt, &tile.cols)?;
             let out_t = out
                 .slice_rows(tile.rows.start, tile.rows.end)?
                 .slice_cols(tile.cols.start, tile.cols.end)?;
@@ -245,8 +264,8 @@ impl FunctionalHeteroEngine {
             return Ok(());
         }
         // Quarantine-and-recompute: charge each bad tile's GEMM to the
-        // backend that did NOT produce it, then rebuild the region from
-        // a pristine re-execution of the plan (the inputs are intact —
+        // backend that did NOT produce it, then rebuild each region from
+        // a pristine re-execution of its tile (the inputs are intact —
         // the flip only struck the output copy — so the recompute is
         // bit-identical by construction).
         let t0 = self.soc.clock();
@@ -262,12 +281,11 @@ impl FunctionalHeteroEngine {
             }
             self.soc.backend_switch();
         }
-        let pristine = matmul_partitioned(x, w, plan)?;
         for tile in &bad {
-            for r in tile.rows.clone() {
-                let lo = r * n + tile.cols.start;
-                let hi = r * n + tile.cols.end;
-                out.data_mut()[lo..hi].copy_from_slice(&pristine.data()[lo..hi]);
+            let pristine = self.upload.get(id).tile_product(x, tile)?;
+            let rows = pristine.data().chunks_exact(tile.cols.len());
+            for (r, src) in tile.rows.clone().zip(rows) {
+                out.data_mut()[r * n + tile.cols.start..r * n + tile.cols.end].copy_from_slice(src);
             }
         }
         self.counters.tile_recomputes += bad.len();
@@ -409,8 +427,7 @@ impl FunctionalHeteroEngine {
 
     fn logits(&mut self, h: &Tensor) -> Result<Tensor> {
         let normed = ops::rmsnorm(h, &self.weights.final_norm, self.cfg.norm_eps)?;
-        let lm_head = self.weights.lm_head.clone();
-        self.proj("lm_head", &normed, &lm_head)
+        self.proj("lm_head", &normed, WeightId::LmHead)
     }
 
     fn forward(&mut self, x: Tensor, tokens: &[u32]) -> Result<Tensor> {
@@ -439,11 +456,9 @@ impl FunctionalHeteroEngine {
     fn layer_forward(&mut self, layer: usize, x: &Tensor, pos: usize) -> Result<Tensor> {
         let cfg = self.cfg.clone();
         let (hidden, kv_dim) = (cfg.hidden, cfg.kv_dim());
-        // Clone the layer weights up front: `proj` needs `&mut self`.
-        let lw = self.weights.layers[layer].clone();
 
-        let normed = ops::rmsnorm(x, &lw.attn_norm, cfg.norm_eps)?;
-        let qkv = self.proj("qkv", &normed, &lw.qkv)?;
+        let normed = ops::rmsnorm(x, &self.weights.layers[layer].attn_norm, cfg.norm_eps)?;
+        let qkv = self.proj("qkv", &normed, WeightId::Qkv(layer))?;
         let mut q = qkv.slice_cols(0, hidden)?;
         let mut k = qkv.slice_cols(hidden, hidden + kv_dim)?;
         let v = qkv.slice_cols(hidden + kv_dim, hidden + 2 * kv_dim)?;
@@ -456,15 +471,15 @@ impl FunctionalHeteroEngine {
         let keys = self.kv.keys(layer, ctx)?;
         let values = self.kv.values(layer, ctx)?;
         let attn = crate::functional::attention_gqa(&cfg, &q, &keys, &values, pos)?;
-        let attn_out = self.proj("attn_out", &attn, &lw.attn_out)?;
+        let attn_out = self.proj("attn_out", &attn, WeightId::AttnOut(layer))?;
         let x = ops::add(x, &attn_out)?;
 
-        let normed = ops::rmsnorm(&x, &lw.ffn_norm, cfg.norm_eps)?;
-        let gate_up = self.proj("gate_up", &normed, &lw.gate_up)?;
+        let normed = ops::rmsnorm(&x, &self.weights.layers[layer].ffn_norm, cfg.norm_eps)?;
+        let gate_up = self.proj("gate_up", &normed, WeightId::GateUp(layer))?;
         let gate = gate_up.slice_cols(0, cfg.ffn)?;
         let up = gate_up.slice_cols(cfg.ffn, 2 * cfg.ffn)?;
         let act = ops::swiglu(&gate, &up)?;
-        let down = self.proj("ffn_down", &act, &lw.ffn_down)?;
+        let down = self.proj("ffn_down", &act, WeightId::FfnDown(layer))?;
         ops::add(&x, &down)
     }
 }
@@ -586,6 +601,24 @@ mod tests {
         assert_eq!(s.uncorrectable, s.detected);
         // An exponent-bit flip left in place derails the generation.
         assert_ne!(got, clean_tokens(77), "corruption must visibly propagate");
+    }
+
+    #[test]
+    fn the_upload_is_built_once_however_many_tokens() {
+        // Each (weight, column range) block is dequantized and summed
+        // once per engine: decode steps after the first read cached
+        // blocks, so twice the tokens build no more of them.
+        let blocks = |tokens| {
+            let mut e = FunctionalHeteroEngine::new(ModelConfig::tiny(), 77)
+                .unwrap()
+                .with_integrity(IntegrityMode::Verify);
+            e.generate(&PROMPT, tokens).unwrap();
+            e.uploaded_blocks()
+        };
+        let short = blocks(12);
+        // At least one block for each layer matrix and the LM head.
+        assert!(short > 4 * ModelConfig::tiny().layers, "{short}");
+        assert_eq!(blocks(24), short);
     }
 
     #[test]

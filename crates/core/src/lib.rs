@@ -45,6 +45,7 @@ pub mod report;
 pub mod runtime;
 pub mod spec_decode;
 pub mod trace;
+pub mod upload;
 
 pub use api::InferenceSession;
 pub use engines::{Engine, EngineKind};

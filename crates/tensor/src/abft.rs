@@ -18,10 +18,15 @@
 //! Both sides are accumulated in `f64`. In exact arithmetic they are
 //! equal; in floating point they differ by rounding noise, so the
 //! comparison uses a calibrated tolerance proportional to the
-//! magnitude checksum `scale_i = Σ_k |A[i,k]| · Σ_j |B[k,j]|`. The
-//! per-row cost is `O(k + n)` instead of the GEMM's `O(k·n)` — on real
-//! hardware `s` is folded into the weight upload, which is why ABFT
-//! verification is cheap enough to run on every tile.
+//! magnitude checksum `scale_i = Σ_k |A[i,k]| · Σ_j |B[k,j]|`.
+//!
+//! The weight side, `s` and `|s|` ([`column_sums`]), depends only on
+//! the weight, so it is taken once, when the weight is uploaded: the
+//! functional engine's upload (`heterollm::upload`) keeps them per tile
+//! column range, and each verified tile then costs only the `O(m·k)`
+//! dot products of [`checksum_with_sums`] plus the `O(m·n)` output row
+//! sums, against the GEMM's `O(m·k·n)`. [`input_checksum`] is the two
+//! halves composed, for a one-off tile.
 //!
 //! # Detectability envelope
 //!
@@ -72,7 +77,70 @@ pub struct TileChecksum {
     pub scale: Vec<f64>,
 }
 
-/// Checksum the inputs of a GEMM tile `a [m,k] × b [k,n]`.
+/// The weight-side half of a tile checksum: for `b [k,n]`, per row
+/// `kk`, `s_kk = Σ_j b[kk,j]` and `|s|_kk = Σ_j |b[kk,j]|`, accumulated
+/// in `f64` with `j` ascending. They depend only on the weight, so a
+/// runtime takes them once, when it uploads the weight.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnSums {
+    /// `s`, one entry per reduction index `kk`.
+    pub sum: Vec<f64>,
+    /// `|s|`, the magnitude sums the tolerance scale is built from.
+    pub abs: Vec<f64>,
+}
+
+/// The column sums `s` and `|s|` of a tile's weight operand `b [k,n]`.
+///
+/// # Errors
+///
+/// [`crate::TensorError::RankMismatch`] if `b` is not a matrix.
+pub fn column_sums(b: &Tensor) -> Result<ColumnSums> {
+    let (k, n) = b.matrix_dims()?;
+    let mut sum = vec![0.0f64; k];
+    let mut abs = vec![0.0f64; k];
+    let bd = b.data();
+    for (kk, (sv, sa)) in sum.iter_mut().zip(abs.iter_mut()).enumerate() {
+        for j in 0..n {
+            let v = f64::from(bd[kk * n + j]);
+            *sv += v;
+            *sa += v.abs();
+        }
+    }
+    Ok(ColumnSums { sum, abs })
+}
+
+/// Checksum a GEMM tile's input rows `a [m,k]` against the
+/// precomputed [`column_sums`] of its weight operand.
+///
+/// # Errors
+///
+/// [`crate::TensorError::ShapeMismatch`] if `a` has not `k` columns,
+/// [`crate::TensorError::RankMismatch`] if `a` is not a matrix.
+pub fn checksum_with_sums(a: &Tensor, sums: &ColumnSums) -> Result<TileChecksum> {
+    let (m, k) = a.matrix_dims()?;
+    if k != sums.sum.len() {
+        return Err(crate::TensorError::ShapeMismatch {
+            context: format!("abft checksum [{m},{k}] x [{},_]", sums.sum.len()),
+        });
+    }
+    let ad = a.data();
+    let mut predicted = vec![0.0f64; m];
+    let mut scale = vec![0.0f64; m];
+    for i in 0..m {
+        let (mut p, mut sc) = (0.0f64, 0.0f64);
+        for kk in 0..k {
+            let v = f64::from(ad[i * k + kk]);
+            p += v * sums.sum[kk];
+            sc += v.abs() * sums.abs[kk];
+        }
+        predicted[i] = p;
+        scale[i] = sc;
+    }
+    Ok(TileChecksum { predicted, scale })
+}
+
+/// Checksum the inputs of a GEMM tile `a [m,k] × b [k,n]`: the
+/// [`column_sums`] of `b`, then [`checksum_with_sums`].
 ///
 /// # Errors
 ///
@@ -87,32 +155,7 @@ pub fn input_checksum(a: &Tensor, b: &Tensor) -> Result<TileChecksum> {
             context: format!("abft input checksum [{m},{k}] x [{bk},{n}]"),
         });
     }
-    // Weight column-sum vectors s and |s| (what a real runtime folds
-    // into the weight upload).
-    let mut s = vec![0.0f64; k];
-    let mut s_abs = vec![0.0f64; k];
-    let bd = b.data();
-    for (kk, (sv, sa)) in s.iter_mut().zip(s_abs.iter_mut()).enumerate() {
-        for j in 0..n {
-            let v = f64::from(bd[kk * n + j]);
-            *sv += v;
-            *sa += v.abs();
-        }
-    }
-    let ad = a.data();
-    let mut predicted = vec![0.0f64; m];
-    let mut scale = vec![0.0f64; m];
-    for i in 0..m {
-        let (mut p, mut sc) = (0.0f64, 0.0f64);
-        for kk in 0..k {
-            let v = f64::from(ad[i * k + kk]);
-            p += v * s[kk];
-            sc += v.abs() * s_abs[kk];
-        }
-        predicted[i] = p;
-        scale[i] = sc;
-    }
-    Ok(TileChecksum { predicted, scale })
+    checksum_with_sums(a, &column_sums(b)?)
 }
 
 /// Row sums of a GEMM tile's output, accumulated in `f64`.
