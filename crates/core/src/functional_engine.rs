@@ -146,12 +146,6 @@ impl FunctionalHeteroEngine {
         self.soc.clock()
     }
 
-    /// The (weight, tile column range) blocks uploaded so far: each
-    /// was dequantized and had its ABFT column sums taken once.
-    pub fn uploaded_blocks(&self) -> usize {
-        self.upload.blocks_built()
-    }
-
     /// A partitioned, time-charged weight projection.
     fn proj(&mut self, op: &'static str, x: &Tensor, id: WeightId) -> Result<Tensor> {
         let (m, _) = x.matrix_dims()?;
@@ -613,7 +607,7 @@ mod tests {
                 .unwrap()
                 .with_integrity(IntegrityMode::Verify);
             e.generate(&PROMPT, tokens).unwrap();
-            e.uploaded_blocks()
+            e.upload.blocks_built()
         };
         let short = blocks(12);
         // At least one block for each layer matrix and the LM head.

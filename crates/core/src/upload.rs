@@ -56,13 +56,13 @@ impl WeightUpload {
     }
 
     /// The weight's dimensions `[k, n]`.
-    pub fn dims(&self) -> (usize, usize) {
+    pub(crate) fn dims(&self) -> (usize, usize) {
         let d = self.w.shape().dims();
         (d[0], d[1])
     }
 
     /// The whole weight, dequantized.
-    pub fn dequantized(&self) -> &Tensor {
+    pub(crate) fn dequantized(&self) -> &Tensor {
         &self.w
     }
 
@@ -108,7 +108,7 @@ impl WeightUpload {
     ///
     /// [`TensorError::OutOfBounds`] if the tile's columns were never
     /// uploaded; [`TensorError::ShapeMismatch`] if `x` is not `[_, k]`.
-    pub fn tile_product(&self, x: &Tensor, tile: &ComputeStep) -> Result<Tensor> {
+    pub(crate) fn tile_product(&self, x: &Tensor, tile: &ComputeStep) -> Result<Tensor> {
         let rows = x.slice_rows(tile.rows.start, tile.rows.end)?;
         let block = self.block(&tile.cols)?;
         ops::matmul(&rows, block.w.as_ref().unwrap_or(&self.w))
@@ -121,7 +121,8 @@ impl WeightUpload {
     ///
     /// # Errors
     ///
-    /// As [`WeightUpload::tile_product`].
+    /// [`TensorError::OutOfBounds`] if `cols` was never uploaded;
+    /// [`TensorError::ShapeMismatch`] if `x_tile` is not `[_, k]`.
     pub fn tile_checksum(&self, x_tile: &Tensor, cols: &Range<usize>) -> Result<TileChecksum> {
         abft::checksum_with_sums(x_tile, &self.block(cols)?.sums)
     }
@@ -201,6 +202,7 @@ impl ModelUpload {
     }
 
     /// Column blocks built across all weights.
+    #[cfg(test)]
     pub(crate) fn blocks_built(&self) -> usize {
         let layers: usize = self.layers.iter().flatten().map(|w| w.blocks_built()).sum();
         layers + self.lm_head.blocks_built()
