@@ -24,14 +24,13 @@
 //! ([`crate::upload`]) first builds the range; a verified tile then
 //! costs only its `O(m·k)` dot products and output row sums. The KV
 //! cache's sealed prefix is re-verified at the start of every forward,
-//! and seeded
-//! [`SdcTrace`] faults are applied deterministically. In `Recover`
-//! mode a mismatched tile is recomputed (charged to the *opposite*
-//! backend — cross-backend diversity as the arbiter) and a corrupted
-//! KV row triggers rollback to the last sealed batch boundary plus
-//! bit-identical replay of the dropped tokens. Detection and recovery
-//! both charge simulated time, so the integrity tax is visible in the
-//! timing reports.
+//! and seeded [`SdcTrace`] faults are applied deterministically. In
+//! `Recover` mode a mismatched tile is recomputed (charged to the
+//! *opposite* backend — cross-backend diversity as the arbiter) and a
+//! corrupted KV row triggers rollback to the last sealed batch
+//! boundary plus bit-identical replay of the dropped tokens. Detection
+//! and recovery both charge simulated time, so the integrity tax is
+//! visible in the timing reports.
 
 use hetero_graph::partition::ComputeStep;
 use hetero_profiler::RealExecProvider;
