@@ -8,7 +8,7 @@
 //! output, plus one condition unique to degraded operation: the
 //! submission happens-before graph must remain acyclic when flaky
 //! rendezvous are rescheduled for retry
-//! ([`retry_schedule`](crate::sched::retry_schedule)) — the
+//! ([`retry_schedule`]) — the
 //! controller's bounded-retry reaction must never deadlock the queues
 //! it is trying to rescue.
 

@@ -137,7 +137,8 @@ const RACE_SWEEP_ENGINES: [EngineKind; 4] = [
 /// Record and race-check real engine event logs for `models`.
 ///
 /// Two kinds of evidence per model: each engine in
-/// [`RACE_SWEEP_ENGINES`] runs a prefill + short decode with recording
+/// `RACE_SWEEP_ENGINES` (Hetero-tensor, Hetero-layer, NPU-pipe and
+/// PPL-OpenCL) runs a prefill + short decode with recording
 /// on, and a [`RuntimeController`] serves a seeded conversation under
 /// the standard disturbance trace so replan/fallback/retry quiesce
 /// markers appear in the log. Every recorded log must be race-free.

@@ -31,6 +31,7 @@ use hetero_tensor::shape::MatmulShape;
 
 use crate::engines::{gpu_kernel, npu_kernel};
 use crate::error::EngineError;
+use crate::obs::timeline::TimelineMark;
 use crate::obs::{Timeline, TimelineRecorder};
 use crate::trace::{ConcurrencyLog, ConcurrencyRecorder, OpRole, PhaseTrace, TraceOp};
 
@@ -152,7 +153,7 @@ pub(crate) trait CostDomain {
     /// Charge `times` more copies of everything since `mark`.
     fn repeat_since(&mut self, mark: Self::Mark, times: u64);
 
-    /// Whether a per-kernel observer needs every step walked.
+    /// Whether an observer that cannot repeat needs every step walked.
     fn observed(&self) -> bool;
 
     /// The primed backend (`None` before the first step).
@@ -216,8 +217,12 @@ fn run_op(
 /// and step costs never depend on the clock. So once a layer
 /// leaves the switch machine as it found it, each remaining layer
 /// would cost exactly what that one did, and the domain charges them
-/// as repeats of it. Per-kernel observers need every kernel, so while
-/// any is on the same loop walks every layer.
+/// as repeats of it. For the same reason each later layer would
+/// record the same spans and flows, shifted by whole layer periods,
+/// so the span timeline repeats with the clock. The concurrency
+/// recorder (its memory pool, tokens and rendezvous flags carry over
+/// from step to step) and the SoC's interval trace cannot repeat, so
+/// while either is on the same loop walks every layer.
 pub(crate) fn run_phase(
     domain: &mut impl CostDomain,
     planner: &mut impl Planner,
@@ -246,6 +251,8 @@ pub(crate) fn run_phase(
 
 /// The per-kernel observers of a DES run: the concurrency recorder for
 /// race analysis and the span timeline, each on only while enabled.
+/// The timeline joins the layer repeat; the concurrency recorder
+/// makes the walk visit every layer.
 #[derive(Default)]
 pub struct Observers {
     recorder: Option<ConcurrencyRecorder>,
@@ -301,8 +308,16 @@ impl Des {
     }
 }
 
+/// A [`Des`] snapshot: the SoC's, plus the timeline's while one
+/// records.
+#[derive(Clone, Copy)]
+pub(crate) struct DesMark {
+    soc: SocMark,
+    timeline: Option<TimelineMark>,
+}
+
 impl CostDomain for Des {
-    type Mark = SocMark;
+    type Mark = DesMark;
 
     fn serial(&mut self, backend: Backend, kernel: &KernelDesc) {
         let mech = self.soc.config().sync.mechanism;
@@ -357,16 +372,24 @@ impl CostDomain for Des {
         self.primed = Some(Backend::Gpu);
     }
 
-    fn mark(&self) -> SocMark {
-        self.soc.mark()
+    fn mark(&self) -> DesMark {
+        let now = self.soc.clock();
+        DesMark {
+            soc: self.soc.mark(),
+            timeline: self.obs.timeline.as_ref().map(|tl| tl.mark(now)),
+        }
     }
 
-    fn repeat_since(&mut self, mark: SocMark, times: u64) {
-        self.soc.repeat_since(mark, times);
+    fn repeat_since(&mut self, mark: DesMark, times: u64) {
+        let now = self.soc.clock();
+        self.soc.repeat_since(mark.soc, times);
+        if let (Some(tl), Some(at)) = (&mut self.obs.timeline, mark.timeline) {
+            tl.repeat_since(at, now, times);
+        }
     }
 
     fn observed(&self) -> bool {
-        self.obs.recorder.is_some() || self.obs.timeline.is_some() || self.soc.trace_enabled()
+        self.obs.recorder.is_some() || self.soc.trace_enabled()
     }
 
     fn primed(&self) -> Option<Backend> {

@@ -22,7 +22,7 @@
 
 use std::fmt::Write as _;
 
-use super::timeline::{Span, Timeline, Track};
+use super::timeline::{Span, SpanKind, Timeline, Track};
 
 /// Most bytes of one span event besides its name and timestamp
 /// digits: `{"name":"","cat":"control","ph":"B","ts":,"pid":1,"tid":1}`
@@ -36,100 +36,163 @@ const FLOW_EVENT_BYTES: usize = 72;
 /// for timestamps below 10¹² ns (about 17 simulated minutes). A longer
 /// trace, or a name that needs escaping, only makes the buffer grow.
 const INT_BYTES: usize = 12;
+/// `"00"`, `"01"`, …, `"99"`: integers are written two digits a step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+/// Slots of the prefix cache, as a power of two: 256 slots hold every
+/// distinct kernel, sync and phase name of a session several times
+/// over.
+const PREFIX_SLOT_BITS: u32 = 8;
+
+/// What an event's prefix holds after its name: the category and the
+/// phase.
+#[derive(Clone, Copy)]
+enum Head {
+    /// `B` of a span.
+    Begin(SpanKind),
+    /// `E` of a span.
+    End(SpanKind),
+    /// `s` of a flow.
+    FlowStart,
+    /// `f` of a flow, bound to the enclosing slice.
+    FlowFinish,
+}
+
+impl Head {
+    /// A small integer naming the head; part of the cache key.
+    fn index(self) -> usize {
+        match self {
+            Self::Begin(kind) => 2 * kind as usize,
+            Self::End(kind) => 2 * kind as usize + 1,
+            Self::FlowStart => 10,
+            Self::FlowFinish => 11,
+        }
+    }
+
+    /// The category and the phase as raw JSON.
+    fn cat_ph(self) -> (&'static str, &'static str) {
+        match self {
+            Self::Begin(kind) => (kind.cat(), "\"B\""),
+            Self::End(kind) => (kind.cat(), "\"E\""),
+            Self::FlowStart => ("flow", "\"s\""),
+            Self::FlowFinish => ("flow", "\"f\",\"bp\":\"e\""),
+        }
+    }
+}
+
+/// One rendered prefix, `,\n{"name":"…","cat":"…","ph":…,"ts":`, and
+/// its key: the name's address and length and the head's index.
+#[derive(Clone)]
+struct Prefix {
+    key: (usize, usize, usize),
+    text: String,
+}
+
+impl Prefix {
+    /// An empty slot: no head has index `usize::MAX`.
+    const EMPTY: Self = Self {
+        key: (0, 0, usize::MAX),
+        text: String::new(),
+    };
+}
 
 /// The trace document under construction: one `String`, written in
 /// place event by event.
+///
+/// Span and flow events start from a direct-mapped cache of rendered
+/// prefixes. Every name is borrowed from the timeline for the whole
+/// export, so a name's address and length identify its bytes: the
+/// interned kernel labels of a session hit the cache on every repeat,
+/// and a name that is not interned (a fresh label per span) only
+/// misses, at the cost of rendering its prefix once. Either way each
+/// event costs O(1) cache work.
 struct Writer {
     out: String,
-    first: bool,
+    prefixes: Vec<Prefix>,
+    /// `,"pid":<pid>,"tid":1` of each track, by `Track as usize`.
+    pid_tid: [String; Track::ALL.len()],
 }
 
 impl Writer {
     fn with_capacity(bytes: usize) -> Self {
         let mut out = String::with_capacity(bytes);
         out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-        Self { out, first: true }
+        Self {
+            out,
+            prefixes: std::iter::repeat_n(Prefix::EMPTY, 1 << PREFIX_SLOT_BITS).collect(),
+            pid_tid: Track::ALL.map(|t| format!(",\"pid\":{},\"tid\":1", t.pid())),
+        }
     }
 
-    /// Open the next event: the `,\n` separator (none before the
-    /// first) and `{"name":"<escaped name>"`.
-    fn open(&mut self, name: &str) {
-        if !std::mem::take(&mut self.first) {
-            self.out.push_str(",\n");
+    /// Open a span or flow event up to its `ts` value: the separator,
+    /// the escaped name and `head`'s category and phase, copied from
+    /// the cache when this name and head rendered them before. The
+    /// metadata rows always come first, so the separator is part of
+    /// every cached prefix.
+    fn head(&mut self, name: &str, head: Head) {
+        let key = (name.as_ptr() as usize, name.len(), head.index());
+        let hash = (key.0 ^ key.1.rotate_left(24) ^ key.2.rotate_left(48)) as u64;
+        let slot = hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - PREFIX_SLOT_BITS);
+        let prefix = &mut self.prefixes[slot as usize];
+        if prefix.key != key {
+            let (cat, ph) = head.cat_ph();
+            prefix.key = key;
+            prefix.text.clear();
+            prefix.text.push_str(",\n{\"name\":\"");
+            escape_into(&mut prefix.text, name);
+            prefix.text.push_str("\",\"cat\":\"");
+            prefix.text.push_str(cat);
+            prefix.text.push_str("\",\"ph\":");
+            prefix.text.push_str(ph);
+            prefix.text.push_str(",\"ts\":");
         }
-        self.out.push_str("{\"name\":\"");
-        self.escaped(name);
-        self.out.push('"');
-    }
-
-    /// Append `s` as the body of a JSON string literal. A name with no
-    /// byte to escape (the common case) is copied as one slice; every
-    /// byte that needs escaping is ASCII, so splitting at those bytes
-    /// never cuts a UTF-8 sequence.
-    fn escaped(&mut self, s: &str) {
-        let mut run = 0;
-        for (i, b) in s.bytes().enumerate() {
-            let esc = match b {
-                b'"' => "\\\"",
-                b'\\' => "\\\\",
-                b'\n' => "\\n",
-                b'\t' => "\\t",
-                b'\r' => "\\r",
-                0..=0x1f => "",
-                _ => continue,
-            };
-            self.out.push_str(&s[run..i]);
-            if esc.is_empty() {
-                let _ = write!(self.out, "\\u{b:04x}");
-            } else {
-                self.out.push_str(esc);
-            }
-            run = i + 1;
-        }
-        self.out.push_str(&s[run..]);
+        self.out.push_str(&prefix.text);
     }
 
     /// Append `n` in decimal.
     fn int(&mut self, mut n: u64) {
         let mut digits = [0u8; 20];
         let mut at = digits.len();
-        loop {
+        while n >= 100 {
+            let pair = (n % 100) as usize * 2;
+            n /= 100;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if n >= 10 {
+            let pair = n as usize * 2;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
             at -= 1;
-            digits[at] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
+            digits[at] = b'0' + n as u8;
         }
         self.out
             .push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     }
 
-    /// A `B` or `E` event of a span on process `pid`.
-    fn span_event(&mut self, name: &str, cat: &str, ph: &str, ts: u64, pid: u32) {
-        self.open(name);
-        self.out.push_str(",\"cat\":\"");
-        self.out.push_str(cat);
-        self.out.push_str("\",\"ph\":\"");
-        self.out.push_str(ph);
-        self.out.push_str("\",\"ts\":");
+    /// A `B` or `E` event of a span on `track`.
+    fn span_event(&mut self, name: &str, head: Head, ts: u64, track: Track) {
+        self.head(name, head);
         self.int(ts);
-        self.out.push_str(",\"pid\":");
-        self.int(pid.into());
-        self.out.push_str(",\"tid\":1}");
+        self.out.push_str(&self.pid_tid[track as usize]);
+        self.out.push('}');
     }
 
-    /// One end of flow `id`: `ph` is the raw JSON after `"ph":` —
-    /// `"s"`, or `"f"` with its binding point.
-    fn flow_event(&mut self, name: &str, ph: &str, ts: u64, pid: u32, id: u64) {
-        self.open(name);
-        self.out.push_str(",\"cat\":\"flow\",\"ph\":");
-        self.out.push_str(ph);
-        self.out.push_str(",\"ts\":");
+    /// One end of flow `id`, on `track`.
+    fn flow_event(&mut self, name: &str, head: Head, ts: u64, track: Track, id: u64) {
+        self.head(name, head);
         self.int(ts);
-        self.out.push_str(",\"pid\":");
-        self.int(pid.into());
-        self.out.push_str(",\"tid\":1,\"id\":");
+        self.out.push_str(&self.pid_tid[track as usize]);
+        self.out.push_str(",\"id\":");
         self.int(id);
         self.out.push('}');
     }
@@ -138,6 +201,33 @@ impl Writer {
         self.out.push_str("\n]}\n");
         self.out
     }
+}
+
+/// Append `s` to `out` as the body of a JSON string literal. A name
+/// with no byte to escape (the common case) is copied as one slice;
+/// every byte that needs escaping is ASCII, so splitting at those
+/// bytes never cuts a UTF-8 sequence.
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Render `tl` as a Chrome trace-event JSON document.
@@ -160,18 +250,15 @@ pub fn to_chrome_json(tl: &Timeline) -> String {
             .sum::<usize>();
     let mut w = Writer::with_capacity(bytes);
 
-    for track in Track::ALL {
-        let pid = track.pid();
-        w.open("process_name");
+    for (i, track) in Track::ALL.into_iter().enumerate() {
+        let (pid, sep) = (track.pid(), if i == 0 { "" } else { ",\n" });
         let _ = write!(
             w.out,
-            ",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\"args\":{{\"name\":\"{}\"}}}}",
+            "{sep}{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\
+             \"args\":{{\"name\":\"{}\"}}}},\n\
+             {{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\
+             \"args\":{{\"sort_index\":{pid}}}}}",
             track.name()
-        );
-        w.open("process_sort_index");
-        let _ = write!(
-            w.out,
-            ",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\"args\":{{\"sort_index\":{pid}}}}}"
         );
     }
 
@@ -179,15 +266,19 @@ pub fn to_chrome_json(tl: &Timeline) -> String {
     // span whose end precedes the next span's start.
     let mut stack: Vec<&Span> = Vec::new();
     for track in Track::ALL {
-        let pid = track.pid();
         let end = |w: &mut Writer, s: &Span| {
-            w.span_event(&s.name, s.kind.cat(), "E", s.end.as_nanos(), pid);
+            w.span_event(&s.name, Head::End(s.kind), s.end.as_nanos(), track);
         };
         for span in tl.track_spans(track) {
             while let Some(top) = stack.pop_if(|top| top.end <= span.start) {
                 end(&mut w, top);
             }
-            w.span_event(&span.name, span.kind.cat(), "B", span.start.as_nanos(), pid);
+            w.span_event(
+                &span.name,
+                Head::Begin(span.kind),
+                span.start.as_nanos(),
+                track,
+            );
             stack.push(span);
         }
         while let Some(top) = stack.pop() {
@@ -199,8 +290,8 @@ pub fn to_chrome_json(tl: &Timeline) -> String {
     flows.sort_by_key(|f| f.id);
     for f in flows {
         let (from, to) = (f.from_time.as_nanos(), f.to_time.as_nanos());
-        w.flow_event(&f.name, "\"s\"", from, f.from_track.pid(), f.id);
-        w.flow_event(&f.name, "\"f\",\"bp\":\"e\"", to, f.to_track.pid(), f.id);
+        w.flow_event(&f.name, Head::FlowStart, from, f.from_track, f.id);
+        w.flow_event(&f.name, Head::FlowFinish, to, f.to_track, f.id);
     }
 
     w.finish()

@@ -2,7 +2,7 @@
 //! quantile rank rule every reported quantile uses.
 //!
 //! Same determinism discipline as
-//! [`crate::runtime::DegradationSummary`] and
+//! [`crate::report::DegradationSummary`] and
 //! [`crate::report::IntegritySummary`]: every value is a `u64`
 //! (counts or nanoseconds), containers iterate in sorted order, and
 //! the serialized form is byte-stable across same-seed runs.
@@ -267,38 +267,52 @@ impl MetricsRegistry {
     /// - the timeline's own named counters (graph-cache lookups,
     ///   switches, controller decisions), carried over verbatim;
     /// - `spans_<track>` / `flows_total` structural counts;
-    /// - `sync_wait_ns` — total simulated time spent in sync spans;
+    /// - `sync_wait_ns` — total simulated time spent in sync spans,
+    ///   and `graph_compile_ns` the same for graph-compile spans;
     /// - `kernel_ns_<track>` histograms of kernel-span durations and a
     ///   `sync_ns` histogram of sync-span durations.
+    ///
+    /// One pass over the spans folds each track's kernel durations into
+    /// a local [`Histogram`] and the sync and compile time into local
+    /// sums; each name is then written once. A sum's counter appears
+    /// exactly when a span of its kind exists, zero-length ones
+    /// included.
     pub fn from_timeline(tl: &Timeline) -> Self {
         let mut reg = Self::new();
         for (name, n) in tl.counters() {
             reg.incr(name, *n);
         }
         reg.incr("flows_total", tl.flows().len() as u64);
-        for track in Track::ALL {
-            let name = format!("spans_{}", track.name().to_ascii_lowercase());
-            reg.incr(
-                &name,
-                tl.spans().iter().filter(|s| s.track == track).count() as u64,
-            );
-        }
         // Indexed by `Track as usize`: `Track::ALL` is in declaration
         // order.
-        let kernel_ns = Track::ALL.map(|t| format!("kernel_ns_{}", t.name().to_ascii_lowercase()));
+        let mut spans = [0u64; Track::ALL.len()];
+        let mut kernel_ns: [Histogram; Track::ALL.len()] = Default::default();
+        let mut sync_ns = Histogram::new();
+        let (mut sync_wait, mut compile) = (None, None);
         for span in tl.spans() {
+            spans[span.track as usize] += 1;
+            let d = span.duration();
             match span.kind {
-                SpanKind::Kernel => {
-                    reg.observe(&kernel_ns[span.track as usize], span.duration());
-                }
+                SpanKind::Kernel => kernel_ns[span.track as usize].observe(d),
                 SpanKind::Sync => {
-                    reg.incr("sync_wait_ns", span.duration().as_nanos());
-                    reg.observe("sync_ns", span.duration());
+                    *sync_wait.get_or_insert(0) += d.as_nanos();
+                    sync_ns.observe(d);
                 }
-                SpanKind::Cache => {
-                    reg.incr("graph_compile_ns", span.duration().as_nanos());
-                }
+                SpanKind::Cache => *compile.get_or_insert(0) += d.as_nanos(),
                 SpanKind::Phase | SpanKind::Control => {}
+            }
+        }
+        for (track, n) in Track::ALL.iter().zip(spans) {
+            reg.incr(&format!("spans_{}", track.name().to_ascii_lowercase()), n);
+        }
+        for (track, h) in Track::ALL.iter().zip(&kernel_ns) {
+            let name = format!("kernel_ns_{}", track.name().to_ascii_lowercase());
+            reg.merge_histogram(&name, h);
+        }
+        reg.merge_histogram("sync_ns", &sync_ns);
+        for (name, sum) in [("sync_wait_ns", sync_wait), ("graph_compile_ns", compile)] {
+            if let Some(ns) = sum {
+                reg.incr(name, ns);
             }
         }
         reg

@@ -411,9 +411,20 @@ impl Timeline {
 /// shape, parallel-section batch size, sync mechanism, compile
 /// bucket) and hands out O(1) clones — the formatted string is built
 /// once per distinct name per session, not once per span.
+///
+/// Layer repeat: `TimelineRecorder::mark` and
+/// `TimelineRecorder::repeat_since` let the plan walk record one
+/// decoder layer and append the rest as shifted copies of it: the
+/// timeline's part of the layer repeat that `engines::walk::run_phase`
+/// applies to the clock and the energy meter.
 #[derive(Debug, Default)]
 pub struct TimelineRecorder {
     tl: Timeline,
+    /// Backend switches and parallel sections so far, the only
+    /// counters the per-kernel hooks bump; kept out of the counter map
+    /// until [`TimelineRecorder::finish`] so a mark can copy them.
+    switches: u64,
+    parallel_sections: u64,
     matmul_labels: BTreeMap<(usize, usize, usize), Label>,
     static_labels: BTreeMap<&'static str, Label>,
     sync_labels: BTreeMap<(&'static str, &'static str), Label>,
@@ -421,10 +432,73 @@ pub struct TimelineRecorder {
     batch_labels: BTreeMap<usize, Label>,
 }
 
+/// A snapshot of a [`TimelineRecorder`] at simulated time `at`: how
+/// many spans and flows it held, its next flow id and its per-kernel
+/// counters. See [`TimelineRecorder::repeat_since`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TimelineMark {
+    at: SimTime,
+    spans: usize,
+    flows: usize,
+    flow_id: u64,
+    switches: u64,
+    parallel_sections: u64,
+}
+
 impl TimelineRecorder {
     /// New recorder with an empty timeline.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Snapshot the recorder at simulated time `now`.
+    pub(crate) fn mark(&self, now: SimTime) -> TimelineMark {
+        TimelineMark {
+            at: now,
+            spans: self.tl.spans.len(),
+            flows: self.tl.flows.len(),
+            flow_id: self.tl.next_flow_id,
+            switches: self.switches,
+            parallel_sections: self.parallel_sections,
+        }
+    }
+
+    /// Append `times` more copies of everything recorded since `mark`,
+    /// as if it had been recorded again back to back: copy `k` of each
+    /// span and flow is shifted by `k` times the time from `mark` to
+    /// `now`, copy `k` of flow `id` gets `id + k·Δ` for the `Δ` ids the
+    /// stretch used (so ids stay sequential), and the per-kernel
+    /// counters grow by `times` their deltas.
+    pub(crate) fn repeat_since(&mut self, mark: TimelineMark, now: SimTime, times: u64) {
+        let period = (now - mark.at).as_nanos();
+        let tl = &mut self.tl;
+        let (spans, flows) = (tl.spans.len(), tl.flows.len());
+        let ids = tl.next_flow_id - mark.flow_id;
+        // Reserved once per repeat: growing copy by copy read about
+        // 0.5 MB more peak RSS in `perfbench` `device-mix`, at the
+        // same op time.
+        let copies = usize::try_from(times).expect("layer count fits usize");
+        tl.spans.reserve((spans - mark.spans) * copies);
+        tl.flows.reserve((flows - mark.flows) * copies);
+        for k in 1..=times {
+            let shift = SimTime::from_nanos(k * period);
+            let at = tl.spans.len();
+            tl.spans.extend_from_within(mark.spans..spans);
+            for s in &mut tl.spans[at..] {
+                s.start += shift;
+                s.end += shift;
+            }
+            let at = tl.flows.len();
+            tl.flows.extend_from_within(mark.flows..flows);
+            for f in &mut tl.flows[at..] {
+                f.id += k * ids;
+                f.from_time += shift;
+                f.to_time += shift;
+            }
+        }
+        tl.next_flow_id += times * ids;
+        self.switches += (self.switches - mark.switches) * times;
+        self.parallel_sections += (self.parallel_sections - mark.parallel_sections) * times;
     }
 
     /// The interned display name of a kernel, derived from its
@@ -502,7 +576,7 @@ impl TimelineRecorder {
             Track::from_backend(to),
             end,
         );
-        self.tl.count("switches", 1);
+        self.switches += 1;
     }
 
     /// A GPU∥NPU parallel section started at `start`; the GPU side
@@ -544,7 +618,7 @@ impl TimelineRecorder {
         );
         self.tl
             .push_flow(name, Track::Npu, npu_end, Track::Cpu, rendezvous_start);
-        self.tl.count("parallel_sections", 1);
+        self.parallel_sections += 1;
     }
 
     /// An NPU graph for sequence length `m` compiled over
@@ -577,7 +651,15 @@ impl TimelineRecorder {
     }
 
     /// Finish recording, yielding the timeline.
-    pub fn finish(self) -> Timeline {
+    pub fn finish(mut self) -> Timeline {
+        for (name, n) in [
+            ("switches", self.switches),
+            ("parallel_sections", self.parallel_sections),
+        ] {
+            if n > 0 {
+                self.tl.count(name, n);
+            }
+        }
         self.tl
     }
 }

@@ -5,7 +5,7 @@
 //! under sustained load (§4) — but the engines themselves plan once,
 //! at calibration time. This module closes the loop: a
 //! [`RuntimeController`] serves a stream of inference requests while a
-//! seeded [`DisturbanceTrace`](hetero_soc::disturb::DisturbanceTrace)
+//! seeded [`DisturbanceTrace`]
 //! perturbs the SoC, watches per-phase SLO deadlines, and reacts:
 //!
 //! - **Replan**: re-solve the tensor partition against the

@@ -1,8 +1,10 @@
 //! Property-based tests of the observability layer: for any engine,
 //! model preset, prompt/decode length, and sync mechanism, an observed
 //! session must yield a well-formed timeline whose export and metrics
-//! keep their structural contracts; and for any timeline, the
-//! streaming Chrome exporter must write the same bytes as the
+//! keep their structural contracts, and the timeline the plan walk
+//! records by repeating one decoder layer must equal the one it
+//! records walking every layer; and for any timeline, the streaming
+//! Chrome exporter must write the same bytes as the
 //! one-string-per-event reference below.
 
 use hetero_soc::sync::SyncMechanism;
@@ -208,8 +210,57 @@ fn segment(
     tl
 }
 
+/// Reference metrics derivation: one registry write per span, the
+/// way [`MetricsRegistry::from_timeline`] worked before it folded each
+/// name locally. It must match the registry the fold builds.
+fn metrics_oracle(tl: &Timeline) -> MetricsRegistry {
+    let mut reg = MetricsRegistry::new();
+    for (name, n) in tl.counters() {
+        reg.incr(name, *n);
+    }
+    reg.incr("flows_total", tl.flows().len() as u64);
+    for track in Track::ALL {
+        let name = format!("spans_{}", track.name().to_ascii_lowercase());
+        let n = tl.spans().iter().filter(|s| s.track == track).count();
+        reg.incr(&name, n as u64);
+    }
+    for span in tl.spans() {
+        match span.kind {
+            SpanKind::Kernel => {
+                let name = format!("kernel_ns_{}", span.track.name().to_ascii_lowercase());
+                reg.observe(&name, span.duration());
+            }
+            SpanKind::Sync => {
+                reg.incr("sync_wait_ns", span.duration().as_nanos());
+                reg.observe("sync_ns", span.duration());
+            }
+            SpanKind::Cache => reg.incr("graph_compile_ns", span.duration().as_nanos()),
+            SpanKind::Phase | SpanKind::Control => {}
+        }
+    }
+    reg
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// The one-pass metrics fold writes the same registry as the
+    /// per-span reference, zero-length sync and compile spans and
+    /// counters named like a derived metric included.
+    #[test]
+    fn metrics_fold_matches_the_per_span_reference(
+        spans in proptest::collection::vec(arb_span(), 0..24),
+        flows in proptest::collection::vec(arb_flow(), 0..8),
+        counters in proptest::collection::vec((0usize..3, 0u64..5), 0..4),
+    ) {
+        let mut tl = segment(&spans, &flows);
+        for (name, n) in counters {
+            tl.count(["switches", "sync_wait_ns", "spans_gpu"][name], n);
+        }
+        let want = metrics_oracle(&tl);
+        let got = MetricsRegistry::from_timeline(&tl);
+        prop_assert_eq!(got, want);
+    }
 
     /// The streaming exporter writes exactly the reference bytes for
     /// timelines with hostile names, zero-length and nested spans,
@@ -340,5 +391,47 @@ proptest! {
         prop_assert!(!json.contains('.'), "all-integer snapshot: {}", json);
         // The observed report carries the same snapshot.
         prop_assert_eq!(report.metrics.as_ref(), Some(&snap));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// An observed session charges repeated decoder layers by copying
+    /// the first one's spans and flows; one that also records a
+    /// concurrency log walks every layer. Both must give the same
+    /// timeline, the same trace bytes and the same report.
+    #[test]
+    fn repeated_timelines_match_walked_ones(
+        kind in arb_engine(),
+        model in arb_model(),
+        prompt in 1usize..1100,
+        decode in 0usize..40,
+        sync in arb_sync(),
+    ) {
+        let run = |walk_every_layer: bool| {
+            let mut session = InferenceSession::with_sync(kind, &model, sync);
+            if walk_every_layer {
+                session.engine_mut().enable_concurrency_log();
+            }
+            let (report, tl) = session.try_run_observed(prompt, decode).expect("built-in trace");
+            (serde_json::to_string(&report).expect("serialize"), tl)
+        };
+        let (report, repeated) = run(false);
+        let (walked_report, walked) = run(true);
+        prop_assert!(
+            repeated == walked,
+            "{:?} {} at {}+{}: {} spans and {} flows repeated, {} and {} walked",
+            kind,
+            model.name,
+            prompt,
+            decode,
+            repeated.spans().len(),
+            repeated.flows().len(),
+            walked.spans().len(),
+            walked.flows().len(),
+        );
+        prop_assert_eq!(chrome::to_chrome_json(&repeated), chrome::to_chrome_json(&walked));
+        prop_assert_eq!(report, walked_report);
     }
 }

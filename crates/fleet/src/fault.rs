@@ -358,7 +358,7 @@ fn push_union_edges(windows: &[Window], starts: &mut Vec<SimTime>, ends: &mut Ve
 /// Fold a [`SocCondition`] into one service-speed multiplier: the
 /// worse compute derate (heterogeneous engines lean on both
 /// backends), the thermal step, and the bandwidth fraction compound;
-/// the result is clamped to [`MAX_SLOWDOWN`].
+/// the result is clamped to `[1, MAX_SLOWDOWN]`, with `MAX_SLOWDOWN` = 20.
 pub fn condition_slowdown(c: &SocCondition) -> f64 {
     let compute = c.gpu_derate.min(c.npu_derate) * c.thermal_factor * c.bw_fraction;
     (1.0 / compute.max(1.0 / MAX_SLOWDOWN)).clamp(1.0, MAX_SLOWDOWN)
