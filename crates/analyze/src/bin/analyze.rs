@@ -174,6 +174,24 @@ fn models_for(args: &Args) -> Result<Vec<ModelConfig>, String> {
         .collect()
 }
 
+/// The logs in `text`, a fleet log pair or a rollout log set, parsed
+/// once: a document whose first key is `robust` or `naive` is read as a
+/// pair, any other as a set.
+fn parse_event_logs(text: &str) -> serde_json::Result<Vec<hetero_fleet::FleetEventLog>> {
+    let ws: &[char] = &[' ', '\t', '\n', '\r'];
+    let first_key = text
+        .trim_start_matches(ws)
+        .strip_prefix('{')
+        .and_then(|rest| rest.trim_start_matches(ws).strip_prefix('"'))
+        .and_then(|rest| rest.split('"').next());
+    if matches!(first_key, Some("robust" | "naive")) {
+        serde_json::from_str::<hetero_fleet::FleetLogPair>(text)
+            .map(|pair| vec![pair.robust, pair.naive])
+    } else {
+        serde_json::from_str::<hetero_fleet::RolloutLogSet>(text).map(|set| set.runs)
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -346,20 +364,14 @@ fn main() -> ExitCode {
                             }
                         }
                     };
-                    let logs = if let Ok(pair) =
-                        serde_json::from_str::<hetero_fleet::FleetLogPair>(&text)
-                    {
-                        vec![pair.robust, pair.naive]
-                    } else {
-                        match serde_json::from_str::<hetero_fleet::RolloutLogSet>(&text) {
-                            Ok(set) => set.runs,
-                            Err(e) => {
-                                eprintln!(
-                                    "cannot parse {path} as a fleet event-log pair or a rollout \
-                                     log set: {e}"
-                                );
-                                return ExitCode::from(2);
-                            }
+                    let logs = match parse_event_logs(&text) {
+                        Ok(logs) => logs,
+                        Err(e) => {
+                            eprintln!(
+                                "cannot parse {path} as a fleet event-log pair or a rollout log \
+                                 set: {e}"
+                            );
+                            return ExitCode::from(2);
                         }
                     };
                     for (i, log) in logs.iter().enumerate() {

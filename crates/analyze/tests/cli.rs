@@ -185,3 +185,74 @@ fn malformed_rollout_windows_are_typed_errors() {
         assert!(stderr.trim_end().ends_with(message), "{stderr}");
     }
 }
+
+/// A one-event log of `policy`, `Lost { at: 7 ns, req: 3 }`.
+fn lost_log(policy: &str) -> hetero_fleet::FleetEventLog {
+    hetero_fleet::FleetEventLog {
+        version: hetero_fleet::EVENT_LOG_VERSION,
+        seed: 1,
+        policy: policy.into(),
+        devices: 2,
+        requests: 1,
+        slo_ttft_ns: 1_000_000,
+        deadline_ns: 4_000_000,
+        census_interval_ns: 50_000_000,
+        windows: Vec::new(),
+        events: vec![hetero_fleet::FleetEvent::Lost {
+            at: hetero_soc::SimTime::from_nanos(7),
+            req: 3,
+        }],
+    }
+}
+
+#[test]
+fn both_log_shapes_load_with_keys_in_any_order() {
+    use hetero_fleet::{FleetLogPair, RolloutLogSet};
+
+    let pair = serde_json::to_string(&FleetLogPair {
+        robust: lost_log("robust"),
+        naive: lost_log("round-robin"),
+    })
+    .expect("pair serializes");
+    let set = serde_json::to_string(&RolloutLogSet {
+        runs: vec![lost_log("rollout")],
+    })
+    .expect("set serializes");
+    let (robust, naive) = pair[1..pair.len() - 1]
+        .split_once(",\"naive\":")
+        .expect("two keys");
+    let swapped = format!("{{\"naive\":{naive},{robust}}}");
+    for text in [
+        &pair,
+        &set,
+        &swapped,
+        &format!(" \n{{ \"runs\" :{}", &set[8..]),
+    ] {
+        let (code, stderr) = monitor_stdin(text);
+        assert!(matches!(code, Some(0 | 1)), "{text}: {stderr}");
+    }
+}
+
+#[test]
+fn out_of_range_integers_in_a_log_exit_two() {
+    let text = serde_json::to_string(&hetero_fleet::RolloutLogSet {
+        runs: vec![lost_log("robust")],
+    })
+    .expect("set serializes");
+    let bad = text.replacen(
+        r#"{"Lost":{"at":7,"req":3}}"#,
+        r#"{"Lost":{"at":1e30,"req":18446744073709551616}}"#,
+        1,
+    );
+    assert_ne!(bad, text);
+    let (code, stderr) = monitor_stdin(&bad);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with(
+            "cannot parse - as a fleet event-log pair or a rollout log set: \
+             integer 1e30 out of range for u64 at byte "
+        ),
+        "{stderr}"
+    );
+}

@@ -28,6 +28,12 @@
 //!   compact and pretty JSON, the typed writer and the `Value` renderer
 //!   emit the same bytes, and mutated or truncated log text is an `Ok`
 //!   or an `Err` from the reader, never a panic.
+//! - The JSON codec's fast paths (`json_codec_*`): integers are written
+//!   as `format!` writes them; a number reads to the same `Number`, or
+//!   the same error, as the scan-then-`str::parse` reference kept here;
+//!   and a log pair reads to the same value from compact text, pretty
+//!   text, and text whose keys are shuffled, duplicated, escaped,
+//!   dropped (`default` fields) or joined by unknown keys.
 
 use hetero_fleet::{
     calibrate_profiles_with_socs, BreakerCause, BreakerConfig, BreakerState, CircuitBreaker,
@@ -41,6 +47,8 @@ use heterollm::obs::metrics::exact_quantile;
 use heterollm::obs::{Histogram, MetricsRegistry};
 use heterollm::ModelConfig;
 use proptest::prelude::*;
+use serde::__private::{Number, Reader};
+use serde_json::Value;
 use std::sync::OnceLock;
 
 /// Calibrated Table-1 profiles paired with the static `[lo, hi]`
@@ -739,6 +747,190 @@ proptest! {
         };
         for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
             prop_assert!(serde_json::from_str::<FleetLogPair>(&text[..end]).is_err());
+        }
+    }
+}
+
+/// Cases for the JSON codec oracle: `PROPTEST_CASES` if set, else 48.
+fn codec_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(48)
+}
+
+/// The number reader before the integer fast path: scan the literal,
+/// then `str::parse` it as `u64`, then `i64`, then `f64`. An integer
+/// that fits neither integer type is a `BigInt`. Returns the result and
+/// the literal's length. `text` starts with `-` or a digit.
+fn reference_number(text: &str) -> (Result<Number, String>, usize) {
+    let bytes = text.as_bytes();
+    let mut end = 1;
+    let mut is_float = false;
+    while let Some(&b) = bytes.get(end) {
+        match b {
+            b'0'..=b'9' => {}
+            b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+            _ => break,
+        }
+        end += 1;
+    }
+    let literal = &text[..end];
+    let invalid = |_| "invalid number at byte 0".to_string();
+    let result = if is_float {
+        literal.parse::<f64>().map(Number::F64).map_err(invalid)
+    } else if let Ok(u) = literal.parse::<u64>() {
+        Ok(Number::U64(u))
+    } else if let Ok(i) = literal.parse::<i64>() {
+        Ok(Number::I64(i))
+    } else {
+        literal.parse::<f64>().map(Number::BigInt).map_err(invalid)
+    };
+    (result, end)
+}
+
+/// Integer parts of number literals: zero, leading zeros, and the
+/// edges of `u64` and `i64` with their neighbours.
+const INT_PARTS: [&str; 10] = [
+    "0",
+    "00",
+    "0007",
+    "9223372036854775807",
+    "9223372036854775808",
+    "9223372036854775809",
+    "18446744073709551615",
+    "18446744073709551616",
+    "99999999999999999999",
+    "123456789012345678901234567890",
+];
+const FRACTIONS: [&str; 4] = ["", ".", ".5", ".000"];
+const EXPONENTS: [&str; 6] = ["", "e3", "E-2", "e+400", "e", "e-0"];
+const TRAILERS: [&str; 9] = ["", "x", ",", " ", "-", "+1", ".", "]", "e"];
+
+/// A number literal, valid or not, followed by what may trail it. Most
+/// are plain integers: they take the reader's fast path.
+fn arb_number_text() -> impl Strategy<Value = String> {
+    (
+        (0u8..4, 0usize..2 * INT_PARTS.len(), 0u64..=u64::MAX),
+        (0usize..3, 0u64..=u64::MAX, proptest::bool::ANY),
+        (
+            0usize..FRACTIONS.len() + 6,
+            0usize..EXPONENTS.len() + 9,
+            0usize..TRAILERS.len(),
+        ),
+    )
+        .prop_map(
+            |((sign, part, raw), (zeros, extra, long), (frac, exp, trail))| {
+                let mut text = String::from(if sign == 0 { "-" } else { "" });
+                text.push_str(&"0".repeat(zeros));
+                match INT_PARTS.get(part) {
+                    Some(p) => text.push_str(p),
+                    // A random integer, or one of 20 or more digits.
+                    None if long => text.push_str(&format!("{raw}{extra}")),
+                    None => text.push_str(&format!("{}", raw >> (extra % 64))),
+                }
+                text.push_str(FRACTIONS.get(frac).unwrap_or(&""));
+                text.push_str(EXPONENTS.get(exp).unwrap_or(&""));
+                text.push_str(TRAILERS[trail]);
+                text
+            },
+        )
+}
+
+/// `v` with its object keys shuffled, and, where `draws` say so, an
+/// empty `windows` dropped, keys duplicated after their first entry
+/// (the first wins), and unknown keys inserted with nested values.
+/// One-entry objects keyed by a capitalised name are enum variants and
+/// keep their one entry.
+fn scramble(v: &Value, draws: &mut impl Iterator<Item = u64>) -> Value {
+    match v {
+        Value::Seq(items) => Value::Seq(items.iter().map(|i| scramble(i, draws)).collect()),
+        Value::Map(entries)
+            if entries.len() == 1 && entries[0].0.starts_with(|c: char| c.is_ascii_uppercase()) =>
+        {
+            Value::Map(vec![(entries[0].0.clone(), scramble(&entries[0].1, draws))])
+        }
+        Value::Map(entries) => {
+            let mut out: Vec<(String, Value)> = entries
+                .iter()
+                .map(|(k, v)| (k.clone(), scramble(v, draws)))
+                .collect();
+            let mut draw = || draws.next().expect("draws cycle");
+            out.retain(|(k, v)| {
+                !(k == "windows" && *v == Value::Seq(Vec::new()) && draw() % 2 == 0)
+            });
+            for i in (1..out.len()).rev() {
+                out.swap(i, (draw() % (i as u64 + 1)) as usize);
+            }
+            if let Some((k, _)) = out.get((draw() % 8) as usize) {
+                let dup = (k.clone(), Value::Str("duplicate".into()));
+                out.push(dup);
+            }
+            if draw() % 2 == 0 {
+                let mut junk = Value::U64(draw());
+                for depth in 0..draw() % 8 {
+                    junk = if depth % 2 == 0 {
+                        Value::Seq(vec![junk, Value::Null])
+                    } else {
+                        Value::Map(vec![("at".into(), junk)])
+                    };
+                }
+                let at = (draw() % (out.len() as u64 + 1)) as usize;
+                out.insert(at, ("unknown".into(), junk));
+            }
+            Value::Map(out)
+        }
+        other => other.clone(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(codec_cases()))]
+
+    /// Every integer type writes what `format!` writes.
+    #[test]
+    fn json_codec_writes_integers_like_format(raw in 0u64..=u64::MAX, shift in 0u32..64) {
+        let v = raw >> shift;
+        prop_assert_eq!(serde_json::to_string(&v).unwrap(), format!("{v}"));
+        let i = v as i64;
+        prop_assert_eq!(serde_json::to_string(&i).unwrap(), format!("{i}"));
+        let (a, b, c) = (v as u32, v as i32, v as i8);
+        prop_assert_eq!(serde_json::to_string(&a).unwrap(), format!("{a}"));
+        prop_assert_eq!(serde_json::to_string(&b).unwrap(), format!("{b}"));
+        prop_assert_eq!(serde_json::to_string(&c).unwrap(), format!("{c}"));
+    }
+
+    /// A number reads to the reference's `Number` and ends where the
+    /// reference's literal does, or fails with the same error.
+    #[test]
+    fn json_codec_reads_numbers_like_the_reference(text in arb_number_text()) {
+        let (want, end) = reference_number(&text);
+        let mut r = Reader::new(&text);
+        let got = r.number("number").map_err(|e| e.to_string());
+        prop_assert_eq!(&got, &want, "{}", text);
+        if got.is_ok() {
+            prop_assert_eq!(r.error("end").to_string(), format!("end at byte {end}"), "{}", text);
+        }
+    }
+
+    /// A log pair reads to the same value from compact text, pretty
+    /// text, and scrambled text with escaped keys.
+    #[test]
+    fn json_codec_reads_reordered_logs(
+        pair in arb_pair(),
+        draws in proptest::collection::vec(0u64..=u64::MAX, 64..65),
+        escape in proptest::bool::ANY,
+    ) {
+        let compact = serde_json::to_string(&pair).unwrap();
+        let pretty = serde_json::to_string_pretty(&pair).unwrap();
+        let mut draws = draws.into_iter().cycle();
+        let scrambled = scramble(&serde_json::from_str(&compact).unwrap(), &mut draws);
+        let mut shuffled = serde_json::to_string(&scrambled).unwrap();
+        if escape {
+            shuffled = shuffled.replace("\"req\":", "\"r\\u0065q\":").replace("{\"Lost\":", "{\"Lo\\u0073t\":");
+        }
+        for text in [&compact, &pretty, &shuffled, &serde_json::to_string_pretty(&scrambled).unwrap()] {
+            prop_assert_eq!(&serde_json::from_str::<FleetLogPair>(text).unwrap(), &pair, "{}", text);
         }
     }
 }

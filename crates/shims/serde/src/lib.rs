@@ -11,6 +11,24 @@
 //! `Deserializer`, `de::Error::custom`, `#[derive(..)]`,
 //! `#[serde(with = "module")]`) is source-compatible with the subset of
 //! serde this workspace uses.
+//!
+//! Two shortcuts keep derived types near copy speed, and each falls
+//! back to the general path, so every input reads as it would without
+//! them:
+//!
+//! - Derived field and variant names are Rust identifiers, which never
+//!   need a JSON escape, and the derive refuses any that would. It
+//!   quotes each name once at compile time (`"name":`), and the writer
+//!   copies that text as is instead of escaping the name on every
+//!   write.
+//! - A derived struct reader guesses that each key is the field
+//!   declared after the last one matched, the order its writer uses. It
+//!   compares the raw bytes with that field's quoted name and consumes
+//!   them on a match; on a miss it consumes nothing and decodes and
+//!   looks up the key as before. Enum tags are matched the same way
+//!   against each variant's quoted name. Integers are written two
+//!   digits a step, and a plain non-negative integer is built while
+//!   its digits are scanned.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -21,7 +39,7 @@ pub use serde_derive::{Deserialize, Serialize};
 mod read;
 mod write;
 
-use read::Reader;
+use read::{Number, Reader};
 use write::Writer;
 
 /// The error every shim (de)serializer reports.
@@ -130,12 +148,13 @@ macro_rules! impl_serde_uint {
             fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
                 d.with_reader(|r| {
                     let n = r.number("unsigned integer")?;
-                    let v = n.as_u64().ok_or_else(|| {
-                        r.error(format_args!("expected unsigned integer, got {n}"))
+                    let v = n.as_u64().ok_or_else(|| match n {
+                        Number::BigInt(f) | Number::F64(f) if f.fract() == 0.0 && f >= 0.0 => {
+                            out_of_range(r, n, stringify!($t))
+                        }
+                        _ => r.error(format_args!("expected unsigned integer, got {n}")),
                     })?;
-                    <$t>::try_from(v).map_err(|_| {
-                        r.error(format_args!("integer {v} out of range for {}", stringify!($t)))
-                    })
+                    <$t>::try_from(v).map_err(|_| out_of_range(r, v, stringify!($t)))
                 })
             }
         }
@@ -156,16 +175,23 @@ macro_rules! impl_serde_int {
             fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
                 d.with_reader(|r| {
                     let n = r.number("integer")?;
-                    let v = n
-                        .as_i64()
-                        .ok_or_else(|| r.error(format_args!("expected integer, got {n}")))?;
-                    <$t>::try_from(v).map_err(|_| {
-                        r.error(format_args!("integer {v} out of range for {}", stringify!($t)))
-                    })
+                    let v = n.as_i64().ok_or_else(|| match n {
+                        Number::BigInt(f) | Number::F64(f) if f.fract() == 0.0 => {
+                            out_of_range(r, n, stringify!($t))
+                        }
+                        _ => r.error(format_args!("expected integer, got {n}")),
+                    })?;
+                    <$t>::try_from(v).map_err(|_| out_of_range(r, v, stringify!($t)))
                 })
             }
         }
     )*};
+}
+
+/// The error for integer `n` outside the range of type `ty`. An
+/// integral float too large for `u64` or `i64` (`1e30`) is one too.
+fn out_of_range(r: &Reader, n: impl fmt::Display, ty: &str) -> Error {
+    r.error(format_args!("integer {n} out of range for {ty}"))
 }
 
 impl_serde_uint!(u8, u16, u32, u64, usize);

@@ -1,6 +1,14 @@
 //! The pull reader every [`crate::Deserialize`] impl reads from: a
 //! recursive-descent JSON parser that hands out one token at a time,
 //! so typed values are built straight from the text.
+//!
+//! Derived readers pass their field and variant names as quoted
+//! literals. [`Reader::next_key`] compares the raw bytes with the field
+//! declared after the last one matched, and [`Reader::variant`] with
+//! each variant name, before decoding anything: the names hold nothing
+//! to escape, so a byte match is exactly the key decoding would yield.
+//! A miss consumes nothing and takes the general path, which is the
+//! only one for escaped, reordered or unknown keys.
 
 use std::fmt;
 
@@ -12,14 +20,18 @@ use crate::{Deserializer, Error};
 pub const MAX_DEPTH: usize = 128;
 
 /// A JSON number as written: non-negative integers are `U64`, negative
-/// integers `I64`, and anything with a fraction or exponent (or out of
-/// integer range) `F64`.
+/// integers `I64`, integers outside both ranges `BigInt`, and anything
+/// with a fraction or exponent `F64`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Number {
     /// A non-negative integer.
     U64(u64),
     /// A negative integer.
     I64(i64),
+    /// An integer outside the `u64` and `i64` ranges, as the nearest
+    /// `f64`. It is kept apart from `F64` because rounding can land it
+    /// in range: `-9223372036854775809` rounds to `i64::MIN`.
+    BigInt(f64),
     /// A float.
     F64(f64),
 }
@@ -30,18 +42,22 @@ impl Number {
         match self {
             Number::U64(v) => v as f64,
             Number::I64(v) => v as f64,
-            Number::F64(v) => v,
+            Number::BigInt(v) | Number::F64(v) => v,
         }
     }
 
-    /// The value as `u64`, if it is a non-negative integer (an
-    /// integral float such as `3.0` counts).
+    /// The value as `u64`, if it is a non-negative integer in range (an
+    /// integral float such as `3.0` counts; `1e30` does not).
     pub fn as_u64(self) -> Option<u64> {
         match self {
             Number::U64(v) => Some(v),
             Number::I64(v) => u64::try_from(v).ok(),
-            Number::F64(v) if v >= 0.0 && v.fract() == 0.0 => Some(v as u64),
-            Number::F64(_) => None,
+            // `u64::MAX as f64` rounds up to 2⁶⁴, the first value
+            // out of range.
+            Number::F64(v) if v.fract() == 0.0 && (0.0..u64::MAX as f64).contains(&v) => {
+                Some(v as u64)
+            }
+            Number::BigInt(_) | Number::F64(_) => None,
         }
     }
 
@@ -51,8 +67,14 @@ impl Number {
         match self {
             Number::U64(v) => i64::try_from(v).ok(),
             Number::I64(v) => Some(v),
-            Number::F64(v) if v.fract() == 0.0 => Some(v as i64),
-            Number::F64(_) => None,
+            // `i64::MIN as f64` is exactly -2⁶³, and 2⁶³ is the first
+            // value out of range above.
+            Number::F64(v)
+                if v.fract() == 0.0 && (i64::MIN as f64..-(i64::MIN as f64)).contains(&v) =>
+            {
+                Some(v as i64)
+            }
+            Number::BigInt(_) | Number::F64(_) => None,
         }
     }
 }
@@ -62,8 +84,8 @@ impl fmt::Display for Number {
         match self {
             Number::U64(v) => write!(f, "{v}"),
             Number::I64(v) => write!(f, "{v}"),
-            Number::F64(v) if v.is_finite() => write!(f, "{v:?}"),
-            Number::F64(_) => f.write_str("null"),
+            Number::BigInt(v) | Number::F64(v) if v.is_finite() => write!(f, "{v:?}"),
+            Number::BigInt(_) | Number::F64(_) => f.write_str("null"),
         }
     }
 }
@@ -210,12 +232,37 @@ impl<'de> Reader<'de> {
         Ok(Some(self.resolve(key)))
     }
 
-    /// Like [`Self::next_key_str`], but yields the key's index in
-    /// `keys` (`keys.len()` for a key not listed).
-    pub fn next_key(&mut self, keys: &[&str]) -> Result<Option<usize>, Error> {
-        Ok(self
-            .next_key_str()?
-            .map(|k| keys.iter().position(|f| *f == k).unwrap_or(keys.len())))
+    /// Like [`Self::next_key_str`], for a derived struct whose keys
+    /// are `keys`, each given as its JSON text and colon (`"name":`):
+    /// yields the key's index in `keys` (`keys.len()` for a key not
+    /// listed).
+    ///
+    /// `guess` is the index after the last key matched. Text written by
+    /// the derive holds the fields in declaration order, so the raw
+    /// bytes at the key are first compared with `keys[guess]`: on a
+    /// match they are consumed in one step. The names need no escapes,
+    /// so such a match reads exactly what decoding would. On a miss
+    /// nothing is consumed, and the key is decoded and looked up like
+    /// any other.
+    pub fn next_key(&mut self, keys: &[&str], guess: usize) -> Result<Option<usize>, Error> {
+        if !self.has_next(b'}')? {
+            return Ok(None);
+        }
+        self.peek();
+        if let Some(key) = keys.get(guess) {
+            if self.text.as_bytes()[self.pos..].starts_with(key.as_bytes()) {
+                self.pos += key.len();
+                return Ok(Some(guess));
+            }
+        }
+        let span = self.string_span()?;
+        self.expect(b':')?;
+        let key = self.resolve(span);
+        Ok(Some(
+            keys.iter()
+                .position(|k| unquoted(k) == key)
+                .unwrap_or(keys.len()),
+        ))
     }
 
     /// Open an array; `expected` names what was wanted if the next
@@ -280,6 +327,29 @@ impl<'de> Reader<'de> {
         }
         let (text, start) = (self.text, self.pos);
         let bytes = text.as_bytes();
+        if bytes[start] != b'-' {
+            // A plain non-negative integer is built as it is scanned. A
+            // fraction, an exponent or an overflow takes the path below.
+            let mut value = 0u64;
+            let mut end = start;
+            while let Some(&b @ b'0'..=b'9') = bytes.get(end) {
+                match value
+                    .checked_mul(10)
+                    .and_then(|v| v.checked_add(u64::from(b - b'0')))
+                {
+                    Some(v) => value = v,
+                    None => break,
+                }
+                end += 1;
+            }
+            if !matches!(
+                bytes.get(end),
+                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            ) {
+                self.pos = end;
+                return Ok(Number::U64(value));
+            }
+        }
         self.pos += 1;
         let mut is_float = false;
         while let Some(&b) = bytes.get(self.pos) {
@@ -291,6 +361,7 @@ impl<'de> Reader<'de> {
             self.pos += 1;
         }
         let text = &text[start..self.pos];
+        let mut wide: fn(f64) -> Number = Number::F64;
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Number::U64(u));
@@ -298,9 +369,10 @@ impl<'de> Reader<'de> {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Number::I64(i));
             }
+            wide = Number::BigInt;
         }
         text.parse::<f64>()
-            .map(Number::F64)
+            .map(wide)
             .map_err(|_| error_at(start, "invalid number"))
     }
 
@@ -450,30 +522,51 @@ impl<'de> Reader<'de> {
     }
 
     /// Read the tag of an externally tagged enum `name` whose unit
-    /// variants are `unit` and data variants `data`.
+    /// variants are `unit`, each given as its JSON string (`"Name"`),
+    /// and data variants `data`, each as its JSON key and colon
+    /// (`"Name":`). The raw bytes at the tag are compared with each
+    /// name first, as in [`Self::next_key`]; if none matches, the tag is
+    /// decoded and looked up.
     pub fn variant(&mut self, name: &str, unit: &[&str], data: &[&str]) -> Result<Variant, Error> {
         let next = self.peek();
         let at = self.pos;
-        let (tag, is_unit) = match next {
-            Some(b'"') => (self.string()?, true),
+        let (names, is_unit) = match next {
+            Some(b'"') => (unit, true),
             Some(b'{') => {
                 self.begin_object("")?;
-                match self.next_key_str()? {
-                    Some(tag) => (tag, false),
-                    None => return Err(error_at(at, format_args!("empty object for enum {name}"))),
+                if !self.has_next(b'}')? {
+                    return Err(error_at(at, format_args!("empty object for enum {name}")));
                 }
+                self.peek();
+                (data, false)
             }
             _ => return Err(self.unexpected(&format!("enum {name}"))),
         };
-        let names = if is_unit { unit } else { data };
-        match names.iter().position(|v| *v == tag) {
-            Some(i) if is_unit => Ok(Variant::Unit(i)),
-            Some(i) => Ok(Variant::Data(i)),
-            None => Err(error_at(
-                at,
-                format_args!("unknown variant `{tag}` of {name}"),
-            )),
-        }
+        let rest = &self.text.as_bytes()[self.pos..];
+        let i = match names.iter().position(|n| rest.starts_with(n.as_bytes())) {
+            Some(i) => {
+                self.pos += names[i].len();
+                i
+            }
+            None => {
+                let span = self.string_span()?;
+                if !is_unit {
+                    self.expect(b':')?;
+                }
+                let tag = self.resolve(span);
+                names
+                    .iter()
+                    .position(|n| unquoted(n) == tag)
+                    .ok_or_else(|| {
+                        error_at(at, format_args!("unknown variant `{tag}` of {name}"))
+                    })?
+            }
+        };
+        Ok(if is_unit {
+            Variant::Unit(i)
+        } else {
+            Variant::Data(i)
+        })
     }
 
     /// Close the one-entry object around a data variant of enum `name`.
@@ -494,6 +587,14 @@ impl<'de> Deserializer<'de> for &mut Reader<'de> {
     ) -> Result<T, Error> {
         f(self)
     }
+}
+
+/// The name inside a derived key or string, `"name":` or `"name"`.
+fn unquoted(literal: &str) -> &str {
+    let literal = literal.strip_suffix(':').unwrap_or(literal);
+    literal
+        .get(1..literal.len().saturating_sub(1))
+        .unwrap_or("")
 }
 
 fn error_at(pos: usize, msg: impl fmt::Display) -> Error {

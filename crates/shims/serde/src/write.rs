@@ -84,11 +84,21 @@ impl Writer {
     pub fn key(&mut self, key: &str) {
         self.next_entry();
         self.str(key);
-        self.colon();
+        self.out.push(b':');
+        self.colon_space();
     }
 
-    fn colon(&mut self) {
-        self.out.push(b':');
+    /// Start the next object entry with a key given as its JSON text
+    /// and colon, `"name":`, copied as is. Derived field and variant
+    /// names come this way: they are Rust identifiers, which never need
+    /// an escape, and the derive quotes them once at compile time.
+    pub fn raw_key(&mut self, quoted_colon: &str) {
+        self.next_entry();
+        self.out.extend_from_slice(quoted_colon.as_bytes());
+        self.colon_space();
+    }
+
+    fn colon_space(&mut self) {
         if self.pretty {
             self.out.push(b' ');
         }
@@ -125,14 +135,33 @@ impl Writer {
             .extend_from_slice(if v { b"true" } else { b"false" });
     }
 
-    /// Write an unsigned integer.
-    pub fn u64(&mut self, v: u64) {
-        write!(self.out, "{v}").expect("writing to a Vec cannot fail");
+    /// Write an unsigned integer, two digits a step.
+    pub fn u64(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if v >= 10 {
+            let pair = v as usize * 2;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            at -= 1;
+            digits[at] = b'0' + v as u8;
+        }
+        self.out.extend_from_slice(&digits[at..]);
     }
 
     /// Write a signed integer.
     pub fn i64(&mut self, v: i64) {
-        write!(self.out, "{v}").expect("writing to a Vec cannot fail");
+        if v < 0 {
+            self.out.push(b'-');
+        }
+        self.u64(v.unsigned_abs());
     }
 
     /// Write a float: `{:?}` keeps a trailing `.0` on integral values;
@@ -143,6 +172,12 @@ impl Writer {
         } else {
             self.null();
         }
+    }
+
+    /// Write a string given as its JSON literal, `"text"`, copied as
+    /// is (derived unit-variant names; see [`Self::raw_key`]).
+    pub fn raw_str(&mut self, quoted: &str) {
+        self.out.extend_from_slice(quoted.as_bytes());
     }
 
     /// Write a string literal with JSON escapes.
@@ -167,6 +202,18 @@ impl Writer {
         self.out.push(b'"');
     }
 }
+
+/// `"00"`, `"01"`, …, `"99"`: integers are written two digits a step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
 
 /// For each byte, the character after the backslash that escapes it
 /// (`u` for a `\u00XX` escape), or 0 if it is written as is.

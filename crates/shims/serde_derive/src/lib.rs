@@ -10,6 +10,15 @@
 //! plus the `#[serde(with = "module")]`,
 //! `#[serde(skip_serializing_if = "path")]`, and `#[serde(default)]`
 //! field attributes.
+//!
+//! Field and variant names are quoted once, here, into string literals
+//! (`"name":` for keys, `"Name"` for unit variants) that the writer
+//! copies without escaping: the names are Rust identifiers, which hold
+//! no character JSON escapes, and an item with a name that would need
+//! one is refused at compile time. Struct readers pass the same
+//! literals with a guess, the index after the last field matched, so
+//! the reader can match text in declaration order with one comparison
+//! per key (see `Reader::next_key` in the shim serde).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -56,7 +65,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 }
 
 fn expand(input: TokenStream, ser: bool) -> TokenStream {
-    let (name, item) = match parse_item(input) {
+    let (name, item) = match parse_item(input).and_then(check_names) {
         Ok(v) => v,
         Err(msg) => {
             return format!("compile_error!({msg:?});").parse().unwrap();
@@ -308,9 +317,51 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
     Ok(variants)
 }
 
+/// Refuse an item with a field or variant name that JSON would have to
+/// escape: generated code writes and matches names as quoted literals,
+/// unescaped. Rust identifiers never hold such a character.
+fn check_names((name, item): (String, Item)) -> Result<(String, Item), String> {
+    let fields = |fields: &[Field]| fields.iter().map(|f| f.name.clone()).collect::<Vec<_>>();
+    let names = match &item {
+        Item::NamedStruct(fs) => fields(fs),
+        Item::Enum(variants) => variants
+            .iter()
+            .flat_map(|v| {
+                let inner = match &v.kind {
+                    VariantKind::Struct(fs) => fields(fs),
+                    _ => Vec::new(),
+                };
+                std::iter::once(v.name.clone()).chain(inner)
+            })
+            .collect(),
+        Item::TupleStruct(_) | Item::UnitStruct => Vec::new(),
+    };
+    match names
+        .iter()
+        .find(|n| n.chars().any(|c| c < ' ' || c == '"' || c == '\\'))
+    {
+        Some(bad) => Err(format!(
+            "serde shim derive: name {bad:?} in `{name}` would need a JSON escape"
+        )),
+        None => Ok((name, item)),
+    }
+}
+
 // -------------------------------------------------------------------
 // Code generation
 // -------------------------------------------------------------------
+
+/// `name` as a JSON object key and its colon, `"name":`, in a Rust
+/// string literal: built once here, copied or compared as is at run
+/// time.
+fn key_literal(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\":"))
+}
+
+/// `name` as a JSON string, `"name"`, in a Rust string literal.
+fn str_literal(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\""))
+}
 
 const OK: &str = "::std::result::Result::Ok";
 const SOME: &str = "::std::option::Option::Some";
@@ -326,7 +377,7 @@ fn write_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
             Some(module) => format!("{module}::serialize({value}, &mut *__w)?;"),
             None => format!("::serde::Serialize::serialize({value}, &mut *__w)?;"),
         };
-        let entry = format!("__w.key({:?}); {write}", f.name);
+        let entry = format!("__w.raw_key({}); {write}", key_literal(&f.name));
         match &f.skip_if {
             Some(pred) => code.push_str(&format!("if !{pred}({value}) {{ {entry} }}\n")),
             None => {
@@ -354,14 +405,18 @@ fn write_items(items: &[String]) -> String {
 /// A block expression reading a JSON object from `__r` into
 /// `ctor { fields }`. Unknown keys are skipped, the first of duplicate
 /// keys wins, and a missing field is an error unless it is `default`.
+/// Each key is first guessed to be the field declared after the last
+/// one matched (see `Reader::next_key`).
 fn read_fields(fields: &[Field], ctor: &str, what: &str) -> String {
-    let keys: Vec<String> = fields.iter().map(|f| format!("{:?}", f.name)).collect();
+    let keys: Vec<String> = fields.iter().map(|f| key_literal(&f.name)).collect();
     let mut code = format!("{{ __r.begin_object(\"map for {what}\")?;\n");
     for i in 0..fields.len() {
         code.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
     }
     code.push_str(&format!(
-        "while let {SOME}(__k) = __r.next_key(&[{}])? {{ match __k {{\n",
+        "let mut __guess = 0;\n\
+         while let {SOME}(__k) = __r.next_key(&[{}], __guess)? {{ __guess = __k + 1; \
+         match __k {{\n",
         keys.join(", ")
     ));
     for (i, f) in fields.iter().enumerate() {
@@ -424,19 +479,23 @@ fn gen_serialize(name: &str, item: &Item) -> String {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
+                let key = key_literal(vn);
                 let arm = match &v.kind {
                     VariantKind::Unit => {
-                        arms.push_str(&format!("{name}::{vn} => __w.str({vn:?}),\n"));
+                        arms.push_str(&format!(
+                            "{name}::{vn} => __w.raw_str({}),\n",
+                            str_literal(vn)
+                        ));
                         continue;
                     }
                     VariantKind::Tuple(1) => format!(
-                        "{name}::{vn}(__x0) => {{ __w.begin_object(); __w.key({vn:?}); \
+                        "{name}::{vn}(__x0) => {{ __w.begin_object(); __w.raw_key({key}); \
                          ::serde::Serialize::serialize(__x0, &mut *__w)?;"
                     ),
                     VariantKind::Tuple(n) => {
                         let binders: Vec<String> = (0..*n).map(|i| format!("__x{i}")).collect();
                         format!(
-                            "{name}::{vn}({}) => {{ __w.begin_object(); __w.key({vn:?});\n{}",
+                            "{name}::{vn}({}) => {{ __w.begin_object(); __w.raw_key({key});\n{}",
                             binders.join(", "),
                             write_items(&binders)
                         )
@@ -444,7 +503,7 @@ fn gen_serialize(name: &str, item: &Item) -> String {
                     VariantKind::Struct(fields) => {
                         let binders: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
                         format!(
-                            "{name}::{vn} {{ {} }} => {{ __w.begin_object(); __w.key({vn:?});\n{}",
+                            "{name}::{vn} {{ {} }} => {{ __w.begin_object(); __w.raw_key({key});\n{}",
                             binders.join(", "),
                             write_fields(fields, str::to_string)
                         )
@@ -498,7 +557,7 @@ fn gen_deserialize(name: &str, item: &Item) -> String {
                             "{VARIANT}::Unit({}) => {OK}({ctor}),\n",
                             unit.len()
                         ));
-                        unit.push(format!("{vn:?}"));
+                        unit.push(str_literal(vn));
                         continue;
                     }
                     VariantKind::Tuple(1) => {
@@ -512,7 +571,7 @@ fn gen_deserialize(name: &str, item: &Item) -> String {
                      {OK}(__v) }},\n",
                     data.len()
                 ));
-                data.push(format!("{vn:?}"));
+                data.push(key_literal(vn));
             }
             format!(
                 "match __r.variant({name:?}, &[{}], &[{}])? {{\n{arms}\

@@ -227,7 +227,7 @@ impl Value {
             Some(b'-' | b'0'..=b'9') => match r.number("number")? {
                 Number::U64(v) => Value::U64(v),
                 Number::I64(v) => Value::I64(v),
-                Number::F64(v) => Value::F64(v),
+                Number::BigInt(v) | Number::F64(v) => Value::F64(v),
             },
             Some(_) => return Err(r.error("unexpected character")),
             None => return Err(r.error("unexpected end of input")),
@@ -377,6 +377,151 @@ mod tests {
         assert!(
             err.starts_with(r#"expected unsigned integer, got {"a":[1,2],"b":"x\ny"}"#),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn out_of_range_integers_are_errors_not_saturated() {
+        for (text, ty, err) in [
+            (
+                "18446744073709551616",
+                "u64",
+                "integer 1.8446744073709552e19 out of range for u64",
+            ),
+            ("1e30", "u64", "integer 1e30 out of range for u64"),
+            ("1e30", "u32", "integer 1e30 out of range for u32"),
+            (
+                "-9223372036854775809",
+                "i64",
+                "integer -9.223372036854776e18 out of range for i64",
+            ),
+            ("9.3e18", "i64", "integer 9.3e18 out of range for i64"),
+        ] {
+            let got = match ty {
+                "u64" => from_str::<u64>(text).map(|_| ()),
+                "u32" => from_str::<u32>(text).map(|_| ()),
+                _ => from_str::<i64>(text).map(|_| ()),
+            };
+            let got = got.unwrap_err().to_string();
+            assert_eq!(
+                got,
+                format!("{err} at byte {}", text.len()),
+                "{text} as {ty}"
+            );
+        }
+        // Integral floats exactly in range still read, at both ends.
+        assert_eq!(from_str::<u64>("1e19").unwrap(), 10_000_000_000_000_000_000);
+        assert_eq!(
+            from_str::<u64>("18446744073709549568.0").unwrap(),
+            18_446_744_073_709_549_568
+        );
+        assert_eq!(from_str::<u64>("-0.0").unwrap(), 0);
+        assert_eq!(from_str::<i64>("-9223372036854775808.0").unwrap(), i64::MIN);
+        assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        // Errors that were not about range keep their text.
+        let err = from_str::<i64>("9223372036854775808")
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.starts_with("expected integer, got 9223372036854775808"),
+            "{err}"
+        );
+        let err = from_str::<u64>("-3.0").unwrap_err().to_string();
+        assert!(
+            err.starts_with("expected unsigned integer, got -3.0"),
+            "{err}"
+        );
+        let err = from_str::<u8>("300.0").unwrap_err().to_string();
+        assert!(err.starts_with("integer 300 out of range for u8"), "{err}");
+        assert_eq!(from_str::<Value>("1e30").unwrap().as_u64(), None);
+        assert_eq!(from_str::<Value>("1e30").unwrap().as_i64(), None);
+
+        #[derive(serde::Deserialize, Debug)]
+        struct Lost {
+            #[allow(dead_code)]
+            at: u64,
+        }
+        let err = from_str::<Lost>(r#"{"at":1e30}"#).unwrap_err().to_string();
+        assert!(
+            err.starts_with("integer 1e30 out of range for u64"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn integers_read_and_write_like_std() {
+        for v in [0, 1, 9, 10, 99, 100, 12_345, u64::MAX / 10, u64::MAX] {
+            assert_eq!(to_string(&v).unwrap(), v.to_string());
+        }
+        for v in [i64::MIN, -100, -1, 0, 7, i64::MAX] {
+            assert_eq!(to_string(&v).unwrap(), v.to_string());
+        }
+        for (text, value) in [
+            ("007", Value::U64(7)),
+            ("-0", Value::I64(0)),
+            ("-7", Value::I64(-7)),
+            ("18446744073709551615", Value::U64(u64::MAX)),
+            ("18446744073709551616", Value::F64(2f64.powi(64))),
+            ("100000000000000000000", Value::F64(1e20)),
+            ("1.5", Value::F64(1.5)),
+            ("2e3", Value::F64(2000.0)),
+            ("4E-1", Value::F64(0.4)),
+        ] {
+            assert_eq!(from_str::<Value>(text).unwrap(), value, "{text}");
+        }
+        for bad in ["1-", "1+2", "1e", "1x", "12 3", "--1"] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn derived_keys_and_tags_read_in_any_form() {
+        #[derive(serde::Serialize, serde::Deserialize, PartialEq, Debug)]
+        enum Ev {
+            Idle,
+            Go { a: u64, ab: u64 },
+        }
+        #[derive(serde::Serialize, serde::Deserialize, PartialEq, Debug)]
+        struct Doc {
+            a: u64,
+            ab: Ev,
+            b: Vec<Ev>,
+        }
+
+        let doc = Doc {
+            a: 1,
+            ab: Ev::Idle,
+            b: vec![Ev::Go { a: 2, ab: 3 }, Ev::Idle],
+        };
+        let compact = r#"{"a":1,"ab":"Idle","b":[{"Go":{"a":2,"ab":3}},"Idle"]}"#;
+        assert_eq!(to_string(&doc).unwrap(), compact);
+        for text in [
+            compact,
+            // Declaration order broken, keys that prefix each other.
+            r#"{"b":[{"Go":{"ab":3,"a":2}},"Idle"],"ab":"Idle","a":1}"#,
+            // Escaped keys and tags, whitespace before the colon.
+            r#"{"\u0061" :1,"a\u0062":"Id\u006ce","b":[{"G\u006f" : {"ab" :3,"a":2}},"Idle"]}"#,
+            // Unknown and duplicate keys.
+            r#"{"a":1,"a":"x","abc":2,"ab":"Idle","b":[{"Go":{"a":2,"a":9,"ab":3}},"Idle"]}"#,
+        ] {
+            assert_eq!(from_str::<Doc>(text).unwrap(), doc, "{text}");
+        }
+        assert_eq!(
+            from_str::<Ev>(r#""Idl""#).unwrap_err().to_string(),
+            "unknown variant `Idl` of Ev at byte 0"
+        );
+        assert_eq!(
+            from_str::<Ev>(r#"{"Gone":{}}"#).unwrap_err().to_string(),
+            "unknown variant `Gone` of Ev at byte 0"
+        );
+        assert_eq!(
+            from_str::<Ev>("{}").unwrap_err().to_string(),
+            "empty object for enum Ev at byte 0"
+        );
+        assert_eq!(
+            to_string_pretty(&doc).unwrap(),
+            "{\n  \"a\": 1,\n  \"ab\": \"Idle\",\n  \"b\": [\n    {\n      \"Go\": {\n        \"a\": 2,\n        \"ab\": 3\n      }\n    },\n    \"Idle\"\n  ]\n}"
         );
     }
 
