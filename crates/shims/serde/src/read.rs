@@ -361,7 +361,6 @@ impl<'de> Reader<'de> {
             self.pos += 1;
         }
         let text = &text[start..self.pos];
-        let mut wide: fn(f64) -> Number = Number::F64;
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Number::U64(u));
@@ -369,11 +368,15 @@ impl<'de> Reader<'de> {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Number::I64(i));
             }
-            wide = Number::BigInt;
         }
-        text.parse::<f64>()
-            .map(wide)
-            .map_err(|_| error_at(start, "invalid number"))
+        let v = text
+            .parse::<f64>()
+            .map_err(|_| error_at(start, "invalid number"))?;
+        Ok(if is_float {
+            Number::F64(v)
+        } else {
+            Number::BigInt(v)
+        })
     }
 
     /// Read a string. The slice borrows the input, or the reader's
