@@ -1405,14 +1405,6 @@ mod tests {
         LtlMonitor::new(&Ltl::atom(64));
     }
 
-    /// Cases per property: `PROPTEST_CASES` if set, else 48.
-    fn cases() -> u32 {
-        std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(48)
-    }
-
     /// Seeded logs to corrupt: both arms of a 32-device world and the
     /// regressing candidate's two-window rollout log.
     fn seed_logs() -> &'static [FleetEventLog] {
@@ -1578,8 +1570,6 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(cases()))]
-
         /// Per spec, the sweep counts the same instances and
         /// violations and reports the same first violation as the
         /// brute-force oracle, on seeded corruptions of real logs and

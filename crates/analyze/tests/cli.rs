@@ -239,20 +239,24 @@ fn out_of_range_integers_in_a_log_exit_two() {
         runs: vec![lost_log("robust")],
     })
     .expect("set serializes");
-    let bad = text.replacen(
-        r#"{"Lost":{"at":7,"req":3}}"#,
-        r#"{"Lost":{"at":1e30,"req":18446744073709551616}}"#,
-        1,
-    );
-    assert_ne!(bad, text);
-    let (code, stderr) = monitor_stdin(&bad);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert_eq!(stderr.lines().count(), 1, "{stderr}");
-    assert!(
-        stderr.starts_with(
-            "cannot parse - as a fleet event-log pair or a rollout log set: \
-             integer 1e30 out of range for u64 at byte "
+    for (lost, why) in [
+        (
+            r#"{"Lost":{"at":1e30,"req":18446744073709551616}}"#,
+            "integer 1e30 out of range for u64 at byte ",
         ),
-        "{stderr}"
-    );
+        // JSON forbids leading zeros.
+        (r#"{"Lost":{"at":007,"req":3}}"#, "invalid number at byte "),
+    ] {
+        let bad = text.replacen(r#"{"Lost":{"at":7,"req":3}}"#, lost, 1);
+        assert_ne!(bad, text);
+        let (code, stderr) = monitor_stdin(&bad);
+        assert_eq!(code, Some(2), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(
+            stderr.starts_with(&format!(
+                "cannot parse - as a fleet event-log pair or a rollout log set: {why}"
+            )),
+            "{stderr}"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 //! tolerable for our solver". This ablation runs the full engine with
 //! both providers and compares end-to-end throughput.
 
-use hetero_bench::{fmt, save_json, Table};
+use hetero_bench::{fmt, print_claims, save_json, Claim, Table};
 use hetero_soc::sync::SyncMechanism;
 use heterollm::engines::{Engine, HeteroTensorEngine};
 use heterollm::ModelConfig;
@@ -74,6 +74,16 @@ fn main() {
     assert!(
         worst < 0.25,
         "prediction mode must stay within 25% end to end"
+    );
+    print_claims(
+        "ablate_profiler",
+        "Paper claims (§4.3)",
+        &[Claim {
+            what: "worst end-to-end delta of prediction-mode solving (fraction)".into(),
+            paper: 0.05,
+            measured: worst,
+            rel_tol: 5.0,
+        }],
     );
     save_json("ablate_profiler", &points);
 }

@@ -66,6 +66,7 @@ fn main() {
 
     let large = points.last().expect("points");
     print_claims(
+        "fig02_gpu_linear",
         "Paper claims (§3.1)",
         &[
             Claim {

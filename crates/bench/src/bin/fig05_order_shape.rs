@@ -71,6 +71,7 @@ fn main() {
     let at512 = points.iter().find(|p| p.k == 512).expect("k=512");
     let at128 = points.iter().find(|p| p.k == 128).expect("k=128");
     print_claims(
+        "fig05_order_shape",
         "Paper claims (§3.2)",
         &[
             Claim {

@@ -53,6 +53,7 @@ fn main() {
     );
 
     print_claims(
+        "fig06_bandwidth",
         "Paper claims (§3.3, §5.3)",
         &[
             Claim {

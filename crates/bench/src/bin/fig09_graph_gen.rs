@@ -59,6 +59,7 @@ fn main() {
     );
 
     print_claims(
+        "fig09_graph_gen",
         "Paper anchors (§5.2.2)",
         &[
             Claim {

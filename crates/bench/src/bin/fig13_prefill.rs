@@ -130,6 +130,7 @@ every value)",
     let ht = |m: &str, s: usize| rate(m, "Hetero-tensor", s);
 
     print_claims(
+        "fig13_prefill",
         "Paper claims (§5.2.1)",
         &[
             Claim {

@@ -83,6 +83,7 @@ fn main() {
     };
 
     print_claims(
+        "fig14_misaligned",
         "Paper claims (§5.2.2, seq 525)",
         &[
             Claim {

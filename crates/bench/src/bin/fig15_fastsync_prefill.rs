@@ -63,6 +63,7 @@ fn main() {
     };
 
     print_claims(
+        "fig15_fastsync_prefill",
         "Paper claims (§5.4, averages over 64/256/1024)",
         &[
             Claim {

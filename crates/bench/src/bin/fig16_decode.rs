@@ -118,6 +118,7 @@ every value)",
     };
 
     print_claims(
+        "fig16_decode",
         "Paper claims (§5.3)",
         &[
             Claim {

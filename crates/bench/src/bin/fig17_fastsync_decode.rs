@@ -53,6 +53,7 @@ fn main() {
     let geomean =
         (points.iter().map(|p| (p.fast / p.driver).ln()).sum::<f64>() / points.len() as f64).exp();
     print_claims(
+        "fig17_fastsync_decode",
         "Paper claims (§5.4)",
         &[
             Claim {

@@ -100,6 +100,7 @@ fn main() {
     let ht = point("Hetero-tensor");
 
     print_claims(
+        "fig18_interference",
         "Paper claims (§5.5)",
         &[
             Claim {
@@ -125,6 +126,12 @@ fn main() {
                 paper: 9.57,
                 measured: hl.slowdown_pct,
                 rel_tol: 1.0,
+            },
+            Claim {
+                what: "game FPS with PPL-OpenCL (paper: collapse)".into(),
+                paper: 0.0,
+                measured: ppl.fps,
+                rel_tol: 0.0,
             },
         ],
     );

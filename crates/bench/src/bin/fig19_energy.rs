@@ -53,6 +53,7 @@ fn main() {
     let (ppl, hl, ht) = (p("PPL-OpenCL"), p("Hetero-layer"), p("Hetero-tensor"));
 
     print_claims(
+        "fig19_energy",
         "Paper claims (§5.6)",
         &[
             Claim {

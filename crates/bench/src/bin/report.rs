@@ -1,507 +1,191 @@
-//! Run every experiment binary and regenerate `EXPERIMENTS.md` with
-//! the paper-vs-measured record.
+//! Run every experiment binary and rewrite the headline table of
+//! `EXPERIMENTS.md` from the paper claims they record.
+//!
+//! Each binary that checks the paper saves its claims, paper values and
+//! tolerances included, as `target/experiments/<bin>.claims.json`
+//! (`hetero_bench::print_claims`). This binary only assembles them: one
+//! table row per claim, then the count of claims that hold. It rewrites
+//! the block between the `report:begin` and `report:end` marker
+//! comments and leaves every other byte of the file as it is.
 //!
 //! Usage: `cargo run --release -p hetero-bench --bin report`
 
 use std::fs;
-use std::process::Command;
+use std::io::ErrorKind;
+use std::path::{Path, PathBuf};
+use std::process::{exit, Command};
 
-use hetero_bench::experiments_dir;
-use serde_json::Value;
+use hetero_bench::{claims_path, Claim, Table};
 
-const EXPERIMENTS: [(&str, &str); 27] = [
-    ("table1_socs", "Table 1: mobile SoC specifications"),
-    ("table2_frameworks", "Table 2: framework capability matrix"),
-    ("fig02_gpu_linear", "Fig. 2: GPU linear performance"),
-    ("fig04_npu_stage", "Fig. 4: NPU stage performance"),
-    ("fig05_order_shape", "Fig. 5: NPU order/shape sensitivity"),
-    (
-        "fig06_bandwidth",
-        "Fig. 6: memory bandwidth per processor set",
-    ),
-    ("fig09_graph_gen", "Fig. 9: NPU graph generation time"),
-    (
-        "fig13_prefill",
-        "Fig. 13: prefill speed (models x engines x lengths)",
-    ),
-    (
-        "fig14_misaligned",
-        "Fig. 14: misaligned-length prefill latency",
-    ),
-    (
-        "fig15_fastsync_prefill",
-        "Fig. 15: prefill with/without fast sync",
-    ),
-    ("fig16_decode", "Fig. 16: decoding rate"),
-    (
-        "fig17_fastsync_decode",
-        "Fig. 17: decode with/without fast sync",
-    ),
-    (
-        "fig18_interference",
-        "Fig. 18: GPU interference with a game",
-    ),
-    ("fig19_energy", "Fig. 19: power and energy"),
-    (
-        "table2_accuracy",
-        "Table 2 accuracy column: INT8 vs W4A16 functional divergence",
-    ),
-    ("ablate_strategies", "Ablation: partition-strategy families"),
-    (
-        "ablate_alignment",
-        "Ablation: partition-alignment granularity",
-    ),
-    (
-        "ablate_profiler",
-        "Ablation: real-execution vs decision-tree profiling",
-    ),
-    ("ablate_mempool", "Ablation: shared memory pool"),
-    (
-        "ablate_min_gain",
-        "Ablation: minimum-parallel-gain threshold",
-    ),
-    (
-        "ablate_speculative",
-        "Extension: speculative decoding (§4.1.2)",
-    ),
-    ("ablate_kv_quant", "Extension: INT8 KV-cache quantization"),
-    (
-        "ablate_thermal",
-        "Extension: sustained-load thermal throttling",
-    ),
-    (
-        "compare_socs",
-        "Extension: cross-SoC projection (Table 1 phone SoCs)",
-    ),
-    (
-        "ablate_arrivals",
-        "Extension: bursty multi-request queueing",
-    ),
-    ("ablate_battery", "Extension: tokens per battery charge"),
-    (
-        "ablate_coldstart",
-        "Extension: cold start vs first-request latency",
-    ),
+/// The experiment binaries, in the order their claims are tabled.
+#[rustfmt::skip]
+const BINS: [&str; 27] = [
+    "table1_socs", "table2_frameworks", "fig02_gpu_linear", "fig04_npu_stage",
+    "fig05_order_shape", "fig06_bandwidth", "fig09_graph_gen", "fig13_prefill",
+    "fig14_misaligned", "fig15_fastsync_prefill", "fig16_decode", "fig17_fastsync_decode",
+    "fig18_interference", "fig19_energy", "table2_accuracy", "ablate_strategies",
+    "ablate_alignment", "ablate_profiler", "ablate_mempool", "ablate_min_gain",
+    "ablate_speculative", "ablate_kv_quant", "ablate_thermal", "compare_socs",
+    "ablate_arrivals", "ablate_battery", "ablate_coldstart",
 ];
 
-fn run_all() {
-    for (bin, title) in EXPERIMENTS {
-        println!(">>> {title} ({bin})");
-        let status = Command::new(env!("CARGO"))
-            .args(["run", "--release", "-q", "-p", "hetero-bench", "--bin", bin])
-            .status()
-            .expect("spawn experiment binary");
-        assert!(status.success(), "{bin} failed");
+const BEGIN: &str = "<!-- report:begin -->";
+const END: &str = "<!-- report:end -->";
+
+/// Run `bin` and return the claims it saved in this run (none if it
+/// checks no paper claim).
+fn run(bin: &str) -> Result<Vec<Claim>, String> {
+    let path = claims_path(bin);
+    match fs::remove_file(&path) {
+        Err(e) if e.kind() != ErrorKind::NotFound => {
+            return Err(format!("cannot remove stale {}: {e}", path.display()))
+        }
+        _ => {}
+    }
+    println!(">>> {bin}");
+    let status = Command::new(env!("CARGO"))
+        .args(["run", "--release", "-q", "-p", "hetero-bench", "--bin", bin])
+        .status()
+        .map_err(|e| format!("cannot run {bin}: {e}"))?;
+    if !status.success() {
+        return Err(format!("{bin} failed ({status})"));
+    }
+    match fs::read_to_string(&path) {
+        Ok(text) => serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display())),
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(format!("{}: {e}", path.display())),
     }
 }
 
-fn load(name: &str) -> Value {
-    let path = experiments_dir().join(format!("{name}.json"));
-    let text = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing {} — run the experiments first: {e}",
-            path.display()
-        )
-    });
-    serde_json::from_str(&text).expect("valid experiment json")
-}
-
-fn find(points: &Value, pred: impl Fn(&Value) -> bool) -> &Value {
-    points
-        .as_array()
-        .expect("array of points")
-        .iter()
-        .find(|p| pred(p))
-        .expect("matching point")
-}
-
-fn f(v: &Value, key: &str) -> f64 {
-    v[key]
-        .as_f64()
-        .unwrap_or_else(|| panic!("field {key} in {v}"))
-}
-
-struct Row {
-    experiment: &'static str,
-    quantity: String,
-    paper: String,
-    measured: String,
-    verdict: &'static str,
-}
-
-fn row(experiment: &'static str, quantity: &str, paper_val: f64, measured: f64, tol: f64) -> Row {
-    let ok = paper_val != 0.0 && (measured / paper_val - 1.0).abs() <= tol;
-    Row {
-        experiment,
-        quantity: quantity.to_string(),
-        paper: format!("{paper_val:.2}"),
-        measured: format!("{measured:.2}"),
-        verdict: if ok {
+/// The markdown between the markers: one row per claim, then the count.
+fn render(rows: &[(&str, Claim)]) -> String {
+    let mut table = Table::new(&["Experiment", "Claim", "Paper", "Measured", "Verdict"]);
+    for (bin, c) in rows {
+        let verdict = if c.holds() {
             "reproduced"
         } else {
             "deviation (see notes)"
-        },
+        };
+        table.row(&[
+            format!("`{bin}`"),
+            c.what.clone(),
+            format!("{:.2}", c.paper),
+            format!("{:.2}", c.measured),
+            verdict.into(),
+        ]);
     }
+    let held = rows.iter().filter(|(_, c)| c.holds()).count();
+    format!(
+        "\n{}\n**{held} / {} paper claims reproduced.**\n\n",
+        table.render_markdown(),
+        rows.len()
+    )
+}
+
+/// `doc` with the text between its one `BEGIN` line and its one `END`
+/// line replaced by `block`, or an error naming the bad marker.
+fn splice(doc: &str, block: &str) -> Result<String, String> {
+    let find = |marker: &str| {
+        let mut at = doc.match_indices(marker).map(|(i, _)| i);
+        match (at.next(), at.next()) {
+            (Some(i), None) => Ok(i),
+            (None, _) => Err(format!("marker {marker} is missing")),
+            _ => Err(format!("marker {marker} appears more than once")),
+        }
+    };
+    let (begin, end) = (find(BEGIN)? + BEGIN.len(), find(END)?);
+    if end < begin {
+        return Err(format!("marker {END} comes before {BEGIN}"));
+    }
+    Ok(format!("{}\n{block}{}", &doc[..begin], &doc[end..]))
+}
+
+/// Splice `block` into the file at `path`; the file is written only if
+/// its markers are sound.
+fn rewrite(path: &Path, block: &str) -> Result<(), String> {
+    let doc = fs::read_to_string(path).map_err(|e| e.to_string())?;
+    fs::write(path, splice(&doc, block)?).map_err(|e| e.to_string())
 }
 
 fn main() {
     hetero_bench::maybe_help(
         "report",
-        "run every experiment binary and regenerate EXPERIMENTS.md",
+        "run every experiment binary and rewrite EXPERIMENTS.md's headline table",
         &[],
     );
     hetero_bench::maybe_analyze();
     hetero_bench::expect_no_flags("report");
-    run_all();
-
-    let mut rows: Vec<Row> = Vec::new();
-
-    // Fig. 2.
-    let fig2 = load("fig02_gpu_linear");
-    let large = find(&fig2, |p| p["size"] == 4096);
-    rows.push(row(
-        "Fig. 2",
-        "achieved GPU TFLOPS at large GEMM",
-        1.0,
-        f(large, "tflops"),
-        0.15,
-    ));
-
-    // Fig. 5.
-    let fig5 = load("fig05_order_shape");
-    let k512 = find(&fig5, |p| p["k"] == 512);
-    rows.push(row(
-        "Fig. 5",
-        "order-sensitivity factor (bad/good at K=512)",
-        6.0,
-        f(k512, "bad_ms") / f(k512, "good_ms"),
-        0.6,
-    ));
-
-    // Fig. 6.
-    let fig6 = load("fig06_bandwidth");
-    let gpu = find(&fig6, |p| p["combo"] == "GPU");
-    let both = find(&fig6, |p| p["combo"] == "GPU+NPU");
-    rows.push(row(
-        "Fig. 6",
-        "GPU-alone bandwidth (GB/s)",
-        43.3,
-        f(gpu, "total_gbps"),
-        0.05,
-    ));
-    rows.push(row(
-        "Fig. 6",
-        "GPU+NPU bandwidth (GB/s)",
-        59.1,
-        f(both, "total_gbps"),
-        0.05,
-    ));
-
-    // Fig. 9.
-    let fig9 = load("fig09_graph_gen");
-    let total_135: f64 = fig9
-        .as_array()
-        .expect("points")
-        .iter()
-        .filter(|p| p["m"] == 135)
-        .map(|p| f(p, "compile_ms"))
-        .sum();
-    rows.push(row(
-        "Fig. 9",
-        "4-graph generation at seq 135 (ms)",
-        408.4,
-        total_135,
-        0.10,
-    ));
-
-    // Fig. 13.
-    let fig13 = load("fig13_prefill");
-    let rate13 = |model: &str, engine: &str, seq: u64| {
-        f(
-            find(&fig13, |p| {
-                p["model"] == model && p["engine"] == engine && p["seq"] == seq
-            }),
-            "tokens_per_sec",
-        )
+    let fail = |e: String| -> ! {
+        eprintln!("report: {e}");
+        exit(1)
     };
-    rows.push(row(
-        "Fig. 13",
-        "Llama-8B@1024 Hetero-tensor tokens/s",
-        247.9,
-        rate13("Llama-8B", "Hetero-tensor", 1024),
-        0.35,
-    ));
-    rows.push(row(
-        "Fig. 13",
-        "InternLM-1.8B@256 Hetero-tensor tokens/s (>1000)",
-        1092.0,
-        rate13("InternLM-1.8B", "Hetero-tensor", 256),
-        0.35,
-    ));
-    rows.push(row(
-        "Fig. 13",
-        "Hetero-tensor/MLC speedup @1024 (Llama-8B)",
-        9.99,
-        rate13("Llama-8B", "Hetero-tensor", 1024) / rate13("Llama-8B", "MLC", 1024),
-        0.45,
-    ));
-    rows.push(row(
-        "Fig. 13",
-        "Hetero-tensor/MNN speedup @1024 (Llama-8B)",
-        4.36,
-        rate13("Llama-8B", "Hetero-tensor", 1024) / rate13("Llama-8B", "MNN-OpenCL", 1024),
-        0.60,
-    ));
-    rows.push(row(
-        "Fig. 13",
-        "Hetero-layer/PPL speedup @256 (Llama-8B)",
-        2.99,
-        rate13("Llama-8B", "Hetero-layer", 256) / rate13("Llama-8B", "PPL-OpenCL", 256),
-        0.35,
-    ));
-
-    // Fig. 14.
-    let fig14 = load("fig14_misaligned");
-    let lat = |seq: u64, engine: &str| {
-        f(
-            find(&fig14, |p| p["seq"] == seq && p["engine"] == engine),
-            "latency_ms",
-        )
-    };
-    rows.push(row(
-        "Fig. 14",
-        "Padding/Hetero-tensor latency @525",
-        2.21,
-        lat(525, "Padding") / lat(525, "Hetero-tensor"),
-        0.45,
-    ));
-    rows.push(row(
-        "Fig. 14",
-        "Pipe/Hetero-tensor latency @525",
-        1.35,
-        lat(525, "Pipe") / lat(525, "Hetero-tensor"),
-        0.30,
-    ));
-
-    // Fig. 15.
-    let fig15 = load("fig15_fastsync_prefill");
-    let gain15 = |model: &str, engine: &str| {
-        let sel: Vec<&Value> = fig15
-            .as_array()
-            .expect("points")
-            .iter()
-            .filter(|p| p["model"] == model && p["engine"] == engine)
-            .collect();
-        sel.iter()
-            .map(|p| f(p, "fast") / f(p, "driver") - 1.0)
-            .sum::<f64>()
-            / sel.len() as f64
-    };
-    rows.push(row(
-        "Fig. 15",
-        "Llama-8B Hetero-tensor fast-sync prefill gain",
-        0.243,
-        gain15("Llama-8B", "Hetero-tensor"),
-        0.8,
-    ));
-    rows.push(row(
-        "Fig. 15",
-        "InternLM-1.8B Hetero-tensor fast-sync prefill gain",
-        0.345,
-        gain15("InternLM-1.8B", "Hetero-tensor"),
-        0.8,
-    ));
-
-    // Fig. 16.
-    let fig16 = load("fig16_decode");
-    let rate16 = |model: &str, engine: &str| {
-        f(
-            find(&fig16, |p| p["model"] == model && p["engine"] == engine),
-            "tokens_per_sec",
-        )
-    };
-    rows.push(row(
-        "Fig. 16",
-        "Llama-8B Hetero-tensor decode tokens/s",
-        14.01,
-        rate16("Llama-8B", "Hetero-tensor"),
-        0.25,
-    ));
-    rows.push(row(
-        "Fig. 16",
-        "InternLM-1.8B Hetero-tensor decode tokens/s",
-        51.12,
-        rate16("InternLM-1.8B", "Hetero-tensor"),
-        0.30,
-    ));
-    rows.push(row(
-        "Fig. 16",
-        "decode gain over PPL-OpenCL (Llama-8B)",
-        1.234,
-        rate16("Llama-8B", "Hetero-tensor") / rate16("Llama-8B", "PPL-OpenCL"),
-        0.15,
-    ));
-
-    // Fig. 17.
-    let fig17 = load("fig17_fastsync_decode");
-    let p8 = find(&fig17, |p| p["model"] == "Llama-8B");
-    rows.push(row(
-        "Fig. 17",
-        "Llama-8B decode fast-sync speedup",
-        4.01,
-        f(p8, "fast") / f(p8, "driver"),
-        0.5,
-    ));
-
-    // Fig. 18.
-    let fig18 = load("fig18_interference");
-    let tensor = find(&fig18, |p| p["engine"] == "Hetero-tensor");
-    let layer = find(&fig18, |p| p["engine"] == "Hetero-layer");
-    let ppl = find(&fig18, |p| p["engine"] == "PPL-OpenCL");
-    rows.push(row(
-        "Fig. 18",
-        "game FPS under Hetero-tensor",
-        60.0,
-        f(tensor, "fps"),
-        0.05,
-    ));
-    rows.push(row(
-        "Fig. 18",
-        "Hetero-tensor LLM slowdown under game (%)",
-        7.26,
-        f(tensor, "slowdown_pct"),
-        1.0,
-    ));
-    rows.push(row(
-        "Fig. 18",
-        "Hetero-layer LLM slowdown under game (%)",
-        9.57,
-        f(layer, "slowdown_pct"),
-        1.0,
-    ));
-    rows.push(row(
-        "Fig. 18",
-        "game FPS under PPL-OpenCL (collapse)",
-        0.1,
-        f(ppl, "fps") + 0.1,
-        0.5,
-    ));
-
-    // Fig. 19.
-    let fig19 = load("fig19_energy");
-    let p = |e: &str| find(&fig19, |x| x["engine"] == e);
-    rows.push(row(
-        "Fig. 19",
-        "Hetero-layer power (W)",
-        2.23,
-        f(p("Hetero-layer"), "power_w"),
-        0.3,
-    ));
-    rows.push(row(
-        "Fig. 19",
-        "Hetero-tensor energy efficiency vs PPL",
-        5.87,
-        f(p("PPL-OpenCL"), "energy_j") / f(p("Hetero-tensor"), "energy_j"),
-        0.5,
-    ));
-
-    // Extension / ablation headline rows.
-    let acc = load("table2_accuracy");
-    let mean_agree = acc
-        .as_array()
-        .expect("points")
-        .iter()
-        .map(|p| f(p, "token_agreement"))
-        .sum::<f64>()
-        / acc.as_array().expect("points").len() as f64;
-    rows.push(row(
-        "Table 2 (accuracy)",
-        "INT8-path token agreement vs W4A16 (<1 ⇒ 'Decrease')",
-        0.9,
-        mean_agree,
-        0.15,
-    ));
-
-    let prof = load("ablate_profiler");
-    let worst_prof = prof
-        .as_array()
-        .expect("points")
-        .iter()
-        .map(|p| (f(p, "predicted") / f(p, "real_exec") - 1.0).abs())
-        .fold(0.0f64, f64::max);
-    rows.push(row(
-        "Ablation (profiler)",
-        "worst e2e delta of prediction-mode solving (frac)",
-        0.05,
-        worst_prof.max(1e-6),
-        5.0,
-    ));
-
-    let spec = load("ablate_speculative");
-    let best_spec = spec
-        .as_array()
-        .expect("points")
-        .iter()
-        .map(|p| f(p, "hetero_tokens_per_sec") / f(p, "standard_hetero"))
-        .fold(0.0f64, f64::max);
-    rows.push(row(
-        "Extension (speculative)",
-        "best committed-token speedup over standard decode",
-        5.0,
-        best_spec,
-        0.6,
-    ));
-
-    // Compose EXPERIMENTS.md.
-    let mut md = String::from(
-        "# EXPERIMENTS — paper vs. measured\n\n\
-         Generated by `cargo run --release -p hetero-bench --bin report`.\n\n\
-         Absolute numbers come from the calibrated SoC simulator (see\n\
-         `DESIGN.md` for the substitution rationale); the reproduction\n\
-         target is the *shape* of each result — who wins, by roughly what\n\
-         factor, and where the crossovers fall.\n\n\
-         ## Regeneration commands\n\n",
-    );
-    for (bin, title) in EXPERIMENTS {
-        md.push_str(&format!(
-            "- {title}: `cargo run --release -p hetero-bench --bin {bin}`\n"
-        ));
+    let mut rows = Vec::new();
+    for bin in BINS {
+        rows.extend(
+            run(bin)
+                .unwrap_or_else(|e| fail(e))
+                .into_iter()
+                .map(|c| (bin, c)),
+        );
     }
-    md.push_str("\n## Headline results\n\n");
-    md.push_str("| Experiment | Quantity | Paper | Measured | Verdict |\n|---|---|---|---|---|\n");
-    let reproduced = rows.iter().filter(|r| r.verdict == "reproduced").count();
-    for r in &rows {
-        md.push_str(&format!(
-            "| {} | {} | {} | {} | {} |\n",
-            r.experiment, r.quantity, r.paper, r.measured, r.verdict
-        ));
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    rewrite(&path, &render(&rows)).unwrap_or_else(|e| fail(format!("{}: {e}", path.display())));
+    println!("\nwrote {} ({} claims)", path.display(), rows.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const DOC: &str =
+        "# title\n\nintro\n<!-- report:begin -->\nold\n<!-- report:end -->\n\n## after\n";
+
+    #[test]
+    fn splice_replaces_only_the_marked_block() {
+        let out = splice(DOC, "new\n").unwrap();
+        assert_eq!(
+            out,
+            "# title\n\nintro\n<!-- report:begin -->\nnew\n<!-- report:end -->\n\n## after\n"
+        );
+        assert_eq!(splice(&out, "old\n").unwrap(), DOC);
     }
-    md.push_str(&format!(
-        "\n**{reproduced} / {} headline quantities reproduced.**\n",
-        rows.len()
-    ));
-    md.push_str(
-        "\n## Known deviations\n\n\
-         - **Fig. 15 / Fig. 17 (fast-synchronization ablations):** the\n\
-           modelled driver-sync costs are per-event, so the relative gain\n\
-           from fast synchronization *grows* as models shrink (kernels get\n\
-           shorter), whereas the paper reports the largest decode gain on\n\
-           the largest model. The headline shape — fast synchronization is\n\
-           worth tens of percent in prefill and multiple × in decode, and\n\
-           tensor-level execution is more sync-sensitive than layer-level —\n\
-           reproduces for every model.\n\
-         - **Fig. 9 at seq 1000:** the power-law compile-cost model fitted\n\
-           to the paper's 135-token anchor lands ≈13% under the 2050 ms\n\
-           anchor at 1000 tokens.\n\
-         - Absolute prefill rates run ≈10–20% above the paper on some\n\
-           models; every relative comparison (engine orderings, crossover\n\
-           positions, speedup factors) holds.\n",
-    );
-    let out = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
-    fs::write(&out, &md).expect("write EXPERIMENTS.md");
-    println!(
-        "\nwrote {} ({reproduced}/{} reproduced)",
-        out.display(),
-        rows.len()
-    );
+
+    #[test]
+    fn bad_markers_are_errors_and_leave_the_file_alone() {
+        let doubled = DOC.replace("intro", BEGIN);
+        let reversed = DOC
+            .replace(BEGIN, "@")
+            .replace(END, BEGIN)
+            .replace('@', END);
+        let bad = [
+            ("missing", DOC.replace(BEGIN, "")),
+            ("missing", DOC.replace(END, "")),
+            ("more than once", doubled),
+            ("more than once", format!("{DOC}{END}\n")),
+            ("comes before", reversed),
+        ];
+        let path = hetero_bench::experiments_dir().join("report_splice_test.md");
+        for (why, doc) in bad {
+            let err = splice(&doc, "new\n").unwrap_err();
+            assert!(err.contains(why), "{err}");
+            fs::write(&path, &doc).unwrap();
+            assert!(rewrite(&path, "new\n").is_err());
+            assert_eq!(fs::read_to_string(&path).unwrap(), doc);
+        }
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn one_row_per_claim_and_a_computed_count() {
+        let claim = |measured| Claim {
+            what: "x".into(),
+            paper: 2.0,
+            measured,
+            rel_tol: 0.1,
+        };
+        let md = render(&[("fig_a", claim(2.1)), ("fig_b", claim(3.0))]);
+        assert!(md.contains("| `fig_a` | x | 2.00 | 2.10 | reproduced |\n"));
+        assert!(md.contains("| `fig_b` | x | 2.00 | 3.00 | deviation (see notes) |\n"));
+        assert!(md.contains("**1 / 2 paper claims reproduced.**"));
+    }
 }

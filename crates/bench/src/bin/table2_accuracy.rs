@@ -8,7 +8,7 @@
 //! logit and flips generations on a fraction of prompts — the paper's
 //! reason to insist on FLOAT NPU GEMMs.
 
-use hetero_bench::{fmt, save_json, Table};
+use hetero_bench::{fmt, print_claims, save_json, Claim, Table};
 use heterollm::functional::{quant_divergence, QuantMode};
 use heterollm::ModelConfig;
 use serde::Serialize;
@@ -83,5 +83,15 @@ fn main() {
         "INT8 should flip generations on several prompts"
     );
     assert!(points.iter().all(|p| p.logit_mse > 0.0));
+    print_claims(
+        "table2_accuracy",
+        "Paper claims (Table 2 accuracy column)",
+        &[Claim {
+            what: "mean INT8-path token agreement vs W4A16 (<1 ⇒ 'Decrease')".into(),
+            paper: 0.9,
+            measured: mean_agree,
+            rel_tol: 0.15,
+        }],
+    );
     save_json("table2_accuracy", &points);
 }

@@ -6,15 +6,16 @@
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` (see `DESIGN.md` for the index). Binaries print the
 //! regenerated rows/series and write machine-readable results under
-//! `target/experiments/` which the `report` binary assembles into
-//! `EXPERIMENTS.md`.
+//! `target/experiments/`. The paper claims they check are saved there
+//! too, and the `report` binary assembles them into the headline table
+//! of `EXPERIMENTS.md`.
 
 pub mod plot;
 
 use std::fs;
 use std::path::PathBuf;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Handle the `--analyze` flag shared by every experiment binary.
 ///
@@ -252,7 +253,11 @@ impl Table {
 
 /// A paper-claim check: the measured value against the paper's value
 /// with a qualitative tolerance.
-#[derive(Debug, Clone, Serialize)]
+///
+/// The binary that measures a claim is the one place its paper value
+/// and tolerance are written: [`print_claims`] saves them, and `report`
+/// only renders what was saved.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Claim {
     /// What is being compared.
     pub what: String,
@@ -260,7 +265,8 @@ pub struct Claim {
     pub paper: f64,
     /// Our measured value.
     pub measured: f64,
-    /// Acceptable |measured/paper - 1| for a ✓.
+    /// Acceptable |measured/paper - 1| for a ✓. Unused when the paper
+    /// value is zero: the measured value must then be zero too.
     pub rel_tol: f64,
 }
 
@@ -273,25 +279,41 @@ impl Claim {
         (self.measured / self.paper - 1.0).abs() <= self.rel_tol
     }
 
-    /// One-line rendering.
+    /// One-line rendering; a zero paper value has no relative error
+    /// to show.
     pub fn render(&self) -> String {
-        format!(
-            "  [{}] {}: paper {:.2}, measured {:.2} ({:+.1}%)",
+        let line = format!(
+            "  [{}] {}: paper {:.2}, measured {:.2}",
             if self.holds() { "ok" } else { "--" },
             self.what,
             self.paper,
             self.measured,
-            (self.measured / self.paper - 1.0) * 100.0,
+        );
+        if self.paper == 0.0 {
+            return line;
+        }
+        format!(
+            "{line} ({:+.1}%)",
+            (self.measured / self.paper - 1.0) * 100.0
         )
     }
 }
 
-/// Print a titled claim block.
-pub fn print_claims(title: &str, claims: &[Claim]) {
+/// Print a titled claim block and save the claims as
+/// `target/experiments/<bin>.claims.json` ([`claims_path`]), the record
+/// `report` assembles into `EXPERIMENTS.md`.
+pub fn print_claims(bin: &str, title: &str, claims: &[Claim]) {
     println!("\n{title}");
     for c in claims {
         println!("{}", c.render());
     }
+    let json = serde_json::to_string_pretty(claims).expect("serialize claims");
+    fs::write(claims_path(bin), json).expect("write claims json");
+}
+
+/// Where [`print_claims`] saves the claims of experiment binary `bin`.
+pub fn claims_path(bin: &str) -> PathBuf {
+    experiments_dir().join(format!("{bin}.claims.json"))
 }
 
 /// Directory for machine-readable experiment results.
@@ -361,6 +383,34 @@ mod tests {
             rel_tol: 0.10,
         };
         assert!(!c2.holds());
+        let collapse = Claim {
+            what: "x".into(),
+            paper: 0.0,
+            measured: 0.0,
+            rel_tol: 0.0,
+        };
+        assert!(collapse.holds());
+        assert_eq!(collapse.render(), "  [ok] x: paper 0.00, measured 0.00");
+        let c3 = Claim {
+            measured: 0.01,
+            ..collapse
+        };
+        assert!(!c3.holds());
+    }
+
+    #[test]
+    fn claims_read_back_as_written() {
+        let c = Claim {
+            what: "ratio (paper 1.234x)".into(),
+            paper: 1.234,
+            measured: 0.1 + 0.2,
+            rel_tol: 0.15,
+        };
+        let text = serde_json::to_string_pretty(&[c.clone()][..]).unwrap();
+        let back: Vec<Claim> = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].render(), c.render());
+        assert_eq!(back[0].measured.to_bits(), c.measured.to_bits());
     }
 
     #[test]

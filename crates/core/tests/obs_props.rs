@@ -13,14 +13,6 @@ use heterollm::obs::{chrome, MetricsRegistry, Span, SpanKind, Timeline, Track};
 use heterollm::{EngineKind, InferenceSession, ModelConfig};
 use proptest::prelude::*;
 
-/// Cases for the writer oracle: `PROPTEST_CASES` if set, else 48.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
-
 /// Reference exporter: renders every event to its own `String` with
 /// `format!`, escapes each name into a fresh `String`, and joins the
 /// events at the end. Slow, but each event's bytes are spelled out in
@@ -242,8 +234,6 @@ fn metrics_oracle(tl: &Timeline) -> MetricsRegistry {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
-
     /// The one-pass metrics fold writes the same registry as the
     /// per-span reference, zero-length sync and compile spans and
     /// counters named like a derived metric included.
@@ -395,8 +385,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
-
     /// An observed session charges repeated decoder layers by copying
     /// the first one's spans and flows; one that also records a
     /// concurrency log walks every layer. Both must give the same

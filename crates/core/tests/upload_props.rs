@@ -21,14 +21,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Cases for the upload oracle: `PROPTEST_CASES` if set, else 48.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
-
 /// The non-empty compute tiles of `plan` on `[m,k] × [k,n]`.
 fn tiles(plan: &PartitionPlan, m: usize, k: usize, n: usize) -> Vec<(Range<usize>, Range<usize>)> {
     plan.lower(MatmulShape::new(m, k, n))
@@ -111,8 +103,6 @@ fn bits64(v: &[f64]) -> Vec<u64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
-
     /// One upload serves every projection: each result equals the raw
     /// per-call dequantization bit for bit (and so does the one-off
     /// [`matmul_partitioned`]), each tile's cached-sum checksum equals

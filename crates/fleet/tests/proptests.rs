@@ -30,7 +30,8 @@
 //!   or an `Err` from the reader, never a panic.
 //! - The JSON codec's fast paths (`json_codec_*`): integers are written
 //!   as `format!` writes them; a number reads to the same `Number`, or
-//!   the same error, as the scan-then-`str::parse` reference kept here;
+//!   the same error, as the reference kept here (scan, check JSON's
+//!   number grammar, then `str::parse`);
 //!   and a log pair reads to the same value from compact text, pretty
 //!   text, and text whose keys are shuffled, duplicated, escaped,
 //!   dropped (`default` fields) or joined by unknown keys.
@@ -751,18 +752,31 @@ proptest! {
     }
 }
 
-/// Cases for the JSON codec oracle: `PROPTEST_CASES` if set, else 48.
-fn codec_cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
+/// Whether `literal` follows JSON's number grammar: an optional `-`, an
+/// integer part with no leading zero, then an optional fraction and
+/// exponent that each hold at least one digit.
+fn json_grammar(literal: &str) -> bool {
+    let all_digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let unsigned = literal.strip_prefix('-').unwrap_or(literal);
+    let (mantissa, exponent) = match unsigned.find(['e', 'E']) {
+        Some(at) => (&unsigned[..at], Some(&unsigned[at + 1..])),
+        None => (unsigned, None),
+    };
+    let (int, frac) = match mantissa.split_once('.') {
+        Some((int, frac)) => (int, Some(frac)),
+        None => (mantissa, None),
+    };
+    all_digits(int)
+        && (int == "0" || !int.starts_with('0'))
+        && frac.is_none_or(all_digits)
+        && exponent.is_none_or(|e| all_digits(e.strip_prefix(['+', '-']).unwrap_or(e)))
 }
 
 /// The number reader before the integer fast path: scan the literal,
-/// then `str::parse` it as `u64`, then `i64`, then `f64`. An integer
-/// that fits neither integer type is a `BigInt`. Returns the result and
-/// the literal's length. `text` starts with `-` or a digit.
+/// reject it unless it follows [`json_grammar`], then `str::parse` it
+/// as `u64`, then `i64`, then `f64`. An integer that fits neither
+/// integer type is a `BigInt`. Returns the result and the literal's
+/// length. `text` starts with `-` or a digit.
 fn reference_number(text: &str) -> (Result<Number, String>, usize) {
     let bytes = text.as_bytes();
     let mut end = 1;
@@ -776,22 +790,31 @@ fn reference_number(text: &str) -> (Result<Number, String>, usize) {
         end += 1;
     }
     let literal = &text[..end];
-    let invalid = |_| "invalid number at byte 0".to_string();
-    let result = if is_float {
-        literal.parse::<f64>().map(Number::F64).map_err(invalid)
+    let invalid = || "invalid number at byte 0".to_string();
+    let result = if !json_grammar(literal) {
+        Err(invalid())
+    } else if is_float {
+        literal
+            .parse::<f64>()
+            .map(Number::F64)
+            .map_err(|_| invalid())
     } else if let Ok(u) = literal.parse::<u64>() {
         Ok(Number::U64(u))
     } else if let Ok(i) = literal.parse::<i64>() {
         Ok(Number::I64(i))
     } else {
-        literal.parse::<f64>().map(Number::BigInt).map_err(invalid)
+        literal
+            .parse::<f64>()
+            .map(Number::BigInt)
+            .map_err(|_| invalid())
     };
     (result, end)
 }
 
-/// Integer parts of number literals: zero, leading zeros, and the
-/// edges of `u64` and `i64` with their neighbours.
-const INT_PARTS: [&str; 10] = [
+/// Integer parts of number literals: none, zero, leading zeros, and
+/// the edges of `u64` and `i64` with their neighbours.
+const INT_PARTS: [&str; 11] = [
+    "",
     "0",
     "00",
     "0007",
@@ -821,9 +844,12 @@ fn arb_number_text() -> impl Strategy<Value = String> {
     )
         .prop_map(
             |((sign, part, raw), (zeros, extra, long), (frac, exp, trail))| {
-                let mut text = String::from(if sign == 0 { "-" } else { "" });
+                let int = INT_PARTS.get(part);
+                // A text with no integer part starts with its sign: `-.5`.
+                let signed = sign == 0 || int == Some(&"");
+                let mut text = String::from(if signed { "-" } else { "" });
                 text.push_str(&"0".repeat(zeros));
-                match INT_PARTS.get(part) {
+                match int {
                     Some(p) => text.push_str(p),
                     // A random integer, or one of 20 or more digits.
                     None if long => text.push_str(&format!("{raw}{extra}")),
@@ -885,8 +911,6 @@ fn scramble(v: &Value, draws: &mut impl Iterator<Item = u64>) -> Value {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(codec_cases()))]
-
     /// Every integer type writes what `format!` writes.
     #[test]
     fn json_codec_writes_integers_like_format(raw in 0u64..=u64::MAX, shift in 0u32..64) {

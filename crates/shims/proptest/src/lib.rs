@@ -4,6 +4,7 @@
 //! property tests use: range and `Just` strategies, tuples,
 //! `prop_map`/`prop_filter`, `prop_oneof!`, `proptest::collection`,
 //! `prop_assert*!`, `prop_assume!`, and `ProptestConfig::with_cases`.
+//! `ProptestConfig::default()` reads `PROPTEST_CASES`.
 //! Sampling is deterministic (seeded from the test name); failing
 //! inputs are reported but **not shrunk**.
 
@@ -84,7 +85,7 @@ pub struct ProptestConfig {
 }
 
 impl ProptestConfig {
-    /// Config running `cases` cases.
+    /// Config running `cases` cases, whatever `PROPTEST_CASES` says.
     pub fn with_cases(cases: u32) -> Self {
         ProptestConfig {
             cases,
@@ -94,9 +95,15 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, or `PROPTEST_CASES` when it is set to a number, as in
+    /// real proptest.
     fn default() -> Self {
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64);
         ProptestConfig {
-            cases: 64,
+            cases,
             max_global_rejects: 4096,
         }
     }

@@ -325,11 +325,11 @@ impl<'de> Reader<'de> {
         if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
             return Err(self.unexpected(expected));
         }
-        let (text, start) = (self.text, self.pos);
-        let bytes = text.as_bytes();
+        let (bytes, start) = (self.text.as_bytes(), self.pos);
         if bytes[start] != b'-' {
             // A plain non-negative integer is built as it is scanned. A
-            // fraction, an exponent or an overflow takes the path below.
+            // fraction, an exponent, an overflow or a leading zero takes
+            // `number_text`.
             let mut value = 0u64;
             let mut end = start;
             while let Some(&b @ b'0'..=b'9') = bytes.get(end) {
@@ -342,15 +342,29 @@ impl<'de> Reader<'de> {
                 }
                 end += 1;
             }
-            if !matches!(
-                bytes.get(end),
-                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            ) {
+            let leading_zero = bytes[start] == b'0' && end > start + 1;
+            if !leading_zero
+                && !matches!(
+                    bytes.get(end),
+                    Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+                )
+            {
                 self.pos = end;
                 return Ok(Number::U64(value));
             }
         }
-        self.pos += 1;
+        self.number_text(start)
+    }
+
+    /// The rest of [`Self::number`]: scan the literal at `start`, check
+    /// it against JSON's grammar, then parse it. Kept out of line so
+    /// the integer path stays small: event logs hold only non-negative
+    /// integers.
+    #[cold]
+    #[inline(never)]
+    fn number_text(&mut self, start: usize) -> Result<Number, Error> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        self.pos = start + 1;
         let mut is_float = false;
         while let Some(&b) = bytes.get(self.pos) {
             match b {
@@ -361,6 +375,9 @@ impl<'de> Reader<'de> {
             self.pos += 1;
         }
         let text = &text[start..self.pos];
+        if !is_json_number(text.as_bytes()) {
+            return Err(error_at(start, "invalid number"));
+        }
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Number::U64(u));
@@ -598,6 +615,41 @@ fn unquoted(literal: &str) -> &str {
     literal
         .get(1..literal.len().saturating_sub(1))
         .unwrap_or("")
+}
+
+/// Whether `text` is a JSON number:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+/// `str::parse` also takes `007`, `0.`, `.5` and `1.e5`; JSON does not.
+fn is_json_number(text: &[u8]) -> bool {
+    let digits = |from: usize| {
+        text[from..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count()
+    };
+    let mut i = usize::from(text.first() == Some(&b'-'));
+    match digits(i) {
+        0 => return false,
+        n if n > 1 && text[i] == b'0' => return false,
+        n => i += n,
+    }
+    if text.get(i) == Some(&b'.') {
+        match digits(i + 1) {
+            0 => return false,
+            n => i += 1 + n,
+        }
+    }
+    if matches!(text.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(text.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        match digits(i) {
+            0 => return false,
+            n => i += n,
+        }
+    }
+    i == text.len()
 }
 
 fn error_at(pos: usize, msg: impl fmt::Display) -> Error {

@@ -458,7 +458,7 @@ mod tests {
             assert_eq!(to_string(&v).unwrap(), v.to_string());
         }
         for (text, value) in [
-            ("007", Value::U64(7)),
+            ("0", Value::U64(0)),
             ("-0", Value::I64(0)),
             ("-7", Value::I64(-7)),
             ("18446744073709551615", Value::U64(u64::MAX)),
@@ -467,12 +467,19 @@ mod tests {
             ("1.5", Value::F64(1.5)),
             ("2e3", Value::F64(2000.0)),
             ("4E-1", Value::F64(0.4)),
+            ("-0.0e+05", Value::F64(-0.0)),
+            ("10.01E00", Value::F64(10.01)),
         ] {
             assert_eq!(from_str::<Value>(text).unwrap(), value, "{text}");
         }
-        for bad in ["1-", "1+2", "1e", "1x", "12 3", "--1"] {
+        for bad in [
+            "1-", "1+2", "1e", "1x", "12 3", "--1", "007", "-01", "00", "0.", "-.5", "1.e5", "1e+",
+            "[01]",
+        ] {
             assert!(from_str::<Value>(bad).is_err(), "{bad:?} must be rejected");
         }
+        let err = from_str::<Vec<u64>>("[1,007]").unwrap_err().to_string();
+        assert_eq!(err, "invalid number at byte 3");
     }
 
     #[test]

@@ -14,14 +14,6 @@ use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::DType;
 use proptest::prelude::*;
 
-/// Cases per property: `PROPTEST_CASES` if set, else 48.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
-
 fn solver() -> Solver<RealExecProvider> {
     Solver::new(
         RealExecProvider::new(SocConfig::snapdragon_8gen3()),
@@ -46,8 +38,6 @@ fn arb_shape() -> impl Strategy<Value = MatmulShape> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
-
     #[test]
     fn plan_always_covers_the_problem(shape in arb_shape()) {
         let choice = solver().solve(shape, Dominance::NpuDominant);
@@ -360,8 +350,6 @@ fn solve_matches_full_scan<P: CostProvider + Clone>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
-
     #[test]
     fn early_exit_row_cut_scan_matches_full_scan(
         m in prop_oneof![1usize..=64, 1usize..1100, 1usize..2200],
