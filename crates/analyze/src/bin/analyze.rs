@@ -148,12 +148,15 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seq" => {
                 let csv = it.next().ok_or("--seq needs a comma-separated list")?;
+                let longest = ModelConfig::longest_preset_seq();
                 args.seqs = csv
                     .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|e| format!("bad --seq '{s}': {e}"))
+                    .map(|s| match s.trim().parse::<usize>() {
+                        Ok(seq) if seq <= longest => Ok(seq),
+                        Ok(_) => Err(format!(
+                            "bad --seq '{s}': longer than any model's context ({longest})"
+                        )),
+                        Err(e) => Err(format!("bad --seq '{s}': {e}")),
                     })
                     .collect::<Result<_, _>>()?;
             }
@@ -196,8 +199,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!("{USAGE}");
+            eprintln!("analyze: {msg} (run with --help for usage)");
             return ExitCode::from(2);
         }
     };

@@ -2,11 +2,11 @@
 //!
 //! [`monitor_fleet_log`] runs a one-pass incremental sweep over a
 //! canonically ordered [`FleetEventLog`] and checks a library of named
-//! temporal specs — the policy-monitoring gate ROADMAP item 5 calls
-//! for. Each spec is a past-time LTL formula ([`Ltl`]) over event
-//! atoms. A formula is compiled once into a flat program, and one
-//! evaluator runs it, for [`LtlMonitor`] and for the sweep alike:
-//! O(|formula|) work and O(1) state per subformula per event.
+//! temporal specs: the fleet's policy-monitoring gate. Each spec is a
+//! past-time LTL formula ([`Ltl`]) over event atoms. A formula is
+//! compiled once into a flat program, and one evaluator runs it, for
+//! [`LtlMonitor`] and for the sweep alike: O(|formula|) work and O(1)
+//! state per subformula per event.
 //!
 //! | operator | semantics at position `i` |
 //! |---|---|

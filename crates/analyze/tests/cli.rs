@@ -59,6 +59,20 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
+fn seq_past_the_longest_context_is_a_usage_error() {
+    // Past every model's context a sweep would run for minutes; the
+    // bound is the longest preset context, 4096 tokens.
+    for seq in ["99999999", "4097", "135,4097"] {
+        let out = analyze(&["--seq", seq]);
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(out.status.code(), Some(2), "--seq {seq}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "--seq {seq}: {stderr}");
+        assert!(stderr.contains("bad --seq"), "{stderr}");
+        assert!(out.stdout.is_empty(), "--seq {seq} ran anyway");
+    }
+}
+
+#[test]
 fn deeply_nested_json_is_a_typed_error_not_a_stack_overflow() {
     use std::io::Write;
     use std::process::Stdio;

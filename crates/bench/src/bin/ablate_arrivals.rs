@@ -23,13 +23,11 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli::parse(
         "ablate_arrivals",
         "Extension experiment: bursty multi-request serving on device",
         &[],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("ablate_arrivals");
     println!("Extension: bursty request queueing (Llama-3B, 80 requests, ~4 s mean gap)\n");
     let model = ModelConfig::llama_3b();
     let trace = bursty_trace(7, 80, SimTime::from_secs_f64(4.0), (64, 512), (16, 96));

@@ -58,13 +58,11 @@ fn replay(model: &ModelConfig, seq: usize, pooled: bool) -> (u64, f64, f64, u64)
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli::parse(
         "ablate_mempool",
         "Ablation: the §4.2 host–device shared memory pool",
         &[],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("ablate_mempool");
     println!("Ablation: shared memory pool vs fresh per-op allocation\n");
     let mut t = Table::new(&[
         "model",

@@ -23,13 +23,11 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli::parse(
         "ablate_min_gain",
         "Ablation: the solver's minimum-parallel-gain threshold",
         &[],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("ablate_min_gain");
     println!("Ablation: min-parallel-gain threshold (Llama-8B, seq 256 prefill)\n");
     let model = ModelConfig::llama_8b();
     let mut t = Table::new(&["min gain", "tokens/s", "GPU duty", "power (W)"]);

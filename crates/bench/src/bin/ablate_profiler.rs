@@ -20,13 +20,11 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli::parse(
         "ablate_profiler",
         "Ablation: real-execution profiling vs decision-tree prediction",
         &[],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("ablate_profiler");
     println!("Ablation: profiler mode (real-execution vs decision-tree prediction)\n");
     let mut t = Table::new(&[
         "model",

@@ -21,9 +21,7 @@
 //!   ([`hetero_analyze::monitor_fleet_log`]) swept repeatedly over a
 //!   recorded robust-arm event log.
 //!
-//! Flags: `--devices N` (calibration fleet size, default 128),
-//! `--jobs N` (parallel-arm workers, default: available cores),
-//! `--json` (print the machine-readable snapshot on stdout).
+//! Run with `--help` for the flags, their defaults and ranges.
 //!
 //! Wall-clock rates are machine-dependent by nature; everything else
 //! in the snapshot (session counts, FLOPs, event counts) is exact.
@@ -34,6 +32,7 @@
 
 use std::time::Instant;
 
+use hetero_bench::cli::{self, Flag, MAX_DEVICES, MAX_JOBS};
 use hetero_bench::{save_json, Table};
 use hetero_fleet::{calibrate_devices, FleetConfig, FleetSim, RouterPolicy};
 use hetero_soc::des::EventQueue;
@@ -77,45 +76,6 @@ struct BenchSim {
     monitor_log_events: u64,
 }
 
-struct Args {
-    devices: usize,
-    jobs: usize,
-    json: bool,
-}
-
-fn usage() -> ! {
-    eprintln!("usage: bench_sim [--devices N] [--jobs N] [--json] [--analyze]");
-    std::process::exit(2);
-}
-
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        devices: 128,
-        jobs: default_jobs(),
-        json: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--devices" => {
-                args.devices = hetero_bench::parse_flag("bench_sim", "--devices", &value());
-            }
-            "--jobs" => args.jobs = hetero_bench::parse_positive("bench_sim", "--jobs", &value()),
-            "--json" => args.json = true,
-            "--analyze" => {} // consumed by maybe_analyze
-            _ => usage(),
-        }
-    }
-    args
-}
-
 /// Integer rate with a division-by-zero guard: `count` per elapsed
 /// second, from an elapsed time in nanoseconds.
 fn per_sec(count: u64, elapsed_ns: u64) -> u64 {
@@ -130,32 +90,40 @@ fn time<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    let args = cli::parse(
         "bench_sim",
         "simulator micro-benchmarks: the all-integer counters behind BENCH_sim.json",
         &[
-            ("--devices N", "calibration fleet size (default 128)"),
-            (
-                "--jobs N",
-                "workers for the parallel calibration arm (default: all cores)",
+            Flag::uint(
+                "--devices",
+                "N",
+                128,
+                0..=MAX_DEVICES,
+                "calibration fleet size",
             ),
-            ("--json", "print the machine-readable snapshot on stdout"),
+            Flag::uint(
+                "--jobs",
+                "N",
+                cores.min(MAX_JOBS),
+                1..=MAX_JOBS,
+                "workers for the parallel calibration arm; defaults to the machine's cores",
+            ),
+            Flag::switch("--json", "print the machine-readable snapshot on stdout"),
         ],
     );
-    hetero_bench::maybe_analyze();
-    let args = parse_args();
+    let (devices, jobs) = (args.size("--devices"), args.size("--jobs"));
     println!(
         "Simulator micro-benchmarks ({} calibration devices, {} jobs)\n",
-        args.devices, args.jobs
+        devices, jobs
     );
 
     // --- calibration sessions/s, serial vs parallel ------------------
     let model = ModelConfig::internlm_1_8b();
     let (profiles, socs) = hetero_fleet::calibrate_profiles_with_socs(&model);
-    let (serial, serial_ns) =
-        time(|| calibrate_devices(&model, &profiles, &socs, 42, args.devices, 1));
+    let (serial, serial_ns) = time(|| calibrate_devices(&model, &profiles, &socs, 42, devices, 1));
     let (parallel, parallel_ns) =
-        time(|| calibrate_devices(&model, &profiles, &socs, 42, args.devices, args.jobs));
+        time(|| calibrate_devices(&model, &profiles, &socs, 42, devices, jobs));
     assert_eq!(
         serial.devices, parallel.devices,
         "parallel calibration diverged from serial: the determinism contract is broken"
@@ -238,8 +206,8 @@ fn main() {
     });
 
     let snapshot = BenchSim {
-        devices: args.devices as u64,
-        jobs: args.jobs as u64,
+        devices: devices as u64,
+        jobs: jobs as u64,
         calib_sessions: sessions,
         calib_serial_us: serial_ns / 1_000,
         calib_parallel_us: parallel_ns / 1_000,
@@ -261,7 +229,7 @@ fn main() {
         snapshot.calib_serial_sessions_per_sec.to_string(),
     ]);
     t.row(&[
-        format!("calibration ({} jobs)", args.jobs),
+        format!("calibration ({} jobs)", jobs),
         "sessions/s".into(),
         snapshot.calib_parallel_sessions_per_sec.to_string(),
     ]);
@@ -284,10 +252,10 @@ fn main() {
     println!(
         "\nserial and parallel calibration verified identical over {} devices \
          ({} sessions, {} faulted)",
-        args.devices, sessions, serial.faulted
+        devices, sessions, serial.faulted
     );
 
-    if args.json {
+    if args.switch("--json") {
         println!(
             "{}",
             serde_json::to_string(&snapshot).expect("serialize snapshot")

@@ -6,6 +6,7 @@
 //! full Hetero-tensor engine on each — the "new insights into designing
 //! more efficient edge AI accelerators" angle of the paper's §7.
 
+use hetero_bench::cli::{self, Flag, MAX_JOBS};
 use hetero_bench::{fmt, save_json, Table};
 use hetero_soc::specs::{project_config, table1};
 use heterollm::engines::{Engine, HeteroTensorEngine};
@@ -20,18 +21,18 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    let args = cli::parse(
         "compare_socs",
         "Cross-SoC projection: HeteroLLM on the other Table-1 phone SoCs",
-        &[(
-            "--jobs N",
-            "workers for the per-SoC engine sessions (default 1; output is byte-identical \
-for every value)",
+        &[Flag::uint(
+            "--jobs",
+            "N",
+            1,
+            1..=MAX_JOBS,
+            "workers for the per-SoC engine sessions; output is byte-identical for every value",
         )],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("compare_socs");
-    let jobs = hetero_bench::jobs_from_args("compare_socs");
+    let jobs = args.size("--jobs");
     println!("Cross-SoC projection: Hetero-tensor on Table-1 phone SoCs (Llama-3B)\n");
     println!("(GPU/NPU throughput scaled from published specs by the 8 Gen 3's");
     println!(" achieved/theoretical ratios; memory and drivers held constant.)\n");

@@ -22,19 +22,15 @@
 //! verification overhead, and a clean `unverified-sink` lint of the
 //! verified sync schedules.
 //!
-//! Flags: `--seed N` (default 42), `--requests N` (default 24),
-//! `--jobs N` (workers for the two controller arms, default 1 —
-//! output is byte-identical for every value), `--json` (print the
-//! machine-readable comparison on stdout), `--integrity` (run the
-//! SDC arm), `--analyze` (standard
-//! pre-experiment solver lint), `--trace-out PATH` (record the
-//! adaptive arm through the observability layer and write a Chrome
-//! trace-event JSON — replans, fallbacks, and shed requests appear as
-//! `Control` spans on the Controller track), `--metrics` (print the
-//! adaptive arm's all-integer metrics snapshot as one JSON line).
+//! `--trace-out PATH` records the adaptive arm through the
+//! observability layer (replans, fallbacks and shed requests appear
+//! as `Control` spans on the Controller track); `--jobs` only changes
+//! wall-clock time. Run with `--help` for the flags, their defaults
+//! and ranges.
 
 use hetero_analyze::sweep::{integrity_lint_models, race_lint_degraded_session};
 use hetero_analyze::{check_fallback, PlanContext};
+use hetero_bench::cli::{self, Flag, MAX_JOBS};
 use hetero_bench::{save_json, Table};
 use hetero_soc::disturb::{DisturbanceTrace, SdcTrace};
 use hetero_soc::SimTime;
@@ -52,54 +48,6 @@ struct Comparison {
     seed: u64,
     adaptive: DegradationReport,
     baseline: DegradationReport,
-}
-
-struct Args {
-    seed: u64,
-    requests: usize,
-    jobs: usize,
-    json: bool,
-    integrity: bool,
-    trace_out: Option<String>,
-    metrics: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: fault_sweep [--seed N] [--requests N] [--jobs N] [--json] [--integrity]\n\
-         \x20                  [--analyze] [--trace-out PATH] [--metrics]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        requests: 24,
-        jobs: 1,
-        json: false,
-        integrity: false,
-        trace_out: None,
-        metrics: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--seed" => args.seed = hetero_bench::parse_flag("fault_sweep", "--seed", &value()),
-            "--requests" => {
-                args.requests = hetero_bench::parse_positive("fault_sweep", "--requests", &value());
-            }
-            "--jobs" => args.jobs = hetero_bench::parse_positive("fault_sweep", "--jobs", &value()),
-            "--json" => args.json = true,
-            "--integrity" => args.integrity = true,
-            "--trace-out" => args.trace_out = Some(value()),
-            "--metrics" => args.metrics = true,
-            "--analyze" => {} // consumed by maybe_analyze
-            _ => usage(),
-        }
-    }
-    args
 }
 
 /// Machine-readable output of the `--integrity` arm. Every field is a
@@ -156,12 +104,12 @@ fn controller_arm(
         .expect("quiet trace is well-formed")
 }
 
-fn run_integrity(args: &Args) {
-    let sdc = SdcTrace::standard(args.seed);
+fn run_integrity(seed: u64, requests: usize, json: bool) {
+    let sdc = SdcTrace::standard(seed);
     println!(
         "Integrity: SDC injection, ABFT detection, quarantine-and-recompute \
          (seed {}, {} requests)\n",
-        args.seed, args.requests
+        seed, requests
     );
 
     // Functional arms: real W4A16 math, so detection and repair are
@@ -209,21 +157,9 @@ fn run_integrity(args: &Args) {
     // Controller arms: the DES engines charge the calibrated detection
     // tax, and the quarantine policy prices recovery work.
     let model = ModelConfig::internlm_1_8b();
-    let off = controller_arm(&model, IntegrityMode::Off, args.seed, args.requests, &sdc);
-    let verify = controller_arm(
-        &model,
-        IntegrityMode::Verify,
-        args.seed,
-        args.requests,
-        &sdc,
-    );
-    let recover = controller_arm(
-        &model,
-        IntegrityMode::Recover,
-        args.seed,
-        args.requests,
-        &sdc,
-    );
+    let off = controller_arm(&model, IntegrityMode::Off, seed, requests, &sdc);
+    let verify = controller_arm(&model, IntegrityMode::Verify, seed, requests, &sdc);
+    let recover = controller_arm(&model, IntegrityMode::Recover, seed, requests, &sdc);
     assert!(off.session.integrity.is_none());
     let cv = verify.session.integrity.clone().expect("verify summary");
     let cr = recover.session.integrity.expect("recover summary");
@@ -289,7 +225,7 @@ fn run_integrity(args: &Args) {
     assert!(lint.is_clean(), "verified schedule failed the lint");
 
     let comparison = IntegrityComparison {
-        seed: args.seed,
+        seed,
         clean_tokens: clean,
         recovered_tokens: rec_tokens,
         functional_recover: rec,
@@ -299,7 +235,7 @@ fn run_integrity(args: &Args) {
         ttft_p99_off: p99_off,
         ttft_p99_verify: p99_on,
     };
-    if args.json {
+    if json {
         println!(
             "{}",
             serde_json::to_string(&comparison).expect("serialize comparison")
@@ -327,66 +263,77 @@ fn run_arm(
     (report, ctl.take_timeline())
 }
 
+/// Upper bound of `--requests`: the two arms' run time grows faster
+/// than linearly in it (500 requests take about 5 s, 2000 about 66 s).
+const MAX_REQUESTS: u64 = 1000;
+
 fn ms(t: SimTime) -> String {
     format!("{:.2}", t.as_millis_f64())
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    let args = cli::parse(
         "fault_sweep",
         "adaptive vs static degradation under a seeded disturbance trace",
         &[
-            ("--seed N", "disturbance/traffic seed (default 42)"),
-            ("--requests N", "requests per arm (default 24)"),
-            (
-                "--jobs N",
-                "workers for the two controller arms (default 1; output is byte-identical \
-for every value)",
+            Flag::uint("--seed", "N", 42, 0..=u64::MAX, "disturbance/traffic seed"),
+            Flag::uint("--requests", "N", 24, 1..=MAX_REQUESTS, "requests per arm"),
+            Flag::uint(
+                "--jobs",
+                "N",
+                1,
+                1..=MAX_JOBS,
+                "workers for the two controller arms; output is byte-identical for every value",
             ),
-            ("--json", "print the machine-readable comparison on stdout"),
-            ("--integrity", "run the silent-data-corruption arm instead"),
-            (
-                "--trace-out PATH",
+            Flag::switch("--json", "print the machine-readable comparison on stdout"),
+            Flag::switch("--integrity", "run the silent-data-corruption arm instead"),
+            Flag::path(
+                "--trace-out",
+                "PATH",
                 "write a Chrome trace-event JSON of the adaptive arm",
             ),
-            (
+            Flag::switch(
                 "--metrics",
                 "print the adaptive arm's all-integer metrics snapshot as one JSON line",
             ),
         ],
     );
-    hetero_bench::maybe_analyze();
-    let args = parse_args();
-    if args.integrity {
-        run_integrity(&args);
+    let (seed, requests, json) = (
+        args.uint("--seed"),
+        args.size("--requests"),
+        args.switch("--json"),
+    );
+    if args.switch("--integrity") {
+        run_integrity(seed, requests, json);
         return;
     }
+    let (trace_out, metrics) = (args.path("--trace-out"), args.switch("--metrics"));
     let model = ModelConfig::internlm_1_8b();
     println!(
         "Robustness: fault sweep (InternLM-1.8B, {} requests, seed {})\n",
-        args.requests, args.seed
+        requests, seed
     );
 
-    let observed = args.trace_out.is_some() || args.metrics;
+    let observed = trace_out.is_some() || metrics;
     let slo = SloPolicy::calibrated(&model);
     // The two controller arms share nothing but the (cloned) model and
     // seed, so they run as two executor tasks; results come back in
     // index order, keeping output byte-identical for every --jobs.
-    let mut arms = heterollm::exec::Executor::new(args.jobs).run(2, |i| {
+    let mut arms = heterollm::exec::Executor::new(args.size("--jobs")).run(2, |i| {
         if i == 0 {
             run_arm(
                 &model,
                 ControllerConfig::adaptive(slo),
-                args.seed,
-                args.requests,
+                seed,
+                requests,
                 observed,
             )
         } else {
             run_arm(
                 &model,
                 ControllerConfig::static_baseline(slo),
-                args.seed,
-                args.requests,
+                seed,
+                requests,
                 false,
             )
         }
@@ -486,7 +433,7 @@ for every value)",
     // concurrency event log enabled and push it through the
     // vector-clock detector — degradation-time replans, fallbacks, and
     // sync downgrades must never drop an ordering edge.
-    let race = race_lint_degraded_session(&model, args.seed, args.requests);
+    let race = race_lint_degraded_session(&model, seed, requests);
     for d in &race.findings {
         eprintln!("{d}");
     }
@@ -499,7 +446,7 @@ for every value)",
     if let Some(tl) = &timeline {
         tl.check_well_formed()
             .expect("adaptive timeline well-formed");
-        if let Some(path) = &args.trace_out {
+        if let Some(path) = trace_out {
             let json = heterollm::obs::chrome::to_chrome_json(tl);
             std::fs::write(path, json).expect("write trace");
             println!(
@@ -508,7 +455,7 @@ for every value)",
                 tl.flows().len()
             );
         }
-        if args.metrics {
+        if metrics {
             let snap = heterollm::obs::MetricsRegistry::from_timeline(tl).snapshot();
             println!(
                 "{}",
@@ -518,11 +465,11 @@ for every value)",
     }
 
     let comparison = Comparison {
-        seed: args.seed,
+        seed,
         adaptive,
         baseline,
     };
-    if args.json {
+    if json {
         println!(
             "{}",
             serde_json::to_string(&comparison).expect("serialize comparison")

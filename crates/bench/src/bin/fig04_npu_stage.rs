@@ -18,13 +18,11 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli::parse(
         "fig04_npu_stage",
         "Figure 4: the stage performance of NPUs",
         &[],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("fig04_npu_stage");
     println!("Figure 4: NPU Matmul latency vs sequence rows (stage performance)\n");
     let npu = NpuModel::default();
     let (k, n) = (4096, 4096);

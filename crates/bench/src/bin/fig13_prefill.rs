@@ -6,6 +6,7 @@
 //! through the observability layer and writes a Chrome trace-event
 //! JSON (Perfetto-loadable; see `OBSERVABILITY.md`).
 
+use hetero_bench::cli::{self, Flag, MAX_JOBS};
 use hetero_bench::{fmt, or_engine_exit, print_claims, save_json, Claim, Table};
 use hetero_soc::sync::SyncMechanism;
 use heterollm::{EngineKind, InferenceSession, ModelConfig};
@@ -29,54 +30,26 @@ const ENGINES: [EngineKind; 7] = [
     EngineKind::HeteroTensor,
 ];
 
-fn parse_trace_out(bin: &str) -> (Option<String>, usize) {
-    let mut out = None;
-    let mut jobs = 1;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--trace-out" => {
-                out = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("{bin}: --trace-out needs a path");
-                    std::process::exit(2)
-                }));
-            }
-            "--jobs" => {
-                let raw = it.next().unwrap_or_else(|| {
-                    eprintln!("{bin}: --jobs needs a value");
-                    std::process::exit(2)
-                });
-                jobs = hetero_bench::parse_positive(bin, "--jobs", &raw);
-            }
-            "--analyze" | "--help" | "-h" => {}
-            other => {
-                eprintln!("{bin}: unexpected argument '{other}'");
-                eprintln!("run with --help for usage");
-                std::process::exit(2);
-            }
-        }
-    }
-    (out, jobs)
-}
-
 fn main() {
-    hetero_bench::maybe_help(
+    let args = cli::parse(
         "fig13_prefill",
         "Figure 13: prefill speed across engines, models, and prompt lengths",
         &[
-            (
-                "--trace-out PATH",
+            Flag::path(
+                "--trace-out",
+                "PATH",
                 "also write a Chrome trace of Hetero-tensor prefilling Llama-8B at seq 256",
             ),
-            (
-                "--jobs N",
-                "workers for the engine sessions (default 1; output is byte-identical for \
-every value)",
+            Flag::uint(
+                "--jobs",
+                "N",
+                1,
+                1..=MAX_JOBS,
+                "workers for the engine sessions; output is byte-identical for every value",
             ),
         ],
     );
-    hetero_bench::maybe_analyze();
-    let (trace_out, jobs) = parse_trace_out("fig13_prefill");
+    let (trace_out, jobs) = (args.path("--trace-out"), args.size("--jobs"));
     println!("Figure 13: prefill speed (tokens/s)\n");
     let seqs = [64usize, 256, 1024];
 
@@ -211,7 +184,7 @@ every value)",
         let mut session = InferenceSession::new(EngineKind::HeteroTensor, &ModelConfig::llama_8b());
         let (_, tl) = or_engine_exit("fig13_prefill", session.try_run_observed(256, 0));
         tl.check_well_formed().expect("fig13 timeline well-formed");
-        std::fs::write(&path, heterollm::obs::chrome::to_chrome_json(&tl)).expect("write trace");
+        std::fs::write(path, heterollm::obs::chrome::to_chrome_json(&tl)).expect("write trace");
         println!(
             "\n[trace: Hetero-tensor Llama-8B prefill@256 -> {path} ({} spans)]",
             tl.spans().len()

@@ -16,13 +16,11 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli::parse(
         "fig15_fastsync_prefill",
         "Figure 15: prefill speed of the hetero engines with and without fast sync",
         &[],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("fig15_fastsync_prefill");
     println!("Figure 15: prefill tokens/s with and without fast synchronization\n");
     let mut points = Vec::new();
     for model in ModelConfig::evaluation_models() {

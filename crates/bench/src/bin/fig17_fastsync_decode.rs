@@ -14,13 +14,11 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli::parse(
         "fig17_fastsync_decode",
         "Figure 17: decoding rate of Hetero-tensor with and without fast sync",
         &[],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("fig17_fastsync_decode");
     println!("Figure 17: Hetero-tensor decode tokens/s with/without fast sync\n");
     let mut t = Table::new(&["model", "fast sync", "driver sync", "speedup"]);
     let mut points = Vec::new();

@@ -15,13 +15,11 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli::parse(
         "fig19_energy",
         "Figure 19: power and energy consumption during the Llama-8B prefill",
         &[],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("fig19_energy");
     println!("Figure 19: power and energy, Llama-8B prefill @ seq 256\n");
     let model = ModelConfig::llama_8b();
     let mut t = Table::new(&["engine", "power (W)", "energy (J)", "tokens/s"]);

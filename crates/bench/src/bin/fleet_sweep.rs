@@ -18,66 +18,16 @@
 //! in any arm that loses more than 0.1% of its requests, and a clean
 //! `retry-storm` / `shed-starvation` fleet lint.
 //!
-//! Flags: `--seed N` (default 42), `--devices N` (default 256),
-//! `--requests N` (default 3000), `--jobs N` (workers for the
-//! calibration sessions, one per SoC class and bandwidth step,
-//! default 1 — output is byte-identical for every value; CI `cmp`s
-//! `--jobs 1` against `--jobs 4`), `--json` (print the
-//! machine-readable comparison on stdout), `--events-out FILE` (also
-//! record the typed fleet event-log pair, write it as JSON, and gate
-//! the arms through the past-time-LTL monitor: robust must certify
-//! clean, round-robin must reproduce its known violations),
-//! `--analyze` (standard pre-experiment solver lint).
+//! `--events-out FILE` also records the typed fleet event-log pair and
+//! gates the arms through the past-time-LTL monitor: robust must
+//! certify clean, round-robin must reproduce its known violations.
+//! `--jobs` only changes wall-clock time (CI `cmp`s `--jobs 1` against
+//! `--jobs 4`). Run with `--help` for the flags, their defaults and
+//! ranges.
 
+use hetero_bench::cli::{self, Flag, MAX_DEVICES, MAX_JOBS, MAX_REQUESTS};
 use hetero_bench::{save_json, Table};
 use hetero_fleet::{FleetComparison, FleetConfig, FleetLogPair, FleetSim, RetryPolicy};
-
-struct Args {
-    seed: u64,
-    devices: usize,
-    requests: usize,
-    jobs: usize,
-    json: bool,
-    events_out: Option<String>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: fleet_sweep [--seed N] [--devices N] [--requests N] [--jobs N] [--json] \
-         [--events-out FILE] [--analyze]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        devices: 256,
-        requests: 3000,
-        jobs: 1,
-        json: false,
-        events_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--seed" => args.seed = hetero_bench::parse_flag("fleet_sweep", "--seed", &value()),
-            "--devices" => {
-                args.devices = hetero_bench::parse_positive("fleet_sweep", "--devices", &value());
-            }
-            "--requests" => {
-                args.requests = hetero_bench::parse_positive("fleet_sweep", "--requests", &value());
-            }
-            "--jobs" => args.jobs = hetero_bench::parse_positive("fleet_sweep", "--jobs", &value()),
-            "--json" => args.json = true,
-            "--events-out" => args.events_out = Some(value()),
-            "--analyze" => {} // consumed by maybe_analyze
-            _ => usage(),
-        }
-    }
-    args
-}
 
 fn ms(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1e6)
@@ -196,36 +146,44 @@ fn monitor_gate(pair: &FleetLogPair) {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    let args = cli::parse(
         "fleet_sweep",
         "fleet-scale fault-tolerant serving: robust router vs round-robin under seeded fault storms",
         &[
-            ("--seed N", "workload/fault/jitter seed (default 42)"),
-            ("--devices N", "fleet size (default 256)"),
-            ("--requests N", "requests offered (default 3000)"),
-            (
-                "--jobs N",
+            Flag::uint("--seed", "N", 42, 0..=u64::MAX, "workload/fault/jitter seed"),
+            Flag::uint("--devices", "N", 256, 1..=MAX_DEVICES, "fleet size"),
+            Flag::uint("--requests", "N", 3000, 1..=MAX_REQUESTS, "requests offered"),
+            Flag::uint(
+                "--jobs",
+                "N",
+                1,
+                1..=MAX_JOBS,
                 "workers for the calibration sessions, one per SoC class and bandwidth \
-step (default 1; output is byte-identical for every value)",
+step; output is byte-identical for every value",
             ),
-            ("--json", "print the machine-readable comparison on stdout"),
-            (
-                "--events-out FILE",
+            Flag::switch("--json", "print the machine-readable comparison on stdout"),
+            Flag::path(
+                "--events-out",
+                "FILE",
                 "record the typed event-log pair as JSON and run the temporal monitor gate",
             ),
         ],
     );
-    hetero_bench::maybe_analyze();
-    let args = parse_args();
+    let (seed, devices, requests) = (
+        args.uint("--seed"),
+        args.size("--devices"),
+        args.size("--requests"),
+    );
+    let events_out = args.path("--events-out");
     println!(
         "Fleet sweep: robust router vs round-robin (InternLM-1.8B, {} devices, \
          {} requests, seed {})\n",
-        args.devices, args.requests, args.seed
+        devices, requests, seed
     );
 
     let sim = FleetSim::with_jobs(
-        FleetConfig::standard(args.seed, args.devices, args.requests),
-        args.jobs,
+        FleetConfig::standard(seed, devices, requests),
+        args.size("--jobs"),
     );
     for p in sim.profiles() {
         println!(
@@ -236,7 +194,7 @@ step (default 1; output is byte-identical for every value)",
     println!();
     // Event recording is opt-in and purely observational: the default
     // path must keep producing byte-identical reports.
-    let (cmp, pair) = if args.events_out.is_some() {
+    let (cmp, pair) = if events_out.is_some() {
         let (cmp, pair) = sim.compare_events();
         (cmp, Some(pair))
     } else {
@@ -288,7 +246,7 @@ step (default 1; output is byte-identical for every value)",
          strictly better than round-robin [verified]"
     );
     fleet_lint(&cmp);
-    if let (Some(path), Some(pair)) = (&args.events_out, &pair) {
+    if let (Some(path), Some(pair)) = (events_out, &pair) {
         let mut text = serde_json::to_string(pair).expect("serialize event-log pair");
         text.push('\n');
         std::fs::write(path, text).expect("write event log");
@@ -296,7 +254,7 @@ step (default 1; output is byte-identical for every value)",
         monitor_gate(pair);
     }
 
-    if args.json {
+    if args.switch("--json") {
         println!(
             "{}",
             serde_json::to_string(&cmp).expect("serialize comparison")

@@ -8,7 +8,11 @@
 //! the block between the `report:begin` and `report:end` marker
 //! comments and leaves every other byte of the file as it is.
 //!
-//! Usage: `cargo run --release -p hetero-bench --bin report`
+//! Usage: `cargo run --release -p hetero-bench --bin report`, from
+//! inside the workspace it was built from. The claim files and
+//! `EXPERIMENTS.md` are found through the compiled-in workspace root,
+//! so the binary refuses to run from any other tree. A run that
+//! records no claim at all is a failure, not an empty table.
 
 use std::fs;
 use std::io::ErrorKind;
@@ -57,8 +61,12 @@ fn run(bin: &str) -> Result<Vec<Claim>, String> {
     }
 }
 
-/// The markdown between the markers: one row per claim, then the count.
-fn render(rows: &[(&str, Claim)]) -> String {
+/// The markdown between the markers: one row per claim, then the
+/// count; an error if there is no claim to table.
+fn render(rows: &[(&str, Claim)]) -> Result<String, String> {
+    if rows.is_empty() {
+        return Err("no experiment recorded a claim; EXPERIMENTS.md left as it is".into());
+    }
     let mut table = Table::new(&["Experiment", "Claim", "Paper", "Measured", "Verdict"]);
     for (bin, c) in rows {
         let verdict = if c.holds() {
@@ -75,11 +83,11 @@ fn render(rows: &[(&str, Claim)]) -> String {
         ]);
     }
     let held = rows.iter().filter(|(_, c)| c.holds()).count();
-    format!(
+    Ok(format!(
         "\n{}\n**{held} / {} paper claims reproduced.**\n\n",
         table.render_markdown(),
         rows.len()
-    )
+    ))
 }
 
 /// `doc` with the text between its one `BEGIN` line and its one `END`
@@ -100,6 +108,40 @@ fn splice(doc: &str, block: &str) -> Result<String, String> {
     Ok(format!("{}\n{block}{}", &doc[..begin], &doc[end..]))
 }
 
+/// The workspace root this binary was built in.
+fn built_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The root of the cargo workspace `dir` lies in: the nearest
+/// ancestor whose `Cargo.toml` declares `[workspace]`.
+fn workspace_root(dir: &Path) -> Option<&Path> {
+    dir.ancestors().find(|d| {
+        fs::read_to_string(d.join("Cargo.toml"))
+            .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+    })
+}
+
+/// Check that the compiled-in workspace root is the workspace the
+/// current directory lies in.
+fn check_root() -> Result<(), String> {
+    let canonical = |p: &Path| fs::canonicalize(p).map_err(|e| format!("{}: {e}", p.display()));
+    let built = canonical(&built_root())?;
+    let cwd = std::env::current_dir().map_err(|e| format!("current directory: {e}"))?;
+    let here = workspace_root(&cwd)
+        .ok_or_else(|| format!("{} is not inside a cargo workspace", cwd.display()))?;
+    let here = canonical(here)?;
+    if built != here {
+        return Err(format!(
+            "built for the workspace at {} but run in the workspace at {}; \
+             rebuild it in the tree it should report on",
+            built.display(),
+            here.display()
+        ));
+    }
+    Ok(())
+}
+
 /// Splice `block` into the file at `path`; the file is written only if
 /// its markers are sound.
 fn rewrite(path: &Path, block: &str) -> Result<(), String> {
@@ -108,17 +150,16 @@ fn rewrite(path: &Path, block: &str) -> Result<(), String> {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli::parse(
         "report",
         "run every experiment binary and rewrite EXPERIMENTS.md's headline table",
         &[],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("report");
     let fail = |e: String| -> ! {
         eprintln!("report: {e}");
         exit(1)
     };
+    check_root().unwrap_or_else(|e| fail(e));
     let mut rows = Vec::new();
     for bin in BINS {
         rows.extend(
@@ -128,8 +169,9 @@ fn main() {
                 .map(|c| (bin, c)),
         );
     }
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
-    rewrite(&path, &render(&rows)).unwrap_or_else(|e| fail(format!("{}: {e}", path.display())));
+    let block = render(&rows).unwrap_or_else(|e| fail(e));
+    let path = built_root().join("EXPERIMENTS.md");
+    rewrite(&path, &block).unwrap_or_else(|e| fail(format!("{}: {e}", path.display())));
     println!("\nwrote {} ({} claims)", path.display(), rows.len());
 }
 
@@ -183,9 +225,24 @@ mod tests {
             measured,
             rel_tol: 0.1,
         };
-        let md = render(&[("fig_a", claim(2.1)), ("fig_b", claim(3.0))]);
+        let md = render(&[("fig_a", claim(2.1)), ("fig_b", claim(3.0))]).unwrap();
         assert!(md.contains("| `fig_a` | x | 2.00 | 2.10 | reproduced |\n"));
         assert!(md.contains("| `fig_b` | x | 2.00 | 3.00 | deviation (see notes) |\n"));
         assert!(md.contains("**1 / 2 paper claims reproduced.**"));
+    }
+
+    #[test]
+    fn no_claims_is_an_error_not_an_empty_table() {
+        let err = render(&[]).unwrap_err();
+        assert!(err.contains("no experiment recorded a claim"), "{err}");
+    }
+
+    #[test]
+    fn the_built_root_is_this_workspace() {
+        let root = workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).unwrap();
+        assert_eq!(
+            fs::canonicalize(root).unwrap(),
+            fs::canonicalize(built_root()).unwrap()
+        );
     }
 }

@@ -25,72 +25,18 @@
 //! With a fixed `--seed`, output is byte-identical across runs — CI
 //! runs the binary twice and `cmp`s the recorded event logs.
 //!
-//! Flags: `--seed N` (default 42), `--devices N` (default 256),
-//! `--requests N` (default 1500, per stage window), `--jobs N`
-//! (workers for the calibration sessions, one per SoC class and
-//! bandwidth step, default 1 — output is byte-identical for every
-//! value), `--json` (print
-//! the machine-readable report pair on stdout), `--events-out FILE`
-//! (record the windowed event log of both rollouts as a JSON
-//! `RolloutLogSet`), `--analyze` (standard pre-experiment solver
-//! lint).
+//! `--events-out FILE` records the windowed event log of both
+//! rollouts as a JSON `RolloutLogSet`; `--jobs` only changes
+//! wall-clock time. Run with `--help` for the flags, their defaults
+//! and ranges.
 
+use hetero_bench::cli::{self, Flag, MAX_DEVICES, MAX_JOBS, MAX_REQUESTS};
 use hetero_bench::{save_json, Table};
 use hetero_fleet::{
     FleetConfig, FleetEventLog, FleetSim, PolicyRevision, RolloutConfig, RolloutController,
     RolloutLogSet, RolloutReport,
 };
 use serde::Serialize;
-
-struct Args {
-    seed: u64,
-    devices: usize,
-    requests: usize,
-    jobs: usize,
-    json: bool,
-    events_out: Option<String>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: rollout_sweep [--seed N] [--devices N] [--requests N] [--jobs N] [--json] \
-         [--events-out FILE] [--analyze]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        devices: 256,
-        requests: 1500,
-        jobs: 1,
-        json: false,
-        events_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--seed" => args.seed = hetero_bench::parse_flag("rollout_sweep", "--seed", &value()),
-            "--devices" => {
-                args.devices = hetero_bench::parse_positive("rollout_sweep", "--devices", &value());
-            }
-            "--requests" => {
-                args.requests =
-                    hetero_bench::parse_positive("rollout_sweep", "--requests", &value());
-            }
-            "--jobs" => {
-                args.jobs = hetero_bench::parse_positive("rollout_sweep", "--jobs", &value());
-            }
-            "--json" => args.json = true,
-            "--events-out" => args.events_out = Some(value()),
-            "--analyze" => {} // consumed by maybe_analyze
-            _ => usage(),
-        }
-    }
-    args
-}
 
 fn pct_ppm(ppm: u64) -> String {
     format!("{:.2}", ppm as f64 / 10_000.0)
@@ -253,39 +199,55 @@ struct SweepSummary {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    let args = cli::parse(
         "rollout_sweep",
         "staged canary rollout with auto-rollback: regressing vs improving candidate policies",
         &[
-            ("--seed N", "workload/fault/cohort seed (default 42)"),
-            ("--devices N", "fleet size (default 256)"),
-            (
-                "--requests N",
-                "requests offered per stage window (default 1500)",
+            Flag::uint(
+                "--seed",
+                "N",
+                42,
+                0..=u64::MAX,
+                "workload/fault/cohort seed",
             ),
-            (
-                "--jobs N",
+            Flag::uint("--devices", "N", 256, 1..=MAX_DEVICES, "fleet size"),
+            Flag::uint(
+                "--requests",
+                "N",
+                1500,
+                1..=MAX_REQUESTS,
+                "requests offered per stage window",
+            ),
+            Flag::uint(
+                "--jobs",
+                "N",
+                1,
+                1..=MAX_JOBS,
                 "workers for the calibration sessions, one per SoC class and bandwidth \
-step (default 1; output is byte-identical for every value)",
+step; output is byte-identical for every value",
             ),
-            ("--json", "print the machine-readable report pair on stdout"),
-            (
-                "--events-out FILE",
+            Flag::switch("--json", "print the machine-readable report pair on stdout"),
+            Flag::path(
+                "--events-out",
+                "FILE",
                 "record both rollouts' windowed event logs as a JSON RolloutLogSet",
             ),
         ],
     );
-    hetero_bench::maybe_analyze();
-    let args = parse_args();
+    let (seed, devices, requests) = (
+        args.uint("--seed"),
+        args.size("--devices"),
+        args.size("--requests"),
+    );
     println!(
         "Rollout sweep: staged canary ladder 1% -> 10% -> 50% -> 100% \
          ({} devices, {} requests/window, seed {})\n",
-        args.devices, args.requests, args.seed
+        devices, requests, seed
     );
 
     let sim = FleetSim::with_jobs(
-        FleetConfig::standard(args.seed, args.devices, args.requests),
-        args.jobs,
+        FleetConfig::standard(seed, devices, requests),
+        args.size("--jobs"),
     );
     let cfg = RolloutConfig::standard();
     let stages = cfg.stages.len() as u32;
@@ -324,7 +286,7 @@ step (default 1; output is byte-identical for every value)",
     evidence_gate(&bad, "npu-inversion");
     evidence_gate(&good, "tuned-partition");
     println!("evidence lint: both reports re-derive clean from echoed thresholds [verified]");
-    if let Some(path) = &args.events_out {
+    if let Some(path) = args.path("--events-out") {
         let set = RolloutLogSet {
             runs: vec![bad_log.clone(), good_log.clone()],
         };
@@ -336,13 +298,13 @@ step (default 1; output is byte-identical for every value)",
     monitor_gate(&[("npu-inversion", &bad_log), ("tuned-partition", &good_log)]);
 
     let summary = SweepSummary {
-        seed: args.seed,
-        devices: args.devices,
-        requests: args.requests,
+        seed,
+        devices,
+        requests,
         bad,
         good,
     };
-    if args.json {
+    if args.switch("--json") {
         println!(
             "{}",
             serde_json::to_string(&summary).expect("serialize summary")

@@ -4,13 +4,11 @@ use hetero_bench::{fmt, save_json, Table};
 use hetero_soc::specs::table1;
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli::parse(
         "table1_socs",
         "Table 1: specifications of mainstream mobile heterogeneous SoCs",
         &[],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("table1_socs");
     println!("Table 1: Mobile-side heterogeneous SoC specifications\n");
     let specs = table1();
     let mut t = Table::new(&[

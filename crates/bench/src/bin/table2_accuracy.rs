@@ -21,13 +21,11 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli::parse(
         "table2_accuracy",
         "Table 2 accuracy column: INT-only NPU computation vs float GEMMs",
         &[],
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("table2_accuracy");
     println!("Table 2 (accuracy column): INT8 NPU computation vs W4A16 FLOAT\n");
     let cfg = ModelConfig::tiny();
     let mut t = Table::new(&["prompt seed", "logit MSE (int8)", "token agreement (int8)"]);

@@ -8,126 +8,16 @@
 //! regenerated rows/series and write machine-readable results under
 //! `target/experiments/`. The paper claims they check are saved there
 //! too, and the `report` binary assembles them into the headline table
-//! of `EXPERIMENTS.md`.
+//! of `EXPERIMENTS.md`. Each binary declares its flags once, as a
+//! [`cli`] table.
 
+pub mod cli;
 pub mod plot;
 
 use std::fs;
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
-
-/// Handle the `--analyze` flag shared by every experiment binary.
-///
-/// When `--analyze` is on the command line, run the static invariant
-/// checker over the solver output for the paper's evaluation models
-/// (prefill sweep + decode, fast sync) *before* the experiment itself,
-/// and abort with a non-zero exit status on any deny-level finding.
-/// The sweep includes the abstract-interpretation bound certification:
-/// static peak footprint and `[lo, hi]` latency bounds per model,
-/// gated for soundness against fresh DES runs (`bound-unsound`).
-/// Without the flag this is a no-op, so every figure/table binary can
-/// call it unconditionally at the top of `main`.
-pub fn maybe_analyze() {
-    if !std::env::args().skip(1).any(|a| a == "--analyze") {
-        return;
-    }
-    let models = heterollm::ModelConfig::evaluation_models();
-    let mut report = hetero_analyze::lint_models(
-        &models,
-        &hetero_analyze::sweep::DEFAULT_SEQS,
-        hetero_soc::sync::SyncMechanism::Fast,
-    );
-    report.merge(hetero_analyze::bound_lint_models(
-        &models,
-        300,
-        4,
-        hetero_analyze::DEFAULT_POOL_BYTES,
-    ));
-    for d in &report.findings {
-        eprintln!("{d}");
-    }
-    eprintln!(
-        "[analyze] checked {} plans: {} deny, {} warn",
-        report.summary.checked, report.summary.deny, report.summary.warn
-    );
-    if !report.is_clean() {
-        eprintln!("[analyze] deny-level findings; aborting experiment");
-        std::process::exit(1);
-    }
-}
-
-/// Handle `--help`/`-h` for an experiment binary: print a uniform
-/// usage block and exit **0**.
-///
-/// Every experiment binary calls this first in `main`, before
-/// [`maybe_analyze`] and before its own flag parsing, so `--help`
-/// never runs an experiment and never exits non-zero. CI greps the
-/// binaries named in `EXPERIMENTS.md` and `--help`-runs each one; a
-/// binary whose flags drift from its documentation shows up there
-/// (the usage block is the single source of truth both must match).
-///
-/// `flags` lists `(flag-with-metavar, description)` pairs specific to
-/// the binary; the shared `--analyze` and `--help` rows are appended
-/// automatically.
-pub fn maybe_help(bin: &str, about: &str, flags: &[(&str, &str)]) {
-    if !std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
-        return;
-    }
-    println!("{bin}: {about}\n");
-    println!("usage: cargo run --release -p hetero-bench --bin {bin} [--] [FLAGS]\n");
-    let shared: &[(&str, &str)] = &[
-        (
-            "--analyze",
-            "run the static invariant checker first; abort on deny findings",
-        ),
-        ("--help, -h", "print this help and exit"),
-    ];
-    let width = flags
-        .iter()
-        .chain(shared)
-        .map(|(f, _)| f.len())
-        .max()
-        .unwrap_or(0);
-    for (f, d) in flags.iter().chain(shared) {
-        println!("  {f:<width$}  {d}");
-    }
-    std::process::exit(0);
-}
-
-/// Parse one flag's value for an experiment binary, or exit **2**
-/// with a uniform `bad value` message.
-///
-/// Every binary that takes `--seed N` (or any numeric flag) funnels
-/// the raw string through here, so `some_bin --seed junk` fails the
-/// same way everywhere: one `bin: bad value 'junk' for --seed` line
-/// pointing at `--help`, and exit code 2 — never a silent fallback to
-/// the default.
-pub fn parse_flag<T: std::str::FromStr>(bin: &str, flag: &str, raw: &str) -> T {
-    raw.trim()
-        .parse()
-        .unwrap_or_else(|_| bad_value(bin, flag, raw))
-}
-
-/// Parse a raw size flag (`--jobs`, `--devices`, `--requests`) through
-/// [`parse_flag`], also rejecting zero with the same `bad value` line.
-///
-/// Zero workers, devices or requests is a usage error, not a run. The
-/// determinism contract (see `PERFORMANCE.md`) is that `--jobs` only
-/// changes wall-clock time: output is byte-identical for every
-/// accepted value.
-pub fn parse_positive(bin: &str, flag: &str, raw: &str) -> usize {
-    let v = parse_flag(bin, flag, raw);
-    if v == 0 {
-        bad_value(bin, flag, raw);
-    }
-    v
-}
-
-fn bad_value(bin: &str, flag: &str, raw: &str) -> ! {
-    eprintln!("{bin}: bad value '{raw}' for {flag} (run with --help for usage)");
-    std::process::exit(2)
-}
 
 /// Unwrap a session result, or print one `bin: engine error: …` line
 /// and exit **1**: an engine fault is a failed run, not a usage error.
@@ -136,52 +26,6 @@ pub fn or_engine_exit<T>(bin: &str, result: Result<T, heterollm::EngineError>) -
         eprintln!("{bin}: engine error: {e}");
         std::process::exit(1)
     })
-}
-
-/// Scan argv for the shared `--jobs N` flag (default 1), for binaries
-/// whose remaining argv is handled by [`expect_no_flags`] rather than
-/// a flag loop of their own. Bad values exit **2** via [`parse_positive`];
-/// a trailing `--jobs` with no value exits **2** too.
-pub fn jobs_from_args(bin: &str) -> usize {
-    let mut jobs = 1;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            let raw = it.next().unwrap_or_else(|| {
-                eprintln!("{bin}: --jobs needs a value");
-                eprintln!("run with --help for usage");
-                std::process::exit(2)
-            });
-            jobs = parse_positive(bin, "--jobs", &raw);
-        }
-    }
-    jobs
-}
-
-/// Reject stray command-line arguments for binaries that define no
-/// flags of their own (exit **2**), keeping argv handling uniform
-/// across the suite.
-///
-/// The shared `--analyze` / `--help` / `-h` flags are allowed (they
-/// are consumed by [`maybe_analyze`] / [`maybe_help`], which run
-/// first), as is `--jobs N` (read by [`jobs_from_args`] on binaries
-/// that run parallelizable sessions). Anything else — including a
-/// well-intentioned `--seed` on a binary that is deterministic by
-/// construction — is an error, not silently ignored.
-pub fn expect_no_flags(bin: &str) {
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            // Value validated by jobs_from_args; skip it here.
-            it.next();
-            continue;
-        }
-        if a != "--analyze" && a != "--help" && a != "-h" {
-            eprintln!("{bin}: unexpected argument '{a}' (this binary takes no flags of its own)");
-            eprintln!("run with --help for usage");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// A simple aligned text table.

@@ -38,6 +38,9 @@ pub struct ModelConfig {
     pub kv_dtype: DType,
 }
 
+/// A preset's CLI-style name and constructor.
+type Preset = (&'static str, fn() -> ModelConfig);
+
 impl ModelConfig {
     /// Per-head dimension.
     pub fn head_dim(&self) -> usize {
@@ -178,18 +181,40 @@ impl ModelConfig {
         self
     }
 
-    /// Look up a preset by CLI-style name (`"llama-8b"`, ...).
+    /// Every preset [`by_name`](Self::by_name) accepts, under its
+    /// CLI-style name.
+    const PRESETS: [Preset; 7] = [
+        ("llama-8b", Self::llama_8b),
+        ("llama-7b", Self::llama_7b),
+        ("llama-3b", Self::llama_3b),
+        ("internlm-1.8b", Self::internlm_1_8b),
+        ("mistral-7b", Self::mistral_7b),
+        ("qwen2-1.5b", Self::qwen2_1_5b),
+        ("tiny", Self::tiny),
+    ];
+
+    /// Look up a preset by CLI-style name (`"llama-8b"`, ...), ignoring
+    /// ASCII case.
     pub fn by_name(name: &str) -> Option<Self> {
-        Some(match name.to_ascii_lowercase().as_str() {
-            "llama-8b" => Self::llama_8b(),
-            "llama-7b" => Self::llama_7b(),
-            "llama-3b" => Self::llama_3b(),
-            "internlm-1.8b" => Self::internlm_1_8b(),
-            "mistral-7b" => Self::mistral_7b(),
-            "qwen2-1.5b" => Self::qwen2_1_5b(),
-            "tiny" => Self::tiny(),
-            _ => return None,
-        })
+        Self::PRESETS
+            .iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, preset)| preset())
+    }
+
+    /// The names [`by_name`](Self::by_name) accepts, in lowercase.
+    pub fn preset_names() -> impl Iterator<Item = &'static str> {
+        Self::PRESETS.iter().map(|(n, _)| *n)
+    }
+
+    /// The longest `max_seq` of any preset: the most tokens a CLI may
+    /// ask one session to hold.
+    pub fn longest_preset_seq() -> usize {
+        Self::PRESETS
+            .iter()
+            .map(|(_, preset)| preset().max_seq)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The four evaluation models of the paper, largest first.
@@ -309,6 +334,10 @@ mod tests {
             "Qwen2-1.5B"
         );
         assert!(ModelConfig::by_name("gpt-5").is_none());
+        for name in ModelConfig::preset_names() {
+            assert!(ModelConfig::by_name(name).is_some(), "{name}");
+        }
+        assert_eq!(ModelConfig::longest_preset_seq(), 4096);
     }
 
     #[test]
