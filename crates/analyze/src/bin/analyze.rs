@@ -84,6 +84,8 @@ struct Args {
     models: Vec<String>,
     mechanism: SyncMechanism,
     seqs: Vec<usize>,
+    /// Whether `--seq` replaced the default sweep.
+    seq_given: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -95,6 +97,7 @@ fn parse_args() -> Result<Args, String> {
         models: Vec::new(),
         mechanism: SyncMechanism::Fast,
         seqs: DEFAULT_SEQS.to_vec(),
+        seq_given: false,
     };
     let mut first = true;
     let mut it = std::env::args().skip(1);
@@ -148,23 +151,36 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seq" => {
                 let csv = it.next().ok_or("--seq needs a comma-separated list")?;
-                let longest = ModelConfig::longest_preset_seq();
                 args.seqs = csv
                     .split(',')
-                    .map(|s| match s.trim().parse::<usize>() {
-                        Ok(seq) if seq <= longest => Ok(seq),
-                        Ok(_) => Err(format!(
-                            "bad --seq '{s}': longer than any model's context ({longest})"
-                        )),
-                        Err(e) => Err(format!("bad --seq '{s}': {e}")),
+                    .map(|s| {
+                        s.trim()
+                            .parse()
+                            .map_err(|e| format!("bad --seq '{s}': {e}"))
                     })
                     .collect::<Result<_, _>>()?;
+                args.seq_given = true;
             }
             "--help" | "-h" => args.help = true,
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
     Ok(args)
+}
+
+/// A `--seq` length no chosen model can hold, as a usage error naming
+/// the model with the shortest context.
+fn check_seqs(seqs: &[usize], models: &[ModelConfig]) -> Result<(), String> {
+    let Some(shortest) = models.iter().min_by_key(|m| m.max_seq) else {
+        return Ok(());
+    };
+    match seqs.iter().find(|&&seq| seq > shortest.max_seq) {
+        Some(seq) => Err(format!(
+            "bad --seq '{seq}': longer than {}'s context of {} tokens",
+            shortest.name, shortest.max_seq
+        )),
+        None => Ok(()),
+    }
 }
 
 fn models_for(args: &Args) -> Result<Vec<ModelConfig>, String> {
@@ -229,6 +245,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if args.seq_given {
+        if let Err(msg) = check_seqs(&args.seqs, &models) {
+            eprintln!("analyze: {msg} (run with --help for usage)");
+            return ExitCode::from(2);
+        }
+    }
 
     let report = match args.command.clone() {
         Command::Lint => lint_models(&models, &args.seqs, args.mechanism),

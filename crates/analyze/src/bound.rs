@@ -1,5 +1,5 @@
-//! Abstract interpretation over submission DAGs: sound memory and
-//! latency bounds (§4.2, §4.3).
+//! Static cost and resource bounds for plans and serving phases
+//! (§4.2, §4.3).
 //!
 //! This module is the analyzer's *cost* layer. Where the structural
 //! rules decide whether a plan can execute at all, the bound rules
@@ -9,22 +9,12 @@
 //!
 //! # Framework
 //!
-//! A generic forward worklist solver ([`solve_forward`]) propagates a
-//! join-semilattice [`AbstractDomain`] through the happens-before DAG
-//! of a [`SyncSchedule`]: the in-state of an event is the join of its
-//! predecessors' out-states, and a per-event transfer function
-//! produces the out-state. Two instantiations:
-//!
-//! - **Completion time** over [`CostInterval`] (join = pointwise max,
-//!   transfer = interval addition of the event's cost): the join over
-//!   all out-states is a sound `[lo, hi]` bound on the schedule's
-//!   makespan, and reproduces the solver's closed-form
-//!   `plan_cost_interval` exactly (pinned by a test).
-//! - **Peak footprint** over [`PeakBytes`] (join = max, transfer =
-//!   running max of the bytes live at the event's schedule step, from
-//!   the plan's [`RegionTable`]): the join over all out-states is the
-//!   static peak pooled footprint, equal to the region table's
-//!   max-plateau.
+//! - **Peak footprint** is the plan's [`RegionTable`] plateau
+//!   ([`RegionTable::peak_bytes`]): the most pool-rounded bytes live
+//!   at any schedule step of the plan's buffer lifetimes.
+//! - **Latency** is the [`HeteroMirror`]'s walk of a serving phase,
+//!   which prices each plan with the solver's closed-form
+//!   [`CostInterval`] (`Solver::plan_cost_interval`).
 //!
 //! # Model-level bounds and rules
 //!
@@ -61,123 +51,6 @@ use heterollm::{Engine, ModelConfig};
 use crate::diag::{Diagnostic, Report};
 use crate::mem::{self, TensorRegion};
 use crate::rules;
-use crate::sched::{SyncEvent, SyncSchedule};
-
-/// A join-semilattice abstract domain for forward dataflow over a
-/// schedule's happens-before DAG.
-pub trait AbstractDomain: Clone + PartialEq {
-    /// The least element (state of an event with no predecessors).
-    fn bottom() -> Self;
-    /// Least upper bound of two states.
-    fn join(&self, other: &Self) -> Self;
-}
-
-/// Completion-time intervals form a join-semilattice under pointwise
-/// max: an event that waits on several predecessors starts no earlier
-/// than the latest of them in both the best and worst case.
-impl AbstractDomain for CostInterval {
-    fn bottom() -> Self {
-        CostInterval::ZERO
-    }
-    fn join(&self, other: &Self) -> Self {
-        self.join_max(*other)
-    }
-}
-
-/// Running peak of pool-rounded live bytes — a max-semilattice.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PeakBytes(pub u64);
-
-impl AbstractDomain for PeakBytes {
-    fn bottom() -> Self {
-        PeakBytes(0)
-    }
-    fn join(&self, other: &Self) -> Self {
-        PeakBytes(self.0.max(other.0))
-    }
-}
-
-/// Forward worklist solver over `schedule`'s happens-before DAG.
-///
-/// For each event, the in-state is the join of the out-states of every
-/// event it waits on (bottom for sources); `transfer(index, event,
-/// in_state)` produces the out-state. Events are re-queued until a
-/// fixpoint, so the result is well-defined even if the wait graph is
-/// not topologically ordered. Out-of-range waits are ignored — dangling
-/// edges are the `sync-schedule` rule's business, not the interpreter's.
-///
-/// Returns the out-state of every event.
-pub fn solve_forward<D, F>(schedule: &SyncSchedule, mut transfer: F) -> Vec<D>
-where
-    D: AbstractDomain,
-    F: FnMut(usize, &SyncEvent, &D) -> D,
-{
-    let n = schedule.events.len();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, e) in schedule.events.iter().enumerate() {
-        for &w in &e.waits_on {
-            if w < n {
-                dependents[w].push(i);
-            }
-        }
-    }
-    let mut out: Vec<D> = vec![D::bottom(); n];
-    let mut queued = vec![true; n];
-    let mut worklist: std::collections::VecDeque<usize> = (0..n).collect();
-    while let Some(i) = worklist.pop_front() {
-        queued[i] = false;
-        let input = schedule.events[i]
-            .waits_on
-            .iter()
-            .filter(|&&w| w < n)
-            .fold(D::bottom(), |acc, &w| acc.join(&out[w]));
-        let next = transfer(i, &schedule.events[i], &input);
-        if next != out[i] {
-            out[i] = next;
-            for &d in &dependents[i] {
-                if !queued[d] {
-                    queued[d] = true;
-                    worklist.push_back(d);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Sound `[lo, hi]` completion-time interval of `schedule` given one
-/// cost interval per event (in event order, e.g. from
-/// `Solver::event_cost_intervals`).
-///
-/// Instantiates [`solve_forward`] with the completion-time domain and
-/// joins the out-states; equals the solver's closed-form
-/// `plan_cost_interval` for every plan layout.
-pub fn schedule_completion_interval(
-    schedule: &SyncSchedule,
-    costs: &[CostInterval],
-) -> CostInterval {
-    assert_eq!(
-        costs.len(),
-        schedule.events.len(),
-        "one cost interval per schedule event"
-    );
-    solve_forward(schedule, |i, _e, input: &CostInterval| *input + costs[i])
-        .into_iter()
-        .fold(CostInterval::ZERO, CostInterval::join_max)
-}
-
-/// Static peak pooled footprint of a plan's schedule, in bytes, by
-/// propagating the running-peak domain through the DAG against the
-/// plan's region table. Equals `table.peak_bytes()` (the region
-/// table's max-plateau) — pinned by a test.
-pub fn schedule_peak_bytes(schedule: &SyncSchedule, table: &RegionTable) -> u64 {
-    solve_forward(schedule, |i, _e, input: &PeakBytes| {
-        PeakBytes(input.0.max(table.live_bytes_at(i) as u64))
-    })
-    .into_iter()
-    .fold(PeakBytes(0), |a, b| a.join(&b))
-    .0
-}
 
 /// Default pool capacity the footprint rule checks against when the
 /// caller does not supply one: 1 GiB of pooled activations + KV, the
@@ -252,10 +125,7 @@ pub fn model_bounds_under(
     let sites = distinct_sites(&mirror.prefill_plans(prompt_len));
     let plan_peak_bytes = sites
         .iter()
-        .map(|(_, shape, plan)| {
-            let table = RegionTable::for_plan(plan, *shape);
-            schedule_peak_bytes(&SyncSchedule::for_plan(plan, *shape), &table)
-        })
+        .map(|(_, shape, plan)| RegionTable::for_plan(plan, *shape).peak_bytes() as u64)
         .max()
         .unwrap_or(0);
     let kv_bytes = KvCache::decode_read_bytes(
@@ -480,8 +350,11 @@ fn bound_lint_one(
         let table = RegionTable::for_plan(plan, *shape);
         let site_loc = format!("{location}/{op}");
         let mut site = check_plan_regions(&table, &site_loc);
-        let static_peak = schedule_peak_bytes(&SyncSchedule::for_plan(plan, *shape), &table);
-        site.extend(check_pool_replay(&table, static_peak, &site_loc));
+        site.extend(check_pool_replay(
+            &table,
+            table.peak_bytes() as u64,
+            &site_loc,
+        ));
         report.extend(site);
     }
 
@@ -569,18 +442,8 @@ pub fn bound_lint_degraded_session(model: &ModelConfig, seed: u64, prompt_len: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_profiler::RealExecProvider;
-    use hetero_soc::sync::Dominance;
-    use hetero_solver::{PartitionPlan, Solver, SolverConfig};
+    use hetero_solver::PartitionPlan;
     use hetero_tensor::shape::MatmulShape;
-    use proptest::prelude::*;
-
-    fn solver() -> Solver<RealExecProvider> {
-        Solver::new(
-            RealExecProvider::new(hetero_soc::SocConfig::snapdragon_8gen3()),
-            SolverConfig::default(),
-        )
-    }
 
     fn plans() -> Vec<PartitionPlan> {
         vec![
@@ -603,71 +466,6 @@ mod tests {
                 gpu_rows: 12,
             },
         ]
-    }
-
-    /// The worklist interpreter over a plan's event intervals.
-    fn interval_via_dag(
-        solver: &Solver<RealExecProvider>,
-        plan: &PartitionPlan,
-        shape: MatmulShape,
-        dominance: Dominance,
-    ) -> CostInterval {
-        let costs = solver.event_cost_intervals(plan, shape, dominance);
-        schedule_completion_interval(&SyncSchedule::for_plan(plan, shape), &costs)
-    }
-
-    /// The worklist interpreter reproduces the closed-form completion
-    /// interval of `plan` under both dominances.
-    fn assert_dag_interval(s: &Solver<RealExecProvider>, plan: &PartitionPlan, shape: MatmulShape) {
-        for dominance in [Dominance::NpuDominant, Dominance::GpuDominant] {
-            let dag = interval_via_dag(s, plan, shape, dominance);
-            let closed = s.plan_cost_interval(plan, shape, dominance);
-            assert_eq!(dag, closed, "{plan:?} {shape:?} {dominance:?}");
-        }
-    }
-
-    /// The worklist interpreter reproduces the region table's peak
-    /// plateau for `plan`.
-    fn assert_dag_peak(plan: &PartitionPlan, shape: MatmulShape) {
-        let table = RegionTable::for_plan(plan, shape);
-        let via_dag = schedule_peak_bytes(&SyncSchedule::for_plan(plan, shape), &table);
-        assert_eq!(via_dag, table.peak_bytes() as u64, "{plan:?} {shape:?}");
-    }
-
-    #[test]
-    fn dag_interpreter_matches_closed_form_interval() {
-        let s = solver();
-        for plan in plans() {
-            assert_dag_interval(&s, &plan, MatmulShape::new(300, 4096, 4096));
-        }
-    }
-
-    #[test]
-    fn dag_peak_matches_region_table_plateau() {
-        for plan in plans() {
-            assert_dag_peak(&plan, MatmulShape::new(300, 4096, 4096));
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Both cross-checks on the plans the solver chooses for drawn
-        /// shapes under either dominance.
-        #[test]
-        fn dag_interpreters_match_closed_forms_on_solver_plans(
-            m in 1usize..2200,
-            k in prop_oneof![Just(2048usize), Just(4096), Just(14336)],
-            n in prop_oneof![Just(2048usize), Just(4096), Just(14336)],
-        ) {
-            let s = solver();
-            let shape = MatmulShape::new(m, k, n);
-            for dominance in [Dominance::NpuDominant, Dominance::GpuDominant] {
-                let plan = s.solve(shape, dominance).plan;
-                assert_dag_interval(&s, &plan, shape);
-                assert_dag_peak(&plan, shape);
-            }
-        }
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! on which legal order actually happens? A [`SyncSchedule`]'s
 //! `waits_on` graph admits many linear extensions — the orders the
 //! hardware could really execute given FIFO queues and rendezvous
-//! edges. Each extension is replayed through the discrete-event
-//! machinery ([`EventQueue`] + per-backend [`FifoServer`]s) under both
-//! phase dominances, producing a full [`SessionReport`]. The schedule
-//! is *deterministic* iff every extension's report serializes to
-//! byte-identical JSON.
+//! edges. Each extension is replayed through per-backend
+//! [`FifoServer`]s under both phase dominances, producing a full
+//! [`SessionReport`]. The schedule is *deterministic* iff every
+//! extension's report serializes to byte-identical JSON.
 //!
 //! Walking every extension would be factorial, so extensions are
 //! grouped into Mazurkiewicz-style classes by their per-backend
@@ -22,7 +21,7 @@
 
 use std::collections::HashSet;
 
-use hetero_soc::des::{EventQueue, FifoServer};
+use hetero_soc::des::FifoServer;
 use hetero_soc::power::EnergyMeter;
 use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
 use hetero_soc::{Backend, SimTime};
@@ -164,7 +163,7 @@ fn replay(
     let mut servers = [FifoServer::new(), FifoServer::new(), FifoServer::new()];
     let mut completion = vec![SimTime::ZERO; n];
     let mut busy = [SimTime::ZERO; 3];
-    let mut queue: EventQueue<usize> = EventQueue::new();
+    let mut makespan = SimTime::ZERO;
     for &i in order {
         let e = &schedule.events[i];
         let ready = e
@@ -189,11 +188,7 @@ fn replay(
         let (_, end) = servers[a].serve(ready, duration);
         completion[i] = end;
         busy[a] += duration;
-        queue.schedule(end, i);
-    }
-    let mut makespan = SimTime::ZERO;
-    while let Some((at, _)) = queue.pop() {
-        makespan = at;
+        makespan = makespan.max(end);
     }
     (makespan, busy)
 }

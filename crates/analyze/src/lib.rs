@@ -83,11 +83,11 @@
 //! the controller's own [`hetero_fleet::stage_regressed`] on its
 //! echoed evidence and thresholds.
 //!
-//! The bound rules ([`bound`]) are the analyzer's cost layer: a
-//! generic join-semilattice worklist interpreter over the submission
-//! DAG propagates `[lo, hi]` cost intervals and running-peak footprint
-//! states, and every static bound is gated against the discrete-event
-//! simulator (`analyze bound` in CI).
+//! The bound rules ([`bound`]) are the analyzer's cost layer: each
+//! plan's peak footprint is its region table's plateau, each serving
+//! phase's `[lo, hi]` latency is the static cost mirror's walk, and
+//! every static bound is gated against the discrete-event simulator
+//! (`analyze bound` in CI).
 //!
 //! Findings are typed [`Diagnostic`]s aggregated into a [`Report`] with
 //! a stable JSON encoding (`Report::to_json`). The `analyze` binary
@@ -117,8 +117,7 @@ pub mod sweep;
 pub mod timeline;
 
 pub use bound::{
-    bound_lint_degraded_session, bound_lint_models, model_bounds, schedule_completion_interval,
-    schedule_peak_bytes, solve_forward, AbstractDomain, ModelBounds, PeakBytes, DEFAULT_POOL_BYTES,
+    bound_lint_degraded_session, bound_lint_models, model_bounds, ModelBounds, DEFAULT_POOL_BYTES,
 };
 pub use diag::{Diagnostic, Report, Severity, Summary};
 pub use explore::{explore_schedule, DeterminismCertificate, ExploreConfig};

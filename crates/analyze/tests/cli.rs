@@ -59,17 +59,35 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
-fn seq_past_the_longest_context_is_a_usage_error() {
-    // Past every model's context a sweep would run for minutes; the
-    // bound is the longest preset context, 4096 tokens.
-    for seq in ["99999999", "4097", "135,4097"] {
-        let out = analyze(&["--seq", seq]);
+fn seq_past_the_chosen_models_context_is_a_usage_error() {
+    // The bound is the shortest context among the chosen models: 4096
+    // tokens for the evaluation models, 128 for Tiny.
+    let cases: [&[&str]; 5] = [
+        &["--seq", "99999999"],
+        &["--seq", "4097"],
+        &["--seq", "135,4097"],
+        &["--model", "tiny", "--seq", "4096"],
+        &[
+            "bound", "--model", "llama-8b", "--model", "tiny", "--seq", "129",
+        ],
+    ];
+    for args in cases {
+        let out = analyze(args);
         let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
-        assert_eq!(out.status.code(), Some(2), "--seq {seq}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "--seq {seq}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(stderr.contains("bad --seq"), "{stderr}");
-        assert!(out.stdout.is_empty(), "--seq {seq} ran anyway");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
+    let out = analyze(&["--model", "tiny", "--seq", "4096"]);
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(
+        stderr.contains("longer than Tiny-Test's context of 128 tokens"),
+        "{stderr}"
+    );
+    // At the context itself the lint runs.
+    let out = analyze(&["--model", "tiny", "--seq", "128"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
 #[test]

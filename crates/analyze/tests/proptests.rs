@@ -5,8 +5,8 @@
 
 use hetero_analyze::bound::{check_footprint, model_bounds_under, replay_pool_peak};
 use hetero_analyze::{
-    check_plan_full, check_schedule_races, model_bounds, retry_schedule, rules,
-    schedule_peak_bytes, EventKind, PlanContext, Severity, SyncSchedule,
+    check_plan_full, check_schedule_races, model_bounds, retry_schedule, rules, EventKind,
+    PlanContext, Severity, SyncSchedule,
 };
 use hetero_graph::partition::PartitionPlan;
 use hetero_profiler::RealExecProvider;
@@ -262,7 +262,7 @@ proptest! {
         let shape = MatmulShape::new(m, k, n);
         let choice = solver.solve(shape, dominance);
         let table = RegionTable::for_plan(&choice.plan, shape);
-        let static_peak = schedule_peak_bytes(&SyncSchedule::for_plan(&choice.plan, shape), &table);
+        let static_peak = table.peak_bytes() as u64;
         let replayed = replay_pool_peak(&table);
         prop_assert!(
             replayed <= static_peak,

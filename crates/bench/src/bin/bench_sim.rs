@@ -15,7 +15,7 @@
 //!   asserted byte-identical here, not just in CI.
 //! - **GEMM MFLOP/s** — the blocked functional-mode matmul
 //!   ([`hetero_tensor::ops::matmul`]), FLOPs counted as `2·m·k·n`.
-//! - **DES events/s** — schedule/pop churn through the calendar-queue
+//! - **DES events/s** — schedule/pop churn through the binary-heap
 //!   [`hetero_soc::des::EventQueue`].
 //! - **monitor events/s** — the past-time-LTL fleet monitor
 //!   ([`hetero_analyze::monitor_fleet_log`]) swept repeatedly over a
@@ -66,7 +66,7 @@ struct BenchSim {
     gemm_flops_per_iter: u64,
     /// GEMM iterations timed.
     gemm_iters: u64,
-    /// Calendar-queue DES churn, events/second.
+    /// DES event-queue churn, events/second.
     des_events_per_sec: u64,
     /// DES events scheduled and popped.
     des_events: u64,
@@ -160,7 +160,7 @@ fn main() {
     let gemm_mflops =
         flops_per_iter.saturating_mul(gemm_iters) / 1_000_000 * 1_000_000_000 / gemm_ns.max(1);
 
-    // --- calendar-queue DES events/s ---------------------------------
+    // --- DES event queue events/s -----------------------------------
     let des_events = 400_000u64;
     let ((), des_ns) = time(|| {
         let mut q: EventQueue<u64> = EventQueue::new();
@@ -239,7 +239,7 @@ fn main() {
         snapshot.gemm_mflops.to_string(),
     ]);
     t.row(&[
-        "calendar-queue DES".into(),
+        "DES event queue".into(),
         "events/s".into(),
         snapshot.des_events_per_sec.to_string(),
     ]);

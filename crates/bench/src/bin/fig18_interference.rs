@@ -44,9 +44,10 @@ fn main() {
         EngineKind::HeteroTensor,
     ] {
         let mut e = kind.build(&model, SyncMechanism::Fast);
-        e.soc_mut().enable_trace();
+        e.enable_timeline();
         let report = e.prefill(256);
-        let raw = gpu_bursts(e.soc().trace(), SimTime::from_micros(25));
+        let timeline = e.take_timeline().expect("timeline enabled");
+        let raw = gpu_bursts(&timeline, SimTime::from_micros(25));
         let occ = gpu_occupancy(&raw);
         // HeteroLLM's control plane paces submissions kernel-by-kernel
         // (fast sync, §4.2); PPL floods the queue asynchronously.

@@ -31,9 +31,30 @@ pub const MAX_DEVICES: u64 = 10_000_000;
 pub const MAX_REQUESTS: u64 = 1_000_000;
 
 /// Upper bound of a token count (`--prompt`, `--decode`): the longest
-/// context any model preset supports.
+/// context any model preset supports. [`check_context`] then bounds
+/// their sum by the chosen model's context.
 pub fn max_tokens() -> u64 {
     ModelConfig::longest_preset_seq() as u64
+}
+
+/// Exit **2** with one stderr line when a session of `prompt` prompt
+/// tokens and `decode` decode tokens does not fit `model`'s context.
+pub fn check_context(bin: &str, model: &ModelConfig, prompt: usize, decode: usize) {
+    if prompt + decode > model.max_seq {
+        usage_exit(
+            bin,
+            &format!(
+                "--prompt {prompt} + --decode {decode} exceeds {}'s context of {} tokens",
+                model.name, model.max_seq
+            ),
+        );
+    }
+}
+
+/// Print `bin`'s one-line usage error and exit **2**.
+fn usage_exit(bin: &str, error: &str) -> ! {
+    eprintln!("{bin}: {error} (run with --help for usage)");
+    std::process::exit(2)
 }
 
 /// A value a one-of flag selects by name. The names and the parser are
@@ -382,10 +403,7 @@ pub fn parse(bin: &str, about: &str, flags: &[Flag]) -> Args {
             print!("{}", help(bin, about, flags));
             std::process::exit(0)
         }
-        Err(Usage::Error(e)) => {
-            eprintln!("{bin}: {e} (run with --help for usage)");
-            std::process::exit(2)
-        }
+        Err(Usage::Error(e)) => usage_exit(bin, &e),
     }
 }
 

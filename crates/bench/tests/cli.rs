@@ -182,8 +182,29 @@ fn known_bad_lines_are_usage_errors() {
         &["--prompt", "99999999"],
         "bad value '99999999' for --prompt",
     );
+    // Past the chosen model's context, though each flag is in range.
+    assert_usage_error(
+        sim,
+        &["--prompt", "4096", "--decode", "4096"],
+        "--prompt 4096 + --decode 4096 exceeds Llama-8B's context of 4096 tokens",
+    );
+    assert_usage_error(
+        sim,
+        &["--model", "tiny", "--prompt", "100", "--decode", "29"],
+        "exceeds Tiny-Test's context of 128 tokens",
+    );
+    let fits = run(
+        sim,
+        &["--model", "tiny", "--prompt", "100", "--decode", "28"],
+    );
+    assert_eq!(fits.status.code(), Some(0), "{fits:?}");
     let timeline = env!("CARGO_BIN_EXE_timeline");
     assert_usage_error(timeline, &["--width", "5"], "bad value '5' for --width");
+    assert_usage_error(
+        timeline,
+        &["--prompt", "4090", "--decode", "7"],
+        "exceeds InternLM-1.8B's context of 4096 tokens",
+    );
     // A binary without a --jobs flag no longer ignores one.
     let fig02 = env!("CARGO_BIN_EXE_fig02_gpu_linear");
     assert_usage_error(fig02, &["--jobs", "2"], "unexpected argument '--jobs'");

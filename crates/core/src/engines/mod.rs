@@ -108,7 +108,7 @@ pub trait Engine {
         self.observers().take_timeline()
     }
 
-    /// Access the simulated SoC (clock, meter, trace).
+    /// Access the simulated SoC (clock, meter).
     fn soc(&self) -> &Soc;
 
     /// Mutable SoC access.

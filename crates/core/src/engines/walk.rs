@@ -153,7 +153,8 @@ pub(crate) trait CostDomain {
     /// Charge `times` more copies of everything since `mark`.
     fn repeat_since(&mut self, mark: Self::Mark, times: u64);
 
-    /// Whether an observer that cannot repeat needs every step walked.
+    /// Whether an observer that cannot repeat (the concurrency
+    /// recorder) needs every step walked.
     fn observed(&self) -> bool;
 
     /// The primed backend (`None` before the first step).
@@ -219,10 +220,10 @@ fn run_op(
 /// would cost exactly what that one did, and the domain charges them
 /// as repeats of it. For the same reason each later layer would
 /// record the same spans and flows, shifted by whole layer periods,
-/// so the span timeline repeats with the clock. The concurrency
-/// recorder (its memory pool, tokens and rendezvous flags carry over
-/// from step to step) and the SoC's interval trace cannot repeat, so
-/// while either is on the same loop walks every layer.
+/// so the span timeline repeats with the clock. Only the concurrency
+/// recorder cannot repeat (its memory pool, tokens and rendezvous
+/// flags carry over from step to step), so while it is on the same
+/// loop walks every layer.
 pub(crate) fn run_phase(
     domain: &mut impl CostDomain,
     planner: &mut impl Planner,
@@ -250,9 +251,10 @@ pub(crate) fn run_phase(
 }
 
 /// The per-kernel observers of a DES run: the concurrency recorder for
-/// race analysis and the span timeline, each on only while enabled.
-/// The timeline joins the layer repeat; the concurrency recorder
-/// makes the walk visit every layer.
+/// race analysis and the span timeline, each on only while enabled
+/// (the [`Soc`] itself records no intervals). The timeline joins the
+/// layer repeat; the concurrency recorder makes the walk visit every
+/// layer.
 #[derive(Default)]
 pub struct Observers {
     recorder: Option<ConcurrencyRecorder>,
@@ -389,7 +391,7 @@ impl CostDomain for Des {
     }
 
     fn observed(&self) -> bool {
-        self.obs.recorder.is_some() || self.soc.trace_enabled()
+        self.obs.recorder.is_some()
     }
 
     fn primed(&self) -> Option<Backend> {

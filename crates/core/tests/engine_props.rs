@@ -121,7 +121,6 @@ enum Observer {
     None,
     Timeline,
     ConcurrencyLog,
-    SocTrace,
 }
 
 /// One `kind` session under `observer`: prefill and decode reports,
@@ -146,7 +145,6 @@ fn observed_session(
         Observer::None => {}
         Observer::Timeline => e.enable_timeline(),
         Observer::ConcurrencyLog => e.enable_concurrency_log(),
-        Observer::SocTrace => e.soc_mut().enable_trace(),
     }
     let p = e.prefill(prompt);
     let d = e.decode(prompt, decode);
@@ -167,8 +165,9 @@ proptest! {
         prompt in 1usize..=1100,
         decode in 0usize..=8,
     ) {
-        // Unobserved sessions charge repeated decoder layers without
-        // walking them; observed ones walk every kernel. The simulated
+        // Unobserved and timeline sessions charge repeated decoder
+        // layers without walking them; a concurrency log walks every
+        // kernel. The simulated
         // numbers must be bit-identical either way, for every engine's
         // route, backend mix and kernel types.
         let kind = EngineKind::ALL[kind_ix];
@@ -182,7 +181,7 @@ proptest! {
         let mechanism = if driver_sync { SyncMechanism::Driver } else { SyncMechanism::Fast };
         let cfg = socs[soc_ix % socs.len()].clone().with_sync(mechanism);
         let plain = observed_session(kind, &model, &cfg, Observer::None, prompt, decode);
-        for observer in [Observer::Timeline, Observer::ConcurrencyLog, Observer::SocTrace] {
+        for observer in [Observer::Timeline, Observer::ConcurrencyLog] {
             let watched = observed_session(kind, &model, &cfg, observer, prompt, decode);
             prop_assert_eq!(
                 &watched,

@@ -1,12 +1,17 @@
 //! A small discrete-event simulation core.
 //!
 //! The timing engines schedule work analytically (kernel costs are
-//! closed-form), but resource-sharing questions — a render workload
-//! and an LLM contending for one FIFO GPU queue, requests queueing at
-//! a busy engine — need genuine event-driven simulation. This module
-//! provides the shared machinery: a monotone event queue with stable
-//! FIFO ordering for simultaneous events, and a single-server resource
-//! abstraction.
+//! closed-form); this module holds the two pieces of event-driven
+//! machinery the rest of the simulator shares. [`EventQueue`] is a
+//! monotone min-queue with FIFO ordering for simultaneous events: the
+//! disturbance traces order their window edges through it
+//! ([`crate::disturb::DisturbanceTrace::timeline`]). [`FifoServer`] is a
+//! single-server resource: a render workload and an LLM contending for
+//! one FIFO GPU queue ([`crate::interference`]), requests queueing at a
+//! busy engine.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -37,34 +42,45 @@ impl core::fmt::Display for CausalityError {
 impl std::error::Error for CausalityError {}
 
 /// An event: fires at `at`; ties break by insertion order (FIFO).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
     payload: E,
 }
 
-/// Initial bucket count (power of two; grows with the live set).
-const INITIAL_BUCKETS: usize = 8;
+impl<E> Scheduled<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
 
 /// A monotone event queue.
 ///
-/// Internally a *calendar queue* (Brown 1988) over an event arena:
-/// payloads are written once into a slab and never move again, while
-/// the calendar's day buckets shuffle 4-byte slab indices. Schedules
-/// are O(1) (a division and a `Vec` push — no sift, no payload
-/// moves); pops scan forward from the current day and touch only the
-/// handful of events sharing it. The bucket count doubles whenever
-/// the live set outgrows it and the day width re-derives from the
-/// live span, so the mean bucket occupancy stays O(1) under the
-/// hold-model churn a DES produces. Every structural decision is a
-/// pure function of the operation history, so iteration order — and
-/// therefore simulation output — is byte-identical run to run, and
-/// identical to the binary-heap queue this replaced (the DES
-/// proptests pin pop order, FIFO ties included, to that oracle).
-///
-/// Events at the same instant pop in insertion order (FIFO), selected
-/// by a `(time, sequence)` key, exactly as before.
+/// A binary min-heap keyed by `(time, insertion sequence)`: events at
+/// the same instant pop in insertion order (FIFO), so pop order — and
+/// therefore simulation output — is a pure function of the schedule
+/// history.
 ///
 /// # Examples
 ///
@@ -83,17 +99,7 @@ const INITIAL_BUCKETS: usize = 8;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Event slab: slot `i` holds a live event or a free hole.
-    arena: Vec<Option<Scheduled<E>>>,
-    /// Reusable arena holes.
-    free: Vec<u32>,
-    /// Calendar days: each holds arena indices of its events,
-    /// unordered (selection is always by minimal `(time, seq)`).
-    buckets: Vec<Vec<u32>>,
-    /// Nanoseconds per day (≥ 1).
-    width: u64,
-    /// Live event count.
-    count: usize,
+    heap: BinaryHeap<Reverse<Scheduled<E>>>,
     next_seq: u64,
     now: SimTime,
 }
@@ -108,11 +114,7 @@ impl<E> EventQueue<E> {
     /// New queue at time zero.
     pub fn new() -> Self {
         Self {
-            arena: Vec::new(),
-            free: Vec::new(),
-            buckets: vec![Vec::new(); INITIAL_BUCKETS],
-            width: 1 << 10,
-            count: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -148,50 +150,12 @@ impl<E> EventQueue<E> {
     }
 
     fn push(&mut self, at: SimTime, payload: E) {
-        let ev = Scheduled {
+        self.heap.push(Reverse(Scheduled {
             at,
             seq: self.next_seq,
             payload,
-        };
+        }));
         self.next_seq += 1;
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.arena[i as usize] = Some(ev);
-                i
-            }
-            None => {
-                assert!(self.arena.len() < u32::MAX as usize, "event arena full");
-                self.arena.push(Some(ev));
-                (self.arena.len() - 1) as u32
-            }
-        };
-        let day = (at.as_nanos() / self.width) as usize % self.buckets.len();
-        self.buckets[day].push(idx);
-        self.count += 1;
-        if self.count > 2 * self.buckets.len() {
-            self.grow();
-        }
-    }
-
-    /// Double the calendar and re-derive the day width from the live
-    /// span so mean occupancy returns to O(1). Deterministic: depends
-    /// only on the current live set.
-    fn grow(&mut self) {
-        let n = self.buckets.len() * 2;
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for slot in self.arena.iter().flatten() {
-            lo = lo.min(slot.at.as_nanos());
-            hi = hi.max(slot.at.as_nanos());
-        }
-        self.width = ((hi - lo) / self.count as u64).max(1);
-        let mut buckets = vec![Vec::new(); n];
-        for (i, slot) in self.arena.iter().enumerate() {
-            if let Some(ev) = slot {
-                let day = (ev.at.as_nanos() / self.width) as usize % n;
-                buckets[day].push(i as u32);
-            }
-        }
-        self.buckets = buckets;
     }
 
     /// Schedule `payload` `delay` after the current time.
@@ -200,58 +164,9 @@ impl<E> EventQueue<E> {
         self.schedule(at, payload);
     }
 
-    /// Arena index of the earliest event by `(time, seq)`, or `None`
-    /// when empty. Scans the calendar forward from the current day;
-    /// after a full year without a hit (sparse far-future events),
-    /// falls back to a direct minimum over the live set.
-    fn find_next(&self) -> Option<u32> {
-        if self.count == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        let first_day = self.now.as_nanos() / self.width;
-        for k in 0..n as u64 {
-            let day = first_day + k;
-            let mut best: Option<(SimTime, u64, u32)> = None;
-            for &idx in &self.buckets[day as usize % n] {
-                let ev = self.arena[idx as usize]
-                    .as_ref()
-                    .expect("bucketed event is live");
-                if ev.at.as_nanos() / self.width == day {
-                    let key = (ev.at, ev.seq, idx);
-                    if best.is_none_or(|b| (key.0, key.1) < (b.0, b.1)) {
-                        best = Some(key);
-                    }
-                }
-            }
-            if let Some((_, _, idx)) = best {
-                return Some(idx);
-            }
-        }
-        // Sparse tail: no event within a calendar year of `now`.
-        let mut best: Option<(SimTime, u64, u32)> = None;
-        for (i, slot) in self.arena.iter().enumerate() {
-            if let Some(ev) = slot {
-                if best.is_none_or(|b| (ev.at, ev.seq) < (b.0, b.1)) {
-                    best = Some((ev.at, ev.seq, i as u32));
-                }
-            }
-        }
-        best.map(|(_, _, idx)| idx)
-    }
-
     /// Pop the next event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let idx = self.find_next()?;
-        let ev = self.arena[idx as usize].take().expect("event is live");
-        let day = (ev.at.as_nanos() / self.width) as usize % self.buckets.len();
-        let pos = self.buckets[day]
-            .iter()
-            .position(|&i| i == idx)
-            .expect("event indexed in its day bucket");
-        self.buckets[day].swap_remove(pos);
-        self.free.push(idx);
-        self.count -= 1;
+        let Reverse(ev) = self.heap.pop()?;
         self.now = ev.at;
         Some((ev.at, ev.payload))
     }
@@ -259,19 +174,17 @@ impl<E> EventQueue<E> {
     /// The next event's time and payload, without popping or advancing
     /// the clock.
     pub fn peek(&self) -> Option<(SimTime, &E)> {
-        let idx = self.find_next()?;
-        let ev = self.arena[idx as usize].as_ref().expect("event is live");
-        Some((ev.at, &ev.payload))
+        self.heap.peek().map(|Reverse(ev)| (ev.at, &ev.payload))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.count
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.heap.is_empty()
     }
 }
 

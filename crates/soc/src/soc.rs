@@ -56,18 +56,6 @@ impl SocConfig {
     }
 }
 
-/// One recorded execution interval (for interference modelling and
-/// debugging).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// Which backend executed.
-    pub backend: Backend,
-    /// Interval start.
-    pub start: SimTime,
-    /// Interval duration.
-    pub duration: SimTime,
-}
-
 /// The additive state of a [`Soc`] at one point of a run: the clock
 /// and the energy meter's counters (see [`Soc::repeat_since`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +85,6 @@ pub struct Soc {
     cfg: SocConfig,
     clock: SimTime,
     meter: EnergyMeter,
-    record_trace: bool,
-    events: Vec<TraceEvent>,
 }
 
 impl Soc {
@@ -108,24 +94,7 @@ impl Soc {
             cfg,
             clock: SimTime::ZERO,
             meter: EnergyMeter::new(),
-            record_trace: false,
-            events: Vec::new(),
         }
-    }
-
-    /// Enable per-interval trace recording.
-    pub fn enable_trace(&mut self) {
-        self.record_trace = true;
-    }
-
-    /// Whether per-interval trace recording is on.
-    pub fn trace_enabled(&self) -> bool {
-        self.record_trace
-    }
-
-    /// Recorded trace events.
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.events
     }
 
     /// The configuration in use.
@@ -133,8 +102,8 @@ impl Soc {
         &self.cfg
     }
 
-    /// Replace the configuration mid-run, preserving the clock, meter
-    /// and recorded trace.
+    /// Replace the configuration mid-run, preserving the clock and
+    /// meter.
     ///
     /// This is how a runtime controller applies a disturbance-adjusted
     /// profile (thermal derating, bandwidth contention) to an engine
@@ -169,14 +138,7 @@ impl Soc {
     /// on the clock, so under an unchanged configuration this is
     /// exactly the integer result of re-running the same kernels
     /// `times` more times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if trace recording is on: the repeated intervals would
-    /// be missing from the trace, so tracing callers must run every
-    /// kernel.
     pub fn repeat_since(&mut self, mark: SocMark, times: u64) {
-        assert!(!self.record_trace, "repeat_since would drop trace events");
         self.clock += SimTime::from_nanos((self.clock - mark.clock).as_nanos() * times);
         self.meter.repeat_since(mark.meter, times);
     }
@@ -270,18 +232,6 @@ impl Soc {
             .chain(npu_kernels)
             .map(|k| k.bytes())
             .sum();
-        if self.record_trace {
-            self.events.push(TraceEvent {
-                backend: Backend::Gpu,
-                start: self.clock,
-                duration: outcome.a_finish,
-            });
-            self.events.push(TraceEvent {
-                backend: Backend::Npu,
-                start: self.clock,
-                duration: outcome.b_finish,
-            });
-        }
         self.meter.add_busy(Backend::Gpu, outcome.a_finish);
         self.meter.add_busy(Backend::Npu, outcome.b_finish);
         self.meter.add_dram_bytes(bytes);
@@ -302,13 +252,6 @@ impl Soc {
     }
 
     fn commit(&mut self, backend: Backend, dur: SimTime, bytes: u64) {
-        if self.record_trace {
-            self.events.push(TraceEvent {
-                backend,
-                start: self.clock,
-                duration: dur,
-            });
-        }
         self.meter.add_busy(backend, dur);
         self.meter.add_dram_bytes(bytes);
         self.clock += dur;
@@ -403,16 +346,6 @@ mod tests {
         assert_eq!(meter.busy(Backend::Cpu), clock);
         let report = meter.report();
         assert!(report.avg_power_w > 0.0);
-    }
-
-    #[test]
-    fn trace_records_intervals() {
-        let mut s = soc();
-        s.enable_trace();
-        s.run_serial(Backend::Gpu, &[big_gemm()]);
-        s.run_parallel(&[big_gemm()], &[big_gemm()], Dominance::NpuDominant);
-        assert_eq!(s.trace().len(), 3);
-        assert_eq!(s.trace()[0].backend, Backend::Gpu);
     }
 
     #[test]

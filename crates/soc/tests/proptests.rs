@@ -222,85 +222,4 @@ proptest! {
         prop_assert!(kernel.bytes() > 0);
         prop_assert!(kernel.weight_bytes() <= kernel.bytes());
     }
-
-    /// The calendar-queue [`EventQueue`] pops in exactly the order of
-    /// the binary-heap min-queue it replaced — a stable
-    /// `(time, insertion-order)` key, FIFO ties included — under
-    /// hold-model churn: interleaved schedules and pops with
-    /// clustered, tied, and far-future offsets, pushing the queue
-    /// through calendar growth and the sparse-tail fallback.
-    #[test]
-    fn calendar_queue_matches_binary_heap_oracle(
-        ops in proptest::collection::vec(
-            // (number of schedules before the next pop, offsets drawn
-            // from a mix of tight clusters, exact ties, and a sparse
-            // far tail)
-            (0usize..6, proptest::collection::vec(
-                prop_oneof![
-                    Just(0u64),                 // exact FIFO tie at `now`
-                    1u64..20,                   // tight cluster
-                    1_000u64..100_000,          // mid-range
-                    50_000_000u64..60_000_000,  // sparse far tail
-                ],
-                0..6,
-            )),
-            1..60,
-        ),
-    ) {
-        let mut cal = EventQueue::new();
-        let mut oracle = BinaryHeapOracle::new();
-        let mut id = 0usize;
-        for (pops_before, offsets) in &ops {
-            for &off in offsets {
-                let at = cal.now() + SimTime::from_nanos(off);
-                cal.schedule(at, id);
-                oracle.schedule(at, id);
-                id += 1;
-            }
-            for _ in 0..*pops_before {
-                let expect = oracle.pop();
-                prop_assert_eq!(cal.peek().map(|(at, &e)| (at, e)), expect);
-                prop_assert_eq!(cal.pop(), expect);
-                prop_assert_eq!(cal.len(), oracle.len());
-            }
-        }
-        while let Some(expect) = oracle.pop() {
-            prop_assert_eq!(cal.pop(), Some(expect));
-        }
-        prop_assert!(cal.pop().is_none());
-        prop_assert!(cal.is_empty());
-    }
-}
-
-/// The pre-calendar implementation, verbatim in miniature: a binary
-/// min-heap on `(time, sequence)`. The calendar queue must be
-/// observably indistinguishable from it.
-struct BinaryHeapOracle {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, usize)>>,
-    next_seq: u64,
-}
-
-impl BinaryHeapOracle {
-    fn new() -> Self {
-        Self {
-            heap: std::collections::BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    fn schedule(&mut self, at: SimTime, payload: usize) {
-        self.heap
-            .push(std::cmp::Reverse((at, self.next_seq, payload)));
-        self.next_seq += 1;
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, usize)> {
-        self.heap
-            .pop()
-            .map(|std::cmp::Reverse((at, _, payload))| (at, payload))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
 }

@@ -4,20 +4,22 @@
 //! An engine's GPU usage pattern — continuous queue flooding
 //! (PPL-OpenCL) versus short bursts gated by NPU work (HeteroLLM) — is
 //! exactly what determines whether a co-running game keeps its frame
-//! rate. The extraction coalesces adjacent GPU intervals and records
-//! the idle gaps between them.
+//! rate. The extraction reads the GPU kernel spans of a recorded
+//! session [`Timeline`], coalesces adjacent ones and records the idle
+//! gaps between them.
 
 use hetero_soc::interference::LlmBurst;
-use hetero_soc::soc::TraceEvent;
-use hetero_soc::{Backend, SimTime};
+use hetero_soc::SimTime;
+use heterollm::obs::{SpanKind, Timeline, Track};
 
-/// Coalesce the GPU intervals of `events` into bursts, merging
-/// intervals separated by less than `merge_gap`.
-pub fn gpu_bursts(events: &[TraceEvent], merge_gap: SimTime) -> Vec<LlmBurst> {
-    let mut gpu: Vec<(SimTime, SimTime)> = events
+/// Coalesce the non-empty GPU kernel spans of `timeline` into bursts,
+/// merging spans separated by less than `merge_gap`.
+pub fn gpu_bursts(timeline: &Timeline, merge_gap: SimTime) -> Vec<LlmBurst> {
+    let mut gpu: Vec<(SimTime, SimTime)> = timeline
+        .spans()
         .iter()
-        .filter(|e| e.backend == Backend::Gpu && e.duration > SimTime::ZERO)
-        .map(|e| (e.start, e.start + e.duration))
+        .filter(|s| s.track == Track::Gpu && s.kind == SpanKind::Kernel && s.end > s.start)
+        .map(|s| (s.start, s.end))
         .collect();
     gpu.sort_unstable_by_key(|&(s, _)| s);
 
@@ -92,22 +94,25 @@ pub fn gpu_occupancy(bursts: &[LlmBurst]) -> f64 {
 mod tests {
     use super::*;
 
-    fn ev(backend: Backend, start_us: u64, dur_us: u64) -> TraceEvent {
-        TraceEvent {
-            backend,
-            start: SimTime::from_micros(start_us),
-            duration: SimTime::from_micros(dur_us),
+    /// A timeline of kernel spans `(track, start µs, duration µs)`.
+    fn kernels(spans: &[(Track, u64, u64)]) -> Timeline {
+        let mut tl = Timeline::new();
+        for &(track, start_us, dur_us) in spans {
+            let start = SimTime::from_micros(start_us);
+            let end = start + SimTime::from_micros(dur_us);
+            tl.push_span(track, SpanKind::Kernel, "k", start, end);
         }
+        tl
     }
 
     #[test]
     fn extracts_gaps_and_durations() {
-        let events = vec![
-            ev(Backend::Gpu, 0, 100),
-            ev(Backend::Npu, 100, 500),
-            ev(Backend::Gpu, 600, 50),
-        ];
-        let bursts = gpu_bursts(&events, SimTime::ZERO);
+        let tl = kernels(&[
+            (Track::Gpu, 0, 100),
+            (Track::Npu, 100, 500),
+            (Track::Gpu, 600, 50),
+        ]);
+        let bursts = gpu_bursts(&tl, SimTime::ZERO);
         assert_eq!(bursts.len(), 2);
         assert_eq!(bursts[0].gap_before, SimTime::ZERO);
         assert_eq!(bursts[0].gpu_time, SimTime::from_micros(100));
@@ -117,20 +122,24 @@ mod tests {
 
     #[test]
     fn coalesces_adjacent_intervals() {
-        let events = vec![
-            ev(Backend::Gpu, 0, 100),
-            ev(Backend::Gpu, 105, 100), // 5 µs gap
-            ev(Backend::Gpu, 400, 100),
-        ];
-        let bursts = gpu_bursts(&events, SimTime::from_micros(10));
+        let tl = kernels(&[
+            (Track::Gpu, 0, 100),
+            (Track::Gpu, 105, 100), // 5 µs gap
+            (Track::Gpu, 400, 100),
+        ]);
+        let bursts = gpu_bursts(&tl, SimTime::from_micros(10));
         assert_eq!(bursts.len(), 2);
         assert_eq!(bursts[0].gpu_time, SimTime::from_micros(205));
     }
 
     #[test]
     fn ignores_non_gpu_events() {
-        let events = vec![ev(Backend::Npu, 0, 100), ev(Backend::Cpu, 100, 100)];
-        assert!(gpu_bursts(&events, SimTime::ZERO).is_empty());
+        let mut tl = kernels(&[(Track::Npu, 0, 100), (Track::Cpu, 100, 100)]);
+        assert!(gpu_bursts(&tl, SimTime::ZERO).is_empty());
+        // A backend-switch wait lands on the GPU track but is no kernel.
+        let (start, end) = (SimTime::from_micros(200), SimTime::from_micros(210));
+        tl.push_span(Track::Gpu, SpanKind::Sync, "switch", start, end);
+        assert!(gpu_bursts(&tl, SimTime::ZERO).is_empty());
     }
 
     #[test]
@@ -186,16 +195,20 @@ mod tests {
         use heterollm::ModelConfig;
 
         let model = ModelConfig::llama_8b();
-        let mut hetero =
-            BaselineEngine::hetero_layer(&model, hetero_soc::sync::SyncMechanism::Fast);
-        hetero.soc_mut().enable_trace();
-        hetero.prefill(256);
-        let h_occ = gpu_occupancy(&gpu_bursts(hetero.soc().trace(), SimTime::from_micros(20)));
-
-        let mut ppl = BaselineEngine::gpu(&model, heterollm::engines::GpuTier::PplOpenCl);
-        ppl.soc_mut().enable_trace();
-        ppl.prefill(256);
-        let p_occ = gpu_occupancy(&gpu_bursts(ppl.soc().trace(), SimTime::from_micros(20)));
+        let occupancy = |mut e: BaselineEngine| {
+            e.enable_timeline();
+            e.prefill(256);
+            let tl = e.take_timeline().expect("timeline enabled");
+            gpu_occupancy(&gpu_bursts(&tl, SimTime::from_micros(20)))
+        };
+        let h_occ = occupancy(BaselineEngine::hetero_layer(
+            &model,
+            hetero_soc::sync::SyncMechanism::Fast,
+        ));
+        let p_occ = occupancy(BaselineEngine::gpu(
+            &model,
+            heterollm::engines::GpuTier::PplOpenCl,
+        ));
 
         assert!(h_occ < 0.5, "hetero occupancy {h_occ}");
         assert!(p_occ > 0.95, "ppl occupancy {p_occ}");

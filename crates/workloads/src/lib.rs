@@ -5,7 +5,7 @@
 //! - [`prompts`]: the aligned and misaligned prompt-length sweeps of
 //!   Figs. 13/14, plus seeded random request generators.
 //! - [`tokens`]: deterministic token streams for functional-mode runs.
-//! - [`bursts`]: conversion of a simulated execution trace into the GPU
+//! - [`bursts`]: conversion of a recorded span timeline into the GPU
 //!   burst profile consumed by the render-interference simulation
 //!   (Fig. 18).
 //! - [`spec`]: the speculative-decoding workload model (§4.1.2).

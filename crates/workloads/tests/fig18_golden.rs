@@ -35,9 +35,10 @@ fn fig18_bursts_are_golden() {
         EngineKind::HeteroTensor,
     ] {
         let mut e = kind.build(&model, SyncMechanism::Fast);
-        e.soc_mut().enable_trace();
+        e.enable_timeline();
         e.prefill(256);
-        let raw = gpu_bursts(e.soc().trace(), SimTime::from_micros(25));
+        let timeline = e.take_timeline().expect("timeline enabled");
+        let raw = gpu_bursts(&timeline, SimTime::from_micros(25));
         let paced = pace_bursts(&raw, SimTime::from_millis(2), SimTime::from_micros(15));
         writeln!(
             out,

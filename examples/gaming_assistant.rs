@@ -22,10 +22,11 @@ fn main() {
 
     for kind in [EngineKind::PplOpenCl, EngineKind::HeteroTensor] {
         let mut engine = kind.build(&model, SyncMechanism::Fast);
-        engine.soc_mut().enable_trace();
+        engine.enable_timeline();
         let solo = engine.prefill(256);
 
-        let raw = gpu_bursts(engine.soc().trace(), SimTime::from_micros(25));
+        let timeline = engine.take_timeline().expect("timeline enabled");
+        let raw = gpu_bursts(&timeline, SimTime::from_micros(25));
         let occupancy = gpu_occupancy(&raw);
         let bursts = if kind == EngineKind::PplOpenCl {
             raw // stock runtime floods the submission queue

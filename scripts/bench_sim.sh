@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Simulator performance benchmark: run the bench_sim micro-benchmarks
 # (calibration sessions/s serial vs parallel, blocked-GEMM MFLOP/s,
-# calendar-queue DES events/s, temporal-monitor events/s), then time
+# DES event-queue events/s, temporal-monitor events/s), then time
 # the full 1000-device fleet_sweep serial (--jobs 1) vs parallel
 # (--jobs $(nproc)) and `cmp` the two outputs — the
 # determinism-under-parallelism gate from PERFORMANCE.md. Writes the
