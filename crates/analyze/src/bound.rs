@@ -12,9 +12,10 @@
 //! - **Peak footprint** is the plan's [`RegionTable`] plateau
 //!   ([`RegionTable::peak_bytes`]): the most pool-rounded bytes live
 //!   at any schedule step of the plan's buffer lifetimes.
-//! - **Latency** is the [`HeteroMirror`]'s walk of a serving phase,
-//!   which prices each plan with the solver's closed-form
-//!   [`CostInterval`] (`Solver::plan_cost_interval`).
+//! - **Latency** is the [`HeteroMirror`]'s walk of a serving phase in
+//!   [`CostInterval`]s: serial steps and syncs are exact points, and a
+//!   parallel section runs from its larger solo side to its larger
+//!   contended side, plus the rendezvous.
 //!
 //! # Model-level bounds and rules
 //!
