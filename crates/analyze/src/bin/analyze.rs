@@ -1,9 +1,17 @@
-//! Lint solver output across the paper's model configurations.
+//! Lint the plans the engine adopts across the paper's model
+//! configurations.
 //!
-//! For every evaluation model, the tool solves the per-layer weight
-//! Matmuls over a sweep of aligned and misaligned sequence lengths
-//! (prefill, NPU-dominant) plus the decode shape (m = 1,
-//! GPU-dominant), then runs every analyzer rule on each chosen plan.
+//! For every evaluation model, the tool takes the plan the engine's own
+//! planner adopts for each per-layer weight Matmul over a sweep of
+//! aligned and misaligned sequence lengths (prefill, NPU-dominant; the
+//! lengths past a model's context are skipped) plus the decode shape
+//! (m = 1, GPU-dominant), then runs every analyzer rule on each plan.
+//! `--mechanism` sets the sync mechanism the rules and the explored
+//! and race-checked schedules assume; the engine designs its plans for
+//! fast sync either way. `race`, `explore` and `bound` run one
+//! representative prefill length per model unless `--seq` is given:
+//! 300, or less on a context too short to hold it and the tokens the
+//! sweep decodes after it.
 //!
 //! ```text
 //! analyze [race|explore|integrity] [--json] [--model NAME]
@@ -17,9 +25,9 @@
 //!   (plus a seeded degraded controller session) and run the
 //!   vector-clock happens-before race detector over them.
 //! - `explore` — replay every legal interleaving class of each
-//!   solver-chosen plan's sync schedule and certify byte-identical
+//!   engine plan's sync schedule and certify byte-identical
 //!   session reports.
-//! - `integrity` — rewrite each solver-chosen plan's schedule with
+//! - `integrity` — rewrite each engine plan's schedule with
 //!   per-submission ABFT verify nodes and check the result against the
 //!   schedule sanity, `unverified-sink`, and race rules.
 //! - `bound` — abstract-interpretation cost certification: static peak
@@ -53,10 +61,9 @@ use std::process::ExitCode;
 
 use hetero_analyze::sweep::{
     explore_models, integrity_lint_models, lint_models, race_lint_degraded_session,
-    race_lint_models, DEFAULT_SEQS,
+    race_lint_models, DEFAULT_SEQS, RACE_DECODE_TOKENS,
 };
-use hetero_analyze::RULES;
-use hetero_analyze::{bound_lint_degraded_session, bound_lint_models, DEFAULT_POOL_BYTES};
+use hetero_analyze::{bound_sweep, Report, BOUND_DECODE_TOKENS, RULES};
 use hetero_fleet::{FleetConfig, FleetSim, RetryPolicy};
 use hetero_soc::sync::SyncMechanism;
 use heterollm::ModelConfig;
@@ -83,9 +90,9 @@ struct Args {
     list_rules: bool,
     models: Vec<String>,
     mechanism: SyncMechanism,
-    seqs: Vec<usize>,
-    /// Whether `--seq` replaced the default sweep.
-    seq_given: bool,
+    /// The `--seq` list, which replaces the default lengths (`race`
+    /// and `bound` run its first).
+    seqs: Option<Vec<usize>>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -96,8 +103,7 @@ fn parse_args() -> Result<Args, String> {
         list_rules: false,
         models: Vec::new(),
         mechanism: SyncMechanism::Fast,
-        seqs: DEFAULT_SEQS.to_vec(),
-        seq_given: false,
+        seqs: None,
     };
     let mut first = true;
     let mut it = std::env::args().skip(1);
@@ -151,15 +157,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seq" => {
                 let csv = it.next().ok_or("--seq needs a comma-separated list")?;
-                args.seqs = csv
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .map_err(|e| format!("bad --seq '{s}': {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                args.seq_given = true;
+                let seqs = csv.split(',').map(|s| {
+                    s.trim()
+                        .parse()
+                        .map_err(|e| format!("bad --seq '{s}': {e}"))
+                });
+                args.seqs = Some(seqs.collect::<Result<_, _>>()?);
             }
             "--help" | "-h" => args.help = true,
             other => return Err(format!("unknown argument '{other}'")),
@@ -168,15 +171,23 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// A `--seq` length no chosen model can hold, as a usage error naming
+/// A `--seq` length no chosen model can hold together with the
+/// `decode_tokens` the sweep decodes after it, as a usage error naming
 /// the model with the shortest context.
-fn check_seqs(seqs: &[usize], models: &[ModelConfig]) -> Result<(), String> {
+fn check_seqs(seqs: &[usize], decode_tokens: usize, models: &[ModelConfig]) -> Result<(), String> {
     let Some(shortest) = models.iter().min_by_key(|m| m.max_seq) else {
         return Ok(());
     };
-    match seqs.iter().find(|&&seq| seq > shortest.max_seq) {
+    let with_decode = match decode_tokens {
+        0 => String::new(),
+        n => format!("with {n} decode tokens, "),
+    };
+    match seqs
+        .iter()
+        .find(|&&seq| seq.saturating_add(decode_tokens) > shortest.max_seq)
+    {
         Some(seq) => Err(format!(
-            "bad --seq '{seq}': longer than {}'s context of {} tokens",
+            "bad --seq '{seq}': {with_decode}longer than {}'s context of {} tokens",
             shortest.name, shortest.max_seq
         )),
         None => Ok(()),
@@ -245,15 +256,20 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.seq_given {
-        if let Err(msg) = check_seqs(&args.seqs, &models) {
-            eprintln!("analyze: {msg} (run with --help for usage)");
-            return ExitCode::from(2);
-        }
+    let decode_tokens = match args.command {
+        Command::Race => RACE_DECODE_TOKENS,
+        Command::Bound => BOUND_DECODE_TOKENS,
+        _ => 0,
+    };
+    if let Err(msg) = check_seqs(args.seqs.as_deref().unwrap_or(&[]), decode_tokens, &models) {
+        eprintln!("analyze: {msg} (run with --help for usage)");
+        return ExitCode::from(2);
     }
+    let sweep_seqs = args.seqs.as_deref().unwrap_or(&DEFAULT_SEQS);
+    let first_seq = args.seqs.as_ref().and_then(|seqs| seqs.first().copied());
 
     let report = match args.command.clone() {
-        Command::Lint => lint_models(&models, &args.seqs, args.mechanism),
+        Command::Lint => lint_models(&models, sweep_seqs, args.mechanism),
         Command::Timeline(path) => {
             let text = match std::fs::read_to_string(&path) {
                 Ok(t) => t,
@@ -262,31 +278,19 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let mut report = hetero_analyze::Report::new();
+            let mut report = Report::new();
             report.extend(hetero_analyze::check_trace(&text, &path));
             report
         }
         Command::Race => {
-            // One representative prefill length (the paper's misaligned
-            // 300) unless the user narrowed --seq.
-            let seq = if args.seqs == DEFAULT_SEQS {
-                300
-            } else {
-                args.seqs.first().copied().unwrap_or(300)
-            };
-            let mut report = race_lint_models(&models, args.mechanism, seq);
+            let mut report = race_lint_models(&models, args.mechanism, first_seq);
             for model in &models {
                 report.merge(race_lint_degraded_session(model, 42, 6));
             }
             report
         }
         Command::Explore => {
-            let seqs: &[usize] = if args.seqs == DEFAULT_SEQS {
-                &[300]
-            } else {
-                &args.seqs
-            };
-            let (report, certs) = explore_models(&models, seqs, args.mechanism);
+            let (report, certs) = explore_models(&models, args.seqs.as_deref(), args.mechanism);
             if !args.json {
                 for (loc, cert) in &certs {
                     println!(
@@ -304,9 +308,9 @@ fn main() -> ExitCode {
             }
             report
         }
-        Command::Integrity => integrity_lint_models(&models, &args.seqs, args.mechanism),
+        Command::Integrity => integrity_lint_models(&models, sweep_seqs, args.mechanism),
         Command::Fleet => {
-            let mut report = hetero_analyze::Report::new();
+            let mut report = Report::new();
             report.extend(hetero_analyze::check_retry_policy(
                 &RetryPolicy::standard(),
                 "RetryPolicy::standard",
@@ -329,7 +333,7 @@ fn main() -> ExitCode {
             report
         }
         Command::Monitor(path) => {
-            let mut report = hetero_analyze::Report::new();
+            let mut report = Report::new();
             // (c) exhaustive model check of the shipped policy product.
             let (cert, diags) = hetero_analyze::check_policy_product(
                 &hetero_analyze::PolicyAutomata::standard(),
@@ -424,20 +428,7 @@ fn main() -> ExitCode {
             }
             report
         }
-        Command::Bound => {
-            // One representative prefill length (the paper's misaligned
-            // 300) unless the user narrowed --seq, like `race`.
-            let seq = if args.seqs == DEFAULT_SEQS {
-                300
-            } else {
-                args.seqs.first().copied().unwrap_or(300)
-            };
-            let mut report = bound_lint_models(&models, seq, 4, DEFAULT_POOL_BYTES);
-            for model in &models {
-                report.merge(bound_lint_degraded_session(model, 42, seq));
-            }
-            report
-        }
+        Command::Bound => bound_sweep(&models, first_seq),
     };
 
     if args.json {

@@ -52,12 +52,16 @@ use heterollm::{Engine, ModelConfig};
 use crate::diag::{Diagnostic, Report};
 use crate::mem::{self, TensorRegion};
 use crate::rules;
+use crate::sweep::representative_seq;
 
 /// Default pool capacity the footprint rule checks against when the
 /// caller does not supply one: 1 GiB of pooled activations + KV, the
 /// order of what a flagship mobile SoC can pin for an inference
 /// runtime without starving the OS.
 pub const DEFAULT_POOL_BYTES: u64 = 1 << 30;
+
+/// Decode tokens the `analyze bound` sweep certifies after each prompt.
+pub const BOUND_DECODE_TOKENS: usize = 4;
 
 /// Statically certified bounds for one model serving a prompt of
 /// `prompt_len` tokens followed by `decode_tokens` decode steps.
@@ -436,6 +440,29 @@ pub fn bound_lint_degraded_session(model: &ModelConfig, seed: u64, prompt_len: u
             t.as_nanos() / 1_000
         );
         bound_lint_one(model, cond.apply_to(&base), &ctx, &location, &mut report);
+    }
+    report
+}
+
+/// The `analyze bound` sweep: [`bound_lint_models`] with
+/// [`BOUND_DECODE_TOKENS`] and the default pool for every model, then
+/// a seed-42 [`bound_lint_degraded_session`] for each, at `prompt_len`
+/// or, when `None`, at each model's [`representative_seq`].
+pub fn bound_sweep(models: &[ModelConfig], prompt_len: Option<usize>) -> Report {
+    let len = |model: &ModelConfig| {
+        prompt_len.unwrap_or_else(|| representative_seq(model, BOUND_DECODE_TOKENS))
+    };
+    let mut report = Report::new();
+    for model in models {
+        report.merge(bound_lint_models(
+            std::slice::from_ref(model),
+            len(model),
+            BOUND_DECODE_TOKENS,
+            DEFAULT_POOL_BYTES,
+        ));
+    }
+    for model in models {
+        report.merge(bound_lint_degraded_session(model, 42, len(model)));
     }
     report
 }

@@ -91,12 +91,13 @@
 //!
 //! Findings are typed [`Diagnostic`]s aggregated into a [`Report`] with
 //! a stable JSON encoding (`Report::to_json`). The `analyze` binary
-//! lints solver output across the paper's model configurations and
-//! exits non-zero on deny-level findings, so CI can gate on it.
+//! lints the plans the engine adopts across the paper's model
+//! configurations and exits non-zero on deny-level findings, so CI can
+//! gate on it.
 //!
 //! The invariant *predicates* live beside the plan types in
 //! [`hetero_graph::partition`]; the solver re-checks its own output
-//! through them in debug builds (its `validate` feature). This crate
+//! through them in every debug build. This crate
 //! adds the rule registry, severities, locations, reporting, and the
 //! checks that need more context than a single plan.
 
@@ -117,7 +118,8 @@ pub mod sweep;
 pub mod timeline;
 
 pub use bound::{
-    bound_lint_degraded_session, bound_lint_models, model_bounds, ModelBounds, DEFAULT_POOL_BYTES,
+    bound_lint_degraded_session, bound_lint_models, bound_sweep, model_bounds, ModelBounds,
+    BOUND_DECODE_TOKENS, DEFAULT_POOL_BYTES,
 };
 pub use diag::{Diagnostic, Report, Severity, Summary};
 pub use explore::{explore_schedule, DeterminismCertificate, ExploreConfig};

@@ -91,6 +91,45 @@ fn seq_past_the_chosen_models_context_is_a_usage_error() {
 }
 
 #[test]
+fn default_lengths_stay_inside_the_models_context() {
+    // Tiny-Test's context is 128 tokens: of the default lengths only 32
+    // and 128 fit, so its 4 weight Matmuls give 4 × (2 + decode) sites.
+    for sweep in [&[][..], &["integrity"][..]] {
+        let out = analyze(&[sweep, &["--model", "tiny"]].concat());
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        assert_eq!(out.status.code(), Some(0), "{sweep:?}: {stdout}");
+        assert_eq!(
+            stdout, "checked 12 artifacts: 0 deny, 0 warn\n",
+            "{sweep:?}"
+        );
+    }
+    // The one-length sweeps run at the whole context, not at 300.
+    let out = analyze(&["explore", "--model", "tiny"]);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.starts_with("Tiny-Test/qkv[m=128]: "), "{stdout}");
+    assert!(!stdout.contains("m=300"), "{stdout}");
+    // `race` decodes 2 tokens after its prompt and `bound` 4: an
+    // explicit prompt must leave room for them, and the default one
+    // does.
+    for (sweep, longest) in [("race", "126"), ("bound", "124")] {
+        let out = analyze(&[sweep, "--model", "tiny", "--json"]);
+        assert_eq!(out.status.code(), Some(0), "{sweep}: {out:?}");
+        assert_eq!(report_json(&out)["summary"]["deny"], 0, "{sweep}");
+        let out = analyze(&[sweep, "--model", "tiny", "--seq", longest, "--json"]);
+        assert_eq!(out.status.code(), Some(0), "{sweep}: {out:?}");
+        let out = analyze(&[sweep, "--model", "tiny", "--seq", "127"]);
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(out.status.code(), Some(2), "{sweep}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{sweep}: {stderr}");
+        assert!(
+            stderr.contains("decode tokens, longer than Tiny-Test's context of 128 tokens"),
+            "{sweep}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn deeply_nested_json_is_a_typed_error_not_a_stack_overflow() {
     use std::io::Write;
     use std::process::Stdio;

@@ -42,7 +42,6 @@ fn main() {
     let engine: EngineKind = args.choice("--engine");
     let sync: SyncMechanism = args.choice("--sync");
     let (prompt, decode) = (args.size("--prompt"), args.size("--decode"));
-    cli::check_context("heterollm_sim", &model, prompt, decode);
     let (trace_out, metrics) = (args.path("--trace-out"), args.switch("--metrics"));
     println!(
         "simulating {} on {} ({} prompt tokens, {} decode tokens, {:?} sync)\n",

@@ -51,7 +51,6 @@ fn main() {
     let engine: EngineKind = args.choice("--engine");
     let sync: SyncMechanism = args.choice("--sync");
     let (prompt, decode) = (args.size("--prompt"), args.size("--decode"));
-    cli::check_context("timeline", &model, prompt, decode);
     println!(
         "timeline: {} on {} ({} prompt, {} decode, {:?} sync)\n",
         engine.name(),

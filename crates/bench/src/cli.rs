@@ -9,7 +9,9 @@
 //!   `--help` or `-h` is anywhere on the command line;
 //! - exits **2** with one stderr line on a usage error: an unknown
 //!   flag, a missing value, an unparsable value, a value outside the
-//!   flag's range, or a name outside a one-of list;
+//!   flag's range, a name outside a one-of list, or, for a table that
+//!   declares `--model`, `--prompt` and `--decode`, a session longer
+//!   than the chosen model's context;
 //! - runs the shared `--analyze` lint sweep when asked, and exits **1**
 //!   on a deny-level finding;
 //! - returns the [`Args`], every absent flag at its table default.
@@ -31,30 +33,10 @@ pub const MAX_DEVICES: u64 = 10_000_000;
 pub const MAX_REQUESTS: u64 = 1_000_000;
 
 /// Upper bound of a token count (`--prompt`, `--decode`): the longest
-/// context any model preset supports. [`check_context`] then bounds
-/// their sum by the chosen model's context.
+/// context any model preset supports. [`parse`] then bounds their sum
+/// by the chosen `--model`'s context.
 pub fn max_tokens() -> u64 {
     ModelConfig::longest_preset_seq() as u64
-}
-
-/// Exit **2** with one stderr line when a session of `prompt` prompt
-/// tokens and `decode` decode tokens does not fit `model`'s context.
-pub fn check_context(bin: &str, model: &ModelConfig, prompt: usize, decode: usize) {
-    if prompt + decode > model.max_seq {
-        usage_exit(
-            bin,
-            &format!(
-                "--prompt {prompt} + --decode {decode} exceeds {}'s context of {} tokens",
-                model.name, model.max_seq
-            ),
-        );
-    }
-}
-
-/// Print `bin`'s one-line usage error and exit **2**.
-fn usage_exit(bin: &str, error: &str) -> ! {
-    eprintln!("{bin}: {error} (run with --help for usage)");
-    std::process::exit(2)
 }
 
 /// A value a one-of flag selects by name. The names and the parser are
@@ -378,7 +360,29 @@ fn parse_argv(flags: &[Flag], argv: &[String]) -> Result<Args, Usage> {
                 .ok_or_else(|| Usage::Error(format!("bad value '{raw}' for {}", flag.name)))?
         };
     }
+    check_session_fits(&args)?;
     Ok(args)
+}
+
+/// For a table that declares `--model`, `--prompt` and `--decode`: a
+/// session the chosen model's context cannot hold is a usage error.
+fn check_session_fits(args: &Args) -> Result<(), Usage> {
+    let declared = |name| args.values.iter().any(|(n, _)| *n == name);
+    if !["--model", "--prompt", "--decode"]
+        .into_iter()
+        .all(declared)
+    {
+        return Ok(());
+    }
+    let model: ModelConfig = args.choice("--model");
+    let (prompt, decode) = (args.size("--prompt"), args.size("--decode"));
+    if prompt + decode > model.max_seq {
+        return Err(Usage::Error(format!(
+            "--prompt {prompt} + --decode {decode} exceeds {}'s context of {} tokens",
+            model.name, model.max_seq
+        )));
+    }
+    Ok(())
 }
 
 /// Parse the process's command line against `flags`: print the help
@@ -403,17 +407,20 @@ pub fn parse(bin: &str, about: &str, flags: &[Flag]) -> Args {
             print!("{}", help(bin, about, flags));
             std::process::exit(0)
         }
-        Err(Usage::Error(e)) => usage_exit(bin, &e),
+        Err(Usage::Error(e)) => {
+            eprintln!("{bin}: {e} (run with --help for usage)");
+            std::process::exit(2)
+        }
     }
 }
 
 /// The shared `--analyze` step: run the static invariant checker over
-/// the solver output for the paper's evaluation models (prefill sweep
-/// and decode, fast sync) before the experiment, and exit **1** on any
-/// deny-level finding. The sweep includes the abstract-interpretation
-/// bound certification: static peak footprint and `[lo, hi]` latency
-/// bounds per model, gated for soundness against fresh DES runs
-/// (`bound-unsound`).
+/// the plans the engine adopts for the paper's evaluation models
+/// (prefill sweep and decode, fast sync) before the experiment, and
+/// exit **1** on any deny-level finding. The sweep includes the
+/// abstract-interpretation bound certification: static peak footprint
+/// and `[lo, hi]` latency bounds per model, gated for soundness
+/// against fresh DES runs (`bound-unsound`).
 fn analyze() {
     let models = ModelConfig::evaluation_models();
     let mut report = hetero_analyze::lint_models(

@@ -188,6 +188,13 @@ fn known_bad_lines_are_usage_errors() {
         &["--prompt", "4096", "--decode", "4096"],
         "--prompt 4096 + --decode 4096 exceeds Llama-8B's context of 4096 tokens",
     );
+    // The context is checked before `--analyze` runs its sweep, so the
+    // usage line is the only stderr line.
+    assert_usage_error(
+        sim,
+        &["--analyze", "--prompt", "4096", "--decode", "4096"],
+        "--prompt 4096 + --decode 4096 exceeds Llama-8B's context of 4096 tokens",
+    );
     assert_usage_error(
         sim,
         &["--model", "tiny", "--prompt", "100", "--decode", "29"],

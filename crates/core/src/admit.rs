@@ -105,8 +105,11 @@ impl HeteroMirror {
             .filter(|op| op.role == OpRole::WeightMatmul)
             .map(|op| {
                 let shape = op.shape.expect("weight matmul carries a shape");
-                let choice = self.planner.choice(op.op, shape, Dominance::NpuDominant);
-                (op.op, shape, choice.plan)
+                (
+                    op.op,
+                    shape,
+                    self.plan(op.op, shape, Dominance::NpuDominant),
+                )
             })
             .collect()
     }
@@ -122,6 +125,18 @@ impl HeteroMirror {
             .map(|(_, shape, plan)| RegionTable::for_plan(plan, *shape).peak_bytes())
             .max()
             .unwrap_or(0)
+    }
+
+    /// The plan the engine adopts for `op` at `shape`: prefill plans
+    /// are solved NPU-dominant, decode plans GPU-dominant, each once
+    /// per `(op, m)`.
+    pub fn plan(
+        &mut self,
+        op: &'static str,
+        shape: MatmulShape,
+        dominance: Dominance,
+    ) -> PartitionPlan {
+        self.planner.choice(op, shape, dominance).plan
     }
 }
 

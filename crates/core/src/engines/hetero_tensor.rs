@@ -46,8 +46,7 @@ impl HeteroTensorEngine<RealExecProvider> {
         let mut soc_cfg = hetero_soc_config(sync);
         soc_cfg.gpu.achieved_tflops *= derate;
         soc_cfg.gpu.mem_efficiency *= derate;
-        let provider = RealExecProvider::new(soc_cfg.clone());
-        Self::with_planner(model, soc_cfg, SolverPlanner::standard(provider))
+        Self::with_soc_config(model, soc_cfg)
     }
 
     /// Engine over an explicit SoC configuration — e.g. a Table-1

@@ -6,6 +6,11 @@
 //! execution paths (row-cut / seq-cut / hybrid) are checked here to be
 //! numerically identical to the monolithic computation, which is what
 //! makes the timing engines' scheduling policies *legal*.
+//!
+//! The forward pass is written once, in a decoder stack generic over
+//! its projection arm: [`FunctionalModel`] runs it with monolithic
+//! projections, [`crate::functional_engine::FunctionalHeteroEngine`]
+//! with solver-partitioned ones.
 
 use hetero_solver::PartitionPlan;
 use hetero_tensor::ops;
@@ -42,17 +47,66 @@ enum Upload {
     Int8(PerWeight<Int8Matrix>),
 }
 
-/// A functional (real-math) model instance with its KV cache.
+/// How a [`DecoderStack`] computes its weight projections: the one
+/// place the monolithic model ([`Monolithic`]) and the partitioned
+/// engine ([`crate::functional_engine::FunctionalHeteroEngine`])
+/// differ.
+pub(crate) trait Projection: Sized {
+    /// `x` (`[m, k]`) times weight `id` (`[k, n]`).
+    fn project(&mut self, x: &Tensor, id: WeightId) -> Result<Tensor>;
+
+    /// One forward of `tokens` through `stack`: embedding, every layer
+    /// and the KV append. An arm that brackets every pass (the
+    /// integrity layer's KV checks) wraps the plain forward here.
+    fn forward(stack: &mut DecoderStack<Self>, tokens: &[u32]) -> Result<Tensor> {
+        stack.forward(tokens)
+    }
+}
+
+/// A transformer decoder — embedding, the layers' norms, RoPE, GQA
+/// attention and SwiGLU, the KV cache, the LM head and greedy
+/// sampling — over the projection arm `P`.
+#[derive(Debug)]
+pub(crate) struct DecoderStack<P> {
+    pub(crate) cfg: ModelConfig,
+    pub(crate) weights: ModelWeights,
+    pub(crate) kv: KvCache,
+    pub(crate) proj: P,
+}
+
+/// A functional (real-math) model instance with its KV cache: the
+/// decoder stack over monolithic projections.
 #[derive(Debug)]
 pub struct FunctionalModel {
-    cfg: ModelConfig,
-    weights: ModelWeights,
+    stack: DecoderStack<Monolithic>,
+}
+
+/// The monolithic projection arm: one whole GEMM per projection under
+/// the configured arithmetic mode.
+#[derive(Debug)]
+struct Monolithic {
     upload: Upload,
-    kv: KvCache,
     /// Shapes of every weight Matmul executed, in order — used to
     /// validate that functional execution launches exactly the kernels
     /// the timing trace prices.
     matmul_log: Vec<MatmulShape>,
+}
+
+impl Projection for Monolithic {
+    fn project(&mut self, x: &Tensor, id: WeightId) -> Result<Tensor> {
+        let (m, _) = x.matrix_dims()?;
+        let (k, n) = match &self.upload {
+            Upload::W4A16(up) => up.get(id).dims(),
+            Upload::Int8(q) => q.get(id).dims(),
+        };
+        self.matmul_log.push(MatmulShape::new(m, k, n));
+        match &self.upload {
+            Upload::W4A16(up) => ops::matmul(x, up.get(id).dequantized()),
+            // The activation is quantized to per-row INT8 too: integer
+            // GEMM.
+            Upload::Int8(q) => Int8Matrix::quantize(x)?.matmul_int8(q.get(id)),
+        }
+    }
 }
 
 impl FunctionalModel {
@@ -73,58 +127,70 @@ impl FunctionalModel {
                 Upload::Int8(dequantized.try_map(|w| Int8Matrix::quantize(w.dequantized()))?)
             }
         };
-        let kv = KvCache::new(cfg.layers, cfg.max_seq, cfg.kv_dim());
-        Ok(Self {
-            cfg,
-            weights,
+        let proj = Monolithic {
             upload,
-            kv,
             matmul_log: Vec::new(),
+        };
+        Ok(Self {
+            stack: DecoderStack::with_projection(cfg, weights, proj),
         })
     }
 
     /// Shapes of every weight Matmul executed so far, in launch order.
     pub fn executed_matmuls(&self) -> &[MatmulShape] {
-        &self.matmul_log
+        &self.stack.proj.matmul_log
     }
 
     /// The arithmetic mode in use.
     pub fn mode(&self) -> QuantMode {
-        match self.upload {
+        match self.stack.proj.upload {
             Upload::W4A16(_) => QuantMode::W4A16,
             Upload::Int8(_) => QuantMode::Int8,
         }
     }
 
-    /// A weight projection under the configured arithmetic mode.
-    fn proj(&mut self, x: &Tensor, id: WeightId) -> Result<Tensor> {
-        let (m, _) = x.matrix_dims()?;
-        let (k, n) = match &self.upload {
-            Upload::W4A16(up) => up.get(id).dims(),
-            Upload::Int8(q) => q.get(id).dims(),
-        };
-        self.matmul_log.push(MatmulShape::new(m, k, n));
-        match &self.upload {
-            Upload::W4A16(up) => ops::matmul(x, up.get(id).dequantized()),
-            // The activation is quantized to per-row INT8 too: integer
-            // GEMM.
-            Upload::Int8(q) => Int8Matrix::quantize(x)?.matmul_int8(q.get(id)),
-        }
-    }
-
     /// The configuration.
     pub fn config(&self) -> &ModelConfig {
-        &self.cfg
+        &self.stack.cfg
     }
 
     /// Current KV length.
     pub fn context_len(&self) -> usize {
-        self.kv.len()
+        self.stack.kv.len()
     }
 
     /// Reset the KV cache.
     pub fn reset(&mut self) {
-        self.kv.clear();
+        self.stack.kv.clear();
+    }
+
+    /// Run the prefill phase over `tokens`, returning the logits of the
+    /// final position `[1, vocab]`.
+    pub fn prefill(&mut self, tokens: &[u32]) -> Result<Tensor> {
+        self.stack.prefill(tokens)
+    }
+
+    /// Run one decode step for `token`, returning `[1, vocab]` logits.
+    pub fn decode_step(&mut self, token: u32) -> Result<Tensor> {
+        self.stack.decode_step(token)
+    }
+
+    /// Greedy generation: prefill `prompt`, then emit `n` tokens.
+    pub fn generate(&mut self, prompt: &[u32], n: usize) -> Result<Vec<u32>> {
+        self.stack.generate(prompt, n)
+    }
+}
+
+impl<P: Projection> DecoderStack<P> {
+    /// The stack over `weights` with an empty KV cache.
+    pub(crate) fn with_projection(cfg: ModelConfig, weights: ModelWeights, proj: P) -> Self {
+        let kv = KvCache::new(cfg.layers, cfg.max_seq, cfg.kv_dim());
+        Self {
+            cfg,
+            weights,
+            kv,
+            proj,
+        }
     }
 
     /// Run the prefill phase over `tokens`, returning the logits of the
@@ -135,16 +201,14 @@ impl FunctionalModel {
                 context: "empty prompt".into(),
             });
         }
-        let x = ops::embed(&self.weights.embedding, tokens)?;
-        let h = self.forward(x)?;
+        let h = P::forward(self, tokens)?;
         let last = h.slice_rows(tokens.len() - 1, tokens.len())?;
         self.logits(&last)
     }
 
     /// Run one decode step for `token`, returning `[1, vocab]` logits.
     pub fn decode_step(&mut self, token: u32) -> Result<Tensor> {
-        let x = ops::embed(&self.weights.embedding, &[token])?;
-        let h = self.forward(x)?;
+        let h = P::forward(self, &[token])?;
         self.logits(&h)
     }
 
@@ -165,57 +229,63 @@ impl FunctionalModel {
 
     fn logits(&mut self, h: &Tensor) -> Result<Tensor> {
         let normed = ops::rmsnorm(h, &self.weights.final_norm, self.cfg.norm_eps)?;
-        self.proj(&normed, WeightId::LmHead)
+        self.proj.project(&normed, WeightId::LmHead)
     }
 
-    /// Forward `x` (`[m, hidden]`, the new rows) through all layers,
-    /// appending to the KV cache.
-    fn forward(&mut self, mut x: Tensor) -> Result<Tensor> {
-        let (m, _) = x.matrix_dims()?;
+    /// Embed `tokens` and forward them (`[m, hidden]`, the new rows)
+    /// through all layers, appending to the KV cache.
+    pub(crate) fn forward(&mut self, tokens: &[u32]) -> Result<Tensor> {
+        let mut x = ops::embed(&self.weights.embedding, tokens)?;
         let pos = self.kv.len();
         for layer in 0..self.cfg.layers {
             x = self.layer_forward(layer, &x, pos)?;
         }
-        self.kv.advance(m)?;
+        self.kv.advance(tokens.len())?;
         Ok(x)
     }
 
     fn layer_forward(&mut self, layer: usize, x: &Tensor, pos: usize) -> Result<Tensor> {
-        let cfg = self.cfg.clone();
+        let Self {
+            cfg,
+            weights,
+            kv,
+            proj,
+        } = self;
         let (hidden, kv_dim) = (cfg.hidden, cfg.kv_dim());
+        let norms = &weights.layers[layer];
 
         // Attention block.
-        let normed = ops::rmsnorm(x, &self.weights.layers[layer].attn_norm, cfg.norm_eps)?;
-        let qkv = self.proj(&normed, WeightId::Qkv(layer))?;
+        let normed = ops::rmsnorm(x, &norms.attn_norm, cfg.norm_eps)?;
+        let qkv = proj.project(&normed, WeightId::Qkv(layer))?;
         let mut q = qkv.slice_cols(0, hidden)?;
         let mut k = qkv.slice_cols(hidden, hidden + kv_dim)?;
         let v = qkv.slice_cols(hidden + kv_dim, hidden + 2 * kv_dim)?;
         ops::apply_rope(&mut q, cfg.heads, cfg.head_dim(), pos, cfg.rope_theta)?;
         ops::apply_rope(&mut k, cfg.kv_heads, cfg.head_dim(), pos, cfg.rope_theta)?;
-        self.kv.append(layer, &k, &v)?;
+        kv.append(layer, &k, &v)?;
 
         let (m, _) = x.matrix_dims()?;
         let ctx = pos + m;
-        let keys = self.kv.keys(layer, ctx)?;
-        let values = self.kv.values(layer, ctx)?;
-        let attn = attention_gqa(&self.cfg, &q, &keys, &values, pos)?;
-        let attn_out = self.proj(&attn, WeightId::AttnOut(layer))?;
+        let keys = kv.keys(layer, ctx)?;
+        let values = kv.values(layer, ctx)?;
+        let attn = attention_gqa(cfg, &q, &keys, &values, pos)?;
+        let attn_out = proj.project(&attn, WeightId::AttnOut(layer))?;
         let x = ops::add(x, &attn_out)?;
 
         // FFN block.
-        let normed = ops::rmsnorm(&x, &self.weights.layers[layer].ffn_norm, cfg.norm_eps)?;
-        let gate_up = self.proj(&normed, WeightId::GateUp(layer))?;
+        let normed = ops::rmsnorm(&x, &norms.ffn_norm, cfg.norm_eps)?;
+        let gate_up = proj.project(&normed, WeightId::GateUp(layer))?;
         let gate = gate_up.slice_cols(0, cfg.ffn)?;
         let up = gate_up.slice_cols(cfg.ffn, 2 * cfg.ffn)?;
         let act = ops::swiglu(&gate, &up)?;
-        let down = self.proj(&act, WeightId::FfnDown(layer))?;
+        let down = proj.project(&act, WeightId::FfnDown(layer))?;
         ops::add(&x, &down)
     }
 }
 
 /// Causal GQA attention: queries `[m, hidden]` (rows at absolute
 /// positions `pos..pos+m`) over `keys`/`values` `[ctx, kv_dim]`.
-pub(crate) fn attention_gqa(
+fn attention_gqa(
     cfg: &ModelConfig,
     q: &Tensor,
     keys: &Tensor,
@@ -277,14 +347,10 @@ pub fn quant_divergence(
         .sum::<f32>() as f64
         / la.numel() as f64;
 
-    let ta = {
-        let mut m = FunctionalModel::with_mode(cfg.clone(), seed, a)?;
-        m.generate(prompt, gen_tokens)?
-    };
-    let tb = {
-        let mut m = FunctionalModel::with_mode(cfg.clone(), seed, b)?;
-        m.generate(prompt, gen_tokens)?
-    };
+    ma.reset();
+    mb.reset();
+    let ta = ma.generate(prompt, gen_tokens)?;
+    let tb = mb.generate(prompt, gen_tokens)?;
     let agree = ta.iter().zip(&tb).filter(|(x, y)| x == y).count();
     Ok(QuantDivergence {
         token_agreement: agree as f64 / gen_tokens.max(1) as f64,

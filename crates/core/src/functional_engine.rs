@@ -1,17 +1,23 @@
 //! Functional heterogeneous engine: real math through solver plans.
 //!
-//! [`FunctionalHeteroEngine`] executes an actual W4A16 transformer
-//! (like [`crate::functional::FunctionalModel`]) but routes every
-//! weight Matmul through the partition plan the solver chooses for its
-//! shape — slicing operands, computing the parts as the GPU/NPU sides
-//! would, and merging. Simultaneously it charges the same simulated
-//! time the timing engine would.
+//! [`FunctionalHeteroEngine`] runs the transformer forward of
+//! [`crate::functional::FunctionalModel`] (the same decoder stack)
+//! but routes every weight Matmul through the partition plan the
+//! solver chooses for its shape — slicing operands, computing the
+//! parts as the GPU/NPU sides would, and merging.
+//!
+//! Its simulated time is a partial account: it charges each
+//! projection's plan lowering (NPU chunks serially, split plans as one
+//! NPU-dominant parallel section) and the integrity layer's work, but
+//! no backend switches and no non-Matmul kernels, and it plans decode
+//! projections NPU-dominant where the timing engine plans them
+//! GPU-dominant. Its clock orders the integrity tax against the
+//! projections; it is not the timing engine's elapsed time.
 //!
 //! This is the strongest correctness statement in the reproduction:
 //! *the full engine pipeline (profiler → solver → partitioned
 //! execution) produces bit-identical logits and tokens to monolithic
-//! inference*, on every prompt, while the timing side stays consistent
-//! with the pure timing engine.
+//! inference*, on every prompt.
 //!
 //! # Integrity mode
 //!
@@ -40,25 +46,31 @@ use hetero_soc::sync::{Dominance, SyncMechanism};
 use hetero_soc::{Backend, KernelDesc, Soc};
 use hetero_solver::{PartitionPlan, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
-use hetero_tensor::{abft, ops};
-use hetero_tensor::{Result, Tensor, TensorError};
+use hetero_tensor::{abft, Result, Tensor};
 
 use crate::engines::SolverPlanner;
 use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel};
+use crate::functional::{DecoderStack, Projection};
 use crate::integrity::{IntegrityCounters, IntegrityMode};
-use crate::kv::KvCache;
 use crate::model::{ModelConfig, ModelWeights};
 use crate::report::{IntegritySummary, PhaseReport};
 use crate::upload::{plan_tiles, ModelUpload, WeightId};
 
-/// Real-math engine executing solver-partitioned kernels.
+/// Real-math engine executing solver-partitioned kernels: the decoder
+/// stack of [`crate::functional::FunctionalModel`] over a partitioned
+/// projection arm.
 pub struct FunctionalHeteroEngine {
-    cfg: ModelConfig,
-    weights: ModelWeights,
+    stack: DecoderStack<Partitioned>,
+}
+
+/// The engine's projection arm: each weight projection planned by the
+/// solver, its lowering charged on the simulated SoC, its result
+/// computed through the plan and, with integrity on, verified per
+/// tile; plus the integrity bracket around every forward.
+struct Partitioned {
     /// The weight matrices, dequantized once, with the column blocks
     /// and ABFT column sums of the tiles the plans have read.
     upload: ModelUpload,
-    kv: KvCache,
     soc: Soc,
     planner: SolverPlanner<RealExecProvider>,
     integrity: IntegrityMode,
@@ -94,13 +106,10 @@ impl FunctionalHeteroEngine {
             SolverConfig::decode(1),
         );
         let weights = ModelWeights::generate(&cfg, seed)?;
-        Ok(Self {
+        let arm = Partitioned {
             upload: ModelUpload::new(&weights)?,
-            weights,
-            kv: KvCache::new(cfg.layers, cfg.max_seq, cfg.kv_dim()),
             soc: Soc::new(soc_cfg),
             planner,
-            cfg,
             integrity: IntegrityMode::Off,
             counters: IntegrityCounters::default(),
             pending: Vec::new(),
@@ -108,13 +117,16 @@ impl FunctionalHeteroEngine {
             forward_count: 0,
             history: Vec::new(),
             replaying: false,
+        };
+        Ok(Self {
+            stack: DecoderStack::with_projection(cfg, weights, arm),
         })
     }
 
     /// Enable the integrity layer in the given mode.
     #[must_use]
     pub fn with_integrity(mut self, mode: IntegrityMode) -> Self {
-        self.integrity = mode;
+        self.stack.proj.integrity = mode;
         self
     }
 
@@ -127,7 +139,7 @@ impl FunctionalHeteroEngine {
     pub fn inject(&mut self, trace: &SdcTrace) {
         for e in &trace.events {
             if !matches!(e.fault, SdcFault::GraphPoison { .. }) {
-                self.pending.push(e.fault.clone());
+                self.stack.proj.pending.push(e.fault.clone());
             }
         }
     }
@@ -135,22 +147,48 @@ impl FunctionalHeteroEngine {
     /// The integrity summary so far (`None` when integrity is off).
     /// Overhead is measured against the engine's full simulated time.
     pub fn integrity_summary(&self) -> Option<IntegritySummary> {
-        self.integrity
+        let arm = &self.stack.proj;
+        arm.integrity
             .verifies()
-            .then(|| self.counters.summary(self.soc.clock()))
+            .then(|| arm.counters.summary(arm.soc.clock()))
     }
 
     /// Simulated time consumed so far.
     pub fn sim_time(&self) -> hetero_soc::SimTime {
-        self.soc.clock()
+        self.stack.proj.soc.clock()
     }
 
+    /// Prefill over `tokens`, returning final-position logits and the
+    /// phase timing report.
+    pub fn prefill(&mut self, tokens: &[u32]) -> Result<(Tensor, PhaseReport)> {
+        let start = self.sim_time();
+        let logits = self.stack.prefill(tokens)?;
+        let report = PhaseReport {
+            tokens: tokens.len(),
+            elapsed: self.sim_time() - start,
+        };
+        Ok((logits, report))
+    }
+
+    /// One decode step.
+    pub fn decode_step(&mut self, token: u32) -> Result<Tensor> {
+        self.stack.decode_step(token)
+    }
+
+    /// Greedy generation (the stack's, as
+    /// [`crate::functional::FunctionalModel::generate`] runs it).
+    pub fn generate(&mut self, prompt: &[u32], n: usize) -> Result<Vec<u32>> {
+        self.stack.generate(prompt, n)
+    }
+}
+
+impl Projection for Partitioned {
     /// A partitioned, time-charged weight projection.
-    fn proj(&mut self, op: &'static str, x: &Tensor, id: WeightId) -> Result<Tensor> {
+    fn project(&mut self, x: &Tensor, id: WeightId) -> Result<Tensor> {
         let (m, _) = x.matrix_dims()?;
         let (k, n) = self.upload.get(id).dims();
         let shape = MatmulShape::new(m, k, n);
-        let choice = self.planner.choice(op, shape, Dominance::NpuDominant);
+        let choice = self.planner.choice(id.op(), shape, Dominance::NpuDominant);
 
         // Charge simulated time for the plan's lowering: NPU chunks as
         // one serial batch, parallel plans NPU-dominant.
@@ -182,6 +220,25 @@ impl FunctionalHeteroEngine {
         Ok(out)
     }
 
+    /// The integrity bracket: with verification on, apply the KV
+    /// faults that are due and verify the cache before the pass, and
+    /// record the batch for replay after it.
+    fn forward(stack: &mut DecoderStack<Self>, tokens: &[u32]) -> Result<Tensor> {
+        let bracketed = stack.proj.integrity.verifies() && !stack.proj.replaying;
+        if bracketed {
+            stack.apply_kv_faults()?;
+            stack.verify_kv()?;
+        }
+        let h = stack.forward(tokens)?;
+        if bracketed {
+            stack.proj.history.push(tokens.to_vec());
+            stack.proj.forward_count += 1;
+        }
+        Ok(h)
+    }
+}
+
+impl Partitioned {
     /// Apply pending transient flips targeting projection `idx`.
     fn apply_tile_faults(&mut self, idx: usize, out: &mut Tensor) {
         let mut kept = Vec::with_capacity(self.pending.len());
@@ -288,16 +345,19 @@ impl FunctionalHeteroEngine {
             .push(self.soc.clock() - t0);
         Ok(())
     }
+}
 
+impl DecoderStack<Partitioned> {
     /// Apply pending sticky KV corruptions that are due.
     fn apply_kv_faults(&mut self) -> Result<()> {
         if self.kv.is_empty() {
             return Ok(());
         }
         let (layers, kv_dim, len) = (self.cfg.layers, self.cfg.kv_dim(), self.kv.len());
-        let due = self.forward_count;
-        let mut kept = Vec::with_capacity(self.pending.len());
-        for fault in std::mem::take(&mut self.pending) {
+        let arm = &mut self.proj;
+        let due = arm.forward_count;
+        let mut kept = Vec::with_capacity(arm.pending.len());
+        for fault in std::mem::take(&mut arm.pending) {
             match fault {
                 SdcFault::KvCorrupt {
                     after_forwards,
@@ -312,12 +372,12 @@ impl FunctionalHeteroEngine {
                         (col_draw % kv_dim as u64) as usize,
                         bit,
                     )?;
-                    self.counters.injected += 1;
+                    arm.counters.injected += 1;
                 }
                 other => kept.push(other),
             }
         }
-        self.pending = kept;
+        arm.pending = kept;
         Ok(())
     }
 
@@ -326,32 +386,33 @@ impl FunctionalHeteroEngine {
     /// clean batch boundary and replay the dropped tokens.
     fn verify_kv(&mut self) -> Result<()> {
         let sealed = self.kv.sealed_rows();
-        self.counters.kv_rows_verified += sealed;
         let bytes = (sealed * 2 * self.cfg.kv_dim() * 4) as u64;
+        let arm = &mut self.proj;
+        arm.counters.kv_rows_verified += sealed;
         let rehash = KernelDesc::mem_bound(KernelLabel::KvAppend, bytes, 8, bytes / 4);
-        let mut tax = self.soc.run_serial(Backend::Cpu, &[rehash]);
-        let rdv = self.soc.config().sync.rendezvous(Dominance::NpuDominant);
-        self.soc.advance(rdv);
+        let mut tax = arm.soc.run_serial(Backend::Cpu, &[rehash]);
+        let rdv = arm.soc.config().sync.rendezvous(Dominance::NpuDominant);
+        arm.soc.advance(rdv);
         tax += rdv;
-        self.counters.verify_time += tax;
+        arm.counters.verify_time += tax;
 
         let Some((_, row)) = self.kv.verify() else {
             return Ok(());
         };
-        self.counters.kv_mismatches += 1;
-        self.counters.detected += 1;
-        if !self.integrity.recovers() {
-            self.counters.uncorrectable += 1;
+        arm.counters.kv_mismatches += 1;
+        arm.counters.detected += 1;
+        if !arm.integrity.recovers() {
+            arm.counters.uncorrectable += 1;
             return Ok(());
         }
         // Roll back to the last batch boundary at or before the first
         // corrupted row, then replay the recorded batches: every
         // replayed forward recomputes its rows on the identical prefix,
         // so the restored cache is bit-identical.
-        let t0 = self.soc.clock();
+        let t0 = arm.soc.clock();
         let mut boundary = 0;
         let mut first_batch = 0;
-        for (i, batch) in self.history.iter().enumerate() {
+        for (i, batch) in arm.history.iter().enumerate() {
             if boundary + batch.len() > row {
                 first_batch = i;
                 break;
@@ -359,121 +420,18 @@ impl FunctionalHeteroEngine {
             boundary += batch.len();
         }
         self.kv.rollback(boundary)?;
-        self.counters.kv_rollbacks += 1;
-        self.replaying = true;
-        for i in first_batch..self.history.len() {
-            let batch = self.history[i].clone();
-            let x = ops::embed(&self.weights.embedding, &batch)?;
-            self.forward_layers(x)?;
-            self.counters.replayed_tokens += batch.len();
+        arm.counters.kv_rollbacks += 1;
+        arm.replaying = true;
+        for i in first_batch..self.proj.history.len() {
+            let batch = self.proj.history[i].clone();
+            self.forward(&batch)?;
+            self.proj.counters.replayed_tokens += batch.len();
         }
-        self.replaying = false;
-        self.counters.corrected += 1;
-        self.counters
-            .recompute_latencies
-            .push(self.soc.clock() - t0);
+        let arm = &mut self.proj;
+        arm.replaying = false;
+        arm.counters.corrected += 1;
+        arm.counters.recompute_latencies.push(arm.soc.clock() - t0);
         Ok(())
-    }
-
-    /// Prefill over `tokens`, returning final-position logits and the
-    /// phase timing report.
-    pub fn prefill(&mut self, tokens: &[u32]) -> Result<(Tensor, PhaseReport)> {
-        if tokens.is_empty() {
-            return Err(TensorError::OutOfBounds {
-                context: "empty prompt".into(),
-            });
-        }
-        let start = self.soc.clock();
-        let x = ops::embed(&self.weights.embedding, tokens)?;
-        let h = self.forward(x, tokens)?;
-        let last = h.slice_rows(tokens.len() - 1, tokens.len())?;
-        let logits = self.logits(&last)?;
-        let report = PhaseReport {
-            tokens: tokens.len(),
-            elapsed: self.soc.clock() - start,
-        };
-        Ok((logits, report))
-    }
-
-    /// One decode step.
-    pub fn decode_step(&mut self, token: u32) -> Result<Tensor> {
-        let x = ops::embed(&self.weights.embedding, &[token])?;
-        let h = self.forward(x, &[token])?;
-        self.logits(&h)
-    }
-
-    /// Greedy generation (identical semantics to
-    /// [`crate::functional::FunctionalModel::generate`]).
-    pub fn generate(&mut self, prompt: &[u32], n: usize) -> Result<Vec<u32>> {
-        let (mut logits, _) = self.prefill(prompt)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let next = ops::argmax(logits.row(0)?).expect("non-empty logits");
-            out.push(next);
-            if out.len() == n {
-                break;
-            }
-            logits = self.decode_step(next)?;
-        }
-        Ok(out)
-    }
-
-    fn logits(&mut self, h: &Tensor) -> Result<Tensor> {
-        let normed = ops::rmsnorm(h, &self.weights.final_norm, self.cfg.norm_eps)?;
-        self.proj("lm_head", &normed, WeightId::LmHead)
-    }
-
-    fn forward(&mut self, x: Tensor, tokens: &[u32]) -> Result<Tensor> {
-        if self.integrity.verifies() && !self.replaying {
-            self.apply_kv_faults()?;
-            self.verify_kv()?;
-        }
-        let h = self.forward_layers(x)?;
-        if self.integrity.verifies() && !self.replaying {
-            self.history.push(tokens.to_vec());
-            self.forward_count += 1;
-        }
-        Ok(h)
-    }
-
-    fn forward_layers(&mut self, mut x: Tensor) -> Result<Tensor> {
-        let (m, _) = x.matrix_dims()?;
-        let pos = self.kv.len();
-        for layer in 0..self.cfg.layers {
-            x = self.layer_forward(layer, &x, pos)?;
-        }
-        self.kv.advance(m)?;
-        Ok(x)
-    }
-
-    fn layer_forward(&mut self, layer: usize, x: &Tensor, pos: usize) -> Result<Tensor> {
-        let cfg = self.cfg.clone();
-        let (hidden, kv_dim) = (cfg.hidden, cfg.kv_dim());
-
-        let normed = ops::rmsnorm(x, &self.weights.layers[layer].attn_norm, cfg.norm_eps)?;
-        let qkv = self.proj("qkv", &normed, WeightId::Qkv(layer))?;
-        let mut q = qkv.slice_cols(0, hidden)?;
-        let mut k = qkv.slice_cols(hidden, hidden + kv_dim)?;
-        let v = qkv.slice_cols(hidden + kv_dim, hidden + 2 * kv_dim)?;
-        ops::apply_rope(&mut q, cfg.heads, cfg.head_dim(), pos, cfg.rope_theta)?;
-        ops::apply_rope(&mut k, cfg.kv_heads, cfg.head_dim(), pos, cfg.rope_theta)?;
-        self.kv.append(layer, &k, &v)?;
-
-        let (m, _) = x.matrix_dims()?;
-        let ctx = pos + m;
-        let keys = self.kv.keys(layer, ctx)?;
-        let values = self.kv.values(layer, ctx)?;
-        let attn = crate::functional::attention_gqa(&cfg, &q, &keys, &values, pos)?;
-        let attn_out = self.proj("attn_out", &attn, WeightId::AttnOut(layer))?;
-        let x = ops::add(x, &attn_out)?;
-
-        let normed = ops::rmsnorm(&x, &self.weights.layers[layer].ffn_norm, cfg.norm_eps)?;
-        let gate_up = self.proj("gate_up", &normed, WeightId::GateUp(layer))?;
-        let gate = gate_up.slice_cols(0, cfg.ffn)?;
-        let up = gate_up.slice_cols(cfg.ffn, 2 * cfg.ffn)?;
-        let act = ops::swiglu(&gate, &up)?;
-        let down = self.proj("ffn_down", &act, WeightId::FfnDown(layer))?;
-        ops::add(&x, &down)
     }
 }
 
@@ -606,7 +564,7 @@ mod tests {
                 .unwrap()
                 .with_integrity(IntegrityMode::Verify);
             e.generate(&PROMPT, tokens).unwrap();
-            e.upload.blocks_built()
+            e.stack.proj.upload.blocks_built()
         };
         let short = blocks(12);
         // At least one block for each layer matrix and the LM head.

@@ -170,6 +170,20 @@ pub(crate) enum WeightId {
     LmHead,
 }
 
+impl WeightId {
+    /// The operator name of the projection, as the timing traces and
+    /// plan tables call it.
+    pub(crate) fn op(self) -> &'static str {
+        match self {
+            WeightId::Qkv(_) => "qkv",
+            WeightId::AttnOut(_) => "attn_out",
+            WeightId::GateUp(_) => "gate_up",
+            WeightId::FfnDown(_) => "ffn_down",
+            WeightId::LmHead => "lm_head",
+        }
+    }
+}
+
 /// One `T` per weight matrix of a model.
 #[derive(Debug, Clone)]
 pub(crate) struct PerWeight<T> {

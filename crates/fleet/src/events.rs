@@ -269,6 +269,28 @@ pub enum EventKind {
 impl EventKind {
     /// Number of kinds; `kind as usize` indexes `0..COUNT`.
     pub const COUNT: usize = EventKind::Rollback as usize + 1;
+
+    /// The kind's stable name (used in diagnostics and bench
+    /// summaries).
+    pub fn name(self) -> &'static str {
+        match self {
+            EventKind::RolloutStage => "rollout-stage",
+            EventKind::FaultClose => "fault-close",
+            EventKind::FaultOpen => "fault-open",
+            EventKind::Complete => "complete",
+            EventKind::Breaker => "breaker",
+            EventKind::CensusRefresh => "census-refresh",
+            EventKind::ProfileUpdate => "profile-update",
+            EventKind::Offered => "offered",
+            EventKind::Shed => "shed",
+            EventKind::Dispatch => "dispatch",
+            EventKind::DispatchFail => "dispatch-fail",
+            EventKind::Retry => "retry",
+            EventKind::Lost => "lost",
+            EventKind::Promote => "promote",
+            EventKind::Rollback => "rollback",
+        }
+    }
 }
 
 fn breaker_state_rank(s: BreakerState) -> u64 {
@@ -364,23 +386,7 @@ impl FleetEvent {
 
     /// Stable kind name (used in diagnostics and bench summaries).
     pub fn kind(&self) -> &'static str {
-        match self {
-            FleetEvent::Offered { .. } => "offered",
-            FleetEvent::CensusRefresh { .. } => "census-refresh",
-            FleetEvent::Shed { .. } => "shed",
-            FleetEvent::Dispatch { .. } => "dispatch",
-            FleetEvent::DispatchFail { .. } => "dispatch-fail",
-            FleetEvent::Retry { .. } => "retry",
-            FleetEvent::Complete { .. } => "complete",
-            FleetEvent::Lost { .. } => "lost",
-            FleetEvent::Breaker { .. } => "breaker",
-            FleetEvent::FaultOpen { .. } => "fault-open",
-            FleetEvent::FaultClose { .. } => "fault-close",
-            FleetEvent::RolloutStage { .. } => "rollout-stage",
-            FleetEvent::ProfileUpdate { .. } => "profile-update",
-            FleetEvent::Promote { .. } => "promote",
-            FleetEvent::Rollback { .. } => "rollback",
-        }
+        self.event_kind().name()
     }
 
     /// The event's kind, whose order is the same-timestamp order of

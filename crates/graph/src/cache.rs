@@ -78,7 +78,6 @@ impl GraphCache {
             return SimTime::ZERO;
         }
         let t = self.model.set_compile_time(&self.set, m);
-        #[cfg(feature = "validate")]
         debug_assert!(
             self.set.is_empty() || t > SimTime::ZERO,
             "compiling a non-empty graph set must charge time (m={m})"

@@ -41,7 +41,7 @@ impl Default for CompileModel {
 impl CompileModel {
     /// Compile time of one Matmul operator graph.
     pub fn op_compile_time(&self, shape: MatmulShape) -> SimTime {
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         self.validate();
         let volume = shape.m as f64 * shape.k as f64 * shape.n as f64;
         let ms = self.base_ms + self.coef * volume.powf(self.exponent);
@@ -52,7 +52,7 @@ impl CompileModel {
     /// non-negative base cost and grows sub-linearly in problem volume
     /// (exponent in `(0, 1]`), so cached totals stay finite and
     /// monotone. Compiled out of release binaries.
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     fn validate(&self) {
         debug_assert!(
             self.base_ms >= 0.0 && self.coef >= 0.0,

@@ -47,13 +47,6 @@ impl SocConfig {
         self.sync = SyncModel::new(mechanism);
         self
     }
-
-    /// Same platform with a GPU kernel-efficiency tier applied
-    /// (baseline frameworks; see [`crate::calib::engine_eff`]).
-    pub fn with_gpu_efficiency(mut self, efficiency: f64) -> Self {
-        self.gpu = GpuModel::with_efficiency(efficiency);
-        self
-    }
 }
 
 /// The additive state of a [`Soc`] at one point of a run: the clock

@@ -268,7 +268,7 @@ impl<P: CostProvider> Solver<P> {
         // Canonicalize degenerate forms (SeqCut with an empty GPU share
         // is an NpuPipe, etc.) so downstream sync accounting is honest.
         choice.plan = choice.plan.normalize();
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         self.validate_choice(&choice, shape);
         choice
     }
@@ -375,11 +375,8 @@ impl<P: CostProvider> Solver<P> {
     /// (shape conservation, tile alignment, graph membership,
     /// canonical form). Compiled out of release binaries; a violation
     /// here is a solver bug, so it panics rather than diagnosing.
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     fn validate_choice(&self, choice: &PlanChoice, shape: MatmulShape) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
         let plan = &choice.plan;
         let mut violations = plan.conservation_violations(shape.m, shape.n);
         violations.extend(plan.alignment_violations(hetero_soc::calib::NPU_TILE));

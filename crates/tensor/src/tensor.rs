@@ -87,11 +87,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Interpret as `[rows, cols]` and return the dimensions.
     pub fn matrix_dims(&self) -> Result<(usize, usize)> {
         self.shape.as_matrix()
