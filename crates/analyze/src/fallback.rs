@@ -46,6 +46,14 @@ mod tests {
         for (plan, m) in [
             (PartitionPlan::GpuOnly, 300),
             (PartitionPlan::NpuOnly { padded_m: 512 }, 300),
+            // What an NPU-pipe fallback records at the standard shape.
+            (
+                PartitionPlan::NpuPipe {
+                    chunks: vec![256],
+                    padded_rows: 0,
+                },
+                256,
+            ),
             (
                 PartitionPlan::SeqCut {
                     npu_chunks: vec![256, 32],

@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn swept_prefill_plans_are_the_engines() {
-        use heterollm::engines::HeteroTensorEngine;
+        use heterollm::engines::{Engine, HeteroTensorEngine};
         for mechanism in [SyncMechanism::Fast, SyncMechanism::Driver] {
             for model in ModelConfig::evaluation_models() {
                 let mut engine = HeteroTensorEngine::new(&model, mechanism);

@@ -1,7 +1,7 @@
 //! Simulator micro-benchmarks: the all-integer counters behind
 //! `BENCH_sim.json`.
 //!
-//! Times the four hot paths the perf pass optimized (see
+//! Times the three hot paths the perf pass optimized (see
 //! `PERFORMANCE.md`) and reports each as an integer rate, so the
 //! checked-in `BENCH_sim.json` baseline can gate regressions without
 //! float-comparison noise:
@@ -15,8 +15,6 @@
 //!   asserted byte-identical here, not just in CI.
 //! - **GEMM MFLOP/s** — the blocked functional-mode matmul
 //!   ([`hetero_tensor::ops::matmul`]), FLOPs counted as `2·m·k·n`.
-//! - **DES events/s** — schedule/pop churn through the binary-heap
-//!   [`hetero_soc::des::EventQueue`].
 //! - **monitor events/s** — the past-time-LTL fleet monitor
 //!   ([`hetero_analyze::monitor_fleet_log`]) swept repeatedly over a
 //!   recorded robust-arm event log.
@@ -35,8 +33,6 @@ use std::time::Instant;
 use hetero_bench::cli::{self, Flag, MAX_DEVICES, MAX_JOBS};
 use hetero_bench::{save_json, Table};
 use hetero_fleet::{calibrate_devices, FleetConfig, FleetSim, RouterPolicy};
-use hetero_soc::des::EventQueue;
-use hetero_soc::SimTime;
 use hetero_tensor::ops::matmul;
 use hetero_tensor::rng::splitmix64;
 use hetero_tensor::Tensor;
@@ -66,10 +62,6 @@ struct BenchSim {
     gemm_flops_per_iter: u64,
     /// GEMM iterations timed.
     gemm_iters: u64,
-    /// DES event-queue churn, events/second.
-    des_events_per_sec: u64,
-    /// DES events scheduled and popped.
-    des_events: u64,
     /// Temporal fleet monitor sweep rate, events/second.
     monitor_events_per_sec: u64,
     /// Events in the monitored robust-arm log.
@@ -160,37 +152,6 @@ fn main() {
     let gemm_mflops =
         flops_per_iter.saturating_mul(gemm_iters) / 1_000_000 * 1_000_000_000 / gemm_ns.max(1);
 
-    // --- DES event queue events/s -----------------------------------
-    let des_events = 400_000u64;
-    let ((), des_ns) = time(|| {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        let mut popped = 0u64;
-        // Seeded burst pattern: schedule 8, pop 4, so the queue both
-        // grows and drains like a busy device simulation.
-        let mut t = 0u64;
-        let mut i = 0u64;
-        while i < des_events {
-            for _ in 0..8 {
-                if i >= des_events {
-                    break;
-                }
-                let dt = splitmix64(i) % 10_000;
-                q.schedule(SimTime::from_nanos(t + dt), i);
-                i += 1;
-            }
-            for _ in 0..4 {
-                if let Some((at, _)) = q.pop() {
-                    t = at.as_nanos();
-                    popped += 1;
-                }
-            }
-        }
-        while q.pop().is_some() {
-            popped += 1;
-        }
-        assert_eq!(popped, des_events, "DES churn lost events");
-    });
-
     // --- temporal fleet monitor events/s -----------------------------
     let sim = FleetSim::new(FleetConfig::standard(42, 32, 400));
     let (_, log) = sim.run_events(RouterPolicy::Robust);
@@ -216,8 +177,6 @@ fn main() {
         gemm_mflops,
         gemm_flops_per_iter: flops_per_iter,
         gemm_iters,
-        des_events_per_sec: per_sec(des_events, des_ns),
-        des_events,
         monitor_events_per_sec: per_sec(swept, monitor_ns),
         monitor_log_events: swept / monitor_reps,
     };
@@ -237,11 +196,6 @@ fn main() {
         "functional GEMM".into(),
         "MFLOP/s".into(),
         snapshot.gemm_mflops.to_string(),
-    ]);
-    t.row(&[
-        "DES event queue".into(),
-        "events/s".into(),
-        snapshot.des_events_per_sec.to_string(),
     ]);
     t.row(&[
         "temporal monitor".into(),

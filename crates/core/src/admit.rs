@@ -15,20 +15,19 @@
 //! kernels, backend switches and rendezvous are exact constants. Every
 //! serial step is an exact point, so the hetero mirror's interval
 //! width comes only from parallel partitions — and collapses to an
-//! equality for the fallback mirrors ([`gpu_only_prefill`],
-//! [`npu_pipe_prefill`]), which walk the fallback engines' serial
-//! routes. The runtime controller uses them to veto statically
-//! TTFT-infeasible fallback plans before building (let alone
-//! simulating) the fallback engine.
+//! equality for the fallback floor ([`fallback_prefill`]), which walks
+//! a fallback engine's serial route. The runtime controller uses it to
+//! veto statically TTFT-infeasible fallbacks before building (let
+//! alone simulating) the fallback engine.
 
 use hetero_profiler::{CostInterval, RealExecProvider};
 use hetero_soc::sync::{Dominance, SyncMechanism};
-use hetero_soc::{Backend, SimTime, Soc, SocConfig};
+use hetero_soc::{SimTime, Soc, SocConfig};
 use hetero_solver::{PartitionPlan, RegionTable};
 use hetero_tensor::shape::MatmulShape;
 
 use crate::engines::walk::{run_phase, Intervals};
-use crate::engines::{hetero_soc_config, FixedRoute, MisalignStrategy, SolverPlanner};
+use crate::engines::{hetero_soc_config, EngineKind, SolverPlanner};
 use crate::model::ModelConfig;
 use crate::trace::{decode_trace, prefill_trace, OpRole, PhaseTrace};
 
@@ -140,42 +139,32 @@ impl HeteroMirror {
     }
 }
 
-/// Exact prefill latency of the GPU-only (PPL-OpenCL tier) fallback
-/// engine under `soc_cfg`: every trace kernel runs serially on the GPU,
-/// so the bound collapses to a point.
-pub fn gpu_only_prefill(model: &ModelConfig, soc_cfg: &SocConfig, prompt_len: usize) -> SimTime {
-    let route = FixedRoute::host_only(Backend::Gpu);
-    fallback_prefill(model, soc_cfg, prompt_len, route)
-}
-
-/// Exact prefill latency of the NPU-pipe fallback engine under
-/// `soc_cfg`: weight Matmuls decompose into standard-size pipe chunks
-/// on the NPU, aux/attention kernels run on the GPU, and every backend
-/// transition pays one switch constant.
-pub fn npu_pipe_prefill(model: &ModelConfig, soc_cfg: &SocConfig, prompt_len: usize) -> SimTime {
-    let route = FixedRoute::npu(model, MisalignStrategy::Pipe, true);
-    fallback_prefill(model, soc_cfg, prompt_len, route)
-}
-
-/// A fallback engine's prefill walk in the interval domain. Its route
-/// is serial, so the interval is a point.
-fn fallback_prefill(
+/// Prefill latency of the fixed-route engine `kind` under `soc_cfg`:
+/// the route [`EngineKind::build`] gives it, walked in the interval
+/// domain, or `None` for Hetero-tensor, which follows no fixed route
+/// (see [`HeteroMirror`]). The route is serial, so the interval is a
+/// point: the prefill time of that route on `Soc::new(soc_cfg)`, less
+/// any per-request prologue (Online-prepare's graph generation). The
+/// runtime controller vets its GPU-only and NPU-pipe fallbacks with
+/// it.
+pub fn fallback_prefill(
+    kind: EngineKind,
     model: &ModelConfig,
     soc_cfg: &SocConfig,
     prompt_len: usize,
-    mut route: FixedRoute,
-) -> SimTime {
+) -> Option<SimTime> {
+    let mut route = kind.route(model)?;
     let mut costs = Intervals::new(Soc::new(soc_cfg.clone()));
     let trace = prefill_trace(model, prompt_len);
     run_phase(&mut costs, &mut route, &trace, Dominance::NpuDominant)
         .expect("built-in traces give every weight matmul a shape");
-    costs.total.lo
+    Some(costs.total.lo)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::{BaselineEngine, Engine, EngineKind, HeteroTensorEngine};
+    use crate::engines::{BaselineEngine, Engine, HeteroTensorEngine};
     use hetero_soc::specs::{project_config, table1};
     use proptest::prelude::*;
 
@@ -233,7 +222,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The fallback mirrors are exact: for both fallback kinds,
+        /// The fallback floor is exact: for both fallback kinds,
         /// three models, prompts past the largest graph size, and the
         /// default engine config or a Table-1 projection, the interval
         /// walk equals the DES engine's prefill time on the same route
@@ -255,13 +244,9 @@ mod tests {
                 .chain(table1().iter().filter_map(project_config))
                 .collect();
             let cfg = &socs[soc_ix % socs.len()];
-            let (bound, route, kind) = if pipe {
-                let route = FixedRoute::npu(&model, MisalignStrategy::Pipe, true);
-                (npu_pipe_prefill(&model, cfg, m), route, EngineKind::NpuPipe)
-            } else {
-                let route = FixedRoute::host_only(Backend::Gpu);
-                (gpu_only_prefill(&model, cfg, m), route, EngineKind::PplOpenCl)
-            };
+            let kind = if pipe { EngineKind::NpuPipe } else { EngineKind::PplOpenCl };
+            let bound = fallback_prefill(kind, &model, cfg, m).expect("a fixed-route kind");
+            let route = kind.route(&model).expect("a fixed-route kind");
             let mut engine =
                 BaselineEngine::with_parts(kind.name(), &model, Soc::new(cfg.clone()), route);
             prop_assert_eq!(bound, engine.prefill(m).elapsed);

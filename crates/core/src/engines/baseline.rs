@@ -34,7 +34,9 @@ use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::DType;
 
 use crate::engines::walk::{Des, Planner};
-use crate::engines::{assist_soc, hetero_soc_config, llama_cpp_soc_config, npu_kernel, WalkEngine};
+use crate::engines::{
+    assist_soc, hetero_soc_config, llama_cpp_soc_config, npu_kernel, EngineKind, WalkEngine,
+};
 use crate::model::ModelConfig;
 
 /// How the NPU handles sequence lengths without a compiled graph
@@ -242,36 +244,97 @@ pub const MLLM_CHUNK: usize = 256;
 /// A baseline engine: the one engine under a [`FixedRoute`].
 pub type BaselineEngine = WalkEngine<FixedRoute>;
 
+impl EngineKind {
+    /// The fixed route a baseline kind runs, or `None` for
+    /// Hetero-tensor, whose solver plans every weight Matmul.
+    ///
+    /// [`EngineKind::build`] and the static fallback floor
+    /// ([`crate::admit::fallback_prefill`]) both read their routes
+    /// here.
+    pub(crate) fn route(self, model: &ModelConfig) -> Option<FixedRoute> {
+        let npu = |strategy| FixedRoute::npu(model, strategy, true);
+        Some(match self {
+            Self::LlamaCpp => FixedRoute::host_only(Backend::Cpu),
+            Self::Mlc | Self::MnnOpenCl | Self::PplOpenCl => FixedRoute::host_only(Backend::Gpu),
+            Self::NpuPadding => npu(MisalignStrategy::Padding),
+            Self::NpuOnlinePrepare => npu(MisalignStrategy::OnlinePrepare),
+            Self::NpuPipe => npu(MisalignStrategy::Pipe),
+            Self::ChunkedPrefill => npu(MisalignStrategy::Chunked { chunk: 512 }),
+            Self::MllmNpu => FixedRoute {
+                host: Backend::Cpu,
+                int8: true,
+                ..npu(MisalignStrategy::Chunked { chunk: MLLM_CHUNK })
+            },
+            Self::HeteroLayer => FixedRoute::npu(model, MisalignStrategy::Padding, false),
+            Self::HeteroTensor => return None,
+        })
+    }
+}
+
 impl BaselineEngine {
+    /// The engine of a baseline `kind`: its legend name, its stock SoC
+    /// and its route from [`EngineKind::route`].
+    ///
+    /// # Panics
+    ///
+    /// Panics for Hetero-tensor, which follows no fixed route.
+    pub(crate) fn of(kind: EngineKind, model: &ModelConfig, sync: SyncMechanism) -> Self {
+        let route = kind
+            .route(model)
+            .expect("a baseline kind has a fixed route");
+        let gpu_tier = |tier: GpuTier| {
+            let mut soc_cfg = SocConfig::snapdragon_8gen3();
+            soc_cfg.gpu = tier.gpu_model();
+            Soc::new(soc_cfg)
+        };
+        let soc = match kind {
+            EngineKind::LlamaCpp => {
+                let mut soc = Soc::new(llama_cpp_soc_config());
+                soc.set_cpu_compute();
+                soc
+            }
+            EngineKind::Mlc => gpu_tier(GpuTier::Mlc),
+            EngineKind::MnnOpenCl => gpu_tier(GpuTier::Mnn),
+            EngineKind::PplOpenCl => gpu_tier(GpuTier::PplOpenCl),
+            EngineKind::MllmNpu => {
+                let mut soc_cfg = hetero_soc_config(sync);
+                // The calibrated effective throughput already folds in
+                // the framework's own layout transformations and
+                // outlier handling, so the generic shape penalty is
+                // disabled (floor = peak) to avoid double-counting.
+                soc_cfg.npu.peak_tflops = MLLM_EFFECTIVE_INT8_TFLOPS;
+                soc_cfg.npu.min_effective_tflops = MLLM_EFFECTIVE_INT8_TFLOPS;
+                Soc::new(soc_cfg)
+            }
+            _ => assist_soc(hetero_soc_config(sync)),
+        };
+        Self::with_parts(kind.name(), model, soc, route)
+    }
+
     /// A GPU-only engine of the given framework tier.
     pub fn gpu(model: &ModelConfig, tier: GpuTier) -> Self {
-        let mut soc_cfg = SocConfig::snapdragon_8gen3();
-        soc_cfg.gpu = tier.gpu_model();
-        let route = FixedRoute::host_only(Backend::Gpu);
-        Self::with_parts(tier.name(), model, Soc::new(soc_cfg), route)
+        let kind = match tier {
+            GpuTier::PplOpenCl => EngineKind::PplOpenCl,
+            GpuTier::Mlc => EngineKind::Mlc,
+            GpuTier::Mnn => EngineKind::MnnOpenCl,
+        };
+        Self::of(kind, model, SyncMechanism::Fast)
     }
 
     /// The llama.cpp-style CPU engine.
     pub fn llama_cpp(model: &ModelConfig) -> Self {
-        let mut soc = Soc::new(llama_cpp_soc_config());
-        soc.set_cpu_compute();
-        Self::with_parts("llama.cpp", model, soc, FixedRoute::host_only(Backend::Cpu))
+        Self::of(EngineKind::LlamaCpp, model, SyncMechanism::Fast)
     }
 
     /// HeteroLLM with layer-level heterogeneous execution: prefill pads
     /// misaligned lengths, decode Matmuls go to the GPU (§5.3).
     pub fn hetero_layer(model: &ModelConfig, sync: SyncMechanism) -> Self {
-        let route = FixedRoute::npu(model, MisalignStrategy::Padding, false);
-        Self::with_parts(
-            "Hetero-layer",
-            model,
-            assist_soc(hetero_soc_config(sync)),
-            route,
-        )
+        Self::of(EngineKind::HeteroLayer, model, sync)
     }
 
     /// An engine whose weight Matmuls all run on the NPU under one
-    /// misalignment strategy.
+    /// misalignment strategy (any chunk size for
+    /// [`MisalignStrategy::Chunked`]).
     pub fn npu_only(model: &ModelConfig, strategy: MisalignStrategy, sync: SyncMechanism) -> Self {
         let name = match strategy {
             MisalignStrategy::Padding => "Padding",
@@ -285,20 +348,7 @@ impl BaselineEngine {
 
     /// MLLM-NPU-style engine: chunked INT8 NPU prefill, CPU aux kernels.
     pub fn mllm_npu(model: &ModelConfig, sync: SyncMechanism) -> Self {
-        let mut soc_cfg = hetero_soc_config(sync);
-        // The calibrated effective throughput already folds in the
-        // framework's own layout transformations and outlier handling,
-        // so the generic shape penalty is disabled (floor = peak) to
-        // avoid double-counting.
-        soc_cfg.npu.peak_tflops = MLLM_EFFECTIVE_INT8_TFLOPS;
-        soc_cfg.npu.min_effective_tflops = MLLM_EFFECTIVE_INT8_TFLOPS;
-        let strategy = MisalignStrategy::Chunked { chunk: MLLM_CHUNK };
-        let route = FixedRoute {
-            host: Backend::Cpu,
-            int8: true,
-            ..FixedRoute::npu(model, strategy, true)
-        };
-        Self::with_parts("MLLM-NPU", model, Soc::new(soc_cfg), route)
+        Self::of(EngineKind::MllmNpu, model, sync)
     }
 }
 

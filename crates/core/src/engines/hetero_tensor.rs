@@ -8,9 +8,9 @@
 use hetero_profiler::measure::{partition_shape_grid, profile_matmuls};
 use hetero_profiler::{CostProvider, PredictedProvider, RealExecProvider};
 use hetero_soc::calib::STANDARD_GRAPH_SIZES;
-use hetero_soc::sync::{Dominance, SyncMechanism};
+use hetero_soc::sync::SyncMechanism;
 use hetero_soc::{Backend, Soc};
-use hetero_solver::{PartitionPlan, SolverConfig};
+use hetero_solver::SolverConfig;
 use hetero_tensor::shape::MatmulShape;
 
 use crate::engines::{assist_soc, hetero_soc_config, SolverPlanner, WalkEngine};
@@ -125,12 +125,6 @@ impl<P: CostProvider> HeteroTensorEngine<P> {
         planner: SolverPlanner<P>,
     ) -> Self {
         Self::with_parts("Hetero-tensor", model, assist_soc(soc_cfg), planner)
-    }
-
-    /// The solved plan for an operator at a sequence length (exposed
-    /// for the experiment harness).
-    pub fn plan_for(&mut self, op: &'static str, shape: MatmulShape) -> PartitionPlan {
-        self.planner.choice(op, shape, Dominance::NpuDominant).plan
     }
 }
 

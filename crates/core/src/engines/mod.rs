@@ -22,6 +22,7 @@ use ::hetero_tensor::DType;
 use hetero_soc::power::PowerReport;
 use hetero_soc::sync::{Dominance, SyncMechanism};
 use hetero_soc::{calib, KernelDesc, Soc, SocConfig};
+use hetero_solver::PartitionPlan;
 
 use crate::error::EngineError;
 use crate::model::ModelConfig;
@@ -76,6 +77,12 @@ pub trait Engine {
             Err(e) => panic!("decode failed: {e}"),
         }
     }
+
+    /// The partition plan this engine adopts for the prefill weight
+    /// Matmul `op` at `shape`. An op the planner keeps whole on its
+    /// host backend reads `GpuOnly` (no NPU share; the host is the GPU
+    /// on every route but llama.cpp's).
+    fn plan_for(&mut self, op: &'static str, shape: MatmulShape) -> PartitionPlan;
 
     /// The engine's per-kernel observers.
     fn observers(&mut self) -> &mut Observers;
@@ -194,6 +201,12 @@ impl<Pl: Planner> Engine for WalkEngine<Pl> {
         })
     }
 
+    fn plan_for(&mut self, op: &'static str, shape: MatmulShape) -> PartitionPlan {
+        self.planner
+            .plan(op, shape, Dominance::NpuDominant)
+            .unwrap_or(PartitionPlan::GpuOnly)
+    }
+
     fn observers(&mut self) -> &mut Observers {
         &mut self.des.obs
     }
@@ -286,19 +299,9 @@ impl EngineKind {
     /// cross backends and run their stock SoC configuration, so they
     /// ignore it; every other engine pays it.
     pub fn build(self, model: &ModelConfig, sync: SyncMechanism) -> Box<dyn Engine> {
-        let npu_only = |strategy| Box::new(BaselineEngine::npu_only(model, strategy, sync));
         match self {
-            Self::LlamaCpp => Box::new(BaselineEngine::llama_cpp(model)),
-            Self::Mlc => Box::new(BaselineEngine::gpu(model, GpuTier::Mlc)),
-            Self::MnnOpenCl => Box::new(BaselineEngine::gpu(model, GpuTier::Mnn)),
-            Self::PplOpenCl => Box::new(BaselineEngine::gpu(model, GpuTier::PplOpenCl)),
-            Self::NpuPadding => npu_only(MisalignStrategy::Padding),
-            Self::NpuOnlinePrepare => npu_only(MisalignStrategy::OnlinePrepare),
-            Self::NpuPipe => npu_only(MisalignStrategy::Pipe),
-            Self::ChunkedPrefill => npu_only(MisalignStrategy::Chunked { chunk: 512 }),
-            Self::MllmNpu => Box::new(BaselineEngine::mllm_npu(model, sync)),
-            Self::HeteroLayer => Box::new(BaselineEngine::hetero_layer(model, sync)),
             Self::HeteroTensor => Box::new(HeteroTensorEngine::new(model, sync)),
+            kind => Box::new(BaselineEngine::of(kind, model, sync)),
         }
     }
 }

@@ -5,7 +5,7 @@
 //! runtime controller reacts to failures instead of crashing. This
 //! module is the single error type those paths propagate.
 
-use hetero_soc::des::CausalityError;
+use hetero_soc::disturb::CausalityError;
 use hetero_tensor::TensorError;
 
 /// An engine-level failure.

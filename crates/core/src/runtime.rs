@@ -39,8 +39,7 @@ use hetero_tensor::rng::draw;
 use hetero_tensor::shape::MatmulShape;
 use serde::{Deserialize, Serialize};
 
-use crate::engines::HeteroTensorEngine;
-use crate::engines::{hetero_soc_config, Engine, EngineKind};
+use crate::engines::{hetero_soc_config, Engine, EngineKind, HeteroTensorEngine};
 use crate::error::EngineError;
 use crate::integrity::{IntegrityCounters, IntegrityMode};
 use crate::model::ModelConfig;
@@ -116,7 +115,19 @@ impl SloPolicy {
     }
 }
 
-/// Controller configuration: the SLO policy plus reaction knobs.
+/// Flaky-rendezvous retries tolerated per rendezvous before an
+/// adaptive controller downgrades the sync mechanism to the driver
+/// path.
+const MAX_SYNC_RETRIES: u32 = 1;
+
+/// Backoff before the first rendezvous retry; doubles per attempt.
+const RETRY_BACKOFF: SimTime = SimTime::from_micros(500);
+
+/// Charged once per replan, fallback, or restore of the primary
+/// (solver re-solve + graph swap on the real runtime).
+const REPLAN_OVERHEAD: SimTime = SimTime::from_millis(5);
+
+/// Controller configuration: the SLO policy plus reaction switches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ControllerConfig {
     /// Deadlines the watchdog checks every request against.
@@ -124,14 +135,6 @@ pub struct ControllerConfig {
     /// Whether the controller reacts at all; `false` is the static
     /// baseline that keeps its calibration-time plans throughout.
     pub adaptive: bool,
-    /// Flaky-rendezvous retries tolerated per rendezvous before the
-    /// sync mechanism is downgraded to the driver path.
-    pub max_sync_retries: u32,
-    /// Backoff before the first rendezvous retry; doubles per attempt.
-    pub retry_backoff: SimTime,
-    /// Charged once per replan, fallback, or sync-mechanism switch
-    /// (solver re-solve + graph swap on the real runtime).
-    pub replan_overhead: SimTime,
     /// Data-integrity layer mode; `Off` preserves the pre-integrity
     /// controller behavior exactly.
     pub integrity: IntegrityMode,
@@ -144,14 +147,11 @@ pub struct ControllerConfig {
 }
 
 impl ControllerConfig {
-    /// An adaptive controller with default reaction knobs.
+    /// An adaptive controller.
     pub fn adaptive(slo: SloPolicy) -> Self {
         Self {
             slo,
             adaptive: true,
-            max_sync_retries: 1,
-            retry_backoff: SimTime::from_micros(500),
-            replan_overhead: SimTime::from_millis(5),
             integrity: IntegrityMode::Off,
             bound_precheck: false,
         }
@@ -218,9 +218,8 @@ pub struct DegradationReport {
 
 /// Which engine currently serves requests.
 enum ActiveEngine {
-    /// The tensor-hybrid primary (replannable, concrete type so the
-    /// controller can extract its partition plans).
-    Primary(Box<HeteroTensorEngine>),
+    /// The tensor-hybrid primary (replannable).
+    Primary(Box<dyn Engine>),
     /// A single-backend fallback engine.
     Fallback(Box<dyn Engine>),
 }
@@ -228,8 +227,7 @@ enum ActiveEngine {
 impl ActiveEngine {
     fn as_engine(&mut self) -> &mut dyn Engine {
         match self {
-            ActiveEngine::Primary(e) => e.as_mut(),
-            ActiveEngine::Fallback(b) => b.as_mut(),
+            ActiveEngine::Primary(e) | ActiveEngine::Fallback(e) => e.as_mut(),
         }
     }
 }
@@ -761,45 +759,38 @@ impl RuntimeController {
 
     /// The single-backend fallback the controller would adopt for
     /// `cond`: the healthy backend by efficiency, optionally vetoed by
-    /// the static pre-admission bound.
+    /// the static pre-admission bound. A fallback records the plans of
+    /// the engine it builds ([`Engine::plan_for`]).
     ///
     /// With [`ControllerConfig::bound_precheck`] enabled, each
-    /// candidate's *exact* prefill floor at [`MAX_PROMPT`] (the
-    /// single-backend mirrors of [`crate::admit`] — pure cost
-    /// arithmetic, no engine build, no simulation) is compared against
-    /// the TTFT budget: a preferred candidate that cannot meet the
-    /// budget even in the best case is swapped for the alternative when
-    /// the alternative can. If both are statically infeasible the
+    /// candidate's *exact* prefill floor at [`MAX_PROMPT`]
+    /// ([`crate::admit::fallback_prefill`] over the candidate's fixed
+    /// route — pure cost arithmetic, no engine build, no simulation)
+    /// is compared against the TTFT budget: a preferred candidate that
+    /// cannot meet the budget even in the best case is swapped for the
+    /// alternative when the alternative can. If both are statically infeasible the
     /// healthy-backend preference stands (degraded service beats no
     /// service).
-    pub fn fallback_decision(&mut self, cond: &SocCondition) -> (EngineKind, PartitionPlan) {
+    pub fn fallback_decision(&mut self, cond: &SocCondition) -> EngineKind {
         let npu_eff = cond.npu_derate * cond.thermal_factor;
         let gpu_eff = cond.gpu_derate * cond.thermal_factor;
-        let gpu_side = (EngineKind::PplOpenCl, PartitionPlan::GpuOnly);
-        let npu_side = (
-            EngineKind::NpuPipe,
-            PartitionPlan::NpuOnly { padded_m: 256 },
-        );
-        let prefer_gpu = npu_eff <= gpu_eff;
-        let (preferred, alternative) = if prefer_gpu {
-            (gpu_side, npu_side)
+        let (preferred, alternative) = if npu_eff <= gpu_eff {
+            (EngineKind::PplOpenCl, EngineKind::NpuPipe)
         } else {
-            (npu_side, gpu_side)
+            (EngineKind::NpuPipe, EngineKind::PplOpenCl)
         };
         if !self.cfg.bound_precheck {
             return preferred;
         }
         let exec_cfg = cond.apply_to(&hetero_soc_config(self.sync));
-        let floor = |kind: EngineKind| match kind {
-            EngineKind::PplOpenCl => {
-                crate::admit::gpu_only_prefill(&self.model, &exec_cfg, MAX_PROMPT)
-            }
-            _ => crate::admit::npu_pipe_prefill(&self.model, &exec_cfg, MAX_PROMPT),
+        let fits = |kind: EngineKind| {
+            crate::admit::fallback_prefill(kind, &self.model, &exec_cfg, MAX_PROMPT)
+                .is_some_and(|floor| floor <= self.cfg.slo.ttft)
         };
-        if floor(preferred.0) <= self.cfg.slo.ttft {
+        if fits(preferred) {
             return preferred;
         }
-        if floor(alternative.0) <= self.cfg.slo.ttft {
+        if fits(alternative) {
             self.bound_rejections += 1;
             return alternative;
         }
@@ -814,7 +805,7 @@ impl RuntimeController {
         // Sync downgrade / restore reacts to the flaky window itself:
         // past the retry budget, flagged rendezvous go through the
         // driver path (priced in `sync_penalty`) until the window ends.
-        if cond.sync_failures > self.cfg.max_sync_retries && !self.sync_downgraded {
+        if cond.sync_failures > MAX_SYNC_RETRIES && !self.sync_downgraded {
             self.sync_downgraded = true;
             self.sync_downgrades += 1;
         } else if cond.sync_failures == 0 && self.sync_downgraded {
@@ -829,7 +820,7 @@ impl RuntimeController {
             ActiveEngine::Primary(_) if severe || watchdog => {
                 // Backend fallback: run on the healthy backend alone,
                 // subject to the static pre-admission veto.
-                let (kind, plan) = self.fallback_decision(cond);
+                let kind = self.fallback_decision(cond);
                 self.harvest_concurrency_log();
                 self.energy_j += self.engine.as_engine().finish().energy_j;
                 let engine = kind.build(&self.model, self.sync);
@@ -839,8 +830,8 @@ impl RuntimeController {
                 self.planned = cond.clone();
                 self.fallbacks += 1;
                 self.slow_streak = 0;
-                self.record_plans_uniform(&plan);
-                overhead += self.cfg.replan_overhead;
+                self.record_plans();
+                overhead += REPLAN_OVERHEAD;
             }
             ActiveEngine::Fallback(_) if cond.is_quiet() => {
                 // Disturbance passed: restore the tensor-hybrid primary.
@@ -850,7 +841,7 @@ impl RuntimeController {
                 // Re-solve the partition against the adjusted profile.
                 self.replans += 1;
                 overhead += self.rebuild(cond);
-                self.record_primary_plans();
+                self.record_plans();
             }
             _ => {}
         }
@@ -868,37 +859,20 @@ impl RuntimeController {
         self.engine = ActiveEngine::Primary(Box::new(engine));
         self.rearm_concurrency_log(self.sync);
         self.planned = cond.clone();
-        self.cfg.replan_overhead
+        REPLAN_OVERHEAD
     }
 
-    /// Record the primary engine's current plans for the model's
-    /// weight matmuls at the standard prefill shape.
-    fn record_primary_plans(&mut self) {
-        let ops = self.model.matmul_ops();
-        if let ActiveEngine::Primary(engine) = &mut self.engine {
-            for (op, k, n) in ops {
-                let plan = engine.plan_for(op, MatmulShape::new(256, k, n));
-                self.fallback_plans.push(PlanRecord {
-                    op: op.to_string(),
-                    m: 256,
-                    k,
-                    n,
-                    plan,
-                });
-            }
-        }
-    }
-
-    /// Record one degenerate plan per weight matmul (what a
-    /// single-backend fallback effectively runs).
-    fn record_plans_uniform(&mut self, plan: &PartitionPlan) {
+    /// Record the active engine's plans for the model's weight matmuls
+    /// at the standard prefill shape.
+    fn record_plans(&mut self) {
+        let engine = self.engine.as_engine();
         for (op, k, n) in self.model.matmul_ops() {
             self.fallback_plans.push(PlanRecord {
                 op: op.to_string(),
                 m: 256,
                 k,
                 n,
-                plan: plan.clone(),
+                plan: engine.plan_for(op, MatmulShape::new(256, k, n)),
             });
         }
     }
@@ -929,7 +903,7 @@ impl RuntimeController {
                 .as_nanos()
         } else {
             let attempts = if self.cfg.adaptive {
-                cond.sync_failures.min(self.cfg.max_sync_retries)
+                cond.sync_failures.min(MAX_SYNC_RETRIES)
             } else {
                 cond.sync_failures
             };
@@ -941,7 +915,7 @@ impl RuntimeController {
                     clog.push_marker(self.sync, at);
                 }
             }
-            self.cfg.retry_backoff.as_nanos() * ((1u64 << attempts) - 1)
+            RETRY_BACKOFF.as_nanos() * ((1u64 << attempts) - 1)
         };
         SimTime::from_nanos(per_rendezvous * self.model.layers as u64)
     }
@@ -1170,8 +1144,9 @@ mod tests {
         let cond = SocCondition::quiet();
         let cfg_base = hetero_soc_config(SyncMechanism::Fast);
         let exec_cfg = cond.apply_to(&cfg_base);
-        let gpu_floor = crate::admit::gpu_only_prefill(&model, &exec_cfg, MAX_PROMPT);
-        let npu_floor = crate::admit::npu_pipe_prefill(&model, &exec_cfg, MAX_PROMPT);
+        let floor = |kind| crate::admit::fallback_prefill(kind, &model, &exec_cfg, MAX_PROMPT);
+        let gpu_floor = floor(EngineKind::PplOpenCl).expect("a fixed-route kind");
+        let npu_floor = floor(EngineKind::NpuPipe).expect("a fixed-route kind");
         assert!(
             gpu_floor > slo.ttft,
             "gpu floor {gpu_floor} vs ttft {:?}",
@@ -1185,7 +1160,7 @@ mod tests {
 
         // Without the pre-check: healthy-backend preference stands.
         let mut plain = RuntimeController::new(&model, ControllerConfig::adaptive(slo));
-        assert_eq!(plain.fallback_decision(&cond).0, EngineKind::PplOpenCl);
+        assert_eq!(plain.fallback_decision(&cond), EngineKind::PplOpenCl);
         assert_eq!(plain.bound_rejections(), 0);
 
         // With the pre-check: the infeasible candidate is rejected by
@@ -1195,9 +1170,14 @@ mod tests {
             &model,
             ControllerConfig::adaptive(slo).with_bound_precheck(),
         );
-        let (kind, plan) = checked.fallback_decision(&cond);
+        let kind = checked.fallback_decision(&cond);
         assert_eq!(kind, EngineKind::NpuPipe);
-        assert_eq!(plan, PartitionPlan::NpuOnly { padded_m: 256 });
+        // A fallback to it records the Pipe engine's own plans.
+        let ffn_down = MatmulShape::new(256, model.ffn, model.hidden);
+        let plan = kind
+            .build(&model, SyncMechanism::Fast)
+            .plan_for("ffn_down", ffn_down);
+        assert!(matches!(plan, PartitionPlan::NpuPipe { .. }), "{plan:?}");
         assert_eq!(checked.bound_rejections(), 1);
     }
 
@@ -1215,8 +1195,41 @@ mod tests {
             gpu_derate: 0.1,
             ..SocCondition::quiet()
         };
-        let (kind, _) = c.fallback_decision(&cond);
+        let kind = c.fallback_decision(&cond);
         assert_eq!(kind, EngineKind::NpuPipe);
         assert_eq!(c.bound_rejections(), 0);
+    }
+
+    #[test]
+    fn npu_pipe_fallback_records_the_engines_own_plans() {
+        use hetero_soc::disturb::Disturbance;
+        use hetero_soc::interference::RenderWorkload;
+        let model = ModelConfig::internlm_1_8b();
+        let slo = SloPolicy::calibrated(&model);
+        // Rendering holds 90% of the GPU for the whole stream
+        // (gpu_derate 0.1): the controller falls back to the NPU side.
+        let render = RenderWorkload {
+            frame_interval: SimTime::from_millis(10),
+            frame_gpu_time: SimTime::from_millis(9),
+        };
+        let trace = DisturbanceTrace::new(0).with(
+            SimTime::ZERO,
+            SimTime::from_millis(600_000),
+            Disturbance::RenderBurst { render },
+        );
+        let requests = conversation_traffic(3, 4, SimTime::from_millis(500));
+        let report = RuntimeController::new(&model, ControllerConfig::adaptive(slo))
+            .run(&requests, &trace)
+            .unwrap();
+        assert_eq!(report.summary.fallbacks, 1, "{:?}", report.summary);
+        assert_eq!(report.summary.replans, 0, "{:?}", report.summary);
+        let mut pipe = EngineKind::NpuPipe.build(&model, SyncMechanism::Fast);
+        let ops = model.matmul_ops();
+        assert_eq!(report.fallback_plans.len(), ops.len());
+        for (record, (op, k, n)) in report.fallback_plans.iter().zip(ops) {
+            assert_eq!((record.op.as_str(), record.m), (op, 256));
+            assert_eq!((record.k, record.n), (k, n));
+            assert_eq!(record.plan, pipe.plan_for(op, MatmulShape::new(256, k, n)));
+        }
     }
 }

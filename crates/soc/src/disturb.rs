@@ -6,16 +6,16 @@
 //! sustained throughput (§4), background apps steal memory bandwidth,
 //! the camera/ISP stack can claim the NPU outright, and rendezvous
 //! synchronization occasionally has to be retried. This module models
-//! those disturbances as *timed windows* scheduled through the DES
-//! ([`EventQueue`]), compiled into a [`Timeline`] of piecewise-constant
+//! those disturbances as *timed windows*, compiled by one sweep over
+//! the window edges into a [`Timeline`] of piecewise-constant
 //! [`SocCondition`]s that a runtime controller can sample and apply to
 //! a [`SocConfig`].
 //!
-//! Traces are external inputs, so every scheduling step goes through
-//! [`EventQueue::try_schedule`]: a malformed window (e.g. `end` before
-//! `start`) surfaces as a typed [`CausalityError`] instead of a panic.
-//! Generation is seeded (splitmix64) and uses no ambient randomness, so
-//! the same seed always yields the same trace and the same timeline.
+//! Traces are external inputs, so compiling one checks every window: a
+//! malformed window (`end` before `start`) surfaces as a typed
+//! [`CausalityError`] instead of a panic. Generation is seeded
+//! (splitmix64) and uses no ambient randomness, so the same seed always
+//! yields the same trace and the same timeline.
 
 use std::sync::OnceLock;
 
@@ -23,7 +23,6 @@ use serde::{Deserialize, Serialize};
 
 use hetero_tensor::rng::draw;
 
-use crate::des::{CausalityError, EventQueue};
 use crate::interference::RenderWorkload;
 use crate::soc::SocConfig;
 use crate::thermal::ThermalModel;
@@ -162,6 +161,31 @@ impl SocCondition {
     }
 }
 
+/// A disturbance window that ends before it starts: switching it off
+/// would move the clock into the past.
+///
+/// Returned by [`DisturbanceTrace::timeline`], which rejects malformed
+/// external traces instead of crashing the simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CausalityError {
+    /// The clock when the window's end was reached: its start.
+    pub now: SimTime,
+    /// The (past) time the window claims to end.
+    pub at: SimTime,
+}
+
+impl core::fmt::Display for CausalityError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "cannot schedule into the past: event at {} but the clock is at {}",
+            self.at, self.now
+        )
+    }
+}
+
+impl std::error::Error for CausalityError {}
+
 /// A seeded schedule of disturbance windows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DisturbanceTrace {
@@ -245,50 +269,42 @@ impl DisturbanceTrace {
             )
     }
 
-    /// Compile the trace into a [`Timeline`] by scheduling every window
-    /// edge through the DES.
+    /// Compile the trace into a [`Timeline`] with one sweep over the
+    /// window edges.
     ///
-    /// On-edges are scheduled up front; each window's off-edge is
-    /// scheduled *when its on-edge fires*, so a window whose `end`
+    /// The first window, in `(start, index)` order, whose `end`
     /// precedes its `start` is rejected with a [`CausalityError`]
-    /// rather than silently reordered (or panicking): traces are
-    /// external inputs.
+    /// rather than silently reordered: traces are external inputs.
+    /// Otherwise the timeline has a point at zero and at every distinct
+    /// window edge `t`, holding the condition of every window with
+    /// `start <= t < end`, absorbed in window order (a zero-length
+    /// window leaves a point but no effect).
     pub fn timeline(&self) -> Result<Timeline, CausalityError> {
-        #[derive(PartialEq, Eq)]
-        struct Edge {
-            idx: usize,
-            on: bool,
+        let malformed = self.windows.iter().filter(|w| w.end < w.start);
+        if let Some(w) = malformed.min_by_key(|w| w.start) {
+            return Err(CausalityError {
+                now: w.start,
+                at: w.end,
+            });
         }
-        let mut q = EventQueue::new();
-        for (idx, w) in self.windows.iter().enumerate() {
-            q.try_schedule(w.start, Edge { idx, on: true })?;
-        }
-        let mut open = vec![false; self.windows.len()];
-        let mut points: Vec<(SimTime, SocCondition)> = vec![(SimTime::ZERO, SocCondition::quiet())];
-        while let Some((t, edge)) = q.pop() {
-            if edge.on {
-                open[edge.idx] = true;
-                q.try_schedule(
-                    self.windows[edge.idx].end,
-                    Edge {
-                        idx: edge.idx,
-                        on: false,
-                    },
-                )?;
-            } else {
-                open[edge.idx] = false;
-            }
-            let mut cond = SocCondition::quiet();
-            for (idx, w) in self.windows.iter().enumerate() {
-                if open[idx] {
+        let mut edges: Vec<SimTime> = self
+            .windows
+            .iter()
+            .flat_map(|w| [w.start, w.end])
+            .chain([SimTime::ZERO])
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let points = edges
+            .into_iter()
+            .map(|t| {
+                let mut cond = SocCondition::quiet();
+                for w in self.windows.iter().filter(|w| w.start <= t && t < w.end) {
                     cond.absorb(&w.disturbance);
                 }
-            }
-            match points.last_mut() {
-                Some(last) if last.0 == t => last.1 = cond,
-                _ => points.push((t, cond)),
-            }
-        }
+                (t, cond)
+            })
+            .collect();
         Ok(Timeline { points })
     }
 }

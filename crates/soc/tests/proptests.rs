@@ -4,8 +4,11 @@
 //! takes less time, more bandwidth never hurts, the arbiter never
 //! over-allocates, and the overlap algebra stays within its bounds.
 
-use hetero_soc::des::EventQueue;
+use hetero_soc::disturb::{
+    CausalityError, Disturbance, DisturbanceTrace, SocCondition, NPU_UNAVAILABLE_DERATE,
+};
 use hetero_soc::gpu::GpuModel;
+use hetero_soc::interference::RenderWorkload;
 use hetero_soc::memory::MemorySystem;
 use hetero_soc::npu::NpuModel;
 use hetero_soc::parallel::overlap;
@@ -153,64 +156,6 @@ proptest! {
         prop_assert!(o.makespan() + SimTime::from_nanos(1) >= a_solo.max(b_solo));
     }
 
-    /// The event queue is a stable (time, insertion-order) min-queue:
-    /// simultaneous events pop in FIFO order, for any schedule.
-    #[test]
-    fn simultaneous_events_pop_fifo(
-        times in proptest::collection::vec(0u64..50, 1..40),
-    ) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), i);
-        }
-        let mut popped = Vec::new();
-        while let Some(ev) = q.pop() {
-            popped.push(ev);
-        }
-        let mut expect: Vec<(SimTime, usize)> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (SimTime::from_micros(t), i))
-            .collect();
-        // A stable sort by time keeps ties in insertion order.
-        expect.sort_by_key(|&(t, _)| t);
-        prop_assert_eq!(popped, expect);
-    }
-
-    /// A rejected `try_schedule` (causality violation) consumes nothing
-    /// observable: later events pop in exactly the order of a queue
-    /// that never saw the rejected call — including FIFO tie-breaks.
-    #[test]
-    fn rejected_try_schedule_never_perturbs_ordering(
-        pre in proptest::collection::vec(1u64..50, 1..20),
-        post in proptest::collection::vec(0u64..50, 1..20),
-    ) {
-        let mut test = EventQueue::new();
-        let mut control = EventQueue::new();
-        for (i, &t) in pre.iter().enumerate() {
-            test.schedule(SimTime::from_micros(t), i);
-            control.schedule(SimTime::from_micros(t), i);
-        }
-        while control.pop().is_some() {
-            prop_assert!(test.pop().is_some());
-        }
-        // The clock sits at the latest pre event (≥ 1 µs); a strictly
-        // earlier event must be rejected — on the test queue only.
-        let max_t = *pre.iter().max().unwrap();
-        let err = test.try_schedule(SimTime::from_micros(max_t - 1), usize::MAX);
-        prop_assert!(err.is_err(), "past event must be rejected");
-        for (i, &t) in post.iter().enumerate() {
-            let at = test.now() + SimTime::from_micros(t);
-            test.try_schedule(at, 1000 + i).expect("future event");
-            control.try_schedule(at, 1000 + i).expect("future event");
-        }
-        while let Some(expected) = control.pop() {
-            prop_assert_eq!(test.peek().map(|(at, &e)| (at, e)), Some(expected));
-            prop_assert_eq!(test.pop(), Some(expected));
-        }
-        prop_assert!(test.pop().is_none());
-    }
-
     #[test]
     fn kernel_accounting_nonnegative_and_consistent(
         m in 1usize..512,
@@ -221,5 +166,117 @@ proptest! {
         prop_assert_eq!(kernel.flops(), 2 * (m * k * n) as u64);
         prop_assert!(kernel.bytes() > 0);
         prop_assert!(kernel.weight_bytes() <= kernel.bytes());
+    }
+}
+
+/// One generated window: `(start ms, length ms, malformed draw, kind)`.
+/// A zero draw (one in twelve) turns the window around so it ends
+/// before it starts; a zero length makes it zero-length.
+type WindowDraw = (u64, u64, u8, u8);
+
+fn build_trace(draws: &[WindowDraw]) -> DisturbanceTrace {
+    draws.iter().fold(
+        DisturbanceTrace::new(0),
+        |trace, &(start, len, bad, kind)| {
+            let end = if bad == 0 {
+                start.saturating_sub(len + 1)
+            } else {
+                start + len
+            };
+            let disturbance = match kind {
+                0 => Disturbance::RenderBurst {
+                    render: RenderWorkload::game_60fps(),
+                },
+                1 => Disturbance::ThermalThrottle {
+                    factor: 0.5 + 0.1 * f64::from(bad % 5),
+                },
+                2 => Disturbance::MemContention {
+                    bw_fraction: 0.3 + 0.1 * f64::from(bad % 7),
+                },
+                3 => Disturbance::NpuUnavailable,
+                _ => Disturbance::SyncFlaky {
+                    failures: u32::from(bad % 3) + 1,
+                },
+            };
+            trace.with(
+                SimTime::from_millis(start),
+                SimTime::from_millis(end),
+                disturbance,
+            )
+        },
+    )
+}
+
+/// The condition at `t`, folded directly from the windows open at `t`
+/// in window order: multiplicative derates compound, the worst thermal
+/// step wins and sync failures add.
+fn brute_condition(trace: &DisturbanceTrace, t: SimTime) -> SocCondition {
+    let mut c = SocCondition::quiet();
+    for w in trace.windows.iter().filter(|w| w.start <= t && t < w.end) {
+        match &w.disturbance {
+            Disturbance::RenderBurst { render } => {
+                let interval = render.frame_interval.as_nanos().max(1);
+                let busy = render.frame_gpu_time.as_nanos().min(interval);
+                c.gpu_derate *= 1.0 - busy as f64 / interval as f64;
+            }
+            Disturbance::ThermalThrottle { factor } => {
+                c.thermal_factor = c.thermal_factor.min(factor.clamp(0.01, 1.0));
+            }
+            Disturbance::MemContention { bw_fraction } => {
+                c.bw_fraction *= bw_fraction.clamp(0.01, 1.0);
+            }
+            Disturbance::NpuUnavailable => c.npu_derate *= NPU_UNAVAILABLE_DERATE,
+            Disturbance::SyncFlaky { failures } => c.sync_failures += failures,
+        }
+    }
+    c
+}
+
+proptest! {
+    /// `DisturbanceTrace::timeline` against a brute-force reference,
+    /// on traces with zero-length windows, shared edges, starts at
+    /// zero and malformed windows. A malformed trace must name its
+    /// first malformed window in `(start, index)` order; a well-formed
+    /// one has a point at zero and at every distinct edge, and at
+    /// every millisecond its condition is the fold of the windows open
+    /// then.
+    #[test]
+    fn timeline_matches_the_brute_force_reference(
+        draws in proptest::collection::vec((0u64..12, 0u64..6, 0u8..12, 0u8..5), 0..9),
+    ) {
+        let trace = build_trace(&draws);
+        let mut by_start: Vec<usize> = (0..trace.windows.len()).collect();
+        by_start.sort_by_key(|&i| trace.windows[i].start);
+        let first_bad = by_start.iter().find(|&&i| trace.windows[i].end < trace.windows[i].start);
+        match (trace.timeline(), first_bad) {
+            (Err(err), Some(&i)) => {
+                let w = &trace.windows[i];
+                prop_assert_eq!(err, CausalityError { now: w.start, at: w.end });
+                prop_assert!(err.to_string().contains("cannot schedule into the past"));
+            }
+            (Ok(tl), None) => {
+                let mut edges: Vec<SimTime> = trace
+                    .windows
+                    .iter()
+                    .flat_map(|w| [w.start, w.end])
+                    .collect();
+                edges.push(SimTime::ZERO);
+                edges.sort();
+                edges.dedup();
+                let times: Vec<SimTime> = tl.points().iter().map(|(t, _)| *t).collect();
+                prop_assert_eq!(&times, &edges);
+                for (t, cond) in tl.points() {
+                    prop_assert_eq!(cond, &brute_condition(&trace, *t));
+                }
+                let last = edges.last().copied().unwrap_or(SimTime::ZERO);
+                for ms in 0..=last.as_nanos() / 1_000_000 + 1 {
+                    let t = SimTime::from_millis(ms);
+                    prop_assert_eq!(tl.condition_at(t), &brute_condition(&trace, t));
+                }
+            }
+            (got, want) => {
+                prop_assert!(false, "timeline {:?} but first malformed window {:?}", got, want);
+            }
+        }
     }
 }

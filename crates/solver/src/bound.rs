@@ -29,8 +29,8 @@ use hetero_soc::sync::Dominance;
 use hetero_soc::Backend;
 use hetero_tensor::shape::MatmulShape;
 
-use crate::plan::PartitionPlan;
 use crate::solver::Solver;
+use hetero_graph::partition::PartitionPlan;
 
 impl<P: CostProvider> Solver<P> {
     /// Per-step cost intervals for `plan`, one per step of the plan's

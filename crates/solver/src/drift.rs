@@ -19,8 +19,8 @@ use hetero_soc::{Backend, SimTime};
 use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::DType;
 
-use crate::plan::PartitionPlan;
 use crate::solver::{Solver, SolverConfig};
+use hetero_graph::partition::PartitionPlan;
 
 /// ppm scale of drift ratios (matches `hetero_fleet::profiler`).
 const PPM: u64 = 1_000_000;

@@ -19,13 +19,12 @@
 
 pub mod bound;
 pub mod drift;
-pub mod plan;
 pub mod regions;
 pub mod solver;
 pub mod table;
 
 pub use drift::{resolve_for_drift, DeratedProvider, DriftResolve};
-pub use plan::{PartitionPlan, PlanChoice};
+pub use hetero_graph::partition::{PartitionPlan, PlanChoice};
 pub use regions::{PlanRegion, RegionTable};
 pub use solver::{Solver, SolverConfig};
 pub use table::PlanTable;

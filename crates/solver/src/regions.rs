@@ -17,7 +17,7 @@
 use hetero_soc::Backend;
 use hetero_tensor::shape::MatmulShape;
 
-use crate::plan::PartitionPlan;
+use hetero_graph::partition::PartitionPlan;
 
 /// Bytes per activation/output element (F16 activations, W4A16).
 const ACT_BYTES: usize = 2;

@@ -9,7 +9,7 @@ use hetero_soc::{Backend, SimTime};
 use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::DType;
 
-use crate::plan::{PartitionPlan, PlanChoice};
+use hetero_graph::partition::{PartitionPlan, PlanChoice};
 
 /// Solver configuration.
 #[derive(Debug, Clone)]

@@ -10,8 +10,8 @@ use hetero_profiler::CostProvider;
 use hetero_soc::sync::Dominance;
 use hetero_tensor::shape::MatmulShape;
 
-use crate::plan::PlanChoice;
 use crate::solver::Solver;
+use hetero_graph::partition::PlanChoice;
 
 /// Memoized plan store keyed by `(operator name, sequence length)`.
 ///

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Simulator performance benchmark: run the bench_sim micro-benchmarks
 # (calibration sessions/s serial vs parallel, blocked-GEMM MFLOP/s,
-# DES event-queue events/s, temporal-monitor events/s), then time
+# temporal-monitor events/s), then time
 # the full 1000-device fleet_sweep serial (--jobs 1) vs parallel
 # (--jobs $(nproc)) and `cmp` the two outputs — the
 # determinism-under-parallelism gate from PERFORMANCE.md. Writes the
@@ -48,11 +48,10 @@ calib_sessions=$(field calib_sessions)
 calib_serial_us=$(field calib_serial_us)
 calib_parallel_us=$(field calib_parallel_us)
 gemm_mflops=$(field gemm_mflops)
-des_events_per_sec=$(field des_events_per_sec)
 monitor_events_per_sec=$(field monitor_events_per_sec)
 for var in calib_serial_sessions_per_sec calib_parallel_sessions_per_sec \
     calib_sessions calib_serial_us calib_parallel_us \
-    gemm_mflops des_events_per_sec monitor_events_per_sec; do
+    gemm_mflops monitor_events_per_sec; do
     if [ -z "${!var}" ]; then
         echo "bench_sim: failed to parse $var from bench_sim --json output" >&2
         printf '%s\n' "$micro" >&2
@@ -131,7 +130,6 @@ cat > "$OUT" <<EOF
   "calib_parallel_sessions_per_sec": $calib_parallel_sessions_per_sec,
   "calib_speedup_x100": $calib_speedup_x100,
   "gemm_mflops": $gemm_mflops,
-  "des_events_per_sec": $des_events_per_sec,
   "monitor_events_per_sec": $monitor_events_per_sec,
   "fleet_serial_wall_ns": $serial_wall_ns,
   "fleet_parallel_wall_ns": $parallel_wall_ns,
