@@ -4,10 +4,17 @@
 //! Both artifacts are consumed outside the crate — traces load in
 //! Perfetto and are `cmp`'d by the CI determinism gate, metrics ride
 //! on `SessionReport` — so any change to event layout, key order, or
-//! value encoding must be an explicit, reviewed diff. Regenerate with
+//! value encoding must be an explicit, reviewed diff. Two larger
+//! traces are pinned by length and FNV-1a digest only
+//! (`obs_digests.txt`): the 300/32 session `perfbench`'s `device-mix`
+//! exports, and the adaptive `fault_sweep` arm the runtime controller
+//! splices from per-request engine timelines. Regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p heterollm --test obs_golden`.
 
+use hetero_soc::disturb::DisturbanceTrace;
+use hetero_soc::SimTime;
 use heterollm::obs::{chrome, MetricsRegistry, Timeline};
+use heterollm::runtime::{conversation_traffic, ControllerConfig, RuntimeController, SloPolicy};
 use heterollm::{EngineKind, InferenceSession, ModelConfig};
 
 /// The pinned session: Hetero-tensor on InternLM-1.8B, 64-token
@@ -34,6 +41,26 @@ fn assert_golden(actual: &str, path: &str, what: &str) {
     );
 }
 
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The adaptive arm of `fault_sweep --seed 42` at its default 24
+/// requests, recorded through the runtime controller.
+fn controller_session() -> Timeline {
+    let model = ModelConfig::internlm_1_8b();
+    let requests = conversation_traffic(42, 24, SimTime::from_millis(800));
+    let cfg = ControllerConfig::adaptive(SloPolicy::calibrated(&model));
+    let mut ctl = RuntimeController::new(&model, cfg);
+    ctl.enable_timeline();
+    ctl.run(&requests, &DisturbanceTrace::standard(42))
+        .expect("standard trace is well-formed");
+    ctl.take_timeline().expect("timeline armed")
+}
+
 #[test]
 fn chrome_trace_json_is_golden() {
     let tl = observed_session();
@@ -58,6 +85,38 @@ fn metrics_snapshot_json_is_golden_and_all_integer() {
         &json,
         concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/obs_metrics.json"),
         "metrics snapshot",
+    );
+}
+
+/// Length and digest of the Chrome trace and compact metrics snapshot
+/// of traces too large to check in whole: Hetero-tensor InternLM-1.8B
+/// at 300/32 (the session `perfbench` `device-mix` exports) and the
+/// adaptive `fault_sweep` arm.
+#[test]
+fn larger_trace_digests_are_golden() {
+    let mut session =
+        InferenceSession::new(EngineKind::HeteroTensor, &ModelConfig::internlm_1_8b());
+    let (_, session) = session.try_run_observed(300, 32).expect("built-in trace");
+    let mut lines = String::new();
+    for (name, tl) in [
+        ("session_300_32", session),
+        ("fault_sweep_adaptive", controller_session()),
+    ] {
+        tl.check_well_formed().expect("well-formed timeline");
+        let metrics = MetricsRegistry::from_timeline(&tl).snapshot();
+        let metrics = serde_json::to_string(&metrics).expect("serialize snapshot");
+        for (what, text) in [("trace", chrome::to_chrome_json(&tl)), ("metrics", metrics)] {
+            lines.push_str(&format!(
+                "{name}.{what} bytes={} fnv1a={:016x}\n",
+                text.len(),
+                fnv1a(text.as_bytes())
+            ));
+        }
+    }
+    assert_golden(
+        &lines,
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/obs_digests.txt"),
+        "large trace",
     );
 }
 
