@@ -263,8 +263,16 @@ fn run_arm(
     (report, ctl.take_timeline())
 }
 
-/// Upper bound of `--requests`: the two arms' run time grows faster
-/// than linearly in it (500 requests take about 5 s, 2000 about 66 s).
+/// Upper bound of `--requests`: the run time grows faster than
+/// linearly in it (500 requests take about 5 s, 2000 about 66 s). The
+/// two controller arms are not the cause: `RuntimeController::run`
+/// stays linear, at 50–100 µs per request. The race gate
+/// (`race_lint_degraded_session`) is. The concurrency recorder makes
+/// the plan walk visit every decoder layer (`walk.rs` `run_phase`), so
+/// the gate's log holds about 27k events per request: 2.76M, 5.43M and
+/// 10.9M at 100, 200 and 400 requests. Recording it took 0.2–0.4,
+/// 0.5–0.9 and 1.5–2.5 s, and `race::check_log` 0.1–0.2, 0.25–0.45 and
+/// 0.6–1.0 s (2-vCPU VM, release build).
 const MAX_REQUESTS: u64 = 1000;
 
 fn ms(t: SimTime) -> String {
@@ -451,8 +459,8 @@ fn main() {
             std::fs::write(path, json).expect("write trace");
             println!(
                 "trace: {path} ({} spans, {} flows)",
-                tl.spans().len(),
-                tl.flows().len()
+                tl.span_count(),
+                tl.flow_count()
             );
         }
         if metrics {

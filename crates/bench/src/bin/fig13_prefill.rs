@@ -187,7 +187,7 @@ fn main() {
         std::fs::write(path, heterollm::obs::chrome::to_chrome_json(&tl)).expect("write trace");
         println!(
             "\n[trace: Hetero-tensor Llama-8B prefill@256 -> {path} ({} spans)]",
-            tl.spans().len()
+            tl.span_count()
         );
     }
 }

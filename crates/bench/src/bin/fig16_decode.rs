@@ -147,7 +147,7 @@ fn main() {
         std::fs::write(path, heterollm::obs::chrome::to_chrome_json(&tl)).expect("write trace");
         println!(
             "\n[trace: Hetero-tensor Llama-8B decode 16@256 -> {path} ({} spans)]",
-            tl.spans().len()
+            tl.span_count()
         );
     }
 }

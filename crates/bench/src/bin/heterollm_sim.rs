@@ -90,8 +90,8 @@ fn main() {
             });
             println!(
                 "trace   : {path} ({} spans, {} flows)",
-                tl.spans().len(),
-                tl.flows().len()
+                tl.span_count(),
+                tl.flow_count()
             );
         }
         if metrics {

@@ -75,8 +75,8 @@ fn main() {
         "\nTTFT {}  TPOT {}  ({} spans, {} flows)",
         report.ttft(),
         report.tpot(),
-        tl.spans().len(),
-        tl.flows().len()
+        tl.span_count(),
+        tl.flow_count()
     );
 
     if let Some(path) = args.path("--trace-out") {

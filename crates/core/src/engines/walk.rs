@@ -31,7 +31,7 @@ use hetero_tensor::shape::MatmulShape;
 
 use crate::engines::{gpu_kernel, npu_kernel};
 use crate::error::EngineError;
-use crate::obs::timeline::TimelineMark;
+use crate::obs::timeline::RecorderMark;
 use crate::obs::{Timeline, TimelineRecorder};
 use crate::trace::{ConcurrencyLog, ConcurrencyRecorder, OpRole, PhaseTrace, TraceOp};
 
@@ -315,7 +315,7 @@ impl Des {
 #[derive(Clone, Copy)]
 pub(crate) struct DesMark {
     soc: SocMark,
-    timeline: Option<TimelineMark>,
+    timeline: Option<RecorderMark>,
 }
 
 impl CostDomain for Des {

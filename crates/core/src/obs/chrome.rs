@@ -235,18 +235,18 @@ fn escape_into(out: &mut String, s: &str) {
 /// Metadata rows for all four tracks are always emitted (so the
 /// Perfetto layout is stable across engines), followed by each
 /// track's `B`/`E` span events in stack order, then flow events
-/// sorted by id. Every event is written straight into one buffer
-/// sized up front from the timeline.
+/// sorted by id (the order they were recorded in). Every event is
+/// written straight into one buffer sized up front from the
+/// timeline's stored spans and flows and its run records; a run's
+/// copies are written from its stored stretch, shifted.
 pub fn to_chrome_json(tl: &Timeline) -> String {
     // The metadata rows, header and trailer fit in the first KiB.
     let bytes = 1024
-        + tl.spans()
-            .iter()
-            .map(|s| 2 * (SPAN_EVENT_BYTES + INT_BYTES + s.name.len()))
+        + tl.weighted_spans()
+            .map(|(s, n)| n as usize * 2 * (SPAN_EVENT_BYTES + INT_BYTES + s.name.len()))
             .sum::<usize>()
-        + tl.flows()
-            .iter()
-            .map(|f| 2 * (FLOW_EVENT_BYTES + 2 * INT_BYTES + f.name.len()))
+        + tl.weighted_flows()
+            .map(|(f, n)| n as usize * 2 * (FLOW_EVENT_BYTES + 2 * INT_BYTES + f.name.len()))
             .sum::<usize>();
     let mut w = Writer::with_capacity(bytes);
 
@@ -264,35 +264,32 @@ pub fn to_chrome_json(tl: &Timeline) -> String {
 
     // Stack-disciplined traversal: sorted parents-first; close every
     // span whose end precedes the next span's start.
-    let mut stack: Vec<&Span> = Vec::new();
+    let mut stack: Vec<(&Span, u64)> = Vec::new();
     for track in Track::ALL {
-        let end = |w: &mut Writer, s: &Span| {
-            w.span_event(&s.name, Head::End(s.kind), s.end.as_nanos(), track);
+        let end = |w: &mut Writer, (s, end): (&Span, u64)| {
+            w.span_event(&s.name, Head::End(s.kind), end, track);
         };
-        for span in tl.track_spans(track) {
-            while let Some(top) = stack.pop_if(|top| top.end <= span.start) {
+        tl.visit_track_spans(track, |span, shift| {
+            let start = span.start.as_nanos() + shift;
+            while let Some(top) = stack.pop_if(|(_, end)| *end <= start) {
                 end(&mut w, top);
             }
-            w.span_event(
-                &span.name,
-                Head::Begin(span.kind),
-                span.start.as_nanos(),
-                track,
-            );
-            stack.push(span);
-        }
+            w.span_event(&span.name, Head::Begin(span.kind), start, track);
+            stack.push((span, span.end.as_nanos() + shift));
+        });
         while let Some(top) = stack.pop() {
             end(&mut w, top);
         }
     }
 
-    let mut flows: Vec<_> = tl.flows().iter().collect();
-    flows.sort_by_key(|f| f.id);
-    for f in flows {
-        let (from, to) = (f.from_time.as_nanos(), f.to_time.as_nanos());
-        w.flow_event(&f.name, Head::FlowStart, from, f.from_track, f.id);
-        w.flow_event(&f.name, Head::FlowFinish, to, f.to_track, f.id);
-    }
+    let mut last_id = None;
+    tl.visit_flows(|f, shift, id| {
+        debug_assert!(last_id < Some(id), "flow ids ascend in recording order");
+        last_id = Some(id);
+        let (from, to) = (f.from_time.as_nanos() + shift, f.to_time.as_nanos() + shift);
+        w.flow_event(&f.name, Head::FlowStart, from, f.from_track, id);
+        w.flow_event(&f.name, Head::FlowFinish, to, f.to_track, id);
+    });
 
     w.finish()
 }

@@ -98,10 +98,17 @@ impl Histogram {
 
     /// Record one duration.
     pub fn observe(&mut self, t: SimTime) {
+        self.observe_times(t, 1);
+    }
+
+    /// Record `n` observations of one duration: the bucket's count and
+    /// the observation count grow by `n`, the sum by `n` times the
+    /// duration (saturating, as `n` separate observations would).
+    fn observe_times(&mut self, t: SimTime, n: u64) {
         let ns = t.as_nanos();
-        self.add(bucket_index(ns), 1);
-        self.count += 1;
-        self.sum_ns = self.sum_ns.saturating_add(ns);
+        self.add(bucket_index(ns), n);
+        self.count += n;
+        self.sum_ns = self.sum_ns.saturating_add(ns.saturating_mul(n));
     }
 
     fn add(&mut self, index: u16, n: u64) {
@@ -272,33 +279,35 @@ impl MetricsRegistry {
     /// - `kernel_ns_<track>` histograms of kernel-span durations and a
     ///   `sync_ns` histogram of sync-span durations.
     ///
-    /// One pass over the spans folds each track's kernel durations into
-    /// a local [`Histogram`] and the sync and compile time into local
-    /// sums; each name is then written once. A sum's counter appears
-    /// exactly when a span of its kind exists, zero-length ones
-    /// included.
+    /// One pass over the stored spans folds each track's kernel
+    /// durations into a local [`Histogram`] and the sync and compile
+    /// time into local sums; each name is then written once. A span a
+    /// run repeats counts once per copy: the copies have its duration,
+    /// so they add its bucket count and its nanoseconds times the copy
+    /// count, exactly. A sum's counter appears exactly when a span of
+    /// its kind exists, zero-length ones included.
     pub fn from_timeline(tl: &Timeline) -> Self {
         let mut reg = Self::new();
         for (name, n) in tl.counters() {
             reg.incr(name, *n);
         }
-        reg.incr("flows_total", tl.flows().len() as u64);
+        reg.incr("flows_total", tl.flow_count() as u64);
         // Indexed by `Track as usize`: `Track::ALL` is in declaration
         // order.
         let mut spans = [0u64; Track::ALL.len()];
         let mut kernel_ns: [Histogram; Track::ALL.len()] = Default::default();
         let mut sync_ns = Histogram::new();
         let (mut sync_wait, mut compile) = (None, None);
-        for span in tl.spans() {
-            spans[span.track as usize] += 1;
+        for (span, n) in tl.weighted_spans() {
+            spans[span.track as usize] += n;
             let d = span.duration();
             match span.kind {
-                SpanKind::Kernel => kernel_ns[span.track as usize].observe(d),
+                SpanKind::Kernel => kernel_ns[span.track as usize].observe_times(d, n),
                 SpanKind::Sync => {
-                    *sync_wait.get_or_insert(0) += d.as_nanos();
-                    sync_ns.observe(d);
+                    *sync_wait.get_or_insert(0) += d.as_nanos() * n;
+                    sync_ns.observe_times(d, n);
                 }
-                SpanKind::Cache => *compile.get_or_insert(0) += d.as_nanos(),
+                SpanKind::Cache => *compile.get_or_insert(0) += d.as_nanos() * n,
                 SpanKind::Phase | SpanKind::Control => {}
             }
         }

@@ -28,7 +28,7 @@ fn glyph(kind: SpanKind) -> (u8, char) {
 pub fn render(tl: &Timeline, width: usize) -> String {
     let width = width.max(10);
     let end = tl.end_time().as_nanos();
-    if end == 0 || tl.spans().is_empty() {
+    if end == 0 || tl.span_count() == 0 {
         return "timeline: (empty)\n".to_string();
     }
     // Column i covers [i*end/width, (i+1)*end/width).
@@ -38,7 +38,7 @@ pub fn render(tl: &Timeline, width: usize) -> String {
 
     // Phase header row.
     let mut phase_row = vec!['-'; width];
-    for s in tl.spans().iter().filter(|s| s.kind == SpanKind::Phase) {
+    for s in tl.spans().filter(|s| s.kind == SpanKind::Phase) {
         let mark = s.name.chars().next().unwrap_or('-').to_ascii_uppercase();
         for cell in phase_row
             .iter_mut()
@@ -56,7 +56,7 @@ pub fn render(tl: &Timeline, width: usize) -> String {
 
     for track in Track::ALL {
         let mut row = vec![(0u8, '.'); width];
-        for s in tl.spans().iter().filter(|s| s.track == track) {
+        for s in tl.spans().filter(|s| s.track == track) {
             let (prio, ch) = glyph(s.kind);
             if prio == 0 {
                 continue;

@@ -1,14 +1,23 @@
 //! Span/flow timeline types and the engine-side recorder.
 //!
-//! A [`Timeline`] is a flat list of closed spans on per-hardware-unit
+//! A [`Timeline`] is a list of closed spans on per-hardware-unit
 //! tracks plus flow edges across synchronization points, all stamped
 //! with simulated time. Spans on one track must *nest*: two spans
 //! either are disjoint or one contains the other — the invariant the
 //! Chrome exporter's `B`/`E` encoding relies on and
 //! `hetero-analyze`'s `timeline` lint re-checks on the exported
 //! artifact.
+//!
+//! A stretch that recurs back to back (the decoder layers of one
+//! phase) is stored once, with a *run record*: the stretch's span and
+//! flow ranges, its period, how many more copies follow and the flow-id
+//! stride between copies. [`Timeline::spans`] and [`Timeline::flows`]
+//! expand the runs in recording order; the exporter, the metrics fold,
+//! the nesting check and [`Timeline::end_time`] work from the records.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use hetero_soc::sync::SyncMechanism;
@@ -21,8 +30,9 @@ use hetero_soc::{Backend, KernelDesc, OpKind, SimTime};
 /// controller-wide timeline ([`Timeline::append_shifted`]) is
 /// allocation-free per span, and [`TimelineRecorder`] hands the same
 /// interned kernel name to every span that repeats it rather than
-/// re-formatting and re-allocating per kernel launch — the dominant
-/// allocation on the observed-session hot path.
+/// re-formatting and re-allocating per kernel launch. The copies of a
+/// repeated layer are not stored at all (they are a run record of the
+/// [`Timeline`]), so they hold no label either.
 ///
 /// It dereferences to `str`, so every read-side consumer (the Chrome
 /// exporter, the swimlane renderer, assertions against `&str`
@@ -194,6 +204,16 @@ impl Span {
     pub fn duration(&self) -> SimTime {
         self.end.saturating_sub(self.start)
     }
+
+    /// This span `ns` later.
+    fn shifted(&self, ns: u64) -> Span {
+        let ns = SimTime::from_nanos(ns);
+        Span {
+            start: self.start + ns,
+            end: self.end + ns,
+            ..self.clone()
+        }
+    }
 }
 
 /// A flow arrow across a synchronization edge (Chrome `s` → `f`).
@@ -213,16 +233,120 @@ pub struct FlowEdge {
     pub to_time: SimTime,
 }
 
+impl FlowEdge {
+    /// This flow `ns` later, with its id `ids` higher.
+    fn shifted(&self, ns: u64, ids: u64) -> FlowEdge {
+        let ns = SimTime::from_nanos(ns);
+        FlowEdge {
+            id: self.id + ids,
+            from_time: self.from_time + ns,
+            to_time: self.to_time + ns,
+            ..self.clone()
+        }
+    }
+}
+
+/// A run record: the stored spans `spans` and flows `flows` recur
+/// `copies` more times right after they were recorded, copy `k`
+/// shifted by `k · period_ns` and its flow ids by `k · ids`.
+#[derive(Debug, Clone)]
+struct Run {
+    spans: Range<usize>,
+    flows: Range<usize>,
+    period_ns: u64,
+    copies: u64,
+    ids: u64,
+}
+
+/// A stretch of stored spans (or flows) and how it expands: `range`
+/// recurs `copies` more times (none between runs), copy `k` shifted by
+/// `k · period_ns` and its flow ids by `k · ids`. Stored item `j` of
+/// copy `k` is item `j + before + k · range.len()` of the expansion.
+struct Stretch {
+    range: Range<usize>,
+    copies: u64,
+    period_ns: u64,
+    ids: u64,
+    before: u64,
+}
+
+impl Stretch {
+    /// Copy `k` of `p`, a span of this stretch's copy 0.
+    fn copy<'a>(&self, p: Placed<'a>, k: u64) -> Placed<'a> {
+        Placed {
+            shift: p.shift + k * self.period_ns,
+            index: p.index + k * self.range.len() as u64,
+            ..p
+        }
+    }
+}
+
+/// One expanded span: a stored span, the shift of its copy and its
+/// position in [`Timeline::spans`].
+#[derive(Clone, Copy)]
+struct Placed<'a> {
+    span: &'a Span,
+    shift: u64,
+    index: u64,
+}
+
+impl Placed<'_> {
+    /// Stack order without its tie-break: start ascending, then end
+    /// descending.
+    fn at(&self) -> (u64, Reverse<u64>) {
+        let s = self.span;
+        let end = s.end.as_nanos() + self.shift;
+        (s.start.as_nanos() + self.shift, Reverse(end))
+    }
+
+    /// Stack order, ties broken by recording order.
+    fn key(&self) -> ((u64, Reverse<u64>), u64) {
+        (self.at(), self.index)
+    }
+}
+
 /// A recorded session timeline: spans, flows, and named integer
 /// counters (graph-cache hits, controller decisions, …) that have no
 /// natural span representation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Two timelines are equal when they expand to the same spans and
+/// flows and hold the same counters, whichever stretches they store as
+/// runs.
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
+    /// Recorded spans; a run's stretch is stored once.
     spans: Vec<Span>,
+    /// Recorded flows, ids ascending; a run's stretch is stored once.
     flows: Vec<FlowEdge>,
+    /// Run records in recording order; their ranges never overlap.
+    runs: Vec<Run>,
     counters: BTreeMap<String, u64>,
     next_flow_id: u64,
 }
+
+/// A snapshot of a [`Timeline`] at simulated time `at`: how many spans
+/// and flows it stored and its next flow id. See
+/// [`Timeline::repeat_since`].
+#[derive(Debug, Clone, Copy)]
+pub struct TimelineMark {
+    at: SimTime,
+    spans: usize,
+    flows: usize,
+    flow_id: u64,
+}
+
+impl PartialEq for Timeline {
+    fn eq(&self, other: &Self) -> bool {
+        self.next_flow_id == other.next_flow_id
+            && self.counters == other.counters
+            && self.span_count() == other.span_count()
+            && self.flow_count() == other.flow_count()
+            && self.spans().eq(other.spans())
+            && self.flows().eq(other.flows())
+    }
+}
+
+impl Eq for Timeline {}
 
 impl Timeline {
     /// New, empty timeline.
@@ -282,14 +406,164 @@ impl Timeline {
         }
     }
 
-    /// All spans, in recording order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
+    /// Snapshot the timeline at simulated time `now`, for
+    /// [`Self::repeat_since`].
+    pub fn mark(&self, now: SimTime) -> TimelineMark {
+        TimelineMark {
+            at: now,
+            spans: self.spans.len(),
+            flows: self.flows.len(),
+            flow_id: self.next_flow_id,
+        }
     }
 
-    /// All flow edges, in recording order.
-    pub fn flows(&self) -> &[FlowEdge] {
-        &self.flows
+    /// Record `times` more copies of everything recorded since `mark`,
+    /// as if it had been recorded again back to back: copy `k` of each
+    /// span and flow is shifted by `k` times the time from `mark` to
+    /// `now`, and copy `k` of flow `id` gets `id + k·Δ` for the `Δ` ids
+    /// the stretch used (so ids stay sequential). The copies are one
+    /// run record, not stored spans and flows.
+    ///
+    /// # Panics
+    ///
+    /// If `now` precedes the mark, the mark is not of this timeline's
+    /// past, or the stretch since the mark holds a run of its own (runs
+    /// do not nest).
+    pub fn repeat_since(&mut self, mark: TimelineMark, now: SimTime, times: u64) {
+        let period_ns = now
+            .as_nanos()
+            .checked_sub(mark.at.as_nanos())
+            .expect("a repeat ends after its mark");
+        assert!(
+            mark.spans <= self.spans.len()
+                && mark.flows <= self.flows.len()
+                && mark.flow_id <= self.next_flow_id,
+            "a mark of this timeline's past"
+        );
+        assert!(
+            self.runs
+                .last()
+                .is_none_or(|r| r.spans.end <= mark.spans && r.flows.end <= mark.flows),
+            "a repeated stretch holds a run"
+        );
+        let ids = self.next_flow_id - mark.flow_id;
+        self.next_flow_id += times * ids;
+        let (spans, flows) = (mark.spans..self.spans.len(), mark.flows..self.flows.len());
+        if times > 0 && !(spans.is_empty() && flows.is_empty()) {
+            self.runs.push(Run {
+                spans,
+                flows,
+                period_ns,
+                copies: times,
+                ids,
+            });
+        }
+    }
+
+    /// The stored items `0..len` (spans, or flows) cut into stretches
+    /// in recording order: the range of each run, as `part` picks it,
+    /// and the ranges between runs.
+    fn stretches(
+        &self,
+        len: usize,
+        part: fn(&Run) -> Range<usize>,
+    ) -> impl Iterator<Item = Stretch> + '_ {
+        let (mut at, mut before) = (0, 0);
+        self.runs
+            .iter()
+            .map(Some)
+            .chain([None])
+            .flat_map(move |run| {
+                let range = run.map_or(len..len, part);
+                let between = Stretch {
+                    range: at..range.start,
+                    copies: 0,
+                    period_ns: 0,
+                    ids: 0,
+                    before,
+                };
+                let (copies, period_ns, ids) =
+                    run.map_or((0, 0, 0), |r| (r.copies, r.period_ns, r.ids));
+                at = range.end;
+                let repeated = Stretch {
+                    range,
+                    copies,
+                    period_ns,
+                    ids,
+                    before,
+                };
+                before += copies * repeated.range.len() as u64;
+                [between, repeated]
+            })
+    }
+
+    fn span_stretches(&self) -> impl Iterator<Item = Stretch> + '_ {
+        self.stretches(self.spans.len(), |r| r.spans.clone())
+    }
+
+    fn flow_stretches(&self) -> impl Iterator<Item = Stretch> + '_ {
+        self.stretches(self.flows.len(), |r| r.flows.clone())
+    }
+
+    /// All spans, in recording order, each run expanded in place.
+    pub fn spans(&self) -> impl Iterator<Item = Span> + '_ {
+        self.span_stretches().flat_map(move |st| {
+            let spans = &self.spans[st.range];
+            (0..=st.copies).flat_map(move |k| {
+                let shift = k * st.period_ns;
+                spans.iter().map(move |s| s.shifted(shift))
+            })
+        })
+    }
+
+    /// All flow edges, in recording order (ids ascending), each run
+    /// expanded in place.
+    pub fn flows(&self) -> impl Iterator<Item = FlowEdge> + '_ {
+        self.flow_stretches().flat_map(move |st| {
+            let flows = &self.flows[st.range];
+            (0..=st.copies).flat_map(move |k| {
+                let (shift, ids) = (k * st.period_ns, k * st.ids);
+                flows.iter().map(move |f| f.shifted(shift, ids))
+            })
+        })
+    }
+
+    /// Number of spans [`Self::spans`] yields.
+    pub fn span_count(&self) -> usize {
+        let copies = self.runs.iter().map(|r| r.spans.len() * r.copies as usize);
+        self.spans.len() + copies.sum::<usize>()
+    }
+
+    /// Number of flows [`Self::flows`] yields.
+    pub fn flow_count(&self) -> usize {
+        let copies = self.runs.iter().map(|r| r.flows.len() * r.copies as usize);
+        self.flows.len() + copies.sum::<usize>()
+    }
+
+    /// Each stored span with the number of times [`Self::spans`]
+    /// yields it (shifted): one plus its run's copies.
+    pub(crate) fn weighted_spans(&self) -> impl Iterator<Item = (&Span, u64)> + '_ {
+        self.span_stretches()
+            .flat_map(|st| self.spans[st.range].iter().map(move |s| (s, 1 + st.copies)))
+    }
+
+    /// Each stored flow with the number of times [`Self::flows`]
+    /// yields it (shifted): one plus its run's copies.
+    pub(crate) fn weighted_flows(&self) -> impl Iterator<Item = (&FlowEdge, u64)> + '_ {
+        self.flow_stretches()
+            .flat_map(|st| self.flows[st.range].iter().map(move |f| (f, 1 + st.copies)))
+    }
+
+    /// Visit every flow in recording order (ids ascending) as its
+    /// stored edge, the shift of its copy in ns and its id.
+    pub(crate) fn visit_flows(&self, mut visit: impl FnMut(&FlowEdge, u64, u64)) {
+        for st in self.flow_stretches() {
+            for k in 0..=st.copies {
+                for f in &self.flows[st.range.clone()] {
+                    visit(f, k * st.period_ns, f.id + k * st.ids);
+                }
+            }
+        }
     }
 
     /// Named counters, sorted by name.
@@ -304,55 +578,158 @@ impl Timeline {
 
     /// Latest time any span or flow touches.
     pub fn end_time(&self) -> SimTime {
-        let span_max = self.spans.iter().map(|s| s.end).max();
-        let flow_max = self.flows.iter().map(|f| f.to_time).max();
-        span_max.max(flow_max).unwrap_or(SimTime::ZERO)
+        let last = |st: &Stretch| st.copies * st.period_ns;
+        let spans = self.span_stretches().flat_map(|st| {
+            let shift = last(&st);
+            self.spans[st.range]
+                .iter()
+                .map(move |s| s.end.as_nanos() + shift)
+        });
+        let flows = self.flow_stretches().flat_map(|st| {
+            let shift = last(&st);
+            self.flows[st.range]
+                .iter()
+                .map(move |f| f.to_time.as_nanos() + shift)
+        });
+        spans
+            .chain(flows)
+            .max()
+            .map_or(SimTime::ZERO, SimTime::from_nanos)
     }
 
     /// Merge `other` into `self`, mapping every time `t` recorded
-    /// against `other`'s local clock to `local_base + (t - other_base)`.
+    /// against `other`'s local clock to `local_base + (t - other_base)`;
+    /// every time in `other` is at or after `other_base`.
     ///
     /// The runtime controller uses this to splice per-request engine
     /// timelines (whose SoC clocks restart at zero on every engine
     /// rebuild) into controller time, which keeps advancing across
-    /// rebuilds and queue gaps. Flow ids are re-based to stay unique;
-    /// counters are summed.
+    /// rebuilds and queue gaps. `other`'s run records move across
+    /// whole; flow ids are re-based to stay unique; counters are
+    /// summed.
     pub fn append_shifted(&mut self, other: &Timeline, other_base: SimTime, local_base: SimTime) {
         let shift = |t: SimTime| local_base + t.saturating_sub(other_base);
-        for s in &other.spans {
-            self.spans.push(Span {
-                track: s.track,
-                kind: s.kind,
-                name: s.name.clone(),
-                start: shift(s.start),
-                end: shift(s.end),
-            });
-        }
-        let id_base = self.next_flow_id;
-        for f in &other.flows {
-            self.flows.push(FlowEdge {
-                id: id_base + f.id,
-                name: f.name.clone(),
-                from_track: f.from_track,
-                from_time: shift(f.from_time),
-                to_track: f.to_track,
-                to_time: shift(f.to_time),
-            });
-        }
+        let (spans, flows, id_base) = (self.spans.len(), self.flows.len(), self.next_flow_id);
+        self.spans.extend(other.spans.iter().map(|s| Span {
+            start: shift(s.start),
+            end: shift(s.end),
+            ..s.clone()
+        }));
+        self.flows.extend(other.flows.iter().map(|f| FlowEdge {
+            id: id_base + f.id,
+            from_time: shift(f.from_time),
+            to_time: shift(f.to_time),
+            ..f.clone()
+        }));
+        self.runs.extend(other.runs.iter().map(|r| Run {
+            spans: r.spans.start + spans..r.spans.end + spans,
+            flows: r.flows.start + flows..r.flows.end + flows,
+            ..r.clone()
+        }));
         self.next_flow_id = id_base + other.next_flow_id;
         for (name, n) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += n;
         }
     }
 
-    /// Spans of one track sorted for stack-disciplined traversal:
-    /// by start ascending, then end *descending* (parents before
-    /// children at equal starts), then recording order.
-    pub(crate) fn track_spans(&self, track: Track) -> Vec<&Span> {
-        let mut spans: Vec<&Span> = self.spans.iter().filter(|s| s.track == track).collect();
-        // Stable, so ties keep recording order.
-        spans.sort_by(|a, b| a.start.cmp(&b.start).then(b.end.cmp(&a.end)));
-        spans
+    /// Visit the spans of one track in stack order — by start
+    /// ascending, then end *descending* (parents before children at
+    /// equal starts), then recording order — as each one's stored span
+    /// and the shift of its copy in ns.
+    ///
+    /// Only stored spans are sorted. A run's copies follow one another
+    /// in time, so its expansion is a merge of neighbouring copies
+    /// (copy `k` only interleaves with copy `k + 1`, at the period
+    /// boundary); runs follow one another too, and the spans between
+    /// runs are merged in around them. A track whose runs do not keep
+    /// to that (copies that reach past the next copy, runs out of time
+    /// order) has all its copies sorted instead.
+    pub(crate) fn visit_track_spans<'a>(
+        &'a self,
+        track: Track,
+        mut visit: impl FnMut(&'a Span, u64),
+    ) {
+        // Between runs, and of each run's copy 0 (with its stretch).
+        let (mut flat, mut members, mut runs) = (Vec::new(), Vec::new(), Vec::new());
+        for st in self.span_stretches() {
+            let on_track = self.spans[st.range.clone()]
+                .iter()
+                .zip(st.range.start as u64..)
+                .filter(|(s, _)| s.track == track)
+                .map(|(span, j)| Placed {
+                    span,
+                    shift: 0,
+                    index: j + st.before,
+                });
+            if st.copies == 0 {
+                flat.extend(on_track);
+            } else {
+                let at = members.len();
+                members.extend(on_track);
+                if members.len() > at {
+                    members[at..].sort_unstable_by_key(Placed::key);
+                    runs.push((at..members.len(), st));
+                }
+            }
+        }
+        flat.sort_unstable_by_key(Placed::key);
+
+        // Copy k + 2 of a run sorts after all of copy k (ties go to
+        // copy k), and a run's last copy before the next run.
+        let neighbours_only = runs.iter().all(|(r, st)| {
+            let (first, last) = (members[r.start], members[r.end - 1]);
+            st.copies < 2 || st.copy(first, 2).at() >= last.at()
+        });
+        let in_order = runs.windows(2).all(|w| {
+            let ((a, st), (b, _)) = (&w[0], &w[1]);
+            st.copy(members[a.end - 1], st.copies).key() < members[b.start].key()
+        });
+        if !(neighbours_only && in_order) {
+            for (r, st) in &runs {
+                for k in 1..=st.copies {
+                    flat.extend(members[r.clone()].iter().map(|&p| st.copy(p, k)));
+                }
+                flat.extend_from_slice(&members[r.clone()]);
+            }
+            flat.sort_unstable_by_key(Placed::key);
+            runs.clear();
+        }
+
+        let mut flat = flat.into_iter().peekable();
+        let mut emit = |p: Placed<'a>| {
+            while let Some(f) = flat.next_if(|f| f.key() < p.key()) {
+                visit(f.span, f.shift);
+            }
+            visit(p.span, p.shift);
+        };
+        for (r, st) in &runs {
+            // Two-way merge: copy `a` from `i`, copy `a + 1` from `j`.
+            let copy0 = &members[r.clone()];
+            let (mut a, mut i, mut j) = (0, 0, 0);
+            loop {
+                if i == copy0.len() {
+                    if a == st.copies {
+                        break;
+                    }
+                    (a, i, j) = (a + 1, j, 0);
+                    continue;
+                }
+                let head = st.copy(copy0[i], a);
+                if a < st.copies && j < copy0.len() {
+                    let next = st.copy(copy0[j], a + 1);
+                    if next.key() < head.key() {
+                        emit(next);
+                        j += 1;
+                        continue;
+                    }
+                }
+                emit(head);
+                i += 1;
+            }
+        }
+        for f in flat {
+            visit(f.span, f.shift);
+        }
     }
 
     /// Check the structural invariants the exported trace must hold:
@@ -365,30 +742,25 @@ impl Timeline {
             }
         }
         for track in Track::ALL {
-            let mut stack: Vec<&Span> = Vec::new();
-            for span in self.track_spans(track) {
-                while let Some(top) = stack.last() {
-                    if top.end <= span.start {
-                        stack.pop();
-                    } else {
-                        break;
-                    }
-                }
-                if let Some(top) = stack.last() {
-                    if span.end > top.end {
-                        return Err(format!(
-                            "track {}: span {:?} [{}, {}] partially overlaps {:?} [{}, {}]",
+            let mut stack: Vec<(&Span, (u64, u64))> = Vec::new();
+            let mut overlap = None;
+            self.visit_track_spans(track, |span, shift| {
+                let (start, end) = (span.start.as_nanos() + shift, span.end.as_nanos() + shift);
+                while stack.pop_if(|(_, (_, top_end))| *top_end <= start).is_some() {}
+                if let Some(&(top, (top_start, top_end))) = stack.last() {
+                    if end > top_end && overlap.is_none() {
+                        overlap = Some(format!(
+                            "track {}: span {:?} [{start}, {end}] partially overlaps {:?} [{top_start}, {top_end}]",
                             track.name(),
                             span.name,
-                            span.start.as_nanos(),
-                            span.end.as_nanos(),
                             top.name,
-                            top.start.as_nanos(),
-                            top.end.as_nanos(),
                         ));
                     }
                 }
-                stack.push(span);
+                stack.push((span, (start, end)));
+            });
+            if let Some(err) = overlap {
+                return Err(err);
             }
         }
         for f in &self.flows {
@@ -414,9 +786,10 @@ impl Timeline {
 ///
 /// Layer repeat: `TimelineRecorder::mark` and
 /// `TimelineRecorder::repeat_since` let the plan walk record one
-/// decoder layer and append the rest as shifted copies of it: the
-/// timeline's part of the layer repeat that `engines::walk::run_phase`
-/// applies to the clock and the energy meter.
+/// decoder layer and store the rest as one run record of it
+/// ([`Timeline::repeat_since`]): the timeline's part of the layer
+/// repeat that `engines::walk::run_phase` applies to the clock and the
+/// energy meter.
 #[derive(Debug, Default)]
 pub struct TimelineRecorder {
     tl: Timeline,
@@ -432,15 +805,11 @@ pub struct TimelineRecorder {
     batch_labels: BTreeMap<usize, Label>,
 }
 
-/// A snapshot of a [`TimelineRecorder`] at simulated time `at`: how
-/// many spans and flows it held, its next flow id and its per-kernel
-/// counters. See [`TimelineRecorder::repeat_since`].
+/// A snapshot of a [`TimelineRecorder`]: its timeline's mark and its
+/// per-kernel counters. See [`TimelineRecorder::repeat_since`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TimelineMark {
-    at: SimTime,
-    spans: usize,
-    flows: usize,
-    flow_id: u64,
+pub(crate) struct RecorderMark {
+    tl: TimelineMark,
     switches: u64,
     parallel_sections: u64,
 }
@@ -452,51 +821,19 @@ impl TimelineRecorder {
     }
 
     /// Snapshot the recorder at simulated time `now`.
-    pub(crate) fn mark(&self, now: SimTime) -> TimelineMark {
-        TimelineMark {
-            at: now,
-            spans: self.tl.spans.len(),
-            flows: self.tl.flows.len(),
-            flow_id: self.tl.next_flow_id,
+    pub(crate) fn mark(&self, now: SimTime) -> RecorderMark {
+        RecorderMark {
+            tl: self.tl.mark(now),
             switches: self.switches,
             parallel_sections: self.parallel_sections,
         }
     }
 
-    /// Append `times` more copies of everything recorded since `mark`,
-    /// as if it had been recorded again back to back: copy `k` of each
-    /// span and flow is shifted by `k` times the time from `mark` to
-    /// `now`, copy `k` of flow `id` gets `id + k·Δ` for the `Δ` ids the
-    /// stretch used (so ids stay sequential), and the per-kernel
-    /// counters grow by `times` their deltas.
-    pub(crate) fn repeat_since(&mut self, mark: TimelineMark, now: SimTime, times: u64) {
-        let period = (now - mark.at).as_nanos();
-        let tl = &mut self.tl;
-        let (spans, flows) = (tl.spans.len(), tl.flows.len());
-        let ids = tl.next_flow_id - mark.flow_id;
-        // Reserved once per repeat: growing copy by copy read about
-        // 0.5 MB more peak RSS in `perfbench` `device-mix`, at the
-        // same op time.
-        let copies = usize::try_from(times).expect("layer count fits usize");
-        tl.spans.reserve((spans - mark.spans) * copies);
-        tl.flows.reserve((flows - mark.flows) * copies);
-        for k in 1..=times {
-            let shift = SimTime::from_nanos(k * period);
-            let at = tl.spans.len();
-            tl.spans.extend_from_within(mark.spans..spans);
-            for s in &mut tl.spans[at..] {
-                s.start += shift;
-                s.end += shift;
-            }
-            let at = tl.flows.len();
-            tl.flows.extend_from_within(mark.flows..flows);
-            for f in &mut tl.flows[at..] {
-                f.id += k * ids;
-                f.from_time += shift;
-                f.to_time += shift;
-            }
-        }
-        tl.next_flow_id += times * ids;
+    /// Record `times` more copies of everything recorded since `mark`
+    /// as one run ([`Timeline::repeat_since`]), and grow the per-kernel
+    /// counters by `times` their deltas.
+    pub(crate) fn repeat_since(&mut self, mark: RecorderMark, now: SimTime, times: u64) {
+        self.tl.repeat_since(mark.tl, now, times);
         self.switches += (self.switches - mark.switches) * times;
         self.parallel_sections += (self.parallel_sections - mark.parallel_sections) * times;
     }
@@ -678,8 +1015,8 @@ mod tests {
         tl.push_span(Track::Gpu, SpanKind::Kernel, "a", us(0), us(10));
         let id = tl.push_flow("sync", Track::Gpu, us(10), Track::Npu, us(12));
         tl.count("graph_hits", 2);
-        assert_eq!(tl.spans().len(), 1);
-        assert_eq!(tl.flows()[0].id, id);
+        assert_eq!(tl.span_count(), 1);
+        assert_eq!(tl.flows().next().expect("one flow").id, id);
         assert_eq!(tl.counters()["graph_hits"], 2);
         assert_eq!(tl.end_time(), us(12));
         assert!(tl.check_well_formed().is_ok());
@@ -725,15 +1062,115 @@ mod tests {
         // Segment clock 2µs ↦ controller clock 100µs.
         tl.append_shifted(&seg, us(2), us(100));
 
-        assert_eq!(tl.spans()[0].start, us(100));
-        assert_eq!(tl.spans()[0].end, us(103));
-        assert_eq!(tl.flows().len(), 2);
-        assert_ne!(tl.flows()[0].id, tl.flows()[1].id);
-        assert_eq!(tl.flows()[1].from_time, us(103));
+        let (spans, flows): (Vec<_>, Vec<_>) = (tl.spans().collect(), tl.flows().collect());
+        assert_eq!(spans[0].start, us(100));
+        assert_eq!(spans[0].end, us(103));
+        assert_eq!(flows.len(), 2);
+        assert_ne!(flows[0].id, flows[1].id);
+        assert_eq!(flows[1].from_time, us(103));
         assert_eq!(tl.counters()["graph_hits"], 3);
         // Fresh flows after the merge stay unique.
         let id = tl.push_flow("sync", Track::Gpu, us(0), Track::Npu, us(1));
-        assert!(tl.flows().iter().filter(|f| f.id == id).count() == 1);
+        assert!(tl.flows().filter(|f| f.id == id).count() == 1);
+    }
+
+    /// Per-track stack order as `(name, start µs, end µs)`.
+    fn stack_order(tl: &Timeline, track: Track) -> Vec<(String, u64, u64)> {
+        let mut order = Vec::new();
+        tl.visit_track_spans(track, |s, shift| {
+            let at = |t: SimTime| (t.as_nanos() + shift) / 1000;
+            order.push((s.name.to_string(), at(s.start), at(s.end)));
+        });
+        order
+    }
+
+    #[test]
+    fn runs_expand_like_copies_at_period_boundaries() {
+        // A 10 µs layer: a kernel filling the period, a zero-length
+        // sync on its end (where the next copy's kernel starts), a
+        // zero-length CPU mark on its start and a flow.
+        let layer = |tl: &mut Timeline, at: u64| {
+            tl.push_span(Track::Gpu, SpanKind::Kernel, "k", us(at), us(at + 10));
+            tl.push_span(Track::Gpu, SpanKind::Sync, "z", us(at + 10), us(at + 10));
+            tl.push_span(Track::Cpu, SpanKind::Sync, "m", us(at), us(at));
+            tl.push_flow("f", Track::Gpu, us(at + 10), Track::Cpu, us(at + 10));
+        };
+        let record = |repeat: bool| {
+            let mut tl = Timeline::new();
+            tl.push_flow("f", Track::Cpu, us(0), Track::Gpu, us(0));
+            let mark = tl.mark(us(0));
+            if repeat {
+                layer(&mut tl, 0);
+                tl.repeat_since(mark, us(10), 3);
+            } else {
+                for at in [0, 10, 20, 30] {
+                    layer(&mut tl, at);
+                }
+            }
+            tl.push_span(Track::Gpu, SpanKind::Kernel, "after", us(40), us(50));
+            tl.push_span(Track::Cpu, SpanKind::Phase, "phase", us(0), us(50));
+            tl
+        };
+        let (repeated, flat) = (record(true), record(false));
+        assert_eq!(repeated.spans.len(), 5);
+        assert_eq!((repeated.span_count(), repeated.flow_count()), (14, 5));
+        assert_eq!(repeated, flat);
+        assert_eq!(repeated.end_time(), us(50));
+        assert!(repeated.check_well_formed().is_ok());
+
+        // Each zero-length sync sorts after the next copy's kernel,
+        // and the last one after the span recorded past the run.
+        let gpu: Vec<_> = stack_order(&repeated, Track::Gpu)
+            .into_iter()
+            .map(|(name, start, _)| format!("{name}@{start}"))
+            .collect();
+        let want = "k@0 k@10 z@10 k@20 z@20 k@30 z@30 after@40 z@40";
+        assert_eq!(gpu.join(" "), want);
+        for track in Track::ALL {
+            assert_eq!(stack_order(&repeated, track), stack_order(&flat, track));
+        }
+        assert_eq!(
+            super::super::chrome::to_chrome_json(&repeated),
+            super::super::chrome::to_chrome_json(&flat)
+        );
+
+        // One copy fewer is a different timeline.
+        let mut short = Timeline::new();
+        short.push_flow("f", Track::Cpu, us(0), Track::Gpu, us(0));
+        let mark = short.mark(us(0));
+        layer(&mut short, 0);
+        short.repeat_since(mark, us(10), 2);
+        assert_ne!(short, repeated);
+    }
+
+    #[test]
+    fn append_shifted_moves_runs_across_whole() {
+        let segment = |repeat: bool| {
+            let mut seg = Timeline::new();
+            seg.push_span(Track::Npu, SpanKind::Kernel, "pre", us(2), us(4));
+            let mark = seg.mark(us(4));
+            for at in if repeat { vec![4] } else { vec![4, 7, 10] } {
+                seg.push_span(Track::Npu, SpanKind::Kernel, "k", us(at), us(at + 3));
+                seg.push_flow("sync", Track::Npu, us(at + 3), Track::Gpu, us(at + 3));
+            }
+            if repeat {
+                seg.repeat_since(mark, us(7), 2);
+            }
+            seg
+        };
+        let splice = |repeat: bool| {
+            let mut tl = Timeline::new();
+            tl.push_flow("sync", Track::Gpu, us(0), Track::Npu, us(1));
+            tl.append_shifted(&segment(repeat), us(2), us(100));
+            tl.push_flow("sync", Track::Gpu, us(200), Track::Npu, us(201));
+            tl
+        };
+        let (repeated, flat) = (splice(true), splice(false));
+        assert_eq!((repeated.spans.len(), repeated.runs.len()), (2, 1));
+        assert_eq!(repeated, flat);
+        let ids: Vec<u64> = repeated.flows().map(|f| f.id).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+        assert_eq!(repeated.end_time(), us(201));
     }
 
     #[test]
@@ -750,11 +1187,10 @@ mod tests {
         );
         let tl = rec.finish();
         assert!(tl.check_well_formed().is_ok());
-        assert_eq!(tl.flows().len(), 2);
+        assert_eq!(tl.flow_count(), 2);
         assert_eq!(tl.counters()["parallel_sections"], 1);
         let rendezvous = tl
             .spans()
-            .iter()
             .find(|s| s.kind == SpanKind::Sync)
             .expect("rendezvous span");
         assert_eq!(rendezvous.track, Track::Cpu);
@@ -773,9 +1209,10 @@ mod tests {
             us(860),
         );
         let tl = rec.finish();
-        assert_eq!(tl.spans()[0].track, Track::Npu);
-        assert_eq!(tl.spans()[0].name, "switch:driver");
-        assert_eq!(tl.flows()[0].from_track, Track::Gpu);
+        let span = tl.spans().next().expect("one span");
+        assert_eq!(span.track, Track::Npu);
+        assert_eq!(span.name, "switch:driver");
+        assert_eq!(tl.flows().next().expect("one flow").from_track, Track::Gpu);
         assert_eq!(tl.counters()["switches"], 1);
     }
 
@@ -802,14 +1239,14 @@ mod tests {
         rec.kernel(Backend::Gpu, &mm(8), us(200), us(210));
         let tl = rec.finish();
 
-        let names = |track| -> Vec<&Label> {
-            let spans = tl.spans().iter().filter(|s| s.track == track);
-            spans.map(|s| &s.name).collect()
+        let names = |track| -> Vec<Label> {
+            let spans = tl.spans().filter(|s| s.track == track);
+            spans.map(|s| s.name).collect()
         };
         let (gpu, npu) = (names(Track::Gpu), names(Track::Npu));
         assert_eq!(gpu.len(), 3);
-        assert_eq!(*gpu[0], "matmul[8x16x32]");
-        assert_eq!(npu, [&Label::from("batch×3"); 2]);
+        assert_eq!(gpu[0], "matmul[8x16x32]");
+        assert_eq!(npu, [Label::from("batch×3"), Label::from("batch×3")]);
         assert!(gpu.iter().all(|l| Arc::ptr_eq(&l.0, &gpu[0].0)));
         assert!(Arc::ptr_eq(&npu[0].0, &npu[1].0));
         assert_eq!(tl.counters()["parallel_sections"], 2);

@@ -3,13 +3,15 @@
 //! session must yield a well-formed timeline whose export and metrics
 //! keep their structural contracts, and the timeline the plan walk
 //! records by repeating one decoder layer must equal the one it
-//! records walking every layer; and for any timeline, the streaming
-//! Chrome exporter must write the same bytes as the
-//! one-string-per-event reference below.
+//! records walking every layer; and for any timeline, run records
+//! included, the streaming Chrome exporter must write the same bytes as
+//! the one-string-per-event reference below and the metrics fold must
+//! match a per-span reference, both read from the same timeline
+//! recorded copy by copy.
 
 use hetero_soc::sync::SyncMechanism;
 use hetero_soc::SimTime;
-use heterollm::obs::{chrome, MetricsRegistry, Span, SpanKind, Timeline, Track};
+use heterollm::obs::{chrome, FlowEdge, MetricsRegistry, Span, SpanKind, Timeline, Track};
 use heterollm::{EngineKind, InferenceSession, ModelConfig};
 use proptest::prelude::*;
 
@@ -38,9 +40,8 @@ mod oracle {
 
     /// Spans of one track: by start ascending, then end descending,
     /// then recording order.
-    fn track_spans(tl: &Timeline, track: Track) -> Vec<&Span> {
-        let mut spans: Vec<(usize, &Span)> = tl
-            .spans()
+    fn track_spans(spans: &[Span], track: Track) -> Vec<&Span> {
+        let mut spans: Vec<(usize, &Span)> = spans
             .iter()
             .enumerate()
             .filter(|(_, s)| s.track == track)
@@ -55,6 +56,7 @@ mod oracle {
     }
 
     pub fn to_chrome_json(tl: &Timeline) -> String {
+        let spans: Vec<Span> = tl.spans().collect();
         let mut events: Vec<String> = Vec::new();
 
         for track in Track::ALL {
@@ -83,7 +85,7 @@ mod oracle {
                     pid
                 ));
             };
-            for span in track_spans(tl, track) {
+            for span in track_spans(&spans, track) {
                 while let Some(top) = stack.last() {
                     if top.2 <= span.start.as_nanos() {
                         let top = stack.pop().expect("non-empty stack");
@@ -107,7 +109,7 @@ mod oracle {
             }
         }
 
-        let mut flows: Vec<_> = tl.flows().iter().collect();
+        let mut flows: Vec<FlowEdge> = tl.flows().collect();
         flows.sort_by_key(|f| f.id);
         for f in flows {
             events.push(format!(
@@ -163,10 +165,17 @@ fn arb_kind() -> impl Strategy<Value = SpanKind> {
     (0..KINDS.len()).prop_map(|i| KINDS[i])
 }
 
+/// A drawn span: track, kind, name, start and length in ticks, and
+/// whether a child nests inside it.
+type SpanDraw = (Track, SpanKind, String, u64, u64, bool);
+/// A drawn flow: name, producing track and tick, consuming track and
+/// ticks later.
+type FlowDraw = (String, Track, u64, Track, u64);
+
 /// A span on a coarse clock (so equal starts and ends are common),
 /// zero-length about one time in eight, optionally with a child
 /// nested inside it.
-fn arb_span() -> impl Strategy<Value = (Track, SpanKind, String, u64, u64, bool)> {
+fn arb_span() -> impl Strategy<Value = SpanDraw> {
     (
         arb_track(),
         arb_kind(),
@@ -177,46 +186,190 @@ fn arb_span() -> impl Strategy<Value = (Track, SpanKind, String, u64, u64, bool)
     )
 }
 
-fn arb_flow() -> impl Strategy<Value = (String, Track, u64, Track, u64)> {
+fn arb_flow() -> impl Strategy<Value = FlowDraw> {
     (arb_name(), arb_track(), 0u64..60, arb_track(), 0u64..10)
 }
 
-/// One timeline segment from drawn spans and flows; clock ticks are
-/// 250 ns so timestamps run to several digits.
-fn segment(
-    spans: &[(Track, SpanKind, String, u64, u64, bool)],
-    flows: &[(String, Track, u64, Track, u64)],
-) -> Timeline {
-    let t = |tick: u64| SimTime::from_nanos(tick * 250);
-    let mut tl = Timeline::new();
+/// Clock ticks are 250 ns so timestamps run to several digits.
+fn t(tick: u64) -> SimTime {
+    SimTime::from_nanos(tick * 250)
+}
+
+/// Record drawn spans and flows into `tl`, `origin` ticks in.
+fn record(tl: &mut Timeline, origin: u64, spans: &[SpanDraw], flows: &[FlowDraw]) {
     for (track, kind, name, start, len, nest) in spans {
-        tl.push_span(*track, *kind, name.as_str(), t(*start), t(start + len));
+        let start = origin + start;
+        tl.push_span(*track, *kind, name.as_str(), t(start), t(start + len));
         if *nest {
             let (s, e) = (start + len / 3, start + len - len / 3);
             tl.push_span(*track, SpanKind::Kernel, name.as_str(), t(s), t(e));
         }
     }
     for (name, from, at, to, dt) in flows {
-        tl.push_flow(name.as_str(), *from, t(*at), *to, t(at + dt));
+        let at = origin + at;
+        tl.push_flow(name.as_str(), *from, t(at), *to, t(at + dt));
+    }
+}
+
+/// A drawn repeat: a stretch of spans and flows recorded from its
+/// mark, then `times` more copies of it every `period` ticks.
+#[derive(Debug, Clone)]
+struct RunDraw {
+    spans: Vec<SpanDraw>,
+    flows: Vec<FlowDraw>,
+    period: u64,
+    times: u64,
+}
+
+/// A drawn stretch folded into one period, as a decoder layer's spans
+/// are: zero-length spans on the period boundary are common.
+fn arb_fitted_run() -> impl Strategy<Value = RunDraw> {
+    let spans = proptest::collection::vec(arb_span(), 0..8);
+    let flows = proptest::collection::vec(arb_flow(), 0..4);
+    (spans, flows, 0u64..12, 0u64..6).prop_map(|(spans, flows, period, times)| {
+        let fit = |start: u64, len: u64| {
+            let start = start % (period + 1);
+            (start, len.min(period - start))
+        };
+        let spans = spans
+            .into_iter()
+            .map(|(track, kind, name, start, len, nest)| {
+                let (start, len) = fit(start, len);
+                (track, kind, name, start, len, nest)
+            })
+            .collect();
+        let flows = flows
+            .into_iter()
+            .map(|(name, from, at, to, dt)| {
+                let (at, dt) = fit(at, dt);
+                (name, from, at, to, dt)
+            })
+            .collect();
+        RunDraw {
+            spans,
+            flows,
+            period,
+            times,
+        }
+    })
+}
+
+/// A drawn stretch whose copies may overlap one another.
+fn arb_loose_run() -> impl Strategy<Value = RunDraw> {
+    (
+        proptest::collection::vec(arb_span(), 2..12),
+        proptest::collection::vec(arb_flow(), 0..3),
+        0u64..40,
+        0u64..5,
+    )
+        .prop_map(|(spans, flows, period, times)| RunDraw {
+            spans,
+            flows,
+            period,
+            times,
+        })
+}
+
+/// One drawn piece of a timeline: spans and flows recorded from the
+/// piece's origin, then maybe a repeated stretch marked `lead` ticks
+/// later. The next piece starts where the last copy ends, or `back`
+/// ticks before it.
+#[derive(Debug, Clone)]
+struct Piece {
+    spans: Vec<SpanDraw>,
+    flows: Vec<FlowDraw>,
+    run: Option<RunDraw>,
+    lead: u64,
+    back: u64,
+}
+
+fn arb_piece() -> impl Strategy<Value = Piece> {
+    let run = prop_oneof![
+        Just(None),
+        arb_fitted_run().prop_map(Some),
+        arb_fitted_run().prop_map(Some),
+        arb_loose_run().prop_map(Some),
+    ];
+    (
+        proptest::collection::vec(arb_span(), 0..6),
+        proptest::collection::vec(arb_flow(), 0..3),
+        run,
+        0u64..70,
+        (0u64..2, 0u64..8).prop_map(|(z, back)| z * back),
+    )
+        .prop_map(|(spans, flows, run, lead, back)| Piece {
+            spans,
+            flows,
+            run,
+            lead,
+            back,
+        })
+}
+
+/// Record `pieces` into one timeline: each repeat as a run record, or,
+/// with `walk`, copy by copy (the flat timeline the runs stand for).
+fn build(pieces: &[Piece], walk: bool) -> Timeline {
+    let mut tl = Timeline::new();
+    let mut origin = 0;
+    for piece in pieces {
+        record(&mut tl, origin, &piece.spans, &piece.flows);
+        origin += piece.lead;
+        if let Some(run) = &piece.run {
+            let mark = tl.mark(t(origin));
+            let copies = if walk { run.times + 1 } else { 1 };
+            for k in 0..copies {
+                record(&mut tl, origin + k * run.period, &run.spans, &run.flows);
+            }
+            if !walk {
+                tl.repeat_since(mark, t(origin + run.period), run.times);
+            }
+            origin += (run.times + 1) * run.period;
+        }
+        origin = origin.saturating_sub(piece.back);
     }
     tl
+}
+
+/// A drawn timeline and the same timeline recorded copy by copy: some
+/// pieces, with more pieces spliced in at a drawn base (so the run
+/// records move across), and counters named like derived metrics.
+fn arb_timelines() -> impl Strategy<Value = (Timeline, Timeline)> {
+    (
+        proptest::collection::vec(arb_piece(), 0..4),
+        proptest::collection::vec(arb_piece(), 0..3),
+        0u64..100_000,
+        proptest::collection::vec((0usize..3, 0u64..5), 0..4),
+    )
+        .prop_map(|(pieces, more, base, counters)| {
+            let build = |walk: bool| {
+                let mut tl = build(&pieces, walk);
+                let base = SimTime::from_nanos(base);
+                tl.append_shifted(&build(&more, walk), SimTime::ZERO, base);
+                for &(name, n) in &counters {
+                    tl.count(["switches", "sync_wait_ns", "spans_gpu"][name], n);
+                }
+                tl
+            };
+            (build(false), build(true))
+        })
 }
 
 /// Reference metrics derivation: one registry write per span, the
 /// way [`MetricsRegistry::from_timeline`] worked before it folded each
 /// name locally. It must match the registry the fold builds.
 fn metrics_oracle(tl: &Timeline) -> MetricsRegistry {
+    let spans: Vec<Span> = tl.spans().collect();
     let mut reg = MetricsRegistry::new();
     for (name, n) in tl.counters() {
         reg.incr(name, *n);
     }
-    reg.incr("flows_total", tl.flows().len() as u64);
+    reg.incr("flows_total", tl.flows().count() as u64);
     for track in Track::ALL {
         let name = format!("spans_{}", track.name().to_ascii_lowercase());
-        let n = tl.spans().iter().filter(|s| s.track == track).count();
+        let n = spans.iter().filter(|s| s.track == track).count();
         reg.incr(&name, n as u64);
     }
-    for span in tl.spans() {
+    for span in &spans {
         match span.kind {
             SpanKind::Kernel => {
                 let name = format!("kernel_ns_{}", span.track.name().to_ascii_lowercase());
@@ -234,40 +387,30 @@ fn metrics_oracle(tl: &Timeline) -> MetricsRegistry {
 }
 
 proptest! {
-    /// The one-pass metrics fold writes the same registry as the
-    /// per-span reference, zero-length sync and compile spans and
+    /// The metrics fold over stored spans and run records writes the
+    /// same registry as the per-span reference over the timeline
+    /// recorded copy by copy, zero-length sync and compile spans and
     /// counters named like a derived metric included.
     #[test]
-    fn metrics_fold_matches_the_per_span_reference(
-        spans in proptest::collection::vec(arb_span(), 0..24),
-        flows in proptest::collection::vec(arb_flow(), 0..8),
-        counters in proptest::collection::vec((0usize..3, 0u64..5), 0..4),
-    ) {
-        let mut tl = segment(&spans, &flows);
-        for (name, n) in counters {
-            tl.count(["switches", "sync_wait_ns", "spans_gpu"][name], n);
-        }
-        let want = metrics_oracle(&tl);
-        let got = MetricsRegistry::from_timeline(&tl);
-        prop_assert_eq!(got, want);
+    fn metrics_fold_matches_the_per_span_reference((tl, walked) in arb_timelines()) {
+        prop_assert_eq!(tl.span_count(), walked.span_count());
+        prop_assert_eq!(tl.flow_count(), walked.flow_count());
+        prop_assert_eq!(MetricsRegistry::from_timeline(&tl), metrics_oracle(&walked));
     }
 
     /// The streaming exporter writes exactly the reference bytes for
     /// timelines with hostile names, zero-length and nested spans,
-    /// equal starts and flows, including ones spliced in with
-    /// re-based flow ids.
+    /// equal starts and flows, repeated stretches (copies in their own
+    /// periods, touching at the boundary, or overlapping) and spliced
+    /// segments with re-based flow ids; the reference reads the same
+    /// timeline recorded copy by copy, which the run-record timeline
+    /// must equal.
     #[test]
-    fn chrome_writer_matches_the_reference(
-        spans in proptest::collection::vec(arb_span(), 0..24),
-        flows in proptest::collection::vec(arb_flow(), 0..8),
-        more_spans in proptest::collection::vec(arb_span(), 0..8),
-        more_flows in proptest::collection::vec(arb_flow(), 0..4),
-        base in 0u64..100_000,
-    ) {
-        let mut tl = segment(&spans, &flows);
-        let seg = segment(&more_spans, &more_flows);
-        tl.append_shifted(&seg, SimTime::ZERO, SimTime::from_nanos(base));
-        let want = oracle::to_chrome_json(&tl);
+    fn chrome_writer_matches_the_reference((tl, walked) in arb_timelines()) {
+        prop_assert!(tl == walked, "run records expand to the walked timeline");
+        prop_assert_eq!(tl.end_time(), walked.end_time());
+        prop_assert_eq!(tl.check_well_formed(), walked.check_well_formed());
+        let want = oracle::to_chrome_json(&walked);
         serde_json::from_str::<serde_json::Value>(&want).expect("reference output parses");
         prop_assert_eq!(chrome::to_chrome_json(&tl), want);
     }
@@ -362,15 +505,14 @@ proptest! {
         let (report, tl) = session.try_run_observed(prompt, decode).expect("built-in trace");
 
         let reg = MetricsRegistry::from_timeline(&tl);
-        prop_assert_eq!(reg.counter("flows_total"), tl.flows().len() as u64);
+        prop_assert_eq!(reg.counter("flows_total"), tl.flows().count() as u64);
         for track in Track::ALL {
             let name = format!("spans_{}", track.name().to_ascii_lowercase());
-            let expect = tl.spans().iter().filter(|s| s.track == track).count() as u64;
+            let expect = tl.spans().filter(|s| s.track == track).count() as u64;
             prop_assert_eq!(reg.counter(&name), expect);
         }
         let sync_ns: u64 = tl
             .spans()
-            .iter()
             .filter(|s| s.kind == SpanKind::Sync)
             .map(|s| s.duration().as_nanos())
             .sum();
@@ -385,10 +527,10 @@ proptest! {
 }
 
 proptest! {
-    /// An observed session charges repeated decoder layers by copying
-    /// the first one's spans and flows; one that also records a
-    /// concurrency log walks every layer. Both must give the same
-    /// timeline, the same trace bytes and the same report.
+    /// An observed session records repeated decoder layers as run
+    /// records of the first one's spans and flows; one that also
+    /// records a concurrency log walks every layer. Both must give the
+    /// same timeline, the same trace bytes and the same report.
     #[test]
     fn repeated_timelines_match_walked_ones(
         kind in arb_engine(),
@@ -414,10 +556,10 @@ proptest! {
             model.name,
             prompt,
             decode,
-            repeated.spans().len(),
-            repeated.flows().len(),
-            walked.spans().len(),
-            walked.flows().len(),
+            repeated.span_count(),
+            repeated.flow_count(),
+            walked.span_count(),
+            walked.flow_count(),
         );
         prop_assert_eq!(chrome::to_chrome_json(&repeated), chrome::to_chrome_json(&walked));
         prop_assert_eq!(report, walked_report);

@@ -17,7 +17,6 @@ use heterollm::obs::{SpanKind, Timeline, Track};
 pub fn gpu_bursts(timeline: &Timeline, merge_gap: SimTime) -> Vec<LlmBurst> {
     let mut gpu: Vec<(SimTime, SimTime)> = timeline
         .spans()
-        .iter()
         .filter(|s| s.track == Track::Gpu && s.kind == SpanKind::Kernel && s.end > s.start)
         .map(|s| (s.start, s.end))
         .collect();
