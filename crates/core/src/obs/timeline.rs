@@ -291,17 +291,12 @@ struct Placed<'a> {
 }
 
 impl Placed<'_> {
-    /// Stack order without its tie-break: start ascending, then end
-    /// descending.
-    fn at(&self) -> (u64, Reverse<u64>) {
-        let s = self.span;
-        let end = s.end.as_nanos() + self.shift;
-        (s.start.as_nanos() + self.shift, Reverse(end))
-    }
-
-    /// Stack order, ties broken by recording order.
-    fn key(&self) -> ((u64, Reverse<u64>), u64) {
-        (self.at(), self.index)
+    /// Stack order: start ascending, then end descending, then
+    /// recording order.
+    fn key(&self) -> (u64, Reverse<u64>, u64) {
+        let (s, shift) = (self.span, self.shift);
+        let end = s.end.as_nanos() + shift;
+        (s.start.as_nanos() + shift, Reverse(end), self.index)
     }
 }
 
@@ -326,7 +321,12 @@ pub struct Timeline {
 
 /// A snapshot of a [`Timeline`] at simulated time `at`: how many spans
 /// and flows it stored and its next flow id. See
-/// [`Timeline::repeat_since`].
+/// `Timeline::repeat_since`.
+///
+/// Test support: public only so the run-record oracles in
+/// `tests/obs_props.rs` can build runs; engines record them through
+/// the [`TimelineRecorder`].
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
 pub struct TimelineMark {
     at: SimTime,
@@ -407,7 +407,8 @@ impl Timeline {
     }
 
     /// Snapshot the timeline at simulated time `now`, for
-    /// [`Self::repeat_since`].
+    /// `Self::repeat_since`. Test support, like [`TimelineMark`].
+    #[doc(hidden)]
     pub fn mark(&self, now: SimTime) -> TimelineMark {
         TimelineMark {
             at: now,
@@ -429,6 +430,10 @@ impl Timeline {
     /// If `now` precedes the mark, the mark is not of this timeline's
     /// past, or the stretch since the mark holds a run of its own (runs
     /// do not nest).
+    ///
+    /// Test support, like [`TimelineMark`]; engines record runs through
+    /// the [`TimelineRecorder`].
+    #[doc(hidden)]
     pub fn repeat_since(&mut self, mark: TimelineMark, now: SimTime, times: u64) {
         let period_ns = now
             .as_nanos()
@@ -635,100 +640,38 @@ impl Timeline {
     /// Visit the spans of one track in stack order — by start
     /// ascending, then end *descending* (parents before children at
     /// equal starts), then recording order — as each one's stored span
-    /// and the shift of its copy in ns.
-    ///
-    /// Only stored spans are sorted. A run's copies follow one another
-    /// in time, so its expansion is a merge of neighbouring copies
-    /// (copy `k` only interleaves with copy `k + 1`, at the period
-    /// boundary); runs follow one another too, and the spans between
-    /// runs are merged in around them. A track whose runs do not keep
-    /// to that (copies that reach past the next copy, runs out of time
-    /// order) has all its copies sorted instead.
+    /// and the shift of its copy in ns. A run's copies are placed and
+    /// sorted with the rest; no span is cloned.
     pub(crate) fn visit_track_spans<'a>(
         &'a self,
         track: Track,
         mut visit: impl FnMut(&'a Span, u64),
     ) {
-        // Between runs, and of each run's copy 0 (with its stretch).
-        let (mut flat, mut members, mut runs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut placed = Vec::new();
         for st in self.span_stretches() {
-            let on_track = self.spans[st.range.clone()]
+            let first = placed.len();
+            let stored = self.spans[st.range.clone()]
                 .iter()
-                .zip(st.range.start as u64..)
-                .filter(|(s, _)| s.track == track)
-                .map(|(span, j)| Placed {
-                    span,
-                    shift: 0,
-                    index: j + st.before,
-                });
-            if st.copies == 0 {
-                flat.extend(on_track);
-            } else {
-                let at = members.len();
-                members.extend(on_track);
-                if members.len() > at {
-                    members[at..].sort_unstable_by_key(Placed::key);
-                    runs.push((at..members.len(), st));
+                .zip(st.range.start as u64..);
+            placed.extend(
+                stored
+                    .filter(|(s, _)| s.track == track)
+                    .map(|(span, j)| Placed {
+                        span,
+                        shift: 0,
+                        index: j + st.before,
+                    }),
+            );
+            let copy0 = first..placed.len();
+            for k in 1..=st.copies {
+                for i in copy0.clone() {
+                    placed.push(st.copy(placed[i], k));
                 }
             }
         }
-        flat.sort_unstable_by_key(Placed::key);
-
-        // Copy k + 2 of a run sorts after all of copy k (ties go to
-        // copy k), and a run's last copy before the next run.
-        let neighbours_only = runs.iter().all(|(r, st)| {
-            let (first, last) = (members[r.start], members[r.end - 1]);
-            st.copies < 2 || st.copy(first, 2).at() >= last.at()
-        });
-        let in_order = runs.windows(2).all(|w| {
-            let ((a, st), (b, _)) = (&w[0], &w[1]);
-            st.copy(members[a.end - 1], st.copies).key() < members[b.start].key()
-        });
-        if !(neighbours_only && in_order) {
-            for (r, st) in &runs {
-                for k in 1..=st.copies {
-                    flat.extend(members[r.clone()].iter().map(|&p| st.copy(p, k)));
-                }
-                flat.extend_from_slice(&members[r.clone()]);
-            }
-            flat.sort_unstable_by_key(Placed::key);
-            runs.clear();
-        }
-
-        let mut flat = flat.into_iter().peekable();
-        let mut emit = |p: Placed<'a>| {
-            while let Some(f) = flat.next_if(|f| f.key() < p.key()) {
-                visit(f.span, f.shift);
-            }
+        placed.sort_unstable_by_key(Placed::key);
+        for p in placed {
             visit(p.span, p.shift);
-        };
-        for (r, st) in &runs {
-            // Two-way merge: copy `a` from `i`, copy `a + 1` from `j`.
-            let copy0 = &members[r.clone()];
-            let (mut a, mut i, mut j) = (0, 0, 0);
-            loop {
-                if i == copy0.len() {
-                    if a == st.copies {
-                        break;
-                    }
-                    (a, i, j) = (a + 1, j, 0);
-                    continue;
-                }
-                let head = st.copy(copy0[i], a);
-                if a < st.copies && j < copy0.len() {
-                    let next = st.copy(copy0[j], a + 1);
-                    if next.key() < head.key() {
-                        emit(next);
-                        j += 1;
-                        continue;
-                    }
-                }
-                emit(head);
-                i += 1;
-            }
-        }
-        for f in flat {
-            visit(f.span, f.shift);
         }
     }
 
@@ -786,8 +729,8 @@ impl Timeline {
 ///
 /// Layer repeat: `TimelineRecorder::mark` and
 /// `TimelineRecorder::repeat_since` let the plan walk record one
-/// decoder layer and store the rest as one run record of it
-/// ([`Timeline::repeat_since`]): the timeline's part of the layer
+/// decoder layer and store the rest as one run record of it: the
+/// timeline's part of the layer
 /// repeat that `engines::walk::run_phase` applies to the clock and the
 /// energy meter.
 #[derive(Debug, Default)]
@@ -830,7 +773,7 @@ impl TimelineRecorder {
     }
 
     /// Record `times` more copies of everything recorded since `mark`
-    /// as one run ([`Timeline::repeat_since`]), and grow the per-kernel
+    /// as one run (`Timeline::repeat_since`), and grow the per-kernel
     /// counters by `times` their deltas.
     pub(crate) fn repeat_since(&mut self, mark: RecorderMark, now: SimTime, times: u64) {
         self.tl.repeat_since(mark.tl, now, times);

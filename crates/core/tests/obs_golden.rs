@@ -49,7 +49,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The adaptive arm of `fault_sweep --seed 42` at its default 24
-/// requests, recorded through the runtime controller.
+/// requests, recorded through the runtime controller. `hetero-bench`'s
+/// `fault_trace_golden` test runs the binary itself against the same
+/// digest lines.
 fn controller_session() -> Timeline {
     let model = ModelConfig::internlm_1_8b();
     let requests = conversation_traffic(42, 24, SimTime::from_millis(800));
